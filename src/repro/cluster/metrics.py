@@ -133,9 +133,6 @@ class LatencyRecorder:
         self._phase_starts[name] = now_ms
         self._current_phase = name
 
-    def current_phase(self) -> str:
-        return self._current_phase or self.DEFAULT_PHASE
-
     def phases(self) -> Tuple[str, ...]:
         """Phase names in timeline order."""
         return tuple(self._phase_order)

@@ -22,10 +22,6 @@ from repro.types import InstanceID, deps_from_wire, deps_to_wire
 Deps = Tuple[InstanceID, ...]
 
 
-def _sorted_deps(deps) -> Deps:
-    return tuple(sorted(set(deps)))
-
-
 @register_message
 @dataclass(frozen=True)
 class Request:

@@ -120,10 +120,6 @@ class LinkShaper:
     # ------------------------------------------------------------------
     # Runtime mutation (fault injectors)
     # ------------------------------------------------------------------
-    @property
-    def delay_scale(self) -> float:
-        return self._delay_scale
-
     def set_delay_scale(self, factor: float) -> None:
         """Scale every resolved model's ``delay_ms`` (LatencyShift's
         TCP-side lever; 1.0 restores the base profile)."""
@@ -147,10 +143,6 @@ class LinkShaper:
         # Probe the merged overlay so a bad patch fails at apply time
         # with ranges checked, not deep inside plan().
         replace(LinkModel(), **merged).validate("netem.patch")
-        self._cache.clear()
-
-    def clear_patches(self) -> None:
-        self._patches.clear()
         self._cache.clear()
 
     # ------------------------------------------------------------------

@@ -54,12 +54,12 @@ def _canonical(envelope: Dict[str, Any]) -> bytes:
 def sign_event(event: Any, keypair: KeyPair,
                nonce: Optional[str] = None) -> bytes:
     """Serialize + sign one fault event into a POST body."""
-    from repro.scenario.loader import _fault_to_dict
+    from repro.scenario.loader import fault_to_dict
 
     envelope: Dict[str, Any] = {
         "v": CONTROL_SCHEMA_VERSION,
         "nonce": nonce if nonce is not None else os.urandom(16).hex(),
-        "event": _fault_to_dict(event),
+        "event": fault_to_dict(event),
     }
     envelope["mac"] = keypair.mac(_canonical(envelope))
     return json.dumps(envelope, sort_keys=True).encode("utf-8")
@@ -125,14 +125,9 @@ class ControlChannel:
         while len(self._seen_nonces) > self.MAX_SEEN_NONCES:
             self._seen_nonces.popitem(last=False)
 
-        from repro.scenario.faults import TCP_SUPPORTED
-        from repro.scenario.loader import _fault_from_dict
+        from repro.scenario.loader import fault_from_dict
         try:
-            event = _fault_from_dict(envelope["event"], "control.event")
-            if not isinstance(event, TCP_SUPPORTED):
-                raise ConfigurationError(
-                    f"fault event {type(event).__name__} is not "
-                    f"supported on the tcp backend")
+            event = fault_from_dict(envelope["event"], "control.event")
             event.validate(self._replica_ids)
         except ConfigurationError as exc:
             return 422, {"error": str(exc)}

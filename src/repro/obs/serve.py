@@ -126,8 +126,12 @@ class ServeSession:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        from repro.scenario.deployment import (
+            attach_seams,
+            build_tcp_cluster,
+            data_root,
+        )
         from repro.scenario.faults import TcpFaultInjector
-        from repro.scenario.runner import build_tcp_cluster
 
         loop = asyncio.get_running_loop()
         self._now_ms = lambda: loop.time() * 1000.0
@@ -136,35 +140,6 @@ class ServeSession:
         self.cluster = build_tcp_cluster(
             self.scenario, start_replicas=self.replicas)
         await self.cluster.start()
-        if self.data_dir or self.scenario.durable:
-            # Attach the on-disk store and recover whatever a prior
-            # incarnation left behind *before* the banner announces
-            # readiness -- peers must never reach a replica that has
-            # not caught up with its own disk yet.  Anything past the
-            # WAL's truncation point arrives later through the normal
-            # state-transfer path.
-            import os
-            from repro.storage import ReplicaStorage
-            root = self.data_dir or os.path.join(
-                ".repro-data", self.scenario.name)
-            for rid in self.replicas:
-                replica = self.cluster.replicas[rid]
-                if not hasattr(replica, "attach_storage"):
-                    continue
-                storage = ReplicaStorage(root, rid)
-                self._storages[rid] = storage
-                replica.attach_storage(storage)
-                summary = replica.recover_from_storage()
-                logger.info(
-                    "recovered %s from %s", rid, storage.root,
-                    extra={"snapshot_watermark":
-                           summary.snapshot_watermark,
-                           "records_replayed":
-                           summary.records_replayed})
-        self.injector = TcpFaultInjector(
-            self.cluster, netem_seed=self.scenario.seed)
-        self.injector.install_filters()
-
         if self.trace:
             from repro.trace import ActiveTracer, TraceCollector
             from repro.trace.live import wall_clock_ms
@@ -177,12 +152,21 @@ class ServeSession:
             self.tracer = ActiveTracer(
                 wall_clock_ms, collector=self._trace_collector,
                 sample_rate=self.trace_sample_rate)
-            for rid in self.replicas:
-                self.cluster.nodes[rid].tracer = self.tracer
-                replica = self.cluster.replicas[rid]
-                attach = getattr(replica, "attach_tracer", None)
-                if attach is not None:
-                    attach(self.tracer)
+        # The on-disk stores are attached and recovered *before* the
+        # banner announces readiness -- peers must never reach a
+        # replica that has not caught up with its own disk yet.
+        # Anything past the WAL's truncation point arrives later
+        # through the normal state-transfer path.
+        durable = self.data_dir or self.scenario.durable
+        attach_seams(
+            self.cluster, self.cluster.nodes.values(),
+            tracer=self.tracer,
+            storage_root=data_root(self.scenario, self.data_dir)
+            if durable else None,
+            storages=self._storages)
+        self.injector = TcpFaultInjector(
+            self.cluster, netem_seed=self.scenario.seed)
+        self.injector.install_filters()
 
         for rid in self.replicas:
             live = LiveInstruments(

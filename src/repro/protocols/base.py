@@ -56,9 +56,6 @@ class BaseReplica:
     def broadcast_others(self, message: Any) -> None:
         self.ctx.broadcast(self.config.others(self.node_id), message)
 
-    def broadcast_all(self, message: Any) -> None:
-        self.ctx.broadcast(self.config.replica_ids, message)
-
 
 class BaseClient:
     """Common client state for primary-based protocols."""

@@ -18,6 +18,8 @@ SPEC = register_protocol(ProtocolSpec(
     speculative=True,
     supports_batching=True,
     supports_checkpointing=True,
+    supports_durability=True,
+    supports_tracing=True,
     description="Leaderless speculative BFT: every replica is a "
                 "command-leader; 2-step fast path, 3-step slow path.",
 ))

@@ -65,6 +65,13 @@ class ProtocolSpec:
       at stable checkpoints (``config.checkpoint_interval``) and keeps
       resident state bounded; long-running deployments should prefer
       protocols with this flag.
+    - ``supports_durability``: the replica has the storage seam
+      (``attach_storage`` / ``recover_from_storage``), so ``durable``
+      deployments back it with an on-disk store; replicas without it
+      run in memory.
+    - ``supports_tracing``: the replica has the ``attach_tracer`` seam
+      and emits server-side spans; replicas without it still run under
+      ``--trace`` but contribute none.
 
     ``replica_wiring``/``client_wiring`` override the default
     capability-derived constructor kwargs for protocols whose
@@ -78,6 +85,8 @@ class ProtocolSpec:
     speculative: bool = False
     supports_batching: bool = False
     supports_checkpointing: bool = False
+    supports_durability: bool = False
+    supports_tracing: bool = False
     description: str = ""
     replica_wiring: Optional[WiringHook] = field(default=None, repr=False)
     client_wiring: Optional[WiringHook] = field(default=None, repr=False)

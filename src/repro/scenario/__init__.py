@@ -57,11 +57,8 @@ from repro.scenario.report import (
     PhaseReport,
     rows_to_csv,
 )
-from repro.scenario.runner import (
-    ScenarioRunner,
-    build_tcp_cluster,
-    run_scenario,
-)
+from repro.scenario.deployment import build_tcp_cluster
+from repro.scenario.runner import ScenarioRunner, run_scenario
 from repro.scenario.spec import (
     BACKENDS,
     NAMED_MATRICES,

@@ -32,6 +32,7 @@ assert the schedule executed at the right times.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -52,6 +53,7 @@ __all__ = [
     "Jitter",
     "BandwidthCap",
     "Reorder",
+    "FAULT_TYPES",
     "SimFaultInjector",
     "TcpFaultInjector",
 ]
@@ -69,47 +71,42 @@ class FaultEvent:
                 f"{type(self).__name__}.at_ms must be >= 0, "
                 f"got {self.at_ms}")
 
-    def _check_replica(self, replica: str,
-                       replica_ids: Tuple[str, ...]) -> None:
-        if replica not in replica_ids:
-            raise ConfigurationError(
-                f"{type(self).__name__} names unknown replica "
-                f"{replica!r} (have {replica_ids})")
-
     def describe(self) -> str:
         return type(self).__name__
 
 
 @dataclass(frozen=True)
-class CrashReplica(FaultEvent):
-    """Fail-stop ``replica``: it processes and emits nothing."""
+class _ReplicaEvent(FaultEvent):
+    """Base for events that target one ``replica``."""
 
     replica: str = ""
 
     def validate(self, replica_ids: Tuple[str, ...]) -> None:
         super().validate(replica_ids)
-        self._check_replica(self.replica, replica_ids)
+        if self.replica not in replica_ids:
+            raise ConfigurationError(
+                f"{type(self).__name__} names unknown replica "
+                f"{self.replica!r} (have {replica_ids})")
+
+
+@dataclass(frozen=True)
+class CrashReplica(_ReplicaEvent):
+    """Fail-stop ``replica``: it processes and emits nothing."""
 
     def describe(self) -> str:
         return f"crash {self.replica}"
 
 
 @dataclass(frozen=True)
-class RecoverReplica(FaultEvent):
+class RecoverReplica(_ReplicaEvent):
     """Undo a :class:`CrashReplica` for ``replica``."""
-
-    replica: str = ""
-
-    def validate(self, replica_ids: Tuple[str, ...]) -> None:
-        super().validate(replica_ids)
-        self._check_replica(self.replica, replica_ids)
 
     def describe(self) -> str:
         return f"recover {self.replica}"
 
 
 @dataclass(frozen=True)
-class KillProcess(FaultEvent):
+class KillProcess(_ReplicaEvent):
     """SIGKILL the serve process hosting ``replica`` mid-run.
 
     Unlike :class:`CrashReplica` (an in-memory fiction: the handler is
@@ -120,27 +117,15 @@ class KillProcess(FaultEvent):
     (:class:`~repro.scenario.processes.ServeProcessManager`).
     """
 
-    replica: str = ""
-
-    def validate(self, replica_ids: Tuple[str, ...]) -> None:
-        super().validate(replica_ids)
-        self._check_replica(self.replica, replica_ids)
-
     def describe(self) -> str:
         return f"kill -9 {self.replica}"
 
 
 @dataclass(frozen=True)
-class RestartProcess(FaultEvent):
+class RestartProcess(_ReplicaEvent):
     """Respawn the killed serve process for ``replica`` from its data
     dir (recovery = snapshot + WAL replay + state transfer for the
     rest) and re-announce this process's dynamic addresses to it."""
-
-    replica: str = ""
-
-    def validate(self, replica_ids: Tuple[str, ...]) -> None:
-        super().validate(replica_ids)
-        self._check_replica(self.replica, replica_ids)
 
     def describe(self) -> str:
         return f"restart {self.replica}"
@@ -176,15 +161,13 @@ class Heal(FaultEvent):
 
 
 @dataclass(frozen=True)
-class SwapByzantine(FaultEvent):
+class SwapByzantine(_ReplicaEvent):
     """Replace ``replica`` with the named byzantine ``behavior``."""
 
-    replica: str = ""
     behavior: str = "silent"
 
     def validate(self, replica_ids: Tuple[str, ...]) -> None:
         super().validate(replica_ids)
-        self._check_replica(self.replica, replica_ids)
         from repro.byzantine import behavior_by_name
         behavior_by_name(self.behavior)  # raises on unknown names
 
@@ -337,10 +320,37 @@ class Reorder(_NetemEvent):
                 "reorder_extra_ms": self.extra_ms}
 
 
-class _InjectorBase:
-    """Shared bookkeeping: structured log + crash/partition state."""
+#: The fault vocabulary: every event class a spec document can name
+#: by ``type``, all of which both injectors apply.
+FAULT_TYPES: Dict[str, type] = {
+    cls.__name__: cls
+    for cls in (CrashReplica, RecoverReplica, KillProcess,
+                RestartProcess, Partition, Heal, SwapByzantine,
+                LatencyShift, ClientChurn, PacketLoss, Jitter,
+                BandwidthCap, Reorder)
+}
 
-    def __init__(self) -> None:
+
+_SpawnClients = Optional[Callable[[int, Optional[str]], None]]
+_StopClients = Optional[Callable[[int], None]]
+
+
+class _InjectorBase:
+    """What both injectors share: the structured log, crash state, and
+    the events that act through backend-neutral seams (the link shaper
+    and the runner's client pool).
+
+    ``spawn_clients(count, region)`` / ``stop_clients(count)`` are
+    supplied by the runner so :class:`ClientChurn` can attach drivers
+    with the scenario's workload.
+    """
+
+    def __init__(self, cluster: Any, spawn_clients: _SpawnClients,
+                 stop_clients: _StopClients, netem_seed: int) -> None:
+        self.cluster = cluster
+        self._spawn_clients = spawn_clients
+        self._stop_clients = stop_clients
+        self._netem_seed = netem_seed
         self.log: List[Dict[str, Any]] = []
         self._crashed: Dict[str, Callable[[str, Any], None]] = {}
         #: Partition pairs added *by crash isolation* per replica, so
@@ -361,33 +371,39 @@ class _InjectorBase:
         endpoints report this without reaching into injector state)."""
         return replica_id in self._crashed
 
+    def _ensure_shaper(self) -> Any:
+        """The deployment's live shaper, materialized on first use for
+        scenarios that declared no netem profile."""
+        raise NotImplementedError
+
+    def _apply_shared(self, event: FaultEvent) -> None:
+        if isinstance(event, _NetemEvent):
+            self._ensure_shaper().patch(event.src, event.dst,
+                                        **event.patch_fields())
+        elif isinstance(event, ClientChurn):
+            if event.add and self._spawn_clients is not None:
+                self._spawn_clients(event.add, event.region)
+            if event.stop and self._stop_clients is not None:
+                self._stop_clients(event.stop)
+        else:
+            raise ConfigurationError(
+                f"unsupported fault event {type(event).__name__}")
+
 
 class SimFaultInjector(_InjectorBase):
-    """Applies fault events to a simulated :class:`Cluster`.
-
-    ``spawn_clients(count, region)`` / ``stop_clients(count)`` are
-    supplied by the runner so :class:`ClientChurn` can attach drivers
-    with the scenario's workload.
-    """
+    """Applies fault events to a simulated :class:`Cluster`."""
 
     def __init__(self, cluster: Any,
-                 spawn_clients: Optional[Callable[[int, Optional[str]],
-                                                  None]] = None,
-                 stop_clients: Optional[Callable[[int], None]] = None,
+                 spawn_clients: _SpawnClients = None,
+                 stop_clients: _StopClients = None,
                  statemachine_factory: Optional[Callable[[], Any]] = None,
-                 netem_seed: int = 0
-                 ) -> None:
-        super().__init__()
-        self.cluster = cluster
-        self._spawn_clients = spawn_clients
-        self._stop_clients = stop_clients
+                 netem_seed: int = 0) -> None:
+        super().__init__(cluster, spawn_clients, stop_clients,
+                         netem_seed)
         self._statemachine_factory = statemachine_factory
         self._base_matrix = cluster.latency
-        self._netem_seed = netem_seed
 
     def _ensure_shaper(self) -> Any:
-        """The network's live shaper, materialized on first use for
-        scenarios that declared no netem profile."""
         network = self.cluster.network
         if network.shaper is None:
             from repro.netem import LinkShaper
@@ -454,26 +470,9 @@ class SimFaultInjector(_InjectorBase):
                 # the TCP backend does (a WAN slowdown slows the
                 # emulated links too).
                 network.shaper.set_delay_scale(event.factor)
-        elif isinstance(event, _NetemEvent):
-            self._ensure_shaper().patch(event.src, event.dst,
-                                        **event.patch_fields())
-        elif isinstance(event, ClientChurn):
-            if event.add and self._spawn_clients is not None:
-                self._spawn_clients(event.add, event.region)
-            if event.stop and self._stop_clients is not None:
-                self._stop_clients(event.stop)
         else:
-            raise ConfigurationError(
-                f"unsupported fault event {type(event).__name__}")
+            self._apply_shared(event)
         self._record(event, now)
-
-
-#: Events the TCP backend can apply -- since the netem shaper seam,
-#: every built-in fault type, at parity with the simulator.
-TCP_SUPPORTED = (CrashReplica, RecoverReplica, Partition, Heal,
-                 SwapByzantine, LatencyShift, ClientChurn,
-                 PacketLoss, Jitter, BandwidthCap, Reorder,
-                 KillProcess, RestartProcess)
 
 
 class TcpFaultInjector(_InjectorBase):
@@ -483,25 +482,18 @@ class TcpFaultInjector(_InjectorBase):
     wrapped once with a filter that drops frames whose (sender,
     receiver) pair is currently cut.  Netem events and LatencyShift
     retarget the cluster's live :class:`~repro.netem.LinkShaper`
-    (materialized lazily when the scenario declared no profile);
-    ClientChurn starts/stops workload drivers through the runner's
-    ``spawn_clients`` / ``stop_clients`` callbacks.
+    (materialized lazily when the scenario declared no profile).
     """
 
     def __init__(self, cluster: Any,
-                 spawn_clients: Optional[Callable[[int, Optional[str]],
-                                                  None]] = None,
-                 stop_clients: Optional[Callable[[int], None]] = None,
+                 spawn_clients: _SpawnClients = None,
+                 stop_clients: _StopClients = None,
                  netem_seed: int = 0,
                  control_endpoints: Optional[
                      Dict[str, Tuple[str, int]]] = None,
-                 control_seed: bytes = b"tcp-demo",
                  process_manager: Optional[Any] = None) -> None:
-        super().__init__()
-        self.cluster = cluster
-        self._spawn_clients = spawn_clients
-        self._stop_clients = stop_clients
-        self._netem_seed = netem_seed
+        super().__init__(cluster, spawn_clients, stop_clients,
+                         netem_seed)
         #: Runner-side serve process manager; KillProcess /
         #: RestartProcess route here instead of over /control.
         self._process_manager = process_manager
@@ -513,7 +505,6 @@ class TcpFaultInjector(_InjectorBase):
         #: cluster-wide events are broadcast so every process converges.
         self.control_endpoints: Dict[str, Tuple[str, int]] = \
             dict(control_endpoints or {})
-        self._control_seed = control_seed
         self._control_client: Any = None
         self._control_tasks: set = set()
         #: Errors from forwarded control deliveries, surfaced by the
@@ -531,12 +522,13 @@ class TcpFaultInjector(_InjectorBase):
         another process with no ``obs`` control endpoint declared (no
         channel can reach its handler), and process-level kill/restart
         events for replicas no runner-side process manager owns."""
+        supported = tuple(FAULT_TYPES.values())
         for event in events:
-            if not isinstance(event, TCP_SUPPORTED):
+            if not isinstance(event, supported):
                 raise ConfigurationError(
                     f"fault event {type(event).__name__} is not "
                     f"supported on the tcp backend (supported: "
-                    f"{tuple(t.__name__ for t in TCP_SUPPORTED)})")
+                    f"{tuple(FAULT_TYPES)})")
             if isinstance(event, (KillProcess, RestartProcess)):
                 if event.replica not in managed:
                     raise ConfigurationError(
@@ -590,7 +582,6 @@ class TcpFaultInjector(_InjectorBase):
         return filtered
 
     def _now_ms(self) -> float:
-        import asyncio
         return asyncio.get_running_loop().time() * 1000.0
 
     def apply(self, event: FaultEvent) -> None:
@@ -625,7 +616,6 @@ class TcpFaultInjector(_InjectorBase):
         if isinstance(event, KillProcess):
             self._process_manager.kill(event.replica)
             return
-        import asyncio
         # Respawn + readiness + re-announce are async; ride the same
         # task set as /control forwards so drain_control barriers them
         # and failures surface in control_errors.
@@ -635,7 +625,6 @@ class TcpFaultInjector(_InjectorBase):
         task.add_done_callback(self._control_done)
 
     async def _restart_process(self, replica: str) -> None:
-        import asyncio
         await self._process_manager.restart(replica)
         # The respawned process lost every dynamically-learned address;
         # re-announce this process's listeners so it can dial back,
@@ -646,10 +635,9 @@ class TcpFaultInjector(_InjectorBase):
 
     def _forward(self, event: FaultEvent,
                  replicas: Tuple[str, ...]) -> None:
-        import asyncio
         if self._control_client is None:
             from repro.obs.control import ControlClient
-            self._control_client = ControlClient(self._control_seed)
+            self._control_client = ControlClient()
         loop = asyncio.get_running_loop()
         # One process can serve several replicas behind one endpoint;
         # send to each distinct address once (the built-in events are
@@ -686,7 +674,6 @@ class TcpFaultInjector(_InjectorBase):
     async def drain_control(self, timeout: float = 5.0) -> None:
         """Wait for in-flight /control deliveries (teardown barrier:
         errors land in :attr:`control_errors`, not in the void)."""
-        import asyncio
         pending = {t for t in self._control_tasks if not t.done()}
         if pending:
             await asyncio.wait(pending, timeout=timeout)
@@ -731,15 +718,5 @@ class TcpFaultInjector(_InjectorBase):
             # netem profile's link delays instead (factor 1.0 restores
             # the base, exactly like the simulator's matrix reset).
             self._ensure_shaper().set_delay_scale(event.factor)
-        elif isinstance(event, _NetemEvent):
-            self._ensure_shaper().patch(event.src, event.dst,
-                                        **event.patch_fields())
-        elif isinstance(event, ClientChurn):
-            if event.add and self._spawn_clients is not None:
-                self._spawn_clients(event.add, event.region)
-            if event.stop and self._stop_clients is not None:
-                self._stop_clients(event.stop)
         else:
-            raise ConfigurationError(
-                f"unsupported fault event on tcp backend: "
-                f"{type(event).__name__}")
+            self._apply_shared(event)

@@ -41,19 +41,33 @@ Example (``python -m repro run --spec exp.toml``)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+import typing
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
-from repro.scenario import faults as fault_mod
-from repro.scenario.faults import FaultEvent
+from repro.scenario.faults import FAULT_TYPES, FaultEvent, Partition
 from repro.scenario.spec import Phase, Scenario, WorkloadSpec
-from repro.statemachine.kvstore import KVStore
 
 __all__ = [
     "FAULT_TYPES",
     "SPEC_FORMATS",
+    "field_types",
+    "fault_to_dict",
+    "fault_from_dict",
     "scenario_to_dict",
     "scenario_from_dict",
     "sweep_to_dict",
@@ -65,24 +79,7 @@ __all__ = [
     "save_spec",
 ]
 
-#: Fault event classes addressable by ``type`` in spec documents.
-FAULT_TYPES: Dict[str, type] = {
-    cls.__name__: cls
-    for cls in (fault_mod.CrashReplica, fault_mod.RecoverReplica,
-                fault_mod.KillProcess, fault_mod.RestartProcess,
-                fault_mod.Partition, fault_mod.Heal,
-                fault_mod.SwapByzantine, fault_mod.LatencyShift,
-                fault_mod.ClientChurn, fault_mod.PacketLoss,
-                fault_mod.Jitter, fault_mod.BandwidthCap,
-                fault_mod.Reorder)
-}
-
 SPEC_FORMATS = ("json", "toml")
-
-#: Scenario fields that cannot be expressed in a spec document (live
-#: Python objects).  Serialization requires them at their defaults;
-#: deserialized scenarios always get the defaults.
-_UNSERIALIZABLE = ("statemachine", "interference", "cpu", "conditions")
 
 
 def _type_name(value: Any) -> str:
@@ -92,11 +89,8 @@ def _type_name(value: Any) -> str:
 def _expect(value: Any, types: Tuple[type, ...], key: str) -> Any:
     # bool is an int subclass; a bare isinstance check would quietly
     # accept `seed = true`.
-    if isinstance(value, bool) and bool not in types:
-        raise ConfigurationError(
-            f"spec key {key!r} must be {'/'.join(t.__name__ for t in types)}, "
-            f"got bool")
-    if not isinstance(value, types):
+    if (isinstance(value, bool) and bool not in types) or \
+            not isinstance(value, types):
         raise ConfigurationError(
             f"spec key {key!r} must be "
             f"{'/'.join(t.__name__ for t in types)}, "
@@ -111,25 +105,124 @@ def _str_tuple(value: Any, key: str) -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Scenario <-> dict
+# Spec dataclass <-> dict: one field walker
 # ----------------------------------------------------------------------
-def _fault_to_dict(event: FaultEvent) -> Dict[str, Any]:
-    name = type(event).__name__
-    if name not in FAULT_TYPES:
-        raise ConfigurationError(
-            f"cannot serialize custom fault event type {name!r}")
-    data: Dict[str, Any] = {"type": name}
-    for f in dataclasses.fields(event):
-        value = getattr(event, f.name)
-        if f.name == "sides":
-            value = [list(side) for side in value]
-        if value is None:
+#: Document types accepted for a scalar annotation.
+_SCALAR_TYPES: Dict[Any, Tuple[type, ...]] = {
+    int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _document_types(hint: Any) -> Optional[Tuple[type, ...]]:
+    """What a document may hold for a field annotated ``hint``, or
+    ``None`` for annotations only a live Python object satisfies."""
+    if hint in _SCALAR_TYPES:
+        return _SCALAR_TYPES[hint]
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:
+        present = [a for a in args if a is not type(None)]
+        if len(present) == 1:  # Optional[X] reads as X
+            return _document_types(present[0])
+    elif args == (str, Ellipsis):  # Tuple[str, ...]
+        return (list, tuple)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def field_types(cls: type) -> Mapping[str, Tuple[type, ...]]:
+    """Field name -> accepted document types for every field of spec
+    dataclass ``cls`` that a document can carry, read off the
+    dataclass itself.  Fields holding live Python objects (a state
+    machine factory, a CPU model) are absent.  The spec loader and
+    sweep-axis validation share this, so they cannot disagree."""
+    hints = typing.get_type_hints(cls)
+    converters = _CONVERTERS.get(cls, {})
+    types: Dict[str, Tuple[type, ...]] = {}
+    for f in dataclasses.fields(cls):
+        found = converters[f.name].types if f.name in converters \
+            else _document_types(hints[f.name])
+        if found is not None:
+            types[f.name] = found
+    return MappingProxyType(types)  # cached: callers share it
+
+
+def _check_keys(data: Any, known: Any, key: str, owner: str = "") -> None:
+    for name in data:
+        if name not in known:
+            raise ConfigurationError(
+                f"unknown key {name!r} in {key} "
+                f"({owner}accepts {tuple(sorted(known))})")
+
+
+def _from_dict(cls: type, data: Any, key: str) -> Any:
+    """Build spec dataclass ``cls`` from its dict form: unknown keys,
+    mistyped values and missing required keys each raise naming the
+    key."""
+    _expect(data, (dict,), key)
+    types = field_types(cls)
+    converters = _CONVERTERS.get(cls, {})
+    _check_keys(data, types, key, f"{cls.__name__} ")
+    kwargs: Dict[str, Any] = {}
+    for name, value in data.items():
+        qualified = f"{key}.{name}"
+        _expect(value, types[name], qualified)
+        if name in converters:
+            value = converters[name].load(value, qualified)
+        elif types[name] == (list, tuple):
+            value = _str_tuple(value, qualified)
+        kwargs[name] = value
+    for f in dataclasses.fields(cls):
+        if f.name not in kwargs and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ConfigurationError(
+                f"spec table {key!r} is missing the required "
+                f"{f.name!r} key")
+    return cls(**kwargs)
+
+
+def _to_dict(obj: Any) -> Dict[str, Any]:
+    """The dict form of a spec dataclass instance.
+
+    Raises :class:`ConfigurationError` if a field a document cannot
+    carry (a state machine, interference, CPU model, network
+    conditions) is off its default.
+    """
+    types = field_types(type(obj))
+    converters = _CONVERTERS.get(type(obj), {})
+    data: Dict[str, Any] = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name not in types:
+            if value is not f.default:
+                raise ConfigurationError(
+                    f"cannot serialize spec key {f.name!r}: live "
+                    f"Python objects are not expressible in a spec "
+                    f"document (only the default is)")
             continue
+        # Absent means default: TOML has no null, and flags and
+        # arrays of tables are only written when set.
+        if value is None or (value == f.default and
+                             (value is False or value == ())):
+            continue
+        if f.name in converters:
+            value = converters[f.name].dump(value)
+        elif isinstance(value, tuple):
+            value = list(value)
         data[f.name] = value
     return data
 
 
-def _fault_from_dict(data: Any, key: str) -> FaultEvent:
+def fault_to_dict(event: FaultEvent) -> Dict[str, Any]:
+    """The dict form of one fault event (``type`` names its class);
+    spec documents and the signed ``/control`` channel share it."""
+    name = type(event).__name__
+    if name not in FAULT_TYPES:
+        raise ConfigurationError(
+            f"cannot serialize custom fault event type {name!r}")
+    return {"type": name, **_to_dict(event)}
+
+
+def fault_from_dict(data: Any, key: str) -> FaultEvent:
+    """Inverse of :func:`fault_to_dict`; ``key`` prefixes errors."""
     _expect(data, (dict,), key)
     data = dict(data)
     type_name = data.pop("type", None)
@@ -141,137 +234,71 @@ def _fault_from_dict(data: Any, key: str) -> FaultEvent:
         raise ConfigurationError(
             f"spec key {key!r} names unknown fault type {type_name!r}; "
             f"choose from {tuple(FAULT_TYPES)}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for field_name in data:
-        if field_name not in known:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"({type_name} accepts {tuple(sorted(known))})")
-    if "sides" in data:
-        sides = _expect(data["sides"], (list, tuple), f"{key}.sides")
-        if len(sides) != 2:
-            raise ConfigurationError(
-                f"spec key {key}.sides must have exactly 2 entries, "
-                f"got {len(sides)}")
-        data["sides"] = tuple(
-            _str_tuple(side, f"{key}.sides[{i}]")
-            for i, side in enumerate(sides))
-    try:
-        return cls(**data)
-    except TypeError as exc:
+    return _from_dict(cls, data, key)
+
+
+# ----------------------------------------------------------------------
+# Converters for the non-scalar fields
+# ----------------------------------------------------------------------
+class _Converter(NamedTuple):
+    """How one non-scalar field crosses the document boundary."""
+
+    types: Tuple[type, ...]
+    load: Callable[[Any, str], Any]  # (document value, key) -> field
+    dump: Callable[[Any], Any]       # field -> document value
+
+
+def _tables(load: Callable[[Any, str], Any],
+            dump: Callable[[Any], Dict[str, Any]]) -> _Converter:
+    """Converter for a tuple-of-dataclasses field (array of tables)."""
+    return _Converter(
+        (list, tuple),
+        lambda items, key: tuple(load(item, f"{key}[{i}]")
+                                 for i, item in enumerate(items)),
+        lambda items: [dump(item) for item in items])
+
+
+def _sides_from_doc(value: Any, key: str) -> Tuple[Tuple[str, ...], ...]:
+    if len(value) != 2:
         raise ConfigurationError(
-            f"invalid fault event at {key}: {exc}") from None
+            f"spec key {key} must have exactly 2 entries, "
+            f"got {len(value)}")
+    return tuple(_str_tuple(side, f"{key}[{i}]")
+                 for i, side in enumerate(value))
 
 
-def _workload_to_dict(workload: WorkloadSpec) -> Dict[str, Any]:
-    data: Dict[str, Any] = {}
-    for f in dataclasses.fields(workload):
-        value = getattr(workload, f.name)
-        if value is None:
-            continue  # TOML has no null; absent means default None
-        if f.name == "client_regions":
-            value = list(value)
-        data[f.name] = value
-    return data
+def _latency_name(latency: Any) -> str:
+    if isinstance(latency, str):
+        return latency
+    from repro.scenario.spec import NAMED_MATRICES
+    for name, matrix in NAMED_MATRICES.items():
+        if matrix is latency:
+            return name
+    raise ConfigurationError(
+        "cannot serialize scenario key 'latency': pass a named "
+        "matrix (e.g. 'experiment1'), not a LatencyMatrix object")
 
 
-_WORKLOAD_SCHEMA: Dict[str, Tuple[type, ...]] = {
-    "mode": (str,),
-    "client_regions": (list, tuple),
-    "clients_per_region": (int,),
-    "requests_per_client": (int,),
-    "think_time_ms": (int, float),
-    "rate_per_client": (int, float),
-    "max_outstanding": (int,),
-    "contention": (int, float),
-    "value_size": (int,),
-    "warmup_requests": (int,),
-    "batch_size": (int,),
-    "batch_timeout_ms": (int, float),
-}
-
-
-def _workload_from_dict(data: Any, key: str = "scenario.workload"
-                        ) -> WorkloadSpec:
-    _expect(data, (dict,), key)
-    kwargs: Dict[str, Any] = {}
-    for field_name, value in data.items():
-        if field_name not in _WORKLOAD_SCHEMA:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(accepts {tuple(sorted(_WORKLOAD_SCHEMA))})")
-        qualified = f"{key}.{field_name}"
-        _expect(value, _WORKLOAD_SCHEMA[field_name], qualified)
-        if field_name == "client_regions":
-            value = _str_tuple(value, qualified)
-        kwargs[field_name] = value
-    return WorkloadSpec(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Netem profile <-> dict
-# ----------------------------------------------------------------------
-def _link_model_to_dict(model: Any) -> Dict[str, Any]:
-    from repro.netem.model import LinkModel
-    return {f.name: getattr(model, f.name)
-            for f in dataclasses.fields(LinkModel)}
-
-
-_LINK_MODEL_SCHEMA: Dict[str, Tuple[type, ...]] = {
-    "delay_ms": (int, float),
-    "jitter_ms": (int, float),
-    "loss": (int, float),
-    "duplicate": (int, float),
-    "reorder": (int, float),
-    "reorder_extra_ms": (int, float),
-    "rate_kbps": (int, float),
-    "burst_bytes": (int,),
-}
-
-
-def _link_model_from_dict(data: Any, key: str) -> Any:
-    from repro.netem import LinkModel
-    _expect(data, (dict,), key)
-    kwargs: Dict[str, Any] = {}
-    for field_name, value in data.items():
-        if field_name not in _LINK_MODEL_SCHEMA:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(a link model accepts "
-                f"{tuple(sorted(_LINK_MODEL_SCHEMA))})")
-        qualified = f"{key}.{field_name}"
-        _expect(value, _LINK_MODEL_SCHEMA[field_name], qualified)
-        # Keep float fields floats across the round trip (TOML/JSON
-        # may carry `12` for `12.0`; dataclass equality is exact on
-        # type-sensitive consumers only, but float(12) == 12 anyway).
-        kwargs[field_name] = value
-    return LinkModel(**kwargs)
-
-
-def _netem_to_dict(profile: Any) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "default": _link_model_to_dict(profile.default)}
-    if profile.rules:
+def _netem_to_doc(netem: Any) -> Any:
+    if isinstance(netem, str):
+        return netem
+    data: Dict[str, Any] = {"default": _to_dict(netem.default)}
+    if netem.rules:
         data["rules"] = [
-            {"src": rule.src, "dst": rule.dst,
-             **_link_model_to_dict(rule.model)}
-            for rule in profile.rules]
+            {"src": rule.src, "dst": rule.dst, **_to_dict(rule.model)}
+            for rule in netem.rules]
     return data
 
 
-def _netem_from_dict(data: Any, key: str = "scenario.netem") -> Any:
+def _netem_from_doc(data: Any, key: str) -> Any:
     from repro.netem import LinkModel, LinkRule, NetemProfile
-    _expect(data, (dict,), key)
-    known = ("default", "rules")
-    for field_name in data:
-        if field_name not in known:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(accepts {known})")
+    if isinstance(data, str):
+        return data
+    _check_keys(data, ("default", "rules"), key)
     default = LinkModel()
     if "default" in data:
-        default = _link_model_from_dict(data["default"],
-                                        f"{key}.default")
+        default = _from_dict(LinkModel, data["default"],
+                             f"{key}.default")
     rules = []
     if "rules" in data:
         _expect(data["rules"], (list, tuple), f"{key}.rules")
@@ -285,17 +312,39 @@ def _netem_from_dict(data: Any, key: str = "scenario.netem") -> Any:
                           f"{rule_key}.dst")
             rules.append(LinkRule(
                 src=src, dst=dst,
-                model=_link_model_from_dict(entry, rule_key)))
+                model=_from_dict(LinkModel, entry, rule_key)))
     return NetemProfile(default=default, rules=tuple(rules))
 
 
-def _hosts_from_dict(data: Any, key: str) -> Dict[str, str]:
-    _expect(data, (dict,), key)
+def _hosts_from_doc(data: Any, key: str) -> Dict[str, str]:
     return {
         _expect(rid, (str,), f"{key} key"):
             _expect(value, (str,), f"{key}.{rid}")
         for rid, value in data.items()
     }
+
+
+_HOSTS = _Converter((dict,), _hosts_from_doc, dict)
+
+_CONVERTERS: Dict[type, Dict[str, _Converter]] = {
+    Scenario: {
+        "latency": _Converter((str,), lambda name, key: name,
+                              _latency_name),
+        "workload": _Converter(
+            (dict,), functools.partial(_from_dict, WorkloadSpec),
+            _to_dict),
+        "phases": _tables(functools.partial(_from_dict, Phase),
+                          _to_dict),
+        "faults": _tables(fault_from_dict, fault_to_dict),
+        "netem": _Converter((dict, str), _netem_from_doc, _netem_to_doc),
+        "hosts": _HOSTS,
+        "obs": _HOSTS,
+    },
+    Partition: {
+        "sides": _Converter((list, tuple), _sides_from_doc,
+                            lambda sides: [list(s) for s in sides]),
+    },
+}
 
 
 def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
@@ -306,142 +355,14 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     machine, interference, CPU model, network conditions, or an
     anonymous (unnamed) latency matrix.
     """
-    if scenario.statemachine is not KVStore:
-        raise ConfigurationError(
-            "cannot serialize scenario key 'statemachine': only the "
-            "default KVStore is expressible in a spec document")
-    for field_name in ("interference", "cpu", "conditions"):
-        if getattr(scenario, field_name) is not None:
-            raise ConfigurationError(
-                f"cannot serialize scenario key {field_name!r}: live "
-                f"Python objects are not expressible in a spec "
-                f"document")
-    latency = scenario.latency
-    if not isinstance(latency, str):
-        from repro.scenario.spec import NAMED_MATRICES
-        named = {id(matrix): name
-                 for name, matrix in NAMED_MATRICES.items()}
-        latency = named.get(id(latency))
-        if latency is None:
-            raise ConfigurationError(
-                "cannot serialize scenario key 'latency': pass a named "
-                "matrix (e.g. 'experiment1'), not a LatencyMatrix "
-                "object")
-
-    data: Dict[str, Any] = {
-        "name": scenario.name,
-        "protocol": scenario.protocol,
-        "replica_regions": list(scenario.replica_regions),
-        "latency": latency,
-        "workload": _workload_to_dict(scenario.workload),
-        "seed": scenario.seed,
-        "primary_index": scenario.primary_index,
-        "slow_path_timeout": scenario.slow_path_timeout,
-        "retry_timeout": scenario.retry_timeout,
-        "suspicion_timeout": scenario.suspicion_timeout,
-        "view_change_timeout": scenario.view_change_timeout,
-        "checkpoint_interval": scenario.checkpoint_interval,
-        "backends": list(scenario.backends),
-        "description": scenario.description,
-    }
-    if scenario.phases:
-        data["phases"] = [{"name": p.name, "duration_ms": p.duration_ms}
-                          for p in scenario.phases]
-    if scenario.faults:
-        data["faults"] = [_fault_to_dict(e) for e in scenario.faults]
-    if scenario.duration_ms is not None:
-        data["duration_ms"] = scenario.duration_ms
-    if scenario.primary_region is not None:
-        data["primary_region"] = scenario.primary_region
-    if scenario.netem is not None:
-        data["netem"] = scenario.netem \
-            if isinstance(scenario.netem, str) \
-            else _netem_to_dict(scenario.netem)
-    if scenario.hosts is not None:
-        data["hosts"] = dict(scenario.hosts)
-    if scenario.obs is not None:
-        data["obs"] = dict(scenario.obs)
-    if scenario.durable:
-        data["durable"] = True
-    return data
-
-
-_SCENARIO_SCHEMA: Dict[str, Tuple[type, ...]] = {
-    "name": (str,),
-    "protocol": (str,),
-    "replica_regions": (list, tuple),
-    "latency": (str,),
-    "workload": (dict,),
-    "phases": (list, tuple),
-    "duration_ms": (int, float),
-    "faults": (list, tuple),
-    "seed": (int,),
-    "netem": (dict, str),
-    "hosts": (dict,),
-    "obs": (dict,),
-    "primary_region": (str,),
-    "primary_index": (int,),
-    "slow_path_timeout": (int, float),
-    "retry_timeout": (int, float),
-    "suspicion_timeout": (int, float),
-    "view_change_timeout": (int, float),
-    "checkpoint_interval": (int,),
-    "durable": (bool,),
-    "backends": (list, tuple),
-    "description": (str,),
-}
+    return _to_dict(scenario)
 
 
 def scenario_from_dict(data: Any, key: str = "scenario") -> Scenario:
     """Build (and validate) a :class:`Scenario` from its dict form."""
-    _expect(data, (dict,), key)
-    kwargs: Dict[str, Any] = {}
-    for field_name, value in data.items():
-        if field_name not in _SCENARIO_SCHEMA:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(accepts {tuple(sorted(_SCENARIO_SCHEMA))})")
-        qualified = f"{key}.{field_name}"
-        _expect(value, _SCENARIO_SCHEMA[field_name], qualified)
-        if field_name in ("replica_regions", "backends"):
-            value = _str_tuple(value, qualified)
-        elif field_name == "workload":
-            value = _workload_from_dict(value, qualified)
-        elif field_name == "phases":
-            value = tuple(
-                _phase_from_dict(p, f"{qualified}[{i}]")
-                for i, p in enumerate(value))
-        elif field_name == "faults":
-            value = tuple(
-                _fault_from_dict(e, f"{qualified}[{i}]")
-                for i, e in enumerate(value))
-        elif field_name == "netem" and isinstance(value, dict):
-            value = _netem_from_dict(value, qualified)
-        elif field_name in ("hosts", "obs"):
-            value = _hosts_from_dict(value, qualified)
-        kwargs[field_name] = value
-    if "name" not in kwargs:
-        raise ConfigurationError(
-            f"spec table {key!r} is missing the required 'name' key")
-    scenario = Scenario(**kwargs)
+    scenario = _from_dict(Scenario, data, key)
     scenario.validate()
     return scenario
-
-
-def _phase_from_dict(data: Any, key: str) -> Phase:
-    _expect(data, (dict,), key)
-    known = ("name", "duration_ms")
-    for field_name in data:
-        if field_name not in known:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(a phase accepts {known})")
-    if "name" not in data or "duration_ms" not in data:
-        raise ConfigurationError(
-            f"spec key {key!r} needs both 'name' and 'duration_ms'")
-    return Phase(name=_expect(data["name"], (str,), f"{key}.name"),
-                 duration_ms=_expect(data["duration_ms"], (int, float),
-                                     f"{key}.duration_ms"))
 
 
 # ----------------------------------------------------------------------
@@ -495,12 +416,7 @@ def sweep_from_dict(data: Any, key: str = "sweep"):
     from repro.sweep.spec import SweepSpec
 
     _expect(data, (dict,), key)
-    known = ("name", "base", "grid", "zip")
-    for field_name in data:
-        if field_name not in known:
-            raise ConfigurationError(
-                f"unknown key {field_name!r} in {key} "
-                f"(accepts {known})")
+    _check_keys(data, ("name", "base", "grid", "zip"), key)
     if "base" not in data:
         raise ConfigurationError(
             f"spec table {key!r} is missing the required 'base' key "
@@ -510,20 +426,18 @@ def sweep_from_dict(data: Any, key: str = "sweep"):
         base = scenario_from_dict(base, f"{key}.base")
     else:
         _expect(base, (str,), f"{key}.base")
-    grid: Dict[str, Tuple[Any, ...]] = {}
-    if "grid" in data:
-        table = _expect(data["grid"], (dict,), f"{key}.grid")
-        for axis, values in table.items():
-            grid[axis] = _axis_values(values, f"{key}.grid.{axis}")
-    zipped: Dict[str, Tuple[Any, ...]] = {}
-    if "zip" in data:
-        table = _expect(data["zip"], (dict,), f"{key}.zip")
-        for axis, values in table.items():
-            zipped[axis] = _axis_values(values, f"{key}.zip.{axis}")
+    axes: Dict[str, Dict[str, Tuple[Any, ...]]] = {}
+    for section in ("grid", "zip"):
+        table = _expect(data.get(section, {}), (dict,),
+                        f"{key}.{section}")
+        axes[section] = {
+            axis: _axis_values(values, f"{key}.{section}.{axis}")
+            for axis, values in table.items()}
     name = ""
     if "name" in data:
         name = _expect(data["name"], (str,), f"{key}.name")
-    return SweepSpec(base=base, grid=grid, zipped=zipped, name=name)
+    return SweepSpec(base=base, grid=axes["grid"], zipped=axes["zip"],
+                     name=name)
 
 
 # ----------------------------------------------------------------------

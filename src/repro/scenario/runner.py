@@ -1,17 +1,13 @@
 """ScenarioRunner: compile a declarative :class:`Scenario` onto a
 backend and execute it.
 
-Both backends go through the protocol registry, so every registered
-protocol -- builtin or plugin -- runs under every scenario:
-
-- ``"sim"`` builds a :func:`repro.cluster.build_cluster` deployment on
-  the deterministic WAN simulator.  Fault events and phase boundaries
-  are simulator events, so the whole run (including the fault schedule)
-  is reproducible from ``scenario.seed``.
-- ``"tcp"`` builds an :class:`repro.transport.AsyncioCluster` on real
-  localhost sockets (OS-assigned ports).  The scenario clock is
-  wall-clock milliseconds; latency matrices and CPU models do not apply,
-  but workloads, phases, and the (TCP-supported) fault schedule do.
+There is one run path, :meth:`ScenarioRunner.execute`.  It is written
+against the deployment surface in :mod:`repro.scenario.deployment`,
+whose two implementations -- the deterministic WAN simulator
+(``"sim"``) and real localhost sockets (``"tcp"``) -- hold everything
+that differs between the backends, so the backends cannot drift in
+how they schedule phases and faults, build the client pool, attach the
+optional seams, or assemble the report.
 
 The runner returns an :class:`~repro.scenario.report.ExperimentReport`;
 :meth:`ScenarioRunner.run_with_cluster` additionally exposes the live
@@ -20,16 +16,15 @@ simulated cluster for benchmarks that introspect replica internals.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.builder import Cluster, build_cluster
+from repro.cluster.builder import Cluster
 from repro.cluster.metrics import LatencyRecorder
-from repro.errors import ConfigurationError, ScenarioTimeoutError
-from repro.scenario.faults import SimFaultInjector, TcpFaultInjector
+from repro.errors import ConfigurationError
+from repro.scenario.deployment import DEPLOYMENTS, attach_seams
 from repro.scenario.report import ExperimentReport, PhaseReport
-from repro.scenario.spec import Scenario, WorkloadSpec
+from repro.scenario.spec import Scenario
 from repro.trace import (
     ActiveTracer,
     TraceCollector,
@@ -52,83 +47,22 @@ def _workload_seed(scenario_seed: int, client_index: int) -> int:
     return scenario_seed * 1000 + client_index + 1
 
 
-def build_tcp_cluster(scenario: Scenario,
-                      start_replicas: Optional[Tuple[str, ...]] = None
-                      ) -> "Any":
-    """An :class:`~repro.transport.asyncio_tcp.AsyncioCluster` wired
-    from a scenario: protocol, timeouts, netem profile, host map, and
-    region labels.  Shared by the runner and ``python -m repro serve``
-    so every process of a multi-machine deployment derives the same
-    configuration from the same spec file."""
-    from repro.transport.asyncio_tcp import AsyncioCluster
-
-    workload = scenario.workload
-    regions = {f"r{i}": region
-               for i, region in enumerate(scenario.replica_regions)}
-    cluster = AsyncioCluster(
-        protocol=scenario.protocol,
-        num_replicas=len(scenario.replica_regions),
-        statemachine_factory=scenario.statemachine,
-        host_map=dict(scenario.hosts) if scenario.hosts else None,
-        start_replicas=start_replicas,
-        regions=regions,
-        netem=scenario.netem_profile(),
-        netem_seed=scenario.seed,
-        slow_path_timeout=scenario.slow_path_timeout,
-        retry_timeout=scenario.retry_timeout,
-        suspicion_timeout=scenario.suspicion_timeout,
-        view_change_timeout=scenario.view_change_timeout,
-        checkpoint_interval=scenario.checkpoint_interval,
-        batch_size=workload.batch_size,
-        batch_timeout_ms=workload.batch_timeout_ms,
-    )
-    if scenario.hosts:
-        # Multi-process deployment: every process must be able to
-        # verify every client's signatures, including clients created
-        # in *another* process.  The schedule fixes the client count,
-        # and key derivation is deterministic per (id, seed), so
-        # pre-registering here yields the same registry everywhere.
-        n_clients = (len(scenario.client_regions()) *
-                     workload.clients_per_region +
-                     len(_churn_placements(scenario)))
-        for i in range(n_clients):
-            cluster.registry.create(f"c{i}", seed=b"tcp-demo")
-    return cluster
-
-
-def _churn_placements(scenario: Scenario) -> List[str]:
-    """Region placement for every client a ClientChurn event will
-    add, in the order the events fire (at_ms, then declaration order)
-    -- must mirror :meth:`_ClientPool.spawn` exactly, since the TCP
-    backend pre-creates these clients and hands them out in order."""
-    from repro.scenario.faults import ClientChurn
-
-    placements: List[str] = []
-    churn = sorted((e for e in scenario.faults
-                    if isinstance(e, ClientChurn) and e.add),
-                   key=lambda e: e.at_ms)
-    for event in churn:
-        regions = [event.region] if event.region is not None \
-            else list(scenario.client_regions())
-        for i in range(event.add):
-            placements.append(regions[i % len(regions)])
-    return placements
-
-
 class _ClientPool:
     """Creates clients + drivers for a workload spec; shared by the
     initial placement and mid-run :class:`ClientChurn` events."""
 
-    def __init__(self, scenario: Scenario, add_client, recorder=None,
-                 elapsed_ms=None):
+    def __init__(self, scenario: Scenario, add_client, elapsed_ms,
+                 tracer=None):
         self.scenario = scenario
         self.workload = scenario.workload
         self._add_client = add_client
-        self.recorder = recorder
+        #: Every client the pool ever creates -- churn-spawned ones
+        #: too -- joins the deployment's tracer.
+        self._tracer = tracer
         #: Scenario-clock reader; open-loop drivers spawned mid-run by
         #: ClientChurn only get the *remaining* horizon, so churned
         #: load never overruns the declared phases.
-        self._elapsed_ms = elapsed_ms or (lambda: 0.0)
+        self._elapsed_ms = elapsed_ms
         self.drivers: List[Any] = []
         self._stopped: set = set()
         self._counter = 0
@@ -161,6 +95,8 @@ class _ClientPool:
         self._counter += 1
         client_id = f"c{index}"
         client = self._add_client(client_id, region)
+        if self._tracer is not None:
+            client.tracer = self._tracer
         workload = KVWorkload(
             client_id,
             contention=self.workload.contention,
@@ -212,30 +148,24 @@ class ScenarioRunner:
     def __init__(self, backend: str = "sim",
                  max_events: int = MAX_EVENTS,
                  tcp_timeout_s: float = 60.0,
-                 instruments: Any = None,
-                 scrape: bool = True,
                  scrape_config: Any = None,
                  process_manager: Any = None,
                  data_dir: Optional[str] = None,
                  trace: bool = False,
                  trace_sample_rate: float = 1.0) -> None:
-        if backend not in ("sim", "tcp"):
+        if backend not in DEPLOYMENTS:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; choose 'sim' or 'tcp'")
         self.backend = backend
         self.max_events = max_events
         self.tcp_timeout_s = tcp_timeout_s
-        #: Optional :class:`repro.obs.Instruments` fed request
-        #: latencies on the TCP backend (``repro serve`` deployments).
-        self.instruments = instruments
-        #: Scrape remote replicas' ``/metrics.json`` endpoints (when
-        #: the scenario declares ``obs``) to merge their stats into
-        #: the report.
-        self.scrape = scrape
-        #: Optional :class:`repro.obs.ScrapeConfig`: sample those same
-        #: endpoints *periodically* during the run (TCP backend only).
-        #: The time series lands in :attr:`last_scrape_samples`; the
-        #: sweep runner folds it into its report per cell.
+        #: Optional :class:`repro.obs.ScrapeConfig`: sample remote
+        #: replicas' ``/metrics.json`` endpoints (the scenario's
+        #: ``obs`` table) *periodically* during a TCP run.  The time
+        #: series lands in :attr:`last_scrape_samples`; the sweep
+        #: runner folds it into its report per cell.  (The end-of-run
+        #: scrape that merges remote stats into the report needs no
+        #: configuration.)
         self.scrape_config = scrape_config
         self.last_scrape_samples: Optional[List[Dict[str, Any]]] = None
         #: Optional :class:`~repro.scenario.processes.ServeProcessManager`
@@ -265,9 +195,8 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     def run(self, scenario: Scenario) -> ExperimentReport:
         """Execute ``scenario`` and return its report."""
-        if self.backend == "tcp":
-            return asyncio.run(self._run_tcp(scenario))
-        report, _ = self._run_sim(scenario)
+        report, _ = DEPLOYMENTS[self.backend].drive(
+            self.execute(scenario))
         return report
 
     def run_with_cluster(self, scenario: Scenario
@@ -278,31 +207,89 @@ class ScenarioRunner:
             raise ConfigurationError(
                 "run_with_cluster is only meaningful on the sim "
                 "backend")
-        return self._run_sim(scenario)
+        return DEPLOYMENTS[self.backend].drive(self.execute(scenario))
+
+    async def execute(self, scenario: Scenario
+                      ) -> Tuple[ExperimentReport, Any]:
+        """The run body, once for both backends; returns the report
+        and the deployment's cluster (torn down already on TCP).
+
+        :meth:`run` drives it the way the backend needs: under
+        ``asyncio.run`` on TCP, and with a bare ``send(None)`` on the
+        simulator, whose deployment never suspends.  Await it directly
+        to run a TCP scenario inside a loop you already own.
+        """
+        scenario.validate()
+        # repro: allow[wall-clock] -- wall_seconds is reporting-
+        # only, excluded from the determinism gates by design.
+        wall_start = time.perf_counter()
+        deployment = DEPLOYMENTS[self.backend](scenario, self)
+        pool: Optional[_ClientPool] = None
+        storages: Dict[str, Any] = {}
+        try:
+            # Inside the try: a bind failure partway through startup
+            # must still stop the nodes that did come up.
+            await deployment.start()
+            tracer, collector = self._make_tracer(deployment.trace_clock)
+            attach_seams(deployment.cluster, deployment.transports(),
+                         tracer=tracer,
+                         storage_root=deployment.storage_root(),
+                         storages=storages)
+            recorder = deployment.recorder
+            recorder.discard_first = (scenario.workload.warmup_requests *
+                                      scenario.workload.clients_per_region)
+            pool = _ClientPool(scenario,
+                               await deployment.clients(tracer),
+                               elapsed_ms=deployment.now_ms,
+                               tracer=tracer)
+            injector = await deployment.injector(pool)
+
+            start = 0.0
+            for i, phase in enumerate(scenario.phase_plan()):
+                if i == 0:
+                    recorder.begin_phase(phase.name, 0.0)
+                else:
+                    deployment.schedule(start, recorder.begin_phase,
+                                        phase.name, start)
+                start += phase.duration_ms
+            for event in scenario.faults:
+                deployment.schedule(event.at_ms, injector.apply, event)
+
+            pool.spawn_initial()
+            await deployment.wait(pool, injector)
+            stats = await deployment.collect(injector)
+        finally:
+            # Whatever happened, stop issuing load and release what
+            # the deployment holds before the error (or the report)
+            # leaves this coroutine.
+            if pool is not None:
+                for driver in pool.drivers:
+                    driver.stop()
+            await deployment.stop()
+            for storage in storages.values():
+                storage.close()
+            self.last_scrape_samples = deployment.scrape_samples
+
+        report = self._build_report(
+            scenario, backend=self.backend, recorder=recorder,
+            # repro: allow[wall-clock] -- reporting-only stopwatch.
+            wall_seconds=time.perf_counter() - wall_start,
+            trace=self._finish_trace(collector), **stats)
+        return report, deployment.cluster
 
     # ------------------------------------------------------------------
-    # Tracing plumbing (backend-agnostic)
+    # Tracing plumbing
     # ------------------------------------------------------------------
     def _make_tracer(self, clock):
         """One deployment-wide tracer + collector, or ``(None, None)``
-        when tracing is off (every attach below is then skipped and
-        the protocol keeps its no-op ``NULL_TRACER`` seams)."""
+        when tracing is off (every attach is then skipped and the
+        protocol keeps its no-op ``NULL_TRACER`` seams)."""
         if not self.trace:
             return None, None
         collector = TraceCollector()
         tracer = ActiveTracer(clock, collector=collector,
                               sample_rate=self.trace_sample_rate)
         return tracer, collector
-
-    @staticmethod
-    def _attach_replica_tracers(tracer, replicas) -> None:
-        """Protocols without trace instrumentation (no
-        ``attach_tracer``) still run -- they just contribute no
-        server-side spans."""
-        for replica in replicas:
-            attach = getattr(replica, "attach_tracer", None)
-            if attach is not None:
-                attach(tracer)
 
     def _finish_trace(self, collector) -> Optional[Dict[str, Any]]:
         """Fold the collected spans into exports: the full span list
@@ -315,373 +302,6 @@ class ScenarioRunner:
         self.last_trace = export_spans(spans,
                                        dropped=collector.dropped)
         return summarize_traces(spans)
-
-    # ------------------------------------------------------------------
-    # Simulator backend
-    # ------------------------------------------------------------------
-    def _run_sim(self, scenario: Scenario
-                 ) -> Tuple[ExperimentReport, Cluster]:
-        scenario.validate()
-        # repro: allow[wall-clock] -- wall_seconds is reporting-
-        # only, excluded from the determinism gates by design.
-        wall_start = time.perf_counter()
-        workload = scenario.workload
-        cluster = build_cluster(
-            scenario.protocol,
-            list(scenario.replica_regions),
-            scenario.latency_matrix(),
-            cpu=scenario.cpu,
-            conditions=scenario.conditions,
-            seed=scenario.seed,
-            primary_region=scenario.primary_region,
-            primary_index=scenario.primary_index,
-            interference=scenario.interference,
-            netem=scenario.netem_profile(),
-            statemachine_factory=scenario.statemachine,
-            slow_path_timeout=scenario.slow_path_timeout,
-            retry_timeout=scenario.retry_timeout,
-            suspicion_timeout=scenario.suspicion_timeout,
-            view_change_timeout=scenario.view_change_timeout,
-            checkpoint_interval=scenario.checkpoint_interval,
-            batch_size=workload.batch_size,
-            batch_timeout_ms=workload.batch_timeout_ms,
-        )
-        recorder = cluster.recorder
-        recorder.discard_first = \
-            workload.warmup_requests * workload.clients_per_region
-
-        tracer, collector = self._make_tracer(lambda: cluster.sim.now)
-        add_client = cluster.add_client
-        if tracer is not None:
-            cluster.network.tracer = tracer
-            self._attach_replica_tracers(tracer,
-                                         cluster.replicas.values())
-
-            def add_client(client_id, region, _add=cluster.add_client):
-                # Covers churn-spawned clients too: every client the
-                # pool ever creates joins the same tracer.
-                client = _add(client_id, region)
-                client.tracer = tracer
-                return client
-
-        pool = _ClientPool(scenario, add_client, recorder,
-                           elapsed_ms=lambda: cluster.sim.now)
-        injector = SimFaultInjector(
-            cluster,
-            spawn_clients=pool.spawn,
-            stop_clients=pool.stop,
-            statemachine_factory=scenario.statemachine,
-            netem_seed=scenario.seed)
-
-        # Phase boundaries and fault events are simulator events: they
-        # fire at exact virtual times, deterministically ordered.
-        start = 0.0
-        for i, phase in enumerate(scenario.phase_plan()):
-            if i == 0:
-                recorder.begin_phase(phase.name, 0.0)
-            else:
-                cluster.sim.schedule_at(start, recorder.begin_phase,
-                                        phase.name, start)
-            start += phase.duration_ms
-        for event in scenario.faults:
-            cluster.sim.schedule_at(event.at_ms, injector.apply, event)
-
-        pool.spawn_initial()
-        cluster.run_until_idle(max_events=self.max_events)
-
-        report = self._build_report(
-            scenario, backend="sim", recorder=recorder,
-            duration_ms=cluster.sim.now,
-            replica_stats=cluster.replica_stats(),
-            footprint=cluster.log_footprint(),
-            client_stats=[c.stats for c in cluster.clients.values()],
-            network={
-                "messages_sent": cluster.network.messages_sent,
-                "messages_delivered": cluster.network.messages_delivered,
-                "bytes_sent": cluster.network.bytes_sent,
-                "events_processed": cluster.sim.events_processed,
-                **(cluster.network.shaper.stats
-                   if cluster.network.shaper is not None else {}),
-            },
-            fault_log=injector.log,
-            # repro: allow[wall-clock] -- reporting-only stopwatch.
-            wall_seconds=time.perf_counter() - wall_start,
-            trace=self._finish_trace(collector))
-        return report, cluster
-
-    # ------------------------------------------------------------------
-    async def _scrape_loop(self, endpoints, origin_ms: float,
-                           samples: List[Dict[str, Any]]) -> None:
-        """Periodic ``/metrics.json`` sampler (TCP backend): one
-        sample dict per tick until cancelled.  A dead endpoint shows
-        up as ``None`` in that tick's ``replicas`` map -- the time
-        series records the outage instead of papering over it."""
-        import asyncio as _asyncio
-
-        from repro.obs.scrape import sample_metrics
-
-        loop = _asyncio.get_running_loop()
-        config = self.scrape_config
-        while True:
-            await _asyncio.sleep(config.interval_s)
-            stats = await sample_metrics(endpoints,
-                                         timeout=config.timeout_s)
-            samples.append({
-                "t_ms": round(loop.time() * 1000.0 - origin_ms, 3),
-                "replicas": stats,
-            })
-
-    # ------------------------------------------------------------------
-    # Asyncio TCP backend
-    # ------------------------------------------------------------------
-    async def _run_tcp(self, scenario: Scenario) -> ExperimentReport:
-        scenario.validate()
-        cluster = build_tcp_cluster(scenario)
-        # Remote replicas with a declared obs endpoint are reachable
-        # for fault delivery over the serving process's /control.
-        obs_map = scenario.obs or {}
-        from repro.transport.asyncio_tcp import parse_hostport
-        control_endpoints = {
-            rid: parse_hostport(obs_map[rid])
-            for rid in cluster.remote_replica_ids
-            if rid in obs_map}
-        managed: Tuple[str, ...] = ()
-        if self.process_manager is not None:
-            managed = tuple(self.process_manager.replicas)
-        TcpFaultInjector.check_supported(
-            scenario.faults,
-            remote_replicas=cluster.remote_replica_ids,
-            controllable=tuple(control_endpoints),
-            managed=managed)
-        # repro: allow[wall-clock] -- wall_seconds is reporting-
-        # only, excluded from the determinism gates by design.
-        wall_start = time.perf_counter()
-        workload = scenario.workload
-        loop = asyncio.get_running_loop()
-        origin_ms = loop.time() * 1000.0
-        recorder = LatencyRecorder(
-            discard_first=(workload.warmup_requests *
-                           workload.clients_per_region))
-        pool: Optional[_ClientPool] = None
-        injector: Optional[TcpFaultInjector] = None
-        instruments = self.instruments
-        from repro.trace.live import wall_clock_ms
-        tracer, collector = self._make_tracer(wall_clock_ms)
-        #: call_later handles for scheduled faults/phase boundaries, so
-        #: a timed-out run cancels what has not fired yet.
-        handles: List[Any] = []
-        scrape_samples: List[Dict[str, Any]] = []
-        self.last_scrape_samples = None
-        sampler: Optional[Any] = None
-        if self.scrape_config is not None and control_endpoints:
-            sampler = loop.create_task(self._scrape_loop(
-                control_endpoints, origin_ms, scrape_samples))
-
-        clients: List[Any] = []
-
-        def add_client_sync(client_id: str, region: str):
-            # _ClientPool is synchronous; clients were pre-created in
-            # placement order below, so hand them out in order.
-            client = clients.pop(0)
-
-            def record(command, result, latency, path,
-                       _region=region):
-                recorder.record(_region, latency, path,
-                                loop.time() * 1000.0 - origin_ms)
-                if instruments is not None and instruments.enabled:
-                    instruments.request_latency(latency)
-
-            client.on_delivery = record
-            return client
-
-        # Pre-create protocol clients (socket setup is async).  Nearest
-        # replica has no meaning on localhost; clients round-robin their
-        # target replica across the membership so leaderless protocols
-        # spread command-leadership like the geo deployment does.
-        # ClientChurn clients are pre-created too (idle until their
-        # event fires): the schedule fixes their count up front, and a
-        # synchronous fault callback cannot open sockets.
-        storages: List[Any] = []
-        try:
-            # Inside the try: a bind failure partway through startup
-            # must still stop the nodes that did come up.
-            await cluster.start()
-            if tracer is not None:
-                # One tracer spans the in-process deployment (both
-                # backends dispatch handlers single-threaded); its
-                # context rides TRACED frames between nodes.
-                for node in cluster.nodes.values():
-                    node.tracer = tracer
-                self._attach_replica_tracers(
-                    tracer, cluster.replicas.values())
-            if scenario.durable:
-                # Back every locally hosted replica with an on-disk
-                # store and recover whatever a previous run left there
-                # before any load arrives.
-                import os
-                from repro.storage import ReplicaStorage
-                root = self.data_dir or os.path.join(
-                    ".repro-data", scenario.name)
-                for rid, replica in cluster.replicas.items():
-                    if not hasattr(replica, "attach_storage"):
-                        continue
-                    storage = ReplicaStorage(root, rid)
-                    storages.append(storage)
-                    replica.attach_storage(storage)
-                    replica.recover_from_storage()
-            placements = [region
-                          for region in scenario.client_regions()
-                          for _ in range(workload.clients_per_region)]
-            placements += _churn_placements(scenario)
-            for index, region in enumerate(placements):
-                target = cluster.replica_ids[
-                    index % len(cluster.replica_ids)]
-                if not cluster.spec.leaderless:
-                    target = None
-                client = await cluster.add_client(f"c{index}",
-                                                  target_replica=target,
-                                                  region=region)
-                if tracer is not None:
-                    # The client's transport node was created after
-                    # the replica attach pass -- without the tracer
-                    # its sends would never carry TRACED frames.
-                    client.tracer = tracer
-                    cluster.nodes[f"c{index}"].tracer = tracer
-                clients.append(client)
-
-            pool = _ClientPool(
-                scenario, add_client_sync, recorder,
-                elapsed_ms=lambda: loop.time() * 1000.0 - origin_ms)
-            injector = TcpFaultInjector(
-                cluster,
-                spawn_clients=pool.spawn,
-                stop_clients=pool.stop,
-                netem_seed=scenario.seed,
-                control_endpoints=control_endpoints,
-                process_manager=self.process_manager)
-            injector.install_filters()
-
-            if cluster.remote_replica_ids:
-                # Multi-process deployment: teach every remote replica
-                # the local listen addresses before any load, then give
-                # the hellos a moment to land.
-                cluster.announce_remote()
-                await asyncio.sleep(0.2)
-
-            for event in scenario.faults:
-                handles.append(
-                    loop.call_later(event.at_ms / 1000.0,
-                                    injector.apply, event))
-
-            start = 0.0
-            for i, phase in enumerate(scenario.phase_plan()):
-                if i == 0:
-                    recorder.begin_phase(phase.name, 0.0)
-                else:
-                    handles.append(
-                        loop.call_later(start / 1000.0,
-                                        recorder.begin_phase,
-                                        phase.name, start))
-                start += phase.duration_ms
-
-            pool.spawn_initial()
-
-            horizon = scenario.nominal_duration_ms()
-            last_fault = max((e.at_ms for e in scenario.faults),
-                             default=0.0)
-            if workload.mode == "open":
-                drain_s = max(horizon, last_fault) / 1000.0 + 0.3
-                await asyncio.sleep(drain_s)
-            else:
-                # Done means: every scheduled fault fired (churn may
-                # add drivers late) and every driver finished.
-                deadline = loop.time() + self.tcp_timeout_s
-                while loop.time() < deadline:
-                    if len(injector.log) == len(scenario.faults) and \
-                            pool.all_done:
-                        break
-                    await asyncio.sleep(0.01)
-                else:
-                    raise ScenarioTimeoutError(
-                        f"tcp scenario {scenario.name!r} did not finish "
-                        f"within {self.tcp_timeout_s}s")
-                # Let in-flight post-commit traffic land before
-                # tearing down.
-                await asyncio.sleep(0.1)
-
-            if control_endpoints:
-                # Forwarded /control deliveries must land before the
-                # report is assembled (their errors surface here, not
-                # in a stranded task).
-                await injector.drain_control()
-
-            duration_ms = loop.time() * 1000.0 - origin_ms
-            replica_stats = {rid: dict(r.stats)
-                             for rid, r in cluster.replicas.items()}
-            scrape_errors: List[str] = []
-            if self.scrape and control_endpoints:
-                # Pull remote replicas' stats off their /metrics.json
-                # endpoints so the report covers the whole deployment,
-                # not just the locally hosted slice.
-                from repro.obs.scrape import scrape_replica_stats
-                remote_stats = await scrape_replica_stats(
-                    control_endpoints, errors=scrape_errors)
-                for rid, stats in remote_stats.items():
-                    if stats is not None:
-                        replica_stats[rid] = stats
-            from repro.cluster.metrics import replica_footprint
-            footprint = {rid: replica_footprint(r)
-                         for rid, r in cluster.replicas.items()}
-            client_stats = [c.stats for c in cluster.clients.values()]
-            network = {
-                "frames_sent": sum(n.frames_sent
-                                   for n in cluster.nodes.values()),
-                "frames_received": sum(n.frames_received
-                                       for n in cluster.nodes.values()),
-                **(cluster.shaper.stats
-                   if cluster.shaper is not None else {}),
-            }
-            if control_endpoints:
-                network["control_errors"] = \
-                    len(injector.control_errors)
-                if scrape_errors:
-                    # Endpoint-named failure strings, not a bare
-                    # counter: "which node went dark" reads straight
-                    # off the report.
-                    network["scrape_errors"] = list(scrape_errors)
-        finally:
-            # Timeout (or any failure) must not strand a half-run
-            # deployment: stop issuing load, cancel what has not fired,
-            # close every socket, and let cancelled send tasks and
-            # EOF'd connection readers unwind inside this loop.
-            if sampler is not None:
-                sampler.cancel()
-                try:
-                    await sampler
-                except asyncio.CancelledError:
-                    pass
-                self.last_scrape_samples = scrape_samples
-            for handle in handles:
-                handle.cancel()
-            if pool is not None:
-                for driver in pool.drivers:
-                    driver.stop()
-            await cluster.stop()
-            for storage in storages:
-                storage.close()
-            await asyncio.sleep(0)
-
-        return self._build_report(
-            scenario, backend="tcp", recorder=recorder,
-            duration_ms=duration_ms,
-            replica_stats=replica_stats, footprint=footprint,
-            client_stats=client_stats, network=network,
-            fault_log=[{**entry,
-                        "applied_ms": entry["applied_ms"] - origin_ms}
-                       for entry in injector.log],
-            # repro: allow[wall-clock] -- reporting-only stopwatch.
-            wall_seconds=time.perf_counter() - wall_start,
-            trace=self._finish_trace(collector))
 
     # ------------------------------------------------------------------
     # Report assembly (backend-agnostic)

@@ -241,8 +241,20 @@ class Scenario:
             profile.validate(
                 known_tokens=set(matrix.regions) | set(replica_ids),
                 key="netem")
-        self._validate_hosts(replica_ids)
-        self._validate_obs(replica_ids)
+        self._validate_endpoints("hosts", replica_ids)
+        self._validate_endpoints("obs", replica_ids)
+        hosts = self.hosts or {}
+        if len(hosts) >= len(replica_ids):
+            raise ConfigurationError(
+                "hosts cannot place every replica remotely: at least "
+                "one replica must run in the scenario process")
+        for rid in self.obs or {}:
+            if rid not in hosts:
+                raise ConfigurationError(
+                    f"obs[{rid!r}] has no matching hosts entry: obs "
+                    f"endpoints belong to replicas another process "
+                    f"serves (have hosts for "
+                    f"{tuple(sorted(hosts))})")
         for backend in self.backends:
             if backend not in BACKENDS:
                 raise ConfigurationError(
@@ -291,54 +303,29 @@ class Scenario:
                     f"{token!r} (known: {tuple(sorted(known))}, "
                     f"client ids c0..cN, or '*')")
 
-    def _validate_hosts(self, replica_ids: Tuple[str, ...]) -> None:
-        if self.hosts is None:
+    def _validate_endpoints(self, table: str,
+                            replica_ids: Tuple[str, ...]) -> None:
+        """``hosts`` / ``obs``: a non-empty replica id -> host:port
+        map, or omitted."""
+        mapping = getattr(self, table)
+        if mapping is None:
             return
-        if not self.hosts:
+        if not mapping:
             raise ConfigurationError(
-                "hosts must map at least one replica (or be omitted)")
+                f"{table} must map at least one replica (or be "
+                f"omitted)")
         from repro.transport.asyncio_tcp import parse_hostport
         from repro.errors import TransportError
-        for rid, value in self.hosts.items():
+        for rid, value in mapping.items():
             if rid not in replica_ids:
                 raise ConfigurationError(
-                    f"hosts names unknown replica {rid!r} "
+                    f"{table} names unknown replica {rid!r} "
                     f"(have {replica_ids})")
             try:
                 parse_hostport(value)
             except TransportError as exc:
                 raise ConfigurationError(
-                    f"hosts[{rid!r}]: {exc}") from None
-        if len(self.hosts) >= len(replica_ids):
-            raise ConfigurationError(
-                "hosts cannot place every replica remotely: at least "
-                "one replica must run in the scenario process")
-
-    def _validate_obs(self, replica_ids: Tuple[str, ...]) -> None:
-        if self.obs is None:
-            return
-        if not self.obs:
-            raise ConfigurationError(
-                "obs must map at least one replica (or be omitted)")
-        from repro.transport.asyncio_tcp import parse_hostport
-        from repro.errors import TransportError
-        hosts = self.hosts or {}
-        for rid, value in self.obs.items():
-            if rid not in replica_ids:
-                raise ConfigurationError(
-                    f"obs names unknown replica {rid!r} "
-                    f"(have {replica_ids})")
-            if rid not in hosts:
-                raise ConfigurationError(
-                    f"obs[{rid!r}] has no matching hosts entry: obs "
-                    f"endpoints belong to replicas another process "
-                    f"serves (have hosts for "
-                    f"{tuple(sorted(hosts))})")
-            try:
-                parse_hostport(value)
-            except TransportError as exc:
-                raise ConfigurationError(
-                    f"obs[{rid!r}]: {exc}") from None
+                    f"{table}[{rid!r}]: {exc}") from None
 
     # ------------------------------------------------------------------
     # Derived views

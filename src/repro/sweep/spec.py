@@ -29,12 +29,12 @@ bad grid fails before anything runs.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.scenario.loader import field_types
 from repro.scenario.spec import Scenario, WorkloadSpec
 
 #: Short axis names for the knobs the paper sweeps most.
@@ -49,13 +49,11 @@ PARAM_ALIASES: Dict[str, str] = {
     "warmup": "workload.warmup_requests",
 }
 
-_WORKLOAD_FIELDS = {f.name for f in dataclasses.fields(WorkloadSpec)}
-#: Scenario fields an axis may set (live-object fields excluded).
-_SCENARIO_FIELDS = {
-    f.name for f in dataclasses.fields(Scenario)
-    if f.name not in ("workload", "phases", "faults", "statemachine",
-                      "interference", "cpu", "conditions")
-}
+_WORKLOAD_FIELDS = set(field_types(WorkloadSpec))
+#: Scenario fields an axis may set: the ones a spec document can
+#: carry, minus the nested tables.
+_SCENARIO_FIELDS = set(field_types(Scenario)) - {
+    "workload", "phases", "faults"}
 
 
 def resolve_param(name: str) -> str:
@@ -217,13 +215,10 @@ class SweepSpec:
 
 
 def _check_axis_type(axis: str, target: str, value: Any) -> None:
-    """Eager per-field type check against the spec loader's schemas,
-    so a bad grid fails with the axis named instead of a mid-run
-    TypeError (e.g. ``clients=1.5`` into an int field)."""
-    # Same-package reuse of the loader's field schemas keeps the two
-    # validation surfaces (spec files, sweep axes) in lockstep.
-    from repro.scenario.loader import _SCENARIO_SCHEMA, _WORKLOAD_SCHEMA
-
+    """Eager per-field type check against the spec loader's
+    :func:`field_types`, so a bad grid fails with the axis named
+    instead of a mid-run TypeError (e.g. ``clients=1.5`` into an int
+    field)."""
     if value is None:
         return  # pins an optional field (e.g. primary_region=None)
     if target == "netem":
@@ -242,11 +237,9 @@ def _check_axis_type(axis: str, target: str, value: Any) -> None:
             f"sweep axis {axis!r} value {value!r} must be a "
             f"NetemProfile, a preset name, or None")
     if target.startswith("workload."):
-        expected = _WORKLOAD_SCHEMA.get(target[len("workload."):])
+        expected = field_types(WorkloadSpec)[target[len("workload."):]]
     else:
-        expected = _SCENARIO_SCHEMA.get(target)
-    if expected is None:
-        return
+        expected = field_types(Scenario)[target]
     bad_bool = isinstance(value, bool) and bool not in expected
     if bad_bool or not isinstance(value, expected):
         raise ConfigurationError(

@@ -92,6 +92,11 @@ def test_capability_flags():
     assert get_protocol("pbft").supports_checkpointing
     assert not get_protocol("zyzzyva").supports_checkpointing
     assert not get_protocol("fab").supports_checkpointing
+    # The storage and tracer seams: only ezBFT's replica has them.
+    for name in ("ezbft", "pbft", "zyzzyva", "fab"):
+        spec = get_protocol(name)
+        assert spec.supports_durability == (name == "ezbft")
+        assert spec.supports_tracing == (name == "ezbft")
 
 
 def test_wiring_kwargs_follow_capabilities():

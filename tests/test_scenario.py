@@ -132,6 +132,16 @@ class TestSimExecution:
             assert report.delivered == 4, protocol
             assert report.latency.count == 4
 
+    def test_durable_scenario_refuses_the_sim_backend(self):
+        # validate() only requires 'tcp' to be *among* the backends,
+        # so this scenario is valid -- but running it on the simulator
+        # would silently drop the durability it asks for.
+        scenario = lan_scenario(durable=True, backends=("sim", "tcp"))
+        scenario.validate()
+        with pytest.raises(ConfigurationError,
+                           match="durable.*sim backend"):
+            ScenarioRunner(backend="sim").run(scenario)
+
     def test_custom_statemachine_factory(self):
         from repro.statemachine.kvstore import KVStore
 

@@ -118,6 +118,34 @@ def test_baseline_protocols_run_scenarios_over_tcp(protocol):
     assert report.delivered == 12
 
 
+@pytest.mark.parametrize("protocol,stored", [("ezbft", True),
+                                             ("pbft", False)])
+def test_durable_tcp_run_backs_replicas_the_registry_says_can(
+        tmp_path, protocol, stored):
+    """``durable=true`` attaches an on-disk store to every local
+    replica of a protocol whose registry entry declares
+    ``supports_durability``; the others run in memory, as before."""
+    scenario = Scenario(
+        name=f"tcp-durable-{protocol}",
+        protocol=protocol,
+        replica_regions=("local",) * 4,
+        latency="local",
+        workload=WorkloadSpec(mode="closed", clients_per_region=1,
+                              requests_per_client=3),
+        seed=12,
+        durable=True,
+        backends=("tcp",),
+    )
+    report = ScenarioRunner(backend="tcp", tcp_timeout_s=30.0,
+                            data_dir=str(tmp_path)).run(scenario)
+    assert report.delivered == 3
+    stores = sorted(p.name for p in tmp_path.iterdir())
+    assert stores == (["r0", "r1", "r2", "r3"] if stored else [])
+    for rid in stores:
+        assert any(f.name.startswith("wal-")
+                   for f in (tmp_path / rid).iterdir())
+
+
 def test_tcp_latency_shift_and_churn_no_longer_raise():
     """Fault-schedule parity (ROADMAP): LatencyShift retargets the live
     netem profile and ClientChurn spawns/stops drivers mid-run on TCP,
@@ -143,7 +171,7 @@ def test_tcp_latency_shift_and_churn_no_longer_raise():
 
     async def scenario_run():
         runner = ScenarioRunner(backend="tcp", tcp_timeout_s=30.0)
-        report = await runner._run_tcp(scenario)
+        report, _ = await runner.execute(scenario)
         await asyncio.sleep(0.2)
         leftovers = [t for t in asyncio.all_tasks()
                      if t is not asyncio.current_task()
@@ -253,7 +281,7 @@ def test_tcp_partial_startup_failure_stops_started_nodes():
         async def scenario_run():
             runner = ScenarioRunner(backend="tcp")
             with pytest.raises(OSError, match="synthetic"):
-                await runner._run_tcp(preset("smoke"))
+                await runner.execute(preset("smoke"))
             assert len(started) == 2
             assert all(node._closed for node in started)
 
@@ -280,7 +308,7 @@ def test_tcp_timeout_tears_down_cluster_and_leaves_no_tasks():
         async def scenario_run():
             runner = ScenarioRunner(backend="tcp", tcp_timeout_s=1.0)
             with pytest.raises(ScenarioTimeoutError):
-                await runner._run_tcp(_wedged_scenario())
+                await runner.execute(_wedged_scenario())
             # cleanup ran inside the failing coroutine itself
             assert len(stopped) == 1
             cluster = stopped[0]

@@ -1,7 +1,9 @@
 """JSON/TOML spec loader: preset round-trips, every fault type, and
 key-naming validation errors."""
 
+import dataclasses
 import json
+import re
 import sys
 
 import pytest
@@ -17,6 +19,7 @@ from repro.scenario import (
     LatencyShift,
     PacketLoss,
     Partition,
+    Phase,
     RecoverReplica,
     Reorder,
     RestartProcess,
@@ -208,6 +211,106 @@ def test_mistyped_scenario_value_named():
         scenario_from_dict({"name": "x", "seed": "seven"})
     with pytest.raises(ConfigurationError, match="scenario.seed"):
         scenario_from_dict({"name": "x", "seed": True})
+
+
+def _spec_tables():
+    """``(id, cls, document builder, key prefix)`` for every table a
+    scenario document nests: ``build(table)`` wraps one table of that
+    class in an otherwise valid document."""
+    from repro.netem import LinkModel
+
+    def scenario(**tables):
+        return {"scenario": {"name": "x", **tables}}
+
+    tables = [
+        ("Scenario", Scenario, lambda t: scenario(**t), "scenario"),
+        ("WorkloadSpec", WorkloadSpec,
+         lambda t: scenario(workload=t), "scenario.workload"),
+        ("Phase", Phase,
+         lambda t: scenario(phases=[{"name": "p", "duration_ms": 5.0,
+                                     **t}]),
+         "scenario.phases[0]"),
+        ("LinkModel", LinkModel,
+         lambda t: scenario(netem={"default": t}),
+         "scenario.netem.default"),
+    ]
+    for name, cls in FAULT_TYPES.items():
+        tables.append((
+            name, cls,
+            lambda t, name=name: scenario(
+                faults=[{"type": name, "at_ms": 1.0, **t}]),
+            "scenario.faults[0]"))
+    return tables
+
+
+#: Scenario fields that hold live Python objects; a document naming
+#: one is told the key is unknown.
+LIVE_FIELDS = {"statemachine", "interference", "cpu", "conditions"}
+
+SPEC_FIELDS = [
+    pytest.param(cls, f, build, prefix, id=f"{table}.{f.name}")
+    for table, cls, build, prefix in _spec_tables()
+    for f in dataclasses.fields(cls)
+]
+
+
+def _loads_document(document, fmt):
+    from repro.scenario.loader import _toml_dumps
+    text = json.dumps(document) if fmt == "json" \
+        else _toml_dumps(document)
+    return loads_spec(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("cls,field,build,prefix", SPEC_FIELDS)
+def test_mistyped_value_names_its_key_for_every_field(
+        cls, field, build, prefix, fmt):
+    # A bool is the one scalar no non-bool field accepts (and both
+    # formats can carry); the schemas come off the dataclasses, so
+    # the fields are enumerated the same way here.
+    bad = "yes" if field.type == "bool" else True
+    document = build({field.name: bad})
+    if field.name in LIVE_FIELDS:
+        expected = f"unknown key '{field.name}'"
+    else:
+        expected = re.escape(f"'{prefix}.{field.name}' must be")
+    with pytest.raises(ConfigurationError, match=expected):
+        _loads_document(document, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "build,prefix",
+    [pytest.param(build, prefix, id=table)
+     for table, _, build, prefix in _spec_tables()])
+def test_unknown_key_is_named_in_every_table(build, prefix, fmt):
+    with pytest.raises(
+            ConfigurationError,
+            match=re.escape(f"unknown key 'bogus' in {prefix} ")):
+        _loads_document(build({"bogus": 1}), fmt)
+
+
+@pytest.mark.parametrize("axis,field,bad", [
+    ("seed", "scenario.seed", "seven"),
+    ("seed", "scenario.seed", True),
+    ("retry_timeout", "scenario.retry_timeout", "slow"),
+    ("durable", "scenario.durable", 1),
+    ("clients", "scenario.workload.clients_per_region", 1.5),
+    ("contention", "scenario.workload.contention", "high"),
+])
+def test_spec_files_and_sweep_axes_reject_the_same_values(
+        axis, field, bad):
+    # Both surfaces validate against field_types(), so a value one
+    # rejects the other rejects too, each naming its own key.
+    _, *path = field.split(".")
+    table = {path[-1]: bad}
+    if len(path) == 2:
+        table = {"workload": table}
+    with pytest.raises(ConfigurationError, match=re.escape(field)):
+        scenario_from_dict({"name": "x", **table})
+    with pytest.raises(ConfigurationError,
+                       match=f"sweep axis '{axis}'"):
+        list(SweepSpec(base="smoke", grid={axis: (bad,)}).cells())
 
 
 def test_unknown_workload_key_named():

@@ -136,6 +136,14 @@ def test_fast_path_commits_bucketed_fast():
     assert names == set(SPAN_NAMES) - {SPAN_CLIENT_SLOW_PATH}
 
 
+def test_protocol_without_the_tracing_seam_still_runs_traced():
+    # PBFT's registry entry does not declare supports_tracing: the run
+    # is unaffected and simply contributes no spans.
+    report, runner = _traced_run(preset("smoke-pbft"))
+    assert report.delivered == 12
+    assert runner.last_trace["span_count"] == 0
+
+
 def test_slow_path_commits_bucketed_slow():
     report, runner = _traced_run(_slow_path_scenario())
     by_path = report.trace["by_path"]
