@@ -11,7 +11,7 @@ Subcommands:
   comparison table (``--csv`` for the tabular form).
 - ``bench``: run the pinned performance grid, write ``BENCH_<rev>.json``
   and optionally gate against a committed baseline
-  (``--baseline benchmarks/baselines/BENCH_xxxx.json``).
+  (``--baseline benchmarks/baselines``: the newest file there).
 - ``serve``: host a subset of a TCP scenario's replicas in *this*
   process at their ``hosts``-pinned addresses, for multi-machine
   deployments (the scenario process runs the rest and dials these).
@@ -177,8 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="artifact path (default BENCH_<rev>.json "
                             "in the working directory)")
     bench.add_argument("--baseline", default=None,
-                       help="committed BENCH_*.json to gate against; "
-                            "a regression exits 1")
+                       help="committed BENCH_*.json to gate against, "
+                            "or a directory of them (the newest is "
+                            "used); a regression exits 1")
     bench.add_argument("--tolerance", type=float, default=0.35,
                        help="allowed wall-clock throughput drop vs. "
                             "the baseline (default 0.35 = 35%%)")
@@ -530,8 +531,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import compare, current_rev, grid_cells, run_bench
+    from repro.bench import (
+        compare,
+        current_rev,
+        grid_cells,
+        newest_baseline,
+        run_bench,
+    )
 
+    # Resolved before the run writes anything: --out may land in the
+    # very directory --baseline names.
+    baseline_path = newest_baseline(args.baseline) \
+        if args.baseline else None
     total = len(grid_cells(args.grid))
     done = {"n": 0}
 
@@ -552,20 +563,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         fh.write("\n")
     if not args.quiet:
         print(f"wrote {out}")
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
+    if baseline_path:
+        with open(baseline_path, "r", encoding="utf-8") as fh:
             baseline = json.load(fh)
         problems = compare(artifact, baseline,
                            tolerance=args.tolerance)
         if problems:
-            print(f"bench gate FAILED against {args.baseline} "
+            print(f"bench gate FAILED against {baseline_path} "
                   f"(baseline rev {baseline.get('rev', '?')}, "
                   f"new rev {current_rev()}):", file=sys.stderr)
             for problem in problems:
                 print(f"  - {problem}", file=sys.stderr)
             return 1
         if not args.quiet:
-            print(f"bench gate passed against {args.baseline} "
+            print(f"bench gate passed against {baseline_path} "
                   f"(tolerance {args.tolerance:.0%})")
     return 0
 

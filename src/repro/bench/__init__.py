@@ -9,7 +9,9 @@ JSON artifact shape (``BENCH_<rev>.json``) and keeps both stable:
 - :func:`run_bench` -- execute the grid, returning the artifact dict;
 - :func:`compare` -- diff a fresh artifact against a committed
   baseline under a throughput tolerance gate, with exact matching on
-  the deterministic sim fields (delivered / p50 / p99).
+  the deterministic sim fields (delivered / p50 / p99);
+- :func:`newest_baseline` -- pick the file to gate against out of the
+  kept ``benchmarks/baselines/`` history.
 
 See the README "Performance" section for how the baseline is
 regenerated and what the gate enforces in CI.
@@ -22,6 +24,7 @@ from repro.bench.runner import (
     compare,
     current_rev,
     grid_cells,
+    newest_baseline,
     run_bench,
     run_cell,
 )
@@ -33,6 +36,7 @@ __all__ = [
     "compare",
     "current_rev",
     "grid_cells",
+    "newest_baseline",
     "run_bench",
     "run_cell",
 ]

@@ -17,6 +17,9 @@ regressions, not to measure protocol throughput.
 
 from __future__ import annotations
 
+import glob
+import json
+import os
 import subprocess
 import sys
 import time
@@ -180,10 +183,31 @@ def run_bench(grid: str = "full",
     return {
         "schema": BENCH_SCHEMA,
         "rev": current_rev(),
+        # Orders the kept BENCH_*.json history (see newest_baseline).
+        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "grid": grid,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "cells": cells,
     }
+
+
+def newest_baseline(path: str) -> str:
+    """The baseline file to gate against: ``path`` itself when it is a
+    file, else the most recently ``recorded`` ``BENCH_*.json`` in that
+    directory.  Baselines accumulate as a trajectory; an artifact from
+    before the ``recorded`` stamp existed sorts oldest, and the file
+    name breaks ties."""
+    if not os.path.isdir(path):
+        return path
+    candidates = glob.glob(os.path.join(path, "BENCH_*.json"))
+    if not candidates:
+        raise ConfigurationError(f"no BENCH_*.json under {path!r}")
+
+    def recorded(candidate: str) -> Tuple[str, str]:
+        with open(candidate, "r", encoding="utf-8") as fh:
+            return str(json.load(fh).get("recorded", "")), candidate
+
+    return max(candidates, key=recorded)
 
 
 #: Sim fields that are deterministic per pinned scenario: a drift here

@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
+from repro.core.owner_change import evidence_orders
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
@@ -26,6 +27,7 @@ from repro.messages.ezbft import (
     ProofOfMisbehavior,
     Request,
     SpecReply,
+    SpecReplyBundle,
 )
 from repro.statemachine.base import Command
 from repro.trace.context import trace_id_for
@@ -43,9 +45,12 @@ class _Pending:
     command: Command
     target: str
     start_time: float
-    #: replica -> (reply, signed envelope); reset on retry.
+    #: replica -> (reply header, its signed envelope); reset on retry.
     spec_replies: Dict[str, Tuple[SpecReply, SignedPayload]] = \
         field(default_factory=dict)
+    #: replica -> the signed SPECORDER its bundle carried beside the
+    #: header (unverified until two of them disagree); reset on retry.
+    spec_orders: Dict[str, SignedPayload] = field(default_factory=dict)
     commit_replies: Dict[str, CommitReply] = field(default_factory=dict)
     phase: str = "spec"  # spec -> slow -> done
     slow_timer: Optional[Timer] = None
@@ -203,21 +208,29 @@ class EzBFTClient:
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
+        if isinstance(message, SpecReplyBundle):
+            # The bundle is unsigned; each header inside is signed.
+            for envelope in message.replies:
+                reply = envelope.payload
+                if isinstance(reply, SpecReply) and \
+                        envelope.verify(self.registry):
+                    self._on_spec_reply(reply, envelope,
+                                        message.spec_order)
+            return
         if not isinstance(message, SignedPayload):
             return
         if not message.verify(self.registry):
             return
         payload = message.payload
-        if isinstance(payload, SpecReply):
-            self._on_spec_reply(payload, message)
-        elif isinstance(payload, CommitReply):
+        if isinstance(payload, CommitReply):
             self._on_commit_reply(payload)
 
     # ------------------------------------------------------------------
     # Step 4: speculative replies
     # ------------------------------------------------------------------
-    def _on_spec_reply(self, reply: SpecReply,
-                       envelope: SignedPayload) -> None:
+    def _on_spec_reply(self, reply: SpecReply, envelope: SignedPayload,
+                       signed_order: Optional[SignedPayload] = None
+                       ) -> None:
         if envelope.signer != reply.replica or \
                 reply.replica not in self.config.replica_ids:
             return
@@ -225,6 +238,8 @@ class EzBFTClient:
         if pending is None or pending.phase != "spec":
             return
         pending.spec_replies[reply.replica] = (reply, envelope)
+        if signed_order is not None:
+            pending.spec_orders[reply.replica] = signed_order
 
         if self._detect_misbehavior(pending):
             return
@@ -253,23 +268,36 @@ class EzBFTClient:
         return best
 
     def _detect_misbehavior(self, pending: _Pending) -> bool:
-        """Step 4.4: compare embedded SPECORDERs; equivocation -> POM."""
+        """Step 4.4: compare the SPECORDERs the replicas attached;
+        equivocation by the command-leader -> POM.
+
+        Attachments sit outside the replicas' signatures, so they prove
+        nothing until checked.  Equal signature tags mean the same
+        proposal and cost nothing (the common case); only when tags
+        differ are the candidates verified against the registry, and
+        the POM needs two that are validly signed by the leader, each
+        proposing this very command -- a forged, garbled or replayed
+        attachment from one byzantine replica is ignored."""
         if pending.pom_sent:
             return True
-        seen: Dict[str, SignedPayload] = {}
-        for reply, _ in pending.spec_replies.values():
-            signed_order = reply.spec_order
-            if signed_order is None:
+        orders = [so for so in pending.spec_orders.values()
+                  if so.signer == pending.target]
+        if len({so.signature.tag for so in orders}) < 2:
+            return False
+        ident = pending.command.ident
+        valid: Dict[str, SignedPayload] = {}
+        for so in orders:
+            if so.signature.tag in valid:
                 continue
-            if signed_order.signer != pending.target:
-                continue
-            order_digest = signed_order.payload_digest()
-            for other_digest, other in seen.items():
-                if other_digest != order_digest:
-                    self._send_pom(pending, other, signed_order)
-                    return True
-            seen[order_digest] = signed_order
-        return False
+            proposed = evidence_orders(so, pending.target) or ()
+            if any(o.command.ident == ident for o in proposed) \
+                    and so.verify(self.registry):
+                valid[so.signature.tag] = so
+        if len(valid) < 2:
+            return False
+        first, second = list(valid.values())[:2]
+        self._send_pom(pending, first, second)
+        return True
 
     def _send_pom(self, pending: _Pending, first: SignedPayload,
                   second: SignedPayload) -> None:
@@ -426,6 +454,7 @@ class EzBFTClient:
         suspicion = Request(command=pending.command,
                             original_replica=original)
         pending.spec_replies.clear()
+        pending.spec_orders.clear()
         pending.commit_replies.clear()
         pending.phase = "spec"
         span = pending.span

@@ -71,6 +71,27 @@ def summarize_entry(entry: LogEntry) -> LogEntrySummary:
         proof_kind=kind, proof=proof)
 
 
+def evidence_orders(envelope: SignedPayload, suspect: str
+                    ) -> Optional[Tuple[SpecOrder, ...]]:
+    """The SPECORDERs a piece of POM evidence attributes to
+    ``suspect`` -- the payload itself, or a batch's inner orders.
+    ``None`` when the payload is no proposal of the suspect's.  Shared
+    by the client assembling a POM and the replicas validating it."""
+    payload = envelope.payload
+    if isinstance(payload, SpecOrder):
+        orders: Tuple[SpecOrder, ...] = (payload,)
+    elif isinstance(payload, BatchSpecOrder):
+        if payload.leader != suspect:
+            return None
+        orders = payload.orders
+    else:
+        return None
+    for order in orders:
+        if order.leader != suspect:
+            return None
+    return orders
+
+
 class OwnerChangeManager:
     """Per-replica owner-change state machine."""
 
@@ -125,8 +146,8 @@ class OwnerChangeManager:
             return False
         if a.signer != pom.suspect or b.signer != pom.suspect:
             return False
-        orders_a = self._evidence_orders(a, pom.suspect)
-        orders_b = self._evidence_orders(b, pom.suspect)
+        orders_a = evidence_orders(a, pom.suspect)
+        orders_b = evidence_orders(b, pom.suspect)
         if orders_a is None or orders_b is None:
             return False
         # Conflict: same slot ordered twice with different content, or the
@@ -143,26 +164,6 @@ class OwnerChangeManager:
                 if same_slot_diff_payload or same_request_diff_instance:
                     return True
         return False
-
-    @staticmethod
-    def _evidence_orders(envelope: SignedPayload, suspect: str
-                         ) -> Optional[Tuple[SpecOrder, ...]]:
-        """The SPECORDERs a piece of POM evidence attributes to
-        ``suspect`` -- the payload itself, or a batch's inner orders.
-        ``None`` when the payload is no proposal of the suspect's."""
-        payload = envelope.payload
-        if isinstance(payload, SpecOrder):
-            orders: Tuple[SpecOrder, ...] = (payload,)
-        elif isinstance(payload, BatchSpecOrder):
-            if payload.leader != suspect:
-                return None
-            orders = payload.orders
-        else:
-            return None
-        for order in orders:
-            if order.leader != suspect:
-                return None
-        return orders
 
     # ------------------------------------------------------------------
     # STARTOWNERCHANGE

@@ -23,7 +23,7 @@ from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
 from repro.core.owner_change import OwnerChangeManager, summarize_entry
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SerializationError
 from repro.messages.base import SignedPayload, decode
 from repro.messages.batching import BatchRequest, BatchSpecOrder
 from repro.obs.instruments import NULL
@@ -40,6 +40,7 @@ from repro.messages.ezbft import (
     ResendRequest,
     SpecOrder,
     SpecReply,
+    SpecReplyBundle,
     StartOwnerChange,
     StateTransferReply,
     StateTransferRequest,
@@ -161,7 +162,16 @@ class EzBFTReplica:
 
         #: Exactly-once bookkeeping (paper's "Nitpick" in step 2).
         self._client_ts: Dict[str, int] = {}
-        self._client_reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
+        self._client_reply_cache: Dict[
+            str, Tuple[int, SpecReplyBundle]] = {}
+        #: Open while a BATCHSPECORDER is being led or accepted:
+        #: (client, id of the signed proposal) -> (proposal, signed
+        #: SPECREPLY headers), flushed as one SpecReplyBundle per key
+        #: so the batch ships once per client instead of once per
+        #: command.  ``None`` sends each reply straight away.
+        self._reply_outbox: Optional[Dict[
+            Tuple[str, int],
+            Tuple[SignedPayload, List[SignedPayload]]]] = None
 
         #: Tracing bookkeeping (both stay empty unless a tracer is
         #: attached): per instance, the commit event's context and the
@@ -430,37 +440,27 @@ class EzBFTReplica:
             entry.spec_order = signed_batch
         self.stats["batches_led"] += 1
         self._persist_entry(self.node_id, signed_batch)
-        if not spans:
+        # Traced: the single BATCHSPECORDER broadcast and the one
+        # SpecReplyBundle per client are attributed to the first
+        # sampled request's lead context (exact when batch_size == 1;
+        # a documented approximation for larger batches).
+        prev = None
+        if spans:
+            prev = tracer.set_current(next(
+                (s.context() for s in spans if s is not None), None))
+        self._reply_outbox = {}
+        try:
             self.ctx.broadcast(self.config.others(self.node_id),
                                signed_batch)
             for entry, order in zip(entries, orders):
                 self._send_spec_reply(entry, signed_batch,
                                       request_digest=order.request_digest)
-            return
-        # Traced: the single BATCHSPECORDER broadcast is attributed to
-        # the first sampled request's lead context (exact when
-        # batch_size == 1; a documented approximation for larger
-        # batches), while each SPECREPLY rides its own lead context.
-        batch_ctx = next((s.context() for s in spans if s is not None),
-                         None)
-        prev = tracer.set_current(batch_ctx)
-        try:
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               signed_batch)
         finally:
-            tracer.set_current(prev)
-        for entry, order, span in zip(entries, orders, spans):
-            if span is None:
-                self._send_spec_reply(entry, signed_batch,
-                                      request_digest=order.request_digest)
-                continue
-            prev = tracer.set_current(span.context())
-            try:
-                self._send_spec_reply(entry, signed_batch,
-                                      request_digest=order.request_digest)
-            finally:
+            self._flush_reply_outbox()
+            if spans:
                 tracer.set_current(prev)
-                tracer.end_span(span)
+                for span in spans:
+                    tracer.end_span(span)
 
     def _lead(self, request: Request) -> None:
         """Become the command-leader for ``request`` (paper step 2)."""
@@ -625,16 +625,20 @@ class EzBFTReplica:
                 return
         if any(o.instance.slot >= space.expected_slot for o in orders):
             self._persist_entry(sender, envelope)
-        for order in orders:
-            slot = order.instance.slot
-            if slot < space.expected_slot:
-                continue  # duplicate
-            if slot > space.expected_slot:
-                self._pending_spec_orders[(space.owner, slot)] = \
-                    (order, envelope)
-                continue
-            self._accept_spec_order(order, envelope)
-            self._drain_pending(space)
+        self._reply_outbox = {}
+        try:
+            for order in orders:
+                slot = order.instance.slot
+                if slot < space.expected_slot:
+                    continue  # duplicate
+                if slot > space.expected_slot:
+                    self._pending_spec_orders[(space.owner, slot)] = \
+                        (order, envelope)
+                    continue
+                self._accept_spec_order(order, envelope)
+                self._drain_pending(space)
+        finally:
+            self._flush_reply_outbox()
 
     def _drain_pending(self, space) -> None:
         """Accept any buffered successors now contiguous with the log."""
@@ -654,7 +658,9 @@ class EzBFTReplica:
         span = prev = None
         if tracer.enabled:
             # The vote span covers dep-merge, speculative execution and
-            # our SPECREPLY, parented at the leader's wire context.
+            # signing our SPECREPLY header (sent inside the span when
+            # unbatched, with its batch's bundle just after otherwise),
+            # parented at the leader's wire context.
             span = tracer.start_span(SPAN_REPLICA_VOTE, self.node_id,
                                      parent=tracer.current())
             if span is not None:
@@ -698,6 +704,10 @@ class EzBFTReplica:
     def _send_spec_reply(self, entry: LogEntry,
                          signed_order: SignedPayload,
                          request_digest: Optional[str] = None) -> None:
+        """Sign the SPECREPLY header for ``entry`` and send it with
+        ``signed_order`` beside it (a :class:`SpecReplyBundle`) -- at
+        once, or with the rest of its batch when an outbox is open.
+        Byzantine subclasses override this hook on both paths."""
         if request_digest is None:
             request_digest = self._request_digest_for(entry, signed_order)
         reply = SpecReply(
@@ -710,12 +720,32 @@ class EzBFTReplica:
             client_id=entry.command.client_id,
             timestamp=entry.command.timestamp,
             result=entry.spec_result,
-            spec_order=signed_order,
         )
-        envelope = SignedPayload.create(reply, self.keypair)
-        self._client_reply_cache[entry.command.client_id] = \
-            (entry.command.timestamp, envelope)
-        self.ctx.send(entry.command.client_id, envelope)
+        header = SignedPayload.create(reply, self.keypair)
+        client = entry.command.client_id
+        outbox = self._reply_outbox
+        if outbox is None:
+            self._send_reply_bundle(client, (header,), signed_order)
+            return
+        outbox.setdefault((client, id(signed_order)),
+                          (signed_order, []))[1].append(header)
+
+    def _send_reply_bundle(self, client: str,
+                           headers: Tuple[SignedPayload, ...],
+                           signed_order: SignedPayload) -> None:
+        bundle = SpecReplyBundle(replies=headers, spec_order=signed_order)
+        self._client_reply_cache[client] = \
+            (headers[-1].payload.timestamp, bundle)
+        self.ctx.send(client, bundle)
+
+    def _flush_reply_outbox(self) -> None:
+        """Close the outbox: one bundle per (client, proposal).  Traced,
+        the bundles ride the context the batch itself rode -- the lead
+        context in :meth:`_lead_batch`, the delivering frame's in
+        :meth:`_on_batch_spec_order` -- not each vote's own."""
+        outbox, self._reply_outbox = self._reply_outbox, None
+        for (client, _), (signed_order, headers) in outbox.items():
+            self._send_reply_bundle(client, tuple(headers), signed_order)
 
     def _request_digest_for(self, entry: LogEntry,
                             signed_order: SignedPayload) -> str:
@@ -1405,8 +1435,16 @@ class EzBFTReplica:
                     continue
                 try:
                     message = decode(wire)
+                except SerializationError as exc:
+                    # A record this build cannot read (e.g. written
+                    # before SPECORDERs moved out of the signed
+                    # SPECREPLY): skipping it would silently drop the
+                    # commit proofs it holds, so name the file.
+                    raise SerializationError(
+                        f"{record.get('segment')}: unusable WAL record "
+                        f"from {record.get('sender')!r}: {exc}") from exc
                 except (ProtocolError, KeyError, TypeError, ValueError):
-                    continue  # unknown/legacy record: skip, stay live
+                    continue  # malformed record: skip, stay live
                 self.on_message(str(record.get("sender", "")), message)
         finally:
             self._recovering = False

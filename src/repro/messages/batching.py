@@ -24,6 +24,14 @@ Three batch shapes cover the hot paths:
 A batch of one is always legal but never produced by the batching layer
 (:mod:`repro.core.batching` degrades single-item flushes to the classic
 unbatched messages).
+
+The reply to a :class:`BatchSpecOrder` is batched as well, but lives
+with the message it batches: one
+:class:`repro.messages.ezbft.SpecReplyBundle` per client carries that
+client's signed SPECREPLY headers with the signed batch once beside
+them (the paper's ``<<SPECREPLY ...>_sigma, R_j, rep, SO>`` closes the
+signature before ``SO``), instead of one reply per command each
+embedding the whole batch.
 """
 
 from __future__ import annotations
@@ -50,7 +58,14 @@ PER_COMMAND_DIGEST_UNITS = 0.05
 
 
 def batch_cost(signature_units: float, count: int) -> float:
-    """One signature plus ``count`` per-command digests."""
+    """One signature plus ``count`` per-command digests.
+
+    The one batch shape priced differently is
+    :class:`repro.messages.ezbft.SpecReplyBundle`: its ``k`` headers are
+    individually signed, so it costs ``max(1, k)`` units -- what the
+    ``k`` separate SPECREPLYs it replaces cost, and exactly one unit
+    unbatched.
+    """
     return signature_units + PER_COMMAND_DIGEST_UNITS * count
 
 
@@ -102,8 +117,9 @@ class BatchSpecOrder:
     The inner :class:`~repro.messages.ezbft.SpecOrder` bodies are
     unsigned; the batch envelope's single signature covers all of them.
     Receivers process each inner order exactly as a singleton SPECORDER
-    (dependency merge, speculative execution, SPECREPLY per command) but
-    pay the verification cost only once.
+    (dependency merge, speculative execution, one signed SPECREPLY
+    header per command) but pay the verification cost only once, and
+    answer each client with a single bundle of its headers.
     """
 
     MSG_TYPE = "ez-batch-spec-order"

@@ -3,6 +3,15 @@
 Field naming follows the paper: ``owner_number`` is O, ``instance`` is I,
 ``deps`` is D, ``seq`` is S, ``request_digest`` is d = H(m),
 ``log_digest`` is h.
+
+Bracket placement follows the paper too.  A replica's answer is
+``<<SPECREPLY, O, I, D', S', d, c, t>_sigma_Rj, R_j, rep, SO>``: the
+signature closes *before* the SPECORDER ``SO``.  :class:`SpecReply` is
+the signed header, :class:`SpecReplyBundle` the unsigned carrier that
+puts ``SO`` beside one or more headers on the way to the client, and
+everything built from replies afterwards -- :class:`CommitFast`,
+:class:`Commit`, ``LogEntry.commit_proof``, :class:`LogEntrySummary`
+proofs, relogged WAL records -- holds headers only.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
+from repro.errors import SerializationError
 from repro.messages.base import (
     SignedPayload,
     as_message,
@@ -109,10 +119,14 @@ class SpecOrder:
 @register_message
 @dataclass(frozen=True)
 class SpecReply:
-    """<SPECREPLY, O, I, D', S', d, c, t>, R_j, rep, SO.
+    """<SPECREPLY, O, I, D', S', d, c, t> -- the signed reply *header*
+    (see the module docstring for the paper's bracket placement).
 
-    ``spec_order`` embeds the signed SPECORDER the replica acted on; the
-    client inspects it to detect command-leader equivocation (POM).
+    ``rep`` stays under the signature so fast-path matching is bound
+    to it; the SPECORDER the replica acted on travels beside the header
+    in a :class:`SpecReplyBundle`.  A commit certificate is 3f+1 (fast)
+    or 2f+1 (slow) of these headers, so it carries the leader's
+    proposal zero times instead of once per signer.
     """
 
     MSG_TYPE = "ez-spec-reply"
@@ -127,7 +141,6 @@ class SpecReply:
     client_id: str
     timestamp: int
     result: Any
-    spec_order: Optional[SignedPayload] = None
 
     def matches_fast(self, other: "SpecReply") -> bool:
         """Fast-path matching: identical O, I, D, S, c, t and rep."""
@@ -151,12 +164,19 @@ class SpecReply:
             "client_id": self.client_id,
             "timestamp": self.timestamp,
             "result": self.result,
-            "spec_order": self.spec_order,
         }
 
     @classmethod
     def from_wire(cls, wire: dict) -> "SpecReply":
-        spec_order = wire.get("spec_order")
+        if "spec_order" in wire:
+            # Bytes from before the header/attachment split: the
+            # proposal sat inside the signed tuple, so the signature
+            # covers bytes this class no longer produces and can never
+            # verify.  Name the key instead of failing as a bad MAC.
+            raise SerializationError(
+                "SpecReply wire form carries the retired 'spec_order' "
+                "key (written before SPECORDERs moved beside the signed "
+                "header); its signature cannot be verified")
         return cls(
             replica=wire["replica"],
             owner_number=wire["owner_number"],
@@ -167,6 +187,69 @@ class SpecReply:
             client_id=wire["client_id"],
             timestamp=wire["timestamp"],
             result=wire["result"],
+        )
+
+
+def _orders_covered(spec_order: Optional[SignedPayload]) -> int:
+    """How many instances an attached proposal proposes: the inner
+    order count of a BATCHSPECORDER, else one."""
+    if spec_order is None:
+        return 1
+    return len(getattr(spec_order.payload, "orders", ())) or 1
+
+
+@register_message
+@dataclass(frozen=True)
+class SpecReplyBundle:
+    """<[<SPECREPLY ...>_sigma_Rj, ...], SO> -- what a replica actually
+    sends a client: its signed :class:`SpecReply` headers with the
+    signed SPECORDER they answer carried once, unsigned, beside them.
+
+    Unbatched, ``replies`` holds one header.  For a BATCHSPECORDER the
+    replica sends one bundle per client with all of that client's
+    headers and the signed batch once.  The bundle itself is unsigned:
+    every header is individually signed by the replica and
+    ``spec_order`` by the command-leader, and the client verifies
+    each.  ``spec_order`` only feeds the client's equivocation check
+    (paper step 4.4); certificates are built from the headers alone.
+    """
+
+    MSG_TYPE = "ez-spec-reply-bundle"
+
+    replies: Tuple[SignedPayload, ...]
+    spec_order: Optional[SignedPayload] = None
+
+    def __post_init__(self) -> None:
+        if not self.replies:
+            raise SerializationError(
+                "SpecReplyBundle must carry replies")
+        covered = _orders_covered(self.spec_order)
+        if len(self.replies) > covered:
+            raise SerializationError(
+                f"SpecReplyBundle carries {len(self.replies)} replies "
+                f"for a proposal covering {covered} instance(s)")
+
+    @property
+    def cpu_cost_units(self) -> int:
+        """One signature check per header (see ``batch_cost`` in
+        :mod:`repro.messages.batching` for the other batch shapes):
+        the single-header bundle costs exactly what the bare signed
+        SPECREPLY it replaced did."""
+        return max(1, len(self.replies))
+
+    def to_wire(self) -> dict:
+        return {
+            "type": self.MSG_TYPE,
+            "replies": list(self.replies),
+            "spec_order": self.spec_order,
+        }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "SpecReplyBundle":
+        spec_order = wire.get("spec_order")
+        return cls(
+            replies=tuple(as_message(r, SignedPayload)
+                          for r in wire["replies"]),
             spec_order=(as_message(spec_order, SignedPayload)
                         if spec_order else None),
         )
@@ -176,12 +259,15 @@ class SpecReply:
 @dataclass(frozen=True)
 class CommitFast:
     """<COMMITFAST, c, I, CC> -- asynchronous fast-path commit certificate
-    of 3f+1 matching signed SPECREPLYs."""
+    of 3f+1 matching signed SPECREPLY headers (no SPECORDER inside: see
+    :class:`SpecReply`)."""
 
     MSG_TYPE = "ez-commit-fast"
 
-    #: Certificates are verified lazily (they matter only for recovery),
-    #: so the simulated in-band cost is one MAC check.
+    #: One simulated MAC check, although ``_on_commit_fast`` verifies
+    #: all 3f+1 signed headers on arrival (a slow-path COMMIT is
+    #: charged per signer).  The model under-counts here on purpose:
+    #: every pinned sim figure was recorded under this value.
     cpu_cost_units = 1
 
     client_id: str

@@ -155,14 +155,19 @@ class ReplicaStorage:
                        ) -> Iterator[Dict[str, Any]]:
         """Every whole record across retained segments, oldest segment
         first (replay naturally skips duplicates below the restored
-        frontier, so replaying a too-old segment is safe)."""
+        frontier, so replaying a too-old segment is safe).  Each record
+        read gains a ``segment`` key naming its file, so a record
+        recovery cannot use can say where it sits."""
         segments = self._segment_watermarks()
         if summary is not None:
             summary.segments = tuple(segments)
         for watermark in segments:
-            for record in replay_wal(self._segment_path(watermark)):
+            path = self._segment_path(watermark)
+            for record in replay_wal(path):
                 if summary is not None:
                     summary.records_replayed += 1
+                if isinstance(record, dict):
+                    record["segment"] = path
                 yield record
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.bench import (
     compare,
     current_rev,
     grid_cells,
+    newest_baseline,
 )
 from repro.errors import ConfigurationError
 
@@ -148,6 +149,29 @@ def test_tcp_cells_skip_exact_field_gate():
     base = _artifact({"tcp": base_cell})
     new = _artifact({"tcp": new_cell})
     assert compare(new, base) == []
+
+
+def test_newest_baseline_picks_latest_recorded_file(tmp_path):
+    """Baselines are kept as history; the gate reads the newest.  The
+    first one predates the ``recorded`` stamp and sorts oldest."""
+    import json
+
+    def write(name, **extra):
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(_artifact({}), **extra)))
+        return str(path)
+
+    unstamped = write("BENCH_zzzzzzz.json")
+    assert newest_baseline(str(tmp_path)) == unstamped
+    older = write("BENCH_bbbbbbb.json", recorded="2026-01-01T00:00:00Z")
+    newer = write("BENCH_aaaaaaa.json", recorded="2026-09-27T00:00:00Z")
+    (tmp_path / "notes.json").write_text("{}")
+    assert newest_baseline(str(tmp_path)) == newer
+    assert newest_baseline(older) == older  # a file names itself
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ConfigurationError):
+        newest_baseline(str(empty))
 
 
 def test_bad_tolerance_rejected():

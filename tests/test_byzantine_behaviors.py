@@ -10,10 +10,27 @@ from repro.byzantine import (
     install_byzantine,
     silence_node,
 )
+from repro.core.replica import EzBFTReplica
 from repro.messages.base import SignedPayload
-from repro.messages.ezbft import SpecOrder, SpecReply
+from repro.messages.ezbft import SpecOrder, SpecReplyBundle
 
-from helpers import DeliveryLog, lan_cluster
+from helpers import DeliveryLog, assert_replicas_consistent, lan_cluster
+
+
+def sniff_spec_replies(cluster, client):
+    """Interpose on ``client``'s handler; returns the list that fills
+    with every signed SPECREPLY header its bundles carry."""
+    replies = []
+    original = client.on_message
+
+    def tracer(sender, message):
+        if isinstance(message, SpecReplyBundle):
+            replies.extend(envelope.payload
+                           for envelope in message.replies)
+        original(sender, message)
+
+    cluster.network.set_handler(client.client_id, tracer)
+    return replies
 
 
 def test_install_byzantine_swaps_replica_object():
@@ -64,16 +81,7 @@ def test_dep_suppressor_reports_empty_deps():
     cluster = lan_cluster()
     install_byzantine(cluster, "r2", DepSuppressingReplica)
     client = cluster.add_client("c0", "local", target_replica="r0")
-    replies = []
-    original = client.on_message
-
-    def tracer(sender, message):
-        if isinstance(message, SignedPayload) and \
-                isinstance(message.payload, SpecReply):
-            replies.append(message.payload)
-        original(sender, message)
-
-    cluster.network.set_handler("c0", tracer)
+    replies = sniff_spec_replies(cluster, client)
     # Seed interfering history so honest replicas WOULD report deps.
     client.submit(client.next_command("put", "hot", 1))
     cluster.run_until_idle()
@@ -90,21 +98,85 @@ def test_corrupt_result_is_detectable_in_replies():
     cluster = lan_cluster()
     install_byzantine(cluster, "r2", CorruptResultReplica)
     client = cluster.add_client("c0", "local", target_replica="r0")
-    replies = []
-    original = client.on_message
-
-    def tracer(sender, message):
-        if isinstance(message, SignedPayload) and \
-                isinstance(message.payload, SpecReply):
-            replies.append(message.payload)
-        original(sender, message)
-
-    cluster.network.set_handler("c0", tracer)
+    replies = sniff_spec_replies(cluster, client)
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
     results = {r.replica: r.result for r in replies}
     assert results["r2"] == "##corrupt##"
     assert results["r0"] == "OK"
+
+
+def test_byzantine_lies_survive_batching():
+    """The batch path builds its bundle from the same
+    ``_send_spec_reply`` hook, so a lying replica still lies."""
+    cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
+    install_byzantine(cluster, "r2", CorruptResultReplica)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    replies = sniff_spec_replies(cluster, client)
+    client.submit_batch([client.next_command("put", f"k{i}", i)
+                         for i in range(4)])
+    cluster.run_until_idle()
+    assert [r.result for r in replies if r.replica == "r2"] == \
+        ["##corrupt##"] * 4
+    assert log.results == ["OK"] * 4
+    assert set(log.paths) == {"slow"}  # r2 never matches
+
+
+class ForgedOrderReplica(EzBFTReplica):
+    """Votes honestly but attaches a made-up SPECORDER in the leader's
+    name: same proposal, different seq, a tag it cannot compute."""
+
+    def _send_spec_reply(self, entry, signed_order, request_digest=None):
+        real = signed_order.payload
+        forged = SignedPayload(
+            payload=SpecOrder(
+                leader=real.leader, owner_number=real.owner_number,
+                instance=real.instance, command=real.command,
+                deps=real.deps, seq=real.seq + 7,
+                log_digest=real.log_digest,
+                request_digest=real.request_digest),
+            signature=type(signed_order.signature)(
+                signer=signed_order.signer, tag="0" * 64))
+        super()._send_spec_reply(entry, forged, request_digest)
+
+
+class ReplayedOrderReplica(EzBFTReplica):
+    """Votes honestly but attaches the leader's validly signed
+    SPECORDER for an *earlier* command."""
+
+    first_order = None
+
+    def _send_spec_reply(self, entry, signed_order, request_digest=None):
+        if self.first_order is None:
+            self.first_order = signed_order
+        super()._send_spec_reply(
+            entry, self.first_order,
+            request_digest or signed_order.payload.request_digest)
+
+
+@pytest.mark.parametrize("behavior",
+                         [ForgedOrderReplica, ReplayedOrderReplica])
+def test_bogus_attached_order_cannot_frame_a_correct_leader(behavior):
+    """One byzantine replica must not be able to make a correct client
+    denounce (POM) or abandon (target rotation) a correct leader."""
+    cluster = lan_cluster()
+    install_byzantine(cluster, "r2", behavior)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    for i in range(2):
+        client.submit(client.next_command("put", f"k{i}", i))
+        cluster.run_until_idle()
+    assert client.stats["poms_sent"] == 0
+    assert client.stats["retries"] == 0
+    assert client.target_replica == "r0"
+    assert log.results == ["OK", "OK"]
+    assert set(log.paths) == {"fast"}  # the headers themselves match
+    assert all(r.stats["owner_changes_started"] == 0
+               for r in cluster.replicas.values())
+    assert_replicas_consistent(cluster)
 
 
 def test_silence_node_works_for_any_protocol():

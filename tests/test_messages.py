@@ -6,7 +6,7 @@ from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import SerializationError
 from repro.messages import decode
 from repro.messages.base import MESSAGE_REGISTRY, SignedPayload
-from repro.messages import ezbft, fab, pbft, zyzzyva
+from repro.messages import batching, ezbft, fab, pbft, zyzzyva
 from repro.statemachine.base import Command
 from repro.types import InstanceID
 
@@ -31,8 +31,7 @@ def _spec_reply():
     return ezbft.SpecReply(
         replica="r1", owner_number=0, instance=INST,
         deps=(InstanceID("r1", 0),), seq=4, request_digest="def",
-        client_id="c0", timestamp=7, result="OK",
-        spec_order=_signed(_spec_order()))
+        client_id="c0", timestamp=7, result="OK")
 
 
 SAMPLES = [
@@ -40,6 +39,14 @@ SAMPLES = [
     ezbft.Request(command=CMD, original_replica="r2"),
     _spec_order(),
     _spec_reply(),
+    ezbft.SpecReplyBundle(replies=(_signed(_spec_reply()),),
+                          spec_order=_signed(_spec_order())),
+    ezbft.SpecReplyBundle(replies=(_signed(_spec_reply()),)),
+    ezbft.SpecReplyBundle(
+        replies=(_signed(_spec_reply()), _signed(_spec_reply())),
+        spec_order=_signed(batching.BatchSpecOrder(
+            leader="r0", owner_number=0,
+            orders=(_spec_order(), _spec_order())))),
     ezbft.CommitFast(client_id="c0", instance=INST,
                      certificate=(_signed(_spec_reply()),)),
     ezbft.Commit(client_id="c0", instance=INST, command=CMD,
@@ -172,6 +179,59 @@ def test_spec_reply_matching_semantics():
         deps=a.deps, seq=a.seq + 1, request_digest=a.request_digest,
         client_id=a.client_id, timestamp=a.timestamp, result=a.result)
     assert not a.matches_fast(c)
+
+
+def test_spec_reply_is_the_signed_header_only():
+    """The paper closes the signed tuple before SO: the header has no
+    proposal field and its signed bytes mention none."""
+    import dataclasses
+
+    from repro.crypto.digest import canonical_bytes
+
+    assert "spec_order" not in {
+        f.name for f in dataclasses.fields(ezbft.SpecReply)}
+    assert b"spec_order" not in canonical_bytes(_spec_reply())
+    carriers = [cls for cls in MESSAGE_REGISTRY.values()
+                if cls.__module__ == ezbft.__name__
+                and "spec_order" in {
+                    f.name for f in dataclasses.fields(cls)}]
+    assert carriers == [ezbft.SpecReplyBundle]
+
+
+def test_spec_reply_rejects_pre_split_wire_form():
+    wire = _spec_reply().to_wire()
+    wire["spec_order"] = _signed(_spec_order()).to_wire()
+    with pytest.raises(SerializationError, match="spec_order"):
+        decode(wire)
+
+
+def test_spec_reply_bundle_rejects_empty_and_oversized():
+    header = _signed(_spec_reply())
+    with pytest.raises(SerializationError):
+        ezbft.SpecReplyBundle(replies=())
+    with pytest.raises(SerializationError):
+        decode({"type": "ez-spec-reply-bundle", "replies": [],
+                "spec_order": None})
+    # More headers than the attached proposal has instances: one for
+    # a SPECORDER (or no attachment), len(orders) for a batch.
+    with pytest.raises(SerializationError):
+        ezbft.SpecReplyBundle(replies=(header, header))
+    with pytest.raises(SerializationError):
+        ezbft.SpecReplyBundle(replies=(header, header),
+                              spec_order=_signed(_spec_order()))
+    bundle = ezbft.SpecReplyBundle(replies=(header,))
+    assert bundle.spec_order is None and bundle.cpu_cost_units == 1
+
+
+def test_spec_reply_bundle_costs_one_unit_per_header():
+    batch = _signed(batching.BatchSpecOrder(
+        leader="r0", owner_number=0,
+        orders=tuple(_spec_order() for _ in range(8))))
+    headers = tuple(_signed(_spec_reply()) for _ in range(8))
+    assert ezbft.SpecReplyBundle(
+        replies=headers, spec_order=batch).cpu_cost_units == 8
+    assert ezbft.SpecReplyBundle(
+        replies=headers[:1], spec_order=batch).cpu_cost_units == 1
 
 
 def test_spec_response_matching_semantics():
