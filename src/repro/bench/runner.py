@@ -38,6 +38,10 @@ BENCH_SCHEMA = 1
 #: that fast-paths far fewer per second -- a deep, stable backlog that
 #: keeps every replica's queue full for the whole horizon.
 _SIM_CLIENTS = 8
+_SIM_REGIONS = ("virginia", "tokyo", "mumbai", "sydney")
+#: Contended cells: 8 closed-loop clients x 64 requests = 512 commits on
+#: one key, four default checkpoint intervals' worth of history.
+_HOT_REQUESTS = 64
 _SIM_RATE = 400.0
 _SIM_DURATION_MS = 2000.0
 _SIM_SEED = 42
@@ -51,25 +55,45 @@ class BenchCell:
     backend: str
     protocol: str
     batch_size: int = 1
+    #: Share of requests that hit the one hot key (sim cells).  Any
+    #: value but 0.0 also selects a second workload shape, not the
+    #: saturated one with hot requests mixed in: the same clients
+    #: spread over all four regions, so SPECORDERs from four leaders
+    #: interleave on the key and the cell pins what dependency
+    #: collection does about it; closed loop, ``_HOT_REQUESTS`` each --
+    #: a hot key offered more than it commits never executes anything,
+    #: so an open loop has no steady state to pin.  Only 1.0 is in the
+    #: grid; a partly contended cell would inherit all three.
+    contention: float = 0.0
     #: Included in the reduced CI grid (``--grid smoke``).
     smoke: bool = False
 
     def scenario(self) -> Scenario:
         if self.backend == "sim":
-            return Scenario(
-                name=f"bench-{self.name}",
-                protocol=self.protocol,
-                replica_regions=("virginia", "tokyo", "mumbai",
-                                 "sydney"),
-                latency="experiment1",
-                duration_ms=_SIM_DURATION_MS,
-                workload=WorkloadSpec(
+            if self.contention:
+                workload = WorkloadSpec(
+                    mode="closed",
+                    client_regions=_SIM_REGIONS,
+                    clients_per_region=_SIM_CLIENTS // len(_SIM_REGIONS),
+                    requests_per_client=_HOT_REQUESTS,
+                    contention=self.contention,
+                    batch_size=self.batch_size,
+                )
+            else:
+                workload = WorkloadSpec(
                     mode="open",
-                    client_regions=("virginia",),
+                    client_regions=_SIM_REGIONS[:1],
                     clients_per_region=_SIM_CLIENTS,
                     rate_per_client=_SIM_RATE,
                     batch_size=self.batch_size,
-                ),
+                )
+            return Scenario(
+                name=f"bench-{self.name}",
+                protocol=self.protocol,
+                replica_regions=_SIM_REGIONS,
+                latency="experiment1",
+                duration_ms=_SIM_DURATION_MS,
+                workload=workload,
                 seed=_SIM_SEED,
                 # Saturation methodology: recovery timers pushed far
                 # past the horizon so backlog is never read as a fault.
@@ -96,7 +120,8 @@ class BenchCell:
 
 #: The pinned grid: protocols x batch {1, 8} on sim (non-batching
 #: protocols degrade batch cells to per-command submission -- the cell
-#: then measures that degradation path), plus one TCP smoke cell.
+#: then measures that degradation path), one fully contended ezBFT
+#: cell, plus one TCP smoke cell.
 PINNED_GRID: Tuple[BenchCell, ...] = tuple(
     BenchCell(name=f"sim-{protocol}-b{batch}", backend="sim",
               protocol=protocol, batch_size=batch,
@@ -104,6 +129,8 @@ PINNED_GRID: Tuple[BenchCell, ...] = tuple(
     for protocol in ("ezbft", "pbft", "zyzzyva", "fab")
     for batch in (1, 8)
 ) + (
+    BenchCell(name="sim-ezbft-b1-hot", backend="sim", protocol="ezbft",
+              contention=1.0),
     BenchCell(name="tcp-ezbft-smoke", backend="tcp", protocol="ezbft",
               smoke=True),
 )
@@ -144,6 +171,7 @@ def run_cell(cell: BenchCell) -> Dict[str, Any]:
         "backend": cell.backend,
         "protocol": cell.protocol,
         "batch_size": cell.batch_size,
+        "contention": cell.contention,
         "delivered": report.delivered,
         "wall_seconds": round(wall, 3),
         # Harness speed: delivered requests per wall-clock second.
@@ -214,7 +242,7 @@ def newest_baseline(path: str) -> str:
 #: is a *behavior* change, not noise, and requires regenerating the
 #: committed baseline deliberately.
 _EXACT_SIM_FIELDS = ("delivered", "p50_ms", "p99_ms",
-                     "scenario_throughput_per_sec")
+                     "scenario_throughput_per_sec", "events")
 
 
 def compare(new: Dict[str, Any], baseline: Dict[str, Any],

@@ -280,6 +280,7 @@ class DependencyExecutor:
             entry.final_result = self._results.get(ident)
         else:
             entry.final_result = self.statemachine.apply(entry.command)
+            entry.applied = True
             self._results[ident] = entry.final_result
         if span is not None:
             tracer.end_span(span)

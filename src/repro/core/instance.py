@@ -48,6 +48,12 @@ class LogEntry:
     spec_executed: bool = False
     #: Result of final execution (sent in COMMITREPLY).
     final_result: Any = None
+    #: True only when final execution here really ran
+    #: ``statemachine.apply`` on this entry's command -- not for a
+    #: no-op, an exactly-once cache hit, or an entry marked executed
+    #: from a snapshot.  Dependency collection lets only such an entry
+    #: stand in for older ones (``EzBFTReplica._collect_deps``).
+    applied: bool = False
     #: Signed SPECORDER this entry derives from (evidence for recovery).
     spec_order: Optional[SignedPayload] = None
     #: Commit certificate (signed SPECREPLYs or the client's COMMIT).

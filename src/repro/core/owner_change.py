@@ -371,15 +371,10 @@ class OwnerChangeManager:
             if existing is not None:
                 entry.reply_to = existing.reply_to
             space.force_put(entry)
-            if existing is None or \
-                    existing.command.ident != entry.command.ident:
-                # Full indexing (key index included) so duplicate
-                # detection and dependency collection find recovered
-                # commands -- including when recovery replaces a slot's
-                # command with a different one.
-                replica._index_entry(entry)
-            else:
-                replica._log_index[summary.instance] = entry
+            # Key chains included, so duplicate detection and dependency
+            # collection find recovered commands -- also when recovery
+            # replaces a slot's command with a different one.
+            replica._index_entry(entry)
         space.owner_number = msg.new_owner_number
         space.frozen = True  # the space stays frozen per the paper
         top = max((s.instance.slot for s in msg.safe_entries),

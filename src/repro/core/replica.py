@@ -9,6 +9,7 @@ handling (step 4.4), and the owner-change protocol (Section IV-E, via
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.node import NodeContext, Timer
@@ -134,9 +135,12 @@ class EzBFTReplica:
             for rid in config.replica_ids
         }
         self._log_index: Dict[InstanceID, LogEntry] = {}
-        #: Per-key index of instances, used to keep dependency collection
-        #: O(|same-key history|) instead of O(|log|).
-        self._key_index: Dict[str, List[InstanceID]] = {}
+        #: Dependency-collection index: index key (see
+        #: :meth:`_index_key`) -> space owner -> that space's instances
+        #: on the key, ascending by slot.  Every instance of
+        #: ``_log_index`` sits in exactly one chain;
+        #: :meth:`_index_entry` adds, :meth:`_truncate_space` trims.
+        self._key_index: Dict[str, Dict[str, List[InstanceID]]] = {}
         self.executor = DependencyExecutor(statemachine)
         #: Checkpoint captures hook in per executed entry, not per
         #: commit wave: a wave can straddle an interval boundary, and a
@@ -408,7 +412,8 @@ class EzBFTReplica:
                 command.timestamp)
             slot = space.allocate_slot()
             instance = InstanceID(self.node_id, slot)
-            deps = self._collect_deps(command, exclude=instance)
+            deps = self._collect_deps(command, exclude=instance,
+                                      leading=True)
             seq = 1 + self._max_dep_seq(deps)
             order = SpecOrder(
                 leader=self.node_id,
@@ -479,7 +484,8 @@ class EzBFTReplica:
             command.timestamp)
         slot = space.allocate_slot()
         instance = InstanceID(self.node_id, slot)
-        deps = self._collect_deps(command, exclude=instance)
+        deps = self._collect_deps(command, exclude=instance,
+                                  leading=True)
         seq = 1 + self._max_dep_seq(deps)
         request_digest = digest(request)
         spec_order = SpecOrder(
@@ -1020,28 +1026,43 @@ class EzBFTReplica:
             cut = min(int(frontier.get(owner, 0)),
                       self._executed_frontier(space))
             effective[owner] = cut
-            if cut <= space.low_slot:
-                continue
-            for slot in range(space.low_slot, cut):
-                entry = space.get(slot)
-                if entry is not None:
-                    self._log_index.pop(entry.instance, None)
-            removed += space.truncate(cut)
+            removed += self._truncate_space(space, cut)
         if removed:
             self._pending_spec_orders = {
                 k: v for k, v in self._pending_spec_orders.items()
                 if k[1] >= effective.get(k[0], 0)
             }
-            self._rebuild_key_index()
         self.executor.truncate(checkpoint.watermark, effective)
         self.stats["log_entries_gcd"] += removed
 
-    def _rebuild_key_index(self) -> None:
-        self._key_index = {}
-        for iid, entry in self._log_index.items():
-            if entry.command.key:
-                self._key_index.setdefault(entry.command.key,
-                                           []).append(iid)
+    def _truncate_space(self, space: InstanceSpace, cut: int) -> int:
+        """Drop every slot of ``space`` below ``cut`` from the space,
+        the log index and the key chains; returns how many went.  The
+        chains are ascending by slot, so each loses a prefix and none is
+        rebuilt; ``space.truncate`` itself still scans the space."""
+        owner = space.owner
+        floor = InstanceID(owner, cut)
+        for slot in range(space.low_slot, cut):
+            entry = space.get(slot)
+            if entry is None:
+                continue
+            self._log_index.pop(entry.instance, None)
+            key = self._index_key(entry.command)
+            chains = self._key_index.get(key)
+            chain = chains.get(owner) if chains else None
+            if not chain or chain[0] >= floor:
+                continue  # an earlier slot on this key trimmed it
+            del chain[:bisect_left(chain, floor)]
+            self._prune_chain(key, owner)
+        return space.truncate(cut)
+
+    def _prune_chain(self, key: str, owner: str) -> None:
+        """Forget ``owner``'s chain under ``key`` once it is empty."""
+        chains = self._key_index[key]
+        if not chains[owner]:
+            del chains[owner]
+            if not chains:
+                del self._key_index[key]
 
     def checkpoint_base_slot(self, owner: str) -> int:
         """First slot of ``owner``'s space above the last stable
@@ -1169,12 +1190,7 @@ class EzBFTReplica:
         self.statemachine.rollback_speculative()
         self.statemachine.restore(snapshot.get("state", {}))
         for owner, space in self.spaces.items():
-            cut = frontier.get(owner, 0)
-            for slot in range(space.low_slot, cut):
-                entry = space.get(slot)
-                if entry is not None:
-                    self._log_index.pop(entry.instance, None)
-            space.truncate(cut)
+            self._truncate_space(space, frontier.get(owner, 0))
         self._pending_spec_orders = {
             k: v for k, v in self._pending_spec_orders.items()
             if k[1] >= frontier.get(k[0], 0)
@@ -1198,6 +1214,7 @@ class EzBFTReplica:
             if entry.status == EntryStatus.EXECUTED and \
                     iid not in executed_above:
                 entry.status = EntryStatus.COMMITTED
+                entry.applied = False
         for summary in reply.entries:
             self._install_transferred_entry(summary, frontier)
         for iid in executed_above:
@@ -1206,7 +1223,6 @@ class EzBFTReplica:
                 # Its effect is inside the snapshot state already; mark
                 # executed so it is never re-applied.
                 entry.status = EntryStatus.EXECUTED
-        self._rebuild_key_index()
         for space in self.spaces.values():
             while space.expected_slot in space:
                 space.expected_slot += 1
@@ -1261,7 +1277,7 @@ class EzBFTReplica:
         if entry is None:
             return
         space.force_put(entry)
-        self._log_index[instance] = entry
+        self._index_entry(entry)
 
     def _entry_from_commit_proof(self, summary: LogEntrySummary
                                  ) -> Optional[LogEntry]:
@@ -1527,11 +1543,27 @@ class EzBFTReplica:
                                                 require_match=True)
 
     def _validate_slow_certificate(self, commit: Commit) -> bool:
+        """2f+1 valid SPECREPLY headers for the commit's instance *and
+        command*, with the COMMIT's metadata exactly what they combine
+        to: ``deps`` their union, ``seq`` their maximum.  The client
+        signs the COMMIT but may not choose either -- dependency
+        collection leans on every correct voter's deps surviving into
+        the final set (see :meth:`_collect_deps`)."""
         cert = commit.certificate
         if len(cert) < self.config.slow_quorum_size:
             return False
-        return self._validate_reply_certificate(cert, commit.instance,
-                                                require_match=False)
+        if not self._validate_reply_certificate(cert, commit.instance,
+                                                require_match=False):
+            return False
+        deps: set = set()
+        seq = 0
+        for signed in cert:
+            reply = signed.payload
+            if (reply.client_id, reply.timestamp) != commit.command.ident:
+                return False
+            deps.update(reply.deps)
+            seq = max(seq, reply.seq)
+        return commit.deps == tuple(sorted(deps)) and commit.seq == seq
 
     def _validate_reply_certificate(self, cert, instance: InstanceID,
                                     require_match: bool) -> bool:
@@ -1586,28 +1618,99 @@ class EzBFTReplica:
     # ------------------------------------------------------------------
     # Dependency collection
     # ------------------------------------------------------------------
-    def _collect_deps(self, command: Command,
-                      exclude: InstanceID) -> Tuple[InstanceID, ...]:
-        """Every instance in the log whose command interferes with
-        ``command`` (paper's dependency set D)."""
-        deps = set()
-        for iid in self._candidate_instances(command):
-            if iid == exclude:
-                continue
-            entry = self._log_index[iid]
-            if self.interference.interferes(entry.command, command):
-                deps.add(iid)
-        return tuple(sorted(deps))
+    def _collect_deps(self, command: Command, exclude: InstanceID,
+                      leading: bool = False) -> Tuple[InstanceID, ...]:
+        """The transitive frontier of the paper's dependency set D.
 
-    def _candidate_instances(self, command: Command):
-        """Instances that could possibly interfere with ``command``.
+        D is every instance in the log whose command interferes with
+        ``command``.  What is returned (and sent, signed, logged) is D
+        minus the instances an *applied* one already stands in for:
+        walking each instance space newest-first, an older instance
+        ``a`` is left out when a later instance ``g`` of the same space
+        is already in the result, interferes with ``a``, and was finally
+        executed here by really applying its command
+        (:attr:`LogEntry.applied`).  Every other member of D is
+        included.  A new command ``b`` then still runs after ``a`` at
+        every replica:
 
-        Key-based interference relations only need the same-key history;
-        other relations fall back to the full log.
+        - A space is accepted in slot order, so every correct replica
+          that voted on ``g`` held ``a`` and put ``a`` -- or,
+          inductively, an applied cover of it -- into its SPECREPLY.
+        - A fast certificate is 3f+1 identical replies and a slow one
+          the union of 2f+1 (:meth:`_validate_slow_certificate` binds a
+          COMMIT to that union), so either holds a correct replica's
+          reply: ``g``'s *final* deps reach ``a`` through committed
+          instances, ``b -> g -> ... -> a``, and ``seq`` grows along
+          the chain.
+        - ``g`` is executed, hence committed, so no owner change can
+          turn it into a no-op and cut the chain.
+        - ``g`` was the first application of its command here, after
+          ``a``.  ``a`` interferes with that command, and interfering
+          commands run in one order everywhere, so no instance of it
+          runs before ``a`` at any replica: the executor's
+          ``dep_waiver``, which releases an edge to ``g`` once a
+          duplicate of ``g`` has executed, cannot fire before ``a``
+          has run.
+
+        Each exclusion drops one of these: a spec-ordered entry can be
+        no-op'ed, a committed one may yet execute as a cache hit, a
+        cache hit or no-op never applied anything, and an entry marked
+        executed from a snapshot does not know which it was.  The
+        relation is only ever asked ``interferes``; it need not be
+        transitive (an applied ``get`` covers an older ``put`` for a
+        new ``put``, never for a new ``get``).
+
+        ``leading`` (this replica is proposing ``command``) holds the
+        newest covers back.  A fast commit needs 3f+1 identical
+        SPECREPLYs and a follower answers ``order.deps`` united with
+        its own frontier, so the proposal must already hold whatever a
+        follower would add -- and a follower that has not yet applied
+        ``g``, because ``g``'s COMMIT is still on its way there, adds
+        ``a``.  So while leading, an applied instance covers only once
+        a later applied instance *of the same client* has been passed
+        in its space: that client sent the later command after the
+        earlier one's commit, which has then had a whole protocol round
+        to land everywhere.  A superset of the frontier is always safe,
+        and this one costs about a dependency per space and client on
+        the key.  It is a heuristic: a pipelining client gives no such
+        round, and where a follower still adds something the command
+        commits on the slow path.
         """
-        if getattr(self.interference, "key_based", True) and command.key:
-            return list(self._key_index.get(command.key, ()))
-        return list(self._log_index)
+        chains = self._key_index.get(self._index_key(command))
+        if chains is None:
+            return ()
+        interferes = self.interference.interferes
+        log = self._log_index
+        deps: List[InstanceID] = []
+        for chain in chains.values():
+            covers: List[Command] = []
+            unsettled: set = set()  # clients with one applied passed
+            for iid in reversed(chain):
+                if iid == exclude:
+                    continue
+                entry = log[iid]
+                candidate = entry.command
+                for cover in covers:
+                    if interferes(cover, candidate):
+                        break
+                else:
+                    if interferes(candidate, command):
+                        deps.append(iid)
+                        if not entry.applied:
+                            continue
+                        if leading and \
+                                candidate.client_id not in unsettled:
+                            unsettled.add(candidate.client_id)
+                        else:
+                            covers.append(candidate)
+        deps.sort()
+        return tuple(deps)
+
+    def _index_key(self, command: Command) -> str:
+        """Which chains of ``_key_index`` can hold an instance that
+        interferes with ``command``: its key under a key-based relation,
+        one shared bucket otherwise."""
+        return command.key if self.interference.key_based else ""
 
     def _max_dep_seq(self, deps: Tuple[InstanceID, ...]) -> int:
         best = 0
@@ -1625,16 +1728,34 @@ class EzBFTReplica:
         self._index_entry(entry)
 
     def _index_entry(self, entry: LogEntry) -> None:
-        self._log_index[entry.instance] = entry
-        if entry.command.key:
-            self._key_index.setdefault(entry.command.key, []).append(
-                entry.instance)
+        """Bind ``entry`` to its instance in the log index and the key
+        chains; replacing a slot's entry (recovery, state transfer)
+        moves the instance when the command's key changed."""
+        iid = entry.instance
+        previous = self._log_index.get(iid)
+        self._log_index[iid] = entry
+        key = self._index_key(entry.command)
+        if previous is not None:
+            old_key = self._index_key(previous.command)
+            if old_key == key:
+                return
+            self._key_index[old_key][iid.owner].remove(iid)
+            self._prune_chain(old_key, iid.owner)
+        chains = self._key_index.get(key)
+        if chains is None:
+            self._key_index[key] = {iid.owner: [iid]}
+            return
+        chain = chains.setdefault(iid.owner, [])
+        if not chain or chain[-1] < iid:
+            chain.append(iid)
+        else:
+            insort(chain, iid)  # adopted out of slot order
 
     def _find_entry_for_command(self, command: Command
                                 ) -> Optional[LogEntry]:
-        # The candidate set is authoritative: key-based relations keep a
-        # complete per-key index, and every other case already scans the
-        # full log -- so no O(|log|) fallback is needed on the hot path.
+        # The chains under the command's index key are authoritative
+        # (every logged instance sits in exactly one), so no O(|log|)
+        # fallback is needed on the hot path.
         #
         # Retried commands can end up proposed in *several* competing
         # instances (each retry rotates the command-leader); picking the
@@ -1643,11 +1764,14 @@ class EzBFTReplica:
         # re-reply converge on the same instance so the client can
         # assemble a matching quorum.
         best: Optional[LogEntry] = None
-        for iid in self._candidate_instances(command):
-            entry = self._log_index[iid]
-            if entry.command.ident == command.ident:
-                if best is None or (iid.owner, iid.slot) < \
-                        (best.instance.owner, best.instance.slot):
+        chains = self._key_index.get(self._index_key(command))
+        if chains is None:
+            return None
+        for chain in chains.values():
+            for iid in chain:
+                entry = self._log_index[iid]
+                if entry.command.ident == command.ident and \
+                        (best is None or iid < best.instance):
                     best = entry
         return best
 

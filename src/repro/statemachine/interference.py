@@ -28,6 +28,11 @@ from repro.statemachine.base import Command
 class InterferenceRelation(ABC):
     """Abstract symmetric interference predicate over commands."""
 
+    #: True when commands on different keys never interfere: a replica
+    #: may then look for a command's dependencies among same-key
+    #: instances only.  False (search the whole log) is always safe.
+    key_based: bool = False
+
     @abstractmethod
     def interferes(self, a: Command, b: Command) -> bool:
         """True iff ``a`` and ``b`` do not commute."""
@@ -35,6 +40,8 @@ class InterferenceRelation(ABC):
 
 class KVInterference(InterferenceRelation):
     """The key-value relation described in the module docstring."""
+
+    key_based = True
 
     def interferes(self, a: Command, b: Command) -> bool:
         if a.is_noop or b.is_noop:
@@ -62,6 +69,8 @@ class ReadWriteInterference(InterferenceRelation):
     everything.  Strictly coarser than :class:`KVInterference`; used by the
     ablation benchmarks to quantify what the finer relation buys."""
 
+    key_based = True
+
     def interferes(self, a: Command, b: Command) -> bool:
         if a.is_noop or b.is_noop:
             return False
@@ -77,12 +86,16 @@ class AlwaysInterfere(InterferenceRelation):
     log -- the worst case the 100%-contention experiments exercise.
     """
 
+    key_based = False
+
     def interferes(self, a: Command, b: Command) -> bool:
         return not (a.is_noop or b.is_noop)
 
 
 class NeverInterfere(InterferenceRelation):
     """No commands interfere; every request takes the fast path."""
+
+    key_based = True
 
     def interferes(self, a: Command, b: Command) -> bool:
         return False

@@ -36,6 +36,25 @@ def test_pinned_grid_covers_protocols_and_batches():
         (p, b) for p in ("ezbft", "pbft", "zyzzyva", "fab")
         for b in (1, 8)}
     assert [c for c in PINNED_GRID if c.backend == "tcp"]
+    assert len(PINNED_GRID) == 10
+
+
+def test_contended_cell_is_full_grid_only_and_interleaves_leaders():
+    hot = [c for c in PINNED_GRID if c.contention]
+    assert [c.name for c in hot] == ["sim-ezbft-b1-hot"]
+    cell = hot[0]
+    assert cell.contention == 1.0 and not cell.smoke
+    assert cell not in grid_cells("smoke")
+    scenario = cell.scenario()
+    # Every request hits the hot key, from clients next to each of the
+    # four leaders, so their SPECORDERs cross on the WAN.
+    assert scenario.workload.contention == 1.0
+    assert set(scenario.workload.client_regions) == \
+        set(scenario.replica_regions)
+    # Closed loop: a hot key has no open-loop steady state to pin.
+    assert scenario.workload.mode == "closed"
+    assert all(c.scenario().workload.contention == 0.0
+               for c in PINNED_GRID if c is not cell)
 
 
 def test_grid_names_unique():
@@ -63,7 +82,8 @@ def test_sim_cells_pin_recovery_timers_past_horizon():
         assert scenario.retry_timeout > scenario.duration_ms
         assert scenario.suspicion_timeout > scenario.duration_ms
         assert scenario.view_change_timeout > scenario.duration_ms
-        assert scenario.workload.mode == "open"
+        assert scenario.workload.mode == \
+            ("closed" if cell.contention else "open")
         assert scenario.workload.batch_size == cell.batch_size
 
 
@@ -112,6 +132,14 @@ def test_p99_drift_fails_even_when_throughput_holds():
     base = _artifact({"cell": _sim_cell(p99=900.0)})
     new = _artifact({"cell": _sim_cell(p99=901.0)})
     assert any("p99_ms" in p for p in compare(new, base))
+
+
+def test_event_count_drift_fails():
+    """The simulator's event count is as deterministic as the latency
+    percentiles, and moves when message flow changes at all."""
+    base = _artifact({"cell": dict(_sim_cell(), events=161200)})
+    new = _artifact({"cell": dict(_sim_cell(), events=161204)})
+    assert any("events" in p for p in compare(new, base))
 
 
 def test_missing_cell_in_new_run_fails():

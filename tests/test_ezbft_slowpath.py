@@ -2,7 +2,12 @@
 
 import pytest
 
+from dataclasses import replace
+
+from repro.byzantine import DepSuppressingReplica, install_byzantine
 from repro.core.instance import EntryStatus
+from repro.messages.base import SignedPayload
+from repro.messages.ezbft import Commit
 from repro.statemachine.interference import AlwaysInterfere
 
 from helpers import (
@@ -107,6 +112,20 @@ def test_always_interfere_relation_forces_total_order():
     assert len(log.records) == 4
     assert_replicas_consistent(cluster)
     assert_histories_consistent(cluster)
+    # Four different keys and still one order: a second round, proposed
+    # once the first is everywhere, depends on all of it across keys.
+    for i, c in enumerate(clients):
+        c.submit(c.next_command("put", f"other{i}", i))
+    cluster.run_until_idle()
+    for replica in cluster.replicas.values():
+        second = [e for e in replica._log_index.values()
+                  if e.command.timestamp == 2]
+        assert len(second) == 4
+        for entry in second:
+            dep_keys = {replica._log_index[d].command.key
+                        for d in entry.deps}
+            assert {f"key{i}" for i in range(4)} <= dep_keys
+    assert_histories_consistent(cluster)
 
 
 def test_slow_path_produces_commit_replies():
@@ -161,4 +180,81 @@ def test_mixed_contention_some_fast_some_slow():
     cluster.run_until_idle()
     assert len(log.records) == 24
     assert "fast" in log.paths
+    assert_replicas_consistent(cluster)
+
+
+# ----------------------------------------------------------------------
+# A COMMIT is bound to its certificate
+# ----------------------------------------------------------------------
+def held_back_commit(cluster):
+    """Run one contended put to the point where its client signs the
+    slow-path COMMIT (r2 lies about deps, so there is no fast quorum),
+    keep that COMMIT from every replica, and return it with its
+    client."""
+    install_byzantine(cluster, "r2", DepSuppressingReplica)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    client.submit(client.next_command("put", "hot", 1))
+    cluster.run_until_idle()
+    held = []
+    command = client.next_command("put", "hot", 2)
+    for rid, replica in cluster.replicas.items():
+        def holding(sender, message, deliver=replica.on_message):
+            if isinstance(message, SignedPayload) and \
+                    isinstance(message.payload, Commit):
+                held.append(message)
+                # No retry while the test holds the COMMIT.
+                client._pending[command.ident].cancel_timers()
+            else:
+                deliver(sender, message)
+        cluster.network.set_handler(rid, holding)
+    client.submit(command)
+    cluster.run_until_idle()
+    assert held and held[0].payload.deps != ()
+    return held[0], client, log
+
+
+def test_commit_that_drops_a_dep_of_its_certificate_is_refused():
+    """The client signs the COMMIT but does not get to choose its
+    metadata: deps must be the union and seq the maximum of the
+    certificate's SPECREPLY headers, which must be for this command."""
+    cluster = lan_cluster()
+    honest, client, _ = held_back_commit(cluster)
+    commit = honest.payload
+    wrong_command = replace(commit.command,
+                            timestamp=commit.command.timestamp + 1)
+    for tampered in (replace(commit, deps=commit.deps[:-1]),
+                     replace(commit, seq=commit.seq + 1),
+                     replace(commit, seq=commit.seq - 1),
+                     replace(commit, command=wrong_command)):
+        envelope = SignedPayload.create(tampered, client.keypair)
+        for rid in ("r0", "r1", "r3"):
+            replica = cluster.replicas[rid]
+            before = replica.stats["invalid_messages"]
+            replica.on_message(client.client_id, envelope)
+            assert replica.stats["invalid_messages"] == before + 1
+            entry = replica._log_index[commit.instance]
+            assert entry.status == EntryStatus.SPEC_ORDERED
+            assert replica.stats["committed_slow"] == 0
+
+
+def test_honest_slow_path_commit_still_commits():
+    cluster = lan_cluster()
+    honest, client, log = held_back_commit(cluster)
+    commit = honest.payload
+    for replica in cluster.replicas.values():
+        replica.on_message(client.client_id, honest)
+    cluster.run_until_idle()
+    assert log.results == ["OK", "OK"] and log.paths[-1] == "slow"
+    headers = [signed.payload for signed in commit.certificate]
+    assert any(h.deps == () for h in headers)     # r2's lie is in there
+    for rid in ("r0", "r1", "r3"):
+        replica = cluster.replicas[rid]
+        assert replica.stats["invalid_messages"] == 0
+        assert replica.stats["committed_slow"] == 1
+        entry = replica._log_index[commit.instance]
+        assert entry.status == EntryStatus.EXECUTED
+        assert set(entry.deps) == {d for h in headers for d in h.deps}
+        assert entry.seq == max(h.seq for h in headers)
     assert_replicas_consistent(cluster)
