@@ -18,7 +18,7 @@ Each class exercises one of the failure modes the paper discusses:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Type
+from typing import Any, List, Optional, Type
 
 from repro.core.instance import InstanceSpace, LogEntry
 from repro.errors import ConfigurationError
@@ -43,10 +43,14 @@ class EquivocatingLeaderReplica(EzBFTReplica):
     client observes two validly signed, conflicting SPECORDERs and can
     assemble a proof of misbehavior (paper step 4.4)."""
 
-    def _lead(self, request: Request) -> None:
+    def _lead(self, requests: List[Request]) -> None:
         space = self.spaces[self.node_id]
         if space.frozen:
             return
+        for request in requests:
+            self._equivocate(space, request)
+
+    def _equivocate(self, space: InstanceSpace, request: Request) -> None:
         command = request.command
         self._client_ts[command.client_id] = command.timestamp
         slot = space.allocate_slot()

@@ -18,8 +18,8 @@ Flush policy (the classic size-or-timeout rule):
   item arrived, bounding the latency cost of waiting for a full batch.
 
 ``batch_size <= 1`` disables accumulation entirely: every item is
-flushed immediately and singleton flushes are the caller's cue to take
-the classic unbatched path, so a batching deployment with size 1 is
+flushed immediately, and a flush of one is proposed as the classic
+unbatched message, so a batching deployment with size 1 is
 indistinguishable from a non-batching one.
 """
 
@@ -119,9 +119,8 @@ class RequestBatcher:
 
 
 # ----------------------------------------------------------------------
-# Shared BatchRequest ingress checks (ezBFT owner and PBFT primary both
-# unpack client batches through these, so the exactly-once semantics
-# cannot silently diverge between protocols).
+# BatchRequest ingress checks: authenticity is shared by the ezBFT owner
+# and the PBFT primary; the freshness rule is PBFT's.
 # ----------------------------------------------------------------------
 def batch_request_is_authentic(batch: Any, envelope: Any) -> bool:
     """Every command in the batch belongs to the envelope's signer."""
@@ -135,10 +134,13 @@ def fresh_batch_commands(batch: Any, client_ts: dict, reply_cache: dict,
                          ) -> Iterator[Any]:
     """Yield the batch's not-yet-seen commands in timestamp order.
 
-    The per-protocol exactly-once ingress check, shared verbatim with
-    the singleton request path: stale duplicates are dropped, an exact
+    The PBFT primary's exactly-once ingress check, the same rule as its
+    singleton request path: stale duplicates are dropped, an exact
     duplicate of the latest command re-sends the cached reply via
-    ``resend_fn``, everything newer is yielded for ordering.
+    ``resend_fn``, everything newer is yielded for ordering.  (ezBFT
+    clients pipeline, so an older timestamp there may be unseen rather
+    than stale: its replica admits each command of a batch through the
+    singleton rule instead.)
     """
     client = batch.client_id
     for command in sorted(batch.commands, key=lambda c: c.timestamp):

@@ -1,0 +1,514 @@
+"""ezBFT checkpointing, log compaction and state transfer.
+
+Every ``checkpoint_interval`` final executions a replica broadcasts a
+signed EZCHECKPOINT over a snapshot; 2f+1 matching attestations make
+the checkpoint *stable* and the log below its per-space frontier is
+garbage-collected.  A replica that sees a stable checkpoint an interval
+or more ahead of it asks for a state transfer.  Adopting a checkpoint
+(:meth:`CheckpointManager.adopt`, then ``resume``) is the one routine
+both state transfer and restart-from-disk (:mod:`repro.core.recovery`)
+go through.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+
+from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
+from repro.core.owner_change import summarize_entry
+from repro.crypto.digest import digest
+from repro.messages.base import SignedPayload
+from repro.messages.batching import BatchSpecOrder
+from repro.messages.ezbft import (
+    Commit,
+    EzCheckpoint,
+    LogEntrySummary,
+    SpecOrder,
+    SpecReply,
+    StateTransferReply,
+    StateTransferRequest,
+)
+from repro.statemachine.checkpoint import Checkpoint
+from repro.types import InstanceID
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.replica import EzBFTReplica
+
+
+class CheckpointManager:
+    """Per-replica checkpoint capture, stability, GC and state
+    transfer, over ``replica.checkpoints`` (the store stays on the
+    replica, where owner changes read it)."""
+
+    def __init__(self, replica: "EzBFTReplica") -> None:
+        self.replica = replica
+        #: (watermark, digest) -> replica -> its signed EZCHECKPOINT;
+        #: the stable set doubles as the state-transfer proof.
+        self._checkpoint_proofs: Dict[
+            Tuple[int, str], Dict[str, SignedPayload]] = {}
+        #: Signed attestation quorum for the current stable checkpoint,
+        #: tagged with its watermark (stability can advance on vote
+        #: counts while the retained envelopes lag; a mismatched proof
+        #: must never be served).
+        self._stable_proof: Tuple[SignedPayload, ...] = ()
+        self._stable_proof_watermark = -1
+        #: Per-space cached contiguous-executed frontier cursor, so
+        #: captures cost O(new executions) instead of rescanning the
+        #: whole executed prefix when stability stalls.
+        self._frontier_cursor: Dict[str, int] = {}
+        #: Highest watermark we already requested a state transfer for,
+        #: and the peers asked at that watermark (up to f+1 distinct
+        #: peers, so at least one is correct and answers).
+        self._transfer_requested = -1
+        self._transfer_peers_asked: Set[str] = set()
+
+    # ------------------------------------------------------------------
+    # Capture and attestation
+    # ------------------------------------------------------------------
+    def on_entry_executed(self, entry: LogEntry) -> None:
+        """Executor hook: captures run per executed entry, not per
+        commit wave, so they land exactly on interval boundaries -- a
+        wave can straddle one, and a capture at a stray watermark would
+        never match the other replicas' attestations (permanently
+        disabling GC here)."""
+        replica = self.replica
+        store = replica.checkpoints
+        count = replica.executor.executed_count
+        if not store.due(count):
+            return
+        checkpoint = Checkpoint.capture(count, self._capture_snapshot())
+        msg = EzCheckpoint(replica=replica.node_id, watermark=count,
+                           state_digest=checkpoint.state_digest)
+        signed = SignedPayload.create(msg, replica.keypair)
+        self._checkpoint_proofs.setdefault(
+            (count, checkpoint.state_digest), {})[replica.node_id] = signed
+        stable_before = store.stable
+        store.record_local(checkpoint)
+        replica.stats["checkpoints"] += 1
+        replica.ctx.broadcast(replica.config.others(replica.node_id),
+                              signed)
+        if store.stable is not stable_before:
+            # Peer attestations had already reached quorum before our
+            # own capture; stability fired inside record_local.
+            self._on_checkpoint_stable(store.stable)
+
+    def _capture_snapshot(self) -> dict:
+        """Everything a lagging replica needs to resume past us.
+
+        Every field is a deterministic function of the first
+        ``executed_count`` executions, so digests agree across replicas
+        that executed the same prefix."""
+        replica = self.replica
+        executor = replica.executor
+        frontier = {owner: self._executed_frontier(space)
+                    for owner, space in replica.spaces.items()}
+        floors, sparse = executor.client_progress()
+        executed_above = sorted(
+            [iid.owner, iid.slot] for iid in executor.executed
+            if iid.slot >= frontier[iid.owner])
+        return {
+            "state": replica.statemachine.snapshot(),
+            "frontier": frontier,
+            "client_floors": floors,
+            "client_sparse": sparse,
+            "client_results": executor.latest_results(),
+            "executed_above": executed_above,
+        }
+
+    def _executed_frontier(self, space: InstanceSpace) -> int:
+        """First slot of ``space`` that is not contiguously executed --
+        the GC cut: everything below is final at this replica.
+
+        Resumes from a cached cursor (execution never un-happens, so
+        the frontier is monotone): amortized O(new executions) per
+        capture instead of O(whole executed prefix)."""
+        slot = max(space.low_slot,
+                   self._frontier_cursor.get(space.owner, 0))
+        while True:
+            entry = space.get(slot)
+            if entry is None or entry.status != EntryStatus.EXECUTED:
+                break
+            slot += 1
+        self._frontier_cursor[space.owner] = slot
+        return slot
+
+    def on_ez_checkpoint(self, sender: str, msg: EzCheckpoint,
+                         envelope: SignedPayload) -> None:
+        replica = self.replica
+        store = replica.checkpoints
+        if envelope.signer != msg.replica or \
+                msg.replica not in replica.config.replica_ids:
+            replica.stats["invalid_messages"] += 1
+            return
+        if msg.replica == replica.node_id:
+            # Our own attestation replayed back at us: we already voted
+            # as "__self__" at capture, and counting the replay as a
+            # second distinct voter would let f+1 real replicas fake a
+            # 2f+1 quorum.
+            return
+        stable = store.stable
+        if stable is not None and msg.watermark <= stable.watermark:
+            return  # below our stable watermark; nothing to learn
+        if replica.storage is not None:
+            replica.storage.append_attest(sender, envelope)
+        became_stable = store.attest(
+            msg.watermark, msg.state_digest, msg.replica)
+        horizon = replica.executor.executed_count + \
+            8 * max(1, store.interval)
+        if msg.watermark <= horizon and \
+                store.vote_of(msg.replica, msg.watermark) == \
+                msg.state_digest:
+            # Vote accepted (not an equivocating re-vote) and near our
+            # own execution horizon: retain the signed attestation for
+            # the state-transfer proof.  Far-future watermarks are
+            # never ones we will stabilize (if we lag that far we
+            # install a transferred proof instead), so dropping them
+            # bounds what a byzantine flood can pin in memory.
+            self._checkpoint_proofs.setdefault(
+                (msg.watermark, msg.state_digest), {}).setdefault(
+                msg.replica, envelope)
+        if became_stable:
+            self._on_checkpoint_stable(store.stable)
+        elif store.has_quorum(msg.watermark, msg.state_digest):
+            # The cluster proved a checkpoint we never captured: we are
+            # behind.  If the gap is at least one interval, the prefix
+            # below it may already be truncated everywhere -- catch up
+            # via state transfer instead of waiting for messages that
+            # will never be resent.
+            self._maybe_request_state_transfer(msg.watermark, msg.replica)
+
+    # ------------------------------------------------------------------
+    # Stability and garbage collection
+    # ------------------------------------------------------------------
+    def _on_checkpoint_stable(self, checkpoint: Checkpoint) -> None:
+        replica = self.replica
+        replica.stats["checkpoints_stable"] += 1
+        replica.instruments.checkpoint_stable(checkpoint.watermark)
+        replica.checkpoint_log.append(
+            (checkpoint.watermark, checkpoint.state_digest))
+        key = (checkpoint.watermark, checkpoint.state_digest)
+        proof = self._checkpoint_proofs.get(key, {})
+        if len(proof) >= replica.config.slow_quorum_size:
+            self._stable_proof = tuple(proof.values())
+            self._stable_proof_watermark = checkpoint.watermark
+        self._checkpoint_proofs = {
+            k: v for k, v in self._checkpoint_proofs.items()
+            if k[0] > checkpoint.watermark
+        }
+        self._gc_below(checkpoint)
+        replica.recovery.persist_stable(checkpoint)
+
+    def _gc_below(self, checkpoint: Checkpoint) -> None:
+        """Truncate the log below the stable checkpoint's frontier.
+
+        Only contiguously *executed* prefixes are dropped: the frontier
+        is re-clamped locally so a committed-but-unexecuted instance can
+        never be garbage-collected."""
+        replica = self.replica
+        frontier = checkpoint.snapshot.get("frontier", {})
+        removed = 0
+        effective: Dict[str, int] = {}
+        for owner, space in replica.spaces.items():
+            cut = min(int(frontier.get(owner, 0)),
+                      self._executed_frontier(space))
+            effective[owner] = cut
+            removed += replica._truncate_space(space, cut)
+        replica.executor.truncate(checkpoint.watermark, effective)
+        replica.stats["log_entries_gcd"] += removed
+
+    # ------------------------------------------------------------------
+    # State transfer: asking and serving
+    # ------------------------------------------------------------------
+    def _maybe_request_state_transfer(self, watermark: int,
+                                      peer: str) -> None:
+        replica = self.replica
+        interval = max(1, replica.checkpoints.interval)
+        if watermark < replica.executor.executed_count + interval:
+            return  # close enough to catch up from live traffic
+        if watermark > self._transfer_requested:
+            self._transfer_requested = watermark
+            self._transfer_peers_asked = set()
+        # One ask per peer, up to f+1 distinct attesters per watermark:
+        # a single unlucky choice (peer without a provable stable
+        # checkpoint) must not strand us for another whole interval.
+        if peer in self._transfer_peers_asked or \
+                len(self._transfer_peers_asked) >= \
+                replica.config.weak_quorum_size:
+            return
+        self._transfer_peers_asked.add(peer)
+        request = StateTransferRequest(
+            replica=replica.node_id,
+            have_watermark=replica.executor.executed_count)
+        replica.ctx.send(peer, request)
+
+    def on_state_transfer_request(self, sender: str,
+                                  request: StateTransferRequest) -> None:
+        replica = self.replica
+        if request.replica != sender or \
+                request.replica not in replica.config.replica_ids:
+            # Snapshot replies are expensive; an unsigned request with a
+            # spoofed reply target would be a cheap reflection vector.
+            replica.stats["invalid_messages"] += 1
+            return
+        stable = replica.checkpoints.stable
+        if stable is None or stable.watermark <= request.have_watermark:
+            return
+        if len(self._stable_proof) < replica.config.slow_quorum_size or \
+                self._stable_proof_watermark != stable.watermark:
+            return  # cannot prove this checkpoint; let a peer serve it
+        # The retained log above the stable frontier, with the strongest
+        # proof held per entry -- what a lagging replica needs on top of
+        # the snapshot to rejoin live traffic.
+        frontier = stable.snapshot.get("frontier", {})
+        reply = StateTransferReply(
+            replica=replica.node_id,
+            watermark=stable.watermark,
+            snapshot=stable.snapshot,
+            proof=self._stable_proof,
+            entries=tuple(
+                summarize_entry(entry)
+                for owner, space in replica.spaces.items()
+                for entry in space.entries()
+                if entry.instance.slot >= int(frontier.get(owner, 0))),
+        )
+        replica.ctx.send(request.replica, reply)
+        replica.stats["state_transfers_served"] += 1
+
+    # ------------------------------------------------------------------
+    # State transfer: verifying and installing
+    # ------------------------------------------------------------------
+    def on_state_transfer_reply(self, sender: str,
+                                reply: StateTransferReply) -> None:
+        executed = self.replica.executor.executed_count
+        if reply.watermark <= executed:
+            return  # caught up by other means in the meantime
+        behind = reply.watermark >= executed + \
+            max(1, self.replica.checkpoints.interval)
+        solicited = bool(self._transfer_peers_asked) and \
+            reply.watermark >= self._transfer_requested
+        if not (behind or solicited):
+            # Unsolicited and we are not meaningfully behind: installing
+            # would needlessly discard speculation, pending orders, and
+            # reply-cache results that live execution will cover anyway.
+            return
+        if not self._verify_checkpoint_proof(reply):
+            self.replica.stats["invalid_messages"] += 1
+            return
+        self._install_transfer(reply)
+
+    def _verify_checkpoint_proof(self, reply: StateTransferReply) -> bool:
+        """2f+1 distinct, valid EZCHECKPOINT signatures binding the
+        reply's watermark to the digest of the shipped snapshot."""
+        replica = self.replica
+        state_digest = digest(reply.snapshot)
+        signers = set()
+        for envelope in reply.proof:
+            if not isinstance(envelope, SignedPayload):
+                return False
+            payload = envelope.payload
+            if not isinstance(payload, EzCheckpoint):
+                return False
+            if payload.watermark != reply.watermark or \
+                    payload.state_digest != state_digest:
+                return False
+            if not envelope.verify(replica.registry):
+                return False
+            if envelope.signer != payload.replica or \
+                    payload.replica not in replica.config.replica_ids:
+                return False
+            signers.add(payload.replica)
+        return len(signers) >= replica.config.slow_quorum_size
+
+    def _install_transfer(self, reply: StateTransferReply) -> None:
+        """Adopt a proven stable checkpoint wholesale, install the
+        transferred log suffix entry-by-entry (each individually
+        verified), and resume normal execution."""
+        replica = self.replica
+        snapshot = reply.snapshot
+        executed_above = self.adopt(reply.watermark, digest(snapshot),
+                                    snapshot)
+        # Entries we executed locally but that are NOT inside the
+        # snapshot's first ``watermark`` executions lost their effects
+        # with the restore; demote them so they re-apply.
+        for iid, entry in replica._log_index.items():
+            if entry.status == EntryStatus.EXECUTED and \
+                    iid not in executed_above:
+                entry.status = EntryStatus.COMMITTED
+                entry.applied = False
+        for summary in reply.entries:
+            self._install_transferred_entry(summary)
+        self._stable_proof = reply.proof
+        self._stable_proof_watermark = reply.watermark
+        self._transfer_requested = max(self._transfer_requested,
+                                       reply.watermark)
+        self._transfer_peers_asked = set()
+        replica.stats["state_transfers_installed"] += 1
+        self.resume(executed_above)
+        replica.recovery.persist_stable(replica.checkpoints.stable)
+
+    def adopt(self, watermark: int, state_digest: str,
+              snapshot: dict) -> Set[InstanceID]:
+        """Make a stable checkpoint (proven by a state transfer, or
+        read back from our own disk) this replica's state: application,
+        spaces and indexes cut to its frontier, executor and checkpoint
+        store fast-forwarded onto ``watermark``.  Returns the instances
+        above the frontier already executed inside the snapshot, for
+        :meth:`resume` once the caller has put that part of the log
+        back (transferred suffix, WAL replay)."""
+        replica = self.replica
+        frontier = {owner: int(slot) for owner, slot in
+                    snapshot.get("frontier", {}).items()}
+        executed_above = {
+            InstanceID(owner, slot)
+            for owner, slot in snapshot.get("executed_above", ())
+        }
+        replica.statemachine.rollback_speculative()
+        replica.statemachine.restore(snapshot.get("state", {}))
+        for owner, space in replica.spaces.items():
+            replica._truncate_space(space, frontier.get(owner, 0))
+        # Forget cached frontier cursors: entries above the cut that we
+        # had executed locally get demoted (their effects died with the
+        # restore), so the contiguous-executed scan must resume from
+        # the adopted frontier, not our old progress.
+        self._frontier_cursor = dict(frontier)
+        floors = {client: int(t) for client, t in
+                  snapshot.get("client_floors", {}).items()}
+        replica.executor.install(
+            watermark, frontier, floors,
+            snapshot.get("client_sparse", {}), executed_above,
+            client_results=snapshot.get("client_results", {}))
+        # The snapshot executed every timestamp up to a client's floor;
+        # the exactly-once watermark must not sit below it.
+        client_ts = replica._client_ts
+        for client, floor in floors.items():
+            if floor > client_ts.get(client, -1):
+                client_ts[client] = floor
+        replica.checkpoints.install_stable(Checkpoint(
+            watermark=watermark, state_digest=state_digest,
+            snapshot=snapshot))
+        replica.checkpoint_log.append((watermark, state_digest))
+        return executed_above
+
+    def resume(self, executed_above: Set[InstanceID]) -> None:
+        """Second half of :meth:`adopt`: mark what the snapshot already
+        executed, re-anchor the slot cursors, and let ordering and
+        execution run on."""
+        replica = self.replica
+        for iid in executed_above:
+            entry = replica._log_index.get(iid)
+            if entry is not None:
+                # Its effect is inside the snapshot state already; mark
+                # executed so it is never re-applied.
+                entry.status = EntryStatus.EXECUTED
+        own = replica.spaces[replica.node_id]
+        own.next_slot = max(own.next_slot, own.max_occupied_slot + 1)
+        for space in replica.spaces.values():
+            while space.expected_slot in space:
+                space.expected_slot += 1
+            if not space.frozen:
+                replica._drain_pending(space)
+        replica._advance_execution()
+
+    def _install_transferred_entry(self, summary: LogEntrySummary
+                                   ) -> None:
+        """Install one suffix entry, trusting only verifiable evidence.
+
+        The suffix is not covered by the snapshot digest, so every
+        entry's command/deps/seq are adopted from its *verified* proof
+        (a commit certificate or the owner's signed SPECORDER), never
+        from the unverified summary; proofless summaries are skipped --
+        safety over liveness, the live protocol re-delivers anything
+        still open."""
+        replica = self.replica
+        instance = summary.instance
+        space = replica.spaces.get(instance.owner)
+        if summary.command is None or space is None or \
+                instance.slot < space.low_slot:
+            return
+        existing = replica._log_index.get(instance)
+        committed = summary.proof_kind == "commit"
+        if existing is not None and (
+                existing.status.at_least(EntryStatus.COMMITTED)
+                or not committed):
+            return  # never downgrade what we already hold
+        if committed:
+            entry = self._entry_from_commit_proof(summary)
+        else:
+            entry = self._entry_from_spec_order_proof(summary)
+        if entry is None:
+            return
+        space.force_put(entry)
+        replica._index_entry(entry)
+
+    def _entry_from_commit_proof(self, summary: LogEntrySummary
+                                 ) -> Optional[LogEntry]:
+        """A committed suffix entry backed by either a 2f+1 SPECREPLY
+        certificate (fast path evidence) or the client's signed COMMIT
+        (slow path evidence); metadata comes from the certificate."""
+        replica = self.replica
+        proof = summary.proof
+        if not proof or not all(isinstance(p, SignedPayload)
+                                for p in proof):
+            return None
+        payloads = [p.payload for p in proof]
+        if all(isinstance(p, SpecReply) for p in payloads):
+            if len(proof) < replica.config.slow_quorum_size:
+                return None
+            if not replica._validate_reply_certificate(
+                    proof, summary.instance, require_match=True):
+                return None
+            sample: SpecReply = payloads[0]
+            command = summary.command
+            if command.ident != (sample.client_id, sample.timestamp):
+                return None
+            return LogEntry(
+                instance=summary.instance,
+                owner_number=sample.owner_number,
+                command=command, deps=sample.deps, seq=sample.seq,
+                status=EntryStatus.COMMITTED,
+                commit_proof=tuple(proof))
+        if len(proof) == 1 and isinstance(payloads[0], Commit):
+            envelope, commit = proof[0], payloads[0]
+            if not envelope.verify(replica.registry) or \
+                    envelope.signer != commit.client_id:
+                return None
+            if commit.instance != summary.instance or \
+                    not replica._validate_slow_certificate(commit):
+                return None
+            return LogEntry(
+                instance=summary.instance,
+                owner_number=summary.owner_number,
+                command=commit.command, deps=commit.deps,
+                seq=commit.seq, status=EntryStatus.COMMITTED,
+                commit_proof=tuple(proof))
+        return None
+
+    def _entry_from_spec_order_proof(self, summary: LogEntrySummary
+                                     ) -> Optional[LogEntry]:
+        """An uncommitted suffix entry: only the owner's own signed
+        SPECORDER (or a batch covering the instance) is evidence."""
+        replica = self.replica
+        if len(summary.proof) != 1:
+            return None
+        envelope = summary.proof[0]
+        if not isinstance(envelope, SignedPayload) or \
+                not envelope.verify(replica.registry):
+            return None
+        payload = envelope.payload
+        if isinstance(payload, BatchSpecOrder):
+            inner = payload.order_for(summary.instance)
+        elif isinstance(payload, SpecOrder) and \
+                payload.instance == summary.instance:
+            inner = payload
+        else:
+            return None
+        if inner is None or envelope.signer != inner.leader:
+            return None
+        if inner.leader != replica.config.owner_for_number(
+                inner.owner_number):
+            return None
+        return LogEntry(
+            instance=summary.instance,
+            owner_number=inner.owner_number,
+            command=inner.command, deps=inner.deps, seq=inner.seq,
+            status=EntryStatus.SPEC_ORDERED, spec_order=envelope)

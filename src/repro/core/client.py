@@ -118,14 +118,23 @@ class EzBFTClient:
         pending = self._register_pending(command)
         request = Request(command=command)
         envelope = SignedPayload.create(request, self.keypair)
-        span = pending.span
+        self._send_under(pending.span, self.ctx.send,
+                         self.target_replica, envelope)
+
+    def _send_under(self, span: Optional[Any],
+                    send: Callable[[Any, Any], None],
+                    dst: Any, message: Any) -> None:
+        """``send(dst, message)`` -- ``ctx.send`` or ``ctx.broadcast``
+        -- with ``span``'s context current, so the message carries it
+        on the wire.  Without a span (tracing off, or the request not
+        sampled) it is the plain call."""
         if span is None:
-            self.ctx.send(self.target_replica, envelope)
+            send(dst, message)
             return
         tracer = self.tracer
         prev = tracer.set_current(span.context())
         try:
-            self.ctx.send(self.target_replica, envelope)
+            send(dst, message)
         finally:
             tracer.set_current(prev)
 
@@ -185,20 +194,13 @@ class EzBFTClient:
         self.stats["batches_submitted"] += 1
         batch = BatchRequest(commands=tuple(commands))
         envelope = SignedPayload.create(batch, self.keypair)
-        if batch_span is None:
-            self.ctx.send(self.target_replica, envelope)
-            return
         # One frame carries the whole batch: it rides the first sampled
         # request's root context.  The replica only adopts a context
         # whose trace id matches the command, so the other commands in
         # the batch keep their root span but grow no server-side spans
         # (exact tracing needs client batching off).
-        tracer = self.tracer
-        prev = tracer.set_current(batch_span.context())
-        try:
-            self.ctx.send(self.target_replica, envelope)
-        finally:
-            tracer.set_current(prev)
+        self._send_under(batch_span, self.ctx.send,
+                         self.target_replica, envelope)
 
     @property
     def in_flight(self) -> int:
@@ -328,19 +330,11 @@ class EzBFTClient:
                                  instance=sample.instance,
                                  certificate=certificate)
         # Asynchronous: the reply is returned to the application first;
-        # the COMMITFAST is not on the latency-critical path.
-        span = pending.span
-        if span is None:
-            self.ctx.broadcast(self.config.replica_ids, commit_fast)
-        else:
-            # The COMMITFAST carries the root context so each replica's
-            # commit event (and its execution spans) joins the trace.
-            tracer = self.tracer
-            prev = tracer.set_current(span.context())
-            try:
-                self.ctx.broadcast(self.config.replica_ids, commit_fast)
-            finally:
-                tracer.set_current(prev)
+        # the COMMITFAST is not on the latency-critical path.  It
+        # carries the root context so each replica's commit event (and
+        # its execution spans) joins the trace.
+        self._send_under(pending.span, self.ctx.broadcast,
+                         self.config.replica_ids, commit_fast)
         self._deliver(pending, sample.result, "fast")
 
     # ------------------------------------------------------------------
@@ -387,19 +381,13 @@ class EzBFTClient:
         pending.phase = "slow"
         envelope = SignedPayload.create(commit, self.keypair)
         span = pending.span
-        if span is None:
-            self.ctx.broadcast(self.config.replica_ids, envelope)
-            return
         # Mark the fallback and send the combined COMMIT under the root
         # context so the slow-path commit events join the trace.
-        tracer = self.tracer
-        tracer.event(SPAN_CLIENT_SLOW_PATH, self.client_id,
-                     span.context())
-        prev = tracer.set_current(span.context())
-        try:
-            self.ctx.broadcast(self.config.replica_ids, envelope)
-        finally:
-            tracer.set_current(prev)
+        if span is not None:
+            self.tracer.event(SPAN_CLIENT_SLOW_PATH, self.client_id,
+                              span.context())
+        self._send_under(span, self.ctx.broadcast,
+                         self.config.replica_ids, envelope)
 
     def _on_commit_reply(self, reply: CommitReply) -> None:
         pending = self._pending.get((reply.client_id, reply.timestamp))
@@ -457,22 +445,15 @@ class EzBFTClient:
         pending.spec_orders.clear()
         pending.commit_replies.clear()
         pending.phase = "spec"
+        # Retries continue the same trace: recovery latency is part of
+        # the request's causal story, not a fresh one.
         span = pending.span
-        prev = None
-        if span is not None:
-            # Retries continue the same trace: recovery latency is part
-            # of the request's causal story, not a fresh one.
-            prev = self.tracer.set_current(span.context())
-        try:
-            self.ctx.broadcast(
-                self.config.others(original),
-                SignedPayload.create(suspicion, self.keypair))
-            fresh = Request(command=pending.command)
-            self.ctx.send(pending.target,
-                          SignedPayload.create(fresh, self.keypair))
-        finally:
-            if span is not None:
-                self.tracer.set_current(prev)
+        self._send_under(span, self.ctx.broadcast,
+                         self.config.others(original),
+                         SignedPayload.create(suspicion, self.keypair))
+        fresh = Request(command=pending.command)
+        self._send_under(span, self.ctx.send, pending.target,
+                         SignedPayload.create(fresh, self.keypair))
         pending.retry_timer = self.ctx.set_timer(
             self.config.retry_timeout, self._on_retry_timeout,
             pending.command.ident)

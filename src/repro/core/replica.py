@@ -2,30 +2,30 @@
 
 Implements paper Section IV: the fast-path proposal pipeline (steps 2-3),
 speculative execution, slow-path commit handling (step 5.2), fast commits
-(step 5.1), retried-request relaying (step 4.3), proof-of-misbehavior
-handling (step 4.4), and the owner-change protocol (Section IV-E, via
-:class:`repro.core.owner_change.OwnerChangeManager`).
+(step 5.1), retried-request relaying (step 4.3) and proof-of-misbehavior
+handling (step 4.4).  Three managers, each constructed with the
+replica, hold the rest: owner changes (Section IV-E,
+:mod:`repro.core.owner_change`), checkpointing and state transfer
+(:mod:`repro.core.checkpointing`), durability (:mod:`repro.core.recovery`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
-from repro.core.batching import (
-    RequestBatcher,
-    batch_request_is_authentic,
-    fresh_batch_commands,
-)
+from repro.core.batching import RequestBatcher, batch_request_is_authentic
+from repro.core.checkpointing import CheckpointManager
 from repro.core.executor import DependencyExecutor
 from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
-from repro.core.owner_change import OwnerChangeManager, summarize_entry
+from repro.core.owner_change import OwnerChangeManager
+from repro.core.recovery import RecoveryManager
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.errors import ProtocolError, SerializationError
-from repro.messages.base import SignedPayload, decode
+from repro.errors import ProtocolError
+from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchRequest, BatchSpecOrder
 from repro.obs.instruments import NULL
 from repro.messages.ezbft import (
@@ -33,7 +33,6 @@ from repro.messages.ezbft import (
     CommitFast,
     CommitReply,
     EzCheckpoint,
-    LogEntrySummary,
     NewOwner,
     OwnerChange,
     ProofOfMisbehavior,
@@ -47,7 +46,7 @@ from repro.messages.ezbft import (
     StateTransferRequest,
 )
 from repro.statemachine.base import Command, StateMachine
-from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
+from repro.statemachine.checkpoint import CheckpointStore
 from repro.statemachine.interference import InterferenceRelation
 from repro.trace.context import trace_id_for
 from repro.trace.span import (
@@ -58,25 +57,6 @@ from repro.trace.span import (
 )
 from repro.trace.tracer import NULL_TRACER
 from repro.types import InstanceID
-
-
-class _RecoveryContext:
-    """ctx stand-in during WAL replay: sends and broadcasts are muted
-    (the cluster already saw them pre-crash; re-sending would duplicate
-    protocol traffic), everything else passes through to the real
-    context."""
-
-    def __init__(self, inner: NodeContext) -> None:
-        self._inner = inner
-
-    def send(self, target: str, message: Any) -> None:
-        pass
-
-    def broadcast(self, targets: Any, message: Any) -> None:
-        pass
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
 
 
 class EzBFTReplica:
@@ -111,10 +91,6 @@ class EzBFTReplica:
     #: --data-dir`` (and ``durable=true`` scenarios) attach a
     #: :class:`repro.storage.ReplicaStorage` via :meth:`attach_storage`.
     storage = None
-    #: True while :meth:`recover_from_storage` replays the WAL:
-    #: disables persistence (the records are already on disk) and mutes
-    #: sends (the cluster saw them pre-crash).
-    _recovering = False
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -142,11 +118,6 @@ class EzBFTReplica:
         #: :meth:`_index_entry` adds, :meth:`_truncate_space` trims.
         self._key_index: Dict[str, Dict[str, List[InstanceID]]] = {}
         self.executor = DependencyExecutor(statemachine)
-        #: Checkpoint captures hook in per executed entry, not per
-        #: commit wave: a wave can straddle an interval boundary, and a
-        #: capture at a stray watermark would never match the other
-        #: replicas' attestations (permanently disabling GC here).
-        self.executor.on_execute = self._on_entry_executed
         #: A dep on an uncommitted *duplicate* instance -- one holding
         #: a command that already executed via its chosen instance --
         #: is satisfied; without this, a client retry that proposed the
@@ -161,7 +132,7 @@ class EzBFTReplica:
         self.batcher = RequestBatcher(
             batch_size=config.batch_size,
             batch_timeout_ms=config.batch_timeout_ms,
-            flush_fn=self._flush_lead_batch,
+            flush_fn=self._flush_lead_queue,
             set_timer_fn=ctx.set_timer)
 
         #: Exactly-once bookkeeping (paper's "Nitpick" in step 2).
@@ -206,28 +177,12 @@ class EzBFTReplica:
         self.checkpoints = CheckpointStore(
             quorum=config.slow_quorum_size,
             interval=config.checkpoint_interval)
-        #: (watermark, digest) -> replica -> its signed EZCHECKPOINT;
-        #: the stable set doubles as the state-transfer proof.
-        self._checkpoint_proofs: Dict[
-            Tuple[int, str], Dict[str, SignedPayload]] = {}
-        #: Signed attestation quorum for the current stable checkpoint,
-        #: tagged with its watermark (stability can advance on vote
-        #: counts while the retained envelopes lag; a mismatched proof
-        #: must never be served).
-        self._stable_proof: Tuple[SignedPayload, ...] = ()
-        self._stable_proof_watermark = -1
-        #: Per-space cached contiguous-executed frontier cursor, so
-        #: captures cost O(new executions) instead of rescanning the
-        #: whole executed prefix when stability stalls.
-        self._frontier_cursor: Dict[str, int] = {}
         #: Every (watermark, digest) that became stable here, in order --
         #: cross-replica agreement tests compare these.
         self.checkpoint_log: List[Tuple[int, str]] = []
-        #: Highest watermark we already requested a state transfer for,
-        #: and the peers asked at that watermark (up to f+1 distinct
-        #: peers, so at least one is correct and answers).
-        self._transfer_requested = -1
-        self._transfer_peers_asked: set = set()
+        self.checkpointing = CheckpointManager(self)
+        self.executor.on_execute = self.checkpointing.on_entry_executed
+        self.recovery = RecoveryManager(self)
 
         # Metrics.
         self.stats = {
@@ -288,49 +243,51 @@ class EzBFTReplica:
         if envelope.signer != request.client_id:
             self.stats["invalid_messages"] += 1
             return
+        self._admit(request)
+
+    def _on_batch_request(self, sender: str, batch: BatchRequest,
+                          envelope: SignedPayload) -> None:
+        """A client's batched submission: one signature, many commands,
+        all the signer's own.  Each is admitted, in timestamp order,
+        exactly as a singleton REQUEST would be."""
+        if not batch_request_is_authentic(batch, envelope):
+            self.stats["invalid_messages"] += 1
+            return
+        for command in sorted(batch.commands, key=lambda c: c.timestamp):
+            self._admit(Request(command=command))
+
+    def _admit(self, request: Request) -> None:
+        """The ingress rule for a client's (authenticated) request:
+        answer a duplicate from what we hold, relay a retry meant for
+        another replica, lead the rest."""
         client = request.client_id
         t = request.timestamp
-        cached_t = self._client_ts.get(client, -1)
-        if t <= cached_t:
+        seen = t <= self._client_ts.get(client, -1)
+        if seen:
             cached = self._client_reply_cache.get(client)
             if cached is not None and cached[0] == t:
                 self.ctx.send(client, cached[1])
                 return
+        # Client retry broadcast (step 4.3), meant for another replica.
+        relayed = request.original_replica not in (None, self.node_id)
+        if seen or relayed:
             # An older timestamp is *not* necessarily stale: open-loop
             # clients pipeline many outstanding timestamps, so under
             # message loss a retry of t=5 can arrive after we led
-            # t=25.  Only drop if we already ordered this command
-            # (re-replying where we can); a genuinely unseen command
-            # proceeds to the normal lead/relay path.  Execution stays
-            # exactly-once regardless -- the executor dedups applies
-            # by (client, timestamp).
+            # t=25.  Only drop if we already ordered this command --
+            # re-replying (and re-broadcasting the order if we led it)
+            # so retries converge on one instance; a genuinely unseen
+            # command proceeds to the normal lead/relay path.
+            # Execution stays exactly-once regardless -- the executor
+            # dedups applies by (client, timestamp).
             entry = self._find_entry_for_command(request.command)
             if entry is not None:
                 self._reaffirm_entry(entry)
                 return
-
-        if request.original_replica not in (None, self.node_id):
-            # Client retry broadcast (step 4.3): relay to the original
-            # recipient and start suspecting it.
+        if relayed:
             self._relay_resend(request)
-            return
-
-        self._enqueue_lead(request)
-
-    def _on_batch_request(self, sender: str, batch: BatchRequest,
-                          envelope: SignedPayload) -> None:
-        """A client's batched submission: one signature, many commands.
-
-        Unpacks into the normal leading path after per-command
-        exactly-once checks; all commands must belong to the signer.
-        """
-        if not batch_request_is_authentic(batch, envelope):
-            self.stats["invalid_messages"] += 1
-            return
-        for command in fresh_batch_commands(
-                batch, self._client_ts, self._client_reply_cache,
-                lambda cached: self.ctx.send(batch.client_id, cached)):
-            self._enqueue_lead(Request(command=command))
+        else:
+            self._enqueue_lead(request)
 
     def _enqueue_lead(self, request: Request) -> None:
         """Hand a request we will lead to the owner-path batcher (which
@@ -339,7 +296,7 @@ class EzBFTReplica:
         if tracer.enabled:
             # The batcher may flush after this delivery returns, by
             # which time the client's wire context is gone -- stash it
-            # per ident for :meth:`_trace_lead_span` to pick up.  The
+            # per ident for :meth:`_lead` to pick up.  The
             # trace-id check matters for client-side BATCHREQUESTs:
             # one frame carries many commands but only the first
             # sampled command's context, and adopting it for the rest
@@ -350,31 +307,13 @@ class EzBFTReplica:
                 self._trace_requests[ident] = ctx
         self.batcher.add(request)
 
-    def _trace_lead_span(self, command: Command) -> Optional[Any]:
-        """Open the ``owner.lead`` span for a request we are leading,
-        parented at the client context stashed at enqueue time.  No
-        stash (unsampled trace, or a command that rode another trace's
-        frame) means no span -- never guess a parent."""
-        tracer = self.tracer
-        parent = self._trace_requests.pop(command.ident, None)
-        if parent is None:
-            return None
-        return tracer.start_span(SPAN_OWNER_LEAD, self.node_id,
-                                 parent=parent)
-
-    def _flush_lead_batch(self, requests: List[Request]) -> None:
+    def _flush_lead_queue(self, requests: List[Request]) -> None:
         """Batcher flush: lead the accumulated requests.
 
         Duplicates that slipped in while queued (e.g. a client retry
         during the batch window) are dropped here, where the whole
-        batch is visible; singletons degrade to the classic unbatched
-        SPECORDER path.
+        batch is visible.
         """
-        space = self.spaces[self.node_id]
-        if space.frozen:
-            # We were deposed by an owner change; we may no longer
-            # propose.  The clients' retries will reach other replicas.
-            return
         fresh: List[Request] = []
         seen = set()
         for request in requests:
@@ -385,18 +324,20 @@ class EzBFTReplica:
             if self._find_entry_for_command(request.command) is not None:
                 continue
             fresh.append(request)
-        if not fresh:
-            return
-        if len(fresh) == 1:
-            self._lead(fresh[0])
-        else:
-            self._lead_batch(fresh)
+        if fresh:
+            self._lead(fresh)
 
-    def _lead_batch(self, requests: List[Request]) -> None:
-        """Become the command-leader for a whole batch: allocate
-        consecutive slots and broadcast one signed BATCHSPECORDER
-        covering all of them (paper step 2, amortized)."""
+    def _lead(self, requests: List[Request]) -> None:
+        """Become the command-leader for ``requests`` (paper step 2):
+        allocate consecutive slots, speculatively execute, and
+        broadcast the proposal -- the paper's signed SPECORDER for one
+        request, one signed BATCHSPECORDER covering all of several (the
+        step amortized).  The one hook a byzantine leader overrides."""
         space = self.spaces[self.node_id]
+        if space.frozen:
+            # We were deposed by an owner change; we may no longer
+            # propose.  The clients' retries will reach other replicas.
+            return
         tracer = self.tracer
         orders: List[SpecOrder] = []
         entries: List[LogEntry] = []
@@ -404,7 +345,13 @@ class EzBFTReplica:
         for request in requests:
             command = request.command
             if tracer.enabled:
-                spans.append(self._trace_lead_span(command))
+                # ``owner.lead``, parented at the client context stashed
+                # at enqueue time.  No stash (unsampled trace, or a
+                # command that rode another trace's frame) means no
+                # span -- never guess a parent.
+                spans.append(tracer.start_span(
+                    SPAN_OWNER_LEAD, self.node_id,
+                    parent=self._trace_requests.pop(command.ident, None)))
             # max(): leading a late retry of an older timestamp must
             # not lower the dedup watermark below newer commands.
             self._client_ts[command.client_id] = max(
@@ -415,16 +362,16 @@ class EzBFTReplica:
             deps = self._collect_deps(command, exclude=instance,
                                       leading=True)
             seq = 1 + self._max_dep_seq(deps)
-            order = SpecOrder(
+            orders.append(SpecOrder(
                 leader=self.node_id,
                 owner_number=space.owner_number,
                 instance=instance,
                 command=command,
                 deps=deps,
                 seq=seq,
-                log_digest=self._space_digest(space),
+                log_digest=self._space_chain.get(self.node_id, ""),
                 request_digest=digest(request),
-            )
+            ))
             entry = LogEntry(instance=instance,
                              owner_number=space.owner_number,
                              command=command, deps=deps, seq=seq)
@@ -435,108 +382,45 @@ class EzBFTReplica:
             space.expected_slot = slot + 1
             self._speculative_execute(entry)
             self.stats["led"] += 1
-            orders.append(order)
             entries.append(entry)
-        batch = BatchSpecOrder(leader=self.node_id,
-                               owner_number=space.owner_number,
-                               orders=tuple(orders))
-        signed_batch = SignedPayload.create(batch, self.keypair)
+        batched = len(orders) > 1
+        proposal: Any = orders[0]
+        if batched:
+            proposal = BatchSpecOrder(leader=self.node_id,
+                                      owner_number=space.owner_number,
+                                      orders=tuple(orders))
+            self.stats["batches_led"] += 1
+        signed = SignedPayload.create(proposal, self.keypair)
         for entry in entries:
-            entry.spec_order = signed_batch
-        self.stats["batches_led"] += 1
-        self._persist_entry(self.node_id, signed_batch)
-        # Traced: the single BATCHSPECORDER broadcast and the one
-        # SpecReplyBundle per client are attributed to the first
-        # sampled request's lead context (exact when batch_size == 1;
-        # a documented approximation for larger batches).
-        prev = None
-        if spans:
-            prev = tracer.set_current(next(
-                (s.context() for s in spans if s is not None), None))
-        self._reply_outbox = {}
+            entry.spec_order = signed
+        self._persist_entry(self.node_id, signed)
+        # Traced: the broadcast and our own SPECREPLYs ride the first
+        # sampled request's lead context, so every peer's vote span
+        # parents under it (exact for one request; a documented
+        # approximation for a batch).
+        lead_ctx = next((span.context() for span in spans
+                         if span is not None), None)
+        if lead_ctx is not None:
+            prev = tracer.set_current(lead_ctx)
+        if batched:
+            self._reply_outbox = {}
         try:
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               signed_batch)
+            self.ctx.broadcast(self.config.others(self.node_id), signed)
             for entry, order in zip(entries, orders):
-                self._send_spec_reply(entry, signed_batch,
+                self._send_spec_reply(entry, signed,
                                       request_digest=order.request_digest)
         finally:
-            self._flush_reply_outbox()
-            if spans:
+            if batched:
+                self._flush_reply_outbox()
+            if lead_ctx is not None:
                 tracer.set_current(prev)
-                for span in spans:
-                    tracer.end_span(span)
-
-    def _lead(self, request: Request) -> None:
-        """Become the command-leader for ``request`` (paper step 2)."""
-        space = self.spaces[self.node_id]
-        if space.frozen:
-            # We were deposed by an owner change; we may no longer
-            # propose.  The client's retry will reach another replica.
-            return
-        command = request.command
-        tracer = self.tracer
-        span = self._trace_lead_span(command) if tracer.enabled else None
-        # max(): leading a late retry of an older timestamp must not
-        # lower the dedup watermark below newer commands.
-        self._client_ts[command.client_id] = max(
-            self._client_ts.get(command.client_id, -1),
-            command.timestamp)
-        slot = space.allocate_slot()
-        instance = InstanceID(self.node_id, slot)
-        deps = self._collect_deps(command, exclude=instance,
-                                  leading=True)
-        seq = 1 + self._max_dep_seq(deps)
-        request_digest = digest(request)
-        spec_order = SpecOrder(
-            leader=self.node_id,
-            owner_number=space.owner_number,
-            instance=instance,
-            command=command,
-            deps=deps,
-            seq=seq,
-            log_digest=self._space_digest(space),
-            request_digest=request_digest,
-        )
-        signed_order = SignedPayload.create(spec_order, self.keypair)
-        entry = LogEntry(instance=instance,
-                         owner_number=space.owner_number,
-                         command=command, deps=deps, seq=seq,
-                         spec_order=signed_order)
-        self._install_entry(entry)
-        self._advance_space_digest(space, entry)
-        space.expected_slot = slot + 1
-        self._speculative_execute(entry)
-        self.stats["led"] += 1
-
-        self._persist_entry(self.node_id, signed_order)
-        if span is None:
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               signed_order)
-            self._send_spec_reply(entry, signed_order)
-            return
-        # The SPECORDER broadcast and our own SPECREPLY ride the lead
-        # context, so every peer's vote span parents under it.
-        prev = tracer.set_current(span.context())
-        try:
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               signed_order)
-            self._send_spec_reply(entry, signed_order)
-        finally:
-            tracer.set_current(prev)
-            tracer.end_span(span)
+            for span in spans:
+                tracer.end_span(span)
 
     def _relay_resend(self, request: Request) -> None:
-        """Relay a retried request to its original recipient and start a
-        suspicion timer (paper step 4.3)."""
+        """Relay a retried request we hold no instance of to its
+        original recipient and start a suspicion timer (step 4.3)."""
         ident_key = digest(request.command)
-        already = self._find_entry_for_command(request.command)
-        if already is not None:
-            # We have already spec-ordered this command; re-reply (and
-            # re-broadcast the order if we led it) so retries converge
-            # on one instance.
-            self._reaffirm_entry(already)
-            return
         resend = ResendRequest(request=request, forwarder=self.node_id)
         self.ctx.send(request.original_replica, resend)
         if ident_key not in self._suspicions:
@@ -566,85 +450,73 @@ class EzBFTReplica:
         fresh = Request(command=request.command, original_replica=None)
         # Re-sign locally?  No -- we cannot sign for the client.  Treat the
         # embedded (client-signed) request as a direct submission.
-        self._lead(fresh)
+        self._lead([fresh])
 
     # ------------------------------------------------------------------
     # Step 3: SPECORDER -> speculative execution -> SPECREPLY
     # ------------------------------------------------------------------
     def _on_spec_order(self, sender: str, order: SpecOrder,
                        envelope: SignedPayload) -> None:
-        if envelope.signer != order.leader:
-            self.stats["invalid_messages"] += 1
-            return
-        space = self.spaces.get(order.instance.owner)
-        if space is None:
-            self.stats["invalid_messages"] += 1
-            return
-        if space.frozen:
-            return  # we committed to an owner change for this space
-        if order.leader != self.config.owner_for_number(
-                space.owner_number) or \
-                order.owner_number != space.owner_number:
-            # Not the current owner of that space.
-            self.stats["invalid_messages"] += 1
-            return
-
-        slot = order.instance.slot
-        if slot < space.expected_slot:
-            return  # duplicate
-        self._persist_entry(sender, envelope)
-        if slot > space.expected_slot:
-            # Out-of-order arrival; buffer until the gap fills.  The paper
-            # validates I = maxI + 1; buffering (rather than rejecting)
-            # tolerates network jitter without spurious owner changes.
-            self._pending_spec_orders[(space.owner, slot)] = \
-                (order, envelope)
-            return
-
-        self._accept_spec_order(order, envelope)
-        self._drain_pending(space)
+        self._accept_proposal(sender, order.instance.owner, (order,),
+                              envelope)
 
     def _on_batch_spec_order(self, sender: str, batch: BatchSpecOrder,
                              envelope: SignedPayload) -> None:
         """An owner's batched proposal: verify once, accept each inner
         SPECORDER exactly as a singleton."""
-        if envelope.signer != batch.leader:
-            self.stats["invalid_messages"] += 1
-            return
-        space = self.spaces.get(batch.leader)
-        if space is None:
+        self._accept_proposal(
+            sender, batch.leader,
+            sorted(batch.orders, key=lambda o: o.instance.slot), envelope)
+
+    def _accept_proposal(self, sender: str, owner: str,
+                         orders: Sequence[SpecOrder],
+                         envelope: SignedPayload) -> None:
+        """Accept a signed proposal for ``owner``'s space -- a SPECORDER
+        or a BATCHSPECORDER; ``orders`` is what it carries, ascending
+        by slot.  The next expected slot is accepted and buffered
+        successors drained behind it, a later one is buffered, an
+        earlier one is a duplicate."""
+        proposal = envelope.payload
+        leader = proposal.leader
+        space = self.spaces.get(owner)
+        if envelope.signer != leader or space is None:
             self.stats["invalid_messages"] += 1
             return
         if space.frozen:
             return  # we committed to an owner change for this space
-        if batch.leader != self.config.owner_for_number(
-                space.owner_number) or \
-                batch.owner_number != space.owner_number:
+        if leader != self.config.owner_for_number(space.owner_number) or \
+                proposal.owner_number != space.owner_number:
+            # Not the current owner of that space.
             self.stats["invalid_messages"] += 1
             return
-        orders = sorted(batch.orders, key=lambda o: o.instance.slot)
         for order in orders:
-            if order.leader != batch.leader or \
-                    order.instance.owner != batch.leader or \
-                    order.owner_number != batch.owner_number:
+            if order.leader != leader or \
+                    order.instance.owner != owner or \
+                    order.owner_number != proposal.owner_number:
                 self.stats["invalid_messages"] += 1
                 return
-        if any(o.instance.slot >= space.expected_slot for o in orders):
-            self._persist_entry(sender, envelope)
-        self._reply_outbox = {}
+        if orders[-1].instance.slot < space.expected_slot:
+            return  # nothing but duplicates
+        self._persist_entry(sender, envelope)
+        batched = len(orders) > 1
+        if batched:
+            self._reply_outbox = {}
         try:
             for order in orders:
                 slot = order.instance.slot
-                if slot < space.expected_slot:
-                    continue  # duplicate
                 if slot > space.expected_slot:
+                    # Out-of-order arrival; buffer until the gap fills.
+                    # The paper validates I = maxI + 1; buffering
+                    # (rather than rejecting) tolerates network jitter
+                    # without spurious owner changes.
                     self._pending_spec_orders[(space.owner, slot)] = \
                         (order, envelope)
-                    continue
-                self._accept_spec_order(order, envelope)
-                self._drain_pending(space)
+                elif slot == space.expected_slot:
+                    self._accept_spec_order(order, envelope)
+                    self._drain_pending(space)
         finally:
-            self._flush_reply_outbox()
+            if batched:
+                self._flush_reply_outbox()
 
     def _drain_pending(self, space) -> None:
         """Accept any buffered successors now contiguous with the log."""
@@ -701,6 +573,8 @@ class EzBFTReplica:
                 tracer.end_span(span)
 
     def _resolve_suspicion(self, command: Command, leader: str) -> None:
+        if not self._suspicions:
+            return  # the usual case: skip hashing the command
         key = digest(command)
         entry = self._suspicions.get(key)
         if entry is not None and entry[0] == leader:
@@ -747,8 +621,8 @@ class EzBFTReplica:
     def _flush_reply_outbox(self) -> None:
         """Close the outbox: one bundle per (client, proposal).  Traced,
         the bundles ride the context the batch itself rode -- the lead
-        context in :meth:`_lead_batch`, the delivering frame's in
-        :meth:`_on_batch_spec_order` -- not each vote's own."""
+        context in :meth:`_lead`, the delivering frame's in
+        :meth:`_accept_proposal` -- not each vote's own."""
         outbox, self._reply_outbox = self._reply_outbox, None
         for (client, _), (signed_order, headers) in outbox.items():
             self._send_reply_bundle(client, tuple(headers), signed_order)
@@ -888,181 +762,19 @@ class EzBFTReplica:
                 self._send_commit_reply(entry, entry.reply_to)
 
     # ------------------------------------------------------------------
-    # Checkpointing, log compaction, state transfer
+    # Checkpointing, state transfer, durability (delegated)
     # ------------------------------------------------------------------
-    def _on_entry_executed(self, entry: LogEntry) -> None:
-        """Executor hook: runs after every single final execution, so
-        captures land exactly on interval boundaries."""
-        self._maybe_checkpoint()
-
-    def _maybe_checkpoint(self) -> None:
-        """Capture and broadcast a checkpoint at interval boundaries."""
-        count = self.executor.executed_count
-        if not self.checkpoints.due(count):
-            return
-        checkpoint = Checkpoint.capture(count, self._capture_snapshot())
-        msg = EzCheckpoint(replica=self.node_id, watermark=count,
-                           state_digest=checkpoint.state_digest)
-        signed = SignedPayload.create(msg, self.keypair)
-        self._checkpoint_proofs.setdefault(
-            (count, checkpoint.state_digest), {})[self.node_id] = signed
-        stable_before = self.checkpoints.stable
-        self.checkpoints.record_local(checkpoint)
-        self.stats["checkpoints"] += 1
-        self.ctx.broadcast(self.config.others(self.node_id), signed)
-        if self.checkpoints.stable is not stable_before:
-            # Peer attestations had already reached quorum before our
-            # own capture; stability fired inside record_local.
-            self._on_checkpoint_stable(self.checkpoints.stable)
-
-    def _capture_snapshot(self) -> dict:
-        """Everything a lagging replica needs to resume past us.
-
-        Every field is a deterministic function of the first
-        ``executed_count`` executions, so digests agree across replicas
-        that executed the same prefix."""
-        frontier = {owner: self._executed_frontier(space)
-                    for owner, space in self.spaces.items()}
-        floors, sparse = self.executor.client_progress()
-        executed_above = sorted(
-            [iid.owner, iid.slot] for iid in self.executor.executed
-            if iid.slot >= frontier[iid.owner])
-        return {
-            "state": self.statemachine.snapshot(),
-            "frontier": frontier,
-            "client_floors": floors,
-            "client_sparse": sparse,
-            "client_results": self.executor.latest_results(),
-            "executed_above": executed_above,
-        }
-
-    def _executed_frontier(self, space: InstanceSpace) -> int:
-        """First slot of ``space`` that is not contiguously executed --
-        the GC cut: everything below is final at this replica.
-
-        Resumes from a cached cursor (execution never un-happens, so
-        the frontier is monotone): amortized O(new executions) per
-        capture instead of O(whole executed prefix)."""
-        slot = max(space.low_slot,
-                   self._frontier_cursor.get(space.owner, 0))
-        while True:
-            entry = space.get(slot)
-            if entry is None or entry.status != EntryStatus.EXECUTED:
-                break
-            slot += 1
-        self._frontier_cursor[space.owner] = slot
-        return slot
-
     def _on_ez_checkpoint(self, sender: str, msg: EzCheckpoint,
                           envelope: SignedPayload) -> None:
-        if envelope.signer != msg.replica or \
-                msg.replica not in self.config.replica_ids:
-            self.stats["invalid_messages"] += 1
-            return
-        if msg.replica == self.node_id:
-            # Our own attestation replayed back at us: we already voted
-            # as "__self__" at capture, and counting the replay as a
-            # second distinct voter would let f+1 real replicas fake a
-            # 2f+1 quorum.
-            return
-        stable = self.checkpoints.stable
-        if stable is not None and msg.watermark <= stable.watermark:
-            return  # below our stable watermark; nothing to learn
-        self._persist_attest(sender, envelope)
-        became_stable = self.checkpoints.attest(
-            msg.watermark, msg.state_digest, msg.replica)
-        horizon = self.executor.executed_count + \
-            8 * max(1, self.checkpoints.interval)
-        if msg.watermark <= horizon and \
-                self.checkpoints.vote_of(msg.replica, msg.watermark) == \
-                msg.state_digest:
-            # Vote accepted (not an equivocating re-vote) and near our
-            # own execution horizon: retain the signed attestation for
-            # the state-transfer proof.  Far-future watermarks are
-            # never ones we will stabilize (if we lag that far we
-            # install a transferred proof instead), so dropping them
-            # bounds what a byzantine flood can pin in memory.
-            self._checkpoint_proofs.setdefault(
-                (msg.watermark, msg.state_digest), {}).setdefault(
-                msg.replica, envelope)
-        if became_stable:
-            self._on_checkpoint_stable(self.checkpoints.stable)
-        elif self.checkpoints.has_quorum(msg.watermark, msg.state_digest):
-            # The cluster proved a checkpoint we never captured: we are
-            # behind.  If the gap is at least one interval, the prefix
-            # below it may already be truncated everywhere -- catch up
-            # via state transfer instead of waiting for messages that
-            # will never be resent.
-            self._maybe_request_state_transfer(msg.watermark, msg.replica)
+        self.checkpointing.on_ez_checkpoint(sender, msg, envelope)
 
-    def _on_checkpoint_stable(self, checkpoint: Checkpoint) -> None:
-        self.stats["checkpoints_stable"] += 1
-        self.instruments.checkpoint_stable(checkpoint.watermark)
-        self.checkpoint_log.append(
-            (checkpoint.watermark, checkpoint.state_digest))
-        key = (checkpoint.watermark, checkpoint.state_digest)
-        proof = self._checkpoint_proofs.get(key, {})
-        if len(proof) >= self.config.slow_quorum_size:
-            self._stable_proof = tuple(proof.values())
-            self._stable_proof_watermark = checkpoint.watermark
-        self._checkpoint_proofs = {
-            k: v for k, v in self._checkpoint_proofs.items()
-            if k[0] > checkpoint.watermark
-        }
-        self._gc_below(checkpoint)
-        if self.storage is not None and not self._recovering:
-            self._persist_stable(checkpoint)
+    def _on_state_transfer_request(self, sender: str,
+                                   request: StateTransferRequest) -> None:
+        self.checkpointing.on_state_transfer_request(sender, request)
 
-    def _gc_below(self, checkpoint: Checkpoint) -> None:
-        """Truncate the log below the stable checkpoint's frontier.
-
-        Only contiguously *executed* prefixes are dropped: the frontier
-        is re-clamped locally so a committed-but-unexecuted instance can
-        never be garbage-collected."""
-        frontier = checkpoint.snapshot.get("frontier", {})
-        removed = 0
-        effective: Dict[str, int] = {}
-        for owner, space in self.spaces.items():
-            cut = min(int(frontier.get(owner, 0)),
-                      self._executed_frontier(space))
-            effective[owner] = cut
-            removed += self._truncate_space(space, cut)
-        if removed:
-            self._pending_spec_orders = {
-                k: v for k, v in self._pending_spec_orders.items()
-                if k[1] >= effective.get(k[0], 0)
-            }
-        self.executor.truncate(checkpoint.watermark, effective)
-        self.stats["log_entries_gcd"] += removed
-
-    def _truncate_space(self, space: InstanceSpace, cut: int) -> int:
-        """Drop every slot of ``space`` below ``cut`` from the space,
-        the log index and the key chains; returns how many went.  The
-        chains are ascending by slot, so each loses a prefix and none is
-        rebuilt; ``space.truncate`` itself still scans the space."""
-        owner = space.owner
-        floor = InstanceID(owner, cut)
-        for slot in range(space.low_slot, cut):
-            entry = space.get(slot)
-            if entry is None:
-                continue
-            self._log_index.pop(entry.instance, None)
-            key = self._index_key(entry.command)
-            chains = self._key_index.get(key)
-            chain = chains.get(owner) if chains else None
-            if not chain or chain[0] >= floor:
-                continue  # an earlier slot on this key trimmed it
-            del chain[:bisect_left(chain, floor)]
-            self._prune_chain(key, owner)
-        return space.truncate(cut)
-
-    def _prune_chain(self, key: str, owner: str) -> None:
-        """Forget ``owner``'s chain under ``key`` once it is empty."""
-        chains = self._key_index[key]
-        if not chains[owner]:
-            del chains[owner]
-            if not chains:
-                del self._key_index[key]
+    def _on_state_transfer_reply(self, sender: str,
+                                 reply: StateTransferReply) -> None:
+        self.checkpointing.on_state_transfer_reply(sender, reply)
 
     def checkpoint_base_slot(self, owner: str) -> int:
         """First slot of ``owner``'s space above the last stable
@@ -1075,284 +787,6 @@ class EzBFTReplica:
             base = max(base, int(frontier.get(owner, 0)))
         return base
 
-    def _maybe_request_state_transfer(self, watermark: int,
-                                      peer: str) -> None:
-        interval = max(1, self.checkpoints.interval)
-        if watermark < self.executor.executed_count + interval:
-            return  # close enough to catch up from live traffic
-        if watermark > self._transfer_requested:
-            self._transfer_requested = watermark
-            self._transfer_peers_asked = set()
-        # One ask per peer, up to f+1 distinct attesters per watermark:
-        # a single unlucky choice (peer without a provable stable
-        # checkpoint) must not strand us for another whole interval.
-        if peer in self._transfer_peers_asked or \
-                len(self._transfer_peers_asked) >= \
-                self.config.weak_quorum_size:
-            return
-        self._transfer_peers_asked.add(peer)
-        request = StateTransferRequest(
-            replica=self.node_id,
-            have_watermark=self.executor.executed_count)
-        self.ctx.send(peer, request)
-
-    def _on_state_transfer_request(self, sender: str,
-                                   request: StateTransferRequest) -> None:
-        if request.replica != sender or \
-                request.replica not in self.config.replica_ids:
-            # Snapshot replies are expensive; an unsigned request with a
-            # spoofed reply target would be a cheap reflection vector.
-            self.stats["invalid_messages"] += 1
-            return
-        stable = self.checkpoints.stable
-        if stable is None or stable.watermark <= request.have_watermark:
-            return
-        if len(self._stable_proof) < self.config.slow_quorum_size or \
-                self._stable_proof_watermark != stable.watermark:
-            return  # cannot prove this checkpoint; let a peer serve it
-        reply = StateTransferReply(
-            replica=self.node_id,
-            watermark=stable.watermark,
-            snapshot=stable.snapshot,
-            proof=self._stable_proof,
-            entries=self._summarize_log_suffix(stable),
-        )
-        self.ctx.send(request.replica, reply)
-        self.stats["state_transfers_served"] += 1
-
-    def _summarize_log_suffix(self, stable: Checkpoint
-                              ) -> Tuple[LogEntrySummary, ...]:
-        """The retained log above the stable checkpoint's frontier, with
-        the strongest proof held per entry -- what a lagging replica
-        needs on top of the snapshot to rejoin live traffic."""
-        frontier = stable.snapshot.get("frontier", {})
-        return tuple(
-            summarize_entry(entry)
-            for owner, space in self.spaces.items()
-            for entry in space.entries()
-            if entry.instance.slot >= int(frontier.get(owner, 0)))
-
-    def _on_state_transfer_reply(self, sender: str,
-                                 reply: StateTransferReply) -> None:
-        if reply.watermark <= self.executor.executed_count:
-            return  # caught up by other means in the meantime
-        behind = reply.watermark >= self.executor.executed_count + \
-            max(1, self.checkpoints.interval)
-        solicited = bool(self._transfer_peers_asked) and \
-            reply.watermark >= self._transfer_requested
-        if not (behind or solicited):
-            # Unsolicited and we are not meaningfully behind: installing
-            # would needlessly discard speculation, pending orders, and
-            # reply-cache results that live execution will cover anyway.
-            return
-        if not self._verify_checkpoint_proof(reply):
-            self.stats["invalid_messages"] += 1
-            return
-        self._install_snapshot(reply)
-
-    def _verify_checkpoint_proof(self, reply: StateTransferReply) -> bool:
-        """2f+1 distinct, valid EZCHECKPOINT signatures binding the
-        reply's watermark to the digest of the shipped snapshot."""
-        state_digest = digest(reply.snapshot)
-        signers = set()
-        for envelope in reply.proof:
-            if not isinstance(envelope, SignedPayload):
-                return False
-            payload = envelope.payload
-            if not isinstance(payload, EzCheckpoint):
-                return False
-            if payload.watermark != reply.watermark or \
-                    payload.state_digest != state_digest:
-                return False
-            if not envelope.verify(self.registry):
-                return False
-            if envelope.signer != payload.replica or \
-                    payload.replica not in self.config.replica_ids:
-                return False
-            signers.add(payload.replica)
-        return len(signers) >= self.config.slow_quorum_size
-
-    def _install_snapshot(self, reply: StateTransferReply) -> None:
-        """Adopt a proven stable checkpoint wholesale (state transfer).
-
-        Restores the application state, truncates every space to the
-        checkpoint's frontier, fast-forwards the executor, installs the
-        transferred log suffix entry-by-entry (each individually
-        verified), and resumes normal execution."""
-        snapshot = reply.snapshot
-        frontier = {owner: int(slot)
-                    for owner, slot in
-                    snapshot.get("frontier", {}).items()}
-        executed_above = {
-            InstanceID(owner, slot)
-            for owner, slot in snapshot.get("executed_above", ())
-        }
-        self.statemachine.rollback_speculative()
-        self.statemachine.restore(snapshot.get("state", {}))
-        for owner, space in self.spaces.items():
-            self._truncate_space(space, frontier.get(owner, 0))
-        self._pending_spec_orders = {
-            k: v for k, v in self._pending_spec_orders.items()
-            if k[1] >= frontier.get(k[0], 0)
-        }
-        # Forget cached frontier cursors: entries above the cut that we
-        # had executed locally are being demoted below (their effects
-        # died with the restore), so the contiguous-executed scan must
-        # resume from the installed frontier, not our old progress.
-        self._frontier_cursor = dict(frontier)
-        self.executor.install(
-            reply.watermark, frontier,
-            {c: int(t) for c, t in
-             snapshot.get("client_floors", {}).items()},
-            snapshot.get("client_sparse", {}),
-            executed_above,
-            client_results=snapshot.get("client_results", {}))
-        # Entries we executed locally but that are NOT inside the
-        # snapshot's first ``watermark`` executions lost their effects
-        # with the restore; demote them so they re-apply.
-        for iid, entry in self._log_index.items():
-            if entry.status == EntryStatus.EXECUTED and \
-                    iid not in executed_above:
-                entry.status = EntryStatus.COMMITTED
-                entry.applied = False
-        for summary in reply.entries:
-            self._install_transferred_entry(summary, frontier)
-        for iid in executed_above:
-            entry = self._log_index.get(iid)
-            if entry is not None:
-                # Its effect is inside the snapshot state already; mark
-                # executed so it is never re-applied.
-                entry.status = EntryStatus.EXECUTED
-        for space in self.spaces.values():
-            while space.expected_slot in space:
-                space.expected_slot += 1
-            if space.owner == self.node_id:
-                space.next_slot = max(space.next_slot,
-                                      space.max_occupied_slot + 1)
-        state_digest = digest(snapshot)
-        self.checkpoints.install_stable(Checkpoint(
-            watermark=reply.watermark, state_digest=state_digest,
-            snapshot=snapshot))
-        self.checkpoint_log.append((reply.watermark, state_digest))
-        self._stable_proof = reply.proof
-        self._stable_proof_watermark = reply.watermark
-        self._transfer_requested = max(self._transfer_requested,
-                                       reply.watermark)
-        self._transfer_peers_asked = set()
-        self.stats["state_transfers_installed"] += 1
-        if self.storage is not None and not self._recovering:
-            self._persist_stable(self.checkpoints.stable)
-        for space in self.spaces.values():
-            if not space.frozen:
-                self._drain_pending(space)
-        self._advance_execution()
-
-    def _install_transferred_entry(self, summary: LogEntrySummary,
-                                   frontier: Dict[str, int]) -> None:
-        """Install one suffix entry, trusting only verifiable evidence.
-
-        The suffix is not covered by the snapshot digest, so every
-        entry's command/deps/seq are adopted from its *verified* proof
-        (a commit certificate or the owner's signed SPECORDER), never
-        from the unverified summary; proofless summaries are skipped --
-        safety over liveness, the live protocol re-delivers anything
-        still open."""
-        instance = summary.instance
-        if summary.command is None or \
-                instance.slot < frontier.get(instance.owner, 0):
-            return
-        space = self.spaces.get(instance.owner)
-        if space is None:
-            return
-        existing = self._log_index.get(instance)
-        committed = summary.proof_kind == "commit"
-        if existing is not None and (
-                existing.status.at_least(EntryStatus.COMMITTED)
-                or not committed):
-            return  # never downgrade what we already hold
-        if committed:
-            entry = self._entry_from_commit_proof(summary)
-        else:
-            entry = self._entry_from_spec_order_proof(summary)
-        if entry is None:
-            return
-        space.force_put(entry)
-        self._index_entry(entry)
-
-    def _entry_from_commit_proof(self, summary: LogEntrySummary
-                                 ) -> Optional[LogEntry]:
-        """A committed suffix entry backed by either a 2f+1 SPECREPLY
-        certificate (fast path evidence) or the client's signed COMMIT
-        (slow path evidence); metadata comes from the certificate."""
-        proof = summary.proof
-        if not proof or not all(isinstance(p, SignedPayload)
-                                for p in proof):
-            return None
-        payloads = [p.payload for p in proof]
-        if all(isinstance(p, SpecReply) for p in payloads):
-            if len(proof) < self.config.slow_quorum_size:
-                return None
-            if not self._validate_reply_certificate(
-                    proof, summary.instance, require_match=True):
-                return None
-            sample: SpecReply = payloads[0]
-            command = summary.command
-            if command.ident != (sample.client_id, sample.timestamp):
-                return None
-            return LogEntry(
-                instance=summary.instance,
-                owner_number=sample.owner_number,
-                command=command, deps=sample.deps, seq=sample.seq,
-                status=EntryStatus.COMMITTED,
-                commit_proof=tuple(proof))
-        if len(proof) == 1 and isinstance(payloads[0], Commit):
-            envelope, commit = proof[0], payloads[0]
-            if not envelope.verify(self.registry) or \
-                    envelope.signer != commit.client_id:
-                return None
-            if commit.instance != summary.instance or \
-                    not self._validate_slow_certificate(commit):
-                return None
-            return LogEntry(
-                instance=summary.instance,
-                owner_number=summary.owner_number,
-                command=commit.command, deps=commit.deps,
-                seq=commit.seq, status=EntryStatus.COMMITTED,
-                commit_proof=tuple(proof))
-        return None
-
-    def _entry_from_spec_order_proof(self, summary: LogEntrySummary
-                                     ) -> Optional[LogEntry]:
-        """An uncommitted suffix entry: only the owner's own signed
-        SPECORDER (or a batch covering the instance) is evidence."""
-        if len(summary.proof) != 1:
-            return None
-        envelope = summary.proof[0]
-        if not isinstance(envelope, SignedPayload) or \
-                not envelope.verify(self.registry):
-            return None
-        payload = envelope.payload
-        if isinstance(payload, BatchSpecOrder):
-            inner = payload.order_for(summary.instance)
-        elif isinstance(payload, SpecOrder) and \
-                payload.instance == summary.instance:
-            inner = payload
-        else:
-            return None
-        if inner is None or envelope.signer != inner.leader:
-            return None
-        if inner.leader != self.config.owner_for_number(
-                inner.owner_number):
-            return None
-        return LogEntry(
-            instance=summary.instance,
-            owner_number=inner.owner_number,
-            command=inner.command, deps=inner.deps, seq=inner.seq,
-            status=EntryStatus.SPEC_ORDERED, spec_order=envelope)
-
-    # ------------------------------------------------------------------
-    # Durability: WAL/snapshot persistence and restart-from-disk
-    # ------------------------------------------------------------------
     def attach_storage(self, storage: Any) -> None:
         """Wire the durability seam (a ``repro.storage.ReplicaStorage``).
 
@@ -1361,166 +795,15 @@ class EzBFTReplica:
         """
         self.storage = storage
 
-    def _persist_entry(self, sender: str, message: Any) -> None:
-        if self.storage is not None and not self._recovering:
-            self.storage.append_entry(sender, message)
-
-    def _persist_attest(self, sender: str, message: Any) -> None:
-        if self.storage is not None and not self._recovering:
-            self.storage.append_attest(sender, message)
-
-    def _persist_stable(self, checkpoint: Checkpoint) -> None:
-        """Make a stable checkpoint durable: atomic snapshot file, then
-        a fresh WAL segment re-logging the retained suffix (so every
-        segment head is self-contained from its watermark on), then
-        prune history beyond the retention window."""
-        self.storage.save_snapshot(checkpoint.watermark,
-                                   checkpoint.state_digest,
-                                   checkpoint.snapshot)
-        self.storage.rotate(checkpoint.watermark)
-        self._relog_retained()
-        self.storage.prune()
-
-    def _relog_retained(self) -> None:
-        """Re-append the evidence for everything above the stable
-        frontier -- retained log entries, their strongest commit proof,
-        and still-buffered out-of-order orders -- into the fresh
-        segment, so recovery never needs pruned history."""
-        seen: set = set()
-        pinned: list = []  # id() is only unique while the object lives
-
-        def relog(sender: str, message: Any) -> None:
-            if message is None or id(message) in seen:
-                return  # a batch envelope covers several entries
-            seen.add(id(message))
-            pinned.append(message)
-            self.storage.append_entry(sender, message)
-
-        for space in self.spaces.values():
-            for entry in space.entries():
-                if entry.spec_order is not None:
-                    relog(entry.spec_order.signer, entry.spec_order)
-                if not entry.status.at_least(EntryStatus.COMMITTED) or \
-                        not entry.commit_proof:
-                    continue
-                if entry.committed_slow:
-                    proof = entry.commit_proof[0]
-                    relog(proof.signer, proof)
-                else:
-                    relog(self.node_id, CommitFast(
-                        client_id=entry.command.client_id,
-                        instance=entry.instance,
-                        certificate=entry.commit_proof))
-        for _, envelope in self._pending_spec_orders.values():
-            relog(envelope.signer, envelope)
-
     def recover_from_storage(self) -> Any:
-        """Rebuild this replica from its attached store.
+        """Rebuild this replica from its attached store (see
+        :meth:`repro.core.recovery.RecoveryManager.recover`); returns a
+        :class:`repro.storage.RecoverySummary`."""
+        return self.recovery.recover()
 
-        Loads the newest digest-valid snapshot (restore state machine,
-        frontiers, executor bookkeeping, checkpoint watermark), then
-        replays the retained WAL segments through the ordinary message
-        handlers with sends muted and persistence disabled.  Anything
-        past what disk retains is rejoined through the existing
-        state-transfer path once live traffic resumes.  Returns a
-        :class:`repro.storage.RecoverySummary`.
-        """
-        from repro.storage.store import RecoverySummary
-
-        if self.storage is None:
-            raise ProtocolError("recover_from_storage: no storage "
-                                "attached")
-        summary = RecoverySummary()
-        payload = self.storage.load_snapshot(summary)
-        # Materialize before mutating anything: a stability event during
-        # replay rotates and prunes segments, which must not race the
-        # read side.
-        records = list(self.storage.replay_records(summary))
-        executed_above: set = set()
-        if payload is not None:
-            executed_above = self._restore_checkpoint(payload)
-        live_ctx = self.ctx
-        self.ctx = _RecoveryContext(live_ctx)
-        self._recovering = True
-        try:
-            for record in records:
-                if not isinstance(record, dict):
-                    continue
-                wire = record.get("wire")
-                if wire is None:
-                    continue
-                try:
-                    message = decode(wire)
-                except SerializationError as exc:
-                    # A record this build cannot read (e.g. written
-                    # before SPECORDERs moved out of the signed
-                    # SPECREPLY): skipping it would silently drop the
-                    # commit proofs it holds, so name the file.
-                    raise SerializationError(
-                        f"{record.get('segment')}: unusable WAL record "
-                        f"from {record.get('sender')!r}: {exc}") from exc
-                except (ProtocolError, KeyError, TypeError, ValueError):
-                    continue  # malformed record: skip, stay live
-                self.on_message(str(record.get("sender", "")), message)
-        finally:
-            self._recovering = False
-            self.ctx = live_ctx
-        # Mirrors _install_snapshot: replayed entries whose effects are
-        # already inside the restored state must never re-apply.
-        for iid in executed_above:
-            entry = self._log_index.get(iid)
-            if entry is not None:
-                entry.status = EntryStatus.EXECUTED
-        own = self.spaces[self.node_id]
-        own.next_slot = max(own.next_slot, own.max_occupied_slot + 1)
-        for space in self.spaces.values():
-            if not space.frozen:
-                self._drain_pending(space)
-        self._advance_execution()
-        stable = self.checkpoints.stable
-        if stable is not None and \
-                stable.watermark != (summary.snapshot_watermark or 0):
-            # Replay advanced stability past the on-disk snapshot; sync
-            # the store so the next restart starts from the newer point.
-            self._persist_stable(stable)
-        return summary
-
-    def _restore_checkpoint(self, payload: Dict[str, Any]) -> set:
-        """Adopt a recovered snapshot (the local-disk analogue of
-        :meth:`_install_snapshot`, minus transferred suffix entries --
-        those come from WAL replay).  Returns the ``executed_above``
-        instance set for the post-replay fixup."""
-        snapshot = payload["snapshot"]
-        watermark = int(payload["watermark"])
-        frontier = {owner: int(slot)
-                    for owner, slot in
-                    snapshot.get("frontier", {}).items()}
-        executed_above = {
-            InstanceID(owner, slot)
-            for owner, slot in snapshot.get("executed_above", ())
-        }
-        self.statemachine.restore(snapshot.get("state", {}))
-        for owner, space in self.spaces.items():
-            space.truncate(frontier.get(owner, 0))
-        self._frontier_cursor = dict(frontier)
-        floors = {c: int(t) for c, t in
-                  snapshot.get("client_floors", {}).items()}
-        self.executor.install(
-            watermark, frontier, floors,
-            snapshot.get("client_sparse", {}),
-            executed_above,
-            client_results=snapshot.get("client_results", {}))
-        for client, floor in floors.items():
-            self._client_ts[client] = max(
-                self._client_ts.get(client, -1), floor)
-        checkpoint = Checkpoint(watermark=watermark,
-                                state_digest=payload["state_digest"],
-                                snapshot=snapshot)
-        self.checkpoints = CheckpointStore.restore_from(
-            checkpoint, quorum=self.config.slow_quorum_size,
-            interval=self.config.checkpoint_interval)
-        self.checkpoint_log.append((watermark, checkpoint.state_digest))
-        return executed_above
+    def _persist_entry(self, sender: str, message: Any) -> None:
+        if self.storage is not None:
+            self.storage.append_entry(sender, message)
 
     def _send_commit_reply(self, entry: LogEntry, client_id: str) -> None:
         reply = CommitReply(
@@ -1751,6 +1034,39 @@ class EzBFTReplica:
         else:
             insort(chain, iid)  # adopted out of slot order
 
+    def _truncate_space(self, space: InstanceSpace, cut: int) -> int:
+        """Drop every slot of ``space`` below ``cut`` from the space,
+        the log index, the key chains and the out-of-order buffer;
+        returns how many entries went.  The chains are ascending by
+        slot, so each loses a prefix and none is rebuilt;
+        ``space.truncate`` itself still scans the space."""
+        owner = space.owner
+        floor = InstanceID(owner, cut)
+        for slot in range(space.low_slot, cut):
+            entry = space.get(slot)
+            if entry is None:
+                continue
+            self._log_index.pop(entry.instance, None)
+            key = self._index_key(entry.command)
+            chains = self._key_index.get(key)
+            chain = chains.get(owner) if chains else None
+            if not chain or chain[0] >= floor:
+                continue  # an earlier slot on this key trimmed it
+            del chain[:bisect_left(chain, floor)]
+            self._prune_chain(key, owner)
+        pending = self._pending_spec_orders
+        for stale in [k for k in pending if k[0] == owner and k[1] < cut]:
+            del pending[stale]
+        return space.truncate(cut)
+
+    def _prune_chain(self, key: str, owner: str) -> None:
+        """Forget ``owner``'s chain under ``key`` once it is empty."""
+        chains = self._key_index[key]
+        if not chains[owner]:
+            del chains[owner]
+            if not chains:
+                del self._key_index[key]
+
     def _find_entry_for_command(self, command: Command
                                 ) -> Optional[LogEntry]:
         # The chains under the command's index key are authoritative
@@ -1795,19 +1111,12 @@ class EzBFTReplica:
                                entry.spec_order)
         self._send_spec_reply(entry, entry.spec_order)
 
-    def _space_digest(self, space: InstanceSpace) -> str:
-        """Rolling digest of a space's proposal history (the paper's
-        ``h``).
-
-        Maintained as a hash chain advanced per appended proposal
-        (:meth:`_advance_space_digest`), keeping the owner's hot path
-        O(1) instead of re-serializing the whole space per SPECORDER.
-        """
-        return self._space_chain.get(space.owner, "")
-
     def _advance_space_digest(self, space: InstanceSpace,
                               entry: LogEntry) -> None:
-        """Chain the freshly led entry into the space's rolling digest."""
+        """Chain the freshly led entry into the space's rolling digest
+        (the paper's ``h``, sent as the SPECORDER ``log_digest``).  A
+        hash chain advanced per proposal keeps the owner's hot path
+        O(1) instead of re-serializing the whole space per SPECORDER."""
         self._space_chain[space.owner] = digest([
             self._space_chain.get(space.owner, ""),
             entry.instance.to_wire(), entry.command.to_wire(), entry.seq,

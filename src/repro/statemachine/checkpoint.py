@@ -69,24 +69,6 @@ class CheckpointStore:
         self.last_captured = 0
         self.stable: Optional[Checkpoint] = None
 
-    @classmethod
-    def restore_from(cls, checkpoint: Checkpoint, quorum: int,
-                     interval: int = 128) -> "CheckpointStore":
-        """Rehydrate a store from a recovered stable checkpoint.
-
-        A restart-from-disk must NOT start from ``last_captured = 0``:
-        ``due()`` would fire the first post-restart capture one interval
-        after zero instead of one interval after the recovered
-        watermark, re-capturing from scratch -- and the fresh (lower)
-        stable watermark would regress ``base_slot`` in owner-change
-        payloads built from it.
-        """
-        store = cls(quorum=quorum, interval=interval)
-        store._local[checkpoint.watermark] = checkpoint
-        store.last_captured = checkpoint.watermark
-        store.stable = checkpoint
-        return store
-
     def due(self, executed_count: int) -> bool:
         """True when ``executed_count`` has crossed a checkpoint boundary."""
         if executed_count == 0 or self.interval <= 0:
@@ -147,7 +129,12 @@ class CheckpointStore:
         return self._votes.get((replica_id, watermark))
 
     def install_stable(self, checkpoint: Checkpoint) -> None:
-        """Adopt an externally proven stable checkpoint (state transfer)."""
+        """Adopt an externally proven stable checkpoint (state transfer,
+        or a restart from disk).  ``last_captured`` moves with it: the
+        next capture is due one interval after the adopted watermark,
+        not one after zero -- re-capturing from scratch would put a
+        fresh, lower stable watermark under the ``base_slot`` of
+        owner-change payloads."""
         if self.stable is not None and \
                 checkpoint.watermark <= self.stable.watermark:
             return

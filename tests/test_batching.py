@@ -194,6 +194,56 @@ def test_ezbft_batch_size_one_cluster_never_batches():
         assert not replica.batcher.enabled
 
 
+def test_ezbft_out_of_order_client_batches_are_all_led():
+    """A pipelining client's BATCHREQUESTs can overtake each other; the
+    older timestamps in the late one are unseen, not stale, and are
+    admitted by the same rule a singleton REQUEST is."""
+    cluster = lan_cluster()
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    r0 = cluster.replicas["r0"]
+    deliver = cluster.network.handler_of("r0")
+    held = []
+
+    def swap_first_two_batches(sender, message):
+        if isinstance(getattr(message, "payload", None), BatchRequest) \
+                and len(held) < 2:
+            held.append(message)
+            if len(held) == 2:
+                deliver(sender, held[1])  # t=3,4 first ...
+                deliver(sender, held[0])  # ... then t=1,2
+            return
+        deliver(sender, message)
+
+    cluster.network.set_handler("r0", swap_first_two_batches)
+    commands = [client.next_command("put", f"k{i}", i) for i in range(4)]
+    client.submit_batch(commands[:2])
+    client.submit_batch(commands[2:])
+    cluster.run_until_idle()
+    assert r0.stats["led"] == 4
+    assert log.results == ["OK"] * 4
+    assert client.stats["retries"] == 0
+    assert [e.command.timestamp for e in r0.spaces["r0"].entries()] == \
+        [3, 4, 1, 2]
+
+    # An exact duplicate of either batch leads nothing: every command in
+    # it is answered again from what the replica already holds.
+    answered = []
+    cluster.network.set_handler(
+        "c0", lambda sender, message: answered.extend(
+            (sender, envelope.payload.timestamp)
+            for envelope in getattr(message, "replies", ())))
+    for batch, stamps in ((held[1], [3, 4]), (held[0], [1, 2])):
+        del answered[:]
+        deliver("c0", batch)
+        cluster.run_until_idle()
+        assert [t for sender, t in answered if sender == "r0"] == stamps
+    assert r0.stats["led"] == 4
+    assert r0.spaces["r0"].next_slot == 4
+    assert_replicas_consistent(cluster)
+
+
 def test_ezbft_interfering_batch_preserves_order_consistency():
     """Commands inside one batch interfere (same key): every replica
     must execute them in the same order and agree on the final value."""

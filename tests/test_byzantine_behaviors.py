@@ -55,8 +55,13 @@ def test_silent_replica_never_responds():
     assert byz.stats["led"] == 0
 
 
-def test_equivocating_leader_sends_conflicting_signed_orders():
-    cluster = lan_cluster()
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_equivocating_leader_sends_conflicting_signed_orders(batch_size):
+    """Equivocation survives batching: whether a flush leads one
+    request or four, the byzantine override is the path taken, every
+    client catches the leader out, and every command still commits
+    through another leader."""
+    cluster = lan_cluster(batch_size=batch_size)
     byz = install_byzantine(cluster, "r1", EquivocatingLeaderReplica)
     seen = {}
     for rid in ("r0", "r2", "r3"):
@@ -65,16 +70,26 @@ def test_equivocating_leader_sends_conflicting_signed_orders():
 
         def tracer(sender, message, rid=rid, original=original):
             if isinstance(message, SignedPayload) and \
-                    isinstance(message.payload, SpecOrder):
-                seen[rid] = message.payload_digest()
+                    isinstance(message.payload, SpecOrder) and \
+                    message.signer == "r1":
+                seen.setdefault(rid, set()).add(message.payload_digest())
             original(sender, message)
 
         cluster.network.set_handler(rid, tracer)
-    client = cluster.add_client("c0", "local", target_replica="r1")
-    client.submit(client.next_command("put", "k", "v"))
-    cluster.run(until=5.0)
+    log = DeliveryLog()
+    clients = [cluster.add_client(f"c{i}", "local", target_replica="r1",
+                                  on_delivery=log.hook(f"c{i}"))
+               for i in range(4)]
+    for i, client in enumerate(clients):
+        client.submit(client.next_command("put", f"k{i}", i))
+    cluster.run_until_idle()
     # At least two distinct SPECORDER digests were distributed.
-    assert len(set(seen.values())) >= 2
+    assert len(set().union(*seen.values())) >= 2
+    assert byz.stats["led"] == 4
+    assert byz.stats["batches_led"] == 0
+    assert [c.stats["poms_sent"] for c in clients] == [1] * 4
+    assert sorted(log.results) == ["OK"] * 4
+    assert_replicas_consistent(cluster, exclude=("r1",))
 
 
 def test_dep_suppressor_reports_empty_deps():

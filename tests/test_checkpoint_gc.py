@@ -305,18 +305,19 @@ def test_byzantine_watermark_flood_is_bounded():
 def test_state_transfer_asks_multiple_peers_but_each_once():
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
     replica = cluster.replicas["r0"]
+    manager = replica.checkpointing
     target = replica.executor.executed_count + 10 * INTERVAL
-    replica._maybe_request_state_transfer(target, "r1")
-    replica._maybe_request_state_transfer(target, "r1")  # duplicate
-    replica._maybe_request_state_transfer(target, "r2")
-    assert replica._transfer_peers_asked == {"r1", "r2"}
+    manager._maybe_request_state_transfer(target, "r1")
+    manager._maybe_request_state_transfer(target, "r1")  # duplicate
+    manager._maybe_request_state_transfer(target, "r2")
+    assert manager._transfer_peers_asked == {"r1", "r2"}
     # Capped at f+1 distinct peers per watermark.
-    replica._maybe_request_state_transfer(target, "r3")
-    assert len(replica._transfer_peers_asked) == \
+    manager._maybe_request_state_transfer(target, "r3")
+    assert len(manager._transfer_peers_asked) == \
         cluster.config.weak_quorum_size
     # A higher watermark resets the ask set.
-    replica._maybe_request_state_transfer(target + INTERVAL, "r3")
-    assert replica._transfer_peers_asked == {"r3"}
+    manager._maybe_request_state_transfer(target + INTERVAL, "r3")
+    assert manager._transfer_peers_asked == {"r3"}
 
 
 def test_gap_fill_never_noops_checkpoint_covered_slots():
@@ -372,15 +373,16 @@ def test_install_resets_frontier_cursor():
     cluster.network.isolate("r3")
     run_commands(cluster, client, 3 * INTERVAL)
     lagging = cluster.replicas["r3"]
-    lagging._frontier_cursor["r0"] = 10 ** 6  # poison: stale progress
+    # Poison: stale progress.
+    lagging.checkpointing._frontier_cursor["r0"] = 10 ** 6
     cluster.network.heal("r3")
     run_commands(cluster, client, INTERVAL, start=3 * INTERVAL)
     assert lagging.stats["state_transfers_installed"] >= 1
     frontier = lagging.checkpoints.stable.snapshot["frontier"]
     # The cursor was re-anchored and tracks the true frontier again.
-    assert lagging._frontier_cursor["r0"] <= \
+    assert lagging.checkpointing._frontier_cursor["r0"] <= \
         lagging.spaces["r0"].expected_slot
-    assert lagging._executed_frontier(lagging.spaces["r0"]) >= \
+    assert lagging.checkpointing._executed_frontier(lagging.spaces["r0"]) >= \
         frontier["r0"]
     assert_replicas_consistent(cluster)
 
@@ -454,7 +456,7 @@ def test_replayed_self_attestation_is_not_a_second_vote():
     client = cluster.add_client("c0", "local", target_replica="r1")
     run_commands(cluster, client, 2 * INTERVAL)
     assert deaf.stats["checkpoints"] >= 1
-    own = deaf._checkpoint_proofs  # r0's own envelopes live here
+    own = deaf.checkpointing._checkpoint_proofs  # r0's own envelopes live here
     replayed = [env for bucket in own.values() for env in bucket.values()
                 if env.signer == "r0"]
     assert replayed
@@ -507,10 +509,10 @@ def test_forged_log_suffix_entries_are_rejected():
         command=evil, deps=(), seq=1, status="committed",
         owner_number=0, proof_kind="commit",
         # Validly signed -- but not a commit certificate for this entry.
-        proof=tuple(serving._stable_proof[:3]))
+        proof=tuple(serving.checkpointing._stable_proof[:3]))
     reply = StateTransferReply(
         replica="r1", watermark=stable.watermark,
-        snapshot=stable.snapshot, proof=serving._stable_proof,
+        snapshot=stable.snapshot, proof=serving.checkpointing._stable_proof,
         entries=(forged,))
     lagging = cluster.replicas["r3"]
     lagging.on_message("r1", reply)
@@ -554,7 +556,7 @@ def test_gc_never_drops_unexecuted_committed_instance(statuses,
     checkpoint = Checkpoint.capture(0, {
         "state": {}, "frontier": {"r0": claimed_cut},
         "client_floors": {}, "client_sparse": {}, "executed_above": []})
-    replica._gc_below(checkpoint)
+    replica.checkpointing._gc_below(checkpoint)
     for iid in committed_unexecuted:
         assert iid in replica._log_index, (
             f"GC dropped unexecuted instance {iid}")

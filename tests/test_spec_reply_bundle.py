@@ -111,7 +111,7 @@ def test_log_entry_proofs_are_header_only_and_still_verify():
     fresh = lan_cluster().replicas["r2"]
     for summary in summaries:
         wire = json.loads(canonical_bytes(summary))
-        rebuilt = fresh._entry_from_commit_proof(
+        rebuilt = fresh.checkpointing._entry_from_commit_proof(
             type(summary).from_wire(wire))
         assert rebuilt is not None
         assert rebuilt.status == EntryStatus.COMMITTED
@@ -315,9 +315,12 @@ def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path):
     replica = fresh.replicas["r0"]
     storage2 = ReplicaStorage(str(tmp_path), "r0")
     replica.attach_storage(storage2)
+    live_ctx = replica.ctx
     with pytest.raises(SerializationError) as err:
         replica.recover_from_storage()
     storage2.close()
     assert "spec_order" in str(err.value)
     assert "wal-0.log" in str(err.value)
-    assert not replica._recovering
+    # The replay switch was flipped back: store attached, sends live.
+    assert replica.storage is storage2
+    assert replica.ctx is live_ctx

@@ -182,13 +182,14 @@ def test_storage_rotate_and_prune_retention(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# CheckpointStore.restore_from (the base_slot-regression bugfix)
+# Adopting a recovered checkpoint: CheckpointStore + install_stable
+# (the base_slot-regression bugfix)
 # ----------------------------------------------------------------------
-def test_restore_from_resumes_interval_from_recovered_watermark():
+def test_install_stable_resumes_interval_from_recovered_watermark():
     snap = {"kv": {}}
     checkpoint = Checkpoint.capture(256, snap)
-    store = CheckpointStore.restore_from(checkpoint, quorum=3,
-                                         interval=128)
+    store = CheckpointStore(quorum=3, interval=128)
+    store.install_stable(checkpoint)
     assert store.stable is checkpoint
     assert store.last_captured == 256
     # The bug: a fresh store (last_captured=0) would fire at 128
@@ -199,9 +200,10 @@ def test_restore_from_resumes_interval_from_recovered_watermark():
     assert store.due(384) is True
 
 
-def test_restore_from_keeps_local_copy_for_requorum():
+def test_install_stable_keeps_local_copy_for_requorum():
     checkpoint = Checkpoint.capture(128, {"kv": {"a": "b"}})
-    store = CheckpointStore.restore_from(checkpoint, quorum=3)
+    store = CheckpointStore(quorum=3)
+    store.install_stable(checkpoint)
     # A later attestation round over the same watermark must find the
     # local capture (stability proofs need the snapshot itself).
     assert store._local[128] is checkpoint
@@ -279,3 +281,114 @@ def test_recover_without_storage_raises():
     cluster = lan_cluster()
     with pytest.raises(ProtocolError):
         cluster.replicas["r0"].recover_from_storage()
+
+
+# ----------------------------------------------------------------------
+# One adoption path (state transfer == restart), one replay switch
+# ----------------------------------------------------------------------
+def test_transfer_and_restart_adopt_a_checkpoint_alike(tmp_path):
+    """Two replicas reach the same stable checkpoint by the two routes
+    -- one lagged and installs a STATETRANSFERREPLY, one restarts from
+    the store the run wrote -- and end up in the same place."""
+    from repro.crypto.digest import digest
+
+    interval = 4
+    cluster = lan_cluster(checkpoint_interval=interval)
+    storage = ReplicaStorage(str(tmp_path), "r1")
+    cluster.replicas["r1"].attach_storage(storage)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    cluster.network.isolate("r3")
+    # Two entries past the last boundary: both routes also have a log
+    # suffix above the checkpoint to put back.
+    for i in range(2 * interval + 2):
+        client.submit(client.next_command("put", f"k{i % 3}", i))
+        cluster.run_until_idle()
+    storage.close()
+    donor = cluster.replicas["r0"]
+    stable = donor.checkpoints.stable
+    assert stable.watermark == 2 * interval
+
+    lagging = cluster.replicas["r3"]
+    assert lagging.executor.executed_count == 0
+    cluster.network.heal("r3")
+    lagging.checkpointing._maybe_request_state_transfer(
+        stable.watermark, "r0")
+    cluster.run_until_idle()
+    assert lagging.stats["state_transfers_installed"] == 1
+
+    fresh = lan_cluster(checkpoint_interval=interval)
+    fresh.add_client("c0", "local")
+    restarted = fresh.replicas["r1"]
+    storage2 = ReplicaStorage(str(tmp_path), "r1")
+    restarted.attach_storage(storage2)
+    summary = restarted.recover_from_storage()
+    storage2.close()
+    assert summary.snapshot_watermark == stable.watermark
+
+    def landing(replica):
+        return {
+            "state": digest(replica.statemachine.snapshot()),
+            "slots": {owner: (space.low_slot, space.expected_slot)
+                      for owner, space in replica.spaces.items()},
+            "executed": replica.executor.executed_count,
+            "stable": replica.checkpoints.stable.watermark,
+            "last_captured": replica.checkpoints.last_captured,
+            "checkpoint_log": replica.checkpoint_log[-1],
+        }
+
+    assert landing(lagging) == landing(restarted)
+    assert landing(lagging)["executed"] == 2 * interval + 2
+    assert landing(lagging)["state"] == \
+        digest(donor.statemachine.snapshot())
+    # Neither route may take an executed timestamp for a new one.
+    floors = stable.snapshot["client_floors"]
+    assert floors
+    for replica in (lagging, restarted):
+        assert all(replica._client_ts.get(client, -1) >= floor
+                   for client, floor in floors.items())
+
+
+def test_recovery_replay_is_silent_and_detached(tmp_path):
+    """While the WAL replays, the store is detached and the context
+    sends nothing; afterwards both are exactly what they were."""
+    cluster = lan_cluster()
+    storage = ReplicaStorage(str(tmp_path), "r0")
+    cluster.replicas["r0"].attach_storage(storage)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    for i in range(6):
+        client.submit(client.next_command("put", f"k{i}", f"v{i}"))
+    cluster.run_until_idle()
+    storage.close()
+    segment = os.path.join(str(tmp_path), "r0", "wal-0.log")
+    size_before = os.path.getsize(segment)
+
+    fresh = lan_cluster()
+    fresh.add_client("c0", "local")
+    replica = fresh.replicas["r0"]
+    storage2 = ReplicaStorage(str(tmp_path), "r0")
+    replica.attach_storage(storage2)
+    live_ctx = replica.ctx
+    during = []
+    handle = replica.on_message
+
+    def spy(sender, message):
+        during.append((replica.storage, replica.ctx))
+        handle(sender, message)
+
+    replica.on_message = spy
+    sent_before = fresh.network.messages_sent
+    summary = replica.recover_from_storage()
+    storage2.close()
+
+    # Every record went through the ordinary handlers (which do send:
+    # r0 led all six) under the switch ...
+    assert len(during) == summary.records_replayed > 0
+    assert all(store is None and ctx is not live_ctx
+               for store, ctx in during)
+    assert replica.stats["spec_ordered"] == 6
+    # ... nothing reached the network or the store ...
+    assert fresh.network.messages_sent == sent_before
+    assert os.path.getsize(segment) == size_before
+    # ... and the switch was flipped back.
+    assert replica.storage is storage2
+    assert replica.ctx is live_ctx
