@@ -11,7 +11,7 @@ to trigger recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
@@ -21,6 +21,7 @@ from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchRequest
 from repro.messages.ezbft import (
+    BatchCommitFast,
     Commit,
     CommitFast,
     CommitReply,
@@ -52,7 +53,7 @@ class _Pending:
     #: header (unverified until two of them disagree); reset on retry.
     spec_orders: Dict[str, SignedPayload] = field(default_factory=dict)
     commit_replies: Dict[str, CommitReply] = field(default_factory=dict)
-    phase: str = "spec"  # spec -> slow -> done
+    phase: str = "spec"  # spec -> fast | slow -> done
     slow_timer: Optional[Timer] = None
     retry_timer: Optional[Timer] = None
     retries: int = 0
@@ -92,6 +93,11 @@ class EzBFTClient:
         self.on_delivery = on_delivery
         self._next_timestamp = 1
         self._pending: Dict[Tuple[str, int], _Pending] = {}
+        #: Fast commits certified while one SpecReplyBundle is being
+        #: walked, flushed as one frame when the walk ends (the mirror
+        #: of the replica's ``_reply_outbox``): a batch's bundle from
+        #: the last replica completes k fast quorums in one delivery.
+        self._commit_outbox: List[Tuple[_Pending, CommitFast]] = []
         self.stats = {
             "submitted": 0,
             "batches_submitted": 0,
@@ -212,12 +218,15 @@ class EzBFTClient:
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, SpecReplyBundle):
             # The bundle is unsigned; each header inside is signed.
-            for envelope in message.replies:
-                reply = envelope.payload
-                if isinstance(reply, SpecReply) and \
-                        envelope.verify(self.registry):
-                    self._on_spec_reply(reply, envelope,
-                                        message.spec_order)
+            try:
+                for envelope in message.replies:
+                    reply = envelope.payload
+                    if isinstance(reply, SpecReply) and \
+                            envelope.verify(self.registry):
+                        self._on_spec_reply(reply, envelope,
+                                            message.spec_order)
+            finally:
+                self._flush_commit_outbox()
             return
         if not isinstance(message, SignedPayload):
             return
@@ -325,17 +334,36 @@ class EzBFTClient:
             sorted(pending.spec_replies.items())
             if any(reply is g for g in group)
         )[:self.config.fast_quorum_size]
-        sample = group[0]
-        commit_fast = CommitFast(client_id=self.client_id,
-                                 instance=sample.instance,
-                                 certificate=certificate)
-        # Asynchronous: the reply is returned to the application first;
-        # the COMMITFAST is not on the latency-critical path.  It
-        # carries the root context so each replica's commit event (and
-        # its execution spans) joins the trace.
-        self._send_under(pending.span, self.ctx.broadcast,
-                         self.config.replica_ids, commit_fast)
-        self._deliver(pending, sample.result, "fast")
+        pending.phase = "fast"  # decided; sent and delivered at flush
+        self._commit_outbox.append((pending, CommitFast(
+            client_id=self.client_id, instance=group[0].instance,
+            certificate=certificate)))
+
+    def _flush_commit_outbox(self) -> None:
+        """Close the outbox: broadcast what the bundle certified -- one
+        COMMITFAST as itself, several as one :class:`BatchCommitFast`
+        -- then hand the results to the application.
+
+        Asynchronous: the COMMITFAST is not on the latency-critical
+        path (nothing is awaited between the send and the deliveries).
+        It carries a root context -- the request's own, or for a batch
+        the first sampled request's, as ``submit_batch`` does -- so each
+        replica's commit event (and its execution spans) joins the
+        trace."""
+        outbox = self._commit_outbox
+        if not outbox:
+            return
+        self._commit_outbox = []
+        commits = tuple(commit for _, commit in outbox)
+        span = next((pending.span for pending, _ in outbox
+                     if pending.span is not None), None)
+        self._send_under(
+            span, self.ctx.broadcast, self.config.replica_ids,
+            commits[0] if len(commits) == 1
+            else BatchCommitFast(commits=commits))
+        for pending, commit in outbox:
+            self._deliver(pending, commit.certificate[0].payload.result,
+                          "fast")
 
     # ------------------------------------------------------------------
     # Step 4.2 / 6.2: slow path

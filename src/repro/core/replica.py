@@ -29,6 +29,7 @@ from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchRequest, BatchSpecOrder
 from repro.obs.instruments import NULL
 from repro.messages.ezbft import (
+    BatchCommitFast,
     Commit,
     CommitFast,
     CommitReply,
@@ -670,6 +671,13 @@ class EzBFTReplica:
             self._trace_commit(entry, "fast")
         self._advance_execution([entry])
 
+    def _on_batch_commit_fast(self, sender: str,
+                              batch: BatchCommitFast) -> None:
+        """A client's k COMMITFASTs in one frame: each is validated,
+        persisted and counted exactly as if it had arrived alone."""
+        for commit in batch.commits:
+            self._on_commit_fast(sender, commit)
+
     def _on_commit(self, sender: str, commit: Commit,
                    envelope: SignedPayload) -> None:
         if envelope.signer != commit.client_id:
@@ -728,10 +736,17 @@ class EzBFTReplica:
         """Record the path-tagged ``replica.commit`` point event and
         remember its context plus the commit-time clock, so final
         execution can hang the ``exec.depwait`` / ``exec.apply`` spans
-        under it (see :meth:`_trace_exec_parent`)."""
+        under it (see :meth:`_trace_exec_parent`).  Only under the
+        request's own trace (the ingress rule of :meth:`_admit`): a
+        :class:`BatchCommitFast` rides one request's context and carries
+        k requests' commits."""
         tracer = self.tracer
-        event = tracer.event(SPAN_REPLICA_COMMIT, self.node_id,
-                             tracer.current(), attrs={"path": path})
+        ctx = tracer.current()
+        if ctx is None or \
+                ctx.trace_id != trace_id_for(*entry.command.ident):
+            return
+        event = tracer.event(SPAN_REPLICA_COMMIT, self.node_id, ctx,
+                             attrs={"path": path})
         if event is not None:
             self._trace_slots[entry.instance] = \
                 (event.context(), tracer.now())
@@ -1138,6 +1153,7 @@ class EzBFTReplica:
     }
     _PLAIN_HANDLERS = {
         CommitFast.MSG_TYPE: _on_commit_fast,
+        BatchCommitFast.MSG_TYPE: _on_batch_commit_fast,
         ResendRequest.MSG_TYPE: _on_resend_request,
         ProofOfMisbehavior.MSG_TYPE: _on_pom,
         StateTransferRequest.MSG_TYPE: _on_state_transfer_request,

@@ -27,14 +27,22 @@ from the mutated fields, so a message altered after signing still fails
 verification.  Objects whose fields are unhashable (e.g. dict-valued
 snapshots) or that declare ``__slots__`` fall back to the uncached
 encoder.
+
+One memo is *derived* rather than encoded: :func:`sibling_with_replica`
+builds "this statement, signed by another replica" and gives it its
+bytes by respelling one string in an encoding already paid for (a fast
+commit certificate is 3f+1 such siblings).  It is recorded under the
+sibling's own content hash like any other memo, so the paragraph above
+holds for it unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _escape
 from math import isinf, isnan
-from typing import Any, List
+from typing import Any, List, Optional
 
 from repro.errors import SerializationError
 
@@ -196,6 +204,93 @@ def canonical_bytes(value: Any) -> bytes:
         encoded = _encode(value)  # _write populates the memo itself
         return encoded
     return _encode(value)
+
+
+#: Types whose values, when ``==`` and of one type, encode alike.
+#: ``float`` is not among them: ``0.0 == -0.0``.
+_ONE_SPELLING = (str, int, bool, type(None))
+
+
+def same_encoding(a: Any, b: Any) -> bool:
+    """Whether ``a`` and ``b`` are one value *as signed*: their
+    canonical encodings are equal.  ``==`` is looser -- ``5 == 5.0`` and
+    ``1 == True``, each spelled differently on the wire -- so two
+    signers' statements that agree only under ``==`` cannot share one
+    set of signed bytes."""
+    kind = type(a)
+    if kind is type(b) and kind in _ONE_SPELLING:
+        return a == b
+    return _encode(a) == _encode(b)
+
+
+#: How a top-level ``replica`` key that is not the first key starts.
+_REPLICA_KEY = ',"replica":'
+
+
+def _respell_replica(text: str, old: str, new: str) -> Optional[str]:
+    """``text`` -- the canonical encoding of a message whose wire form
+    holds the string ``old`` under the top-level key ``replica`` --
+    with that value respelled as ``new``; ``None`` when ``text`` is not
+    visibly of the shape the lemma needs.
+
+    **Lemma.**  Let ``i`` be the first index of ``,"replica":`` in
+    ``text``.  If no ``{`` occurs in ``text[1:i]``, then ``i`` is where
+    the top-level ``replica`` key starts.  Proof: the encoder escapes
+    ``"`` inside every string literal as ``\\"``, so a raw ``"replica"``
+    followed by ``:`` is a whole string token in key position, i.e. a
+    key of some object; no object but the outermost opens before ``i``,
+    so it is a key of the outermost one, and an object's keys are
+    unique.  The literal after it is ``_escape(old)``; putting
+    ``_escape(new)`` in its place is, token for token, what the encoder
+    writes for the same message with ``replica = new``, because no
+    other field differs and key order does not depend on values.
+
+    Both premises are checked rather than assumed.  (A ``{`` inside an
+    earlier string value fails the check needlessly; that costs the
+    shortcut, never correctness.)
+    """
+    at = text.find(_REPLICA_KEY)
+    start = at + len(_REPLICA_KEY)
+    spelled = _escape(old)
+    if at < 0 or text.find("{", 1, at) >= 0 \
+            or not text.startswith(spelled, start):
+        return None
+    return text[:start] + _escape(new) + text[start + len(spelled):]
+
+
+def sibling_with_replica(message: Any, replica: str) -> Any:
+    """``message`` -- a SPECREPLY header -- as another replica would
+    have said it: a copy whose ``replica`` field is ``replica``, its
+    canonical bytes derived from ``message``'s own encoding by
+    :func:`_respell_replica` instead of a second pass of the encoder.
+
+    The copy is made here, so the derived bytes can only ever be
+    attached to a message that differs from ``message`` in that one
+    field, and they are recorded under the copy's own content hash like
+    any memo: mutate the copy afterwards and it re-encodes.  When the
+    shortcut does not apply (unhashable fields, non-string ids, an
+    encoding the lemma does not cover) the copy is returned bare and
+    the plain encoder serves it on first use.
+    """
+    sibling = replace(message, replica=replica)
+    old = message.replica
+    if type(old) is not str or type(replica) is not str:
+        return sibling
+    try:
+        content_hash = hash(message)
+        sibling_hash = hash(sibling)
+    except TypeError:
+        return sibling
+    memo = getattr(message, _BYTES_MEMO, None)
+    if memo is None or memo[0] != content_hash:
+        canonical_bytes(message)  # the one full encode siblings share
+        memo = getattr(message, _BYTES_MEMO)
+    derived = _respell_replica(memo[2], old, replica)
+    if derived is not None:
+        object.__setattr__(
+            sibling, _BYTES_MEMO,
+            (sibling_hash, derived.encode("ascii"), derived))
+    return sibling
 
 
 def digest(value: Any) -> str:

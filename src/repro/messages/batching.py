@@ -32,6 +32,14 @@ client's signed SPECREPLY headers with the signed batch once beside
 them (the paper's ``<<SPECREPLY ...>_sigma, R_j, rep, SO>`` closes the
 signature before ``SO``), instead of one reply per command each
 embedding the whole batch.
+
+So is the fourth shape, the leg back:
+:class:`repro.messages.ezbft.BatchCommitFast` folds the k COMMITFASTs
+a client certifies from one such bundle into one frame
+(client -> replicas).  Neither of the two shares a signature -- every
+header, every certificate is checked on its own -- so neither uses
+:func:`batch_cost`: each costs what the k singletons it replaces cost
+(``k`` units), and saves frames and bytes, not verifications.
 """
 
 from __future__ import annotations
@@ -60,10 +68,11 @@ PER_COMMAND_DIGEST_UNITS = 0.05
 def batch_cost(signature_units: float, count: int) -> float:
     """One signature plus ``count`` per-command digests.
 
-    The one batch shape priced differently is
-    :class:`repro.messages.ezbft.SpecReplyBundle`: its ``k`` headers are
-    individually signed, so it costs ``max(1, k)`` units -- what the
-    ``k`` separate SPECREPLYs it replaces cost, and exactly one unit
+    The two batch shapes priced differently live in
+    :mod:`repro.messages.ezbft`: a ``SpecReplyBundle``'s ``k`` headers
+    are individually signed and a ``BatchCommitFast``'s ``k``
+    certificates individually checked, so each costs ``k`` units --
+    what the ``k`` singletons it replaces cost, and exactly one unit
     unbatched.
     """
     return signature_units + PER_COMMAND_DIGEST_UNITS * count

@@ -12,13 +12,24 @@ puts ``SO`` beside one or more headers on the way to the client, and
 everything built from replies afterwards -- :class:`CommitFast`,
 :class:`Commit`, ``LogEntry.commit_proof``, :class:`LogEntrySummary`
 proofs, relogged WAL records -- holds headers only.
+
+The fast certificate closes its brackets the same way.  The 3f+1
+headers of ``<COMMITFAST, c, I, CC>`` match on every signed field but
+the signer's own id, so on the wire ``CC`` is
+``<<SPECREPLY, O, I, D', S', d, c, t, rep>, [(R_j, sigma_Rj), ...]>``:
+one statement and 3f+1 signatures over it (see :class:`CommitFast`).
+In memory it stays a tuple of signed :class:`SpecReply` envelopes, and
+a client that certifies several commands in one step sends their
+COMMITFASTs as one :class:`BatchCommitFast` frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Tuple
 
+from repro.crypto.digest import same_encoding, sibling_with_replica
+from repro.crypto.signatures import Signature
 from repro.errors import SerializationError
 from repro.messages.base import (
     SignedPayload,
@@ -143,14 +154,25 @@ class SpecReply:
     result: Any
 
     def matches_fast(self, other: "SpecReply") -> bool:
-        """Fast-path matching: identical O, I, D, S, c, t and rep."""
+        """Fast-path matching: identical O, I, D, S, d, c, t and rep --
+        every signed field but the signer's own id, and identical *as
+        signed*: matching headers differ in ``replica`` and in no other
+        byte (what lets :class:`CommitFast` ship the statement once).
+
+        ``==`` is byte equality for every field but ``rep``: a string
+        equals only a string, and ``from_wire`` makes the integer
+        fields ints, so a header that spelled ``5`` as ``5.0`` decodes
+        to something other than what was signed and fails ``verify``
+        before it is matched.  ``result`` is application data of any
+        JSON shape, so it is compared by encoding."""
         return (self.owner_number == other.owner_number
                 and self.instance == other.instance
                 and self.deps == other.deps
                 and self.seq == other.seq
+                and self.request_digest == other.request_digest
                 and self.client_id == other.client_id
                 and self.timestamp == other.timestamp
-                and self.result == other.result)
+                and same_encoding(self.result, other.result))
 
     def to_wire(self) -> dict:
         return {
@@ -179,13 +201,15 @@ class SpecReply:
                 "header); its signature cannot be verified")
         return cls(
             replica=wire["replica"],
-            owner_number=wire["owner_number"],
+            # int(), as InstanceID.from_wire does its slot: see
+            # matches_fast for what leans on it.
+            owner_number=int(wire["owner_number"]),
             instance=InstanceID.from_wire(wire["instance"]),
             deps=deps_from_wire(wire["deps"]),
-            seq=wire["seq"],
+            seq=int(wire["seq"]),
             request_digest=wire["request_digest"],
             client_id=wire["client_id"],
-            timestamp=wire["timestamp"],
+            timestamp=int(wire["timestamp"]),
             result=wire["result"],
         )
 
@@ -255,19 +279,74 @@ class SpecReplyBundle:
         )
 
 
+#: The signed SPECREPLY fields a fast certificate's headers share:
+#: all of them but ``replica``.
+_STATEMENT_FIELDS = tuple(f.name for f in fields(SpecReply)
+                          if f.name != "replica")
+
+
+def _fast_statement(certificate: Tuple[SignedPayload, ...]) -> dict:
+    """The one SPECREPLY statement ``certificate`` signs 3f+1 times, as
+    a header's wire form less its ``type`` and ``replica``.  Raises
+    :class:`SerializationError` unless every envelope is a SPECREPLY
+    header signed by the replica it names and all of them match."""
+    if not certificate:
+        raise SerializationError("CommitFast carries no SPECREPLY headers")
+    first = certificate[0].payload
+    for signed in certificate:
+        header = signed.payload
+        if not isinstance(header, SpecReply):
+            raise SerializationError(
+                f"CommitFast certificate holds a "
+                f"{type(header).__name__}, not a SPECREPLY header")
+        if signed.signer != header.replica:
+            raise SerializationError(
+                f"CommitFast header signed by {signed.signer!r} names "
+                f"'replica' {header.replica!r}")
+        if not first.matches_fast(header):
+            differing = ", ".join(
+                repr(name) for name in _STATEMENT_FIELDS
+                if not same_encoding(getattr(first, name),
+                                     getattr(header, name)))
+            raise SerializationError(
+                f"CommitFast headers of {first.replica!r} and "
+                f"{header.replica!r} differ in {differing}: not a "
+                f"fast certificate")
+    statement = first.to_wire()
+    del statement["type"], statement["replica"]
+    return statement
+
+
 @register_message
 @dataclass(frozen=True)
 class CommitFast:
     """<COMMITFAST, c, I, CC> -- asynchronous fast-path commit certificate
     of 3f+1 matching signed SPECREPLY headers (no SPECORDER inside: see
-    :class:`SpecReply`)."""
+    :class:`SpecReply`).
+
+    Matching headers are one statement signed 3f+1 times, so the wire
+    form is ``CC = <<SPECREPLY, O, I, D', S', d, c, t, rep>,
+    [(R_j, sigma_Rj), ...]>``: the statement once, then who signed it
+    and their tags.  ``replica`` is the one signed field left out of
+    the statement because it is the one field that may differ between
+    matching headers, and it is never free: a header counts only when
+    its ``replica`` is its signer, which the signature list already
+    names.  ``from_wire`` rebuilds header j as the statement with
+    ``replica = R_j``; every rebuilt header is still MAC-checked by
+    ``SignedPayload.verify`` wherever the certificate is validated.
+
+    ``certificate`` itself stays a tuple of signed envelopes, so a
+    certificate that is *not* 3f+1 siblings can be built in process (and
+    is refused by the replica's validation); it has no wire form and
+    ``to_wire`` raises :class:`SerializationError` naming why.
+    """
 
     MSG_TYPE = "ez-commit-fast"
 
-    #: One simulated MAC check, although ``_on_commit_fast`` verifies
-    #: all 3f+1 signed headers on arrival (a slow-path COMMIT is
-    #: charged per signer).  The model under-counts here on purpose:
-    #: every pinned sim figure was recorded under this value.
+    #: One simulated MAC check, although ``_on_commit_fast`` MAC-checks
+    #: all 3f+1 signatures on arrival (a slow-path COMMIT is charged
+    #: per signer).  The model under-counts here on purpose: every
+    #: pinned sim figure was recorded under this value.
     cpu_cost_units = 1
 
     client_id: str
@@ -279,17 +358,81 @@ class CommitFast:
             "type": self.MSG_TYPE,
             "client_id": self.client_id,
             "instance": self.instance.to_wire(),
-            "certificate": list(self.certificate),
+            "statement": _fast_statement(self.certificate),
+            "signatures": [[signed.signer, signed.signature.tag]
+                           for signed in self.certificate],
         }
 
     @classmethod
     def from_wire(cls, wire: dict) -> "CommitFast":
+        if "certificate" in wire:
+            # Bytes from before the statement/signature split: 3f+1
+            # whole envelopes.  Name the key instead of a KeyError.
+            raise SerializationError(
+                "CommitFast wire form carries the retired 'certificate' "
+                "key (written before fast certificates shipped one "
+                "statement and 3f+1 signatures)")
+        signatures = [Signature(signer=signer, tag=tag)
+                      for signer, tag in wire["signatures"]]
+        if not signatures:
+            raise SerializationError(
+                "CommitFast carries no SPECREPLY headers")
+        # One header is decoded (and, for its MAC check, encoded) in
+        # full; its siblings share its parsed fields and derive their
+        # signed bytes from its encoding.
+        first = SpecReply.from_wire(
+            dict(wire["statement"], replica=signatures[0].signer))
+        headers = [first]
+        headers.extend(sibling_with_replica(first, signature.signer)
+                       for signature in signatures[1:])
         return cls(
             client_id=wire["client_id"],
             instance=InstanceID.from_wire(wire["instance"]),
-            certificate=tuple(as_message(c, SignedPayload)
-                              for c in wire["certificate"]),
+            certificate=tuple(
+                SignedPayload(payload=header, signature=signature)
+                for header, signature in zip(headers, signatures)),
         )
+
+
+@register_message
+@dataclass(frozen=True)
+class BatchCommitFast:
+    """<[<COMMITFAST, c, I, CC>, ...]> -- the COMMITFASTs a client
+    certified in one step (one :class:`SpecReplyBundle` of a batch
+    completing k fast quorums at once), in one frame.
+
+    Unsigned, as a COMMITFAST is: each inner certificate proves itself,
+    and a replica runs each inner commit exactly as if it had arrived
+    alone, so a forged certificate among k costs only itself.  A single
+    commit is never wrapped -- it travels as the plain
+    :class:`CommitFast`.
+    """
+
+    MSG_TYPE = "ez-batch-commit-fast"
+
+    commits: Tuple[CommitFast, ...]
+
+    def __post_init__(self) -> None:
+        if not self.commits:
+            raise SerializationError("BatchCommitFast must carry commits")
+
+    @property
+    def cpu_cost_units(self) -> int:
+        """What the k singleton COMMITFASTs it replaces cost (see
+        ``batch_cost`` in :mod:`repro.messages.batching` for the other
+        batch shapes): nothing about verifying them is shared."""
+        return len(self.commits)
+
+    def to_wire(self) -> dict:
+        return {
+            "type": self.MSG_TYPE,
+            "commits": list(self.commits),
+        }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "BatchCommitFast":
+        return cls(commits=tuple(as_message(c, CommitFast)
+                                 for c in wire["commits"]))
 
 
 @register_message

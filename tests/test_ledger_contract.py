@@ -17,6 +17,7 @@ import pytest
 from repro.core.client import EzBFTClient
 from repro.core.executor import DependencyExecutor
 from repro.core.replica import EzBFTReplica
+from repro.messages.ezbft import BatchCommitFast
 from repro.storage.store import RecoverySummary, ReplicaStorage
 
 from helpers import lan_cluster
@@ -54,3 +55,50 @@ def test_replica_seams_and_counters_the_workloads_use(tmp_path):
     storage.close()
     assert isinstance(summary, RecoverySummary)
     assert summary.records_replayed == 0
+
+
+def test_folded_commit_frame_enters_through_on_message(monkeypatch):
+    """``core.replica.msgs_per_commit`` is calls of
+    ``EzBFTReplica.on_message`` per commit, i.e. frames handled.  A
+    :class:`BatchCommitFast` is one frame: it goes in through
+    ``on_message`` once and its inner commits take no second trip
+    through it; the client builds it inside its own ``on_message``."""
+    handled = []
+    replica_entry = EzBFTReplica.on_message
+    client_entry = EzBFTClient.on_message
+
+    def replica_on_message(self, sender, message):
+        handled.append((self.node_id, type(message)))
+        replica_entry(self, sender, message)
+
+    depth = []
+    sent_inside = []
+
+    def client_on_message(self, sender, message):
+        depth.append(1)
+        try:
+            client_entry(self, sender, message)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(EzBFTReplica, "on_message", replica_on_message)
+    monkeypatch.setattr(EzBFTClient, "on_message", client_on_message)
+    cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    broadcast = client.ctx.broadcast
+
+    def watching(dsts, message):
+        if isinstance(message, BatchCommitFast):
+            sent_inside.append(bool(depth))
+        broadcast(dsts, message)
+
+    client.ctx.broadcast = watching
+    client.submit_batch([client.next_command("put", f"k{i}", i)
+                         for i in range(8)])
+    cluster.run_until_idle()
+    assert sent_inside == [True]
+    at_r1 = [kind for node, kind in handled if node == "r1"]
+    assert at_r1.count(BatchCommitFast) == 1
+    assert cluster.replicas["r1"].stats["committed_fast"] == 8
+    # The proposal, then the folded commits: two frames for 8 commands.
+    assert len(at_r1) == 2

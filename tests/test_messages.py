@@ -1,7 +1,13 @@
 """Wire round-trip tests for every registered message type."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.byzantine import install_byzantine
+from repro.core.replica import EzBFTReplica
+from repro.crypto.digest import canonical_bytes
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import SerializationError
 from repro.messages import decode
@@ -10,14 +16,18 @@ from repro.messages import batching, ezbft, fab, pbft, zyzzyva
 from repro.statemachine.base import Command
 from repro.types import InstanceID
 
+from helpers import DeliveryLog, lan_cluster
+
 
 CMD = Command(client_id="c0", timestamp=7, op="put", key="k", value="v")
 INST = InstanceID("r0", 3)
 KEYPAIR = KeyPair.generate("r0", seed=b"test")
+#: A fast certificate's headers must be signed by the replica they name.
+R1_KEYPAIR = KeyPair.generate("r1", seed=b"test")
 
 
-def _signed(payload):
-    return SignedPayload.create(payload, KEYPAIR)
+def _signed(payload, keypair=KEYPAIR):
+    return SignedPayload.create(payload, keypair)
 
 
 def _spec_order():
@@ -48,7 +58,11 @@ SAMPLES = [
             leader="r0", owner_number=0,
             orders=(_spec_order(), _spec_order())))),
     ezbft.CommitFast(client_id="c0", instance=INST,
-                     certificate=(_signed(_spec_reply()),)),
+                     certificate=(_signed(_spec_reply(), R1_KEYPAIR),)),
+    ezbft.BatchCommitFast(commits=(
+        ezbft.CommitFast(
+            client_id="c0", instance=INST,
+            certificate=(_signed(_spec_reply(), R1_KEYPAIR),)),) * 2),
     ezbft.Commit(client_id="c0", instance=INST, command=CMD,
                  deps=(InstanceID("r1", 0),), seq=9,
                  certificate=(_signed(_spec_reply()),)),
@@ -179,6 +193,166 @@ def test_spec_reply_matching_semantics():
         deps=a.deps, seq=a.seq + 1, request_digest=a.request_digest,
         client_id=a.client_id, timestamp=a.timestamp, result=a.result)
     assert not a.matches_fast(c)
+    # d = H(m) is a signed field of the header like any other.
+    assert not a.matches_fast(
+        dataclasses.replace(b, request_digest="another request"))
+    # Every signed field but the signer's id takes part.
+    changed = {"owner_number": 9, "instance": InstanceID("r9", 9),
+               "deps": (), "seq": 99, "request_digest": "x",
+               "client_id": "c9", "timestamp": 99, "result": "other"}
+    assert set(changed) | {"replica"} == {
+        f.name for f in dataclasses.fields(ezbft.SpecReply)}
+    for name, value in changed.items():
+        assert not a.matches_fast(dataclasses.replace(b, **{name: value}))
+
+
+def test_header_naming_a_foreign_digest_is_not_a_fast_vote():
+    """r3 signs headers that name some other request's digest: they
+    must not count toward the client's 3f+1, and a certificate holding
+    one is not a fast certificate."""
+    class WrongDigestReplica(EzBFTReplica):
+        def _send_spec_reply(self, entry, signed_order,
+                             request_digest=None):
+            super()._send_spec_reply(entry, signed_order,
+                                     request_digest="00" * 32)
+
+    cluster = lan_cluster()
+    install_byzantine(cluster, "r3", WrongDigestReplica)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    headers = {}
+    deliver = cluster.network.handler_of("c0")
+
+    def sniff(sender, message):
+        if isinstance(message, ezbft.SpecReplyBundle):
+            headers[sender] = message.replies[0]
+        deliver(sender, message)
+
+    cluster.network.set_handler("c0", sniff)
+    client.submit(client.next_command("put", "k", "v"))
+    cluster.run_until_idle()
+    assert log.paths == ["slow"]
+    assert client.stats["delivered_fast"] == 0
+    assert headers["r3"].payload.request_digest == "00" * 32
+    forged = ezbft.CommitFast(
+        client_id="c0", instance=headers["r0"].payload.instance,
+        certificate=tuple(headers[rid] for rid in sorted(headers)))
+    assert len(forged.certificate) == 4
+    assert all(h.verify(cluster.registry) for h in forged.certificate)
+    assert not cluster.replicas["r1"]._validate_fast_certificate(forged)
+    with pytest.raises(SerializationError, match="request_digest"):
+        forged.to_wire()
+
+
+def test_matching_is_of_signed_bytes_not_of_python_equality():
+    """``5 == 5.0`` and ``1 == True`` in Python, but each is spelled
+    differently under the signature: such headers are not one
+    statement.  ``rep`` is compared by encoding; an integer field
+    spelled as a float does not survive decoding with its signature."""
+    a = _spec_reply()
+    for honest, respelled in [(5, 5.0), (1, True), (0, False),
+                              (0.0, -0.0), ([1], [1.0]),
+                              ({"n": 1}, {"n": True})]:
+        assert honest == respelled
+        mine = dataclasses.replace(a, result=honest)
+        assert mine.matches_fast(dataclasses.replace(a, result=honest))
+        assert not mine.matches_fast(
+            dataclasses.replace(a, result=respelled))
+        assert not dataclasses.replace(a, result=respelled) \
+            .matches_fast(mine)
+    # Same value, same bytes, different Python container: one statement.
+    assert dataclasses.replace(a, result={"x": [1, 2], "y": None}) \
+        .matches_fast(dataclasses.replace(a, result={"y": None,
+                                                     "x": [1, 2]}))
+    registry = KeyRegistry()
+    registry.register(KEYPAIR)
+    for name in ("owner_number", "seq", "timestamp"):
+        lie = dataclasses.replace(a, **{name: float(getattr(a, name))})
+        signed = _signed(lie)
+        assert signed.verify(registry)  # it signed what it said
+        arrived = decode(json.loads(canonical_bytes(signed)))
+        assert type(getattr(arrived.payload, name)) is int
+        assert not arrived.verify(registry)
+
+
+def test_result_spelled_differently_is_not_a_fast_vote():
+    """r3 answers ``5.0`` where the others answer ``5`` and ``True``
+    for ``1``.  Were those counted as matching, the COMMITFAST would
+    ship one spelling for all four signatures, every replica would
+    refuse it, and the client -- already done -- would never retry.
+    They are not fast votes: the reads go the slow path and final
+    execution proceeds.  COMMITFASTs cross a real encode/decode here,
+    which the simulator otherwise skips."""
+    class RespellingReplica(EzBFTReplica):
+        def _send_spec_reply(self, entry, signed_order,
+                             request_digest=None):
+            honest = entry.spec_result
+            entry.spec_result = {5: 5.0, 1: True}.get(honest, honest)
+            try:
+                super()._send_spec_reply(entry, signed_order,
+                                         request_digest)
+            finally:
+                entry.spec_result = honest
+
+    cluster = lan_cluster()
+    install_byzantine(cluster, "r3", RespellingReplica)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    headers = {}
+    to_client = cluster.network.handler_of("c0")
+
+    def sniff(sender, message):
+        if isinstance(message, ezbft.SpecReplyBundle):
+            headers[sender] = message.replies[0]
+        to_client(sender, message)
+
+    cluster.network.set_handler("c0", sniff)
+
+    def over_the_wire(deliver):
+        def handler(sender, message):
+            if isinstance(message, (ezbft.CommitFast,
+                                    ezbft.BatchCommitFast)):
+                message = decode(json.loads(canonical_bytes(message)))
+            deliver(sender, message)
+        return handler
+
+    for rid in cluster.replicas:
+        cluster.network.set_handler(
+            rid, over_the_wire(cluster.network.handler_of(rid)))
+
+    script = [("put", 5), ("get", None), ("put", 1), ("get", None),
+              ("put", 6), ("get", None)]
+    lied_about = {}
+    for op, value in script:
+        client.submit(client.next_command(op, "k", value))
+        cluster.run_until_idle()
+        if log.records[-1][1] in (5, 1):
+            lied_about[log.records[-1][1]] = dict(headers)
+    assert [r[1] for r in log.records] == ["OK", 5, "OK", 1, "OK", 6]
+    assert [type(r[1]) for r in log.records][1::2] == [int, int, int]
+    # (Writes after a slow commit may themselves go slow: dependency
+    # frontiers differ until execution catches up -- not the subject.)
+    assert [log.paths[i] for i in (1, 3)] == ["slow", "slow"]
+    assert log.paths[0] == log.paths[5] == "fast"
+    for rid, replica in cluster.replicas.items():
+        assert replica.stats["invalid_messages"] == 0, rid
+        assert replica.statemachine.get_final("k") == 6, rid
+
+    for honest, seen in lied_about.items():
+        assert type(seen["r3"].payload.result) is not int
+        assert seen["r3"].payload.result == honest
+        forged = ezbft.CommitFast(
+            client_id="c0", instance=seen["r0"].payload.instance,
+            certificate=tuple(seen[rid] for rid in sorted(seen)))
+        assert len(forged.certificate) == 4
+        assert all(h.verify(cluster.registry)
+                   for h in forged.certificate)
+        assert not cluster.replicas["r1"] \
+            ._validate_fast_certificate(forged)
+        with pytest.raises(SerializationError, match="'result'"):
+            forged.to_wire()
 
 
 def test_spec_reply_is_the_signed_header_only():

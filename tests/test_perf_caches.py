@@ -8,6 +8,10 @@ a byzantine node that mutates a frozen message after signing it
 key on content, never on object identity.
 """
 
+import dataclasses
+import json
+import sys
+
 import pytest
 
 from repro.crypto.authenticator import (
@@ -16,16 +20,19 @@ from repro.crypto.authenticator import (
     verify_authenticator_batch,
 )
 from repro.crypto.digest import (
+    _BYTES_MEMO,
     _encode,
     canonical_bytes,
     clear_caches,
     digest,
+    sibling_with_replica,
 )
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import InvalidSignatureError, UnknownSignerError
 from repro.messages.base import SignedPayload
-from repro.messages.ezbft import Request
+from repro.messages.ezbft import CommitFast, Request, SpecReply
 from repro.statemachine.base import Command
+from repro.types import InstanceID
 
 
 def _request(value: str = "v") -> Request:
@@ -142,6 +149,93 @@ def test_envelope_cache_cleared_on_key_rotation():
     # though a True verdict was cached against the old key.
     registry.register(KeyPair.generate("n0", seed=b"rotated"))
     assert not envelope.verify(registry)
+
+
+# ----------------------------------------------------------------------
+# Sibling headers of a fast certificate: one encode, 3f+1 MAC checks
+# ----------------------------------------------------------------------
+_SIGNERS = ("r0", "r1", "r2", "r3")
+
+
+def _fast_commit(pairs) -> CommitFast:
+    instance = InstanceID("r0", 3)
+    return CommitFast(
+        client_id="c0", instance=instance,
+        certificate=tuple(
+            SignedPayload.create(SpecReply(
+                replica=rid, owner_number=0, instance=instance,
+                deps=(InstanceID("r1", 0), InstanceID("r2", 5)), seq=4,
+                request_digest="def", client_id="c0", timestamp=7,
+                result="OK"), pairs[rid])
+            for rid in _SIGNERS))
+
+
+def _over_the_wire(message):
+    return json.loads(canonical_bytes(message))
+
+
+def test_fast_certificate_round_trip_encodes_one_header(monkeypatch):
+    registry, pairs = _registry(*_SIGNERS)
+    commit = _fast_commit(pairs)
+    wire = _over_the_wire(commit)
+    encoded = []
+
+    def counting(value):
+        encoded.append(type(value))
+        return _encode(value)
+
+    # (``repro.crypto.digest`` the attribute is the function.)
+    monkeypatch.setattr(sys.modules["repro.crypto.digest"], "_encode",
+                        counting)
+    again = CommitFast.from_wire(wire)
+    assert all(signed.verify(registry) for signed in again.certificate)
+    assert encoded.count(SpecReply) == 1
+    assert again == commit
+    for signed, original in zip(again.certificate, commit.certificate):
+        assert signed == original
+        assert canonical_bytes(signed.payload) == _encode(original.payload)
+
+
+def test_mutated_sibling_header_fails_verification():
+    """Derived bytes are a memo like any other: keyed by content, so a
+    sibling altered after decoding is re-encoded and its MAC fails."""
+    registry, pairs = _registry(*_SIGNERS)
+    again = CommitFast.from_wire(_over_the_wire(_fast_commit(pairs)))
+    sibling = again.certificate[2]
+    assert getattr(sibling.payload, _BYTES_MEMO, None) is not None
+    assert sibling.verify(registry)
+    object.__setattr__(sibling.payload, "seq", 99)
+    assert not sibling.verify(registry)
+    assert all(signed.verify(registry)
+               for signed in again.certificate if signed is not sibling)
+
+
+def test_sibling_signed_by_another_replica_does_not_verify():
+    """The derived bytes name the sibling's own replica: r1's tag under
+    a header respelled to r2 is a bad MAC, not a shortcut around one."""
+    registry, pairs = _registry(*_SIGNERS)
+    wire = _over_the_wire(_fast_commit(pairs))
+    wire["signatures"][1][0] = "r2"  # r1's tag, claimed for r2
+    forged = CommitFast.from_wire(wire).certificate[1]
+    assert forged.payload.replica == "r2"
+    assert not forged.verify(registry)
+
+
+def test_respelling_declines_when_an_earlier_value_holds_an_object():
+    """The lemma's premise, checked at run time: with a nested object
+    ahead of the top-level ``replica`` key the first textual match may
+    be that object's key, so no bytes are derived."""
+    @dataclasses.dataclass(frozen=True)
+    class Nested:
+        replica: str
+
+        def to_wire(self):
+            return {"a": {"n": 1, "replica": "inner"},
+                    "replica": self.replica}
+
+    sibling = sibling_with_replica(Nested("r0"), "r1")
+    assert getattr(sibling, _BYTES_MEMO, None) is None
+    assert canonical_bytes(sibling) == _encode(sibling.to_wire())
 
 
 # ----------------------------------------------------------------------

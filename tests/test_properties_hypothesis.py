@@ -1,16 +1,27 @@
 """Property-based tests (hypothesis) on core data structures and
 protocol invariants."""
 
+import dataclasses
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.digest import canonical_bytes, digest
+from repro.crypto.digest import (
+    _BYTES_MEMO,
+    _encode,
+    _respell_replica,
+    canonical_bytes,
+    digest,
+    same_encoding,
+    sibling_with_replica,
+)
 from repro.graph import linearize, tarjan_scc
+from repro.messages.ezbft import SpecReply
 from repro.statemachine.base import Command
 from repro.statemachine.interference import KVInterference
 from repro.statemachine.kvstore import KVStore
+from repro.types import InstanceID
 
 # ----------------------------------------------------------------------
 # Canonical serialization
@@ -41,6 +52,85 @@ def test_digest_invariant_under_key_order(mapping):
 @given(json_values)
 def test_canonical_bytes_is_valid_json(value):
     json.loads(canonical_bytes(value))
+
+
+#: Values that collide under ``==`` but not under the signature.
+_lookalikes = st.sampled_from(
+    [0, 1, 5, 0.0, -0.0, 1.0, 5.0, True, False, None, "", "1", "5"])
+lookalike_values = st.recursive(
+    st.one_of(_lookalikes, json_scalars),
+    lambda children: st.one_of(
+        st.lists(children, max_size=2),
+        st.dictionaries(st.sampled_from(["a", "b"]), children,
+                        max_size=2)),
+    max_leaves=4)
+
+
+@given(lookalike_values, lookalike_values)
+def test_same_encoding_is_equality_of_canonical_bytes(a, b):
+    """The scalar shortcut agrees with the definition, and is never
+    looser than it where Python's ``==`` is."""
+    assert same_encoding(a, b) == (_encode(a) == _encode(b))
+    assert same_encoding(a, a)
+
+
+# ----------------------------------------------------------------------
+# Sibling SPECREPLY headers: derived bytes == the plain encoder's
+# ----------------------------------------------------------------------
+#: Ids built to break a textual splice: quotes, backslashes, the very
+#: key being searched for, an opening brace, non-ASCII.
+hostile_ids = st.one_of(
+    st.sampled_from(['"', "\\", ',"replica":"x"', '\\",\\"replica\\":',
+                     "{", 'r{"replica":', "r\u00e9plica", "\U0001f980"]),
+    st.text(max_size=12))
+plain_ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.",
+                    min_size=1, max_size=8)
+results = st.one_of(
+    st.none(), st.floats(allow_nan=False), st.text(max_size=8),
+    st.lists(json_scalars, max_size=3),
+    st.fixed_dictionaries({"replica": hostile_ids},
+                          optional={"value": json_scalars}))
+
+
+def spec_replies(ids):
+    return st.builds(
+        SpecReply, replica=ids, owner_number=st.integers(0, 9),
+        instance=st.builds(InstanceID, ids, st.integers(0, 99)),
+        deps=st.lists(st.builds(InstanceID, ids, st.integers(0, 99)),
+                      max_size=3).map(lambda d: tuple(sorted(d))),
+        seq=st.integers(0, 99), request_digest=st.text(max_size=8),
+        client_id=ids, timestamp=st.integers(0, 99), result=results)
+
+
+@given(spec_replies(hostile_ids), hostile_ids)
+def test_respelled_replica_equals_plain_encoding(header, signer):
+    """Whatever the ids and the result hold, the respelling either
+    declines or is byte for byte the encoder's output for the same
+    header under the other signer."""
+    expected = _encode(dataclasses.replace(header, replica=signer))
+    derived = _respell_replica(_encode(header).decode("ascii"),
+                               header.replica, signer)
+    assert derived is None or derived.encode("ascii") == expected
+    sibling = sibling_with_replica(header, signer)
+    assert sibling == dataclasses.replace(header, replica=signer)
+    assert canonical_bytes(sibling) == expected
+
+
+@given(spec_replies(plain_ids), plain_ids)
+def test_respelling_applies_to_ordinary_ids(header, signer):
+    """Not vacuous: with brace-free ids the shortcut is always taken,
+    a result that has a ``replica`` key of its own included (``result``
+    sorts after ``replica``, so the first match is still the key)."""
+    expected = _encode(dataclasses.replace(header, replica=signer))
+    derived = _respell_replica(_encode(header).decode("ascii"),
+                               header.replica, signer)
+    assert derived is not None and derived.encode("ascii") == expected
+    try:
+        hash(header)
+    except TypeError:
+        return  # dict/list result: no memo to derive into
+    memo = getattr(sibling_with_replica(header, signer), _BYTES_MEMO)
+    assert memo[1] == expected
 
 
 # ----------------------------------------------------------------------

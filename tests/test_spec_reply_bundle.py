@@ -8,6 +8,7 @@ bundle per client, and every path that consumes a certificate accepts
 the header-only form.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import SerializationError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
+    BatchCommitFast,
     Commit,
     CommitFast,
     OwnerChange,
@@ -70,15 +72,22 @@ def submit_puts(cluster, client, count, start=0):
 def test_commit_fast_carries_headers_only_and_is_small():
     cluster = lan_cluster()
     commits = capture(cluster, "r1", CommitFast)
+    folded = capture(cluster, "r1", BatchCommitFast)
     client = cluster.add_client("c0", "local", target_replica="r0")
     submit_puts(cluster, client, 1)
     (commit_fast,) = commits
+    assert not folded  # one header per bundle: nothing to fold
     assert len(commit_fast.certificate) == 4
     assert all(isinstance(signed.payload, SpecReply)
                for signed in commit_fast.certificate)
     assert not carries_spec_order(commit_fast)
-    # 3.5 KB when every header embedded the signed SPECORDER.
-    assert len(canonical_bytes(commit_fast)) < 2048
+    # 3.5 KB when every header embedded the signed SPECORDER, 1.6 KB
+    # as four whole headers; now one statement and four signatures.
+    assert len(canonical_bytes(commit_fast)) < 1024
+    wire = json.loads(canonical_bytes(commit_fast))
+    assert "replica" not in wire["statement"]
+    assert [signer for signer, _ in wire["signatures"]] == \
+        ["r0", "r1", "r2", "r3"]
 
 
 def test_slow_path_commit_certificate_carries_headers_only():
@@ -145,8 +154,33 @@ def test_relogged_wal_records_are_header_only_and_recover(tmp_path):
     assert fresh.kvstores()["r0"].final_items() == expected_state
 
 
+def test_mismatched_headers_have_no_wire_form():
+    """In process such a certificate can be built (and the replica
+    refuses it); there is no statement to ship, and the error says
+    which field the headers disagree on."""
+    cluster = lan_cluster()
+    commits = capture(cluster, "r1", CommitFast)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    submit_puts(cluster, client, 1)
+    (honest,) = commits
+    cert = list(honest.certificate)
+    lied = dataclasses.replace(cert[2].payload, seq=cert[2].payload.seq + 1)
+    cert[2] = SignedPayload.create(lied, cluster.replicas["r2"].keypair)
+    mixed = dataclasses.replace(honest, certificate=tuple(cert))
+    assert not cluster.replicas["r1"]._validate_fast_certificate(mixed)
+    with pytest.raises(SerializationError, match="'seq'"):
+        mixed.to_wire()
+    # A header signed by someone other than the replica it names.
+    cert[2] = SignedPayload.create(honest.certificate[2].payload,
+                                   cluster.replicas["r3"].keypair)
+    with pytest.raises(SerializationError, match="'replica'"):
+        dataclasses.replace(honest, certificate=tuple(cert)).to_wire()
+    with pytest.raises(SerializationError):
+        dataclasses.replace(honest, certificate=()).to_wire()
+
+
 # ----------------------------------------------------------------------
-# (b) Batched: one bundle per (client, batch)
+# (b) Batched: one bundle per (client, batch), one commit frame back
 # ----------------------------------------------------------------------
 def test_batch_is_answered_with_one_bundle_per_replica():
     cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
@@ -169,6 +203,71 @@ def test_batch_is_answered_with_one_bundle_per_replica():
             set(range(1, 9))
     assert len({h.signer for b in bundles for h in b.replies}) == 4
     assert_replicas_consistent(cluster)
+
+
+def test_batch_is_committed_with_one_frame_per_replica():
+    cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", target_replica="r0",
+                                on_delivery=log.hook("c0"))
+    folded = {rid: capture(cluster, rid, BatchCommitFast)
+              for rid in cluster.replicas}
+    singles = {rid: capture(cluster, rid, CommitFast)
+               for rid in cluster.replicas}
+    client.submit_batch([client.next_command("put", f"k{i}", i)
+                         for i in range(8)])
+    cluster.run_until_idle()
+    assert log.paths == ["fast"] * 8
+    for rid, replica in cluster.replicas.items():
+        (batch,) = folded[rid]
+        assert not singles[rid]
+        assert len(batch.commits) == 8 and batch.cpu_cost_units == 8
+        assert {c.instance.slot for c in batch.commits} == set(range(8))
+        assert replica.stats["committed_fast"] == 8
+        assert replica.stats["invalid_messages"] == 0
+    assert_replicas_consistent(cluster)
+    # And the frame survives a real wire.
+    (batch,) = folded["r1"]
+    again = BatchCommitFast.from_wire(json.loads(canonical_bytes(batch)))
+    assert again == batch
+
+
+def test_forged_certificate_in_a_folded_frame_costs_only_itself():
+    cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    deliver = cluster.network.handler_of("r1")
+
+    def garble(sender, message):
+        if isinstance(message, BatchCommitFast):
+            commits = list(message.commits)
+            cert = list(commits[3].certificate)
+            cert[0] = dataclasses.replace(
+                cert[0], signature=dataclasses.replace(
+                    cert[0].signature, tag="00" * 32))
+            commits[3] = dataclasses.replace(commits[3],
+                                             certificate=tuple(cert))
+            message = BatchCommitFast(commits=tuple(commits))
+        deliver(sender, message)
+
+    cluster.network.set_handler("r1", garble)
+    client.submit_batch([client.next_command("put", f"k{i}", i)
+                         for i in range(8)])
+    cluster.run_until_idle()
+    stats = cluster.replicas["r1"].stats
+    assert stats["committed_fast"] == 7
+    assert stats["invalid_messages"] == 1
+    entries = list(cluster.replicas["r1"].spaces["r0"].entries())
+    assert [e.status.at_least(EntryStatus.COMMITTED) for e in entries] \
+        == [slot != 3 for slot in range(8)]
+    assert cluster.replicas["r2"].stats["committed_fast"] == 8
+
+
+def test_batch_commit_fast_rejects_empty():
+    with pytest.raises(SerializationError):
+        BatchCommitFast(commits=())
+    with pytest.raises(SerializationError):
+        BatchCommitFast.from_wire({"type": BatchCommitFast.MSG_TYPE,
+                                   "commits": []})
 
 
 def test_two_clients_in_one_batch_get_one_bundle_each():
@@ -270,7 +369,8 @@ def test_owner_change_over_committed_and_spec_ordered_batch_entries():
 # ----------------------------------------------------------------------
 # (d) Wire schema; pre-split bytes fail loudly
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls", [SpecReply, SpecReplyBundle])
+@pytest.mark.parametrize("cls", [SpecReply, SpecReplyBundle, CommitFast,
+                                 BatchCommitFast])
 def test_wire_schema_parity(cls):
     assert check_class(cls) == []
 
@@ -295,18 +395,37 @@ def test_bundle_without_attachment_still_counts_as_a_vote():
     assert client.stats["poms_sent"] == 0
 
 
-def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path):
-    """A data dir written before the split holds SPECREPLYs whose
-    signed bytes include ``spec_order``; they can never verify, so
-    recovery must say so (key and file) instead of quietly dropping the
-    commit proofs."""
+def _spec_order_inside_the_signed_tuple(wire):
+    wire["statement"]["spec_order"] = {"type": "signed"}
+    return "spec_order"
+
+
+def _whole_envelopes_per_signer(wire):
+    statement = wire.pop("statement")
+    wire["certificate"] = [
+        {"type": "signed",
+         "payload": dict(statement, type=SpecReply.MSG_TYPE,
+                         replica=signer),
+         "signature": {"signer": signer, "tag": tag}}
+        for signer, tag in wire.pop("signatures")]
+    return "certificate"
+
+
+@pytest.mark.parametrize("retire", [_spec_order_inside_the_signed_tuple,
+                                    _whole_envelopes_per_signer])
+def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path,
+                                                           retire):
+    """A data dir written before a wire split holds records this build
+    cannot use -- SPECREPLYs whose signed bytes include ``spec_order``
+    (they can never verify), COMMITFASTs shipping a whole envelope per
+    signer under ``certificate`` -- so recovery must say so (key and
+    file) instead of quietly dropping the commit proofs."""
     cluster = lan_cluster()
     commits = capture(cluster, "r0", CommitFast)
     client = cluster.add_client("c0", "local")
     submit_puts(cluster, client, 1)
     wire = json.loads(canonical_bytes(commits[0]))
-    for signed in wire["certificate"]:
-        signed["payload"]["spec_order"] = {"type": "signed"}
+    retired_key = retire(wire)
     storage = ReplicaStorage(str(tmp_path), "r0")
     storage.append_entry("c0", wire)
     storage.close()
@@ -319,7 +438,7 @@ def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path):
     with pytest.raises(SerializationError) as err:
         replica.recover_from_storage()
     storage2.close()
-    assert "spec_order" in str(err.value)
+    assert retired_key in str(err.value)
     assert "wal-0.log" in str(err.value)
     # The replay switch was flipped back: store attached, sends live.
     assert replica.storage is storage2

@@ -144,6 +144,33 @@ def test_protocol_without_the_tracing_seam_still_runs_traced():
     assert runner.last_trace["span_count"] == 0
 
 
+def test_folded_commit_frame_marks_only_its_own_requests_trace():
+    """A ``BatchCommitFast`` rides one request's root context; each
+    replica records a ``replica.commit`` event for that request's inner
+    commit and for no other (never into another request's trace)."""
+    from repro.trace import SPAN_REPLICA_COMMIT
+    from repro.trace.context import trace_id_for
+
+    from helpers import lan_cluster
+
+    cluster = lan_cluster(batch_size=8, batch_timeout_ms=5.0)
+    tracer = ActiveTracer(clock=lambda: cluster.sim.now)
+    cluster.network.tracer = tracer
+    for replica in cluster.replicas.values():
+        replica.attach_tracer(tracer)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    client.tracer = tracer
+    client.submit_batch([client.next_command("put", f"k{i}", i)
+                         for i in range(8)])
+    cluster.run_until_idle()
+    assert client.stats["delivered_fast"] == 8
+    commits = [span for span in tracer.collector.spans()
+               if span.name == SPAN_REPLICA_COMMIT]
+    assert {span.trace_id for span in commits} == {trace_id_for("c0", 1)}
+    assert sorted(span.node for span in commits) == \
+        ["r0", "r1", "r2", "r3"]
+
+
 def test_slow_path_commits_bucketed_slow():
     report, runner = _traced_run(_slow_path_scenario())
     by_path = report.trace["by_path"]
