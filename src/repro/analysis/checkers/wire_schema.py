@@ -7,7 +7,11 @@ field is whatever ``dataclasses.fields`` says it is (inheritance and
 live ``MESSAGE_REGISTRY`` holds -- the same structures the TCP codec
 uses at runtime.  Only the ``to_wire``/``from_wire`` *bodies* are
 read via their source, because coverage there is a syntactic
-question.
+question.  Most bodies are generated (:func:`repro.wire.wire_struct`
+files the text it compiles where ``inspect.getsource`` finds it), so
+for those classes the claims below check the generator; for the
+hand-written ones they check the typist.  The checker does not know
+which is which.
 
 Three parity claims per wire dataclass:
 
@@ -194,8 +198,9 @@ class WireSchemaChecker(Checker):
     name = "wire-schema"
     RULES = (
         RuleSpec("wire-parity",
-                 "frozen message dataclass whose to_wire/from_wire/"
-                 "decode-table entries disagree with its fields",
+                 "frozen message dataclass whose to_wire/from_wire "
+                 "(derived by repro.wire or hand-written) or "
+                 "decode-table entry disagrees with its fields",
                  "lazy wire embedding in PR 6"),
     )
 

@@ -4,8 +4,18 @@ Each message is a frozen dataclass with:
 
 - a unique ``MSG_TYPE`` string,
 - ``to_wire()`` / ``from_wire()`` for canonical (de)serialization,
+  *derived* from the dataclass fields when ``register_message`` runs
+  (:mod:`repro.wire` states the grammar; it is the wire specification),
 - a ``cpu_cost_units`` class attribute consumed by the simulator's CPU
   model (certificate-carrying messages cost proportionally more to verify).
+
+Three classes write wire methods by hand, because their wire form is
+not their field list: ``SignedPayload`` (both: ``payload`` is any
+registered type, decoded through :func:`decode`), ``CommitFast`` (both:
+one SPECREPLY statement and 3f+1 signatures, not 3f+1 envelopes) and
+``SpecReply.from_wire`` (names the retired ``spec_order`` key and
+coerces the integer fields ``matches_fast`` leans on; its ``to_wire``
+is derived).
 
 :func:`repro.messages.base.decode` reconstructs any registered message
 from its wire dict -- used by the asyncio transport and by tests that

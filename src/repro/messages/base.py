@@ -9,6 +9,7 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import Signature, is_valid, sign
 from repro.errors import SerializationError
+from repro.wire import as_message, wire_struct
 
 #: msg_type string -> message class.
 MESSAGE_REGISTRY: Dict[str, Type] = {}
@@ -21,7 +22,9 @@ _VERIFY_MEMO = "_repro_verify_memo"
 def register_message(cls: Type) -> Type:
     """Class decorator: register ``cls`` for :func:`decode`.
 
-    The class must define ``MSG_TYPE`` and ``from_wire``.
+    The class must define ``MSG_TYPE``.  Its ``to_wire``/``from_wire``
+    are derived from its dataclass fields (:func:`repro.wire.wire_struct`)
+    unless the class body defines them.
     """
     msg_type = getattr(cls, "MSG_TYPE", None)
     if not msg_type:
@@ -29,7 +32,7 @@ def register_message(cls: Type) -> Type:
             f"{cls.__name__} lacks a MSG_TYPE attribute")
     if msg_type in MESSAGE_REGISTRY:
         raise SerializationError(f"duplicate MSG_TYPE {msg_type!r}")
-    MESSAGE_REGISTRY[msg_type] = cls
+    MESSAGE_REGISTRY[msg_type] = wire_struct(cls)
     return cls
 
 
@@ -51,23 +54,6 @@ def decode(wire: Any) -> Any:
     cls = MESSAGE_REGISTRY.get(msg_type)
     if cls is None:
         raise SerializationError(f"unknown message type {msg_type!r}")
-    return cls.from_wire(wire)
-
-
-def as_message(wire: Any, cls: Type) -> Any:
-    """``wire`` itself if already a ``cls`` instance, else
-    ``cls.from_wire(wire)``.
-
-    ``to_wire()`` embeds nested messages (commands, envelopes,
-    certificates) as *objects* rather than eagerly serializing them:
-    the canonical encoder resolves them itself and can splice their
-    cached encodings, so a certificate re-encode costs a concatenation
-    instead of a deep traversal.  Anything that crossed a real wire
-    (``json.loads`` on the TCP path) arrives as plain dicts; nested
-    ``from_wire`` positions funnel through here to accept both forms.
-    """
-    if isinstance(wire, cls):
-        return wire
     return cls.from_wire(wire)
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import SerializationError
-from repro.messages.base import as_message, register_message
+from repro.messages.base import register_message
 from repro.messages.ezbft import SpecOrder
 from repro.messages.pbft import PrePrepare
 from repro.statemachine.base import Command
@@ -105,17 +105,6 @@ class BatchRequest:
     def cpu_cost_units(self) -> float:
         return batch_cost(CLIENT_SIGNATURE_UNITS, len(self.commands))
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "commands": list(self.commands),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "BatchRequest":
-        return cls(commands=tuple(as_message(c, Command)
-                                  for c in wire["commands"]))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -152,22 +141,6 @@ class BatchSpecOrder:
                 return order
         return None
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "leader": self.leader,
-            "owner_number": self.owner_number,
-            "orders": list(self.orders),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "BatchSpecOrder":
-        return cls(
-            leader=wire["leader"],
-            owner_number=wire["owner_number"],
-            orders=tuple(as_message(o, SpecOrder) for o in wire["orders"]),
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -193,18 +166,3 @@ class BatchPrePrepare:
     @property
     def cpu_cost_units(self) -> float:
         return batch_cost(BATCH_SIGNATURE_UNITS, len(self.pre_prepares))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "pre_prepares": list(self.pre_prepares),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "BatchPrePrepare":
-        return cls(
-            view=wire["view"],
-            pre_prepares=tuple(as_message(p, PrePrepare)
-                               for p in wire["pre_prepares"]),
-        )

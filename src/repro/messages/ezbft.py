@@ -33,12 +33,11 @@ from repro.crypto.signatures import Signature
 from repro.errors import SerializationError
 from repro.messages.base import (
     SignedPayload,
-    as_message,
-    decode,
     register_message,
+    wire_struct,
 )
 from repro.statemachine.base import Command
-from repro.types import InstanceID, deps_from_wire, deps_to_wire
+from repro.types import InstanceID, deps_from_wire
 
 Deps = Tuple[InstanceID, ...]
 
@@ -70,18 +69,6 @@ class Request:
     def timestamp(self) -> int:
         return self.command.timestamp
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "command": self.command,
-            "original_replica": self.original_replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Request":
-        return cls(command=as_message(wire["command"], Command),
-                   original_replica=wire.get("original_replica"))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -99,32 +86,6 @@ class SpecOrder:
     seq: int
     log_digest: str
     request_digest: str
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "leader": self.leader,
-            "owner_number": self.owner_number,
-            "instance": self.instance.to_wire(),
-            "command": self.command,
-            "deps": deps_to_wire(self.deps),
-            "seq": self.seq,
-            "log_digest": self.log_digest,
-            "request_digest": self.request_digest,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SpecOrder":
-        return cls(
-            leader=wire["leader"],
-            owner_number=wire["owner_number"],
-            instance=InstanceID.from_wire(wire["instance"]),
-            command=as_message(wire["command"], Command),
-            deps=deps_from_wire(wire["deps"]),
-            seq=wire["seq"],
-            log_digest=wire["log_digest"],
-            request_digest=wire["request_digest"],
-        )
 
 
 @register_message
@@ -173,20 +134,6 @@ class SpecReply:
                 and self.client_id == other.client_id
                 and self.timestamp == other.timestamp
                 and same_encoding(self.result, other.result))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replica": self.replica,
-            "owner_number": self.owner_number,
-            "instance": self.instance.to_wire(),
-            "deps": deps_to_wire(self.deps),
-            "seq": self.seq,
-            "request_digest": self.request_digest,
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "result": self.result,
-        }
 
     @classmethod
     def from_wire(cls, wire: dict) -> "SpecReply":
@@ -260,23 +207,6 @@ class SpecReplyBundle:
         the single-header bundle costs exactly what the bare signed
         SPECREPLY it replaced did."""
         return max(1, len(self.replies))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replies": list(self.replies),
-            "spec_order": self.spec_order,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SpecReplyBundle":
-        spec_order = wire.get("spec_order")
-        return cls(
-            replies=tuple(as_message(r, SignedPayload)
-                          for r in wire["replies"]),
-            spec_order=(as_message(spec_order, SignedPayload)
-                        if spec_order else None),
-        )
 
 
 #: The signed SPECREPLY fields a fast certificate's headers share:
@@ -423,17 +353,6 @@ class BatchCommitFast:
         batch shapes): nothing about verifying them is shared."""
         return len(self.commits)
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "commits": list(self.commits),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "BatchCommitFast":
-        return cls(commits=tuple(as_message(c, CommitFast)
-                                 for c in wire["commits"]))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -454,29 +373,6 @@ class Commit:
     def cpu_cost_units(self) -> int:
         return max(1, len(self.certificate))
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "client_id": self.client_id,
-            "instance": self.instance.to_wire(),
-            "command": self.command,
-            "deps": deps_to_wire(self.deps),
-            "seq": self.seq,
-            "certificate": list(self.certificate),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Commit":
-        return cls(
-            client_id=wire["client_id"],
-            instance=InstanceID.from_wire(wire["instance"]),
-            command=as_message(wire["command"], Command),
-            deps=deps_from_wire(wire["deps"]),
-            seq=wire["seq"],
-            certificate=tuple(as_message(c, SignedPayload)
-                              for c in wire["certificate"]),
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -493,26 +389,6 @@ class CommitReply:
     timestamp: int
     result: Any
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replica": self.replica,
-            "instance": self.instance.to_wire(),
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "result": self.result,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "CommitReply":
-        return cls(
-            replica=wire["replica"],
-            instance=InstanceID.from_wire(wire["instance"]),
-            client_id=wire["client_id"],
-            timestamp=wire["timestamp"],
-            result=wire["result"],
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -525,18 +401,6 @@ class ResendRequest:
 
     request: Request
     forwarder: str
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "request": self.request,
-            "forwarder": self.forwarder,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ResendRequest":
-        return cls(request=as_message(wire["request"], Request),
-                   forwarder=wire["forwarder"])
 
 
 @register_message
@@ -553,22 +417,6 @@ class ProofOfMisbehavior:
     owner_number: int
     evidence: Tuple[SignedPayload, SignedPayload]
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "suspect": self.suspect,
-            "owner_number": self.owner_number,
-            "evidence": list(self.evidence),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ProofOfMisbehavior":
-        evidence = tuple(as_message(e, SignedPayload)
-                         for e in wire["evidence"])
-        return cls(suspect=wire["suspect"],
-                   owner_number=wire["owner_number"],
-                   evidence=(evidence[0], evidence[1]))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -583,20 +431,8 @@ class StartOwnerChange:
     suspect: str
     owner_number: int
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "sender": self.sender,
-            "suspect": self.suspect,
-            "owner_number": self.owner_number,
-        }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "StartOwnerChange":
-        return cls(sender=wire["sender"], suspect=wire["suspect"],
-                   owner_number=wire["owner_number"])
-
-
+@wire_struct
 @dataclass(frozen=True)
 class LogEntrySummary:
     """One instance of the suspect's space as seen by a replica, with the
@@ -612,33 +448,6 @@ class LogEntrySummary:
     #: "spec-order" when backed by the signed SPECORDER only.
     proof_kind: str
     proof: Tuple[SignedPayload, ...] = ()
-
-    def to_wire(self) -> dict:
-        return {
-            "instance": self.instance.to_wire(),
-            "command": self.command,
-            "deps": deps_to_wire(self.deps),
-            "seq": self.seq,
-            "status": self.status,
-            "owner_number": self.owner_number,
-            "proof_kind": self.proof_kind,
-            "proof": list(self.proof),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "LogEntrySummary":
-        return cls(
-            instance=InstanceID.from_wire(wire["instance"]),
-            command=(as_message(wire["command"], Command)
-                     if wire["command"] else None),
-            deps=deps_from_wire(wire["deps"]),
-            seq=wire["seq"],
-            status=wire["status"],
-            owner_number=wire["owner_number"],
-            proof_kind=wire["proof_kind"],
-            proof=tuple(as_message(p, SignedPayload)
-                        for p in wire["proof"]),
-        )
 
 
 @register_message
@@ -665,27 +474,6 @@ class OwnerChange:
     def cpu_cost_units(self) -> int:
         return max(1, len(self.entries))
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "sender": self.sender,
-            "suspect": self.suspect,
-            "new_owner_number": self.new_owner_number,
-            "entries": list(self.entries),
-            "base_slot": self.base_slot,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "OwnerChange":
-        return cls(
-            sender=wire["sender"],
-            suspect=wire["suspect"],
-            new_owner_number=wire["new_owner_number"],
-            entries=tuple(as_message(e, LogEntrySummary)
-                          for e in wire["entries"]),
-            base_slot=wire.get("base_slot", 0),
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -708,30 +496,6 @@ class NewOwner:
     def cpu_cost_units(self) -> int:
         return max(1, len(self.safe_entries) + len(self.proof))
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "new_owner": self.new_owner,
-            "suspect": self.suspect,
-            "new_owner_number": self.new_owner_number,
-            "safe_entries": list(self.safe_entries),
-            "proof": list(self.proof),
-            "base_slot": self.base_slot,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "NewOwner":
-        return cls(
-            new_owner=wire["new_owner"],
-            suspect=wire["suspect"],
-            new_owner_number=wire["new_owner_number"],
-            safe_entries=tuple(as_message(e, LogEntrySummary)
-                               for e in wire["safe_entries"]),
-            proof=tuple(as_message(p, SignedPayload)
-                        for p in wire["proof"]),
-            base_slot=wire.get("base_slot", 0),
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -751,20 +515,6 @@ class EzCheckpoint:
     watermark: int
     state_digest: str
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replica": self.replica,
-            "watermark": self.watermark,
-            "state_digest": self.state_digest,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "EzCheckpoint":
-        return cls(replica=wire["replica"],
-                   watermark=wire["watermark"],
-                   state_digest=wire["state_digest"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -778,18 +528,6 @@ class StateTransferRequest:
 
     replica: str
     have_watermark: int
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replica": self.replica,
-            "have_watermark": self.have_watermark,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "StateTransferRequest":
-        return cls(replica=wire["replica"],
-                   have_watermark=wire["have_watermark"])
 
 
 @register_message
@@ -815,25 +553,3 @@ class StateTransferReply:
     @property
     def cpu_cost_units(self) -> int:
         return max(1, len(self.proof) + len(self.entries))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "replica": self.replica,
-            "watermark": self.watermark,
-            "snapshot": self.snapshot,
-            "proof": list(self.proof),
-            "entries": list(self.entries),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "StateTransferReply":
-        return cls(
-            replica=wire["replica"],
-            watermark=wire["watermark"],
-            snapshot=wire["snapshot"],
-            proof=tuple(as_message(p, SignedPayload)
-                        for p in wire["proof"]),
-            entries=tuple(as_message(e, LogEntrySummary)
-                          for e in wire.get("entries", ())),
-        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.messages.base import as_message, register_message
+from repro.messages.base import register_message
 from repro.statemachine.base import Command
 
 
@@ -37,13 +37,6 @@ class FabRequest:
     def timestamp(self) -> int:
         return self.command.timestamp
 
-    def to_wire(self) -> dict:
-        return {"type": self.MSG_TYPE, "command": self.command}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "FabRequest":
-        return cls(command=as_message(wire["command"], Command))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -57,22 +50,6 @@ class FabPropose:
     seqno: int
     request_digest: str
     request: FabRequest
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "proposal_number": self.proposal_number,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "request": self.request,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "FabPropose":
-        return cls(proposal_number=wire["proposal_number"],
-                   seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   request=as_message(wire["request"], FabRequest))
 
 
 @register_message
@@ -88,22 +65,6 @@ class FabAccept:
     request_digest: str
     acceptor: str
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "proposal_number": self.proposal_number,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "acceptor": self.acceptor,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "FabAccept":
-        return cls(proposal_number=wire["proposal_number"],
-                   seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   acceptor=wire["acceptor"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -118,19 +79,3 @@ class FabReply:
     timestamp: int
     replica: str
     result: Any
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "seqno": self.seqno,
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "replica": self.replica,
-            "result": self.result,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "FabReply":
-        return cls(seqno=wire["seqno"], client_id=wire["client_id"],
-                   timestamp=wire["timestamp"], replica=wire["replica"],
-                   result=wire["result"])

@@ -11,7 +11,6 @@ from typing import Any, Optional, Tuple
 
 from repro.messages.base import (
     SignedPayload,
-    as_message,
     register_message,
 )
 from repro.statemachine.base import Command
@@ -37,13 +36,6 @@ class PBFTRequest:
     def timestamp(self) -> int:
         return self.command.timestamp
 
-    def to_wire(self) -> dict:
-        return {"type": self.MSG_TYPE, "command": self.command}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PBFTRequest":
-        return cls(command=as_message(wire["command"], Command))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -57,21 +49,6 @@ class PrePrepare:
     seqno: int
     request_digest: str
     request: PBFTRequest
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "request": self.request,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PrePrepare":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   request=as_message(wire["request"], PBFTRequest))
 
 
 @register_message
@@ -87,21 +64,6 @@ class Prepare:
     request_digest: str
     replica: str
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Prepare":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   replica=wire["replica"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -115,21 +77,6 @@ class PBFTCommit:
     seqno: int
     request_digest: str
     replica: str
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PBFTCommit":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   replica=wire["replica"])
 
 
 @register_message
@@ -146,22 +93,6 @@ class PBFTReply:
     replica: str
     result: Any
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "timestamp": self.timestamp,
-            "client_id": self.client_id,
-            "replica": self.replica,
-            "result": self.result,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PBFTReply":
-        return cls(view=wire["view"], timestamp=wire["timestamp"],
-                   client_id=wire["client_id"], replica=wire["replica"],
-                   result=wire["result"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -174,19 +105,6 @@ class PBFTCheckpoint:
     seqno: int
     state_digest: str
     replica: str
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "seqno": self.seqno,
-            "state_digest": self.state_digest,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PBFTCheckpoint":
-        return cls(seqno=wire["seqno"], state_digest=wire["state_digest"],
-                   replica=wire["replica"])
 
 
 @register_message
@@ -211,27 +129,6 @@ class ViewChange:
     def cpu_cost_units(self) -> int:
         return max(1, len(self.prepared))
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "new_view": self.new_view,
-            "last_stable_seqno": self.last_stable_seqno,
-            "prepared": [list(p) for p in self.prepared],
-            "requests": list(self.requests),
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ViewChange":
-        return cls(
-            new_view=wire["new_view"],
-            last_stable_seqno=wire["last_stable_seqno"],
-            prepared=tuple((p[0], p[1], p[2]) for p in wire["prepared"]),
-            requests=tuple(as_message(r, PBFTRequest)
-                           for r in wire["requests"]),
-            replica=wire["replica"],
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -249,23 +146,3 @@ class NewView:
     @property
     def cpu_cost_units(self) -> int:
         return max(1, len(self.view_change_proof) + len(self.pre_prepares))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "new_view": self.new_view,
-            "view_change_proof": list(self.view_change_proof),
-            "pre_prepares": list(self.pre_prepares),
-            "primary": self.primary,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "NewView":
-        return cls(
-            new_view=wire["new_view"],
-            view_change_proof=tuple(as_message(p, SignedPayload)
-                                    for p in wire["view_change_proof"]),
-            pre_prepares=tuple(as_message(p, PrePrepare)
-                               for p in wire["pre_prepares"]),
-            primary=wire["primary"],
-        )

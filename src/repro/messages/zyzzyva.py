@@ -13,7 +13,6 @@ from typing import Any, Optional, Tuple
 
 from repro.messages.base import (
     SignedPayload,
-    as_message,
     register_message,
 )
 from repro.statemachine.base import Command
@@ -39,13 +38,6 @@ class ZRequest:
     def timestamp(self) -> int:
         return self.command.timestamp
 
-    def to_wire(self) -> dict:
-        return {"type": self.MSG_TYPE, "command": self.command}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ZRequest":
-        return cls(command=as_message(wire["command"], Command))
-
 
 @register_message
 @dataclass(frozen=True)
@@ -60,23 +52,6 @@ class OrderReq:
     history_digest: str
     request_digest: str
     request: ZRequest
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "history_digest": self.history_digest,
-            "request_digest": self.request_digest,
-            "request": self.request,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "OrderReq":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   history_digest=wire["history_digest"],
-                   request_digest=wire["request_digest"],
-                   request=as_message(wire["request"], ZRequest))
 
 
 @register_message
@@ -110,33 +85,6 @@ class SpecResponse:
                 and self.timestamp == other.timestamp
                 and self.result == other.result)
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "history_digest": self.history_digest,
-            "request_digest": self.request_digest,
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "replica": self.replica,
-            "result": self.result,
-            "order_req": self.order_req,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SpecResponse":
-        order_req = wire.get("order_req")
-        return cls(
-            view=wire["view"], seqno=wire["seqno"],
-            history_digest=wire["history_digest"],
-            request_digest=wire["request_digest"],
-            client_id=wire["client_id"], timestamp=wire["timestamp"],
-            replica=wire["replica"], result=wire["result"],
-            order_req=(as_message(order_req, SignedPayload)
-                       if order_req else None),
-        )
-
 
 @register_message
 @dataclass(frozen=True)
@@ -152,20 +100,6 @@ class ZCommit:
     @property
     def cpu_cost_units(self) -> int:
         return max(1, len(self.certificate))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "client_id": self.client_id,
-            "seqno": self.seqno,
-            "certificate": list(self.certificate),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ZCommit":
-        return cls(client_id=wire["client_id"], seqno=wire["seqno"],
-                   certificate=tuple(as_message(c, SignedPayload)
-                                     for c in wire["certificate"]))
 
 
 @register_message
@@ -183,24 +117,6 @@ class LocalCommit:
     replica: str
     client_id: str
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "request_digest": self.request_digest,
-            "history_digest": self.history_digest,
-            "replica": self.replica,
-            "client_id": self.client_id,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "LocalCommit":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   request_digest=wire["request_digest"],
-                   history_digest=wire["history_digest"],
-                   replica=wire["replica"], client_id=wire["client_id"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -215,19 +131,6 @@ class FillHole:
     seqno: int
     replica: str
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "view": self.view,
-            "seqno": self.seqno,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "FillHole":
-        return cls(view=wire["view"], seqno=wire["seqno"],
-                   replica=wire["replica"])
-
 
 @register_message
 @dataclass(frozen=True)
@@ -239,14 +142,6 @@ class IHateThePrimary:
 
     view: int
     replica: str
-
-    def to_wire(self) -> dict:
-        return {"type": self.MSG_TYPE, "view": self.view,
-                "replica": self.replica}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "IHateThePrimary":
-        return cls(view=wire["view"], replica=wire["replica"])
 
 
 @register_message
@@ -265,19 +160,3 @@ class ZNewView:
     @property
     def cpu_cost_units(self) -> int:
         return max(1, len(self.proof))
-
-    def to_wire(self) -> dict:
-        return {
-            "type": self.MSG_TYPE,
-            "new_view": self.new_view,
-            "primary": self.primary,
-            "max_committed_seqno": self.max_committed_seqno,
-            "proof": list(self.proof),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ZNewView":
-        return cls(new_view=wire["new_view"], primary=wire["primary"],
-                   max_committed_seqno=wire["max_committed_seqno"],
-                   proof=tuple(as_message(p, SignedPayload)
-                               for p in wire["proof"]))

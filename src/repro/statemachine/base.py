@@ -6,7 +6,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.wire import wire_struct
 
+
+@wire_struct
 @dataclass(frozen=True)
 class Command:
     """An operation a client asks the replicated service to execute.
@@ -44,25 +47,6 @@ class Command:
     @property
     def is_noop(self) -> bool:
         return self.op == "noop"
-
-    def to_wire(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "op": self.op,
-            "key": self.key,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Command":
-        return cls(
-            client_id=wire["client_id"],
-            timestamp=wire["timestamp"],
-            op=wire["op"],
-            key=wire.get("key", ""),
-            value=wire.get("value"),
-        )
 
     @classmethod
     def noop(cls) -> "Command":

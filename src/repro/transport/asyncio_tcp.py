@@ -20,7 +20,7 @@ import struct
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.cluster.node import NodeContext
-from repro.errors import TransportError
+from repro.errors import SerializationError, TransportError
 from repro.messages.base import decode
 from repro.messages.trace import (
     trace_context_from_bytes,
@@ -35,6 +35,13 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 Address = Tuple[str, int]
+
+#: What a frame body that is not a message raises on its way through
+#: ``decode_frame_traced`` and ``decode``: the two named errors, and
+#: what a ``from_wire`` raises on JSON of the wrong shape (a missing
+#: key, a scalar where a list was expected, ``InstanceID.from_wire([])``).
+_UNDECODABLE = (TransportError, SerializationError, KeyError, IndexError,
+                TypeError, ValueError)
 
 
 def parse_hostport(value: Any) -> Address:
@@ -229,7 +236,16 @@ class AsyncioNode:
             writer.close()
 
     def _dispatch(self, body: bytes) -> None:
-        sender, learned, wire, trace = decode_frame_traced(body)
+        try:
+            sender, learned, wire, trace = decode_frame_traced(body)
+            message = None if wire is None else decode(wire)
+        except _UNDECODABLE:
+            # The length prefix keeps the stream in sync: lose this
+            # frame, not the connection and the frames queued behind it.
+            self.frames_dropped += 1
+            if self.instruments.enabled:
+                self.instruments.frame_dropped()
+            return
         # Frames carry the sender's *listen* address so multi-process
         # deployments (host maps) learn routes from traffic instead of
         # needing every ephemeral port configured up front.
@@ -241,7 +257,6 @@ class AsyncioNode:
             self.last_rx_ms[sender] = self.loop.time() * 1000.0
         if wire is None:
             return  # address announcement only; no protocol payload
-        message = decode(wire)
         self.frames_received += 1
         if self.instruments.enabled:
             self.instruments.frame_received()

@@ -1,7 +1,20 @@
-"""Wire round-trip tests for every registered message type."""
+"""Wire round-trip tests for every registered message type, and the
+golden pin of the wire format itself.
+
+``to_wire``/``from_wire`` are derived from the dataclass fields
+(:mod:`repro.wire`), so renaming a field changes the TCP frame and the
+WAL record with no second place to edit.  ``tests/data/wire_schema.json``
+pins, for every sample below, its wire keys and the sha256 of its
+canonical bytes: a format change must update it *deliberately*.
+Regenerate after an intentional change with::
+
+    python tests/test_messages.py --regen
+"""
 
 import dataclasses
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -125,7 +138,61 @@ SAMPLES = [
                   acceptor="r1"),
     fab.FabReply(seqno=1, client_id="c0", timestamp=7, replica="r1",
                  result="OK"),
+    ezbft.EzCheckpoint(replica="r1", watermark=128, state_digest="d"),
+    ezbft.StateTransferRequest(replica="r1", have_watermark=64),
+    ezbft.StateTransferReply(
+        replica="r1", watermark=128,
+        snapshot={"final": {"k": {"nested": [1, 2.5, {"deep": None}]}},
+                  "applied": 128},
+        proof=(_signed(ezbft.EzCheckpoint(
+            replica="r0", watermark=128, state_digest="d")),),
+        entries=(ezbft.LogEntrySummary(
+            instance=INST, command=CMD, deps=(InstanceID("r1", 0),),
+            seq=2, status="committed", owner_number=0,
+            proof_kind="commit", proof=(_signed(_spec_reply()),)),)),
+    batching.BatchRequest(commands=(
+        CMD, dataclasses.replace(CMD, timestamp=8, op="get", value=None))),
+    batching.BatchSpecOrder(leader="r0", owner_number=0,
+                            orders=(_spec_order(), _spec_order())),
+    batching.BatchPrePrepare(view=0, pre_prepares=(
+        pbft.PrePrepare(view=0, seqno=1, request_digest="d",
+                        request=pbft.PBFTRequest(command=CMD)),)),
+    _signed(_spec_order()),
 ]
+
+#: The two wire structs that never ride top-level (no ``MSG_TYPE``).
+STRUCT_SAMPLES = [
+    CMD,
+    ezbft.LogEntrySummary(
+        instance=INST, command=None, deps=(InstanceID("r2", 1),), seq=3,
+        status="spec-ordered", owner_number=0, proof_kind="spec-order",
+        proof=(_signed(_spec_order()),)),
+]
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "wire_schema.json")
+
+
+def current_wire_schema():
+    return [{"type": getattr(type(m), "MSG_TYPE", type(m).__name__),
+             "keys": sorted(m.to_wire()),
+             "sha256": hashlib.sha256(canonical_bytes(m)).hexdigest()}
+            for m in SAMPLES + STRUCT_SAMPLES]
+
+
+def test_wire_schema_matches_golden_file():
+    with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    current = current_wire_schema()
+    assert len(current) == len(golden), \
+        "samples changed; regenerate the golden file deliberately " \
+        "(see module docstring)"
+    for now, pinned in zip(current, golden):
+        assert now == pinned, (
+            f"wire form of {pinned['type']!r} moved: TCP frames, "
+            f"signatures and WAL records written before this change "
+            f"no longer match.  If intentional, regenerate "
+            f"tests/data/wire_schema.json (module docstring).")
 
 
 @pytest.mark.parametrize("message", SAMPLES,
@@ -179,6 +246,99 @@ def test_decode_missing_type():
 def test_registry_covers_all_samples():
     for message in SAMPLES:
         assert type(message).MSG_TYPE in MESSAGE_REGISTRY
+    assert set(MESSAGE_REGISTRY.values()) == {type(m) for m in SAMPLES}
+
+
+@pytest.mark.parametrize("message", SAMPLES + STRUCT_SAMPLES,
+                         ids=lambda m: type(m).__name__)
+def test_roundtrip_through_bytes(message):
+    """What the TCP path does: nested ``from_wire`` positions see the
+    plain dicts ``json.loads`` delivers, not embedded objects."""
+    raw = canonical_bytes(message)
+    wire = json.loads(raw)
+    again = decode(wire) if hasattr(message, "MSG_TYPE") \
+        else type(message).from_wire(wire)
+    assert again == message
+    assert canonical_bytes(again) == raw
+
+
+# ----------------------------------------------------------------------
+# The derivation's edges (the grammar itself is stated in repro.wire)
+# ----------------------------------------------------------------------
+def _without(message, *keys):
+    wire = json.loads(canonical_bytes(message))
+    for key in keys:
+        del wire[key]
+    return wire
+
+
+def test_absent_defaulted_field_decodes_to_its_default():
+    owner_change = next(m for m in SAMPLES
+                        if isinstance(m, ezbft.OwnerChange))
+    assert decode(_without(owner_change, "base_slot")).base_slot == 0
+    request = ezbft.Request(command=CMD)
+    assert decode(_without(request, "original_replica")) == request
+    get = Command(client_id="c0", timestamp=1, op="get")
+    assert Command.from_wire(_without(get, "key", "value")) == get
+    # Newly lenient with the derived codec: an absent proof is the
+    # empty proof, which is constructible anyway and which every
+    # validator refuses for want of a quorum.
+    for message in SAMPLES + STRUCT_SAMPLES:
+        if isinstance(message, (ezbft.NewOwner, zyzzyva.ZNewView,
+                                ezbft.LogEntrySummary,
+                                ezbft.StateTransferReply)):
+            again = type(message).from_wire(_without(message, "proof"))
+            assert again == dataclasses.replace(message, proof=())
+
+
+def test_absent_required_field_is_a_key_error_naming_it():
+    for message in SAMPLES + STRUCT_SAMPLES:
+        if isinstance(message, ezbft.CommitFast):
+            continue  # its wire keys are not its field list
+        for f in dataclasses.fields(message):
+            if f.default is dataclasses.MISSING:
+                with pytest.raises(KeyError, match=f"'{f.name}'"):
+                    type(message).from_wire(_without(message, f.name))
+
+
+def test_field_type_outside_the_grammar_fails_at_class_definition():
+    from typing import Dict, List
+
+    from repro.messages.base import wire_struct
+
+    for annotation in (List[SignedPayload], Dict[str, Command], tuple):
+        @dataclasses.dataclass(frozen=True)
+        class Stray:
+            ok: int
+            nested: annotation
+
+        with pytest.raises(SerializationError, match="Stray.nested"):
+            wire_struct(Stray)
+        assert not hasattr(Stray, "to_wire")
+
+
+def test_a_method_the_class_defines_itself_wins():
+    def written_in(function):
+        return function.__code__.co_filename
+
+    assert written_in(ezbft.CommitFast.to_wire) == ezbft.__file__
+    assert written_in(ezbft.CommitFast.from_wire.__func__) == ezbft.__file__
+    assert written_in(ezbft.SpecReply.from_wire.__func__) == ezbft.__file__
+    assert written_in(SignedPayload.to_wire).endswith("base.py")
+    # ...and the other half of the pair is still derived.
+    assert written_in(ezbft.SpecReply.to_wire).startswith("<wire codec")
+
+
+def test_derived_source_is_inspectable():
+    import inspect
+
+    source = inspect.getsource(ezbft.SpecOrder.to_wire)
+    assert source.startswith("def to_wire(self):")
+    assert '"deps": deps_to_wire(self.deps),' in source
+    assert 'command=as_message(wire["command"], Command),' \
+        in inspect.getsource(ezbft.SpecOrder.from_wire)
+    assert ezbft.SpecOrder.to_wire.__qualname__ == "SpecOrder.to_wire"
+    assert ezbft.SpecOrder.to_wire.__module__ == ezbft.__name__
 
 
 def test_spec_reply_matching_semantics():
@@ -420,3 +580,14 @@ def test_spec_response_matching_semantics():
                              request_digest="d", client_id="c0",
                              timestamp=7, replica="r2", result="OK")
     assert not a.matches(c)
+
+
+if __name__ == "__main__":
+    import sys
+    if "--regen" in sys.argv:
+        with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+            json.dump(current_wire_schema(), fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {GOLDEN_PATH}")
+    else:
+        print("pass --regen to rewrite the golden wire-schema file")

@@ -207,3 +207,58 @@ def test_send_tasks_are_strongly_referenced():
         return len(received)
 
     assert run(scenario()) == 1
+
+
+@pytest.mark.parametrize("bad_body", [
+    {"type": "ez-checkpoint"},                          # KeyError
+    {"type": "martian"},                                # unknown type
+    {"type": "ez-request", "command": 5},               # TypeError
+    {"type": "ez-commit-reply", "replica": "r1", "instance": [],
+     "client_id": "c", "timestamp": 1, "result": None},  # IndexError
+    {"type": "ez-spec-reply", "replica": "r1",
+     "owner_number": "x"},                              # ValueError
+    {"type": "ez-spec-reply-bundle", "replies": []},    # __post_init__
+    b"\x00not a frame",                                 # TransportError
+], ids=lambda b: b["type"] if isinstance(b, dict) else "garbage")
+def test_undecodable_frame_is_dropped_and_the_reader_lives(bad_body):
+    """Regression: anything ``_dispatch`` raised ended the connection's
+    reader task, silently -- the node closed the connection and the
+    valid frames queued behind the bad one were lost.  The 4-byte
+    length prefix keeps the stream in sync, so the frame is dropped
+    and counted, and reading goes on."""
+    async def scenario():
+        import struct
+
+        from repro.messages.ezbft import Request
+        from repro.statemachine.base import Command
+        from repro.transport.codec import encode_frame
+
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context))
+        addresses = {"b": ("127.0.0.1", 0)}
+        received = []
+        node = AsyncioNode("b", addresses["b"], addresses)
+        node.handler = lambda sender, msg: received.append(msg)
+        await node.start()
+        peer = ("127.0.0.1", 1)
+        good = encode_frame("a", peer, Request(command=Command(
+            client_id="c", timestamp=1, op="noop")))
+        bad = bad_body if isinstance(bad_body, bytes) \
+            else encode_frame("a", peer, bad_body)
+        reader, writer = await asyncio.open_connection(*node.address)
+        for body in (good, bad, good):
+            writer.write(struct.pack(">I", len(body)) + body)
+        await writer.drain()
+        await asyncio.sleep(0.1)
+        still_open = not reader.at_eof()
+        writer.close()
+        await node.stop()
+        return (len(received), node.frames_dropped, still_open,
+                loop_errors)
+
+    delivered, dropped, still_open, loop_errors = run(scenario())
+    assert delivered == 2
+    assert dropped == 1
+    assert still_open
+    assert loop_errors == []
