@@ -42,7 +42,7 @@ from repro.obs.metrics import SNAPSHOT_SCHEMA_VERSION, MetricsRegistry
 
 logger = logging.getLogger("repro.obs.serve")
 
-#: How long drain waits for in-flight send tasks before closing.
+#: How long drain waits for dials and write buffers before closing.
 DRAIN_FLUSH_TIMEOUT_S = 2.0
 
 

@@ -12,13 +12,17 @@ tier-1, instead of in the benchmark driver.  Nothing from
 contract.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.client import EzBFTClient
 from repro.core.executor import DependencyExecutor
 from repro.core.replica import EzBFTReplica
-from repro.messages.ezbft import BatchCommitFast
+from repro.messages.ezbft import BatchCommitFast, Request
+from repro.statemachine.base import Command
 from repro.storage.store import RecoverySummary, ReplicaStorage
+from repro.transport import asyncio_tcp
 
 from helpers import lan_cluster
 
@@ -102,3 +106,32 @@ def test_folded_commit_frame_enters_through_on_message(monkeypatch):
     assert cluster.replicas["r1"].stats["committed_fast"] == 8
     # The proposal, then the folded commits: two frames for 8 commands.
     assert len(at_r1) == 2
+
+
+def test_send_encodes_its_frame_before_it_returns(monkeypatch):
+    """The ledger's ``transport.asyncio_tcp`` span is ``AsyncioNode.send``
+    and its ``transport.codec`` span a wrapper bound over the
+    ``encode_frame`` global of the transport module; the second nests
+    under the first only if ``send`` encodes before it returns -- which
+    is also why nothing done to a message after ``send`` can change
+    its frame."""
+    encoded = []
+    encode_frame = asyncio_tcp.encode_frame
+
+    def wrapper(*args, **kwargs):
+        encoded.append(args[2])
+        return encode_frame(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio_tcp, "encode_frame", wrapper)
+    request = Request(command=Command(
+        client_id="c", timestamp=1, op="noop"))
+
+    async def scenario():
+        addresses = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 1)}
+        node = asyncio_tcp.AsyncioNode("a", addresses["a"], addresses)
+        node.send("b", request)
+        seen = list(encoded)
+        await node.stop()
+        return seen
+
+    assert asyncio.run(scenario()) == [request]
