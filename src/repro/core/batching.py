@@ -25,7 +25,7 @@ indistinguishable from a non-batching one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -119,38 +119,12 @@ class RequestBatcher:
 
 
 # ----------------------------------------------------------------------
-# BatchRequest ingress checks: authenticity is shared by the ezBFT owner
-# and the PBFT primary; the freshness rule is PBFT's.
+# BatchRequest ingress: authenticity is shared by the ezBFT owner and
+# the PBFT primary, which then admit each command, in timestamp order,
+# through their singleton ingress rule.
 # ----------------------------------------------------------------------
 def batch_request_is_authentic(batch: Any, envelope: Any) -> bool:
     """Every command in the batch belongs to the envelope's signer."""
     client = batch.client_id
     return envelope.signer == client and \
         all(c.client_id == client for c in batch.commands)
-
-
-def fresh_batch_commands(batch: Any, client_ts: dict, reply_cache: dict,
-                         resend_fn: Callable[[Any], None]
-                         ) -> Iterator[Any]:
-    """Yield the batch's not-yet-seen commands in timestamp order.
-
-    The PBFT primary's exactly-once ingress check, the same rule as its
-    singleton request path: stale duplicates are dropped, an exact
-    duplicate of the latest command re-sends the cached reply via
-    ``resend_fn``, everything newer is yielded for ordering.  (ezBFT
-    clients pipeline, so an older timestamp there may be unseen rather
-    than stale: its replica admits each command of a batch through the
-    singleton rule instead.)
-    """
-    client = batch.client_id
-    for command in sorted(batch.commands, key=lambda c: c.timestamp):
-        t = command.timestamp
-        cached_t = client_ts.get(client, -1)
-        if t < cached_t:
-            continue  # stale duplicate
-        if t == cached_t:
-            cached = reply_cache.get(client)
-            if cached is not None and cached[0] == t:
-                resend_fn(cached[1])
-            continue
-        yield command

@@ -36,6 +36,56 @@ from repro.types import InstanceID
 CommandIdent = Tuple[str, int]
 
 
+class ExecutedIdents:
+    """Which ``(client, timestamp)`` idents have executed: per client,
+    every timestamp up to a contiguous floor plus a sparse set above it.
+    Clients number commands 1, 2, 3, ... but pipeline them, so the set
+    holds out-of-order executions until the floor absorbs them."""
+
+    def __init__(self, floors: Optional[Dict[str, int]] = None,
+                 sparse: Optional[Dict[str, Iterable[int]]] = None
+                 ) -> None:
+        self._floor: Dict[str, int] = dict(floors or {})
+        self._sparse: Dict[str, Set[int]] = {
+            client: set(ts_list)
+            for client, ts_list in (sparse or {}).items() if ts_list
+        }
+
+    def __contains__(self, ident: CommandIdent) -> bool:
+        client, timestamp = ident
+        if timestamp <= self._floor.get(client, 0):
+            return True
+        return timestamp in self._sparse.get(client, ())
+
+    def record(self, ident: CommandIdent) -> None:
+        client, timestamp = ident
+        floor = self._floor.get(client, 0)
+        if timestamp <= floor:
+            return
+        sparse = self._sparse.setdefault(client, set())
+        sparse.add(timestamp)
+        while floor + 1 in sparse:
+            floor += 1
+            sparse.discard(floor)
+        self._floor[client] = floor
+        if not sparse:
+            self._sparse.pop(client, None)
+
+    def latest(self) -> Dict[str, int]:
+        """Per-client highest executed timestamp."""
+        latest = dict(self._floor)
+        for client, sparse in self._sparse.items():
+            latest[client] = max(latest.get(client, 0), max(sparse))
+        return latest
+
+    def progress(self) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
+        """Deterministic form for checkpoint snapshots: (contiguous
+        floors, sorted executed timestamps above each floor)."""
+        return dict(self._floor), {
+            client: sorted(ts_set)
+            for client, ts_set in self._sparse.items()}
+
+
 class DependencyExecutor:
     """Tracks final-execution progress over a replica's whole log."""
 
@@ -83,10 +133,7 @@ class DependencyExecutor:
         #: Per-space first retained slot; instances below are durably
         #: executed (stable checkpoint) and treated as executed deps.
         self._low_slots: Dict[str, int] = {}
-        #: Exactly-once tracking: every timestamp <= floor is executed,
-        #: plus a sparse set of executed timestamps above the floor.
-        self._client_floor: Dict[str, int] = {}
-        self._client_sparse: Dict[str, Set[int]] = {}
+        self.idents = ExecutedIdents()
 
     def try_execute(self, log_index: Dict[InstanceID, LogEntry],
                     candidates: Any = None) -> List[LogEntry]:
@@ -140,10 +187,7 @@ class DependencyExecutor:
         return self._results.get(ident)
 
     def has_executed(self, ident: CommandIdent) -> bool:
-        client, timestamp = ident
-        if timestamp <= self._client_floor.get(client, 0):
-            return True
-        return timestamp in self._client_sparse.get(client, ())
+        return ident in self.idents
 
     def is_executed_instance(self, iid: InstanceID) -> bool:
         """Executed here, or durably executed below a checkpoint."""
@@ -156,21 +200,13 @@ class DependencyExecutor:
 
     def latest_executed_ts(self) -> Dict[str, int]:
         """Per-client highest executed timestamp."""
-        latest = dict(self._client_floor)
-        for client, sparse in self._client_sparse.items():
-            if sparse:
-                latest[client] = max(latest.get(client, 0), max(sparse))
-        return latest
+        return self.idents.latest()
 
     def client_progress(self) -> Tuple[Dict[str, int],
                                        Dict[str, List[int]]]:
         """Deterministic exactly-once state for checkpoint snapshots:
         (contiguous floors, sorted executed timestamps above floor)."""
-        floors = dict(self._client_floor)
-        sparse = {client: sorted(ts_set)
-                  for client, ts_set in self._client_sparse.items()
-                  if ts_set}
-        return floors, sparse
+        return self.idents.progress()
 
     def latest_results(self) -> Dict[str, Any]:
         """Per-client result of the latest executed command, where still
@@ -232,11 +268,7 @@ class DependencyExecutor:
         self.history = []
         self.history_offset = watermark
         self.executed = set(executed_above)
-        self._client_floor = dict(client_floors)
-        self._client_sparse = {
-            client: set(ts_list)
-            for client, ts_list in client_sparse.items() if ts_list
-        }
+        self.idents = ExecutedIdents(client_floors, client_sparse)
         self._results = {}
         if client_results:
             latest = self.latest_executed_ts()
@@ -285,23 +317,9 @@ class DependencyExecutor:
         if span is not None:
             tracer.end_span(span)
         if not entry.command.is_noop:
-            self._record_ident(ident)
+            self.idents.record(ident)
         entry.status = EntryStatus.EXECUTED
         self.executed.add(entry.instance)
         self.history.append((entry.instance, ident))
         if self.on_execute is not None:
             self.on_execute(entry)
-
-    def _record_ident(self, ident: CommandIdent) -> None:
-        client, timestamp = ident
-        floor = self._client_floor.get(client, 0)
-        if timestamp <= floor:
-            return
-        sparse = self._client_sparse.setdefault(client, set())
-        sparse.add(timestamp)
-        while floor + 1 in sparse:
-            floor += 1
-            sparse.discard(floor)
-        self._client_floor[client] = floor
-        if not sparse:
-            self._client_sparse.pop(client, None)

@@ -11,7 +11,9 @@ already maintain -- no extra hot-path bookkeeping:
   a peer heard from inside :data:`REACHABLE_WINDOW_MS` counts as
   reachable, plus this replica itself.
 - **checkpoint lag**: executions past the latest stable checkpoint
-  watermark -- growing lag means garbage collection has stalled.
+  watermark (the replica's ``CheckpointStore``, for every protocol
+  whose registry spec sets ``supports_checkpointing``; 0 otherwise) --
+  growing lag means garbage collection has stalled.
 
 ``status`` is ``"degraded"`` when the replica is crashed (via the
 fault injector) or when traffic has flowed but fewer than a slow
@@ -23,6 +25,8 @@ code, so a scrape can tell "degraded" from "dead".
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
+
+from repro.protocols.registry import get_protocol
 
 #: Version tag on every healthz body; bump on structural changes.
 HEALTH_SCHEMA_VERSION = 1
@@ -53,16 +57,22 @@ class HealthMonitor:
         self._start_ms = now_ms()
         self._seen_executed = 0
         self._progress_ms: Optional[float] = None
+        self._checkpointing = get_protocol(protocol).supports_checkpointing
 
     # ------------------------------------------------------------------
     def _executed(self) -> int:
         return int(self.replica.stats.get("executed", 0))
 
-    def _stable_watermark(self) -> int:
-        log = getattr(self.replica, "checkpoint_log", None)
-        if not log:
+    def stable_watermark(self) -> int:
+        """The replica's latest stable checkpoint watermark; 0 for a
+        protocol that does not checkpoint."""
+        if not self._checkpointing:
             return 0
-        return int(log[-1][0])
+        stable = self.replica.checkpoints.stable
+        return 0 if stable is None else stable.watermark
+
+    def checkpoint_lag(self) -> int:
+        return max(0, self._executed() - self.stable_watermark())
 
     def _quorum(self, now: float) -> Dict[str, Any]:
         peers: Dict[str, Optional[float]] = {}
@@ -94,7 +104,7 @@ class HealthMonitor:
             self._progress_ms = now
         last_commit_age = None if self._progress_ms is None \
             else max(0.0, now - self._progress_ms)
-        watermark = self._stable_watermark()
+        watermark = self.stable_watermark()
         quorum = self._quorum(now)
         crashed = bool(self._is_crashed())
 

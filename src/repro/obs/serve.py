@@ -221,11 +221,13 @@ class ServeSession:
     def _apply_fault(self, event: Any) -> None:
         self.injector.apply(event)
         # SwapByzantine rebuilds the replica object; re-attach its
-        # instrument set so the byzantine stand-in keeps reporting.
+        # instrument set and health monitor so the byzantine stand-in
+        # keeps reporting.
         for rid, live in self._live.items():
             replica = self.cluster.replicas[rid]
             if replica.instruments is not live:
                 replica.instruments = live
+                self.monitors[rid].replica = replica
 
     def _on_control(self, event_name: str) -> None:
         for live in self._live.values():
@@ -239,11 +241,8 @@ class ServeSession:
             stats = getattr(replica, "stats", {})
             for stat in sorted(stats):
                 self._stat_gauge.labels(rid, stat).set(stats[stat])
-            executed = int(stats.get("executed", 0))
-            log = getattr(replica, "checkpoint_log", None)
-            watermark = int(log[-1][0]) if log else 0
             self._lag_gauge.labels(rid).set(
-                max(0, executed - watermark))
+                self.monitors[rid].checkpoint_lag())
 
     # ------------------------------------------------------------------
     def trace_export(self) -> Dict[str, Any]:

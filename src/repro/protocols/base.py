@@ -1,11 +1,24 @@
-"""Shared plumbing for the baseline protocol implementations."""
+"""The request lifecycle the primary-based baselines share.
+
+PBFT, FaB and Zyzzyva differ only in how they order requests.  Around
+the ordering, :class:`BaseReplica` holds the exactly-once ingress rule,
+forwarding to the primary and the execute-and-reply step, and
+:class:`BaseClient` the pending table, retries, delivery and the f+1
+reply collector.  Executed idents are the ezBFT executor's
+:class:`~repro.core.executor.ExecutedIdents` (clients pipeline, so an
+older timestamp may be unseen rather than stale): ingress drops only
+executed idents, and execution applies an ident at most once.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.cluster.node import NodeContext
+from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
+from repro.core.executor import CommandIdent, ExecutedIdents
+from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
@@ -18,11 +31,17 @@ DeliveryCallback = Callable[[Command, Any, float, str], None]
 
 
 class BaseReplica:
-    """Common replica state: identity, config, transport, crypto, app."""
+    """Common replica state and request lifecycle; a subclass supplies
+    :meth:`_order` and, per executed slot, its reply message."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
     instruments = NULL
+    #: Commit path reported to the instruments per executed slot.
+    commit_path = "fast"
+    #: A backup forwarding a request arms a timer that calls
+    #: :meth:`_suspect_primary` unless the request gets ordered.
+    progress_timers = False
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -37,6 +56,11 @@ class BaseReplica:
         self.registry = registry
         self.statemachine = statemachine
         self.view = initial_view
+        self.executed_idents = ExecutedIdents()
+        #: Per client: (timestamp, signed reply) of its latest execution.
+        self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
+        #: Request digest -> progress timer.
+        self._request_timers: Dict[str, Timer] = {}
         self.stats: Dict[str, int] = {
             "executed": 0,
             "invalid_messages": 0,
@@ -56,9 +80,126 @@ class BaseReplica:
     def broadcast_others(self, message: Any) -> None:
         self.ctx.broadcast(self.config.others(self.node_id), message)
 
+    # ------------------------------------------------------------------
+    def _on_request(self, request: Any, envelope: SignedPayload) -> None:
+        """A client's request: the primary orders it, a backup forwards
+        it to the primary."""
+        if envelope.signer != request.client_id:
+            self.stats["invalid_messages"] += 1
+            return
+        if not self._admit(request.command):
+            return
+        if self.is_primary:
+            self._order(request)
+            return
+        self.ctx.send(self.primary, envelope)
+        if self.progress_timers:
+            key = digest(request)
+            if key not in self._request_timers:
+                self._request_timers[key] = self.ctx.set_timer(
+                    self.config.view_change_timeout,
+                    self._on_progress_timeout, key)
+
+    def _admit(self, command: Command) -> bool:
+        """Ingress: an executed command is answered from the reply cache
+        (if it still holds it) and goes no further."""
+        if command.ident in self.executed_idents:
+            self._resend_reply(command.ident)
+            return False
+        return True
+
+    def _order(self, request: Any) -> None:
+        raise NotImplementedError
+
+    def _from_primary(self, sender: str, view: int, request: Any,
+                      request_digest: str) -> bool:
+        """An ordering message counts only in the current view, from its
+        primary, with the digest of the request it carries."""
+        if view != self.view:
+            return False
+        if sender != self.primary or digest(request) != request_digest:
+            self.stats["invalid_messages"] += 1
+            return False
+        return True
+
+    def _resend_reply(self, ident: CommandIdent) -> None:
+        client, timestamp = ident
+        cached = self._reply_cache.get(client)
+        if cached is not None and cached[0] == timestamp:
+            self.ctx.send(client, cached[1])
+
+    def _execute_and_reply(self, command: Command,
+                           reply_for: Callable[[Any], Any]) -> None:
+        """Execute the next ordered slot, holding ``command``, and send
+        its client the signed ``reply_for(result)``.  A command ordered
+        twice (its retry reached the primary before it executed) uses
+        up its second slot without being applied again."""
+        self.stats["executed"] += 1
+        self.instruments.commit(self.commit_path)
+        self.instruments.execute()
+        ident = command.ident
+        if ident in self.executed_idents:
+            self._resend_reply(ident)
+            return
+        result = self._apply(command)
+        self.executed_idents.record(ident)
+        envelope = self.sign(reply_for(result))
+        self._reply_cache[command.client_id] = (command.timestamp, envelope)
+        self.ctx.send(command.client_id, envelope)
+
+    def _apply(self, command: Command) -> Any:
+        return self.statemachine.apply(command)
+
+    # ------------------------------------------------------------------
+    def _on_progress_timeout(self, request_key: str) -> None:
+        self._request_timers.pop(request_key, None)
+        self._suspect_primary()
+
+    def _suspect_primary(self) -> None:
+        raise NotImplementedError
+
+    def _cancel_progress_timer(self, request_digest: Optional[str]) -> None:
+        timer = self._request_timers.pop(request_digest, None)
+        if timer is not None:
+            timer.cancel()
+
+    def _adopt_view(self, new_view: int) -> None:
+        self.view = new_view
+        for timer in self._request_timers.values():
+            timer.cancel()
+        self._request_timers.clear()
+
+
+@dataclass
+class PendingRequest:
+    """One in-flight command on a client; it leaves the client's table
+    when delivered."""
+
+    command: Command
+    start_time: float
+    #: Replica -> its reply (the protocol decides what a reply is).
+    replies: Dict[str, Any] = field(default_factory=dict)
+    retry_timer: Optional[Timer] = None
+
+    def cancel_timers(self) -> None:
+        if self.retry_timer is not None:
+            self.retry_timer.cancel()
+
 
 class BaseClient:
-    """Common client state for primary-based protocols."""
+    """Common client state and request lifecycle; a subclass names its
+    messages and delivery path, or overrides :meth:`on_message` with a
+    completion rule that ends in :meth:`_deliver`."""
+
+    #: Signed request carrying one command.
+    request_cls: Any = None
+    #: Signed reply carrying one result, collected f+1 at a time.
+    reply_cls: Any = None
+    #: Delivery path reported for an f+1 reply quorum.
+    path = ""
+    pending_cls = PendingRequest
+    #: Protocol-specific counters, added to :attr:`stats` at zero.
+    extra_stats: Tuple[str, ...] = ()
 
     def __init__(self, client_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -73,15 +214,21 @@ class BaseClient:
         self.view = initial_view
         self.on_delivery = on_delivery
         self._next_timestamp = 1
+        self._pending: Dict[CommandIdent, PendingRequest] = {}
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "delivered": 0,
             "retries": 0,
         }
+        self.stats.update(dict.fromkeys(self.extra_stats, 0))
 
     @property
     def primary(self) -> str:
         return self.config.primary_for_view(self.view)
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._pending)
 
     def next_command(self, op: str, key: str = "",
                      value: Any = None) -> Command:
@@ -93,3 +240,77 @@ class BaseClient:
 
     def sign(self, payload: Any) -> SignedPayload:
         return SignedPayload.create(payload, self.keypair)
+
+    # ------------------------------------------------------------------
+    def submit(self, command: Command) -> None:
+        self._register_pending(command)
+        self.ctx.send(self.primary,
+                      self.sign(self.request_cls(command=command)))
+
+    def submit_batch(self, commands) -> None:
+        """One :meth:`submit` per command, unless the protocol has a
+        batched request message."""
+        for command in commands:
+            self.submit(command)
+
+    def _register_pending(self, command: Command) -> None:
+        pending = self.pending_cls(command=command, start_time=self.ctx.now)
+        self._pending[command.ident] = pending
+        self.stats["submitted"] += 1
+        self._start_attempt(pending)
+
+    def _start_attempt(self, pending: PendingRequest) -> None:
+        """Arm the timers of one (re)send of ``pending``."""
+        pending.retry_timer = self.ctx.set_timer(
+            self.config.retry_timeout, self._on_retry,
+            pending.command.ident)
+
+    def _on_retry(self, ident: CommandIdent) -> None:
+        pending = self._pending.get(ident)
+        if pending is None:
+            return
+        self.stats["retries"] += 1
+        # Broadcast to every replica; backups answer from their reply
+        # cache or forward to the primary.
+        self.ctx.broadcast(self.config.replica_ids, self.sign(
+            self.request_cls(command=pending.command)))
+        self._start_attempt(pending)
+
+    # ------------------------------------------------------------------
+    def on_message(self, sender: str, message: Any) -> None:
+        if not isinstance(message, SignedPayload) or \
+                not message.verify(self.registry):
+            return
+        reply = message.payload
+        if isinstance(reply, self.reply_cls):
+            pending = self._pending_for(message, reply)
+            if pending is not None:
+                self._on_reply(pending, reply)
+
+    def _pending_for(self, envelope: SignedPayload,
+                     reply: Any) -> Optional[PendingRequest]:
+        """The pending request a reply answers, if the replica it names
+        signed it."""
+        if envelope.signer != reply.replica:
+            return None
+        return self._pending.get((reply.client_id, reply.timestamp))
+
+    def _on_reply(self, pending: PendingRequest, reply: Any) -> None:
+        """Deliver once f+1 replicas report the same result."""
+        pending.replies[reply.replica] = reply
+        by_result: Dict[str, list] = {}
+        for rep in pending.replies.values():
+            by_result.setdefault(repr(rep.result), []).append(rep)
+        for group in by_result.values():
+            if len(group) >= self.config.weak_quorum_size:
+                self._deliver(pending, group[0].result, self.path)
+                return
+
+    def _deliver(self, pending: PendingRequest, result: Any,
+                 path: str) -> None:
+        pending.cancel_timers()
+        latency = self.ctx.now - pending.start_time
+        self.stats["delivered"] += 1
+        del self._pending[pending.command.ident]
+        if self.on_delivery is not None:
+            self.on_delivery(pending.command, result, latency, path)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
-from repro.cluster.node import NodeContext, Timer
+from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -45,8 +45,6 @@ class FabReplica(BaseReplica):
         self._slots: Dict[int, _Slot] = {}
         self._next_seqno = 0
         self._last_executed = -1
-        self._client_ts: Dict[str, int] = {}
-        self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
         self.stats.update({"proposals": 0})
 
     @property
@@ -72,24 +70,7 @@ class FabReplica(BaseReplica):
                 self.stats["invalid_messages"] += 1
 
     # ------------------------------------------------------------------
-    def _on_request(self, request: FabRequest,
-                    envelope: SignedPayload) -> None:
-        if envelope.signer != request.client_id:
-            self.stats["invalid_messages"] += 1
-            return
-        client = request.client_id
-        t = request.timestamp
-        cached_t = self._client_ts.get(client, -1)
-        if t < cached_t:
-            return
-        if t == cached_t:
-            cached = self._reply_cache.get(client)
-            if cached is not None and cached[0] == t:
-                self.ctx.send(client, cached[1])
-            return
-        if not self.is_primary:
-            self.ctx.send(self.primary, envelope)
-            return
+    def _order(self, request: FabRequest) -> None:
         seqno = self._next_seqno
         self._next_seqno += 1
         d = digest(request)
@@ -101,14 +82,8 @@ class FabReplica(BaseReplica):
         self._on_propose(self.node_id, propose)
 
     def _on_propose(self, sender: str, propose: FabPropose) -> None:
-        if propose.proposal_number != self.view:
-            return
-        if sender != self.config.primary_for_view(
-                propose.proposal_number):
-            self.stats["invalid_messages"] += 1
-            return
-        if digest(propose.request) != propose.request_digest:
-            self.stats["invalid_messages"] += 1
+        if not self._from_primary(sender, propose.proposal_number,
+                                  propose.request, propose.request_digest):
             return
         slot = self._slots.setdefault(propose.seqno, _Slot())
         if slot.accepted_digest is not None and \
@@ -149,18 +124,7 @@ class FabReplica(BaseReplica):
             slot.executed = True
             self._last_executed += 1
             command = slot.request.command
-            result = self.statemachine.apply(command)
-            self.stats["executed"] += 1
-            self.instruments.commit("fast")
-            self.instruments.execute()
-            self._client_ts[command.client_id] = max(
-                self._client_ts.get(command.client_id, -1),
-                command.timestamp)
-            reply = FabReply(seqno=self._last_executed,
-                             client_id=command.client_id,
-                             timestamp=command.timestamp,
-                             replica=self.node_id, result=result)
-            envelope = self.sign(reply)
-            self._reply_cache[command.client_id] = \
-                (command.timestamp, envelope)
-            self.ctx.send(command.client_id, envelope)
+            self._execute_and_reply(command, lambda result: FabReply(
+                seqno=self._last_executed, client_id=command.client_id,
+                timestamp=command.timestamp, replica=self.node_id,
+                result=result))

@@ -2,55 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
-
-from repro.cluster.node import NodeContext, Timer
-from repro.config import ProtocolConfig
-from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
-from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchRequest
 from repro.messages.pbft import PBFTReply, PBFTRequest
-from repro.protocols.base import BaseClient, DeliveryCallback
-from repro.statemachine.base import Command
-
-
-@dataclass
-class _Pending:
-    command: Command
-    start_time: float
-    replies: Dict[str, PBFTReply] = field(default_factory=dict)
-    retry_timer: Optional[Timer] = None
-    done: bool = False
+from repro.protocols.base import BaseClient
 
 
 class PBFTClient(BaseClient):
     """One PBFT client."""
 
-    def __init__(self, client_id: str, config: ProtocolConfig,
-                 ctx: NodeContext, keypair: KeyPair,
-                 registry: KeyRegistry, initial_view: int = 0,
-                 on_delivery: Optional[DeliveryCallback] = None) -> None:
-        super().__init__(client_id, config, ctx, keypair, registry,
-                         initial_view, on_delivery)
-        self._pending: Dict[Tuple[str, int], _Pending] = {}
-        self.stats["batches_submitted"] = 0
-
-    def submit(self, command: Command) -> None:
-        self._register_pending(command)
-        request = PBFTRequest(command=command)
-        self.ctx.send(self.primary, self.sign(request))
-
-    def _register_pending(self, command: Command) -> _Pending:
-        """Record a command as in flight and arm its retry timer (shared
-        by the singleton and batched submission paths)."""
-        pending = _Pending(command=command, start_time=self.ctx.now)
-        self._pending[command.ident] = pending
-        self.stats["submitted"] += 1
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry, command.ident)
-        return pending
+    request_cls = PBFTRequest
+    reply_cls = PBFTReply
+    path = "pbft"
+    extra_stats = ("batches_submitted",)
 
     def submit_batch(self, commands) -> None:
         """Submit several of this client's commands under one signature.
@@ -76,52 +40,7 @@ class PBFTClient(BaseClient):
         batch = BatchRequest(commands=tuple(commands))
         self.ctx.send(self.primary, self.sign(batch))
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, SignedPayload) or \
-                not message.verify(self.registry):
-            return
-        reply = message.payload
-        if not isinstance(reply, PBFTReply):
-            return
-        if message.signer != reply.replica:
-            return
-        pending = self._pending.get((reply.client_id, reply.timestamp))
-        if pending is None or pending.done:
-            return
+    def _on_reply(self, pending, reply: PBFTReply) -> None:
         # Track the view so retries reach the new primary after a change.
         self.view = max(self.view, reply.view)
-        pending.replies[reply.replica] = reply
-        by_result: Dict[str, list] = {}
-        for rep in pending.replies.values():
-            by_result.setdefault(repr(rep.result), []).append(rep)
-        for group in by_result.values():
-            if len(group) >= self.config.weak_quorum_size:
-                self._deliver(pending, group[0].result)
-                return
-
-    def _on_retry(self, ident: Tuple[str, int]) -> None:
-        pending = self._pending.get(ident)
-        if pending is None or pending.done:
-            return
-        self.stats["retries"] += 1
-        # Classic PBFT fallback: broadcast to every replica; backups
-        # forward to the primary and start view-change timers.
-        request = PBFTRequest(command=pending.command)
-        signed = self.sign(request)
-        self.ctx.broadcast(self.config.replica_ids, signed)
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry, ident)
-
-    def _deliver(self, pending: _Pending, result: Any) -> None:
-        pending.done = True
-        if pending.retry_timer is not None:
-            pending.retry_timer.cancel()
-        latency = self.ctx.now - pending.start_time
-        self.stats["delivered"] += 1
-        del self._pending[pending.command.ident]
-        if self.on_delivery is not None:
-            self.on_delivery(pending.command, result, latency, "pbft")
+        super()._on_reply(pending, reply)

@@ -12,15 +12,11 @@ re-issued pre-prepares).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
-from repro.cluster.node import NodeContext, Timer
+from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
-from repro.core.batching import (
-    RequestBatcher,
-    batch_request_is_authentic,
-    fresh_batch_commands,
-)
+from repro.core.batching import RequestBatcher, batch_request_is_authentic
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload
@@ -55,6 +51,9 @@ class _Slot:
 class PBFTReplica(BaseReplica):
     """One PBFT replica."""
 
+    commit_path = "slow"
+    progress_timers = True
+
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
                  registry: KeyRegistry, statemachine: StateMachine,
@@ -64,9 +63,6 @@ class PBFTReplica(BaseReplica):
         self._slots: Dict[int, _Slot] = {}
         self._next_seqno = 0       # primary-side allocator
         self._last_executed = -1   # highest contiguously executed seqno
-        self._client_ts: Dict[str, int] = {}
-        self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
-        self._request_timers: Dict[str, Timer] = {}
         self._view_change_votes: Dict[int, Dict[str, SignedPayload]] = {}
         self._view_changing = False
         self.checkpoints = CheckpointStore(
@@ -120,39 +116,17 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-    def _on_request(self, request: PBFTRequest,
-                    envelope: SignedPayload) -> None:
-        if envelope.signer != request.client_id:
-            self.stats["invalid_messages"] += 1
-            return
-        client = request.client_id
-        t = request.timestamp
-        cached_t = self._client_ts.get(client, -1)
-        if t < cached_t:
-            return
-        if t == cached_t:
-            cached = self._reply_cache.get(client)
-            if cached is not None and cached[0] == t:
-                self.ctx.send(client, cached[1])
-            return
-        if self.is_primary:
-            self.batcher.add(request)
-        else:
-            # Forward to the primary and watch for progress.
-            self.ctx.send(self.primary, envelope)
-            key = digest(request)
-            if key not in self._request_timers:
-                self._request_timers[key] = self.ctx.set_timer(
-                    self.config.view_change_timeout,
-                    self._on_progress_timeout, key)
+    def _order(self, request: PBFTRequest) -> None:
+        self.batcher.add(request)
 
     def _on_batch_request(self, batch: BatchRequest,
                           envelope: SignedPayload) -> None:
         """A client's batched submission: one signature, many commands.
 
-        The primary unpacks it into its proposal batcher; backups
-        forward the whole envelope to the primary (retries fall back to
-        singleton requests, which carry the progress timers).
+        The primary admits each command, in timestamp order, exactly as
+        a singleton request; backups forward the whole envelope to the
+        primary (retries fall back to singleton requests, which carry
+        the progress timers).
         """
         if not batch_request_is_authentic(batch, envelope):
             self.stats["invalid_messages"] += 1
@@ -160,10 +134,9 @@ class PBFTReplica(BaseReplica):
         if not self.is_primary:
             self.ctx.send(self.primary, envelope)
             return
-        for command in fresh_batch_commands(
-                batch, self._client_ts, self._reply_cache,
-                lambda cached: self.ctx.send(batch.client_id, cached)):
-            self.batcher.add(PBFTRequest(command=command))
+        for command in sorted(batch.commands, key=lambda c: c.timestamp):
+            if self._admit(command):
+                self._order(PBFTRequest(command=command))
 
     def _flush_proposals(self, requests) -> None:
         """Batcher flush: order the accumulated requests.
@@ -175,15 +148,10 @@ class PBFTReplica(BaseReplica):
         """
         if self._view_changing:
             return  # clients will retry into the new view
-        fresh = []
-        seen = set()
+        first: Dict[Any, PBFTRequest] = {}
         for request in requests:
-            if request.command.ident in seen:
-                continue
-            seen.add(request.command.ident)
-            fresh.append(request)
-        if not fresh:
-            return
+            first.setdefault(request.command.ident, request)
+        fresh = list(first.values())
         if len(fresh) == 1:
             self._propose(fresh[0])
             return
@@ -241,13 +209,8 @@ class PBFTReplica(BaseReplica):
             self._on_pre_prepare(sender, pre_prepare)
 
     def _on_pre_prepare(self, sender: str, msg: PrePrepare) -> None:
-        if msg.view != self.view or self._view_changing:
-            return
-        if sender != self.config.primary_for_view(msg.view):
-            self.stats["invalid_messages"] += 1
-            return
-        if digest(msg.request) != msg.request_digest:
-            self.stats["invalid_messages"] += 1
+        if self._view_changing or not self._from_primary(
+                sender, msg.view, msg.request, msg.request_digest):
             return
         slot = self._slot(msg.seqno)
         if slot.pre_prepare is not None and \
@@ -258,7 +221,7 @@ class PBFTReplica(BaseReplica):
         slot.request = msg.request
         slot.request_digest = msg.request_digest
         slot.pre_prepare = msg
-        self._cancel_request_timer(msg.request_digest)
+        self._cancel_progress_timer(msg.request_digest)
         self._broadcast_prepare(msg.seqno, msg.request_digest)
 
     def _broadcast_prepare(self, seqno: int, request_digest: str) -> None:
@@ -316,21 +279,12 @@ class PBFTReplica(BaseReplica):
                 return
             nxt.executed = True
             self._last_executed += 1
-            result = self.statemachine.apply(nxt.request.command)
-            self.stats["executed"] += 1
-            self.instruments.commit("slow")
-            self.instruments.execute()
-            client = nxt.request.client_id
-            self._client_ts[client] = max(
-                self._client_ts.get(client, -1), nxt.request.timestamp)
-            reply = PBFTReply(view=self.view,
-                              timestamp=nxt.request.timestamp,
-                              client_id=client, replica=self.node_id,
-                              result=result)
-            envelope = self.sign(reply)
-            self._reply_cache[client] = (nxt.request.timestamp, envelope)
-            self.ctx.send(client, envelope)
-            self._cancel_request_timer(nxt.request_digest)
+            command = nxt.request.command
+            self._execute_and_reply(command, lambda result: PBFTReply(
+                view=self.view, timestamp=command.timestamp,
+                client_id=command.client_id, replica=self.node_id,
+                result=result))
+            self._cancel_progress_timer(nxt.request_digest)
             self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
@@ -361,8 +315,7 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View changes
     # ------------------------------------------------------------------
-    def _on_progress_timeout(self, request_key: str) -> None:
-        self._request_timers.pop(request_key, None)
+    def _suspect_primary(self) -> None:
         self._start_view_change()
 
     def _start_view_change(self) -> None:
@@ -457,11 +410,8 @@ class PBFTReplica(BaseReplica):
             self._on_pre_prepare(msg.primary, pre_prepare)
 
     def _adopt_view(self, new_view: int) -> None:
-        self.view = new_view
+        super()._adopt_view(new_view)
         self._view_changing = False
-        for timer in self._request_timers.values():
-            timer.cancel()
-        self._request_timers.clear()
         # Reset per-view vote state for lower views.
         self._view_change_votes = {
             v: votes for v, votes in self._view_change_votes.items()
@@ -471,10 +421,3 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _slot(self, seqno: int) -> _Slot:
         return self._slots.setdefault(seqno, _Slot())
-
-    def _cancel_request_timer(self, request_digest: Optional[str]) -> None:
-        if request_digest is None:
-            return
-        timer = self._request_timers.pop(request_digest, None)
-        if timer is not None:
-            timer.cancel()

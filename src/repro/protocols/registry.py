@@ -58,9 +58,9 @@ class ProtocolSpec:
     - ``speculative``: replies may be speculative (Zyzzyva/ezBFT), i.e.
       the state machine needs the speculative-overlay interface.
     - ``supports_batching``: the replica/client pair understands the
-      batched messages in :mod:`repro.messages.batching`; the batching
-      workload drivers check this flag (via the client's
-      ``submit_batch``) and degrade to per-command submission otherwise.
+      batched messages in :mod:`repro.messages.batching`.  Every client
+      has ``submit_batch``; without this flag it is one ``submit`` per
+      command, so the batching workload driver never checks.
     - ``supports_checkpointing``: the replica garbage-collects its log
       at stable checkpoints (``config.checkpoint_interval``) and keeps
       resident state bounded; long-running deployments should prefer

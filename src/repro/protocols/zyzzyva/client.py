@@ -6,9 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.node import NodeContext, Timer
-from repro.config import ProtocolConfig
-from repro.crypto.keys import KeyPair, KeyRegistry
+from repro.cluster.node import Timer
 from repro.messages.base import SignedPayload
 from repro.messages.zyzzyva import (
     LocalCommit,
@@ -16,49 +14,37 @@ from repro.messages.zyzzyva import (
     ZCommit,
     ZRequest,
 )
-from repro.protocols.base import BaseClient, DeliveryCallback
-from repro.statemachine.base import Command
+from repro.protocols.base import BaseClient, PendingRequest
 
 
 @dataclass
-class _Pending:
-    command: Command
-    start_time: float
-    responses: Dict[str, Tuple[SpecResponse, SignedPayload]] = \
-        field(default_factory=dict)
+class _Pending(PendingRequest):
+    # ``replies`` holds replica -> (SpecResponse, signed envelope).
     local_commits: Dict[str, LocalCommit] = field(default_factory=dict)
-    phase: str = "spec"  # spec -> commit -> done
+    phase: str = "spec"  # spec -> commit
     slow_timer: Optional[Timer] = None
-    retry_timer: Optional[Timer] = None
+
+    def cancel_timers(self) -> None:
+        for timer in (self.slow_timer, self.retry_timer):
+            if timer is not None:
+                timer.cancel()
 
 
 class ZyzzyvaClient(BaseClient):
     """One Zyzzyva client."""
 
-    def __init__(self, client_id: str, config: ProtocolConfig,
-                 ctx: NodeContext, keypair: KeyPair,
-                 registry: KeyRegistry, initial_view: int = 0,
-                 on_delivery: Optional[DeliveryCallback] = None) -> None:
-        super().__init__(client_id, config, ctx, keypair, registry,
-                         initial_view, on_delivery)
-        self._pending: Dict[Tuple[str, int], _Pending] = {}
-        self.stats.update({"delivered_fast": 0, "delivered_slow": 0})
+    request_cls = ZRequest
+    pending_cls = _Pending
+    extra_stats = ("delivered_fast", "delivered_slow")
 
-    def submit(self, command: Command) -> None:
-        pending = _Pending(command=command, start_time=self.ctx.now)
-        self._pending[command.ident] = pending
-        self.stats["submitted"] += 1
-        request = ZRequest(command=command)
-        self.ctx.send(self.primary, self.sign(request))
+    def _start_attempt(self, pending: _Pending) -> None:
+        pending.replies.clear()
+        pending.local_commits.clear()
+        pending.phase = "spec"
         pending.slow_timer = self.ctx.set_timer(
             self.config.slow_path_timeout, self._on_slow_timeout,
-            command.ident)
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry, command.ident)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
+            pending.command.ident)
+        super()._start_attempt(pending)
 
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
@@ -73,22 +59,20 @@ class ZyzzyvaClient(BaseClient):
 
     def _on_spec_response(self, resp: SpecResponse,
                           envelope: SignedPayload) -> None:
-        if envelope.signer != resp.replica:
-            return
-        pending = self._pending.get((resp.client_id, resp.timestamp))
+        pending = self._pending_for(envelope, resp)
         if pending is None or pending.phase != "spec":
             return
         self.view = max(self.view, resp.view)
-        pending.responses[resp.replica] = (resp, envelope)
+        pending.replies[resp.replica] = (resp, envelope)
         group = self._largest_matching_group(pending)
         if len(group) >= self.config.fast_quorum_size:
             self._deliver(pending, group[0].result, "fast")
             return
-        if len(pending.responses) == self.config.n:
+        if len(pending.replies) == self.config.n:
             self._try_commit(pending)
 
     def _largest_matching_group(self, pending: _Pending):
-        responses = [r for r, _ in pending.responses.values()]
+        responses = [r for r, _ in pending.replies.values()]
         best: list = []
         for anchor in responses:
             group = [r for r in responses if anchor.matches(r)]
@@ -109,7 +93,7 @@ class ZyzzyvaClient(BaseClient):
             return  # wait for the retry timer
         certificate = tuple(
             envelope for replica, (resp, envelope)
-            in sorted(pending.responses.items())
+            in sorted(pending.replies.items())
             if any(resp is g for g in group)
         )[:self.config.slow_quorum_size]
         commit = ZCommit(client_id=self.client_id,
@@ -124,7 +108,7 @@ class ZyzzyvaClient(BaseClient):
         for pending in list(self._pending.values()):
             if pending.phase != "commit":
                 continue
-            matching = [r for r, _ in pending.responses.values()
+            matching = [r for r, _ in pending.replies.values()
                         if r.seqno == ack.seqno]
             if not matching:
                 continue
@@ -134,35 +118,7 @@ class ZyzzyvaClient(BaseClient):
                 self._deliver(pending, matching[0].result, "slow")
             return
 
-    # ------------------------------------------------------------------
-    def _on_retry(self, ident: Tuple[str, int]) -> None:
-        pending = self._pending.get(ident)
-        if pending is None or pending.phase == "done":
-            return
-        self.stats["retries"] += 1
-        request = ZRequest(command=pending.command)
-        signed = self.sign(request)
-        pending.responses.clear()
-        pending.local_commits.clear()
-        pending.phase = "spec"
-        self.ctx.broadcast(self.config.replica_ids, signed)
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry, ident)
-        pending.slow_timer = self.ctx.set_timer(
-            self.config.slow_path_timeout, self._on_slow_timeout, ident)
-
     def _deliver(self, pending: _Pending, result: Any,
                  path: str) -> None:
-        if pending.phase == "done":
-            return
-        pending.phase = "done"
-        for timer in (pending.slow_timer, pending.retry_timer):
-            if timer is not None:
-                timer.cancel()
-        latency = self.ctx.now - pending.start_time
-        self.stats["delivered"] += 1
-        self.stats["delivered_fast" if path == "fast"
-                   else "delivered_slow"] += 1
-        del self._pending[pending.command.ident]
-        if self.on_delivery is not None:
-            self.on_delivery(pending.command, result, latency, path)
+        self.stats["delivered_" + path] += 1
+        super()._deliver(pending, result, path)

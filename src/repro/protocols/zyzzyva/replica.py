@@ -12,8 +12,8 @@ NEW-VIEW change driven by progress timeouts or primary equivocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Set
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
@@ -39,13 +39,14 @@ class _Slot:
     order_req: Optional[OrderReq] = None
     signed_order: Optional[SignedPayload] = None
     history_digest: str = ""
-    spec_result: Any = None
     executed: bool = False
     committed: bool = False
 
 
 class ZyzzyvaReplica(BaseReplica):
     """One Zyzzyva replica."""
+
+    progress_timers = True
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -58,9 +59,6 @@ class ZyzzyvaReplica(BaseReplica):
         self._next_to_execute = 0     # replicas execute in seqno order
         self._history_digest = ""     # rolling history hash h_n
         self._max_committed = -1
-        self._client_ts: Dict[str, int] = {}
-        self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
-        self._request_timers: Dict[str, Timer] = {}
         self._fill_hole_timer: Optional[Timer] = None
         self._ihtp_votes: Dict[int, Set[str]] = {}
         self._hated_views: Set[int] = set()
@@ -98,30 +96,7 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
-    def _on_request(self, request: ZRequest,
-                    envelope: SignedPayload) -> None:
-        if envelope.signer != request.client_id:
-            self.stats["invalid_messages"] += 1
-            return
-        client = request.client_id
-        t = request.timestamp
-        cached_t = self._client_ts.get(client, -1)
-        if t < cached_t:
-            return
-        if t == cached_t:
-            cached = self._reply_cache.get(client)
-            if cached is not None and cached[0] == t:
-                self.ctx.send(client, cached[1])
-            return
-        if not self.is_primary:
-            # Forward to the primary; suspect it if no ORDER-REQ follows.
-            self.ctx.send(self.primary, envelope)
-            key = digest(request)
-            if key not in self._request_timers:
-                self._request_timers[key] = self.ctx.set_timer(
-                    self.config.view_change_timeout,
-                    self._on_progress_timeout, key)
-            return
+    def _order(self, request: ZRequest) -> None:
         seqno = self._next_seqno
         self._next_seqno += 1
         d = digest(request)
@@ -136,13 +111,8 @@ class ZyzzyvaReplica(BaseReplica):
 
     def _on_order_req(self, sender: str, order: OrderReq,
                       envelope: SignedPayload) -> None:
-        if order.view != self.view:
-            return
-        if sender != self.config.primary_for_view(order.view):
-            self.stats["invalid_messages"] += 1
-            return
-        if digest(order.request) != order.request_digest:
-            self.stats["invalid_messages"] += 1
+        if not self._from_primary(sender, order.view, order.request,
+                                  order.request_digest):
             return
         existing = self._slots.get(order.seqno)
         if existing is not None and existing.order_req is not None:
@@ -157,7 +127,7 @@ class ZyzzyvaReplica(BaseReplica):
         slot = self._slots.setdefault(order.seqno, _Slot())
         slot.order_req = order
         slot.signed_order = envelope
-        self._cancel_request_timer(order.request_digest)
+        self._cancel_progress_timer(order.request_digest)
         self._execute_ready()
         if order.seqno > self._next_to_execute and \
                 self._fill_hole_timer is None:
@@ -184,32 +154,25 @@ class ZyzzyvaReplica(BaseReplica):
             slot.history_digest = expected
             slot.executed = True
             command = order.request.command
-            slot.spec_result = self.statemachine.apply_speculative(command)
-            self.stats["executed"] += 1
-            self.instruments.commit("fast")
-            self.instruments.execute()
-            self._client_ts[command.client_id] = max(
-                self._client_ts.get(command.client_id, -1),
-                command.timestamp)
-            response = SpecResponse(
+            self._execute_and_reply(command, lambda result: SpecResponse(
                 view=self.view, seqno=order.seqno,
                 history_digest=expected,
                 request_digest=order.request_digest,
                 client_id=command.client_id,
                 timestamp=command.timestamp,
                 replica=self.node_id,
-                result=slot.spec_result,
+                result=result,
                 order_req=slot.signed_order,
-            )
-            signed = self.sign(response)
-            self._reply_cache[command.client_id] = \
-                (command.timestamp, signed)
-            self.ctx.send(command.client_id, signed)
+            ))
             self._next_to_execute += 1
             if self._fill_hole_timer is not None and \
                     not self._has_gap():
                 self._fill_hole_timer.cancel()
                 self._fill_hole_timer = None
+
+    def _apply(self, command: Any) -> Any:
+        # Replies are speculative; nothing here commits to final state.
+        return self.statemachine.apply_speculative(command)
 
     def _has_gap(self) -> bool:
         return any(s > self._next_to_execute for s in self._slots)
@@ -281,8 +244,7 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View change
     # ------------------------------------------------------------------
-    def _on_progress_timeout(self, request_key: str) -> None:
-        self._request_timers.pop(request_key, None)
+    def _suspect_primary(self) -> None:
         self._hate_primary()
 
     def _hate_primary(self) -> None:
@@ -330,15 +292,3 @@ class ZyzzyvaReplica(BaseReplica):
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view)
-
-    def _adopt_view(self, new_view: int) -> None:
-        self.view = new_view
-        for timer in self._request_timers.values():
-            timer.cancel()
-        self._request_timers.clear()
-
-    # ------------------------------------------------------------------
-    def _cancel_request_timer(self, request_digest: str) -> None:
-        timer = self._request_timers.pop(request_digest, None)
-        if timer is not None:
-            timer.cancel()

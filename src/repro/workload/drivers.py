@@ -169,10 +169,11 @@ class BatchingOpenLoopDriver:
     Generates commands at a fixed rate like :class:`OpenLoopDriver`, but
     accumulates them in a :class:`~repro.core.batching.RequestBatcher`
     and submits each flush through the client's ``submit_batch`` (one
-    signature for the whole batch).  Clients without ``submit_batch``
-    (protocols whose spec lacks ``supports_batching``) and single-item
-    flushes degrade to per-command :meth:`submit`, so a ``batch_size``
-    of 1 reproduces :class:`OpenLoopDriver` behaviour exactly.
+    signature for the whole batch).  Clients of protocols whose spec
+    lacks ``supports_batching`` answer ``submit_batch`` with one
+    :meth:`submit` per command, and every client submits a single-item
+    flush as a plain request, so a ``batch_size`` of 1 reproduces
+    :class:`OpenLoopDriver` behaviour exactly.
     """
 
     def __init__(self, client: Any, workload: KVWorkload,
@@ -226,9 +227,4 @@ class BatchingOpenLoopDriver:
 
     def _submit_commands(self, commands: List[Command]) -> None:
         self.batches_sent += 1
-        submit_batch = getattr(self.client, "submit_batch", None)
-        if submit_batch is not None and len(commands) > 1:
-            submit_batch(commands)
-            return
-        for command in commands:
-            self.client.submit(command)
+        self.client.submit_batch(commands)

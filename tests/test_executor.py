@@ -210,5 +210,6 @@ def test_install_fast_forwards_past_snapshot():
     e = committed("r1", 0, 1, client="cq", ts=9)
     executor.try_execute(index_of(e))
     assert executor.has_executed(("cq", 9))
-    assert executor._client_floor["cq"] == 10
-    assert not executor._client_sparse.get("cq")
+    floors, sparse = executor.client_progress()
+    assert floors["cq"] == 10
+    assert "cq" not in sparse

@@ -24,6 +24,10 @@ from repro.obs import (
     fetch_json,
     http_request,
 )
+from repro.cluster.builder import build_cluster
+from repro.sim.latency import LOCAL
+from repro.sim.network import CpuModel
+from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "obs_endpoints.json")
@@ -40,7 +44,9 @@ class _FakeClock:
 class _StubReplica:
     def __init__(self) -> None:
         self.stats = {"executed": 7, "committed_fast": 5}
-        self.checkpoint_log = [(4, "digest")]
+        self.checkpoints = CheckpointStore(quorum=1)
+        self.checkpoints.install_stable(
+            Checkpoint(watermark=4, state_digest="digest", snapshot={}))
 
 
 class _StubNode:
@@ -157,6 +163,27 @@ def test_healthz_always_200_even_when_degraded():
     assert payload["status"] == "degraded"
     assert payload["crashed"] is True
     assert payload["reasons"]
+
+
+def test_pbft_checkpoint_lag_reads_its_checkpoint_store():
+    """PBFT checkpoints through the same ``CheckpointStore`` as ezBFT;
+    its health must report that watermark, not a lag that grows with
+    every execution."""
+    cluster = build_cluster("pbft", ["local"] * 4, LOCAL,
+                            cpu=CpuModel.free(), checkpoint_interval=8)
+    client = cluster.add_client("c0", "local")
+    for i in range(40):
+        client.submit(client.next_command("put", f"k{i}", i))
+        cluster.run_until_idle()
+    replica = cluster.replicas["r0"]
+    assert replica.checkpoints.stable.watermark == 40
+    clock = _FakeClock()
+    monitor = HealthMonitor("r0", "pbft", replica, _StubNode(clock.now),
+                            cluster.config, clock)
+    body = monitor.healthz()
+    assert body["executed"] == 40
+    assert body["checkpoint"] == {"stable_watermark": 40, "lag": 0}
+    assert monitor.checkpoint_lag() == 0
 
 
 def test_unknown_path_and_wrong_method():

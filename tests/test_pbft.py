@@ -68,12 +68,11 @@ def test_backup_forwards_request_to_primary():
     # Manually send the request to a backup instead of the primary.
     from repro.messages.base import SignedPayload
     from repro.messages.pbft import PBFTRequest
+    from repro.protocols.base import PendingRequest
 
     command = client.next_command("put", "k", "v")
-    client._pending[command.ident] = __import__(
-        "repro.protocols.pbft.client",
-        fromlist=["_Pending"])._Pending(command=command,
-                                        start_time=cluster.sim.now)
+    client._pending[command.ident] = PendingRequest(
+        command=command, start_time=cluster.sim.now)
     request = PBFTRequest(command=command)
     cluster.network.send("c0", "r2",
                          SignedPayload.create(request, client.keypair))

@@ -3,10 +3,12 @@
 
 import pytest
 
-from helpers import DeliveryLog, lan_cluster
+from helpers import GEO_REGIONS, DeliveryLog, lan_cluster
 
+from repro.cluster.builder import build_cluster
 from repro.errors import StateMachineError
 from repro.protocols.registry import available_protocols
+from repro.sim.latency import EXPERIMENT1, scaled_matrix
 from repro.sim.network import CpuModel
 from repro.statemachine.bank import BankMachine
 from repro.statemachine.base import Command
@@ -140,3 +142,47 @@ def test_bank_machine_on_every_protocol(protocol):
     }
     agreeing = [b for b in balances.values() if b == 60]
     assert len(agreeing) >= cluster.config.slow_quorum_size, balances
+
+
+# ----------------------------------------------------------------------
+# Exactly-once across protocols
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("factor", [6, 8, 12])
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_retried_command_applies_once_on_slow_wan(protocol, factor):
+    """Under a WAN slowed ×6–×12 (what a ``LatencyShift`` produces) the
+    client's retry reaches the primary before the original executes and
+    is ordered a second time; the second slot must not apply it again.
+    Zyzzyva replicas apply speculatively only, so every protocol is
+    read through ``speculative_value``."""
+    cluster = build_cluster(protocol, GEO_REGIONS,
+                            scaled_matrix(EXPERIMENT1, factor),
+                            statemachine_factory=CounterMachine)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", region="sydney",
+                                on_delivery=log.hook("c0"))
+    client.submit(client.next_command("incr", "k", 1))
+    cluster.run(until=60_000.0)
+    assert log.results == ["OK"]
+    for rid, sm in cluster.statemachines().items():
+        assert sm.speculative_value("k") == 1, (rid, factor)
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_older_pipelined_request_is_not_dropped(protocol):
+    """A pipelining client's older request arriving after a newer one
+    executed is unseen, not stale: it is ordered and delivered without
+    a retry."""
+    cluster = lan_cluster(protocol)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", region="local",
+                                on_delivery=log.hook("c0"))
+    t1 = client.next_command("put", "a", 1)
+    t2 = client.next_command("put", "b", 2)
+    client.submit(t2)
+    cluster.run(until=50.0)
+    client.submit(t1)  # as if its first send had been lost
+    cluster.run(until=5_000.0)
+    assert sorted(log.results) == ["OK", "OK"]
+    assert client.stats["retries"] == 0
+    assert client.in_flight == 0
