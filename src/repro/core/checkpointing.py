@@ -291,16 +291,18 @@ class CheckpointManager:
             # would needlessly discard speculation, pending orders, and
             # reply-cache results that live execution will cover anyway.
             return
-        if not self._verify_checkpoint_proof(reply):
+        state_digest = digest(reply.snapshot)
+        if not self._verify_checkpoint_proof(reply, state_digest):
             self.replica.stats["invalid_messages"] += 1
             return
-        self._install_transfer(reply)
+        self._install_transfer(reply, state_digest)
 
-    def _verify_checkpoint_proof(self, reply: StateTransferReply) -> bool:
+    def _verify_checkpoint_proof(self, reply: StateTransferReply,
+                                 state_digest: str) -> bool:
         """2f+1 distinct, valid EZCHECKPOINT signatures binding the
-        reply's watermark to the digest of the shipped snapshot."""
+        reply's watermark to ``state_digest``, the digest of the shipped
+        snapshot."""
         replica = self.replica
-        state_digest = digest(reply.snapshot)
         signers = set()
         for envelope in reply.proof:
             if not isinstance(envelope, SignedPayload):
@@ -319,14 +321,14 @@ class CheckpointManager:
             signers.add(payload.replica)
         return len(signers) >= replica.config.slow_quorum_size
 
-    def _install_transfer(self, reply: StateTransferReply) -> None:
+    def _install_transfer(self, reply: StateTransferReply,
+                          state_digest: str) -> None:
         """Adopt a proven stable checkpoint wholesale, install the
         transferred log suffix entry-by-entry (each individually
         verified), and resume normal execution."""
         replica = self.replica
-        snapshot = reply.snapshot
-        executed_above = self.adopt(reply.watermark, digest(snapshot),
-                                    snapshot)
+        executed_above = self.adopt(reply.watermark, state_digest,
+                                    reply.snapshot)
         # Entries we executed locally but that are NOT inside the
         # snapshot's first ``watermark`` executions lost their effects
         # with the restore; demote them so they re-apply.

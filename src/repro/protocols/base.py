@@ -141,14 +141,11 @@ class BaseReplica:
         if ident in self.executed_idents:
             self._resend_reply(ident)
             return
-        result = self._apply(command)
+        result = self.statemachine.apply(command)
         self.executed_idents.record(ident)
         envelope = self.sign(reply_for(result))
         self._reply_cache[command.client_id] = (command.timestamp, envelope)
         self.ctx.send(command.client_id, envelope)
-
-    def _apply(self, command: Command) -> Any:
-        return self.statemachine.apply(command)
 
     # ------------------------------------------------------------------
     def _on_progress_timeout(self, request_key: str) -> None:

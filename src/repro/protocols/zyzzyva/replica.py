@@ -4,7 +4,9 @@ Fast path (3 client-visible steps): the primary assigns a sequence number
 and broadcasts ORDER-REQ; replicas speculatively execute in sequence
 order and respond directly to the client.  Slow path: the client
 broadcasts a commit certificate (2f+1 matching SPEC-RESPONSEs) and
-replicas acknowledge with LOCAL-COMMIT.
+replicas acknowledge with LOCAL-COMMIT.  Execution is speculative in
+the protocol's sense, but it goes straight into the state machine's
+final state: nothing here ever rolls an executed slot back.
 
 Includes FILL-HOLE recovery for gaps and an I-HATE-THE-PRIMARY /
 NEW-VIEW change driven by progress timeouts or primary equivocation.
@@ -169,10 +171,6 @@ class ZyzzyvaReplica(BaseReplica):
                     not self._has_gap():
                 self._fill_hole_timer.cancel()
                 self._fill_hole_timer = None
-
-    def _apply(self, command: Any) -> Any:
-        # Replies are speculative; nothing here commits to final state.
-        return self.statemachine.apply_speculative(command)
 
     def _has_gap(self) -> bool:
         return any(s > self._next_to_execute for s in self._slots)

@@ -1,9 +1,12 @@
 """Replicated state machine substrate.
 
 Provides the :class:`Command` wire type, the command-interference relation
-the protocol uses for dependency collection, and a replicated key-value
-store supporting the speculative-execute / rollback / final-execute cycle
-that ezBFT and Zyzzyva require.
+the protocol uses for dependency collection, the checkpoint store, and
+:class:`StateMachine`, the base that gives every application the
+speculative-execute / rollback / final-execute cycle ezBFT and Zyzzyva
+require.  Three applications are built on it: the key-value store of the
+evaluation (:class:`KVStore`), a counter (:class:`CounterMachine`) and a
+bank with balance-dependent results (:class:`BankMachine`).
 """
 
 from repro.statemachine.base import Command, StateMachine

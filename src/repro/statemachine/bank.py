@@ -19,76 +19,20 @@ Ops (``Command.key`` names the account; amounts are non-negative ints):
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict
+from typing import Any
 
 from repro.errors import StateMachineError
-from repro.statemachine.base import Command, StateMachine
+from repro.statemachine.base import Command, Read, StateMachine, Write
 
 
 class BankMachine(StateMachine):
-    """In-memory deterministic account store with a speculative
-    overlay."""
+    """In-memory deterministic account store."""
+
+    default = 0
 
     def __init__(self) -> None:
-        self._final: Dict[str, int] = {}
-        self._overlay: Dict[str, int] = {}
-        self.final_ops = 0
-        self.speculative_ops = 0
-        self.rollbacks = 0
+        super().__init__()
         self.rejected_withdrawals = 0
-
-    # ------------------------------------------------------------------
-    # StateMachine interface
-    # ------------------------------------------------------------------
-    def apply(self, command: Command) -> Any:
-        self.final_ops += 1
-        return self._execute(command, self._final, read_through=False)
-
-    def apply_speculative(self, command: Command) -> Any:
-        self.speculative_ops += 1
-        return self._execute(command, self._overlay, read_through=True)
-
-    def rollback_speculative(self) -> None:
-        if self._overlay:
-            self.rollbacks += 1
-        self._overlay.clear()
-
-    def snapshot(self) -> dict:
-        return copy.deepcopy(self._final)
-
-    def restore(self, snapshot: dict) -> None:
-        self._final = copy.deepcopy(snapshot)
-        self._overlay.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def balance(self, account: str) -> int:
-        """Final (committed) balance."""
-        return self._final.get(account, 0)
-
-    def speculative_balance(self, account: str) -> int:
-        if account in self._overlay:
-            return self._overlay[account]
-        return self._final.get(account, 0)
-
-    def final_items(self) -> Dict[str, int]:
-        return dict(self._final)
-
-    def speculative_items(self) -> Dict[str, int]:
-        merged = dict(self._final)
-        merged.update(self._overlay)
-        return merged
-
-    # ------------------------------------------------------------------
-    def _read(self, account: str, layer: Dict[str, int],
-              read_through: bool) -> int:
-        if account in layer:
-            return layer[account]
-        if read_through:
-            return self._final.get(account, 0)
-        return 0
 
     def _amount(self, command: Command) -> int:
         amount = command.value
@@ -97,25 +41,21 @@ class BankMachine(StateMachine):
                 f"amount must be a non-negative int, got {amount!r}")
         return amount
 
-    def _execute(self, command: Command, layer: Dict[str, int],
-                 read_through: bool) -> Any:
+    def _execute(self, command: Command, read: Read, write: Write) -> Any:
         op = command.op
-        if op == "noop":
-            return None
         if op == "balance":
-            return self._read(command.key, layer, read_through)
+            return read(command.key)
         if op == "deposit":
-            layer[command.key] = \
-                self._read(command.key, layer, read_through) + \
-                self._amount(command)
+            amount = self._amount(command)
+            write(command.key, read(command.key) + amount)
             return "OK"
         if op == "withdraw":
             amount = self._amount(command)
-            current = self._read(command.key, layer, read_through)
+            current = read(command.key)
             if current < amount:
                 self.rejected_withdrawals += 1
                 return "INSUFFICIENT"
-            layer[command.key] = current - amount
+            write(command.key, current - amount)
             return "OK"
         raise StateMachineError(
-            f"BankMachine does not support op {command.op!r}")
+            f"BankMachine does not support op {op!r}")

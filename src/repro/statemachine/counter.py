@@ -18,92 +18,27 @@ exactly as the KV store's mutations do.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict
+from typing import Any
 
 from repro.errors import StateMachineError
-from repro.statemachine.base import Command, StateMachine
+from repro.statemachine.base import Command, Read, StateMachine, Write
 
 
 class CounterMachine(StateMachine):
-    """In-memory deterministic counter state machine with a speculative
-    overlay (final state + overlay, like :class:`~repro.statemachine.
-    kvstore.KVStore`)."""
+    """In-memory deterministic counter state machine."""
 
-    def __init__(self) -> None:
-        self._final: Dict[str, int] = {}
-        self._overlay: Dict[str, int] = {}
-        self.final_ops = 0
-        self.speculative_ops = 0
-        self.rollbacks = 0
+    default = 0
 
-    # ------------------------------------------------------------------
-    # StateMachine interface
-    # ------------------------------------------------------------------
-    def apply(self, command: Command) -> Any:
-        self.final_ops += 1
-        return self._execute(command, self._final, read_through=False)
-
-    def apply_speculative(self, command: Command) -> Any:
-        self.speculative_ops += 1
-        return self._execute(command, self._overlay, read_through=True)
-
-    def rollback_speculative(self) -> None:
-        if self._overlay:
-            self.rollbacks += 1
-        self._overlay.clear()
-
-    def snapshot(self) -> dict:
-        return copy.deepcopy(self._final)
-
-    def restore(self, snapshot: dict) -> None:
-        self._final = copy.deepcopy(snapshot)
-        self._overlay.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def value(self, key: str) -> int:
-        """Final (committed) total for ``key``."""
-        return self._final.get(key, 0)
-
-    def speculative_value(self, key: str) -> int:
-        """Total as speculation sees it (overlay, then final)."""
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._final.get(key, 0)
-
-    def final_items(self) -> Dict[str, int]:
-        return dict(self._final)
-
-    def speculative_items(self) -> Dict[str, int]:
-        merged = dict(self._final)
-        merged.update(self._overlay)
-        return merged
-
-    # ------------------------------------------------------------------
-    def _read(self, key: str, layer: Dict[str, int],
-              read_through: bool) -> int:
-        if key in layer:
-            return layer[key]
-        if read_through:
-            return self._final.get(key, 0)
-        return 0
-
-    def _execute(self, command: Command, layer: Dict[str, int],
-                 read_through: bool) -> Any:
+    def _execute(self, command: Command, read: Read, write: Write) -> Any:
         op = command.op
-        if op == "noop":
-            return None
         if op == "get":
-            return self._read(command.key, layer, read_through)
+            return read(command.key)
         if op == "incr":
             delta = command.value if command.value is not None else 1
             if not isinstance(delta, int):
                 raise StateMachineError(
                     f"incr delta must be int, got {delta!r}")
-            layer[command.key] = \
-                self._read(command.key, layer, read_through) + delta
+            write(command.key, read(command.key) + delta)
             return "OK"
         raise StateMachineError(
-            f"CounterMachine does not support op {command.op!r}")
+            f"CounterMachine does not support op {op!r}")

@@ -11,9 +11,8 @@ For the key-value service used in the evaluation this reduces to:
   ezBFT's relation, unlike Q/U's read/write classification) -- but an
   ``incr`` interferes with a ``get`` (the read sees different values) and
   with a ``put``;
-- ``put`` interferes with everything on the same key except... nothing:
-  put/put do not commute (last write wins), put/get do not commute,
-  put/incr do not commute.
+- ``put`` interferes with every command on the same key: put/put do not
+  commute (last write wins), and neither do put/get or put/incr.
 
 ``noop`` commands never interfere with anything.
 """
@@ -52,14 +51,10 @@ class KVInterference(InterferenceRelation):
         if ops == {"get"}:
             return False
         if ops == {"incr"}:
-            # Commutative mutations: order does not affect the final state
-            # *or* each other's results (each incr returns its own delta
-            # applied to whatever total precedes it -- to keep results
-            # order-independent we define incr's result as the delta
-            # itself is NOT what we do; see KVStore.apply).  Two incrs on
-            # the same key still produce the same final total in either
-            # order, and ezBFT's relation is about final *state*, so they
-            # do not interfere.
+            # Two incrs on the same key reach the same total in either
+            # order, and each answers "OK" (not the new total), so
+            # neither the final state nor the replies depend on the
+            # order: they commute.
             return False
         return True
 

@@ -1,12 +1,4 @@
-"""Replicated key-value store with a speculative overlay.
-
-Execution model (matching Zyzzyva/ezBFT requirements):
-
-- *Final state* is the authoritative map, mutated only by :meth:`apply`.
-- *Speculative state* is an overlay on top of the final state, mutated by
-  :meth:`apply_speculative`.  Reads during speculation see the overlay
-  first, then the final state.  :meth:`rollback_speculative` discards the
-  overlay in O(overlay size).
+"""Replicated key-value store: the service used in the evaluation.
 
 Result conventions: ``get`` returns the value (or ``None``), mutations
 (``put``, ``incr``) return the string ``"OK"``.  Mutation results are
@@ -18,116 +10,40 @@ protocol off the fast path.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Optional
+from typing import Any
 
 from repro.errors import StateMachineError
-from repro.statemachine.base import Command, StateMachine
-
-#: Sentinel stored in the overlay for keys without a final value yet.
-_MISSING = object()
+from repro.statemachine.base import Command, Read, StateMachine, Write
 
 
 class KVStore(StateMachine):
     """In-memory deterministic KV state machine."""
 
-    def __init__(self) -> None:
-        self._final: Dict[str, Any] = {}
-        self._overlay: Dict[str, Any] = {}
-        self.final_ops = 0
-        self.speculative_ops = 0
-        self.rollbacks = 0
+    # The entry points stay in KVStore's own namespace, where
+    # ``benchmarks/ledger/spans.py`` looks them up to wrap them.
+    apply = StateMachine.apply
+    apply_speculative = StateMachine.apply_speculative
+    snapshot = StateMachine.snapshot
 
-    # ------------------------------------------------------------------
-    # StateMachine interface
-    # ------------------------------------------------------------------
-    def apply(self, command: Command) -> Any:
-        self.final_ops += 1
-        return self._execute(command, self._final, read_through=False)
-
-    def apply_speculative(self, command: Command) -> Any:
-        self.speculative_ops += 1
-        return self._execute(command, self._overlay, read_through=True)
-
-    def rollback_speculative(self) -> None:
-        if self._overlay:
-            self.rollbacks += 1
-        self._overlay.clear()
-
-    def snapshot(self) -> dict:
-        return copy.deepcopy(self._final)
-
-    def restore(self, snapshot: dict) -> None:
-        self._final = copy.deepcopy(snapshot)
-        self._overlay.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection helpers (used heavily by tests)
-    # ------------------------------------------------------------------
-    def get_final(self, key: str) -> Any:
-        """Read a key from the final state only."""
-        return self._final.get(key)
-
-    def get_speculative(self, key: str) -> Any:
-        """Read a key as speculation sees it (overlay, then final)."""
-        if key in self._overlay:
-            value = self._overlay[key]
-            return None if value is _MISSING else value
-        return self._final.get(key)
-
-    @property
-    def has_speculative_state(self) -> bool:
-        return bool(self._overlay)
-
-    def final_items(self) -> Dict[str, Any]:
-        return dict(self._final)
-
-    def speculative_items(self) -> Dict[str, Any]:
-        """Final state with the speculative overlay applied on top --
-        the state a speculative protocol (Zyzzyva, ezBFT pre-commit)
-        exposes before commitment catches up."""
-        merged = dict(self._final)
-        for key, value in self._overlay.items():
-            if value is _MISSING:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        return merged
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _read(self, key: str, layer: Dict[str, Any],
-              read_through: bool) -> Any:
-        if key in layer:
-            value = layer[key]
-            return None if value is _MISSING else value
-        if read_through:
-            return self._final.get(key)
-        return None
-
-    def _execute(self, command: Command, layer: Dict[str, Any],
-                 read_through: bool) -> Any:
+    def _execute(self, command: Command, read: Read, write: Write) -> Any:
         op = command.op
-        if op == "noop":
-            return None
         if op == "get":
-            return self._read(command.key, layer, read_through)
+            return read(command.key)
         if op == "put":
-            layer[command.key] = command.value
+            write(command.key, command.value)
             return "OK"
         if op == "incr":
             delta = command.value if command.value is not None else 1
             if not isinstance(delta, int):
                 raise StateMachineError(
                     f"incr delta must be int, got {delta!r}")
-            current = self._read(command.key, layer, read_through)
+            current = read(command.key)
             if current is None:
                 current = 0
             if not isinstance(current, int):
                 raise StateMachineError(
                     f"incr target {command.key!r} holds non-int "
                     f"{current!r}")
-            layer[command.key] = current + delta
+            write(command.key, current + delta)
             return "OK"
         raise StateMachineError(f"unknown op {op!r}")

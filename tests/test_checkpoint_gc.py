@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import checkpointing
 from repro.core.instance import EntryStatus, LogEntry
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import EzCheckpoint, StateTransferReply
@@ -192,11 +193,21 @@ def test_owner_change_after_gc_preserves_consistency():
 # ----------------------------------------------------------------------
 # State transfer
 # ----------------------------------------------------------------------
-def test_partitioned_replica_rejoins_via_state_transfer():
+def test_partitioned_replica_rejoins_via_state_transfer(monkeypatch):
     """The tentpole recovery scenario: a replica is partitioned while
     the cluster GCs past it, then rejoins.  Without state transfer it
     would wait forever for truncated SPECORDERs; with it, it installs
-    the latest stable snapshot and resumes live execution."""
+    the latest stable snapshot and resumes live execution.  The shipped
+    snapshot is digested once, for the proof check and the install
+    both."""
+    digested = []
+
+    def counting_digest(value):
+        digested.append(value)
+        return real_digest(value)
+
+    real_digest = checkpointing.digest
+    monkeypatch.setattr(checkpointing, "digest", counting_digest)
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
@@ -212,6 +223,8 @@ def test_partitioned_replica_rejoins_via_state_transfer():
     assert lagging.stats["state_transfers_installed"] >= 1
     assert sum(r.stats["state_transfers_served"]
                for r in cluster.replicas.values()) >= 1
+    assert len(digested) == sum(r.stats["state_transfers_installed"]
+                                for r in cluster.replicas.values())
     assert lagging.executor.executed_count == 6 * INTERVAL
     assert_replicas_consistent(cluster)
     # The rejoined replica now holds a stable checkpoint of its own and

@@ -21,6 +21,7 @@ from repro.core.executor import DependencyExecutor
 from repro.core.replica import EzBFTReplica
 from repro.messages.ezbft import BatchCommitFast, Request
 from repro.statemachine.base import Command
+from repro.statemachine.kvstore import KVStore
 from repro.storage.store import RecoverySummary, ReplicaStorage
 from repro.transport import asyncio_tcp
 
@@ -33,6 +34,7 @@ from helpers import lan_cluster
     (DependencyExecutor, ["try_execute"]),
     (ReplicaStorage, ["append_entry", "append_attest", "save_snapshot",
                       "rotate", "prune", "replay_records"]),
+    (KVStore, ["apply", "apply_speculative", "snapshot"]),
 ])
 def test_span_targets_are_defined_in_the_class_body(cls, names):
     for name in names:

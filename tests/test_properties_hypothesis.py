@@ -30,7 +30,9 @@ from repro.messages.ezbft import (
     SpecOrder,
     SpecReply,
 )
+from repro.statemachine.bank import BankMachine
 from repro.statemachine.base import Command
+from repro.statemachine.counter import CounterMachine
 from repro.statemachine.interference import KVInterference
 from repro.statemachine.kvstore import KVStore
 from repro.types import InstanceID
@@ -273,6 +275,87 @@ def test_linearize_is_permutation(graph):
 
 
 # ----------------------------------------------------------------------
+# State machines: the overlay contract every application shares
+# ----------------------------------------------------------------------
+#: (machine, its ops, the ops whose value must be an int).
+MACHINES = [
+    pytest.param(KVStore, ("put", "get", "incr"), ("incr",),
+                 id="KVStore"),
+    pytest.param(CounterMachine, ("incr", "get"), ("incr",),
+                 id="CounterMachine"),
+    pytest.param(BankMachine, ("deposit", "withdraw", "balance"),
+                 ("deposit", "withdraw"), id="BankMachine"),
+]
+
+
+def machine_commands(ops):
+    """Commands over ``ops`` and one op outside them, carrying small
+    ints or one non-int value."""
+    return st.builds(
+        Command,
+        client_id=st.just("c"),
+        timestamp=st.integers(min_value=1, max_value=100),
+        op=st.sampled_from(ops + ("frobnicate",)),
+        key=st.sampled_from(["a", "b", "c"]),
+        value=st.one_of(st.integers(min_value=0, max_value=5),
+                        st.just("five")))
+
+
+def checked(apply, items, cmd, ops, int_ops):
+    """``apply(cmd)``, asserting that an op outside ``ops`` or a
+    non-int value for one of ``int_ops`` is rejected, and that a
+    rejected command changes nothing."""
+    before = items()
+    result = apply(cmd)
+    if cmd.op not in ops or (cmd.op in int_ops and
+                             not isinstance(cmd.value, int)):
+        assert isinstance(result, str) and result.startswith("ERROR: ")
+    if isinstance(result, str) and result.startswith("ERROR: "):
+        assert items() == before
+    return result
+
+
+@pytest.mark.parametrize("machine, ops, int_ops", MACHINES)
+@given(data=st.data())
+def test_speculative_then_rollback_leaves_final_untouched(machine, ops,
+                                                          int_ops, data):
+    sm = machine()
+    commands = machine_commands(ops)
+    for cmd in data.draw(st.lists(commands, max_size=5)):
+        checked(sm.apply, sm.final_items, cmd, ops, int_ops)
+    before = sm.final_items()
+    snapshot = sm.snapshot()
+    for cmd in data.draw(st.lists(commands, max_size=20)):
+        checked(sm.apply_speculative, sm.speculative_items, cmd, ops,
+                int_ops)
+    speculated = sm.has_speculative_state
+    sm.rollback_speculative()
+    assert sm.final_items() == before
+    assert not sm.has_speculative_state
+    assert sm.rollbacks == int(speculated)
+    for cmd in data.draw(st.lists(commands, max_size=5)):
+        sm.apply(cmd)
+    sm.restore(snapshot)
+    assert sm.final_items() == before
+
+
+@pytest.mark.parametrize("machine, ops, int_ops", MACHINES)
+@given(data=st.data())
+def test_final_equals_speculative_when_applied_identically(machine, ops,
+                                                           int_ops, data):
+    final_sm, spec_sm = machine(), machine()
+    for cmd in data.draw(st.lists(machine_commands(ops), max_size=20)):
+        assert checked(final_sm.apply, final_sm.final_items, cmd, ops,
+                       int_ops) == \
+            checked(spec_sm.apply_speculative, spec_sm.speculative_items,
+                    cmd, ops, int_ops)
+    for key in ("a", "b", "c"):
+        assert final_sm.get_final(key) == spec_sm.get_speculative(key)
+    assert final_sm.final_items() == spec_sm.speculative_items()
+    assert spec_sm.final_items() == {}
+
+
+# ----------------------------------------------------------------------
 # KV store
 # ----------------------------------------------------------------------
 commands = st.builds(
@@ -282,29 +365,6 @@ commands = st.builds(
     op=st.sampled_from(["put", "get", "incr"]),
     key=st.sampled_from(["a", "b", "c"]),
     value=st.integers(min_value=0, max_value=5))
-
-
-@given(st.lists(commands, max_size=20))
-def test_speculative_then_rollback_leaves_final_untouched(cmds):
-    kv = KVStore()
-    kv.apply(Command(client_id="c", timestamp=0, op="put", key="a",
-                     value=1))
-    before = kv.final_items()
-    for cmd in cmds:
-        kv.apply_speculative(cmd)
-    kv.rollback_speculative()
-    assert kv.final_items() == before
-    assert not kv.has_speculative_state
-
-
-@given(st.lists(commands, max_size=20))
-def test_final_equals_speculative_when_applied_identically(cmds):
-    final_kv, spec_kv = KVStore(), KVStore()
-    for cmd in cmds:
-        final_kv.apply(cmd)
-        spec_kv.apply_speculative(cmd)
-    for key in ("a", "b", "c"):
-        assert final_kv.get_final(key) == spec_kv.get_speculative(key)
 
 
 @given(st.lists(commands, max_size=15), st.randoms())

@@ -1,8 +1,5 @@
 """Unit tests for the KV store, speculation, and checkpoints."""
 
-import pytest
-
-from repro.errors import StateMachineError
 from repro.statemachine.base import Command
 from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 from repro.statemachine.kvstore import KVStore
@@ -57,15 +54,18 @@ def test_incr_default_delta_is_one():
 
 def test_incr_non_int_delta_rejected():
     kv = KVStore()
-    with pytest.raises(StateMachineError):
-        kv.apply(incr("n", delta="five"))
+    kv.apply(incr("n", 2))
+    assert kv.apply(incr("n", delta="five")) == \
+        "ERROR: incr delta must be int, got 'five'"
+    assert kv.final_items() == {"n": 2}
 
 
 def test_incr_on_non_int_value_rejected():
     kv = KVStore()
     kv.apply(put("k", "string"))
-    with pytest.raises(StateMachineError):
-        kv.apply(incr("k"))
+    assert kv.apply(incr("k")) == \
+        "ERROR: incr target 'k' holds non-int 'string'"
+    assert kv.final_items() == {"k": "string"}
 
 
 def test_noop_does_nothing():
@@ -76,8 +76,15 @@ def test_noop_does_nothing():
 
 def test_unknown_op_rejected():
     kv = KVStore()
-    with pytest.raises(StateMachineError):
-        kv.apply(Command(client_id="c", timestamp=1, op="frobnicate"))
+    kv.apply(put("k", "v"))
+    assert kv.apply(Command(client_id="c", timestamp=1,
+                            op="frobnicate")) == \
+        "ERROR: unknown op 'frobnicate'"
+    assert kv.apply_speculative(Command(client_id="c", timestamp=2,
+                                        op="frobnicate")) == \
+        "ERROR: unknown op 'frobnicate'"
+    assert kv.final_items() == {"k": "v"}
+    assert not kv.has_speculative_state
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,16 @@ def test_speculative_state_matches_after_run():
             assert replica.statemachine.get_speculative(f"k{i}") == i
 
 
+def test_replicas_execute_into_final_state():
+    cluster = lan_cluster("zyzzyva")
+    client = cluster.add_client("c0", "local")
+    for i in range(3):
+        client.submit(client.next_command("put", f"k{i}", i))
+        cluster.run_until_idle()
+    assert assert_replicas_consistent(cluster) == \
+        {"k0": 0, "k1": 1, "k2": 2}
+
+
 def test_history_digests_chain_identically():
     cluster = lan_cluster("zyzzyva")
     client = cluster.add_client("c0", "local")
