@@ -1,7 +1,8 @@
 """Frozen-mutation checker: ``object.__setattr__`` stays corralled.
 
-The perf memos from PR 6 (canonical-bytes, digest, and envelope
-verify-verdict caches) mutate frozen message dataclasses through
+The perf memos (canonical-bytes, digest, and envelope verify-verdict
+caches, and the payload an envelope's signed bytes parse to) mutate
+frozen message dataclasses through
 ``object.__setattr__`` at exactly one sanctioned site per memo, each
 keyed by content hash so mutation cannot resurrect stale entries.
 That design only holds if those remain the *only* sites: a stray
@@ -33,6 +34,8 @@ from repro.analysis.layers import frozen_mutation_layer
 #: Constant attribute values of the sanctioned memo slots.
 ALLOWED_MEMO_ATTRS = frozenset({
     "_repro_verify_memo",      # messages.base: SignedPayload.verify
+    "payload",                 # messages.base: SignedPayload.bind
+    "_repro_payload_memo",     # messages.base: SignedPayload.bind
     "_repro_canonical_memo",   # crypto.digest: canonical-bytes memo
     "_repro_digest_memo",      # crypto.digest: hexdigest memo
 })
@@ -40,7 +43,8 @@ ALLOWED_MEMO_ATTRS = frozenset({
 #: Module-level constant names holding those values (the real call
 #: sites pass the name, not the literal).
 ALLOWED_MEMO_NAMES = frozenset({
-    "_VERIFY_MEMO", "_BYTES_MEMO", "_DIGEST_MEMO",
+    "_VERIFY_MEMO", "_PAYLOAD", "_PAYLOAD_MEMO", "_BYTES_MEMO",
+    "_DIGEST_MEMO",
 })
 
 

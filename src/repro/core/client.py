@@ -29,6 +29,7 @@ from repro.messages.ezbft import (
     Request,
     SpecReply,
     SpecReplyBundle,
+    statement_of,
 )
 from repro.statemachine.base import Command
 from repro.trace.context import trace_id_for
@@ -46,8 +47,11 @@ class _Pending:
     command: Command
     target: str
     start_time: float
-    #: replica -> (reply header, its signed envelope); reset on retry.
-    spec_replies: Dict[str, Tuple[SpecReply, SignedPayload]] = \
+    #: replica -> (reply header, its signed envelope, the statement it
+    #: makes: :func:`~repro.messages.ezbft.statement_of`); reset on
+    #: retry.
+    spec_replies: Dict[str, Tuple[SpecReply, SignedPayload,
+                                  Optional[bytes]]] = \
         field(default_factory=dict)
     #: replica -> the signed SPECORDER its bundle carried beside the
     #: header (unverified until two of them disagree); reset on retry.
@@ -248,7 +252,8 @@ class EzBFTClient:
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is None or pending.phase != "spec":
             return
-        pending.spec_replies[reply.replica] = (reply, envelope)
+        pending.spec_replies[reply.replica] = (reply, envelope,
+                                               statement_of(envelope))
         if signed_order is not None:
             pending.spec_orders[reply.replica] = signed_order
 
@@ -268,15 +273,14 @@ class EzBFTClient:
             self._try_slow_path(pending)
 
     def _largest_matching_group(self, pending: _Pending):
-        """Largest set of mutually matching replies (step 4's 'matched
-        responses')."""
-        replies = [r for r, _ in pending.spec_replies.values()]
-        best: list = []
-        for anchor in replies:
-            group = [r for r in replies if anchor.matches_fast(r)]
-            if len(group) > len(best):
-                best = group
-        return best
+        """Largest set of matching replies (step 4's 'matched
+        responses'): replies whose signed headers make one statement,
+        compared as bytes."""
+        groups: Dict[bytes, list] = {}
+        for reply, _, statement in pending.spec_replies.values():
+            if statement is not None:
+                groups.setdefault(statement, []).append(reply)
+        return max(groups.values(), key=len, default=[])
 
     def _detect_misbehavior(self, pending: _Pending) -> bool:
         """Step 4.4: compare the SPECORDERs the replicas attached;
@@ -330,7 +334,7 @@ class EzBFTClient:
     def _deliver_fast(self, pending: _Pending, group) -> None:
         certificate = tuple(
             envelope
-            for replica, (reply, envelope) in
+            for replica, (reply, envelope, _) in
             sorted(pending.spec_replies.items())
             if any(reply is g for g in group)
         )[:self.config.fast_quorum_size]
@@ -389,7 +393,7 @@ class EzBFTClient:
             return  # keep waiting; the retry timer is the next net
         # Replies must agree on the instance to be combinable.
         by_instance: Dict[InstanceID, list] = {}
-        for replica, (reply, envelope) in available.items():
+        for reply, envelope, _ in available.values():
             by_instance.setdefault(reply.instance, []).append(
                 (reply, envelope))
         instance, combinable = max(by_instance.items(),

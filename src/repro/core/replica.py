@@ -45,6 +45,7 @@ from repro.messages.ezbft import (
     StartOwnerChange,
     StateTransferReply,
     StateTransferRequest,
+    statement_of,
 )
 from repro.statemachine.base import Command, StateMachine
 from repro.statemachine.checkpoint import CheckpointStore
@@ -866,7 +867,7 @@ class EzBFTReplica:
     def _validate_reply_certificate(self, cert, instance: InstanceID,
                                     require_match: bool) -> bool:
         signers = set()
-        first: Optional[SpecReply] = None
+        statements = set()
         for signed in cert:
             reply = signed.payload
             if not isinstance(reply, SpecReply):
@@ -880,10 +881,10 @@ class EzBFTReplica:
             if reply.replica not in self.config.replica_ids:
                 return False
             signers.add(reply.replica)
-            if first is None:
-                first = reply
-            elif require_match and not first.matches_fast(reply):
-                return False
+            if require_match:
+                statements.add(statement_of(signed))
+        if require_match and (len(statements) != 1 or None in statements):
+            return False
         return len(signers) == len(cert)
 
     # ------------------------------------------------------------------

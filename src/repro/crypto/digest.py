@@ -16,24 +16,23 @@ and dependency key goes through it), so two mechanisms keep it cheap:
   and is garbage-collected with the message.
 - **Splicing.**  The encoder writes string fragments in one pass and,
   on reaching a nested message object whose memo is valid, splices the
-  cached encoding verbatim instead of re-serializing it -- a
-  certificate carrying 3f+1 signed replies encodes as a concatenation
-  of its (already signed, already encoded) envelopes.
+  cached encoding verbatim instead of re-serializing it.
 
 Each memo records the content hash it was computed under -- a byzantine
 in-process mutation via ``object.__setattr__`` changes the content
 hash, the recorded hash no longer matches, and the bytes are recomputed
-from the mutated fields, so a message altered after signing still fails
-verification.  Objects whose fields are unhashable (e.g. dict-valued
-snapshots) or that declare ``__slots__`` fall back to the uncached
-encoder.
+from the mutated fields.  Objects whose fields are unhashable (e.g.
+dict-valued snapshots) or that declare ``__slots__`` fall back to the
+uncached encoder.
 
-One memo is *derived* rather than encoded: :func:`sibling_with_replica`
-builds "this statement, signed by another replica" and gives it its
-bytes by respelling one string in an encoding already paid for (a fast
-commit certificate is 3f+1 such siblings).  It is recorded under the
-sibling's own content hash like any other memo, so the paragraph above
-holds for it unchanged.
+A memo is only ever this encoder's own output: bytes that arrived are
+never recorded as a message's canonical encoding.  Signed envelopes
+(``repro.messages.base.SignedPayload``) keep the bytes their signer
+MAC'd *beside* the parsed payload instead, and encode as an escaped
+copy of them -- a certificate of 3f+1 signed replies never re-encodes
+a reply.  :func:`respell_replica` derives "the same SPECREPLY, signed
+by another replica" from such bytes by respelling one string; it is
+how a fast certificate ships one header for 3f+1 signers.
 """
 
 from __future__ import annotations
@@ -202,39 +201,27 @@ def canonical_bytes(value: Any) -> bytes:
         if memo is not None and memo[0] == content_hash:
             return memo[1]
         encoded = _encode(value)  # _write populates the memo itself
+        # Hand out the memo's own bytes: a signed envelope keeps what
+        # it is given, and must not hold a second copy of them.
+        memo = getattr(value, _BYTES_MEMO, None)
+        if memo is not None and memo[0] == content_hash:
+            return memo[1]
         return encoded
     return _encode(value)
 
 
-#: Types whose values, when ``==`` and of one type, encode alike.
-#: ``float`` is not among them: ``0.0 == -0.0``.
-_ONE_SPELLING = (str, int, bool, type(None))
-
-
-def same_encoding(a: Any, b: Any) -> bool:
-    """Whether ``a`` and ``b`` are one value *as signed*: their
-    canonical encodings are equal.  ``==`` is looser -- ``5 == 5.0`` and
-    ``1 == True``, each spelled differently on the wire -- so two
-    signers' statements that agree only under ``==`` cannot share one
-    set of signed bytes."""
-    kind = type(a)
-    if kind is type(b) and kind in _ONE_SPELLING:
-        return a == b
-    return _encode(a) == _encode(b)
-
-
 #: How a top-level ``replica`` key that is not the first key starts.
-_REPLICA_KEY = ',"replica":'
+_REPLICA_KEY = b',"replica":'
 
 
-def _respell_replica(text: str, old: str, new: str) -> Optional[str]:
-    """``text`` -- the canonical encoding of a message whose wire form
+def _respell_replica(data: bytes, old: str, new: str) -> Optional[bytes]:
+    """``data`` -- the canonical encoding of a message whose wire form
     holds the string ``old`` under the top-level key ``replica`` --
-    with that value respelled as ``new``; ``None`` when ``text`` is not
+    with that value respelled as ``new``; ``None`` when ``data`` is not
     visibly of the shape the lemma needs.
 
     **Lemma.**  Let ``i`` be the first index of ``,"replica":`` in
-    ``text``.  If no ``{`` occurs in ``text[1:i]``, then ``i`` is where
+    ``data``.  If no ``{`` occurs in ``data[1:i]``, then ``i`` is where
     the top-level ``replica`` key starts.  Proof: the encoder escapes
     ``"`` inside every string literal as ``\\"``, so a raw ``"replica"``
     followed by ``:`` is a whole string token in key position, i.e. a
@@ -249,48 +236,47 @@ def _respell_replica(text: str, old: str, new: str) -> Optional[str]:
     earlier string value fails the check needlessly; that costs the
     shortcut, never correctness.)
     """
-    at = text.find(_REPLICA_KEY)
+    at = data.find(_REPLICA_KEY)
     start = at + len(_REPLICA_KEY)
-    spelled = _escape(old)
-    if at < 0 or text.find("{", 1, at) >= 0 \
-            or not text.startswith(spelled, start):
+    spelled = _escape(old).encode("ascii")
+    if at < 0 or data.find(b"{", 1, at) >= 0 \
+            or not data.startswith(spelled, start):
         return None
-    return text[:start] + _escape(new) + text[start + len(spelled):]
+    return data[:start] + _escape(new).encode("ascii") \
+        + data[start + len(spelled):]
 
 
-def sibling_with_replica(message: Any, replica: str) -> Any:
-    """``message`` -- a SPECREPLY header -- as another replica would
-    have said it: a copy whose ``replica`` field is ``replica``, its
-    canonical bytes derived from ``message``'s own encoding by
-    :func:`_respell_replica` instead of a second pass of the encoder.
+def respell_replica(data: bytes, message: Any,
+                    replica: Any) -> Optional[bytes]:
+    """``data`` -- signed bytes that parse to ``message``, a message
+    with a top-level ``replica`` field -- as ``replica`` would have
+    signed the same statement; ``None`` when no such bytes can be
+    derived.
 
-    The copy is made here, so the derived bytes can only ever be
-    attached to a message that differs from ``message`` in that one
-    field, and they are recorded under the copy's own content hash like
-    any memo: mutate the copy afterwards and it re-encodes.  When the
-    shortcut does not apply (unhashable fields, non-string ids, an
-    encoding the lemma does not cover) the copy is returned bare and
-    the plain encoder serves it on first use.
+    :func:`_respell_replica` derives them by respelling one string and
+    keeping the rest of ``data`` verbatim, whatever its spelling.
+    Where that lemma declines (an id that is not a string, a ``{``
+    ahead of the key), our own encoder decides, and only for bytes that
+    are its own output: the sibling of a canonical statement is the
+    encoder's output for the copy with ``replica`` replaced, and a
+    non-canonical statement the lemma cannot see into has none.  This
+    fallback is the only path that encodes.
+
+    For bytes that are not the encoder's output the lemma's conclusion
+    is weaker: a statement holding a second top-level ``replica`` key
+    respells the first while a parser keeps the last.  That costs
+    nothing, because a correct signer's bytes are canonical: a sibling
+    respelled from any other statement never carries a correct
+    signer's MAC.
     """
-    sibling = replace(message, replica=replica)
     old = message.replica
-    if type(old) is not str or type(replica) is not str:
-        return sibling
-    try:
-        content_hash = hash(message)
-        sibling_hash = hash(sibling)
-    except TypeError:
-        return sibling
-    memo = getattr(message, _BYTES_MEMO, None)
-    if memo is None or memo[0] != content_hash:
-        canonical_bytes(message)  # the one full encode siblings share
-        memo = getattr(message, _BYTES_MEMO)
-    derived = _respell_replica(memo[2], old, replica)
-    if derived is not None:
-        object.__setattr__(
-            sibling, _BYTES_MEMO,
-            (sibling_hash, derived.encode("ascii"), derived))
-    return sibling
+    if type(old) is str and type(replica) is str:
+        derived = _respell_replica(data, old, replica)
+        if derived is not None:
+            return derived
+    if canonical_bytes(message) != data:
+        return None
+    return canonical_bytes(replace(message, replica=replica))
 
 
 def digest(value: Any) -> str:

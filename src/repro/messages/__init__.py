@@ -10,12 +10,12 @@ Each message is a frozen dataclass with:
   model (certificate-carrying messages cost proportionally more to verify).
 
 Three classes write wire methods by hand, because their wire form is
-not their field list: ``SignedPayload`` (both: ``payload`` is any
-registered type, decoded through :func:`decode`), ``CommitFast`` (both:
-one SPECREPLY statement and 3f+1 signatures, not 3f+1 envelopes) and
-``SpecReply.from_wire`` (names the retired ``spec_order`` key and
-coerces the integer fields ``matches_fast`` leans on; its ``to_wire``
-is derived).
+not their field list: ``SignedPayload`` (both: the signed bytes ride as
+a string and are parsed, through :func:`decode`, into any registered
+type), ``CommitFast`` (both: one SPECREPLY header as signed and 3f+1
+signatures, not 3f+1 envelopes) and ``SpecReply.from_wire`` (names the
+retired ``spec_order`` key and coerces the integer fields; its
+``to_wire`` is derived).
 
 :func:`repro.messages.base.decode` reconstructs any registered message
 from its wire dict -- used by the asyncio transport and by tests that

@@ -14,21 +14,24 @@ everything built from replies afterwards -- :class:`CommitFast`,
 proofs, relogged WAL records -- holds headers only.
 
 The fast certificate closes its brackets the same way.  The 3f+1
-headers of ``<COMMITFAST, c, I, CC>`` match on every signed field but
-the signer's own id, so on the wire ``CC`` is
-``<<SPECREPLY, O, I, D', S', d, c, t, rep>, [(R_j, sigma_Rj), ...]>``:
-one statement and 3f+1 signatures over it (see :class:`CommitFast`).
-In memory it stays a tuple of signed :class:`SpecReply` envelopes, and
-a client that certifies several commands in one step sends their
-COMMITFASTs as one :class:`BatchCommitFast` frame.
+headers of ``<COMMITFAST, c, I, CC>`` are one statement signed by
+3f+1 replicas -- their signed bytes differ in the signer's own id and
+in no other byte (:func:`statement_of`) -- so on the wire ``CC`` is
+``<<SPECREPLY, O, I, D', S', d, c, t, rep, R_0>, [(R_j, sigma_Rj),
+...]>``: the first header's signed bytes verbatim and 3f+1 signatures
+(see :class:`CommitFast`).  In memory it stays a tuple of
+signed :class:`SpecReply` envelopes, and a client that certifies
+several commands in one step sends their COMMITFASTs as one
+:class:`BatchCommitFast` frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import json
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
-from repro.crypto.digest import same_encoding, sibling_with_replica
+from repro.crypto.digest import canonical_bytes, respell_replica
 from repro.crypto.signatures import Signature
 from repro.errors import SerializationError
 from repro.messages.base import (
@@ -98,7 +101,8 @@ class SpecReply:
     to it; the SPECORDER the replica acted on travels beside the header
     in a :class:`SpecReplyBundle`.  A commit certificate is 3f+1 (fast)
     or 2f+1 (slow) of these headers, so it carries the leader's
-    proposal zero times instead of once per signer.
+    proposal zero times instead of once per signer.  Fast-path matching
+    compares signed headers' bytes (:func:`statement_of`).
     """
 
     MSG_TYPE = "ez-spec-reply"
@@ -114,27 +118,6 @@ class SpecReply:
     timestamp: int
     result: Any
 
-    def matches_fast(self, other: "SpecReply") -> bool:
-        """Fast-path matching: identical O, I, D, S, d, c, t and rep --
-        every signed field but the signer's own id, and identical *as
-        signed*: matching headers differ in ``replica`` and in no other
-        byte (what lets :class:`CommitFast` ship the statement once).
-
-        ``==`` is byte equality for every field but ``rep``: a string
-        equals only a string, and ``from_wire`` makes the integer
-        fields ints, so a header that spelled ``5`` as ``5.0`` decodes
-        to something other than what was signed and fails ``verify``
-        before it is matched.  ``result`` is application data of any
-        JSON shape, so it is compared by encoding."""
-        return (self.owner_number == other.owner_number
-                and self.instance == other.instance
-                and self.deps == other.deps
-                and self.seq == other.seq
-                and self.request_digest == other.request_digest
-                and self.client_id == other.client_id
-                and self.timestamp == other.timestamp
-                and same_encoding(self.result, other.result))
-
     @classmethod
     def from_wire(cls, wire: dict) -> "SpecReply":
         if "spec_order" in wire:
@@ -148,8 +131,9 @@ class SpecReply:
                 "header); its signature cannot be verified")
         return cls(
             replica=wire["replica"],
-            # int(), as InstanceID.from_wire does its slot: see
-            # matches_fast for what leans on it.
+            # int(), as InstanceID.from_wire does its slot: a header
+            # signed with ``5.0`` decodes to the same int at every node
+            # (and, spelled apart, never matches a canonical header).
             owner_number=int(wire["owner_number"]),
             instance=InstanceID.from_wire(wire["instance"]),
             deps=deps_from_wire(wire["deps"]),
@@ -209,20 +193,45 @@ class SpecReplyBundle:
         return max(1, len(self.replies))
 
 
-#: The signed SPECREPLY fields a fast certificate's headers share:
-#: all of them but ``replica``.
-_STATEMENT_FIELDS = tuple(f.name for f in fields(SpecReply)
-                          if f.name != "replica")
+def statement_of(signed: SignedPayload) -> Optional[bytes]:
+    """What a signed SPECREPLY header states, less who states it: its
+    signed bytes respelled with an empty ``replica``.
+
+    Fast-path matching (paper step 4.1: identical O, I, D', S', d, c,
+    t and rep) is equality of these -- a comparison of signed bytes,
+    so headers that agree only under Python's ``==`` (``5`` and
+    ``5.0``) are two statements, and matching headers differ in the
+    signer's id and in no other byte, which is what lets
+    :class:`CommitFast` ship one header for all of them.  ``None``
+    (matches nothing) for an envelope that is not a SPECREPLY header,
+    or whose spelling :func:`~repro.crypto.digest.respell_replica`
+    derives no siblings from."""
+    header = signed.payload
+    if not isinstance(header, SpecReply):
+        return None
+    return respell_replica(signed.body, header, "")
 
 
-def _fast_statement(certificate: Tuple[SignedPayload, ...]) -> dict:
+def _spelled_apart(a: SignedPayload, b: SignedPayload) -> str:
+    """The signed fields two headers spell differently, for an error
+    message: their bytes parsed, compared field by field as encoded."""
+    wa, wb = json.loads(a.body), json.loads(b.body)
+    names = [repr(name) for name in sorted(set(wa) | set(wb))
+             if name != "replica" and canonical_bytes(wa.get(name))
+             != canonical_bytes(wb.get(name))]
+    return ", ".join(names) or "spelling alone"
+
+
+def _fast_statement(certificate: Tuple[SignedPayload, ...]) -> str:
     """The one SPECREPLY statement ``certificate`` signs 3f+1 times, as
-    a header's wire form less its ``type`` and ``replica``.  Raises
+    its first header's signed bytes.  Raises
     :class:`SerializationError` unless every envelope is a SPECREPLY
-    header signed by the replica it names and all of them match."""
+    header signed by the replica it names and all state one statement
+    (:func:`statement_of`)."""
     if not certificate:
         raise SerializationError("CommitFast carries no SPECREPLY headers")
-    first = certificate[0].payload
+    first = certificate[0]
+    statement = None
     for signed in certificate:
         header = signed.payload
         if not isinstance(header, SpecReply):
@@ -233,18 +242,16 @@ def _fast_statement(certificate: Tuple[SignedPayload, ...]) -> dict:
             raise SerializationError(
                 f"CommitFast header signed by {signed.signer!r} names "
                 f"'replica' {header.replica!r}")
-        if not first.matches_fast(header):
-            differing = ", ".join(
-                repr(name) for name in _STATEMENT_FIELDS
-                if not same_encoding(getattr(first, name),
-                                     getattr(header, name)))
+        said = statement_of(signed)
+        if statement is None:
+            statement = said
+        if said is None or said != statement:
             raise SerializationError(
-                f"CommitFast headers of {first.replica!r} and "
-                f"{header.replica!r} differ in {differing}: not a "
-                f"fast certificate")
-    statement = first.to_wire()
-    del statement["type"], statement["replica"]
-    return statement
+                f"CommitFast headers of {first.payload.replica!r} and "
+                f"{header.replica!r} differ in "
+                f"{_spelled_apart(first, signed)}: not a fast "
+                f"certificate")
+    return first.body.decode("ascii")
 
 
 @register_message
@@ -255,15 +262,19 @@ class CommitFast:
     :class:`SpecReply`).
 
     Matching headers are one statement signed 3f+1 times, so the wire
-    form is ``CC = <<SPECREPLY, O, I, D', S', d, c, t, rep>,
-    [(R_j, sigma_Rj), ...]>``: the statement once, then who signed it
-    and their tags.  ``replica`` is the one signed field left out of
-    the statement because it is the one field that may differ between
-    matching headers, and it is never free: a header counts only when
-    its ``replica`` is its signer, which the signature list already
-    names.  ``from_wire`` rebuilds header j as the statement with
-    ``replica = R_j``; every rebuilt header is still MAC-checked by
-    ``SignedPayload.verify`` wherever the certificate is validated.
+    form is ``CC = <<SPECREPLY, O, I, D', S', d, c, t, rep, R_0>,
+    [(R_j, sigma_Rj), ...]>``: the first header's signed bytes
+    verbatim, then who signed the statement and their tags.  The
+    signer's id is the one byte range in which matching headers
+    differ, and it is never free: a header counts only when its
+    ``replica`` is its signer, which the signature list names.
+    ``from_wire`` parses the statement once and rebuilds header j's
+    bytes by respelling its ``replica`` as ``R_j``
+    (:func:`~repro.crypto.digest.respell_replica`); every header is
+    still MAC-checked over those bytes by ``SignedPayload.verify``
+    wherever the certificate is validated, so a statement respelled
+    for a correct signer verifies only if it is what that signer
+    signed.
 
     ``certificate`` itself stays a tuple of signed envelopes, so a
     certificate that is *not* 3f+1 siblings can be built in process (and
@@ -302,25 +313,40 @@ class CommitFast:
                 "CommitFast wire form carries the retired 'certificate' "
                 "key (written before fast certificates shipped one "
                 "statement and 3f+1 signatures)")
+        statement = wire["statement"]
+        if not isinstance(statement, str):
+            raise SerializationError(
+                "CommitFast 'statement' is not a header's signed bytes "
+                "(written before the statement became the first "
+                "header as signed)")
         signatures = [Signature(signer=signer, tag=tag)
                       for signer, tag in wire["signatures"]]
         if not signatures:
             raise SerializationError(
                 "CommitFast carries no SPECREPLY headers")
-        # One header is decoded (and, for its MAC check, encoded) in
-        # full; its siblings share its parsed fields and derive their
-        # signed bytes from its encoding.
-        first = SpecReply.from_wire(
-            dict(wire["statement"], replica=signatures[0].signer))
-        headers = [first]
-        headers.extend(sibling_with_replica(first, signature.signer)
-                       for signature in signatures[1:])
+        # One parse; the siblings share its fields and respell its
+        # bytes.
+        head = SignedPayload.from_wire({"body": statement,
+                                        "signature": signatures[0]})
+        first = head.payload
+        if not isinstance(first, SpecReply):
+            raise SerializationError(
+                f"CommitFast statement is a {type(first).__name__}, "
+                f"not a SPECREPLY header")
+        certificate = [head]
+        for signature in signatures[1:]:
+            body = respell_replica(head.body, first, signature.signer)
+            if body is None:
+                raise SerializationError(
+                    f"CommitFast statement of {first.replica!r} cannot "
+                    f"be respelled for {signature.signer!r}")
+            certificate.append(
+                SignedPayload(body=body, signature=signature)
+                .bind(replace(first, replica=signature.signer)))
         return cls(
             client_id=wire["client_id"],
             instance=InstanceID.from_wire(wire["instance"]),
-            certificate=tuple(
-                SignedPayload(payload=header, signature=signature)
-                for header, signature in zip(headers, signatures)),
+            certificate=tuple(certificate),
         )
 
 

@@ -20,18 +20,27 @@ part of this codec):
     trace_len:  2 bytes  big-endian       (TRACED frames only)
     trace:      compact JSON trace context (TRACED frames only; see
                 :mod:`repro.messages.trace`)
-    body:       canonical JSON bytes of the message wire dict
-                (MESSAGE/TRACED frames only)
+    body:       the message (MESSAGE/TRACED frames only), as either
+      - canonical JSON bytes of its wire dict (first byte ``{``), or,
+        for a signed envelope (``repro.messages.base.SignedPayload``),
+      - ENVELOPE (one 0x00 byte), signer_len (2 bytes), UTF-8 signer,
+        tag_len (2 bytes), UTF-8 tag, then the signed bytes verbatim.
 
-The body is exactly :func:`repro.crypto.digest.canonical_bytes` of the
-message, which is itself valid JSON, so the receive side decodes it with
-``json.loads`` and the ordinary message registry -- anything that round
-trips through the simulator round trips here unchanged.
+A JSON body is exactly :func:`repro.crypto.digest.canonical_bytes` of
+the message, so the receive side decodes it with ``json.loads`` and the
+ordinary message registry -- anything that round trips through the
+simulator round trips here unchanged.  An envelope body is the same
+envelope without the JSON around it: the bytes its signer MAC'd ride as
+they are instead of escaped into a string, and decode to the wire dict
+``{"type": "signed", "body": ..., "signature": ...}`` that
+``SignedPayload.from_wire`` parses and verifies -- never a re-encoding
+of them.  (Envelopes nested inside a message, a certificate's signed
+headers, are that message's JSON and ride escaped.)
 
 TRACED is strictly additive: a deployment with tracing off never emits
 it, old frames decode exactly as before, and the trace section never
-touches the signed message bytes (certificate splicing and digest memos
-stay valid).
+touches the message bytes (signed bytes and digest memos stay as they
+are).
 """
 
 from __future__ import annotations
@@ -42,11 +51,15 @@ from typing import Any, Optional, Tuple
 
 from repro.crypto.digest import canonical_bytes
 from repro.errors import TransportError
+from repro.messages.base import SignedPayload
 
 #: Frame kinds.
 HELLO = 0
 MESSAGE = 1
 TRACED = 2
+
+#: First byte of a body that is a signed envelope, not JSON.
+ENVELOPE = b"\x00"
 
 _LEN = struct.Struct(">H")
 _PORT = struct.Struct(">H")
@@ -82,10 +95,30 @@ def encode_frame(sender: str, addr: Address,
     if traced:
         parts.append(_LEN.pack(len(trace)))
         parts.append(trace)
-    # The cached canonical encoding of the (usually just-signed)
-    # message: no second serialization pass over its wire dict.
-    parts.append(canonical_bytes(message))
+    envelope = _envelope_section(message)
+    if envelope is not None:
+        parts.extend(envelope)
+    else:
+        # The cached canonical encoding of the message: no second
+        # serialization pass over its wire dict.
+        parts.append(canonical_bytes(message))
     return b"".join(parts)
+
+
+def _envelope_section(message: Any) -> Optional[list]:
+    """The ENVELOPE body of a signed envelope, or ``None`` for anything
+    that travels as JSON."""
+    if type(message) is not SignedPayload:
+        return None
+    signature = message.signature
+    if type(signature.signer) is not str or type(signature.tag) is not str:
+        return None
+    signer = signature.signer.encode("utf-8")
+    tag = signature.tag.encode("utf-8")
+    if len(signer) > 0xFFFF or len(tag) > 0xFFFF:
+        raise TransportError("signer/tag exceeds 65535 bytes")
+    return [ENVELOPE, _LEN.pack(len(signer)), signer,
+            _LEN.pack(len(tag)), tag, message.body]
 
 
 def decode_frame(body: bytes) -> Tuple[str, Address, Optional[dict]]:
@@ -134,6 +167,9 @@ def decode_frame_traced(body: bytes) -> Tuple[str, Address,
         return sender, (host, port), None, None
     if kind not in (MESSAGE, TRACED):
         raise TransportError(f"unknown frame kind {kind}")
+    if body[offset:offset + 1] == ENVELOPE:
+        return sender, (host, port), _decode_envelope(body, offset + 1), \
+            trace
     try:
         wire = json.loads(body[offset:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -142,3 +178,21 @@ def decode_frame_traced(body: bytes) -> Tuple[str, Address,
         raise TransportError(
             f"frame body is {type(wire).__name__}, expected an object")
     return sender, (host, port), wire, trace
+
+
+def _decode_envelope(body: bytes, offset: int) -> dict:
+    """The wire dict of the ENVELOPE body starting at ``offset``."""
+    try:
+        (signer_len,) = _LEN.unpack_from(body, offset)
+        offset += _LEN.size
+        signer = body[offset:offset + signer_len].decode("utf-8")
+        offset += signer_len
+        (tag_len,) = _LEN.unpack_from(body, offset)
+        offset += _LEN.size
+        tag = body[offset:offset + tag_len].decode("utf-8")
+        offset += tag_len
+        signed = body[offset:].decode("ascii")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TransportError(f"malformed envelope body: {exc}") from None
+    return {"type": SignedPayload.MSG_TYPE, "body": signed,
+            "signature": {"signer": signer, "tag": tag}}

@@ -34,8 +34,9 @@ raises ``SerializationError`` naming class and field when the class is
 *defined*: a nested value is never silently passed through un-decoded.
 
 A method the class body defines itself wins.  Hand-write the pair only
-when the wire form is *not* the field list (``SignedPayload``'s
-polymorphic payload, ``CommitFast``'s one statement + 3f+1 signatures).
+when the wire form is *not* the field list (``SignedPayload``'s signed
+bytes carried as a string and parsed into its payload, ``CommitFast``'s
+one header + 3f+1 signatures).
 
 This module sits below both ``repro.messages`` and
 ``repro.statemachine`` (``Command`` is a wire struct) and imports only

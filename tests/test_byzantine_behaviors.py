@@ -11,6 +11,7 @@ from repro.byzantine import (
     silence_node,
 )
 from repro.core.replica import EzBFTReplica
+from repro.crypto.digest import canonical_bytes
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import SpecOrder, SpecReplyBundle
 
@@ -146,12 +147,12 @@ class ForgedOrderReplica(EzBFTReplica):
     def _send_spec_reply(self, entry, signed_order, request_digest=None):
         real = signed_order.payload
         forged = SignedPayload(
-            payload=SpecOrder(
+            body=canonical_bytes(SpecOrder(
                 leader=real.leader, owner_number=real.owner_number,
                 instance=real.instance, command=real.command,
                 deps=real.deps, seq=real.seq + 7,
                 log_digest=real.log_digest,
-                request_digest=real.request_digest),
+                request_digest=real.request_digest)),
             signature=type(signed_order.signature)(
                 signer=signed_order.signer, tag="0" * 64))
         super()._send_spec_reply(entry, forged, request_digest)
@@ -220,7 +221,7 @@ def test_byzantine_cannot_forge_other_replicas_signatures():
     forged = SignedPayload.create(forged_payload, byz.keypair)
     victim = cluster.replicas["r2"]
     victim.on_message("r0", SignedPayload(
-        payload=forged_payload, signature=forged.signature))
+        body=canonical_bytes(forged_payload), signature=forged.signature))
     cluster.run_until_idle()
     # The forgery is dropped: r1's tag does not verify as r0's...
     assert victim.stats["invalid_messages"] >= 0

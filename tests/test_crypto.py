@@ -97,41 +97,41 @@ def registry():
 
 def test_sign_verify_roundtrip(registry):
     keypair = KeyPair.generate("alice", seed=b"t")
-    sig = sign({"msg": "hello"}, keypair)
-    verify({"msg": "hello"}, sig, registry)  # no raise
+    sig = sign(b'{"msg":"hello"}', keypair)
+    verify(b'{"msg":"hello"}', sig, registry)  # no raise
 
 
 def test_tampered_value_fails(registry):
     keypair = KeyPair.generate("alice", seed=b"t")
-    sig = sign({"msg": "hello"}, keypair)
+    sig = sign(b'{"msg":"hello"}', keypair)
     with pytest.raises(InvalidSignatureError):
-        verify({"msg": "HELLO"}, sig, registry)
+        verify(b'{"msg":"HELLO"}', sig, registry)
 
 
 def test_wrong_signer_claim_fails(registry):
     keypair = KeyPair.generate("alice", seed=b"t")
-    sig = sign({"msg": "hello"}, keypair)
+    sig = sign(b'{"msg":"hello"}', keypair)
     forged = Signature(signer="bob", tag=sig.tag)
     with pytest.raises(InvalidSignatureError):
-        verify({"msg": "hello"}, forged, registry)
+        verify(b'{"msg":"hello"}', forged, registry)
 
 
 def test_unknown_signer_raises(registry):
     sig = Signature(signer="mallory", tag="00" * 32)
     with pytest.raises(UnknownSignerError):
-        verify({"msg": "x"}, sig, registry)
+        verify(b'{"msg":"x"}', sig, registry)
 
 
 def test_is_valid_boolean_form(registry):
     keypair = KeyPair.generate("alice", seed=b"t")
-    sig = sign("data", keypair)
-    assert is_valid("data", sig, registry)
-    assert not is_valid("other", sig, registry)
+    sig = sign(b"data", keypair)
+    assert is_valid(b"data", sig, registry)
+    assert not is_valid(b"other", sig, registry)
 
 
 def test_signature_wire_roundtrip(registry):
     keypair = KeyPair.generate("alice", seed=b"t")
-    sig = sign("data", keypair)
+    sig = sign(b"data", keypair)
     again = Signature.from_wire(sig.to_wire())
     assert again == sig
 

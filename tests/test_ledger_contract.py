@@ -13,12 +13,18 @@ contract.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core.client import EzBFTClient
 from repro.core.executor import DependencyExecutor
 from repro.core.replica import EzBFTReplica
+from repro.crypto import signatures
+from repro.crypto.digest import canonical_bytes
+from repro.crypto.keys import KeyRegistry
+from repro.messages import base
+from repro.messages.base import SignedPayload
 from repro.messages.ezbft import BatchCommitFast, Request
 from repro.statemachine.base import Command
 from repro.statemachine.kvstore import KVStore
@@ -39,6 +45,52 @@ from helpers import lan_cluster
 def test_span_targets_are_defined_in_the_class_body(cls, names):
     for name in names:
         assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def test_crypto_targets_sign_and_check_bytes():
+    """``repro.crypto.signatures.sign``/``verify``/``is_valid`` are
+    wrapped by name and counted as the ledger's MACs and verifies.
+    They take the signed *bytes*; ``canonical_bytes`` stays bound in
+    the module too (the ledger's own tests check that ``install``
+    rebinds that alias)."""
+    registry = KeyRegistry()
+    keypair = registry.create("n0", seed=b"contract")
+    for name in ("sign", "verify", "is_valid"):
+        assert callable(vars(signatures)[name]), name
+    assert vars(signatures)["canonical_bytes"] is canonical_bytes
+    data = canonical_bytes({"n": 1})
+    signature = signatures.sign(data, keypair)
+    signatures.verify(data, signature, registry)  # no raise
+    assert signatures.is_valid(data, signature, registry)
+    assert not signatures.is_valid(data + b" ", signature, registry)
+
+
+def test_envelopes_reach_sign_is_valid_and_decode_by_name(monkeypatch):
+    """The wrappers see an envelope's crypto and parsing only if
+    ``SignedPayload`` calls ``sign``, ``is_valid`` and ``decode``
+    through the module globals of ``repro.messages.base``.  ``decode``
+    now recurses into a signed envelope's bytes, so one frame holding
+    one envelope is two ``decode`` calls (the ledger's
+    ``messages.decode_us_per_frame`` divides by frames, not calls)."""
+    # The transport decodes frames through an alias of the same
+    # function, which ``install`` rebinds with the original.
+    assert asyncio_tcp.decode is base.decode
+    calls = []
+    for name in ("sign", "is_valid", "decode"):
+        def wrapper(*args, _name=name, _original=vars(base)[name]):
+            calls.append((_name, type(args[0])))
+            return _original(*args)
+        monkeypatch.setattr(base, name, wrapper)
+    registry = KeyRegistry()
+    keypair = registry.create("c", seed=b"contract")
+    envelope = SignedPayload.create(
+        Request(command=Command(client_id="c", timestamp=1, op="noop")),
+        keypair)
+    wire = json.loads(canonical_bytes(envelope))
+    again = base.decode(wire)
+    assert again.verify(registry)
+    assert calls == [("sign", bytes), ("decode", dict), ("decode", dict),
+                     ("is_valid", bytes)]
 
 
 def test_replica_seams_and_counters_the_workloads_use(tmp_path):

@@ -24,8 +24,9 @@ from repro.crypto.digest import (
     _encode,
     canonical_bytes,
     clear_caches,
+    _respell_replica,
     digest,
-    sibling_with_replica,
+    respell_replica,
 )
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import InvalidSignatureError, UnknownSignerError
@@ -152,7 +153,7 @@ def test_envelope_cache_cleared_on_key_rotation():
 
 
 # ----------------------------------------------------------------------
-# Sibling headers of a fast certificate: one encode, 3f+1 MAC checks
+# Sibling headers of a fast certificate: no encode, 3f+1 MAC checks
 # ----------------------------------------------------------------------
 _SIGNERS = ("r0", "r1", "r2", "r3")
 
@@ -174,7 +175,7 @@ def _over_the_wire(message):
     return json.loads(canonical_bytes(message))
 
 
-def test_fast_certificate_round_trip_encodes_one_header(monkeypatch):
+def test_fast_certificate_round_trip_encodes_no_header(monkeypatch):
     registry, pairs = _registry(*_SIGNERS)
     commit = _fast_commit(pairs)
     wire = _over_the_wire(commit)
@@ -189,7 +190,7 @@ def test_fast_certificate_round_trip_encodes_one_header(monkeypatch):
                         counting)
     again = CommitFast.from_wire(wire)
     assert all(signed.verify(registry) for signed in again.certificate)
-    assert encoded.count(SpecReply) == 1
+    assert encoded == []
     assert again == commit
     for signed, original in zip(again.certificate, commit.certificate):
         assert signed == original
@@ -197,12 +198,14 @@ def test_fast_certificate_round_trip_encodes_one_header(monkeypatch):
 
 
 def test_mutated_sibling_header_fails_verification():
-    """Derived bytes are a memo like any other: keyed by content, so a
-    sibling altered after decoding is re-encoded and its MAC fails."""
+    """Derived bytes live on the envelope, never as the payload's
+    canonical memo, and the payload is bound to them by content: a
+    sibling altered after decoding fails its MAC check."""
     registry, pairs = _registry(*_SIGNERS)
     again = CommitFast.from_wire(_over_the_wire(_fast_commit(pairs)))
     sibling = again.certificate[2]
-    assert getattr(sibling.payload, _BYTES_MEMO, None) is not None
+    assert getattr(sibling.payload, _BYTES_MEMO, None) is None
+    assert sibling.body == _encode(sibling.payload)
     assert sibling.verify(registry)
     object.__setattr__(sibling.payload, "seq", 99)
     assert not sibling.verify(registry)
@@ -233,9 +236,13 @@ def test_respelling_declines_when_an_earlier_value_holds_an_object():
             return {"a": {"n": 1, "replica": "inner"},
                     "replica": self.replica}
 
-    sibling = sibling_with_replica(Nested("r0"), "r1")
-    assert getattr(sibling, _BYTES_MEMO, None) is None
-    assert canonical_bytes(sibling) == _encode(sibling.to_wire())
+    data = _encode(Nested("r0"))
+    assert _respell_replica(data, "r0", "r1") is None
+    # ...and the encoder decides instead, for its own output only.
+    assert respell_replica(data, Nested("r0"), "r1") == \
+        _encode(Nested("r1"))
+    assert respell_replica(data.replace(b":1", b":1.0"), Nested("r0"),
+                           "r1") is None
 
 
 # ----------------------------------------------------------------------

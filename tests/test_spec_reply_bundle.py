@@ -82,10 +82,13 @@ def test_commit_fast_carries_headers_only_and_is_small():
                for signed in commit_fast.certificate)
     assert not carries_spec_order(commit_fast)
     # 3.5 KB when every header embedded the signed SPECORDER, 1.6 KB
-    # as four whole headers; now one statement and four signatures.
+    # as four whole headers; now one header as signed and four
+    # signatures.
     assert len(canonical_bytes(commit_fast)) < 1024
     wire = json.loads(canonical_bytes(commit_fast))
-    assert "replica" not in wire["statement"]
+    assert wire["statement"].encode("ascii") == \
+        commit_fast.certificate[0].body
+    assert json.loads(wire["statement"])["replica"] == "r0"
     assert [signer for signer, _ in wire["signatures"]] == \
         ["r0", "r1", "r2", "r3"]
 
@@ -396,36 +399,32 @@ def test_bundle_without_attachment_still_counts_as_a_vote():
 
 
 def _spec_order_inside_the_signed_tuple(wire):
-    wire["statement"]["spec_order"] = {"type": "signed"}
+    statement = json.loads(wire["statement"])
+    statement["spec_order"] = {"type": "signed"}
+    wire["statement"] = json.dumps(statement)
     return "spec_order"
 
 
 def _whole_envelopes_per_signer(wire):
-    statement = wire.pop("statement")
+    statement = json.loads(wire.pop("statement"))
     wire["certificate"] = [
         {"type": "signed",
-         "payload": dict(statement, type=SpecReply.MSG_TYPE,
-                         replica=signer),
+         "payload": dict(statement, replica=signer),
          "signature": {"signer": signer, "tag": tag}}
         for signer, tag in wire.pop("signatures")]
     return "certificate"
 
 
-@pytest.mark.parametrize("retire", [_spec_order_inside_the_signed_tuple,
-                                    _whole_envelopes_per_signer])
-def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path,
-                                                           retire):
-    """A data dir written before a wire split holds records this build
-    cannot use -- SPECREPLYs whose signed bytes include ``spec_order``
-    (they can never verify), COMMITFASTs shipping a whole envelope per
-    signer under ``certificate`` -- so recovery must say so (key and
-    file) instead of quietly dropping the commit proofs."""
-    cluster = lan_cluster()
-    commits = capture(cluster, "r0", CommitFast)
-    client = cluster.add_client("c0", "local")
-    submit_puts(cluster, client, 1)
-    wire = json.loads(canonical_bytes(commits[0]))
-    retired_key = retire(wire)
+def _statement_without_its_signer(wire):
+    statement = json.loads(wire["statement"])
+    del statement["type"], statement["replica"]
+    wire["statement"] = statement
+    return "statement"
+
+
+def _recover_from(tmp_path, wire):
+    """Recover a fresh r0 from a WAL holding the one record ``wire``;
+    returns the error recovery raised."""
     storage = ReplicaStorage(str(tmp_path), "r0")
     storage.append_entry("c0", wire)
     storage.close()
@@ -438,8 +437,58 @@ def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path,
     with pytest.raises(SerializationError) as err:
         replica.recover_from_storage()
     storage2.close()
-    assert retired_key in str(err.value)
-    assert "wal-0.log" in str(err.value)
     # The replay switch was flipped back: store attached, sends live.
     assert replica.storage is storage2
     assert replica.ctx is live_ctx
+    return err.value
+
+
+@pytest.mark.parametrize("retire", [_spec_order_inside_the_signed_tuple,
+                                    _whole_envelopes_per_signer,
+                                    _statement_without_its_signer])
+def test_recovery_names_a_pre_split_record_and_its_segment(tmp_path,
+                                                           retire):
+    """A data dir written before a wire split holds records this build
+    cannot use -- SPECREPLYs whose signed bytes include ``spec_order``
+    (they can never verify), COMMITFASTs shipping a whole envelope per
+    signer under ``certificate`` or a statement without its signer --
+    so recovery must say so (key and file) instead of quietly dropping
+    the commit proofs."""
+    cluster = lan_cluster()
+    commits = capture(cluster, "r0", CommitFast)
+    client = cluster.add_client("c0", "local")
+    submit_puts(cluster, client, 1)
+    wire = json.loads(canonical_bytes(commits[0]))
+    retired_key = retire(wire)
+    error = _recover_from(tmp_path, wire)
+    assert retired_key in str(error)
+    assert "wal-0.log" in str(error)
+
+
+def test_recovery_names_an_envelope_without_its_signed_bytes(tmp_path):
+    """Envelopes written before they shipped the bytes their signer
+    MAC'd held the payload as an object under ``payload``: once a
+    ``KeyError``, which recovery skipped along with the proof inside;
+    now an error naming the key and the segment."""
+    cluster = lan_cluster()
+    envelopes = []
+    deliver = cluster.network.handler_of("r1")
+
+    def keep(sender, message):
+        if isinstance(message, SignedPayload) and \
+                isinstance(message.payload, SpecOrder):
+            envelopes.append(message)
+        deliver(sender, message)
+
+    cluster.network.set_handler("r1", keep)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    submit_puts(cluster, client, 1)
+    envelope = envelopes[0]
+    old_shape = {"type": SignedPayload.MSG_TYPE,
+                 "payload": json.loads(envelope.body),
+                 "signature": envelope.signature.to_wire()}
+    with pytest.raises(SerializationError, match="'payload'"):
+        SignedPayload.from_wire(old_shape)
+    error = _recover_from(tmp_path, old_shape)
+    assert "'payload'" in str(error)
+    assert "wal-0.log" in str(error)

@@ -3,16 +3,19 @@
 import pytest
 
 from repro.crypto.digest import canonical_bytes
+from repro.crypto.keys import KeyRegistry
 from repro.errors import TransportError
-from repro.messages.base import decode
-from repro.messages.ezbft import Request
+from repro.messages.base import SignedPayload, decode
+from repro.messages.ezbft import Commit, Request, SpecReply
 from repro.statemachine.base import Command
 from repro.transport.codec import (
+    ENVELOPE,
     HELLO,
     MESSAGE,
     decode_frame,
     encode_frame,
 )
+from repro.types import InstanceID
 
 
 def _request() -> Request:
@@ -48,6 +51,33 @@ def test_message_body_is_canonical_bytes_verbatim():
     req = _request()
     body = encode_frame("n0", ("h", 1), req)
     assert body.endswith(canonical_bytes(req))
+
+
+def test_signed_envelope_rides_as_its_signed_bytes():
+    """A top-level envelope's frame ends with the bytes its signer
+    MAC'd, unescaped, and decodes to the envelope's wire dict; an
+    envelope nested in a message's JSON rides escaped inside it."""
+    registry = KeyRegistry()
+    client = registry.create("c0", seed=b"codec")
+    replica = registry.create("r1", seed=b"codec")
+    header = SignedPayload.create(SpecReply(
+        replica="r1", owner_number=0, instance=InstanceID("r0", 1),
+        deps=(), seq=1, request_digest="d", client_id="c0", timestamp=3,
+        result="OK"), replica)
+    envelope = SignedPayload.create(Commit(
+        client_id="c0", instance=InstanceID("r0", 1),
+        command=_request().command, deps=(), seq=1,
+        certificate=(header,)), client)
+    body = encode_frame("c0", ("h", 1), envelope)
+    assert body.endswith(envelope.body)
+    assert ENVELOPE + b"\x00\x02c0" in body
+    _, _, wire = decode_frame(body)
+    assert wire == envelope.to_wire()
+    again = decode(wire)
+    assert again == envelope
+    assert again.verify(registry)
+    assert again.payload.certificate[0].verify(registry)
+    assert len(body) < len(canonical_bytes(envelope))
 
 
 def test_unicode_sender_and_host():
@@ -108,3 +138,11 @@ def test_non_object_json_body_rejected():
     head = encode_frame("n0", ("h", 1))
     with pytest.raises(TransportError, match="expected an object"):
         decode_frame(bytes((MESSAGE,)) + head[1:] + b"[1,2]")
+
+
+def test_malformed_envelope_body_rejected():
+    head = encode_frame("n0", ("h", 1))
+    frame = bytes((MESSAGE,)) + head[1:] + ENVELOPE
+    for tail in (b"", b"\x00\x02c0\x00", b"\x00\x02c0\x00\x01t\xff{}"):
+        with pytest.raises(TransportError, match="envelope"):
+            decode_frame(frame + tail)
