@@ -26,7 +26,6 @@ from repro.core.replica import EzBFTReplica
 from repro.crypto.digest import digest
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import Request, SpecOrder, SpecReply
-from repro.statemachine.kvstore import KVStore
 from repro.types import InstanceID
 
 
@@ -145,10 +144,12 @@ def install_byzantine(cluster, replica_id: str,
                       behavior: Type[EzBFTReplica],
                       interference=None,
                       statemachine=None) -> EzBFTReplica:
-    """Replace ``replica_id`` in a cluster with an instance of
-    ``behavior`` (typically before the run starts; swapping mid-run
-    discards the replica's application state, which a byzantine node is
-    allowed to do anyway).  Returns the new replica object."""
+    """Replace ``replica_id`` in a cluster (simulated or TCP) with an
+    instance of ``behavior`` (typically before the run starts; swapping
+    mid-run discards the replica's application state, which a byzantine
+    node is allowed to do anyway).  The stand-in gets a fresh state
+    machine from the cluster's factory unless ``statemachine`` is given.
+    Returns the new replica object."""
     old = cluster.replicas[replica_id]
     relation = interference if interference is not None \
         else old.interference
@@ -156,14 +157,14 @@ def install_byzantine(cluster, replica_id: str,
                        cluster.context_for(replica_id), old.keypair,
                        cluster.registry,
                        statemachine if statemachine is not None
-                       else KVStore(),
+                       else cluster.statemachine_factory(),
                        relation)
     cluster.replicas[replica_id] = replica
-    cluster.network.set_handler(replica_id, replica.on_message)
+    cluster.set_handler(replica_id, replica.on_message)
     return replica
 
 
 def silence_node(cluster, node_id: str) -> None:
     """Make any node (replica of any protocol, or client) drop all
     incoming messages -- equivalent to a crash."""
-    cluster.network.set_handler(node_id, lambda sender, message: None)
+    cluster.set_handler(node_id, lambda sender, message: None)

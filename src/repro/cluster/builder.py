@@ -20,7 +20,7 @@ applications plug in via ``statemachine_factory``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.cluster.metrics import LatencyRecorder, replica_footprint
 from repro.cluster.node import NodeContext
@@ -50,7 +50,14 @@ PROTOCOLS = available_protocols()
 
 @dataclass
 class Cluster:
-    """A fully wired simulated deployment."""
+    """A fully wired simulated deployment.
+
+    ``cuts``, ``set_handler``, ``context_for``, ``node_ids``,
+    ``attach_shaper``, ``scale_latency``, ``now_ms`` and
+    ``statemachine_factory`` are the surface it shares with
+    :class:`~repro.transport.asyncio_tcp.AsyncioCluster`, which is all
+    :class:`~repro.scenario.faults.FaultInjector` touches.
+    """
 
     protocol: str
     spec: ProtocolSpec
@@ -65,7 +72,13 @@ class Cluster:
     recorder: LatencyRecorder = field(default_factory=LatencyRecorder)
     clients: Dict[str, Any] = field(default_factory=dict)
     client_regions: Dict[str, str] = field(default_factory=dict)
+    statemachine_factory: Callable[[], StateMachine] = KVStore
+    seed: int = 0
     _seed_counter: int = 0
+
+    def __post_init__(self) -> None:
+        #: What :meth:`scale_latency` scales, so shifts do not compound.
+        self.base_latency = self.latency
 
     # ------------------------------------------------------------------
     def context_for(self, node_id: str) -> NodeContext:
@@ -75,6 +88,41 @@ class Cluster:
             schedule_fn=self.sim.schedule,
             now_fn=lambda: self.sim.now,
         )
+
+    @property
+    def cuts(self) -> Set[Tuple[str, str]]:
+        """The directed ``(src, dst)`` pairs whose sends are dropped."""
+        return self.network.conditions.partitions
+
+    def set_handler(self, node_id: str,
+                    handler: Callable[[str, Any], None]) -> None:
+        self.network.set_handler(node_id, handler)
+
+    def node_ids(self) -> Tuple[str, ...]:
+        return self.network.node_ids()
+
+    def now_ms(self) -> float:
+        return self.sim.now
+
+    def attach_shaper(self) -> Any:
+        """The live link shaper, materialized (seeded from the
+        cluster's seed) if the deployment declared no netem profile."""
+        network = self.network
+        if network.shaper is None:
+            from repro.netem import LinkShaper
+            network.shaper = LinkShaper(seed=self.seed,
+                                        region_of=network.region_of)
+        return network.shaper
+
+    def scale_latency(self, factor: float) -> None:
+        """Scale the WAN matrix by ``factor`` relative to the base (1.0
+        restores it), and any netem link delays with it."""
+        from repro.sim.latency import scaled_matrix
+        matrix = self.base_latency if factor == 1.0 \
+            else scaled_matrix(self.base_latency, factor)
+        self.network.latency = self.latency = matrix
+        if self.network.shaper is not None:
+            self.network.shaper.set_delay_scale(factor)
 
     def nearest_replica(self, region: str) -> str:
         """Replica with the lowest one-way latency from ``region``."""
@@ -235,7 +283,9 @@ def build_cluster(protocol: str,
                       network=network, registry=registry, config=config,
                       latency=latency, replicas={},
                       replica_regions=regions_by_id,
-                      primary_index=primary_index)
+                      primary_index=primary_index,
+                      statemachine_factory=statemachine_factory,
+                      seed=seed)
 
     wiring = WiringContext(config=config, primary_index=primary_index,
                            interference=relation)

@@ -6,14 +6,14 @@ reach.  The control channel closes that gap: the scenario process
 serializes the fault event (the same dict form spec files use), signs
 the envelope, and POSTs it to the serving process's obs endpoint,
 whose :class:`ControlChannel` verifies and applies it through the
-local :class:`~repro.scenario.faults.TcpFaultInjector`.
+local :class:`~repro.scenario.faults.FaultInjector`.
 
 Authentication rides the deployment's existing deterministic key
 derivation: both processes derive the same HMAC key for the reserved
 ``obs-control`` identity from the shared cluster seed, exactly like
 replica/client keys.  Envelopes carry a random nonce; replays are
-rejected (409), bad signatures are rejected (403), and events the TCP
-injector cannot apply are rejected (422) -- each with the offending
+rejected (409), bad signatures are rejected (403), and events that
+fail validation are rejected (422) -- each with the offending
 detail named, mirroring the spec loader's error discipline.
 """
 
@@ -69,7 +69,7 @@ class ControlChannel:
     """Server side: verify an envelope and apply its event locally.
 
     ``apply`` is the local fault sink -- normally the serve-side
-    :meth:`TcpFaultInjector.apply`.  ``on_applied`` (if given) fires
+    :meth:`FaultInjector.apply`.  ``on_applied`` (if given) fires
     after a successful apply, e.g. to bump the control-event counter.
     """
 

@@ -12,7 +12,7 @@ with the full obs surface:
 - per-replica :class:`ObsServer` endpoints (from the scenario's
   ``[obs]`` table) serving ``/metrics``, ``/healthz`` and the signed
   ``/control`` channel backed by a serve-side
-  :class:`TcpFaultInjector`;
+  :class:`~repro.scenario.faults.FaultInjector`;
 - graceful drain on SIGTERM/SIGINT: stop accepting scrapes/control,
   flush in-flight sends, write a final metrics+health snapshot to
   disk, close every socket.
@@ -131,7 +131,7 @@ class ServeSession:
             build_tcp_cluster,
             data_root,
         )
-        from repro.scenario.faults import TcpFaultInjector
+        from repro.scenario.faults import FaultInjector
 
         loop = asyncio.get_running_loop()
         self._now_ms = lambda: loop.time() * 1000.0
@@ -164,9 +164,7 @@ class ServeSession:
             storage_root=data_root(self.scenario, self.data_dir)
             if durable else None,
             storages=self._storages)
-        self.injector = TcpFaultInjector(
-            self.cluster, netem_seed=self.scenario.seed)
-        self.injector.install_filters()
+        self.injector = FaultInjector(self.cluster)
 
         for rid in self.replicas:
             live = LiveInstruments(

@@ -30,11 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.cluster.builder import Cluster, build_cluster
 from repro.cluster.metrics import LatencyRecorder, replica_footprint
 from repro.errors import ConfigurationError, ScenarioTimeoutError
-from repro.scenario.faults import (
-    ClientChurn,
-    SimFaultInjector,
-    TcpFaultInjector,
-)
+from repro.scenario.faults import ClientChurn, FaultInjector
 from repro.scenario.spec import Scenario
 from repro.trace.live import wall_clock_ms
 
@@ -181,6 +177,7 @@ class SimDeployment:
 
     async def start(self) -> None:
         scenario = self.scenario
+        FaultInjector.check_supported(scenario.faults, "sim")
         self.cluster = build_cluster(
             scenario.protocol,
             list(scenario.replica_regions),
@@ -220,13 +217,9 @@ class SimDeployment:
     async def clients(self, tracer: Optional[Any]) -> AddClient:
         return self.cluster.add_client
 
-    async def injector(self, pool: Any) -> SimFaultInjector:
-        return SimFaultInjector(
-            self.cluster,
-            spawn_clients=pool.spawn,
-            stop_clients=pool.stop,
-            statemachine_factory=self.scenario.statemachine,
-            netem_seed=self.scenario.seed)
+    async def injector(self, pool: Any) -> FaultInjector:
+        return FaultInjector(self.cluster, spawn_clients=pool.spawn,
+                             stop_clients=pool.stop)
 
     def schedule(self, at_ms: float, callback: Callable[..., None],
                  *args: Any) -> None:
@@ -293,22 +286,20 @@ class TcpDeployment:
         from repro.transport.asyncio_tcp import parse_hostport
 
         scenario = self.scenario
-        cluster = self.cluster = build_tcp_cluster(scenario)
-        # Remote replicas with a declared obs endpoint are reachable
-        # for fault delivery over the serving process's /control.
+        # Replicas the host map places in other processes; those with a
+        # declared obs endpoint are reachable for fault delivery over
+        # the serving process's /control.
+        remote = tuple(scenario.hosts or ())
         obs_map = scenario.obs or {}
-        self._control = {
-            rid: parse_hostport(obs_map[rid])
-            for rid in cluster.remote_replica_ids
-            if rid in obs_map}
+        self._control = {rid: parse_hostport(obs_map[rid])
+                         for rid in remote if rid in obs_map}
         managed: Tuple[str, ...] = ()
         if self.process_manager is not None:
             managed = tuple(self.process_manager.replicas)
-        TcpFaultInjector.check_supported(
-            scenario.faults,
-            remote_replicas=cluster.remote_replica_ids,
-            controllable=tuple(self._control),
-            managed=managed)
+        FaultInjector.check_supported(
+            scenario.faults, "tcp", remote_replicas=remote,
+            controllable=tuple(self._control), managed=managed)
+        cluster = self.cluster = build_tcp_cluster(scenario)
         self._loop = asyncio.get_running_loop()
         self._origin_ms = self._loop.time() * 1000.0
         self.recorder = LatencyRecorder()
@@ -384,16 +375,14 @@ class TcpDeployment:
 
         return add_client
 
-    async def injector(self, pool: Any) -> TcpFaultInjector:
+    async def injector(self, pool: Any) -> FaultInjector:
         cluster = self.cluster
-        injector = TcpFaultInjector(
+        injector = FaultInjector(
             cluster,
             spawn_clients=pool.spawn,
             stop_clients=pool.stop,
-            netem_seed=self.scenario.seed,
             control_endpoints=self._control,
             process_manager=self.process_manager)
-        injector.install_filters()
         if cluster.remote_replica_ids:
             # Multi-process deployment: teach every remote replica
             # the local listen addresses before any load, then give

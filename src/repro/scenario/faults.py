@@ -1,11 +1,13 @@
-"""Typed fault-schedule events and their per-backend injectors.
+"""Typed fault-schedule events and the one injector that applies them.
 
 A scenario's fault schedule is a timeline of frozen dataclass events;
 each names a point on the scenario clock (``at_ms``) and a disruption:
 
 - :class:`CrashReplica` / :class:`RecoverReplica` -- fail-stop a replica
-  (drop everything it receives and, on the simulator, everything it
-  sends) and bring it back.
+  (drop everything it receives and everything it sends) and bring it
+  back.
+- :class:`KillProcess` / :class:`RestartProcess` -- SIGKILL and respawn
+  the serve process hosting a replica (TCP backend only).
 - :class:`Partition` / :class:`Heal` -- cut the network between two node
   sets; heal restores full connectivity (crashed replicas stay crashed).
 - :class:`SwapByzantine` -- replace a replica with a named byzantine
@@ -24,17 +26,20 @@ each names a point on the scenario clock (``at_ms``) and a disruption:
   scenario with no declared netem profile gets a shaper materialized
   lazily when the first such event fires.
 
-The injectors apply events to a live deployment and keep a structured
-``log`` of what fired when, which the final
+:class:`FaultInjector` applies events to a live deployment on either
+backend.  It keeps which replicas are down and which links a partition
+cut, derives handlers and cut links from that after every event, and
+keeps a structured ``log`` of what fired when, which the final
 :class:`~repro.scenario.report.ExperimentReport` carries so tests can
-assert the schedule executed at the right times.
+assert the schedule executed at the right times.  Both backends drop a
+cut link's frames at the sender.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -54,8 +59,7 @@ __all__ = [
     "BandwidthCap",
     "Reorder",
     "FAULT_TYPES",
-    "SimFaultInjector",
-    "TcpFaultInjector",
+    "FaultInjector",
 ]
 
 
@@ -109,8 +113,8 @@ class RecoverReplica(_ReplicaEvent):
 class KillProcess(_ReplicaEvent):
     """SIGKILL the serve process hosting ``replica`` mid-run.
 
-    Unlike :class:`CrashReplica` (an in-memory fiction: the handler is
-    swapped out but the process lives on), this is the real fail-stop:
+    Unlike :class:`CrashReplica` (an in-memory fiction: the replica's
+    links are cut but the process lives on), this is the real fail-stop:
     no drain, no flush -- the replica keeps exactly what its
     ``--data-dir`` retains.  TCP backend only, and only for replicas
     hosted by a runner-managed serve process
@@ -321,7 +325,7 @@ class Reorder(_NetemEvent):
 
 
 #: The fault vocabulary: every event class a spec document can name
-#: by ``type``, all of which both injectors apply.
+#: by ``type``, all of which :class:`FaultInjector` applies.
 FAULT_TYPES: Dict[str, type] = {
     cls.__name__: cls
     for cls in (CrashReplica, RecoverReplica, KillProcess,
@@ -334,52 +338,168 @@ FAULT_TYPES: Dict[str, type] = {
 _SpawnClients = Optional[Callable[[int, Optional[str]], None]]
 _StopClients = Optional[Callable[[int], None]]
 
+#: Cluster-wide events: applied here *and* broadcast to every declared
+#: ``/control`` endpoint, so every process converges on the same cuts.
+_BROADCAST = (Partition, Heal, LatencyShift, _NetemEvent)
 
-class _InjectorBase:
-    """What both injectors share: the structured log, crash state, and
-    the events that act through backend-neutral seams (the link shaper
-    and the runner's client pool).
 
+def _drop(sender: str, message: Any) -> None:
+    """A down replica's handler: receive nothing."""
+
+
+class FaultInjector:
+    """Applies fault events to a live deployment, simulated or TCP.
+
+    Its only fault state is intent: :attr:`down`, the crashed replicas,
+    and :attr:`partitioned`, the directed pairs Partition events cut.
+    After every event it derives the deployment from that intent and
+    the current ``cluster.replicas``: a down replica's handler drops,
+    an up one's is ``cluster.replicas[rid].on_message``, and
+    ``cluster.cuts`` is :attr:`partitioned` plus every pair touching a
+    down node.  Nothing is saved and restored, so events compose in any
+    order: a recovery never heals a partition, a swap never revives a
+    crashed replica, and a recovered one runs whatever the last swap
+    installed.
+
+    The cluster is used only through the surface
+    :class:`~repro.cluster.builder.Cluster` and
+    :class:`~repro.transport.asyncio_tcp.AsyncioCluster` share.
     ``spawn_clients(count, region)`` / ``stop_clients(count)`` are
     supplied by the runner so :class:`ClientChurn` can attach drivers
     with the scenario's workload.
+
+    ``control_endpoints`` and ``process_manager`` route events for
+    replicas this process does not host (a TCP deployment with a host
+    map): an event targeting a replica in ``control_endpoints`` goes to
+    its serving process's signed ``/control`` endpoint, a cluster-wide
+    event is applied here and broadcast to all of them, and
+    :class:`KillProcess` / :class:`RestartProcess` go to the process
+    manager.  Without them every event applies locally.
     """
 
-    def __init__(self, cluster: Any, spawn_clients: _SpawnClients,
-                 stop_clients: _StopClients, netem_seed: int) -> None:
+    def __init__(self, cluster: Any,
+                 spawn_clients: _SpawnClients = None,
+                 stop_clients: _StopClients = None,
+                 control_endpoints: Optional[
+                     Dict[str, Tuple[str, int]]] = None,
+                 process_manager: Optional[Any] = None) -> None:
         self.cluster = cluster
         self._spawn_clients = spawn_clients
         self._stop_clients = stop_clients
-        self._netem_seed = netem_seed
+        self.down: Set[str] = set()
+        #: Starts as the cuts the deployment was built with (a
+        #: scenario's static partitions), which Heal removes too.
+        self.partitioned: Set[Tuple[str, str]] = set(cluster.cuts)
+        self.control_endpoints: Dict[str, Tuple[str, int]] = \
+            dict(control_endpoints or {})
+        self._process_manager = process_manager
+        self._control_client: Any = None
+        self._control_tasks: set = set()
+        #: Errors from forwarded control deliveries and process
+        #: restarts, surfaced by the runner after :meth:`drain_control`
+        #: instead of being lost in a fire-and-forget task.
+        self.control_errors: List[str] = []
         self.log: List[Dict[str, Any]] = []
-        self._crashed: Dict[str, Callable[[str, Any], None]] = {}
-        #: Partition pairs added *by crash isolation* per replica, so
-        #: recovery removes exactly these and never heals an explicit
-        #: Partition event that happens to involve the same replica.
-        self._crash_cuts: Dict[str, set] = {}
 
-    def _record(self, event: FaultEvent, now_ms: float) -> None:
-        self.log.append({
-            "at_ms": event.at_ms,
-            "applied_ms": now_ms,
-            "event": type(event).__name__,
-            "detail": event.describe(),
-        })
+    @staticmethod
+    def check_supported(events: Tuple[FaultEvent, ...], backend: str,
+                        remote_replicas: Tuple[str, ...] = (),
+                        controllable: Tuple[str, ...] = (),
+                        managed: Tuple[str, ...] = ()) -> None:
+        """Reject, before a deployment is built, events ``backend``
+        cannot apply: unknown event classes; process kill/restart on
+        the simulator, or for replicas no runner-side process manager
+        owns; and replica-targeted events naming a replica hosted in
+        another process with no ``obs`` control endpoint declared (no
+        channel can reach its handler)."""
+        supported = tuple(FAULT_TYPES.values())
+        for event in events:
+            name = type(event).__name__
+            if not isinstance(event, supported):
+                raise ConfigurationError(
+                    f"fault event {name} is not supported on the "
+                    f"{backend} backend (supported: {tuple(FAULT_TYPES)})")
+            if isinstance(event, (KillProcess, RestartProcess)):
+                if backend == "sim":
+                    raise ConfigurationError(
+                        f"fault event {name} is not supported on the "
+                        f"sim backend (the simulator has no serve "
+                        f"processes to signal); run it with "
+                        f"backend='tcp'")
+                if event.replica not in managed:
+                    raise ConfigurationError(
+                        f"fault event {name} targets replica "
+                        f"{event.replica!r}, which no runner-managed "
+                        f"serve process hosts; spawn it via "
+                        f"ServeProcessManager and pass the manager to "
+                        f"the runner")
+                continue
+            targeted = [getattr(event, "replica", None)]
+            if isinstance(event, Partition):
+                # Each process cuts its own senders; the remote side
+                # applies its half when the event is broadcast over
+                # /control, so every remote replica in a side needs an
+                # endpoint.
+                targeted = [m for side in event.sides for m in side]
+            for replica in targeted:
+                if replica in remote_replicas and \
+                        replica not in controllable:
+                    raise ConfigurationError(
+                        f"fault event {name} targets replica "
+                        f"{replica!r}, which the host map places in "
+                        f"another process; declare an obs[{replica!r}] "
+                        f"control endpoint so the runner can deliver "
+                        f"it over /control")
 
     def is_crashed(self, replica_id: str) -> bool:
         """Whether ``replica_id`` is currently crash-stopped (health
         endpoints report this without reaching into injector state)."""
-        return replica_id in self._crashed
+        return replica_id in self.down
 
-    def _ensure_shaper(self) -> Any:
-        """The deployment's live shaper, materialized on first use for
-        scenarios that declared no netem profile."""
-        raise NotImplementedError
+    def apply(self, event: FaultEvent) -> None:
+        """Apply or route one event, then record it.  A forwarded event
+        is recorded at dispatch: the runner's closed-loop wait counts
+        log entries, and the event has left this process the moment its
+        task is scheduled."""
+        target = getattr(event, "replica", None)
+        if isinstance(event, (KillProcess, RestartProcess)):
+            self._apply_process(event)
+        elif target in self.control_endpoints:
+            self._forward(event, (target,))
+        else:
+            self._apply_local(event)
+            if self.control_endpoints and isinstance(event, _BROADCAST):
+                self._forward(event, tuple(self.control_endpoints))
+        self.log.append({
+            "at_ms": event.at_ms,
+            "applied_ms": self.cluster.now_ms(),
+            "event": type(event).__name__,
+            "detail": event.describe(),
+        })
 
-    def _apply_shared(self, event: FaultEvent) -> None:
-        if isinstance(event, _NetemEvent):
-            self._ensure_shaper().patch(event.src, event.dst,
-                                        **event.patch_fields())
+    def _apply_local(self, event: FaultEvent) -> None:
+        cluster = self.cluster
+        if isinstance(event, CrashReplica):
+            self.down.add(event.replica)
+        elif isinstance(event, RecoverReplica):
+            self.down.discard(event.replica)
+        elif isinstance(event, Partition):
+            left, right = event.sides
+            self.partitioned.update(
+                pair for a in left for b in right
+                for pair in ((a, b), (b, a)))
+        elif isinstance(event, Heal):
+            self.partitioned.clear()
+        elif isinstance(event, SwapByzantine):
+            from repro.byzantine import behavior_by_name, \
+                install_byzantine
+            install_byzantine(cluster, event.replica,
+                              behavior_by_name(event.behavior))
+        elif isinstance(event, LatencyShift):
+            cluster.scale_latency(event.factor)
+        elif isinstance(event, _NetemEvent):
+            cluster.attach_shaper().patch(event.src, event.dst,
+                                          **event.patch_fields())
         elif isinstance(event, ClientChurn):
             if event.add and self._spawn_clients is not None:
                 self._spawn_clients(event.add, event.region)
@@ -388,225 +508,25 @@ class _InjectorBase:
         else:
             raise ConfigurationError(
                 f"unsupported fault event {type(event).__name__}")
+        self._derive()
 
+    def _derive(self) -> None:
+        """Make the deployment match the intent (class docstring)."""
+        cluster = self.cluster
+        for rid, replica in cluster.replicas.items():
+            cluster.set_handler(
+                rid, _drop if rid in self.down else replica.on_message)
+        cuts = cluster.cuts
+        cuts.clear()
+        cuts.update(self.partitioned)
+        nodes = cluster.node_ids()
+        for rid in self.down:
+            cuts.update(pair for other in nodes if other != rid
+                        for pair in ((rid, other), (other, rid)))
 
-class SimFaultInjector(_InjectorBase):
-    """Applies fault events to a simulated :class:`Cluster`."""
-
-    def __init__(self, cluster: Any,
-                 spawn_clients: _SpawnClients = None,
-                 stop_clients: _StopClients = None,
-                 statemachine_factory: Optional[Callable[[], Any]] = None,
-                 netem_seed: int = 0) -> None:
-        super().__init__(cluster, spawn_clients, stop_clients,
-                         netem_seed)
-        self._statemachine_factory = statemachine_factory
-        self._base_matrix = cluster.latency
-
-    def _ensure_shaper(self) -> Any:
-        network = self.cluster.network
-        if network.shaper is None:
-            from repro.netem import LinkShaper
-            network.shaper = LinkShaper(seed=self._netem_seed,
-                                        region_of=network.region_of)
-        return network.shaper
-
-    def _isolate(self, rid: str) -> None:
-        """Cut ``rid`` off, remembering which pairs *this* cut added so
-        recovery removes only those."""
-        network = self.cluster.network
-        cuts = self._crash_cuts.setdefault(rid, set())
-        for other in network.node_ids():
-            if other == rid:
-                continue
-            for pair in ((rid, other), (other, rid)):
-                if pair not in network.conditions.partitions:
-                    network.conditions.partitions.add(pair)
-                    cuts.add(pair)
-
-    def apply(self, event: FaultEvent) -> None:
-        now = self.cluster.sim.now
-        network = self.cluster.network
-        if isinstance(event, CrashReplica):
-            rid = event.replica
-            if rid not in self._crashed:
-                self._crashed[rid] = network.handler_of(rid)
-                network.set_handler(rid, lambda sender, message: None)
-                self._isolate(rid)
-        elif isinstance(event, RecoverReplica):
-            rid = event.replica
-            handler = self._crashed.pop(rid, None)
-            if handler is not None:
-                network.set_handler(rid, handler)
-                for pair in self._crash_cuts.pop(rid, set()):
-                    network.conditions.partitions.discard(pair)
-        elif isinstance(event, Partition):
-            left, right = event.sides
-            for a in left:
-                for b in right:
-                    network.conditions.partitions.add((a, b))
-                    network.conditions.partitions.add((b, a))
-        elif isinstance(event, Heal):
-            network.conditions.partitions.clear()
-            self._crash_cuts.clear()
-            for rid in self._crashed:  # crashed stay cut off
-                self._isolate(rid)
-        elif isinstance(event, SwapByzantine):
-            from repro.byzantine import behavior_by_name, \
-                install_byzantine
-            factory = self._statemachine_factory
-            install_byzantine(
-                self.cluster, event.replica,
-                behavior_by_name(event.behavior),
-                statemachine=factory() if factory is not None else None)
-        elif isinstance(event, LatencyShift):
-            from repro.sim.latency import scaled_matrix
-            matrix = self._base_matrix if event.factor == 1.0 \
-                else scaled_matrix(self._base_matrix, event.factor)
-            network.latency = matrix
-            self.cluster.latency = matrix
-            if network.shaper is not None:
-                # Keep netem link delays in step with the matrix, like
-                # the TCP backend does (a WAN slowdown slows the
-                # emulated links too).
-                network.shaper.set_delay_scale(event.factor)
-        else:
-            self._apply_shared(event)
-        self._record(event, now)
-
-
-class TcpFaultInjector(_InjectorBase):
-    """Applies fault events to a live :class:`AsyncioCluster`.
-
-    Partitions are enforced receiver-side: every node's handler is
-    wrapped once with a filter that drops frames whose (sender,
-    receiver) pair is currently cut.  Netem events and LatencyShift
-    retarget the cluster's live :class:`~repro.netem.LinkShaper`
-    (materialized lazily when the scenario declared no profile).
-    """
-
-    def __init__(self, cluster: Any,
-                 spawn_clients: _SpawnClients = None,
-                 stop_clients: _StopClients = None,
-                 netem_seed: int = 0,
-                 control_endpoints: Optional[
-                     Dict[str, Tuple[str, int]]] = None,
-                 process_manager: Optional[Any] = None) -> None:
-        super().__init__(cluster, spawn_clients, stop_clients,
-                         netem_seed)
-        #: Runner-side serve process manager; KillProcess /
-        #: RestartProcess route here instead of over /control.
-        self._process_manager = process_manager
-        self._partitions: set = set()
-        self._wrapped = False
-        #: replica id -> (host, port) of the serving process's signed
-        #: ``/control`` endpoint; events targeting these replicas are
-        #: forwarded over HTTP instead of applied locally, and
-        #: cluster-wide events are broadcast so every process converges.
-        self.control_endpoints: Dict[str, Tuple[str, int]] = \
-            dict(control_endpoints or {})
-        self._control_client: Any = None
-        self._control_tasks: set = set()
-        #: Errors from forwarded control deliveries, surfaced by the
-        #: runner after :meth:`drain_control` instead of being lost in
-        #: a fire-and-forget task.
-        self.control_errors: List[str] = []
-
-    @staticmethod
-    def check_supported(events: Tuple[FaultEvent, ...],
-                        remote_replicas: Tuple[str, ...] = (),
-                        controllable: Tuple[str, ...] = (),
-                        managed: Tuple[str, ...] = ()) -> None:
-        """Reject events the TCP backend cannot apply: unknown event
-        classes, replica-targeted events naming a replica hosted in
-        another process with no ``obs`` control endpoint declared (no
-        channel can reach its handler), and process-level kill/restart
-        events for replicas no runner-side process manager owns."""
-        supported = tuple(FAULT_TYPES.values())
-        for event in events:
-            if not isinstance(event, supported):
-                raise ConfigurationError(
-                    f"fault event {type(event).__name__} is not "
-                    f"supported on the tcp backend (supported: "
-                    f"{tuple(FAULT_TYPES)})")
-            if isinstance(event, (KillProcess, RestartProcess)):
-                if event.replica not in managed:
-                    raise ConfigurationError(
-                        f"fault event {type(event).__name__} targets "
-                        f"replica {event.replica!r}, which no "
-                        f"runner-managed serve process hosts; spawn it "
-                        f"via ServeProcessManager and pass the manager "
-                        f"to the runner")
-                continue
-            targeted = [getattr(event, "replica", None)]
-            if isinstance(event, Partition):
-                # Partition filters wrap each process's own nodes; the
-                # remote side enforces its half when the event is
-                # broadcast over /control, so every remote replica in
-                # a side needs an endpoint.
-                targeted = [m for side in event.sides for m in side]
-            for replica in targeted:
-                if replica and replica in remote_replicas and \
-                        replica not in controllable:
-                    raise ConfigurationError(
-                        f"fault event {type(event).__name__} targets "
-                        f"replica {replica!r}, which the host map "
-                        f"places in another process; declare an "
-                        f"obs[{replica!r}] control endpoint so the "
-                        f"runner can deliver it over /control")
-
-    def _ensure_shaper(self) -> Any:
-        shaper = self.cluster.shaper
-        if shaper is None:
-            from repro.netem import LinkShaper
-            shaper = LinkShaper(seed=self._netem_seed,
-                                region_of=self.cluster.regions.get)
-            self.cluster.attach_shaper(shaper)
-        return shaper
-
-    def install_filters(self) -> None:
-        """Wrap every node handler with the partition filter.  Called by
-        the runner after all nodes exist, before load starts."""
-        if self._wrapped:
-            return
-        for node_id, node in self.cluster.nodes.items():
-            node.handler = self._filtering(node_id, node.handler)
-        self._wrapped = True
-
-    def _filtering(self, node_id: str, handler):
-        def filtered(sender: str, message: Any) -> None:
-            if (sender, node_id) in self._partitions:
-                return
-            if handler is not None:
-                handler(sender, message)
-        return filtered
-
-    def _now_ms(self) -> float:
-        return asyncio.get_running_loop().time() * 1000.0
-
-    def apply(self, event: FaultEvent) -> None:
-        """Route one event: replica-targeted events whose target lives
-        in another process go out over that process's signed /control
-        endpoint; cluster-wide events (partitions, heal, netem,
-        latency) apply locally *and* broadcast to every control
-        endpoint so all processes converge on the same network state.
-        The event is recorded at dispatch either way -- the runner's
-        closed-loop wait counts log entries, and a forwarded event has
-        left this process the moment its task is scheduled."""
-        target = getattr(event, "replica", None)
-        if isinstance(event, (KillProcess, RestartProcess)):
-            self._apply_process(event)
-        elif target and target in self.control_endpoints:
-            # The target replica is not in cluster.nodes here; the
-            # serving process applies it through its own injector.
-            self._forward(event, (target,))
-        else:
-            self._apply_local(event)
-            if self.control_endpoints and isinstance(
-                    event, (Partition, Heal, LatencyShift, _NetemEvent)):
-                self._forward(event, tuple(self.control_endpoints))
-        self._record(event, self._now_ms())
-
+    # ------------------------------------------------------------------
+    # Routing for replicas hosted by other processes (TCP host maps)
+    # ------------------------------------------------------------------
     def _apply_process(self, event: FaultEvent) -> None:
         """Kill -9 / restart the serve process hosting the target."""
         if self._process_manager is None:
@@ -642,12 +562,8 @@ class TcpFaultInjector(_InjectorBase):
         # One process can serve several replicas behind one endpoint;
         # send to each distinct address once (the built-in events are
         # idempotent, but a single delivery keeps logs clean).
-        seen = set()
-        for rid in replicas:
-            host, port = self.control_endpoints[rid]
-            if (host, port) in seen:
-                continue
-            seen.add((host, port))
+        for host, port in dict.fromkeys(
+                self.control_endpoints[rid] for rid in replicas):
             task = loop.create_task(
                 self._control_client.send(host, port, event))
             self._control_tasks.add(task)
@@ -678,45 +594,7 @@ class TcpFaultInjector(_InjectorBase):
         if pending:
             await asyncio.wait(pending, timeout=timeout)
 
-    def _apply_local(self, event: FaultEvent) -> None:
-        cluster = self.cluster
-        if isinstance(event, CrashReplica):
-            rid = event.replica
-            node = cluster.nodes[rid]
-            if rid not in self._crashed:
-                self._crashed[rid] = node.handler
-                node.handler = lambda sender, message: None
-        elif isinstance(event, RecoverReplica):
-            rid = event.replica
-            handler = self._crashed.pop(rid, None)
-            if handler is not None:
-                cluster.nodes[rid].handler = handler
-        elif isinstance(event, Partition):
-            left, right = event.sides
-            for a in left:
-                for b in right:
-                    self._partitions.add((a, b))
-                    self._partitions.add((b, a))
-        elif isinstance(event, Heal):
-            self._partitions.clear()
-        elif isinstance(event, SwapByzantine):
-            from repro.byzantine import behavior_by_name
-            behavior = behavior_by_name(event.behavior)
-            rid = event.replica
-            node = cluster.nodes[rid]
-            old = cluster.replicas[rid]
-            replica = behavior(
-                rid, cluster.config, node.context(), old.keypair,
-                cluster.registry, cluster.statemachine_factory(),
-                old.interference)
-            cluster.replicas[rid] = replica
-            # Re-wrap so partitions keep applying to the new replica.
-            node.handler = self._filtering(rid, replica.on_message) \
-                if self._wrapped else replica.on_message
-        elif isinstance(event, LatencyShift):
-            # No latency matrix on TCP: the shift retargets the live
-            # netem profile's link delays instead (factor 1.0 restores
-            # the base, exactly like the simulator's matrix reset).
-            self._ensure_shaper().set_delay_scale(event.factor)
-        else:
-            self._apply_shared(event)
+
+#: ``benchmarks/ledger/workloads.py`` imports the injector under this
+#: name, and the ledger is edited only by benchmark-only changes.
+SimFaultInjector = FaultInjector

@@ -7,7 +7,7 @@ banner, and can SIGKILL or SIGTERM it; :class:`ServeProcessManager`
 maps replica ids to their hosting process so the
 :class:`~repro.scenario.faults.KillProcess` /
 :class:`~repro.scenario.faults.RestartProcess` fault pair can route
-through the :class:`~repro.scenario.faults.TcpFaultInjector`.
+through the :class:`~repro.scenario.faults.FaultInjector`.
 
 Blocking waits (spawn banner, SIGKILL reap) run in the event loop's
 default executor when called from async code, so a mid-run restart

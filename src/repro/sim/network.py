@@ -132,8 +132,8 @@ class SimNetwork:
         return self._record(node_id).region
 
     def handler_of(self, node_id: str) -> Callable[[str, Any], None]:
-        """A node's current message handler (so fault injectors can save
-        it before :meth:`set_handler` and restore it on recovery)."""
+        """A node's current message handler (so a caller can wrap it
+        and interpose on deliveries with :meth:`set_handler`)."""
         return self._record(node_id).handler
 
     def set_handler(self, node_id: str,

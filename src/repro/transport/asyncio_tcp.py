@@ -247,7 +247,8 @@ class AsyncioNode:
                  addresses: Dict[str, Address],
                  loop: Optional[asyncio.AbstractEventLoop] = None,
                  shaper: Optional[Any] = None,
-                 strict_destinations: bool = True) -> None:
+                 strict_destinations: bool = True,
+                 cuts: Optional[Set[Tuple[str, str]]] = None) -> None:
         self.node_id = node_id
         self.address = address
         self.addresses = addresses
@@ -256,6 +257,10 @@ class AsyncioNode:
         #: deployment: sends are delayed / dropped / duplicated per the
         #: live profile before hitting the socket.
         self.shaper = shaper
+        #: Directed ``(src, dst)`` pairs whose sends are dropped (crashes
+        #: and partitions), shared by the deployment's local nodes.
+        self.cuts: Set[Tuple[str, str]] = cuts if cuts is not None \
+            else set()
         #: With a host map (multi-process deployments) an unknown
         #: destination is a peer we have not learned yet, not a bug:
         #: drop like a quasi-reliable network instead of raising.
@@ -413,6 +418,9 @@ class AsyncioNode:
                 self._count_dropped()
                 return
             raise TransportError(f"unknown destination {dst!r}")
+        if self.cuts and (self.node_id, dst) in self.cuts:
+            self._count_dropped()
+            return
         trace: Optional[bytes] = None
         tracer = self.tracer
         if tracer.enabled:
@@ -503,6 +511,12 @@ class AsyncioCluster:
     :class:`repro.netem.LinkShaper` shared by every node, seeded from
     ``netem_seed``; ``regions`` labels nodes for region-token rule
     matching.
+
+    ``cuts``, ``set_handler``, ``context_for``, ``node_ids``,
+    ``attach_shaper``, ``scale_latency``, ``now_ms`` and
+    ``statemachine_factory`` are the surface it shares with the
+    simulator's :class:`~repro.cluster.builder.Cluster`, which is all
+    :class:`~repro.scenario.faults.FaultInjector` touches.
     """
 
     BASE_PORT = 41200
@@ -573,10 +587,14 @@ class AsyncioCluster:
         #: a quasi-reliable network instead of raising.
         self._strict = not self.host_map
         self.shaper: Optional[Any] = None
+        self.netem_seed = netem_seed
         if netem is not None:
             from repro.netem import LinkShaper
             self.shaper = LinkShaper(netem, seed=netem_seed,
                                      region_of=self.regions.get)
+        #: Directed ``(src, dst)`` pairs every local node refuses to
+        #: send on (one set, shared by reference).
+        self.cuts: Set[Tuple[str, str]] = set()
         self._next_port = base_port + num_replicas if base_port else 0
         self.nodes: Dict[str, AsyncioNode] = {}
         self.replicas: Dict[str, Any] = {}
@@ -593,12 +611,16 @@ class AsyncioCluster:
             target_replica=target_replica,
         )
 
+    def _node(self, node_id: str, address: Address) -> AsyncioNode:
+        return AsyncioNode(node_id, address, self.addresses,
+                           shaper=self.shaper,
+                           strict_destinations=self._strict,
+                           cuts=self.cuts)
+
     async def start(self) -> None:
         wiring = self._wiring()
         for rid in self.start_replicas:
-            node = AsyncioNode(rid, self.addresses[rid], self.addresses,
-                               shaper=self.shaper,
-                               strict_destinations=self._strict)
+            node = self._node(rid, self.addresses[rid])
             # Key seeds are deterministic, so every process of a
             # multi-machine deployment derives the same registry.
             keypair = self.registry.create(rid, seed=b"tcp-demo")
@@ -625,9 +647,7 @@ class AsyncioCluster:
         self.addresses[client_id] = address
         if region is not None:
             self.regions[client_id] = region
-        node = AsyncioNode(client_id, address, self.addresses,
-                           shaper=self.shaper,
-                           strict_destinations=self._strict)
+        node = self._node(client_id, address)
         keypair = self.registry.create(client_id, seed=b"tcp-demo")
         wiring = self._wiring(
             target_replica=target_replica or self.replica_ids[0])
@@ -640,13 +660,36 @@ class AsyncioCluster:
         self.clients[client_id] = client
         return client
 
-    def attach_shaper(self, shaper: Any) -> None:
-        """Install (or replace) the netem seam on every node, live.
-        Fault injectors use this to materialize a shaper lazily when a
-        chaos event fires on a scenario that declared no profile."""
-        self.shaper = shaper
-        for node in self.nodes.values():
-            node.shaper = shaper
+    def context_for(self, node_id: str) -> NodeContext:
+        return self.nodes[node_id].context()
+
+    def set_handler(self, node_id: str,
+                    handler: Callable[[str, Any], None]) -> None:
+        self.nodes[node_id].handler = handler
+
+    def node_ids(self) -> Tuple[str, ...]:
+        """Every node this process can address: its own, the remote
+        replicas, and the peers it has learned from traffic."""
+        return tuple(self.addresses)
+
+    def now_ms(self) -> float:
+        return asyncio.get_running_loop().time() * 1000.0
+
+    def attach_shaper(self) -> Any:
+        """The live netem seam, materialized on every node (seeded from
+        ``netem_seed``) if the deployment declared no profile."""
+        if self.shaper is None:
+            from repro.netem import LinkShaper
+            self.shaper = LinkShaper(seed=self.netem_seed,
+                                     region_of=self.regions.get)
+            for node in self.nodes.values():
+                node.shaper = self.shaper
+        return self.shaper
+
+    def scale_latency(self, factor: float) -> None:
+        """No latency matrix on TCP: scale the live netem profile's link
+        delays instead (1.0 restores the base)."""
+        self.attach_shaper().set_delay_scale(factor)
 
     def announce_remote(self) -> None:
         """Prime every remote replica with every local node's listen

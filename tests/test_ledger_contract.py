@@ -162,6 +162,28 @@ def test_folded_commit_frame_enters_through_on_message(monkeypatch):
     assert len(at_r1) == 2
 
 
+def test_wan_crash_injector_is_built_from_the_cluster_alone():
+    """``sim_wan_crash`` builds ``repro.scenario.faults.SimFaultInjector``
+    with the cluster as its only argument and schedules its ``apply``
+    for one ``CrashReplica`` and one ``RecoverReplica`` through
+    ``cluster.sim.schedule_at``; the crash must cut the victim off and
+    the recovery must restore every link."""
+    from repro.scenario import faults
+
+    cluster = lan_cluster()
+    injector = faults.SimFaultInjector(cluster)
+    for event in (faults.CrashReplica(at_ms=10.0, replica="r1"),
+                  faults.RecoverReplica(at_ms=20.0, replica="r1")):
+        cluster.sim.schedule_at(event.at_ms, injector.apply, event)
+    partitions = cluster.network.conditions.partitions
+    cluster.run(until=15.0)
+    assert {("r1", "r0"), ("r0", "r1")} <= partitions
+    cluster.run(until=25.0)
+    assert partitions == set()
+    assert [(e["event"], e["applied_ms"]) for e in injector.log] == [
+        ("CrashReplica", 10.0), ("RecoverReplica", 20.0)]
+
+
 def test_send_encodes_its_frame_before_it_returns(monkeypatch):
     """The ledger's ``transport.asyncio_tcp`` span is ``AsyncioNode.send``
     and its ``transport.codec`` span a wrapper bound over the

@@ -99,6 +99,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="at least one"):
             lan_scenario(faults=(ClientChurn(at_ms=1.0),)).validate()
 
+    def test_process_faults_rejected_before_a_sim_run(self, monkeypatch):
+        # KillProcess passes Scenario.validate (the spec may also name
+        # tcp) but the simulator has no process to kill: the sim
+        # deployment refuses the schedule before building the cluster.
+        from repro.scenario import KillProcess, RestartProcess, deployment
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the cluster was built")
+
+        monkeypatch.setattr(deployment, "build_cluster", no_build)
+        for event in (KillProcess(at_ms=100.0, replica="r1"),
+                      RestartProcess(at_ms=100.0, replica="r1")):
+            scenario = lan_scenario(faults=(event,))
+            scenario.validate()
+            runner = ScenarioRunner()
+            with pytest.raises(ConfigurationError,
+                               match=f"{type(event).__name__} is not "
+                                     f"supported on the sim backend"):
+                runner.run(scenario)
+
 
 # ----------------------------------------------------------------------
 # Execution: the basics
@@ -286,24 +306,26 @@ class TestFaultSchedule:
     def test_recover_does_not_heal_explicit_partitions(self):
         # A replica that crashes and recovers while a Partition event
         # is in force must come back into a *still-partitioned*
-        # network: recovery undoes only the crash isolation.
-        scenario = lan_scenario(
-            workload=WorkloadSpec(mode="open", clients_per_region=1,
-                                  rate_per_client=20.0),
-            duration_ms=500.0,
-            retry_timeout=60_000.0,
-            suspicion_timeout=60_000.0,
-            faults=(Partition(at_ms=50.0,
-                              sides=(("r1",), ("r2", "r3"))),
-                    CrashReplica(at_ms=100.0, replica="r1"),
-                    RecoverReplica(at_ms=200.0, replica="r1")),
-        )
-        _, cluster = ScenarioRunner().run_with_cluster(scenario)
-        partitions = cluster.network.conditions.partitions
-        assert ("r1", "r2") in partitions and ("r3", "r1") in partitions
-        # ...and nothing beyond the declared partition survives.
-        assert partitions == {("r1", "r2"), ("r2", "r1"),
-                              ("r1", "r3"), ("r3", "r1")}
+        # network: recovery undoes only the crash isolation, whether
+        # the partition came before the crash or during it.
+        declared = Partition(at_ms=50.0, sides=(("r1",), ("r2", "r3")))
+        for partition in (declared,
+                          Partition(at_ms=150.0, sides=declared.sides)):
+            scenario = lan_scenario(
+                workload=WorkloadSpec(mode="open", clients_per_region=1,
+                                      rate_per_client=20.0),
+                duration_ms=500.0,
+                retry_timeout=60_000.0,
+                suspicion_timeout=60_000.0,
+                faults=(partition,
+                        CrashReplica(at_ms=100.0, replica="r1"),
+                        RecoverReplica(at_ms=200.0, replica="r1")),
+            )
+            _, cluster = ScenarioRunner().run_with_cluster(scenario)
+            partitions = cluster.network.conditions.partitions
+            # Exactly the declared partition survives.
+            assert partitions == {("r1", "r2"), ("r2", "r1"),
+                                  ("r1", "r3"), ("r3", "r1")}, partition
 
     def test_repeated_churn_stop_winds_down_distinct_clients(self):
         # Two stop=1 events must stop two different clients, i.e.

@@ -88,25 +88,26 @@ def test_unsupported_fault_event_rejected_on_tcp():
     from dataclasses import dataclass
 
     from repro.scenario import FaultEvent
-    from repro.scenario.faults import TcpFaultInjector
+    from repro.scenario.faults import FaultInjector
 
     @dataclass(frozen=True)
     class MeteorStrike(FaultEvent):
         pass
 
-    with pytest.raises(ConfigurationError, match="not.*supported"):
-        TcpFaultInjector.check_supported((MeteorStrike(at_ms=1.0),))
+    with pytest.raises(ConfigurationError,
+                       match="MeteorStrike is not supported on the tcp"):
+        FaultInjector.check_supported((MeteorStrike(at_ms=1.0),), "tcp")
 
 
 def test_remote_hosted_replica_fault_rejected_on_tcp():
     # Replica-targeted faults cannot reach a replica the host map
     # places in another process; the error names the replica.
     from repro.scenario import CrashReplica
-    from repro.scenario.faults import TcpFaultInjector
+    from repro.scenario.faults import FaultInjector
 
     with pytest.raises(ConfigurationError, match="r3"):
-        TcpFaultInjector.check_supported(
-            (CrashReplica(at_ms=1.0, replica="r3"),),
+        FaultInjector.check_supported(
+            (CrashReplica(at_ms=1.0, replica="r3"),), "tcp",
             remote_replicas=("r3",))
 
 
