@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
 from repro.core.owner_change import summarize_entry
-from repro.crypto.digest import digest
+from repro.errors import SerializationError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
@@ -28,7 +28,7 @@ from repro.messages.ezbft import (
     StateTransferReply,
     StateTransferRequest,
 )
-from repro.statemachine.checkpoint import Checkpoint
+from repro.statemachine.checkpoint import Checkpoint, received_checkpoint
 from repro.types import InstanceID
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -291,17 +291,22 @@ class CheckpointManager:
             # would needlessly discard speculation, pending orders, and
             # reply-cache results that live execution will cover anyway.
             return
-        state_digest = digest(reply.snapshot)
-        if not self._verify_checkpoint_proof(reply, state_digest):
+        try:
+            checkpoint = received_checkpoint(reply.watermark,
+                                             reply.snapshot)
+        except SerializationError:
+            checkpoint = None  # malformed leaves: nothing to prove
+        if checkpoint is None or not self._verify_checkpoint_proof(
+                reply, checkpoint.state_digest):
             self.replica.stats["invalid_messages"] += 1
             return
-        self._install_transfer(reply, state_digest)
+        self._install_transfer(reply, checkpoint)
 
     def _verify_checkpoint_proof(self, reply: StateTransferReply,
                                  state_digest: str) -> bool:
         """2f+1 distinct, valid EZCHECKPOINT signatures binding the
-        reply's watermark to ``state_digest``, the digest of the shipped
-        snapshot."""
+        reply's watermark to ``state_digest``, the digest recomputed
+        from the shipped snapshot."""
         replica = self.replica
         signers = set()
         for envelope in reply.proof:
@@ -322,13 +327,12 @@ class CheckpointManager:
         return len(signers) >= replica.config.slow_quorum_size
 
     def _install_transfer(self, reply: StateTransferReply,
-                          state_digest: str) -> None:
+                          checkpoint: Checkpoint) -> None:
         """Adopt a proven stable checkpoint wholesale, install the
         transferred log suffix entry-by-entry (each individually
         verified), and resume normal execution."""
         replica = self.replica
-        executed_above = self.adopt(reply.watermark, state_digest,
-                                    reply.snapshot)
+        executed_above = self.adopt(checkpoint)
         # Entries we executed locally but that are NOT inside the
         # snapshot's first ``watermark`` executions lost their effects
         # with the restore; demote them so they re-apply.
@@ -348,16 +352,17 @@ class CheckpointManager:
         self.resume(executed_above)
         replica.recovery.persist_stable(replica.checkpoints.stable)
 
-    def adopt(self, watermark: int, state_digest: str,
-              snapshot: dict) -> Set[InstanceID]:
+    def adopt(self, checkpoint: Checkpoint) -> Set[InstanceID]:
         """Make a stable checkpoint (proven by a state transfer, or
-        read back from our own disk) this replica's state: application,
+        read back from our own disk; its state checked by
+        :func:`received_checkpoint`) this replica's state: application,
         spaces and indexes cut to its frontier, executor and checkpoint
-        store fast-forwarded onto ``watermark``.  Returns the instances
+        store fast-forwarded onto its watermark.  Returns the instances
         above the frontier already executed inside the snapshot, for
         :meth:`resume` once the caller has put that part of the log
         back (transferred suffix, WAL replay)."""
         replica = self.replica
+        watermark, snapshot = checkpoint.watermark, checkpoint.snapshot
         frontier = {owner: int(slot) for owner, slot in
                     snapshot.get("frontier", {}).items()}
         executed_above = {
@@ -365,7 +370,7 @@ class CheckpointManager:
             for owner, slot in snapshot.get("executed_above", ())
         }
         replica.statemachine.rollback_speculative()
-        replica.statemachine.restore(snapshot.get("state", {}))
+        replica.statemachine.restore(snapshot["state"])
         for owner, space in replica.spaces.items():
             replica._truncate_space(space, frontier.get(owner, 0))
         # Forget cached frontier cursors: entries above the cut that we
@@ -385,10 +390,8 @@ class CheckpointManager:
         for client, floor in floors.items():
             if floor > client_ts.get(client, -1):
                 client_ts[client] = floor
-        replica.checkpoints.install_stable(Checkpoint(
-            watermark=watermark, state_digest=state_digest,
-            snapshot=snapshot))
-        replica.checkpoint_log.append((watermark, state_digest))
+        replica.checkpoints.install_stable(checkpoint)
+        replica.checkpoint_log.append((watermark, checkpoint.state_digest))
         return executed_above
 
     def resume(self, executed_above: Set[InstanceID]) -> None:

@@ -106,9 +106,10 @@ class RecoveryManager:
         records = list(storage.replay_records(summary))
         executed_above: set = set()
         if payload is not None:
-            executed_above = replica.checkpointing.adopt(
-                int(payload["watermark"]), payload["state_digest"],
-                payload["snapshot"])
+            executed_above = replica.checkpointing.adopt(Checkpoint(
+                watermark=int(payload["watermark"]),
+                state_digest=payload["state_digest"],
+                snapshot=payload["snapshot"]))
         live = replica.ctx
         replica.ctx = NodeContext(live.node_id, lambda src, dst, msg: None,
                                   live.set_timer, lambda: live.now)

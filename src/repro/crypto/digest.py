@@ -279,6 +279,18 @@ def respell_replica(data: bytes, message: Any,
     return canonical_bytes(replace(message, replica=replica))
 
 
+def leaf_digest(leaf: dict) -> bytes:
+    """Raw SHA-256 of one state leaf's canonical encoding: the 32 bytes
+    a state root covers for that leaf."""
+    return hashlib.sha256(_encode(leaf)).digest()
+
+
+def state_root(leaf_digests: bytes) -> str:
+    """Hex SHA-256 of the concatenated leaf digests, in leaf order:
+    the state root a checkpoint digest covers in place of the state."""
+    return hashlib.sha256(leaf_digests).hexdigest()
+
+
 def digest(value: Any) -> str:
     """Hex SHA-256 digest of the canonical encoding of ``value``."""
     if callable(getattr(value, "to_wire", None)):

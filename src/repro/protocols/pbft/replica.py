@@ -291,8 +291,8 @@ class PBFTReplica(BaseReplica):
         executed = self._last_executed + 1
         if not self.checkpoints.due(executed):
             return
-        checkpoint = Checkpoint.capture(executed,
-                                        self.statemachine.snapshot())
+        checkpoint = Checkpoint.capture(
+            executed, {"state": self.statemachine.snapshot()})
         self.checkpoints.record_local(checkpoint)
         self.stats["checkpoints"] += 1
         msg = PBFTCheckpoint(seqno=executed,

@@ -7,9 +7,16 @@ speculative-execute / rollback / final-execute cycle ezBFT and Zyzzyva
 require.  Three applications are built on it: the key-value store of the
 evaluation (:class:`KVStore`), a counter (:class:`CounterMachine`) and a
 bank with balance-dependent results (:class:`BankMachine`).
+
+The base holds the final state as copy-on-write leaves with cached
+digests: a checkpoint capture (:meth:`StateMachine.snapshot`) shares
+the leaves with its :class:`StateSnapshot` instead of copying the
+store, and rehashes only the leaves written since the last capture.
+A checkpoint's digest covers the snapshot's other fields plus the
+state root, the digest of the leaf digests.
 """
 
-from repro.statemachine.base import Command, StateMachine
+from repro.statemachine.base import Command, StateMachine, StateSnapshot
 from repro.statemachine.interference import (
     InterferenceRelation,
     KVInterference,
@@ -24,6 +31,7 @@ from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 __all__ = [
     "Command",
     "StateMachine",
+    "StateSnapshot",
     "InterferenceRelation",
     "KVInterference",
     "AlwaysInterfere",

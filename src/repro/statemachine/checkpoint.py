@@ -5,14 +5,34 @@ owner-change messages carry "instances executed or committed *since the
 last checkpoint*".  Both need the same building block: a snapshot of the
 application state bound to an execution watermark, plus a quorum of
 matching digests proving the snapshot is correct.
+
+A checkpoint snapshot is a dict whose ``state`` is a
+:class:`~repro.statemachine.base.StateSnapshot`; the other fields are
+the protocol's own (frontiers, client progress).  Its digest is the
+digest of those fields with ``state`` standing as the state root.  A
+capture takes the root from the state machine's cache
+(:meth:`Checkpoint.capture`); a snapshot that arrived -- by state
+transfer or from disk -- has its root recomputed from the shipped
+leaves (:func:`received_checkpoint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.crypto.digest import digest
+from repro.errors import SerializationError
+from repro.statemachine.base import StateSnapshot
+
+
+def _snapshot_digest(snapshot: dict) -> str:
+    """The one definition of a checkpoint's ``state_digest``: the
+    snapshot's fields, with ``state`` (when there is one) standing as
+    its state root."""
+    if "state" not in snapshot:
+        return digest(snapshot)
+    return digest({**snapshot, "state": snapshot["state"].root})
 
 
 @dataclass(frozen=True)
@@ -29,8 +49,20 @@ class Checkpoint:
 
     @classmethod
     def capture(cls, watermark: int, snapshot: dict) -> "Checkpoint":
-        return cls(watermark=watermark, state_digest=digest(snapshot),
+        return cls(watermark=watermark,
+                   state_digest=_snapshot_digest(snapshot),
                    snapshot=snapshot)
+
+
+def received_checkpoint(watermark: int, snapshot: Any) -> Checkpoint:
+    """The checkpoint a shipped snapshot stands for, its state leaves
+    checked and its root recomputed from them
+    (:meth:`StateSnapshot.checked`).  Raises ``SerializationError`` for
+    a snapshot that is not a dict holding well-formed state leaves."""
+    if not isinstance(snapshot, dict) or "state" not in snapshot:
+        raise SerializationError("checkpoint snapshot carries no state")
+    return Checkpoint.capture(watermark, {
+        **snapshot, "state": StateSnapshot.checked(snapshot["state"])})
 
 
 class CheckpointStore:

@@ -16,6 +16,9 @@ self-contained), and everything older than the second-newest snapshot
 is pruned.  Recovery loads the newest digest-valid snapshot (falling
 back to the previous one on corruption) and replays all retained
 segments in watermark order; replay tolerates a torn final record.
+
+A snapshot file holds the whole checkpoint snapshot, its state as the
+list of its leaves: O(store) per stable checkpoint, written atomically.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.crypto.digest import digest
+from repro.errors import SerializationError
+from repro.statemachine.checkpoint import Checkpoint, received_checkpoint
 from repro.storage.atomic import atomic_write_json
 from repro.storage.wal import WriteAheadLog, replay_wal
 
-SNAPSHOT_VERSION = 1
+#: 2: the state is a list of leaves and ``state_digest`` covers their
+#: root (1 held one flat state dict, digested whole).
+SNAPSHOT_VERSION = 2
 
 _SEGMENT_RE = re.compile(r"^wal-(\d+)\.log$")
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.json$")
@@ -123,12 +129,17 @@ class ReplicaStorage:
     # ------------------------------------------------------------------
     def load_snapshot(self, summary: Optional[RecoverySummary] = None
                       ) -> Optional[Dict[str, Any]]:
-        """The newest digest-valid snapshot payload, or ``None``.
+        """The newest digest-valid snapshot payload, or ``None``; its
+        ``snapshot`` is the checked one (:func:`received_checkpoint`),
+        ready to adopt.
 
-        A snapshot whose JSON fails to parse or whose recomputed state
-        digest disagrees with the recorded one is skipped (never
-        deleted -- operators may want the forensic evidence) and the
-        next-older one is tried.
+        A snapshot whose JSON fails to parse, whose state leaves are
+        malformed, or whose recomputed state digest disagrees with the
+        recorded one is skipped (never deleted -- operators may want
+        the forensic evidence) and the next-older one is tried.  A
+        snapshot of another format version stops recovery with a
+        ``SerializationError`` naming the file: skipping it would
+        silently restart from older state.
         """
         import json
 
@@ -139,14 +150,18 @@ class ReplicaStorage:
                     payload = json.load(fh)
             except (OSError, ValueError):
                 payload = None
-            if (isinstance(payload, dict)
-                    and payload.get("version") == SNAPSHOT_VERSION
-                    and payload.get("watermark") == watermark
-                    and digest(payload.get("snapshot", {})) ==
-                    payload.get("state_digest")):
+            if isinstance(payload, dict) and \
+                    payload.get("version") != SNAPSHOT_VERSION:
+                raise SerializationError(
+                    f"{path}: snapshot format version "
+                    f"{payload.get('version')!r}, this build reads "
+                    f"version {SNAPSHOT_VERSION}; discard the data "
+                    f"directory")
+            checkpoint = _checked(payload, watermark)
+            if checkpoint is not None:
                 if summary is not None:
                     summary.snapshot_watermark = watermark
-                return payload
+                return {**payload, "snapshot": checkpoint.snapshot}
             if summary is not None:
                 summary.invalid_snapshots.append(watermark)
         return None
@@ -201,3 +216,18 @@ class ReplicaStorage:
             os.unlink(path)
         except OSError:
             pass
+
+
+def _checked(payload: Any, watermark: int) -> Optional[Checkpoint]:
+    """The checkpoint a snapshot file's payload stands for, if its
+    watermark matches the file name and its state digest recomputes."""
+    if not isinstance(payload, dict) or \
+            payload.get("watermark") != watermark:
+        return None
+    try:
+        checkpoint = received_checkpoint(watermark, payload.get("snapshot"))
+    except SerializationError:
+        return None
+    if checkpoint.state_digest != payload.get("state_digest"):
+        return None
+    return checkpoint

@@ -5,8 +5,11 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.cluster.builder import Cluster, build_cluster
+from repro.crypto.digest import leaf_digest
 from repro.sim.latency import EXPERIMENT1, LOCAL, uniform_matrix
 from repro.sim.network import CpuModel
+from repro.statemachine.base import StateSnapshot, leaf_index
+from repro.statemachine.checkpoint import Checkpoint
 
 #: The paper's Experiment-1 deployment.
 GEO_REGIONS = ["virginia", "tokyo", "mumbai", "sydney"]
@@ -111,3 +114,33 @@ def assert_histories_consistent(cluster: Cluster,
             assert len(set(orders.values())) == 1, (
                 f"interfering commands {a} and {b} executed in "
                 f"different orders: {orders}")
+
+
+def defective_leaves(leaves, defect: str) -> list:
+    """Copies of state ``leaves`` broken one way, digests aside:
+    ``"misplaced key"`` moves one key to the next leaf;
+    ``"three leaves"`` puts every key in 3 leaves where
+    ``crc32(key) & (3 - 1)`` places it, so only the leaf count is
+    wrong."""
+    if defect == "three leaves":
+        out = [{}, {}, {}]
+        for leaf in leaves:
+            for key, value in leaf.items():
+                out[leaf_index(key, 3)][key] = value
+        return out
+    assert defect == "misplaced key", defect
+    out = [dict(leaf) for leaf in leaves]
+    home = next(i for i, leaf in enumerate(out) if leaf)
+    key = next(iter(out[home]))
+    out[(home + 1) % len(out)][key] = out[home].pop(key)
+    return out
+
+
+def unchecked_state_digest(watermark: int, snapshot: dict) -> str:
+    """The checkpoint digest ``snapshot``'s leaves hash to, with no
+    placement check: what a signer of a defective snapshot attests."""
+    leaves = snapshot["state"]
+    unchecked = StateSnapshot.of(
+        leaves, b"".join(leaf_digest(leaf) for leaf in leaves))
+    return Checkpoint.capture(
+        watermark, {**snapshot, "state": unchecked}).state_digest

@@ -16,10 +16,17 @@ from repro.core.instance import EntryStatus, LogEntry
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import EzCheckpoint, StateTransferReply
 from repro.statemachine.base import Command
-from repro.statemachine.checkpoint import Checkpoint
+from repro.statemachine.checkpoint import Checkpoint, received_checkpoint
+from repro.statemachine.kvstore import KVStore
 from repro.types import InstanceID
 
-from helpers import DeliveryLog, assert_replicas_consistent, lan_cluster
+from helpers import (
+    DeliveryLog,
+    assert_replicas_consistent,
+    defective_leaves,
+    lan_cluster,
+    unchecked_state_digest,
+)
 
 INTERVAL = 8
 
@@ -198,16 +205,16 @@ def test_partitioned_replica_rejoins_via_state_transfer(monkeypatch):
     the cluster GCs past it, then rejoins.  Without state transfer it
     would wait forever for truncated SPECORDERs; with it, it installs
     the latest stable snapshot and resumes live execution.  The shipped
-    snapshot is digested once, for the proof check and the install
-    both."""
-    digested = []
+    snapshot's root is recomputed from its leaves once, for the proof
+    check and the install both."""
+    recomputed = []
 
-    def counting_digest(value):
-        digested.append(value)
-        return real_digest(value)
+    def counting(watermark, snapshot):
+        recomputed.append(watermark)
+        return real(watermark, snapshot)
 
-    real_digest = checkpointing.digest
-    monkeypatch.setattr(checkpointing, "digest", counting_digest)
+    real = checkpointing.received_checkpoint
+    monkeypatch.setattr(checkpointing, "received_checkpoint", counting)
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
@@ -223,7 +230,7 @@ def test_partitioned_replica_rejoins_via_state_transfer(monkeypatch):
     assert lagging.stats["state_transfers_installed"] >= 1
     assert sum(r.stats["state_transfers_served"]
                for r in cluster.replicas.values()) >= 1
-    assert len(digested) == sum(r.stats["state_transfers_installed"]
+    assert len(recomputed) == sum(r.stats["state_transfers_installed"]
                                 for r in cluster.replicas.values())
     assert lagging.executor.executed_count == 6 * INTERVAL
     assert_replicas_consistent(cluster)
@@ -239,7 +246,7 @@ def test_state_transfer_reply_with_insufficient_proof_rejected():
     replica = cluster.replicas["r0"]
     bogus = StateTransferReply(
         replica="r1", watermark=10 ** 6,
-        snapshot={"state": {"evil": 1}, "frontier": {},
+        snapshot={"state": [{"evil": 1}], "frontier": {},
                   "client_floors": {}, "client_sparse": {},
                   "executed_above": []},
         proof=())
@@ -256,17 +263,17 @@ def test_state_transfer_reply_with_forged_signatures_rejected():
     client = cluster.add_client("c0", "local")
     run_commands(cluster, client, INTERVAL)
     replica = cluster.replicas["r0"]
-    snapshot = {"state": {"evil": 1}, "frontier": {},
+    snapshot = {"state": [{"evil": 1}], "frontier": {},
                 "client_floors": {}, "client_sparse": {},
                 "executed_above": []}
-    from repro.crypto.digest import digest as _digest
+    state_digest = received_checkpoint(10 ** 6, snapshot).state_digest
     # r1's key signs attestations *claiming* to be from every replica:
     # distinct-signer validation must reject the quorum.
     r1 = cluster.replicas["r1"]
     forged = tuple(
         SignedPayload.create(
             EzCheckpoint(replica=rid, watermark=10 ** 6,
-                         state_digest=_digest(snapshot)),
+                         state_digest=state_digest),
             r1.keypair)
         for rid in cluster.config.replica_ids)
     bogus = StateTransferReply(replica="r1", watermark=10 ** 6,
@@ -274,6 +281,51 @@ def test_state_transfer_reply_with_forged_signatures_rejected():
     replica.on_message("r1", bogus)
     assert replica.stats["state_transfers_installed"] == 0
     assert replica.statemachine.get_final("evil") is None
+
+
+def attested_transfer(cluster, watermark, snapshot):
+    """A STATETRANSFERREPLY shipping ``snapshot`` with a genuine proof:
+    every replica signs the digest its leaves hash to, placement
+    unchecked -- so only the receiver's leaf checks stand between it
+    and an install."""
+    state_digest = unchecked_state_digest(watermark, snapshot)
+    proof = tuple(
+        SignedPayload.create(
+            EzCheckpoint(replica=rid, watermark=watermark,
+                         state_digest=state_digest),
+            replica.keypair)
+        for rid, replica in cluster.replicas.items())
+    return StateTransferReply(replica="r0", watermark=watermark,
+                              snapshot=snapshot, proof=proof)
+
+
+@pytest.mark.parametrize("defect", [None, "misplaced key", "three leaves"])
+def test_state_transfer_checks_leaf_placement(defect):
+    """A shipped state whose key sits outside its leaf, or whose leaf
+    count is not a power of two, installs nothing even under a valid
+    proof; the same transfer without the defect installs."""
+    cluster = lan_cluster(checkpoint_interval=INTERVAL)
+    client = cluster.add_client("c0", "local", target_replica="r0")
+    cluster.network.isolate("r3")
+    run_commands(cluster, client, 3 * INTERVAL, key_fn=lambda i: f"k{i}")
+    stable = cluster.replicas["r0"].checkpoints.stable
+    leaves = list(stable.snapshot["state"])
+    assert len(leaves) >= 2
+    if defect is not None:
+        leaves = defective_leaves(leaves, defect)
+    reply = attested_transfer(cluster, stable.watermark,
+                              {**stable.snapshot, "state": leaves})
+    lagging = cluster.replicas["r3"]
+    invalid = lagging.stats["invalid_messages"]
+    lagging.on_message("r0", reply)
+    if defect is None:
+        assert lagging.stats["state_transfers_installed"] == 1
+        assert lagging.executor.executed_count == stable.watermark
+        return
+    assert lagging.stats["state_transfers_installed"] == 0
+    assert lagging.stats["invalid_messages"] == invalid + 1
+    assert lagging.executor.executed_count == 0
+    assert lagging.statemachine.final_items() == {}
 
 
 def test_capture_lands_on_interval_boundary_mid_wave():
@@ -567,7 +619,7 @@ def test_gc_never_drops_unexecuted_committed_instance(statuses,
     # An (over-)aggressive frontier claim: GC must clamp to the local
     # contiguous-executed prefix regardless.
     checkpoint = Checkpoint.capture(0, {
-        "state": {}, "frontier": {"r0": claimed_cut},
+        "state": KVStore().snapshot(), "frontier": {"r0": claimed_cut},
         "client_floors": {}, "client_sparse": {}, "executed_above": []})
     replica.checkpointing._gc_below(checkpoint)
     for iid in committed_unexecuted:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.executor import DependencyExecutor
 from repro.core.instance import EntryStatus, LogEntry
-from repro.statemachine.base import Command
+from repro.statemachine.base import Command, StateSnapshot
 from repro.statemachine.kvstore import KVStore
 from repro.types import InstanceID
 
@@ -189,7 +189,7 @@ def test_truncated_instances_count_as_executed_dependencies():
 def test_install_fast_forwards_past_snapshot():
     kv = KVStore()
     executor = DependencyExecutor(kv)
-    kv.restore({"k0": "transferred"})
+    kv.restore(StateSnapshot.checked([{"k0": "transferred"}]))
     executor.install(
         10, {"r0": 4},
         client_floors={"cq": 8}, client_sparse={"cq": [10]},

@@ -47,6 +47,23 @@ def test_span_targets_are_defined_in_the_class_body(cls, names):
         assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
 
 
+def test_kvstore_entry_points_and_flat_final_state():
+    """``spans.py`` times the state machine through the three names it
+    finds in ``vars(KVStore)``, and the correctness gate digests every
+    replica's ``final_items()``: that stays one flat ``dict`` of key to
+    value, however many leaves hold the state."""
+    for name in ("apply", "apply_speculative", "snapshot"):
+        assert callable(vars(KVStore)[name]), name
+    kv = KVStore()
+    for i in range(40):
+        kv.apply(Command(client_id="c", timestamp=i + 1, op="put",
+                         key=f"k{i}", value=i))
+    assert len(kv.snapshot()) > 1
+    items = kv.final_items()
+    assert type(items) is dict
+    assert items == {f"k{i}": i for i in range(40)}
+
+
 def test_crypto_targets_sign_and_check_bytes():
     """``repro.crypto.signatures.sign``/``verify``/``is_valid`` are
     wrapped by name and counted as the ledger's MACs and verifies.

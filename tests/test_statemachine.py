@@ -1,6 +1,6 @@
 """Unit tests for the KV store, speculation, and checkpoints."""
 
-from repro.statemachine.base import Command
+from repro.statemachine.base import Command, StateSnapshot, leaf_index
 from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 from repro.statemachine.kvstore import KVStore
 
@@ -66,6 +66,19 @@ def test_incr_on_non_int_value_rejected():
     assert kv.apply(incr("k")) == \
         "ERROR: incr target 'k' holds non-int 'string'"
     assert kv.final_items() == {"k": "string"}
+
+
+def test_non_string_key_rejected():
+    """A key picks its leaf by the crc32 of its UTF-8 bytes, so only a
+    string names one; any other key is a rejected command, not a crash
+    on every replica that executes it."""
+    kv = KVStore()
+    for key in (5, None, ["k"]):
+        assert kv.apply(put(key, "v")) == \
+            f"ERROR: key must be a string, got {key!r}"
+        assert kv.apply_speculative(get(key)).startswith("ERROR: ")
+    assert kv.final_items() == {}
+    assert not kv.has_speculative_state
 
 
 def test_noop_does_nothing():
@@ -160,18 +173,46 @@ def test_snapshot_restore_roundtrip():
     assert kv.get_final("b") == [1, 2]
 
 
-def test_snapshot_is_deep_copy():
+def test_snapshot_is_immutable():
+    """A captured snapshot shares its leaves with the machine, so it
+    must never change afterwards: the machine copies a leaf before its
+    first write, and ``restore`` adopts leaves the same way."""
     kv = KVStore()
+    for i in range(40):
+        kv.apply(put(f"k{i}", i))
     kv.apply(put("b", [1, 2]))
     snap = kv.snapshot()
-    snap["b"].append(3)
-    assert kv.get_final("b") == [1, 2]
+    assert len(snap) > 1  # several leaves, so "same leaf" means something
+    frozen = [dict(leaf) for leaf in snap]
+    root = snap.root
+    home = leaf_index("b", len(snap))
+    neighbour = next(f"n{i}" for i in range(1000)
+                     if leaf_index(f"n{i}", len(snap)) == home)
+
+    def unchanged():
+        assert [dict(leaf) for leaf in snap] == frozen
+        assert snap.root == root
+        assert StateSnapshot.checked(list(snap)).root == root
+
+    kv.apply(put("b", "rewritten"))  # put on the same key
+    unchanged()
+    kv.apply(put(neighbour, "new"))  # a new key in the same leaf
+    unchanged()
+    kv.apply(incr("k3", 5))
+    unchanged()
+    kv.restore(KVStore().snapshot())  # restore another state ...
+    unchanged()
+    kv.restore(snap)  # ... and this one, then write over it
+    kv.apply(put("b", "again"))
+    kv.apply(incr("k3"))
+    unchanged()
+    assert kv.get_final("b") == "again"
 
 
 def test_restore_clears_speculation():
     kv = KVStore()
     kv.apply_speculative(put("k", "spec"))
-    kv.restore({})
+    kv.restore(KVStore().snapshot())
     assert not kv.has_speculative_state
 
 

@@ -7,8 +7,10 @@ import os
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SerializationError
+from repro.statemachine.base import Command
 from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
+from repro.statemachine.kvstore import KVStore
 from repro.storage import (
     ReplicaStorage,
     WriteAheadLog,
@@ -18,7 +20,12 @@ from repro.storage import (
 )
 from repro.storage.wal import encode_record
 
-from helpers import DeliveryLog, lan_cluster
+from helpers import (
+    DeliveryLog,
+    defective_leaves,
+    lan_cluster,
+    unchecked_state_digest,
+)
 
 
 # ----------------------------------------------------------------------
@@ -128,21 +135,34 @@ def test_storage_appends_replay_across_reopen(tmp_path):
     assert records[0]["wire"] == {"t": "order", "slot": 1}
 
 
+def kv_snapshot(**items):
+    """A checkpoint snapshot whose state holds ``items``."""
+    kv = KVStore()
+    for ts, (key, value) in enumerate(sorted(items.items()), start=1):
+        kv.apply(Command(client_id="c", timestamp=ts, op="put", key=key,
+                         value=value))
+    return {"state": kv.snapshot()}
+
+
+def save(storage, watermark, snap):
+    storage.save_snapshot(watermark,
+                          Checkpoint.capture(watermark, snap).state_digest,
+                          snap)
+
+
 def test_storage_snapshot_round_trip_and_corruption_fallback(tmp_path):
-    from repro.crypto.digest import digest
     from repro.storage import RecoverySummary
 
     storage = ReplicaStorage(str(tmp_path), "r0")
     for watermark in (10, 20):
-        snap = {"kv": {"k": f"v{watermark}"}}
-        storage.save_snapshot(watermark, digest(snap), snap)
+        save(storage, watermark, kv_snapshot(k=f"v{watermark}"))
     assert storage.load_snapshot()["watermark"] == 20
 
     # Corrupt the newest: recovery must fall back to the older one and
     # report the invalid file, never delete it.
     newest = os.path.join(str(tmp_path), "r0", "snapshot-20.json")
     with open(newest, "w", encoding="utf-8") as fh:
-        fh.write('{"version": 1, "watermark": 20, "truncated')
+        fh.write('{"version": 2, "watermark": 20, "truncated')
     summary = RecoverySummary()
     payload = storage.load_snapshot(summary)
     storage.close()
@@ -153,12 +173,57 @@ def test_storage_snapshot_round_trip_and_corruption_fallback(tmp_path):
 
 
 def test_storage_digest_mismatch_is_invalid(tmp_path):
-    from repro.crypto.digest import digest
+    storage = ReplicaStorage(str(tmp_path), "r0")
+    tampered = Checkpoint.capture(5, kv_snapshot(k="TAMPERED"))
+    storage.save_snapshot(5, tampered.state_digest, kv_snapshot(k="v"))
+    assert storage.load_snapshot() is None
+    storage.close()
+
+
+@pytest.mark.parametrize("defect", ["misplaced key", "three leaves"])
+def test_storage_skips_and_names_a_snapshot_with_misplaced_leaves(
+        tmp_path, defect):
+    """A snapshot file whose digest matches its leaves but whose leaves
+    break placement is skipped and named, like a corrupt one."""
+    from repro.storage import RecoverySummary
 
     storage = ReplicaStorage(str(tmp_path), "r0")
-    snap = {"kv": {"k": "v"}}
-    storage.save_snapshot(5, digest({"kv": {"k": "TAMPERED"}}), snap)
-    assert storage.load_snapshot() is None
+    save(storage, 10, kv_snapshot(k="older"))
+    leaves = defective_leaves(
+        kv_snapshot(**{f"k{i}": i for i in range(20)})["state"], defect)
+    storage.save_snapshot(
+        20, unchecked_state_digest(20, {"state": leaves}),
+        {"state": leaves})
+    summary = RecoverySummary()
+    payload = storage.load_snapshot(summary)
+    storage.close()
+    assert payload["watermark"] == 10
+    assert summary.invalid_snapshots == [20]
+
+
+def test_snapshot_of_another_version_stops_recovery(tmp_path):
+    """A version-1 snapshot (one flat state dict, digested whole, as
+    written before the state became leaves) is not skipped: recovery
+    stops and names the file and both versions."""
+    from repro.crypto.digest import digest
+
+    snap = {"state": {"k": "v"}, "frontier": {"r0": 3},
+            "client_floors": {}, "client_sparse": {},
+            "client_results": {}, "executed_above": []}
+    path = os.path.join(str(tmp_path), "r0", "snapshot-10.json")
+    atomic_write_json(path, {"version": 1, "replica": "r0",
+                             "watermark": 10, "state_digest": digest(snap),
+                             "snapshot": snap}, sort_keys=True)
+    storage = ReplicaStorage(str(tmp_path), "r0")
+    with pytest.raises(SerializationError) as raised:
+        storage.load_snapshot()
+    message = str(raised.value)
+    assert path in message
+    assert "version 1" in message and "version 2" in message
+    replica = lan_cluster().replicas["r0"]
+    replica.attach_storage(storage)
+    with pytest.raises(SerializationError, match="snapshot-10.json"):
+        replica.recover_from_storage()
     storage.close()
 
 
@@ -186,8 +251,7 @@ def test_storage_rotate_and_prune_retention(tmp_path):
 # (the base_slot-regression bugfix)
 # ----------------------------------------------------------------------
 def test_install_stable_resumes_interval_from_recovered_watermark():
-    snap = {"kv": {}}
-    checkpoint = Checkpoint.capture(256, snap)
+    checkpoint = Checkpoint.capture(256, kv_snapshot())
     store = CheckpointStore(quorum=3, interval=128)
     store.install_stable(checkpoint)
     assert store.stable is checkpoint
@@ -201,7 +265,7 @@ def test_install_stable_resumes_interval_from_recovered_watermark():
 
 
 def test_install_stable_keeps_local_copy_for_requorum():
-    checkpoint = Checkpoint.capture(128, {"kv": {"a": "b"}})
+    checkpoint = Checkpoint.capture(128, kv_snapshot(a="b"))
     store = CheckpointStore(quorum=3)
     store.install_stable(checkpoint)
     # A later attestation round over the same watermark must find the
