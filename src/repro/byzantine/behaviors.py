@@ -141,25 +141,16 @@ def behavior_by_name(name: str) -> Type[EzBFTReplica]:
 
 
 def install_byzantine(cluster, replica_id: str,
-                      behavior: Type[EzBFTReplica],
-                      interference=None,
-                      statemachine=None) -> EzBFTReplica:
+                      behavior: Type[EzBFTReplica]) -> EzBFTReplica:
     """Replace ``replica_id`` in a cluster (simulated or TCP) with an
     instance of ``behavior`` (typically before the run starts; swapping
     mid-run discards the replica's application state, which a byzantine
-    node is allowed to do anyway).  The stand-in gets a fresh state
-    machine from the cluster's factory unless ``statemachine`` is given.
-    Returns the new replica object."""
-    old = cluster.replicas[replica_id]
-    relation = interference if interference is not None \
-        else old.interference
-    replica = behavior(replica_id, cluster.config,
-                       cluster.context_for(replica_id), old.keypair,
-                       cluster.registry,
-                       statemachine if statemachine is not None
-                       else cluster.statemachine_factory(),
-                       relation)
-    cluster.replicas[replica_id] = replica
+    node is allowed to do anyway).  The stand-in is built like every
+    replica of the deployment -- same key, same interference relation,
+    a fresh state machine from the cluster's factory.  Returns the new
+    replica object."""
+    replica = cluster.build_replica(
+        replica_id, cluster.context_for(replica_id), behavior)
     cluster.set_handler(replica_id, replica.on_message)
     return replica
 

@@ -11,7 +11,6 @@ in by registering a spec of their own (see README "Adding a protocol").
 
 from repro.protocols.registry import (
     ProtocolSpec,
-    WiringContext,
     available_protocols,
     get_protocol,
     register_protocol,
@@ -34,7 +33,6 @@ from repro.protocols.fab.client import FabClient
 
 __all__ = [
     "ProtocolSpec",
-    "WiringContext",
     "register_protocol",
     "unregister_protocol",
     "get_protocol",

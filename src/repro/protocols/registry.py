@@ -2,13 +2,13 @@
 builder.
 
 Every protocol in the repository describes itself with a
-:class:`ProtocolSpec` -- its replica/client classes, capability flags,
-and (optionally) custom wiring hooks -- and registers it with
-:func:`register_protocol` from its own package.  The cluster builder
-(:mod:`repro.cluster.builder`) is purely registry-driven: it looks the
-spec up by name and lets the spec decide its own constructor keyword
-arguments, so adding a fifth protocol (or a new scenario/state machine)
-never touches the builder again.
+:class:`ProtocolSpec` -- its replica/client classes and capability
+flags -- and registers it with :func:`register_protocol` from its own
+package.  Both backends build nodes purely from the registry, through
+:class:`repro.cluster.base.ProtocolCluster`: it looks the spec up by
+name and derives the constructor keywords from its ``leaderless``
+flag, so adding a fifth protocol (or a new scenario/state machine)
+never touches either backend.
 
 This module is deliberately dependency-light (errors + stdlib only) so
 any protocol package can import it without cycles; the builtin specs are
@@ -17,8 +17,8 @@ registered as a side effect of importing :mod:`repro.protocols`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -27,34 +27,17 @@ _REGISTRY: Dict[str, "ProtocolSpec"] = {}
 
 
 @dataclass(frozen=True)
-class WiringContext:
-    """Everything a spec's wiring hooks may need to construct a node.
-
-    The builder fills this in; specs read from it.  ``target_replica``
-    and ``region`` are only meaningful for client wiring.
-    """
-
-    config: Any
-    primary_index: int = 0
-    interference: Any = None
-    target_replica: Optional[str] = None
-    region: Optional[str] = None
-
-
-#: Wiring hook signature: ``hook(spec, wiring) -> extra kwargs``.
-WiringHook = Callable[["ProtocolSpec", WiringContext], Dict[str, Any]]
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol's construction recipe and capability surface.
 
     Capability flags:
 
-    - ``leaderless``: no distinguished primary -- clients target their
-      nearest replica and replicas take an interference relation (the
-      ezBFT shape).  Primary-based protocols instead take an
-      ``initial_view``.
+    - ``leaderless``: no distinguished primary -- clients take a
+      ``target_replica`` (their nearest one on the simulator) and
+      replicas an ``interference`` relation (the ezBFT shape).
+      Primary-based replicas and clients instead take an
+      ``initial_view``: the initial primary's index.  The full
+      constructor contract is in :mod:`repro.cluster.base`.
     - ``speculative``: replies may be speculative (Zyzzyva/ezBFT), i.e.
       the state machine needs the speculative-overlay interface.
     - ``supports_batching``: the replica/client pair understands the
@@ -72,10 +55,6 @@ class ProtocolSpec:
     - ``supports_tracing``: the replica has the ``attach_tracer`` seam
       and emits server-side spans; replicas without it still run under
       ``--trace`` but contribute none.
-
-    ``replica_wiring``/``client_wiring`` override the default
-    capability-derived constructor kwargs for protocols whose
-    constructors deviate from both builtin shapes.
     """
 
     name: str
@@ -88,37 +67,12 @@ class ProtocolSpec:
     supports_durability: bool = False
     supports_tracing: bool = False
     description: str = ""
-    replica_wiring: Optional[WiringHook] = field(default=None, repr=False)
-    client_wiring: Optional[WiringHook] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.islower():
             raise ConfigurationError(
                 f"protocol name must be a non-empty lowercase string, "
                 f"got {self.name!r}")
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def replica_kwargs(self, wiring: WiringContext) -> Dict[str, Any]:
-        """Extra constructor kwargs for ``replica_cls`` beyond the
-        universal ``(node_id, config, ctx, keypair, registry,
-        statemachine)`` prefix."""
-        if self.replica_wiring is not None:
-            return dict(self.replica_wiring(self, wiring))
-        if self.leaderless:
-            return {"interference": wiring.interference}
-        return {"initial_view": wiring.primary_index}
-
-    def client_kwargs(self, wiring: WiringContext) -> Dict[str, Any]:
-        """Extra constructor kwargs for ``client_cls`` beyond the
-        universal ``(client_id, config, ctx, keypair, registry)`` prefix
-        and ``on_delivery``."""
-        if self.client_wiring is not None:
-            return dict(self.client_wiring(self, wiring))
-        if self.leaderless:
-            return {"target_replica": wiring.target_replica}
-        return {"initial_view": wiring.primary_index}
 
 
 # ----------------------------------------------------------------------

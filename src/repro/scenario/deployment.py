@@ -11,13 +11,16 @@ the backends is exactly what is in this module:
 - :class:`TcpDeployment` builds an
   :class:`repro.transport.AsyncioCluster` on real localhost sockets
   (OS-assigned ports).  The scenario clock is wall-clock milliseconds;
-  latency matrices and CPU models do not apply, but workloads, phases,
-  and the fault schedule do.
+  latency matrices, CPU models and static network conditions do not
+  apply, but workloads, phases, and the fault schedule do.
 
-Both go through the protocol registry, so every registered protocol --
-builtin or plugin -- runs under every scenario, and
-:func:`attach_seams` reads a protocol's optional seams off its
-registry entry rather than probing replica objects.
+Both clusters build their nodes through
+:class:`repro.cluster.base.ProtocolCluster` from the same
+:func:`cluster_options`, so every registered protocol -- builtin or
+plugin -- runs under every scenario with the same primary placement,
+interference relation and timeouts, and :func:`attach_seams` reads a
+protocol's optional seams off its registry entry rather than probing
+replica objects.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import logging
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.cluster.base import KEY_SEED
 from repro.cluster.builder import Cluster, build_cluster
-from repro.cluster.metrics import LatencyRecorder, replica_footprint
+from repro.cluster.metrics import LatencyRecorder
 from repro.errors import ConfigurationError, ScenarioTimeoutError
 from repro.scenario.faults import ClientChurn, FaultInjector
 from repro.scenario.spec import Scenario
@@ -41,11 +45,15 @@ logger = logging.getLogger("repro.scenario.deployment")
 AddClient = Callable[[str, str], Any]
 
 
-def _protocol_options(scenario: Scenario) -> Dict[str, Any]:
-    """The builder arguments both backends take unchanged."""
+def cluster_options(scenario: Scenario) -> Dict[str, Any]:
+    """A scenario's protocol options: both backends' clusters take
+    every one of them."""
     return dict(
         netem=scenario.netem_profile(),
         statemachine_factory=scenario.statemachine,
+        interference=scenario.interference,
+        primary_region=scenario.primary_region,
+        primary_index=scenario.primary_index,
         slow_path_timeout=scenario.slow_path_timeout,
         retry_timeout=scenario.retry_timeout,
         suspicion_timeout=scenario.suspicion_timeout,
@@ -59,7 +67,7 @@ def build_tcp_cluster(scenario: Scenario,
                       start_replicas: Optional[Tuple[str, ...]] = None
                       ) -> "Any":
     """An :class:`~repro.transport.asyncio_tcp.AsyncioCluster` wired
-    from a scenario: protocol, timeouts, netem profile, host map, and
+    from a scenario: protocol, :func:`cluster_options`, host map, and
     region labels.  Shared by the runner and ``python -m repro serve``
     so every process of a multi-machine deployment derives the same
     configuration from the same spec file."""
@@ -74,25 +82,25 @@ def build_tcp_cluster(scenario: Scenario,
         start_replicas=start_replicas,
         regions=regions,
         netem_seed=scenario.seed,
-        **_protocol_options(scenario))
+        **cluster_options(scenario))
     if scenario.hosts:
         # Multi-process deployment: every process must be able to
         # verify every client's signatures, including clients created
         # in *another* process.  The schedule fixes the client count,
         # and key derivation is deterministic per (id, seed), so
         # pre-registering here yields the same registry everywhere.
-        for i in range(len(_client_placements(scenario))):
-            cluster.registry.create(f"c{i}", seed=b"tcp-demo")
+        for i in range(len(client_placements(scenario))):
+            cluster.registry.create(f"c{i}", seed=KEY_SEED)
     return cluster
 
 
-def _client_placements(scenario: Scenario) -> List[str]:
+def client_placements(scenario: Scenario) -> List[str]:
     """Region of every client a run will ever create, in creation
     order: the initial placement, then every client a ClientChurn
     event adds, in the order the events fire (at_ms, then declaration
-    order).  Must mirror ``_ClientPool`` exactly, since the TCP
-    deployment pre-creates these clients and hands them out in
-    order."""
+    order).  The one rule for where the k-th client goes: the client
+    pool spawns in this order, and the TCP deployment pre-creates
+    these clients in it."""
     placements = [region for region in scenario.client_regions()
                   for _ in range(scenario.workload.clients_per_region)]
     churn = sorted((e for e in scenario.faults
@@ -185,10 +193,7 @@ class SimDeployment:
             cpu=scenario.cpu,
             conditions=scenario.conditions,
             seed=scenario.seed,
-            primary_region=scenario.primary_region,
-            primary_index=scenario.primary_index,
-            interference=scenario.interference,
-            **_protocol_options(scenario))
+            **cluster_options(scenario))
         self.recorder = self.cluster.recorder
 
     def now_ms(self) -> float:
@@ -340,22 +345,18 @@ class TcpDeployment:
     async def clients(self, tracer: Optional[Any]) -> AddClient:
         """Pre-create protocol clients (socket setup is async, and the
         pool -- like a fault callback -- is synchronous).  Nearest
-        replica has no meaning on localhost; clients round-robin their
-        target replica across the membership so leaderless protocols
+        replica has no meaning on localhost; leaderless clients
+        round-robin their target replica across the membership so they
         spread command-leadership like the geo deployment does.
         ClientChurn clients are pre-created too (idle until their
         event fires): the schedule fixes their count up front."""
         cluster = self.cluster
+        replica_ids = cluster.replica_ids
         pending: List[Any] = []
-        for index, region in enumerate(
-                _client_placements(self.scenario)):
-            target = cluster.replica_ids[
-                index % len(cluster.replica_ids)]
-            if not cluster.spec.leaderless:
-                target = None
-            client = await cluster.add_client(f"c{index}",
-                                              target_replica=target,
-                                              region=region)
+        for index, region in enumerate(client_placements(self.scenario)):
+            client = await cluster.add_client(
+                f"c{index}", region=region,
+                target_replica=replica_ids[index % len(replica_ids)])
             if tracer is not None:
                 # The client's transport node was created after
                 # the replica attach pass -- without the tracer
@@ -426,8 +427,7 @@ class TcpDeployment:
     async def collect(self, injector: Any) -> Dict[str, Any]:
         cluster = self.cluster
         duration_ms = self.now_ms()
-        replica_stats = {rid: dict(r.stats)
-                         for rid, r in cluster.replicas.items()}
+        replica_stats = cluster.replica_stats()
         scrape_errors: List[str] = []
         if self._control:
             # Pull remote replicas' stats off their /metrics.json
@@ -456,8 +456,7 @@ class TcpDeployment:
         return {
             "duration_ms": duration_ms,
             "replica_stats": replica_stats,
-            "footprint": {rid: replica_footprint(r)
-                          for rid, r in cluster.replicas.items()},
+            "footprint": cluster.log_footprint(),
             "client_stats": [c.stats for c in cluster.clients.values()],
             "network": network,
             "fault_log": [{**entry, "applied_ms":

@@ -335,7 +335,7 @@ FAULT_TYPES: Dict[str, type] = {
 }
 
 
-_SpawnClients = Optional[Callable[[int, Optional[str]], None]]
+_SpawnClients = Optional[Callable[[int], None]]
 _StopClients = Optional[Callable[[int], None]]
 
 #: Cluster-wide events: applied here *and* broadcast to every declared
@@ -364,7 +364,7 @@ class FaultInjector:
     The cluster is used only through the surface
     :class:`~repro.cluster.builder.Cluster` and
     :class:`~repro.transport.asyncio_tcp.AsyncioCluster` share.
-    ``spawn_clients(count, region)`` / ``stop_clients(count)`` are
+    ``spawn_clients(count)`` / ``stop_clients(count)`` are
     supplied by the runner so :class:`ClientChurn` can attach drivers
     with the scenario's workload.
 
@@ -502,7 +502,7 @@ class FaultInjector:
                                           **event.patch_fields())
         elif isinstance(event, ClientChurn):
             if event.add and self._spawn_clients is not None:
-                self._spawn_clients(event.add, event.region)
+                self._spawn_clients(event.add)
             if event.stop and self._stop_clients is not None:
                 self._stop_clients(event.stop)
         else:

@@ -22,7 +22,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.builder import Cluster
 from repro.cluster.metrics import LatencyRecorder
 from repro.errors import ConfigurationError
-from repro.scenario.deployment import DEPLOYMENTS, attach_seams
+from repro.scenario.deployment import (
+    DEPLOYMENTS,
+    attach_seams,
+    client_placements,
+)
 from repro.scenario.report import ExperimentReport, PhaseReport
 from repro.scenario.spec import Scenario
 from repro.trace import (
@@ -65,18 +69,17 @@ class _ClientPool:
         self._elapsed_ms = elapsed_ms
         self.drivers: List[Any] = []
         self._stopped: set = set()
-        self._counter = 0
+        #: Where the k-th client goes (the one placement rule).
+        self._placements = client_placements(scenario)
 
-    def spawn(self, count: int, region: Optional[str] = None) -> None:
-        regions = [region] if region is not None \
-            else list(self.scenario.client_regions())
-        for i in range(count):
-            self._spawn_one(regions[i % len(regions)])
+    def spawn(self, count: int) -> None:
+        """Start the next ``count`` clients in placement order."""
+        for _ in range(count):
+            self._spawn_one()
 
     def spawn_initial(self) -> None:
-        for region in self.scenario.client_regions():
-            for _ in range(self.workload.clients_per_region):
-                self._spawn_one(region)
+        self.spawn(len(self.scenario.client_regions()) *
+                   self.workload.clients_per_region)
 
     def stop(self, count: int) -> None:
         """Stop the ``count`` most recently started still-active
@@ -90,11 +93,10 @@ class _ClientPool:
             driver.stop()
             count -= 1
 
-    def _spawn_one(self, region: str) -> None:
-        index = self._counter
-        self._counter += 1
+    def _spawn_one(self) -> None:
+        index = len(self.drivers)
         client_id = f"c{index}"
-        client = self._add_client(client_id, region)
+        client = self._add_client(client_id, self._placements[index])
         if self._tracer is not None:
             client.tracer = self._tracer
         workload = KVWorkload(

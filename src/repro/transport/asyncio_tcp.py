@@ -10,7 +10,10 @@ here unchanged.
 The protocol classes are synchronous event handlers, so the adapter is
 thin: incoming frames invoke ``handler(sender, message)`` on the event
 loop; ``NodeContext.set_timer`` maps to ``loop.call_later``; the clock
-is ``loop.time()`` scaled to milliseconds.
+is ``loop.time()`` scaled to milliseconds.  :class:`AsyncioCluster`
+adds only sockets to what the simulator's cluster has: it builds its
+replicas and clients through the same
+:class:`~repro.cluster.base.ProtocolCluster`.
 
 I/O model: a frame is a write, not a task.  No protocol code awaits a
 send, so :meth:`AsyncioNode.send` encodes the frame and hands the bytes
@@ -51,6 +54,7 @@ import asyncio
 import struct
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.base import ProtocolCluster
 from repro.cluster.node import NodeContext
 from repro.errors import SerializationError, TransportError
 from repro.messages.base import decode
@@ -479,12 +483,17 @@ class AsyncioNode:
         self._timers.add(handle)
 
 
-class AsyncioCluster:
-    """Convenience wrapper: a full protocol deployment on localhost.
+class AsyncioCluster(ProtocolCluster):
+    """A full protocol deployment on localhost sockets.
 
-    Registry-driven exactly like the simulator's cluster builder: any
-    protocol registered in :mod:`repro.protocols.registry` deploys on
-    real sockets with no per-protocol branching here.
+    Config, keys, replicas and clients are built by the
+    :class:`~repro.cluster.base.ProtocolCluster` base it shares with
+    the simulator's :class:`~repro.cluster.builder.Cluster`, so any
+    registered protocol deploys here with every protocol option the
+    simulator takes (``primary_region``/``primary_index``,
+    ``interference``, ``statemachine_factory``, and the
+    :class:`~repro.config.ProtocolConfig` fields), passed as keywords.
+    Timeouts not given default to :data:`TIMEOUTS`.
 
     >>> cluster = AsyncioCluster(protocol="pbft", num_replicas=4)
     >>> await cluster.start()
@@ -494,8 +503,6 @@ class AsyncioCluster:
     ``base_port=0`` (the default) binds every node to an OS-assigned
     port, so concurrent clusters never collide; pass a fixed base port
     only when peers outside this process need predictable addresses.
-    ``config_overrides`` are forwarded to :class:`ProtocolConfig`
-    (timeouts, ``checkpoint_interval``, ``batch_size``, ...).
 
     **Host maps** lift the localhost-only restriction: ``host_map``
     pins named replicas to explicit ``"host:port"`` addresses; those
@@ -510,7 +517,7 @@ class AsyncioCluster:
     ``netem`` (a :class:`repro.netem.NetemProfile`) attaches a
     :class:`repro.netem.LinkShaper` shared by every node, seeded from
     ``netem_seed``; ``regions`` labels nodes for region-token rule
-    matching.
+    matching and for ``primary_region``.
 
     ``cuts``, ``set_handler``, ``context_for``, ``node_ids``,
     ``attach_shaper``, ``scale_latency``, ``now_ms`` and
@@ -520,35 +527,29 @@ class AsyncioCluster:
     """
 
     BASE_PORT = 41200
+    #: Protocol timeouts (ms) of a deployment that names none.
+    TIMEOUTS: Dict[str, float] = dict(
+        slow_path_timeout=300.0, retry_timeout=2000.0,
+        suspicion_timeout=1000.0, view_change_timeout=2000.0)
 
     def __init__(self, protocol: str = "ezbft",
                  num_replicas: int = 4,
                  host: str = "127.0.0.1",
                  base_port: int = 0,
-                 statemachine_factory: Optional[Callable[[], Any]] = None,
                  host_map: Optional[Dict[str, Any]] = None,
                  start_replicas: Optional[Tuple[str, ...]] = None,
                  regions: Optional[Dict[str, str]] = None,
                  netem: Optional[Any] = None,
                  netem_seed: int = 0,
-                 **config_overrides: Any) -> None:
-        from repro.config import ProtocolConfig
-        from repro.crypto.keys import KeyRegistry
-        from repro.protocols.registry import get_protocol
-        from repro.statemachine.kvstore import KVStore
-
-        self.protocol = protocol
-        self.spec = get_protocol(protocol)
+                 **options: Any) -> None:
+        #: Node id -> region label (netem rule matching and primary
+        #: placement only; TCP has no latency matrix).
+        self.regions: Dict[str, str] = dict(regions or {})
+        super().__init__(
+            protocol,
+            [self.regions.get(f"r{i}") for i in range(num_replicas)],
+            **{**self.TIMEOUTS, **options})
         self.host = host
-        self.statemachine_factory = statemachine_factory or KVStore
-        self.replica_ids = tuple(f"r{i}" for i in range(num_replicas))
-        defaults: Dict[str, Any] = dict(
-            slow_path_timeout=300.0, retry_timeout=2000.0,
-            suspicion_timeout=1000.0, view_change_timeout=2000.0)
-        defaults.update(config_overrides)
-        self.config = ProtocolConfig(
-            replica_ids=self.replica_ids, **defaults)
-        self.registry = KeyRegistry()
         self.host_map: Dict[str, Address] = {
             rid: parse_hostport(value)
             for rid, value in (host_map or {}).items()
@@ -580,9 +581,6 @@ class AsyncioCluster:
         self.remote_replica_ids = tuple(
             rid for rid in self.replica_ids
             if rid not in self.start_replicas)
-        #: Node id -> region label (netem rule matching only; TCP has
-        #: no latency matrix).
-        self.regions: Dict[str, str] = dict(regions or {})
         #: With remote peers, unknown/unlearned destinations drop like
         #: a quasi-reliable network instead of raising.
         self._strict = not self.host_map
@@ -597,19 +595,6 @@ class AsyncioCluster:
         self.cuts: Set[Tuple[str, str]] = set()
         self._next_port = base_port + num_replicas if base_port else 0
         self.nodes: Dict[str, AsyncioNode] = {}
-        self.replicas: Dict[str, Any] = {}
-        self.clients: Dict[str, Any] = {}
-
-    def _wiring(self, target_replica: Optional[str] = None):
-        from repro.protocols.registry import WiringContext
-        from repro.statemachine.interference import KVInterference
-
-        return WiringContext(
-            config=self.config,
-            primary_index=0,
-            interference=KVInterference(),
-            target_replica=target_replica,
-        )
 
     def _node(self, node_id: str, address: Address) -> AsyncioNode:
         return AsyncioNode(node_id, address, self.addresses,
@@ -618,29 +603,19 @@ class AsyncioCluster:
                            cuts=self.cuts)
 
     async def start(self) -> None:
-        wiring = self._wiring()
         for rid in self.start_replicas:
             node = self._node(rid, self.addresses[rid])
-            # Key seeds are deterministic, so every process of a
-            # multi-machine deployment derives the same registry.
-            keypair = self.registry.create(rid, seed=b"tcp-demo")
-            replica = self.spec.replica_cls(
-                rid, self.config, node.context(), keypair,
-                self.registry,
-                statemachine=self.statemachine_factory(),
-                **self.spec.replica_kwargs(wiring))
+            replica = self.build_replica(rid, node.context())
             node.handler = replica.on_message
             await node.start()
             self.nodes[rid] = node
-            self.replicas[rid] = replica
-        for rid in self.remote_replica_ids:
-            # Remote replicas still need registry entries so local
-            # nodes can verify their signatures.
-            self.registry.create(rid, seed=b"tcp-demo")
 
     async def add_client(self, client_id: str,
                          target_replica: Optional[str] = None,
                          region: Optional[str] = None):
+        """Start a client node.  A leaderless client sends to
+        ``target_replica`` (default r0); a primary-based one tracks
+        the primary."""
         address = (self.host, self._next_port)
         if self._next_port:
             self._next_port += 1
@@ -648,16 +623,11 @@ class AsyncioCluster:
         if region is not None:
             self.regions[client_id] = region
         node = self._node(client_id, address)
-        keypair = self.registry.create(client_id, seed=b"tcp-demo")
-        wiring = self._wiring(
-            target_replica=target_replica or self.replica_ids[0])
-        client = self.spec.client_cls(
-            client_id, self.config, node.context(), keypair,
-            self.registry, **self.spec.client_kwargs(wiring))
+        client = self.build_client(client_id, node.context(),
+                                   target_replica or self.replica_ids[0])
         node.handler = client.on_message
         await node.start()
         self.nodes[client_id] = node
-        self.clients[client_id] = client
         return client
 
     def context_for(self, node_id: str) -> NodeContext:

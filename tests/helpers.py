@@ -61,7 +61,7 @@ def assert_replicas_consistent(cluster: Cluster,
                                exclude: Tuple[str, ...] = ()) -> dict:
     """All (non-excluded) replicas hold identical final KV state."""
     states = {rid: kv.final_items()
-              for rid, kv in cluster.kvstores().items()
+              for rid, kv in cluster.statemachines().items()
               if rid not in exclude}
     reference = next(iter(states.values()))
     for rid, state in states.items():

@@ -1,6 +1,8 @@
 """Protocol-registry tests: lookup, registration, capability flags, and
 the cross-protocol smoke test driven by ``available_protocols()``."""
 
+import asyncio
+
 import pytest
 
 from helpers import DeliveryLog, lan_cluster
@@ -18,6 +20,8 @@ from repro.protocols.registry import (
 )
 from repro.sim.latency import LOCAL
 from repro.sim.network import CpuModel
+from repro.statemachine.interference import AlwaysInterfere
+from repro.transport.asyncio_tcp import AsyncioCluster
 
 
 # ----------------------------------------------------------------------
@@ -99,36 +103,39 @@ def test_capability_flags():
         assert spec.supports_tracing == (name == "ezbft")
 
 
+def _built_nodes(backend, protocol, **options):
+    """One replica set and one client, built on ``backend``."""
+    if backend == "sim":
+        cluster = lan_cluster(protocol, **options)
+        return cluster.replicas, cluster.add_client(
+            "c0", region="local", target_replica="r1")
+
+    async def build():
+        cluster = AsyncioCluster(protocol=protocol, num_replicas=4,
+                                 **options)
+        await cluster.start()
+        try:
+            client = await cluster.add_client("c0", target_replica="r1")
+        finally:
+            await cluster.stop()
+        return cluster.replicas, client
+
+    return asyncio.run(build())
+
+
 def test_wiring_kwargs_follow_capabilities():
-    from repro.protocols.registry import WiringContext
-
-    wiring = WiringContext(config=None, primary_index=2,
-                           interference="REL", target_replica="r1")
-    ez = get_protocol("ezbft")
-    assert ez.replica_kwargs(wiring) == {"interference": "REL"}
-    assert ez.client_kwargs(wiring) == {"target_replica": "r1"}
-    pbft = get_protocol("pbft")
-    assert pbft.replica_kwargs(wiring) == {"initial_view": 2}
-    assert pbft.client_kwargs(wiring) == {"initial_view": 2}
-
-
-def test_custom_wiring_hook_overrides_defaults():
-    calls = []
-
-    def hook(spec, wiring):
-        calls.append(spec.name)
-        return {"interference": wiring.interference}
-
-    spec = ProtocolSpec(name="hooked", replica_cls=EzBFTReplica,
-                        client_cls=EzBFTClient, leaderless=True,
-                        replica_wiring=hook)
-    register_protocol(spec)
-    try:
-        cluster = lan_cluster("hooked")
-        assert calls == ["hooked"] * 4  # once per replica
-        assert len(cluster.replicas) == 4
-    finally:
-        unregister_protocol("hooked")
+    """The leaderless flag alone picks the constructor keywords, and
+    every built node received them, on both backends."""
+    relation = AlwaysInterfere()
+    for backend in ("sim", "tcp"):
+        replicas, client = _built_nodes(backend, "ezbft",
+                                        interference=relation)
+        assert all(r.interference is relation
+                   for r in replicas.values()), backend
+        assert client.target_replica == "r1", backend
+        replicas, client = _built_nodes(backend, "pbft", primary_index=2)
+        assert {r.view for r in replicas.values()} == {2}, backend
+        assert client.view == 2, backend
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.scenario import (
     WorkloadSpec,
     preset,
 )
+from repro.statemachine.interference import AlwaysInterfere
 
 
 def test_smoke_scenario_runs_over_tcp():
@@ -326,3 +327,49 @@ def test_tcp_timeout_tears_down_cluster_and_leaves_no_tasks():
         asyncio.run(scenario_run())
     finally:
         AsyncioCluster.stop = original_stop
+
+
+def _run_keeping_cluster(scenario, backend):
+    """The report and the (torn-down) cluster of one run."""
+    runner = ScenarioRunner(backend=backend)
+    if backend == "sim":
+        return runner.run_with_cluster(scenario)
+    return asyncio.run(runner.execute(scenario))
+
+
+def test_both_backends_honour_primary_placement():
+    scenario = Scenario(
+        name="primary-in-tokyo",
+        protocol="pbft",
+        replica_regions=("virginia", "tokyo", "mumbai", "sydney"),
+        latency="experiment1",
+        workload=WorkloadSpec(mode="closed", clients_per_region=1,
+                              requests_per_client=2),
+        primary_region="tokyo",
+        seed=30,
+        backends=("sim", "tcp"),
+    )
+    for backend in ("sim", "tcp"):
+        report, cluster = _run_keeping_cluster(scenario, backend)
+        assert report.delivered == 8, backend
+        assert {r.primary for r in cluster.replicas.values()} == {"r1"}
+        assert {c.primary for c in cluster.clients.values()} == {"r1"}
+
+
+def test_tcp_honours_scenario_interference():
+    relation = AlwaysInterfere()
+    scenario = Scenario(
+        name="tcp-interference",
+        protocol="ezbft",
+        replica_regions=("local",) * 4,
+        latency="local",
+        workload=WorkloadSpec(mode="closed", clients_per_region=1,
+                              requests_per_client=2),
+        interference=relation,
+        seed=31,
+        backends=("tcp",),
+    )
+    report, cluster = _run_keeping_cluster(scenario, "tcp")
+    assert report.delivered == 2
+    assert all(r.interference is relation
+               for r in cluster.replicas.values())

@@ -136,7 +136,7 @@ def test_relogged_wal_records_are_header_only_and_recover(tmp_path):
     cluster.replicas["r0"].attach_storage(storage)
     client = cluster.add_client("c0", "local")
     submit_puts(cluster, client, 11)
-    expected_state = cluster.kvstores()["r0"].final_items()
+    expected_state = cluster.statemachines()["r0"].final_items()
     newest = storage._segment_path(storage._current_segment)
     storage.close()
     assert storage._current_segment > 0  # rotated: the head is a relog
@@ -154,7 +154,7 @@ def test_relogged_wal_records_are_header_only_and_recover(tmp_path):
     replica.recover_from_storage()
     storage2.close()
     assert replica.stats["invalid_messages"] == 0
-    assert fresh.kvstores()["r0"].final_items() == expected_state
+    assert fresh.statemachines()["r0"].final_items() == expected_state
 
 
 def test_mismatched_headers_have_no_wire_form():

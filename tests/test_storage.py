@@ -287,7 +287,7 @@ def test_replica_recovers_state_from_wal_replay(tmp_path):
         client.submit(client.next_command("put", f"k{i}", f"v{i}"))
     cluster.run_until_idle()
     assert log.results == ["OK"] * 6
-    expected_state = cluster.kvstores()["r0"].final_items()
+    expected_state = cluster.statemachines()["r0"].final_items()
     expected_executed = cluster.replicas["r0"].stats["executed"]
     storage.close()
 
@@ -304,7 +304,7 @@ def test_replica_recovers_state_from_wal_replay(tmp_path):
 
     assert summary.records_replayed > 0
     assert replica.stats["executed"] == expected_executed
-    assert fresh.kvstores()["r0"].final_items() == expected_state
+    assert fresh.statemachines()["r0"].final_items() == expected_state
 
 
 def test_replica_recovers_through_stable_checkpoint(tmp_path):
@@ -320,7 +320,7 @@ def test_replica_recovers_through_stable_checkpoint(tmp_path):
     cluster.run_until_idle()
     original = cluster.replicas["r0"]
     assert original.checkpoints.stable is not None
-    expected_state = cluster.kvstores()["r0"].final_items()
+    expected_state = cluster.statemachines()["r0"].final_items()
     expected_watermark = original.checkpoints.stable.watermark
     storage.close()
 
@@ -333,7 +333,7 @@ def test_replica_recovers_through_stable_checkpoint(tmp_path):
     storage2.close()
 
     assert summary.snapshot_watermark is not None
-    assert fresh.kvstores()["r0"].final_items() == expected_state
+    assert fresh.statemachines()["r0"].final_items() == expected_state
     assert replica.checkpoints.stable is not None
     assert replica.checkpoints.stable.watermark >= expected_watermark
     # The restored store resumes its interval from the recovered
