@@ -1,21 +1,41 @@
-"""ezBFT checkpointing, log compaction and state transfer.
+"""ezBFT checkpointing, log compaction and catch-up.
 
 Every ``checkpoint_interval`` final executions a replica broadcasts a
 signed EZCHECKPOINT over a snapshot; 2f+1 matching attestations make
 the checkpoint *stable* and the log below its per-space frontier is
-garbage-collected.  A replica that sees a stable checkpoint an interval
-or more ahead of it asks for a state transfer.  Adopting a checkpoint
+garbage-collected.  Adopting a checkpoint
 (:meth:`CheckpointManager.adopt`, then ``resume``) is the one routine
 both state transfer and restart-from-disk (:mod:`repro.core.recovery`)
 go through.
+
+A replica catches up by asking a peer what it missed (a
+STATETRANSFERREQ with its per-space frontier): the peer answers with
+its stable checkpoint if that is newer, its log above the frontier and
+the NEWOWNERs it installed, each part with its own proof, the way
+Castro and Liskov's recovering replica fetches only what it lacks and
+checks each part.  It asks when it comes back from a crash or a
+restart (``EzBFTReplica.rejoin``, which leads nothing until an answer
+installs), when a SPECORDER is still missing after an answer, and when
+the cluster proves a checkpoint a whole interval past it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.cluster.node import Timer
 from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
 from repro.core.owner_change import summarize_entry
+from repro.crypto.digest import digest
 from repro.errors import SerializationError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchSpecOrder
@@ -23,6 +43,8 @@ from repro.messages.ezbft import (
     Commit,
     EzCheckpoint,
     LogEntrySummary,
+    NewOwner,
+    Request,
     SpecOrder,
     SpecReply,
     StateTransferReply,
@@ -33,6 +55,10 @@ from repro.types import InstanceID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import EzBFTReplica
+
+#: A catch-up answer's checked log part: its entries, rebuilt from
+#: their proofs, and the NEWOWNERs in it that move one of our spaces on.
+_Log = Tuple[List[LogEntry], List[Tuple[NewOwner, SignedPayload]]]
 
 
 class CheckpointManager:
@@ -61,6 +87,21 @@ class CheckpointManager:
         #: peers, so at least one is correct and answers).
         self._transfer_requested = -1
         self._transfer_peers_asked: Set[str] = set()
+        #: Peers asked whose answer has not arrived yet: only their
+        #: replies, or a checkpoint a whole interval ahead, are read.
+        self._awaiting: Set[str] = set()
+        #: True from :meth:`catch_up` on a return until an answer is
+        #: installed (or every peer was asked): the replica leads
+        #: nothing meanwhile.
+        self.rejoining = False
+        #: The open catch-up round: the peer asked last, the peers left
+        #: to ask, and the timer that moves on to the next one.
+        self._round_peer: Optional[str] = None
+        self._round_queue: List[str] = []
+        self._round_timer: Optional[Timer] = None
+        #: The unfilled slots that opened the last gap-repair round; a
+        #: gap that survives a round unchanged opens no other.
+        self._last_gap: FrozenSet[Tuple[str, int]] = frozenset()
 
     # ------------------------------------------------------------------
     # Capture and attestation
@@ -217,8 +258,52 @@ class CheckpointManager:
         replica.stats["log_entries_gcd"] += removed
 
     # ------------------------------------------------------------------
-    # State transfer: asking and serving
+    # Catch-up: asking
     # ------------------------------------------------------------------
+    def catch_up(self, rejoining: bool = False) -> None:
+        """Open a catch-up round: ask the next replica in ring order
+        what we missed, and each further one in turn if an answer is
+        forged or does not come within the retry timeout, until one
+        installs.  ``rejoining`` (back from a crash or a restart) holds
+        everything we would lead until then."""
+        replica = self.replica
+        ids = replica.config.replica_ids
+        at = ids.index(replica.node_id)
+        self.rejoining = self.rejoining or rejoining
+        self._round_queue = [ids[(at + step) % len(ids)]
+                             for step in range(1, len(ids))]
+        self._ask_next()
+
+    def _ask_next(self) -> None:
+        """Ask the next peer of the open round; with every peer asked,
+        give up (live traffic and later rounds take it from here)."""
+        self._cancel_round_timer()
+        if not self._round_queue:
+            self._close_round()
+            return
+        replica = self.replica
+        self._round_peer = self._round_queue.pop(0)
+        self._send_request(self._round_peer)
+        self._round_timer = replica.ctx.set_timer(
+            replica.config.retry_timeout, self._on_round_timeout)
+
+    def _on_round_timeout(self) -> None:
+        self._round_timer = None
+        self._ask_next()
+
+    def _cancel_round_timer(self) -> None:
+        if self._round_timer is not None:
+            self._round_timer.cancel()
+            self._round_timer = None
+
+    def _close_round(self) -> None:
+        self._cancel_round_timer()
+        self._round_peer = None
+        self._round_queue = []
+        if self.rejoining:
+            self.rejoining = False
+            self.replica._release_held_requests()
+
     def _maybe_request_state_transfer(self, watermark: int,
                                       peer: str) -> None:
         replica = self.replica
@@ -236,71 +321,150 @@ class CheckpointManager:
                 replica.config.weak_quorum_size:
             return
         self._transfer_peers_asked.add(peer)
-        request = StateTransferRequest(
-            replica=replica.node_id,
-            have_watermark=replica.executor.executed_count)
-        replica.ctx.send(peer, request)
+        self._send_request(peer)
 
+    def _send_request(self, peer: str) -> None:
+        replica = self.replica
+        self._awaiting.add(peer)
+        replica.ctx.send(peer, StateTransferRequest(
+            replica=replica.node_id,
+            have_watermark=replica.executor.executed_count,
+            frontier=tuple((owner, self._committed_frontier(space))
+                           for owner, space in replica.spaces.items())))
+
+    def _committed_frontier(self, space: InstanceSpace) -> int:
+        """First slot of ``space`` not held at least committed: a peer
+        answers with its log from there."""
+        slot = self._executed_frontier(space)
+        while True:
+            entry = space.get(slot)
+            if entry is None or entry.status == EntryStatus.SPEC_ORDERED:
+                return slot
+            slot += 1
+
+    # ------------------------------------------------------------------
+    # Catch-up: serving
+    # ------------------------------------------------------------------
     def on_state_transfer_request(self, sender: str,
                                   request: StateTransferRequest) -> None:
+        """Answer with what the requester is missing: our stable
+        checkpoint if it is newer than the requester's execution and we
+        can prove it, our retained log above the requester's frontier
+        (above the checkpoint's, when we ship one) with each entry's
+        proof, and every NEWOWNER we installed."""
         replica = self.replica
-        if request.replica != sender or \
+        try:
+            floors = {str(owner): int(slot)
+                      for owner, slot in request.frontier}
+        except (TypeError, ValueError):
+            floors = None
+        if request.replica != sender or floors is None or \
                 request.replica not in replica.config.replica_ids:
             # Snapshot replies are expensive; an unsigned request with a
             # spoofed reply target would be a cheap reflection vector.
             replica.stats["invalid_messages"] += 1
             return
         stable = replica.checkpoints.stable
-        if stable is None or stable.watermark <= request.have_watermark:
-            return
-        if len(self._stable_proof) < replica.config.slow_quorum_size or \
-                self._stable_proof_watermark != stable.watermark:
-            return  # cannot prove this checkpoint; let a peer serve it
-        # The retained log above the stable frontier, with the strongest
-        # proof held per entry -- what a lagging replica needs on top of
-        # the snapshot to rejoin live traffic.
-        frontier = stable.snapshot.get("frontier", {})
+        shipped = None
+        if stable is not None and \
+                stable.watermark > request.have_watermark and \
+                len(self._stable_proof) >= \
+                replica.config.slow_quorum_size and \
+                self._stable_proof_watermark == stable.watermark:
+            shipped = stable
+            for owner, slot in stable.snapshot.get("frontier",
+                                                   {}).items():
+                floors[owner] = max(floors.get(owner, 0), int(slot))
         reply = StateTransferReply(
             replica=replica.node_id,
-            watermark=stable.watermark,
-            snapshot=stable.snapshot,
-            proof=self._stable_proof,
+            watermark=shipped.watermark if shipped else 0,
+            snapshot=shipped.snapshot if shipped else None,
+            proof=self._stable_proof if shipped else (),
             entries=tuple(
                 summarize_entry(entry)
                 for owner, space in replica.spaces.items()
                 for entry in space.entries()
-                if entry.instance.slot >= int(frontier.get(owner, 0))),
+                if entry.instance.slot >= floors.get(owner, 0)
+                and _has_proof(entry)),
+            new_owners=tuple(replica.owner_changes.installed.values()),
         )
         replica.ctx.send(request.replica, reply)
         replica.stats["state_transfers_served"] += 1
 
     # ------------------------------------------------------------------
-    # State transfer: verifying and installing
+    # Catch-up: checking and installing
     # ------------------------------------------------------------------
     def on_state_transfer_reply(self, sender: str,
                                 reply: StateTransferReply) -> None:
-        executed = self.replica.executor.executed_count
-        if reply.watermark <= executed:
-            return  # caught up by other means in the meantime
-        behind = reply.watermark >= executed + \
-            max(1, self.replica.checkpoints.interval)
-        solicited = bool(self._transfer_peers_asked) and \
-            reply.watermark >= self._transfer_requested
-        if not (behind or solicited):
-            # Unsolicited and we are not meaningfully behind: installing
-            # would needlessly discard speculation, pending orders, and
-            # reply-cache results that live execution will cover anyway.
+        """Read an answer we asked for (or an unasked checkpoint a whole
+        interval ahead).  Everything in it is checked before anything
+        is installed: a checkpoint without its 2f+1 proof rejects the
+        whole answer; a forged entry or NEWOWNER rejects the log part,
+        while a proven checkpoint, which stands on its own proof, still
+        installs.  A rejected answer from the peer the open round asked
+        moves the round on to the next peer."""
+        replica = self.replica
+        solicited = sender in self._awaiting
+        self._awaiting.discard(sender)
+        executed = replica.executor.executed_count
+        checkpoint = None
+        if reply.snapshot is not None and reply.watermark > executed:
+            behind = reply.watermark >= executed + \
+                max(1, replica.checkpoints.interval)
+            if not (behind or solicited):
+                # Unsolicited and we are not meaningfully behind:
+                # installing would needlessly discard speculation,
+                # pending orders, and reply-cache results that live
+                # execution will cover anyway.
+                return
+            checkpoint = self._proven_checkpoint(reply)
+            if checkpoint is None:
+                self._refuse(sender)
+                return
+        elif not solicited:
             return
+        log = self._checked_log(reply)
+        if checkpoint is not None:
+            self._install_transfer(reply, checkpoint, log)
+        elif log is not None:
+            self._install_log(log)
+        if log is None:
+            self._refuse(sender)
+            return
+        replica.stats["catch_ups_installed"] += 1
+        self._close_round()
+        spaces = replica.spaces
+        gap = frozenset(
+            (owner, spaces[owner].expected_slot)
+            for owner, slot in replica._pending_spec_orders
+            if slot > spaces[owner].expected_slot
+            and not spaces[owner].frozen)
+        if gap and gap != self._last_gap:
+            # A SPECORDER below one we hold is still missing: the
+            # server had not seen it yet when it answered.
+            self._last_gap = gap
+            self.catch_up()
+
+    def _refuse(self, sender: str) -> None:
+        """Count a forged answer; from the peer the open round asked,
+        move on to the next."""
+        self.replica.stats["invalid_messages"] += 1
+        if sender == self._round_peer:
+            self._ask_next()
+
+    def _proven_checkpoint(self, reply: StateTransferReply
+                           ) -> Optional[Checkpoint]:
+        """The reply's checkpoint, its state recomputed from the shipped
+        leaves and bound by 2f+1 attestations; ``None`` otherwise."""
         try:
             checkpoint = received_checkpoint(reply.watermark,
                                              reply.snapshot)
         except SerializationError:
-            checkpoint = None  # malformed leaves: nothing to prove
+            return None  # malformed leaves: nothing to prove
         if checkpoint is None or not self._verify_checkpoint_proof(
                 reply, checkpoint.state_digest):
-            self.replica.stats["invalid_messages"] += 1
-            return
-        self._install_transfer(reply, checkpoint)
+            return None
+        return checkpoint
 
     def _verify_checkpoint_proof(self, reply: StateTransferReply,
                                  state_digest: str) -> bool:
@@ -326,11 +490,68 @@ class CheckpointManager:
             signers.add(payload.replica)
         return len(signers) >= replica.config.slow_quorum_size
 
+    def _checked_log(self, reply: StateTransferReply) -> Optional[_Log]:
+        """The reply's entries, each rebuilt from its verified proof,
+        and the NEWOWNERs in it that would move one of our spaces on,
+        each signed by its new owner with its proof holding; ``None``
+        if any entry or NEWOWNER fails its check."""
+        replica = self.replica
+        entries = []
+        for summary in reply.entries:
+            entry = self._entry_from_summary(summary)
+            if entry is None:
+                return None
+            entries.append(entry)
+        owners = []
+        for envelope in reply.new_owners:
+            if not isinstance(envelope, SignedPayload) or \
+                    not envelope.verify(replica.registry):
+                return None
+            msg = envelope.payload
+            if not isinstance(msg, NewOwner) or \
+                    envelope.signer != msg.new_owner or \
+                    msg.suspect not in replica.spaces:
+                return None
+            if msg.new_owner_number <= \
+                    replica.spaces[msg.suspect].owner_number:
+                continue  # nothing we do not already hold
+            if not replica.owner_changes.new_owner_valid(msg):
+                return None
+            owners.append((msg, envelope))
+        return entries, owners
+
+    def _install_log(self, log: Optional[_Log],
+                     executed_above: AbstractSet[InstanceID] = frozenset()
+                     ) -> None:
+        """Install a checked log part (``None``: nothing) and resume.
+        Committed entries and NEWOWNERs go in first; an uncommitted
+        entry then arrives as its SPECORDER would have, accepted in
+        slot order or buffered, so we vote on it and its command can
+        still commit on the fast path."""
+        entries, owners = log if log is not None else ((), ())
+        for entry in entries:
+            if entry.status != EntryStatus.SPEC_ORDERED:
+                self._install_transferred_entry(entry)
+        for msg, envelope in owners:
+            self.replica.owner_changes.install_new_owner(msg, envelope)
+        self.resume(executed_above)
+        for entry in entries:
+            if entry.status == EntryStatus.SPEC_ORDERED and \
+                    entry.instance not in self.replica._log_index:
+                envelope = entry.spec_order
+                proposal = envelope.payload
+                order = proposal.order_for(entry.instance) \
+                    if isinstance(proposal, BatchSpecOrder) else proposal
+                self.replica._accept_proposal(
+                    envelope.signer, entry.instance.owner, (order,),
+                    envelope)
+
     def _install_transfer(self, reply: StateTransferReply,
-                          checkpoint: Checkpoint) -> None:
+                          checkpoint: Checkpoint,
+                          log: Optional[_Log]) -> None:
         """Adopt a proven stable checkpoint wholesale, install the
-        transferred log suffix entry-by-entry (each individually
-        verified), and resume normal execution."""
+        checked log part (if it passed), and resume normal
+        execution."""
         replica = self.replica
         executed_above = self.adopt(checkpoint)
         # Entries we executed locally but that are NOT inside the
@@ -341,15 +562,13 @@ class CheckpointManager:
                     iid not in executed_above:
                 entry.status = EntryStatus.COMMITTED
                 entry.applied = False
-        for summary in reply.entries:
-            self._install_transferred_entry(summary)
         self._stable_proof = reply.proof
         self._stable_proof_watermark = reply.watermark
         self._transfer_requested = max(self._transfer_requested,
                                        reply.watermark)
         self._transfer_peers_asked = set()
         replica.stats["state_transfers_installed"] += 1
-        self.resume(executed_above)
+        self._install_log(log, executed_above)
         replica.recovery.persist_stable(replica.checkpoints.stable)
 
     def adopt(self, checkpoint: Checkpoint) -> Set[InstanceID]:
@@ -408,42 +627,36 @@ class CheckpointManager:
         own = replica.spaces[replica.node_id]
         own.next_slot = max(own.next_slot, own.max_occupied_slot + 1)
         for space in replica.spaces.values():
-            while space.expected_slot in space:
-                space.expected_slot += 1
-            if not space.frozen:
-                replica._drain_pending(space)
+            replica._step_over_filled(space)
         replica._advance_execution()
 
-    def _install_transferred_entry(self, summary: LogEntrySummary
-                                   ) -> None:
-        """Install one suffix entry, trusting only verifiable evidence.
+    def _entry_from_summary(self, summary: LogEntrySummary
+                            ) -> Optional[LogEntry]:
+        """A transferred entry, trusting only verifiable evidence.
 
-        The suffix is not covered by the snapshot digest, so every
-        entry's command/deps/seq are adopted from its *verified* proof
-        (a commit certificate or the owner's signed SPECORDER), never
-        from the unverified summary; proofless summaries are skipped --
-        safety over liveness, the live protocol re-delivers anything
-        still open."""
+        The log is not covered by any snapshot digest, so every entry's
+        command/deps/seq are adopted from its *verified* proof (a commit
+        certificate or the owner's signed SPECORDER), never from the
+        unverified summary; ``None`` when the proof does not hold."""
+        if summary.command is None or \
+                summary.instance.owner not in self.replica.spaces:
+            return None
+        if summary.proof_kind == "commit":
+            return self._entry_from_commit_proof(summary)
+        return self._entry_from_spec_order_proof(summary)
+
+    def _install_transferred_entry(self, entry: LogEntry) -> None:
+        """Install one checked committed entry unless the slot is
+        garbage-collected here or we already hold it committed."""
         replica = self.replica
-        instance = summary.instance
-        space = replica.spaces.get(instance.owner)
-        if summary.command is None or space is None or \
-                instance.slot < space.low_slot:
+        space = replica.spaces[entry.instance.owner]
+        if entry.instance.slot < space.low_slot:
             return
-        existing = replica._log_index.get(instance)
-        committed = summary.proof_kind == "commit"
-        if existing is not None and (
-                existing.status.at_least(EntryStatus.COMMITTED)
-                or not committed):
+        existing = replica._log_index.get(entry.instance)
+        if existing is not None and \
+                existing.status.at_least(EntryStatus.COMMITTED):
             return  # never downgrade what we already hold
-        if committed:
-            entry = self._entry_from_commit_proof(summary)
-        else:
-            entry = self._entry_from_spec_order_proof(summary)
-        if entry is None:
-            return
-        space.force_put(entry)
-        replica._index_entry(entry)
+        replica._put_filled(space, entry)
 
     def _entry_from_commit_proof(self, summary: LogEntrySummary
                                  ) -> Optional[LogEntry]:
@@ -464,7 +677,15 @@ class CheckpointManager:
                 return None
             sample: SpecReply = payloads[0]
             command = summary.command
-            if command.ident != (sample.client_id, sample.timestamp):
+            # The headers name the command only by ident and request
+            # digest: both must be the shipped command's, as its leader
+            # received it (a request names no recipient, or its leader).
+            if command.ident != (sample.client_id, sample.timestamp) or \
+                    sample.request_digest not in (
+                        digest(Request(command=command)),
+                        digest(Request(command=command,
+                                       original_replica=(
+                                           summary.instance.owner)))):
                 return None
             return LogEntry(
                 instance=summary.instance,
@@ -517,3 +738,12 @@ class CheckpointManager:
             owner_number=inner.owner_number,
             command=inner.command, deps=inner.deps, seq=inner.seq,
             status=EntryStatus.SPEC_ORDERED, spec_order=envelope)
+
+
+def _has_proof(entry: LogEntry) -> bool:
+    """Whether a catching-up peer could check ``entry``: a commit
+    certificate, or the signed SPECORDER of an uncommitted one.  Slots a
+    NEWOWNER finalized carry neither; the NEWOWNER itself is shipped."""
+    if entry.status == EntryStatus.SPEC_ORDERED:
+        return entry.spec_order is not None
+    return bool(entry.commit_proof)

@@ -109,6 +109,9 @@ class OwnerChangeManager:
                                               SignedPayload]]] = {}
         #: (suspect, new_owner_number) already finalized by us as new owner.
         self._finalized: Set[Tuple[str, int]] = set()
+        #: suspect -> the signed NEWOWNER whose history this replica
+        #: installed last for that space; served to catching-up peers.
+        self.installed: Dict[str, SignedPayload] = {}
 
     # ------------------------------------------------------------------
     # Suspicion entry points
@@ -263,7 +266,7 @@ class OwnerChangeManager:
         signed = SignedPayload.create(msg, replica.keypair)
         replica.ctx.broadcast(replica.config.others(replica.node_id),
                               signed)
-        self.on_new_owner(msg)  # apply locally
+        self.install_new_owner(msg, signed)  # our own: nothing to check
 
     def _select_safe_history(self, messages: List[OwnerChange],
                              base_slot: int = 0
@@ -339,15 +342,66 @@ class OwnerChangeManager:
     # ------------------------------------------------------------------
     # NEWOWNER (all replicas)
     # ------------------------------------------------------------------
-    def on_new_owner(self, msg: NewOwner) -> None:
+    def on_new_owner(self, msg: NewOwner,
+                     envelope: Optional[SignedPayload] = None) -> None:
+        """A NEWOWNER from its signer (``envelope``, already verified):
+        installed when it moves the space to a higher owner number and
+        its proof holds (:meth:`new_owner_valid`)."""
         replica = self.replica
-        expected_owner = replica.config.owner_for_number(
-            msg.new_owner_number)
-        if msg.new_owner != expected_owner:
-            return
         space = replica.spaces.get(msg.suspect)
         if space is None or msg.new_owner_number <= space.owner_number:
             return
+        if not self.new_owner_valid(msg):
+            replica.stats["invalid_messages"] += 1
+            return
+        self.install_new_owner(msg, envelope)
+
+    def new_owner_valid(self, msg: NewOwner) -> bool:
+        """Whether ``msg`` is what its new owner had to send: it comes
+        from the owner its number maps to, its proof holds f+1 validly
+        signed OWNERCHANGEs from distinct replicas, all for its
+        ``(suspect, new_owner_number)``, and its base slot and finalized
+        history are exactly what :meth:`_finalize` derives from them.
+        Without the last two checks one byzantine replica could sign a
+        NEWOWNER for any owner number that maps to itself and overwrite
+        any unexecuted slot of any space."""
+        replica = self.replica
+        config = replica.config
+        if msg.new_owner != config.owner_for_number(msg.new_owner_number):
+            return False
+        messages: List[OwnerChange] = []
+        senders: Set[str] = set()
+        for envelope in msg.proof:
+            if not isinstance(envelope, SignedPayload) or \
+                    not envelope.verify(replica.registry):
+                return False
+            change = envelope.payload
+            if not isinstance(change, OwnerChange) or \
+                    envelope.signer != change.sender or \
+                    change.sender not in config.replica_ids or \
+                    change.sender in senders:
+                return False
+            if (change.suspect, change.new_owner_number) != \
+                    (msg.suspect, msg.new_owner_number):
+                return False
+            senders.add(change.sender)
+            messages.append(change)
+        if len(messages) < config.weak_quorum_size:
+            return False
+        base_slot = min(change.base_slot for change in messages)
+        return msg.base_slot == base_slot and msg.safe_entries == \
+            self._select_safe_history(messages, base_slot)
+
+    def install_new_owner(self, msg: NewOwner,
+                          envelope: Optional[SignedPayload]) -> None:
+        """Adopt a checked NEWOWNER's finalized history and freeze the
+        space at its owner number."""
+        replica = self.replica
+        space = replica.spaces[msg.suspect]
+        if msg.new_owner_number <= space.owner_number:
+            return
+        if envelope is not None:
+            self.installed[msg.suspect] = envelope
         # Adopt the finalized history.
         replica.statemachine.rollback_speculative()
         for summary in msg.safe_entries:

@@ -79,7 +79,8 @@ class RecoveryManager:
                         instance=entry.instance,
                         certificate=entry.commit_proof))
         for _, envelope in replica._pending_spec_orders.values():
-            relog(envelope.signer, envelope)
+            if envelope is not None:  # not a slot marked filled
+                relog(envelope.signer, envelope)
 
     def recover(self) -> Any:
         """Rebuild the replica from its attached store: adopt the

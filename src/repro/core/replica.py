@@ -61,6 +61,12 @@ from repro.trace.tracer import NULL_TRACER
 from repro.types import InstanceID
 
 
+#: What ``_pending_spec_orders`` holds for a slot filled from its
+#: COMMIT (or a catch-up) above the next expected slot, before its
+#: SPECORDER was accepted: the drain steps over it when the gap closes.
+_FILLED: Tuple[Any, Any] = (None, None)
+
+
 class EzBFTReplica:
     """One ezBFT replica node.
 
@@ -165,6 +171,9 @@ class EzBFTReplica:
         #: covering the order.
         self._pending_spec_orders: Dict[
             Tuple[str, int], Tuple[SpecOrder, SignedPayload]] = {}
+        #: Requests to lead that arrived while :meth:`rejoin` waits for
+        #: a peer's answer; led (or dropped, if deposed) once it lands.
+        self._held_requests: List[Request] = []
         #: Suspicion timers set after relaying a RESENDREQ (step 4.3):
         #: command digest -> (suspected replica, timer).
         self._suspicions: Dict[str, Tuple[str, Timer]] = {}
@@ -201,6 +210,7 @@ class EzBFTReplica:
             "log_entries_gcd": 0,
             "state_transfers_served": 0,
             "state_transfers_installed": 0,
+            "catch_ups_installed": 0,
         }
 
     # ------------------------------------------------------------------
@@ -339,6 +349,11 @@ class EzBFTReplica:
         if space.frozen:
             # We were deposed by an owner change; we may no longer
             # propose.  The clients' retries will reach other replicas.
+            return
+        if self.checkpointing.rejoining:
+            # Back from a crash: the cluster may have deposed us while
+            # we were away, so lead only once a peer's answer says.
+            self._held_requests.extend(requests)
             return
         tracer = self.tracer
         orders: List[SpecOrder] = []
@@ -528,7 +543,34 @@ class EzBFTReplica:
             if nxt is None:
                 break
             pending_order, pending_env = nxt
+            if space.expected_slot in space:
+                # Filled first (``_FILLED``, or a buffered order whose
+                # COMMIT overtook it): accepting an order there would
+                # downgrade the committed entry and run it twice.
+                space.expected_slot += 1
+                continue
             self._accept_spec_order(pending_order, pending_env)
+
+    def _step_over_filled(self, space) -> None:
+        """Move ``space`` past slots filled without their SPECORDER,
+        dropping what is buffered for them, and accept what follows."""
+        pending = self._pending_spec_orders
+        while space.expected_slot in space:
+            pending.pop((space.owner, space.expected_slot), None)
+            space.expected_slot += 1
+        if not space.frozen:
+            self._drain_pending(space)
+
+    def _put_filled(self, space, entry: LogEntry) -> None:
+        """Install a committed ``entry`` whose SPECORDER we never
+        accepted (adopted from a COMMIT, or from a catch-up); a slot
+        above the next expected one is marked for the drain."""
+        space.force_put(entry)
+        self._index_entry(entry)
+        slot = entry.instance.slot
+        if slot > space.expected_slot:
+            self._pending_spec_orders.setdefault((space.owner, slot),
+                                                 _FILLED)
 
     def _accept_spec_order(self, order: SpecOrder,
                            envelope: SignedPayload) -> None:
@@ -711,8 +753,9 @@ class EzBFTReplica:
                              owner_number=space.owner_number,
                              command=commit.command, deps=commit.deps,
                              seq=commit.seq)
-            space.force_put(entry)
-            self._index_entry(entry)
+            self._put_filled(space, entry)
+            if commit.instance.slot == space.expected_slot:
+                self._step_over_filled(space)
         if entry.status == EntryStatus.EXECUTED:
             # Already final -- resend the reply.
             self._send_commit_reply(entry, commit.client_id)
@@ -813,9 +856,26 @@ class EzBFTReplica:
 
     def recover_from_storage(self) -> Any:
         """Rebuild this replica from its attached store (see
-        :meth:`repro.core.recovery.RecoveryManager.recover`); returns a
+        :meth:`repro.core.recovery.RecoveryManager.recover`), then
+        :meth:`rejoin` for what disk did not hold; returns a
         :class:`repro.storage.RecoverySummary`."""
-        return self.recovery.recover()
+        summary = self.recovery.recover()
+        self.rejoin()
+        return summary
+
+    def rejoin(self) -> None:
+        """The one way back from a crash or a restart: ask a peer what
+        we missed -- checkpoint, log above our frontier, the NEWOWNERs
+        it installed -- and lead nothing until an answer is installed
+        (:meth:`CheckpointManager.catch_up`)."""
+        self.checkpointing.catch_up(rejoining=True)
+
+    def _release_held_requests(self) -> None:
+        """Lead what :meth:`_lead` held while rejoining, less anything
+        ordered elsewhere in the meantime."""
+        held, self._held_requests = self._held_requests, []
+        if held:
+            self._flush_lead_queue(held)
 
     def _persist_entry(self, sender: str, message: Any) -> None:
         if self.storage is not None:
@@ -912,7 +972,7 @@ class EzBFTReplica:
         if envelope.signer != msg.new_owner:
             self.stats["invalid_messages"] += 1
             return
-        self.owner_changes.on_new_owner(msg)
+        self.owner_changes.on_new_owner(msg, envelope)
 
     # ------------------------------------------------------------------
     # Dependency collection

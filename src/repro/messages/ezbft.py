@@ -545,37 +545,47 @@ class EzCheckpoint:
 @register_message
 @dataclass(frozen=True)
 class StateTransferRequest:
-    """<STATEXFERREQ, R, W> -- replica R is behind (its execution
-    watermark is W) and asks a peer for its latest stable checkpoint, so
-    it can catch up past log prefixes the cluster already truncated."""
+    """<STATEXFERREQ, R, W, F> -- replica R asks a peer for what it
+    missed: W is its execution watermark and F its per-space frontier,
+    ``(owner, slot)`` pairs naming the first slot of each space it does
+    not hold committed.  A replica sends one when it comes back from a
+    crash or a restart, when a SPECORDER is still missing after an
+    answer, and when the cluster proves a checkpoint a whole interval
+    past it."""
 
     MSG_TYPE = "ez-state-transfer-request"
     cpu_cost_units = 1
 
     replica: str
     have_watermark: int
+    frontier: Tuple[Tuple[str, int], ...] = ()
 
 
 @register_message
 @dataclass(frozen=True)
 class StateTransferReply:
-    """<STATEXFERREPLY, W, snapshot, proof> -- a stable checkpoint's full
-    snapshot plus the 2f+1 signed EZCHECKPOINT attestations proving it.
+    """<STATEXFERREPLY, W, snapshot, proof, entries, newowners> -- what
+    the requester missed, each part with its own proof.
 
-    The reply is self-certifying: the receiver verifies the proof set
-    against the snapshot digest, so it can be served by any single
-    (possibly faulty) peer without trusting it."""
+    ``snapshot`` is the server's stable checkpoint at watermark W with
+    the 2f+1 signed EZCHECKPOINTs proving it, or ``None`` when that is
+    not newer than the requester's.  ``entries`` is the server's
+    retained log above the requester's frontier, each entry with its
+    commit certificate or signed SPECORDER.  ``new_owners`` are the
+    signed NEWOWNERs the server installed, each carrying its f+1
+    OWNERCHANGEs.  The reply is self-certifying, so any single
+    (possibly faulty) peer can serve it."""
 
     MSG_TYPE = "ez-state-transfer-reply"
 
     replica: str
-    watermark: int
-    snapshot: dict
+    watermark: int = 0
+    snapshot: Optional[dict] = None
     proof: Tuple[SignedPayload, ...] = ()
-    #: Retained log above the snapshot's frontier (each entry carries
-    #: its own verifiable evidence; not covered by the state digest).
     entries: Tuple[LogEntrySummary, ...] = ()
+    new_owners: Tuple[SignedPayload, ...] = ()
 
     @property
     def cpu_cost_units(self) -> int:
-        return max(1, len(self.proof) + len(self.entries))
+        return max(1, len(self.proof) + len(self.entries) + sum(
+            envelope.cpu_cost_units for envelope in self.new_owners))

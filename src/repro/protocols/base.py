@@ -80,6 +80,11 @@ class BaseReplica:
     def broadcast_others(self, message: Any) -> None:
         self.ctx.broadcast(self.config.others(self.node_id), message)
 
+    def rejoin(self) -> None:
+        """Back from a crash: nothing to do.  A primary-based baseline
+        catches up from the primary's next ordering messages and its
+        view changes; only ezBFT asks its peers (``EzBFTReplica``)."""
+
     # ------------------------------------------------------------------
     def _on_request(self, request: Any, envelope: SignedPayload) -> None:
         """A client's request: the primary orders it, a backup forwards

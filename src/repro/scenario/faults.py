@@ -5,7 +5,9 @@ each names a point on the scenario clock (``at_ms``) and a disruption:
 
 - :class:`CrashReplica` / :class:`RecoverReplica` -- fail-stop a replica
   (drop everything it receives and everything it sends) and bring it
-  back.
+  back.  A recovered replica then rejoins (``rejoin()``): ezBFT asks
+  a peer what it missed before it leads again; the baselines do
+  nothing.
 - :class:`KillProcess` / :class:`RestartProcess` -- SIGKILL and respawn
   the serve process hosting a replica (TCP backend only).
 - :class:`Partition` / :class:`Heal` -- cut the network between two node
@@ -103,7 +105,8 @@ class CrashReplica(_ReplicaEvent):
 
 @dataclass(frozen=True)
 class RecoverReplica(_ReplicaEvent):
-    """Undo a :class:`CrashReplica` for ``replica``."""
+    """Undo a :class:`CrashReplica` for ``replica``; the replica then
+    rejoins (``rejoin()``)."""
 
     def describe(self) -> str:
         return f"recover {self.replica}"
@@ -479,10 +482,13 @@ class FaultInjector:
 
     def _apply_local(self, event: FaultEvent) -> None:
         cluster = self.cluster
+        rejoining = None
         if isinstance(event, CrashReplica):
             self.down.add(event.replica)
         elif isinstance(event, RecoverReplica):
-            self.down.discard(event.replica)
+            if event.replica in self.down:
+                self.down.discard(event.replica)
+                rejoining = cluster.replicas[event.replica]
         elif isinstance(event, Partition):
             left, right = event.sides
             self.partitioned.update(
@@ -509,6 +515,9 @@ class FaultInjector:
             raise ConfigurationError(
                 f"unsupported fault event {type(event).__name__}")
         self._derive()
+        if rejoining is not None:
+            # Once its links are back: ask what it missed while down.
+            rejoining.rejoin()
 
     def _derive(self) -> None:
         """Make the deployment match the intent (class docstring)."""

@@ -11,7 +11,12 @@ import asyncio
 import pytest
 
 from repro.byzantine import SilentReplica
-from repro.messages.ezbft import Request
+from repro.messages.ezbft import (
+    Request,
+    SpecOrder,
+    StateTransferReply,
+    StateTransferRequest,
+)
 from repro.scenario.faults import (
     CrashReplica,
     FaultInjector,
@@ -113,9 +118,12 @@ class _Inbox:
 
     def __init__(self):
         self.senders = []
+        #: What arrived, by type (a signed envelope's by its payload's).
+        self.received = []
 
     def on_message(self, sender, message):
         self.senders.append(sender)
+        self.received.append(type(getattr(message, "payload", message)))
 
 
 def _on_tcp(body):
@@ -139,10 +147,15 @@ async def _until(predicate, timeout_s=5.0):
 
 
 def test_tcp_crash_cuts_the_replicas_own_sends():
+    """A crashed replica sends nothing.  A recovered one sends only its
+    catch-up request, and leads nothing, until a peer's answer is
+    installed; then it leads what it held."""
     async def body(cluster, injector):
-        ctx = cluster.replicas["r1"].ctx
+        replica = cluster.replicas["r1"]
+        ctx = replica.ctx
         r1 = cluster.nodes["r1"]
         r2 = cluster.replicas["r2"] = _Inbox()
+        await cluster.add_client("c0", target_replica="r1")
         injector.apply(CrashReplica(at_ms=0.0, replica="r1"))
         dropped = r1.frames_dropped
         ctx.send("r2", PING)  # e.g. a timer firing on the crashed replica
@@ -150,8 +163,20 @@ def test_tcp_crash_cuts_the_replicas_own_sends():
         await asyncio.sleep(0.1)
         assert r2.senders == []
         injector.apply(RecoverReplica(at_ms=0.0, replica="r1"))
+        # r1 asks r2, the next replica in ring order, what it missed,
+        # and holds the request it would lead.
+        replica._admit(Request(command=Command(
+            client_id="c0", timestamp=1, op="put", key="k", value="v")))
+        await _until(lambda: r2.received == [StateTransferRequest])
+        await asyncio.sleep(0.1)
+        assert r2.received == [StateTransferRequest]
+        assert r2.senders == ["r1"]
+        # The (empty) answer lands: r1 leads the held request.
+        replica.on_message("r2", StateTransferReply(replica="r2"))
+        await _until(lambda: r2.received == [StateTransferRequest,
+                                             SpecOrder])
         ctx.send("r2", PING)
-        await _until(lambda: r2.senders == ["r1"])
+        await _until(lambda: r2.received[-1] is Request)
 
     _on_tcp(body)
 

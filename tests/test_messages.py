@@ -141,7 +141,8 @@ SAMPLES = [
     fab.FabReply(seqno=1, client_id="c0", timestamp=7, replica="r1",
                  result="OK"),
     ezbft.EzCheckpoint(replica="r1", watermark=128, state_digest="d"),
-    ezbft.StateTransferRequest(replica="r1", have_watermark=64),
+    ezbft.StateTransferRequest(replica="r1", have_watermark=64,
+                               frontier=(("r0", 12), ("r1", 0))),
     ezbft.StateTransferReply(
         replica="r1", watermark=128,
         snapshot={"final": {"k": {"nested": [1, 2.5, {"deep": None}]}},
@@ -151,7 +152,10 @@ SAMPLES = [
         entries=(ezbft.LogEntrySummary(
             instance=INST, command=CMD, deps=(InstanceID("r1", 0),),
             seq=2, status="committed", owner_number=0,
-            proof_kind="commit", proof=(_signed(_spec_reply()),)),)),
+            proof_kind="commit", proof=(_signed(_spec_reply()),)),),
+        new_owners=(_signed(ezbft.NewOwner(
+            new_owner="r1", suspect="r0", new_owner_number=1,
+            safe_entries=())),)),
     batching.BatchRequest(commands=(
         CMD, dataclasses.replace(CMD, timestamp=8, op="get", value=None))),
     batching.BatchSpecOrder(leader="r0", owner_number=0,

@@ -414,7 +414,10 @@ def test_transfer_and_restart_adopt_a_checkpoint_alike(tmp_path):
 
 def test_recovery_replay_is_silent_and_detached(tmp_path):
     """While the WAL replays, the store is detached and the context
-    sends nothing; afterwards both are exactly what they were."""
+    sends nothing; afterwards both are exactly what they were, and the
+    one message sent is the rejoin's catch-up request."""
+    from repro.messages.ezbft import StateTransferRequest
+
     cluster = lan_cluster()
     storage = ReplicaStorage(str(tmp_path), "r0")
     cluster.replicas["r0"].attach_storage(storage)
@@ -440,6 +443,10 @@ def test_recovery_replay_is_silent_and_detached(tmp_path):
         handle(sender, message)
 
     replica.on_message = spy
+    sent_live = []
+    live_send = live_ctx._send
+    live_ctx._send = lambda src, dst, message: (
+        sent_live.append(type(message)), live_send(src, dst, message))
     sent_before = fresh.network.messages_sent
     summary = replica.recover_from_storage()
     storage2.close()
@@ -450,8 +457,10 @@ def test_recovery_replay_is_silent_and_detached(tmp_path):
     assert all(store is None and ctx is not live_ctx
                for store, ctx in during)
     assert replica.stats["spec_ordered"] == 6
-    # ... nothing reached the network or the store ...
-    assert fresh.network.messages_sent == sent_before
+    # ... nothing reached the network or the store but the one
+    # catch-up request rejoining sends once the live context is back ...
+    assert sent_live == [StateTransferRequest]
+    assert fresh.network.messages_sent == sent_before + 1
     assert os.path.getsize(segment) == size_before
     # ... and the switch was flipped back.
     assert replica.storage is storage2
