@@ -8,15 +8,19 @@ garbage-collected.  Adopting a checkpoint
 both state transfer and restart-from-disk (:mod:`repro.core.recovery`)
 go through.
 
-A replica catches up by asking a peer what it missed (a
-STATETRANSFERREQ with its per-space frontier): the peer answers with
-its stable checkpoint if that is newer, its log above the frontier and
-the NEWOWNERs it installed, each part with its own proof, the way
-Castro and Liskov's recovering replica fetches only what it lacks and
-checks each part.  It asks when it comes back from a crash or a
-restart (``EzBFTReplica.rejoin``, which leads nothing until an answer
-installs), when a SPECORDER is still missing after an answer, and when
-the cluster proves a checkpoint a whole interval past it.
+A replica catches up in one way, a catch-up round: it asks one peer
+at a time, in ring order, what it missed (a STATETRANSFERREQ with its
+per-space frontier), and the next one on a refused answer or a retry
+timeout of silence.  The peer answers with its stable checkpoint if
+that is newer and it holds the 2f+1 attestations that made it stable,
+its log above the frontier and the NEWOWNERs it installed, each part
+with its own proof, the way Castro and Liskov's recovering replica
+fetches only what it lacks and checks each part.  Three things open a
+round: a return from a crash or a restart (``EzBFTReplica.rejoin``,
+which leads nothing until an answer installs), a SPECORDER still
+missing after an install, and a checkpoint the cluster proves a whole
+interval past us -- whose watermark becomes the round's target, so an
+answer that leaves us short of it asks the next peer.
 """
 
 from __future__ import annotations
@@ -68,35 +72,21 @@ class CheckpointManager:
 
     def __init__(self, replica: "EzBFTReplica") -> None:
         self.replica = replica
-        #: (watermark, digest) -> replica -> its signed EZCHECKPOINT;
-        #: the stable set doubles as the state-transfer proof.
-        self._checkpoint_proofs: Dict[
-            Tuple[int, str], Dict[str, SignedPayload]] = {}
-        #: Signed attestation quorum for the current stable checkpoint,
-        #: tagged with its watermark (stability can advance on vote
-        #: counts while the retained envelopes lag; a mismatched proof
-        #: must never be served).
-        self._stable_proof: Tuple[SignedPayload, ...] = ()
-        self._stable_proof_watermark = -1
         #: Per-space cached contiguous-executed frontier cursor, so
         #: captures cost O(new executions) instead of rescanning the
         #: whole executed prefix when stability stalls.
         self._frontier_cursor: Dict[str, int] = {}
-        #: Highest watermark we already requested a state transfer for,
-        #: and the peers asked at that watermark (up to f+1 distinct
-        #: peers, so at least one is correct and answers).
-        self._transfer_requested = -1
-        self._transfer_peers_asked: Set[str] = set()
-        #: Peers asked whose answer has not arrived yet: only their
-        #: replies, or a checkpoint a whole interval ahead, are read.
-        self._awaiting: Set[str] = set()
         #: True from :meth:`catch_up` on a return until an answer is
         #: installed (or every peer was asked): the replica leads
         #: nothing meanwhile.
         self.rejoining = False
-        #: The open catch-up round: the peer asked last, the peers left
-        #: to ask, and the timer that moves on to the next one.
-        self._round_peer: Optional[str] = None
+        #: The open catch-up round (``_target`` is ``None`` when none
+        #: is): the execution count an answer must leave us at to close
+        #: it, the peers it asked whose answer is still unread (only
+        #: those answers are read), the peers left to ask, and the
+        #: timer that moves on to the next one.
+        self._target: Optional[int] = None
+        self._asked: Set[str] = set()
         self._round_queue: List[str] = []
         self._round_timer: Optional[Timer] = None
         #: The unfilled slots that opened the last gap-repair round; a
@@ -121,10 +111,8 @@ class CheckpointManager:
         msg = EzCheckpoint(replica=replica.node_id, watermark=count,
                            state_digest=checkpoint.state_digest)
         signed = SignedPayload.create(msg, replica.keypair)
-        self._checkpoint_proofs.setdefault(
-            (count, checkpoint.state_digest), {})[replica.node_id] = signed
         stable_before = store.stable
-        store.record_local(checkpoint)
+        store.record_local(checkpoint, replica.node_id, signed)
         replica.stats["checkpoints"] += 1
         replica.ctx.broadcast(replica.config.others(replica.node_id),
                               signed)
@@ -182,41 +170,22 @@ class CheckpointManager:
             replica.stats["invalid_messages"] += 1
             return
         if msg.replica == replica.node_id:
-            # Our own attestation replayed back at us: we already voted
-            # as "__self__" at capture, and counting the replay as a
-            # second distinct voter would let f+1 real replicas fake a
-            # 2f+1 quorum.
-            return
+            return  # our own attestation replayed: we voted at capture
         stable = store.stable
         if stable is not None and msg.watermark <= stable.watermark:
             return  # below our stable watermark; nothing to learn
         if replica.storage is not None:
             replica.storage.append_attest(sender, envelope)
-        became_stable = store.attest(
-            msg.watermark, msg.state_digest, msg.replica)
-        horizon = replica.executor.executed_count + \
-            8 * max(1, store.interval)
-        if msg.watermark <= horizon and \
-                store.vote_of(msg.replica, msg.watermark) == \
-                msg.state_digest:
-            # Vote accepted (not an equivocating re-vote) and near our
-            # own execution horizon: retain the signed attestation for
-            # the state-transfer proof.  Far-future watermarks are
-            # never ones we will stabilize (if we lag that far we
-            # install a transferred proof instead), so dropping them
-            # bounds what a byzantine flood can pin in memory.
-            self._checkpoint_proofs.setdefault(
-                (msg.watermark, msg.state_digest), {}).setdefault(
-                msg.replica, envelope)
-        if became_stable:
+        if store.attest(msg.watermark, msg.state_digest, msg.replica,
+                        envelope):
             self._on_checkpoint_stable(store.stable)
-        elif store.has_quorum(msg.watermark, msg.state_digest):
-            # The cluster proved a checkpoint we never captured: we are
-            # behind.  If the gap is at least one interval, the prefix
-            # below it may already be truncated everywhere -- catch up
-            # via state transfer instead of waiting for messages that
-            # will never be resent.
-            self._maybe_request_state_transfer(msg.watermark, msg.replica)
+        elif store.has_quorum(msg.watermark, msg.state_digest) and \
+                msg.watermark >= replica.executor.executed_count + \
+                max(1, store.interval):
+            # The cluster proved a checkpoint a whole interval past us:
+            # the prefix below it may be truncated everywhere, so catch
+            # up to it instead of waiting for messages never resent.
+            self.catch_up(target=msg.watermark)
 
     # ------------------------------------------------------------------
     # Stability and garbage collection
@@ -227,15 +196,6 @@ class CheckpointManager:
         replica.instruments.checkpoint_stable(checkpoint.watermark)
         replica.checkpoint_log.append(
             (checkpoint.watermark, checkpoint.state_digest))
-        key = (checkpoint.watermark, checkpoint.state_digest)
-        proof = self._checkpoint_proofs.get(key, {})
-        if len(proof) >= replica.config.slow_quorum_size:
-            self._stable_proof = tuple(proof.values())
-            self._stable_proof_watermark = checkpoint.watermark
-        self._checkpoint_proofs = {
-            k: v for k, v in self._checkpoint_proofs.items()
-            if k[0] > checkpoint.watermark
-        }
         self._gc_below(checkpoint)
         replica.recovery.persist_stable(checkpoint)
 
@@ -260,16 +220,23 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # Catch-up: asking
     # ------------------------------------------------------------------
-    def catch_up(self, rejoining: bool = False) -> None:
+    def catch_up(self, target: int = 0, rejoining: bool = False) -> None:
         """Open a catch-up round: ask the next replica in ring order
         what we missed, and each further one in turn if an answer is
-        forged or does not come within the retry timeout, until one
-        installs.  ``rejoining`` (back from a crash or a restart) holds
-        everything we would lead until then."""
+        refused, does not come within the retry timeout, or leaves our
+        execution short of ``target``.  With a round already open,
+        ``target`` raises that round's instead.  ``rejoining`` (back
+        from a crash or a restart) always opens a fresh round, and
+        holds everything we would lead until it closes."""
+        if self._target is not None and not rejoining:
+            self._target = max(self._target, target)
+            return
         replica = self.replica
         ids = replica.config.replica_ids
         at = ids.index(replica.node_id)
-        self.rejoining = self.rejoining or rejoining
+        self.rejoining = rejoining
+        self._target = target
+        self._asked = set()
         self._round_queue = [ids[(at + step) % len(ids)]
                              for step in range(1, len(ids))]
         self._ask_next()
@@ -282,8 +249,13 @@ class CheckpointManager:
             self._close_round()
             return
         replica = self.replica
-        self._round_peer = self._round_queue.pop(0)
-        self._send_request(self._round_peer)
+        peer = self._round_queue.pop(0)
+        self._asked.add(peer)
+        replica.ctx.send(peer, StateTransferRequest(
+            replica=replica.node_id,
+            have_watermark=replica.executor.executed_count,
+            frontier=tuple((owner, self._committed_frontier(space))
+                           for owner, space in replica.spaces.items())))
         self._round_timer = replica.ctx.set_timer(
             replica.config.retry_timeout, self._on_round_timeout)
 
@@ -298,39 +270,12 @@ class CheckpointManager:
 
     def _close_round(self) -> None:
         self._cancel_round_timer()
-        self._round_peer = None
+        self._target = None
+        self._asked = set()
         self._round_queue = []
         if self.rejoining:
             self.rejoining = False
             self.replica._release_held_requests()
-
-    def _maybe_request_state_transfer(self, watermark: int,
-                                      peer: str) -> None:
-        replica = self.replica
-        interval = max(1, replica.checkpoints.interval)
-        if watermark < replica.executor.executed_count + interval:
-            return  # close enough to catch up from live traffic
-        if watermark > self._transfer_requested:
-            self._transfer_requested = watermark
-            self._transfer_peers_asked = set()
-        # One ask per peer, up to f+1 distinct attesters per watermark:
-        # a single unlucky choice (peer without a provable stable
-        # checkpoint) must not strand us for another whole interval.
-        if peer in self._transfer_peers_asked or \
-                len(self._transfer_peers_asked) >= \
-                replica.config.weak_quorum_size:
-            return
-        self._transfer_peers_asked.add(peer)
-        self._send_request(peer)
-
-    def _send_request(self, peer: str) -> None:
-        replica = self.replica
-        self._awaiting.add(peer)
-        replica.ctx.send(peer, StateTransferRequest(
-            replica=replica.node_id,
-            have_watermark=replica.executor.executed_count,
-            frontier=tuple((owner, self._committed_frontier(space))
-                           for owner, space in replica.spaces.items())))
 
     def _committed_frontier(self, space: InstanceSpace) -> int:
         """First slot of ``space`` not held at least committed: a peer
@@ -349,9 +294,10 @@ class CheckpointManager:
                                   request: StateTransferRequest) -> None:
         """Answer with what the requester is missing: our stable
         checkpoint if it is newer than the requester's execution and we
-        can prove it, our retained log above the requester's frontier
-        (above the checkpoint's, when we ship one) with each entry's
-        proof, and every NEWOWNER we installed."""
+        hold its 2f+1 attestations (not after a restart from disk), our
+        retained log above the requester's frontier (above the
+        checkpoint's, when we ship one) with each entry's proof, and
+        every NEWOWNER we installed."""
         replica = self.replica
         try:
             floors = {str(owner): int(slot)
@@ -364,13 +310,12 @@ class CheckpointManager:
             # spoofed reply target would be a cheap reflection vector.
             replica.stats["invalid_messages"] += 1
             return
-        stable = replica.checkpoints.stable
+        store = replica.checkpoints
+        stable = store.stable
         shipped = None
         if stable is not None and \
                 stable.watermark > request.have_watermark and \
-                len(self._stable_proof) >= \
-                replica.config.slow_quorum_size and \
-                self._stable_proof_watermark == stable.watermark:
+                len(store.stable_proof) >= replica.config.slow_quorum_size:
             shipped = stable
             for owner, slot in stable.snapshot.get("frontier",
                                                    {}).items():
@@ -379,7 +324,7 @@ class CheckpointManager:
             replica=replica.node_id,
             watermark=shipped.watermark if shipped else 0,
             snapshot=shipped.snapshot if shipped else None,
-            proof=self._stable_proof if shipped else (),
+            proof=store.stable_proof if shipped else (),
             entries=tuple(
                 summarize_entry(entry)
                 for owner, space in replica.spaces.items()
@@ -396,42 +341,36 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def on_state_transfer_reply(self, sender: str,
                                 reply: StateTransferReply) -> None:
-        """Read an answer we asked for (or an unasked checkpoint a whole
-        interval ahead).  Everything in it is checked before anything
-        is installed: a checkpoint without its 2f+1 proof rejects the
+        """Read an answer the open round asked for; any other is dropped
+        uncounted.  Everything in it is checked before anything is
+        installed: a checkpoint without its 2f+1 proof rejects the
         whole answer; a forged entry or NEWOWNER rejects the log part,
         while a proven checkpoint, which stands on its own proof, still
-        installs.  A rejected answer from the peer the open round asked
-        moves the round on to the next peer."""
+        installs.  A rejected answer, or one that leaves us short of
+        the round's target, moves the round on to the next peer."""
+        if sender not in self._asked:
+            return
+        self._asked.discard(sender)
         replica = self.replica
-        solicited = sender in self._awaiting
-        self._awaiting.discard(sender)
-        executed = replica.executor.executed_count
         checkpoint = None
-        if reply.snapshot is not None and reply.watermark > executed:
-            behind = reply.watermark >= executed + \
-                max(1, replica.checkpoints.interval)
-            if not (behind or solicited):
-                # Unsolicited and we are not meaningfully behind:
-                # installing would needlessly discard speculation,
-                # pending orders, and reply-cache results that live
-                # execution will cover anyway.
-                return
+        if reply.snapshot is not None and \
+                reply.watermark > replica.executor.executed_count:
             checkpoint = self._proven_checkpoint(reply)
             if checkpoint is None:
-                self._refuse(sender)
+                self._refuse()
                 return
-        elif not solicited:
-            return
         log = self._checked_log(reply)
         if checkpoint is not None:
             self._install_transfer(reply, checkpoint, log)
         elif log is not None:
             self._install_log(log)
         if log is None:
-            self._refuse(sender)
+            self._refuse()
             return
         replica.stats["catch_ups_installed"] += 1
+        if replica.executor.executed_count < self._target:
+            self._ask_next()
+            return
         self._close_round()
         spaces = replica.spaces
         gap = frozenset(
@@ -445,12 +384,11 @@ class CheckpointManager:
             self._last_gap = gap
             self.catch_up()
 
-    def _refuse(self, sender: str) -> None:
-        """Count a forged answer; from the peer the open round asked,
-        move on to the next."""
+    def _refuse(self) -> None:
+        """Count a forged answer and move the round on to the next
+        peer."""
         self.replica.stats["invalid_messages"] += 1
-        if sender == self._round_peer:
-            self._ask_next()
+        self._ask_next()
 
     def _proven_checkpoint(self, reply: StateTransferReply
                            ) -> Optional[Checkpoint]:
@@ -553,7 +491,7 @@ class CheckpointManager:
         checked log part (if it passed), and resume normal
         execution."""
         replica = self.replica
-        executed_above = self.adopt(checkpoint)
+        executed_above = self.adopt(checkpoint, reply.proof)
         # Entries we executed locally but that are NOT inside the
         # snapshot's first ``watermark`` executions lost their effects
         # with the restore; demote them so they re-apply.
@@ -562,18 +500,14 @@ class CheckpointManager:
                     iid not in executed_above:
                 entry.status = EntryStatus.COMMITTED
                 entry.applied = False
-        self._stable_proof = reply.proof
-        self._stable_proof_watermark = reply.watermark
-        self._transfer_requested = max(self._transfer_requested,
-                                       reply.watermark)
-        self._transfer_peers_asked = set()
         replica.stats["state_transfers_installed"] += 1
         self._install_log(log, executed_above)
         replica.recovery.persist_stable(replica.checkpoints.stable)
 
-    def adopt(self, checkpoint: Checkpoint) -> Set[InstanceID]:
-        """Make a stable checkpoint (proven by a state transfer, or
-        read back from our own disk; its state checked by
+    def adopt(self, checkpoint: Checkpoint,
+              proof: Tuple[SignedPayload, ...] = ()) -> Set[InstanceID]:
+        """Make a stable checkpoint (proven by a state transfer's
+        ``proof``, or read back from our own disk; its state checked by
         :func:`received_checkpoint`) this replica's state: application,
         spaces and indexes cut to its frontier, executor and checkpoint
         store fast-forwarded onto its watermark.  Returns the instances
@@ -609,7 +543,7 @@ class CheckpointManager:
         for client, floor in floors.items():
             if floor > client_ts.get(client, -1):
                 client_ts[client] = floor
-        replica.checkpoints.install_stable(checkpoint)
+        replica.checkpoints.install_stable(checkpoint, proof)
         replica.checkpoint_log.append((watermark, checkpoint.state_digest))
         return executed_above
 

@@ -548,10 +548,12 @@ class StateTransferRequest:
     """<STATEXFERREQ, R, W, F> -- replica R asks a peer for what it
     missed: W is its execution watermark and F its per-space frontier,
     ``(owner, slot)`` pairs naming the first slot of each space it does
-    not hold committed.  A replica sends one when it comes back from a
-    crash or a restart, when a SPECORDER is still missing after an
-    answer, and when the cluster proves a checkpoint a whole interval
-    past it."""
+    not hold committed.  A replica sends one to each peer of a catch-up
+    round in turn, until an answer installs that reaches the round's
+    target.  Three things open a round: coming back from a crash or a
+    restart, a SPECORDER still missing after an install, and a
+    checkpoint the cluster proves a whole interval past the replica
+    (its watermark is the target)."""
 
     MSG_TYPE = "ez-state-transfer-request"
     cpu_cost_units = 1
@@ -568,13 +570,14 @@ class StateTransferReply:
     the requester missed, each part with its own proof.
 
     ``snapshot`` is the server's stable checkpoint at watermark W with
-    the 2f+1 signed EZCHECKPOINTs proving it, or ``None`` when that is
-    not newer than the requester's.  ``entries`` is the server's
-    retained log above the requester's frontier, each entry with its
-    commit certificate or signed SPECORDER.  ``new_owners`` are the
-    signed NEWOWNERs the server installed, each carrying its f+1
-    OWNERCHANGEs.  The reply is self-certifying, so any single
-    (possibly faulty) peer can serve it."""
+    the 2f+1 signed EZCHECKPOINTs that made it stable, or ``None`` when
+    that is not newer than the requester's or the server holds no such
+    proof (a checkpoint read back from disk has none).  ``entries`` is
+    the server's retained log above the requester's frontier, each
+    entry with its commit certificate or signed SPECORDER.
+    ``new_owners`` are the signed NEWOWNERs the server installed, each
+    carrying its f+1 OWNERCHANGEs.  The reply is self-certifying, so
+    any single (possibly faulty) peer can serve it."""
 
     MSG_TYPE = "ez-state-transfer-reply"
 

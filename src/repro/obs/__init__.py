@@ -35,7 +35,6 @@ from repro.obs.metrics import (
 from repro.obs.scrape import (
     ScrapeConfig,
     replica_stats_from_snapshot,
-    sample_metrics,
     scrape_replica_stats,
 )
 from repro.obs.serve import ServeSession
@@ -64,7 +63,6 @@ __all__ = [
     "MetricsRegistry",
     "ScrapeConfig",
     "replica_stats_from_snapshot",
-    "sample_metrics",
     "scrape_replica_stats",
     "ServeSession",
 ]

@@ -42,9 +42,6 @@ class Instruments:
     def execute(self) -> None:
         """One command executed against the state machine."""
 
-    def request_latency(self, latency_ms: float) -> None:
-        """A client-observed request completed in ``latency_ms``."""
-
     def owner_change(self) -> None:
         """An owner-change vote started (ezBFT-shaped protocols)."""
 
@@ -128,11 +125,6 @@ class LiveInstruments(Instruments):
         self._frames_rx = frames.labels(replica, "received")
         self._frames_tx = frames.labels(replica, "sent")
         self._frames_drop = frames.labels(replica, "dropped")
-        self._latency = registry.histogram(
-            "repro_request_latency_ms",
-            "Client-observed request latency", unit="ms",
-            labels=("replica",),
-            buckets=DEFAULT_LATENCY_BUCKETS_MS).labels(replica)
         self._exec_interval = registry.histogram(
             "repro_exec_interval_ms",
             "Gap between successive executions (liveness signal)",
@@ -166,9 +158,6 @@ class LiveInstruments(Instruments):
         if self._last_exec_ms is not None:
             self._exec_interval.observe(now - self._last_exec_ms)
         self._last_exec_ms = now
-
-    def request_latency(self, latency_ms: float) -> None:
-        self._latency.observe(latency_ms)
 
     def owner_change(self) -> None:
         self._owner_changes.inc()

@@ -8,7 +8,7 @@ runner (and the sweep runner above it) can pull the same
 scrape, and fold them into the report exactly where locally-hosted
 replica stats go.
 
-:class:`ScrapeConfig` + :func:`sample_metrics` are the periodic
+:class:`ScrapeConfig` + :func:`scrape_replica_stats` are the periodic
 flavour: the sweep runner ships a (picklable) config into each cell's
 worker process, the scenario runner samples every ``interval_s``
 during the run, and the time series folds into the sweep report --
@@ -101,14 +101,3 @@ async def scrape_replica_stats(
           for rid, (host, port) in sorted(endpoints.items())))
     return dict(results)
 
-
-async def sample_metrics(
-        endpoints: Mapping[str, Tuple[str, int]],
-        timeout: float = 2.0,
-) -> Dict[str, Optional[Dict[str, int]]]:
-    """One periodic sample: per-replica stat dicts (``None`` = the
-    endpoint did not answer).  A thin alias over
-    :func:`scrape_replica_stats` kept separate so periodic samplers
-    and the end-of-run fold can diverge later without call-site
-    churn."""
-    return await scrape_replica_stats(endpoints, timeout=timeout)

@@ -293,7 +293,7 @@ class PBFTReplica(BaseReplica):
             return
         checkpoint = Checkpoint.capture(
             executed, {"state": self.statemachine.snapshot()})
-        self.checkpoints.record_local(checkpoint)
+        self.checkpoints.record_local(checkpoint, self.node_id)
         self.stats["checkpoints"] += 1
         msg = PBFTCheckpoint(seqno=executed,
                              state_digest=checkpoint.state_digest,

@@ -318,13 +318,13 @@ class TcpDeployment:
         tick until cancelled.  A dead endpoint shows up as ``None`` in
         that tick's ``replicas`` map -- the time series records the
         outage instead of papering over it."""
-        from repro.obs.scrape import sample_metrics
+        from repro.obs.scrape import scrape_replica_stats
 
         config = self.scrape_config
         while True:
             await asyncio.sleep(config.interval_s)
-            stats = await sample_metrics(self._control,
-                                         timeout=config.timeout_s)
+            stats = await scrape_replica_stats(self._control,
+                                               timeout=config.timeout_s)
             self.scrape_samples.append({
                 "t_ms": round(self.now_ms(), 3),
                 "replicas": stats,

@@ -19,7 +19,7 @@ leaves (:func:`received_checkpoint`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.digest import digest
 from repro.errors import SerializationError
@@ -66,11 +66,13 @@ def received_checkpoint(watermark: int, snapshot: Any) -> Checkpoint:
 
 
 class CheckpointStore:
-    """Tracks local checkpoints and peer attestations.
+    """Tracks local checkpoints and the attestations voting for them.
 
     A checkpoint becomes *stable* once ``quorum`` distinct replicas
     (including ourselves) have attested to the same (watermark, digest).
-    Only the latest stable checkpoint is retained.
+    Only the latest stable checkpoint is retained, with the attestations
+    that made it stable as its ``stable_proof`` -- the 2f+1 signed votes
+    a state transfer ships, as in Castro and Liskov's PBFT.
     """
 
     #: Local snapshots retained while waiting for stability.  Bounds
@@ -78,18 +80,20 @@ class CheckpointStore:
     #: minority): a late quorum on a pruned watermark simply waits for
     #: the next boundary.
     MAX_LOCAL = 8
-    #: Live votes retained per replica.  A byzantine replica attesting
-    #: ever-higher watermarks would otherwise grow the vote and
-    #: attestation maps without bound (nothing below them ever
-    #: stabilizes, so ``_gc`` never prunes them); evicting its oldest
-    #: vote caps the damage at a constant per replica.
+    #: Live votes retained per replica, each with the attestation that
+    #: cast it.  A byzantine replica attesting ever-higher watermarks
+    #: would otherwise grow the vote and attestation maps without bound
+    #: (nothing below them ever stabilizes, so ``_gc`` never prunes
+    #: them); evicting its oldest vote caps the damage at a constant per
+    #: replica.
     MAX_VOTES_PER_REPLICA = 16
 
     def __init__(self, quorum: int, interval: int = 128) -> None:
         self.quorum = quorum
         self.interval = interval
         self._local: Dict[int, Checkpoint] = {}
-        self._attestations: Dict[tuple, set] = {}
+        #: (watermark, digest) -> voter -> the attestation it cast.
+        self._attestations: Dict[tuple, Dict[str, Any]] = {}
         #: (replica, watermark) -> digest it attested; one live vote per
         #: replica per watermark, first vote wins (a byzantine replica
         #: could otherwise flood arbitrarily many digests per watermark).
@@ -100,6 +104,10 @@ class CheckpointStore:
         #: snapshot on every execution until the first quorum forms.
         self.last_captured = 0
         self.stable: Optional[Checkpoint] = None
+        #: The attestations behind ``stable``: its voters' when it
+        #: became stable here, the shipped ones when it was installed,
+        #: none when it was read back from disk.
+        self.stable_proof: Tuple[Any, ...] = ()
 
     def due(self, executed_count: int) -> bool:
         """True when ``executed_count`` has crossed a checkpoint boundary."""
@@ -110,18 +118,21 @@ class CheckpointStore:
             last = max(last, self.stable.watermark)
         return executed_count - last >= self.interval
 
-    def record_local(self, checkpoint: Checkpoint) -> None:
+    def record_local(self, checkpoint: Checkpoint, replica_id: str,
+                     attestation: Any = None) -> None:
+        """Keep our own capture and cast our vote for it."""
         self._local[checkpoint.watermark] = checkpoint
         self.last_captured = max(self.last_captured, checkpoint.watermark)
         if len(self._local) > self.MAX_LOCAL:
             for watermark in sorted(self._local)[:-self.MAX_LOCAL]:
                 del self._local[watermark]
         self.attest(checkpoint.watermark, checkpoint.state_digest,
-                    replica_id="__self__")
+                    replica_id, attestation)
 
     def attest(self, watermark: int, state_digest: str,
-               replica_id: str) -> bool:
-        """Record a peer attestation; returns True if it became stable.
+               replica_id: str, attestation: Any = None) -> bool:
+        """Record ``replica_id``'s vote, and the ``attestation`` that
+        cast it; returns True if the checkpoint became stable.
 
         At most one vote per (replica, watermark) is ever live: the
         first digest a replica attests at a watermark wins, and
@@ -135,13 +146,15 @@ class CheckpointStore:
             self._evict_excess_votes(replica_id)
         self._votes[vote_key] = state_digest
         key = (watermark, state_digest)
-        voters = self._attestations.setdefault(key, set())
-        voters.add(replica_id)
+        voters = self._attestations.setdefault(key, {})
+        voters.setdefault(replica_id, attestation)
         if len(voters) >= self.quorum and watermark in self._local:
             candidate = self._local[watermark]
             if self.stable is None or \
                     candidate.watermark > self.stable.watermark:
                 self.stable = candidate
+                self.stable_proof = tuple(
+                    a for a in voters.values() if a is not None)
                 self._gc(watermark)
                 return True
         return False
@@ -160,19 +173,21 @@ class CheckpointStore:
         """The digest ``replica_id``'s live vote backs at ``watermark``."""
         return self._votes.get((replica_id, watermark))
 
-    def install_stable(self, checkpoint: Checkpoint) -> None:
+    def install_stable(self, checkpoint: Checkpoint,
+                       proof: Tuple[Any, ...] = ()) -> None:
         """Adopt an externally proven stable checkpoint (state transfer,
-        or a restart from disk).  ``last_captured`` moves with it: the
-        next capture is due one interval after the adopted watermark,
-        not one after zero -- re-capturing from scratch would put a
-        fresh, lower stable watermark under the ``base_slot`` of
-        owner-change payloads."""
+        with its ``proof``, or a restart from disk, without one).
+        ``last_captured`` moves with it: the next capture is due one
+        interval after the adopted watermark, not one after zero --
+        re-capturing from scratch would put a fresh, lower stable
+        watermark under the ``base_slot`` of owner-change payloads."""
         if self.stable is not None and \
                 checkpoint.watermark <= self.stable.watermark:
             return
         self._local[checkpoint.watermark] = checkpoint
         self.last_captured = max(self.last_captured, checkpoint.watermark)
         self.stable = checkpoint
+        self.stable_proof = tuple(proof)
         self._gc(checkpoint.watermark)
 
     def _evict_excess_votes(self, replica_id: str) -> None:
@@ -185,7 +200,7 @@ class CheckpointStore:
             digest_voted = self._votes.pop((replica_id, oldest))
             voters = self._attestations.get((oldest, digest_voted))
             if voters is not None:
-                voters.discard(replica_id)
+                voters.pop(replica_id, None)
                 if not voters:
                     del self._attestations[(oldest, digest_voted)]
 

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from repro.core import checkpointing
 from repro.core.instance import EntryStatus, LogEntry
 from repro.messages.base import SignedPayload
-from repro.messages.ezbft import EzCheckpoint, StateTransferReply
+from repro.messages.ezbft import (
+    EzCheckpoint,
+    StateTransferReply,
+    StateTransferRequest,
+)
 from repro.statemachine.base import Command
 from repro.statemachine.checkpoint import Checkpoint, received_checkpoint
 from repro.statemachine.kvstore import KVStore
@@ -250,10 +254,13 @@ def test_state_transfer_reply_with_insufficient_proof_rejected():
                   "client_floors": {}, "client_sparse": {},
                   "executed_above": []},
         proof=())
+    asked = requests_sent(replica)
+    replica.checkpointing.catch_up()  # r1 is the first peer asked
     before = dict(replica.stats)
     replica.on_message("r1", bogus)
     assert replica.stats["invalid_messages"] == \
         before["invalid_messages"] + 1
+    assert asked == ["r1", "r2"]  # refused: the next peer at once
     assert replica.stats["state_transfers_installed"] == 0
     assert replica.statemachine.get_final("evil") is None
 
@@ -278,6 +285,7 @@ def test_state_transfer_reply_with_forged_signatures_rejected():
         for rid in cluster.config.replica_ids)
     bogus = StateTransferReply(replica="r1", watermark=10 ** 6,
                                snapshot=snapshot, proof=forged)
+    replica.checkpointing.catch_up()  # r1 is the first peer asked
     replica.on_message("r1", bogus)
     assert replica.stats["state_transfers_installed"] == 0
     assert replica.statemachine.get_final("evil") is None
@@ -317,6 +325,11 @@ def test_state_transfer_checks_leaf_placement(defect):
                               {**stable.snapshot, "state": leaves})
     lagging = cluster.replicas["r3"]
     invalid = lagging.stats["invalid_messages"]
+    # Unasked, even a valid answer is dropped uncounted.
+    lagging.on_message("r0", reply)
+    assert lagging.stats["state_transfers_installed"] == 0
+    assert lagging.stats["invalid_messages"] == invalid
+    lagging.checkpointing.catch_up()  # r0 is the first peer asked
     lagging.on_message("r0", reply)
     if defect is None:
         assert lagging.stats["state_transfers_installed"] == 1
@@ -367,22 +380,102 @@ def test_byzantine_watermark_flood_is_bounded():
     assert max(w for _, w in live) == 2000
 
 
-def test_state_transfer_asks_multiple_peers_but_each_once():
+def hold_attestations(cluster, rid):
+    """Partition ``rid`` off, except that the EZCHECKPOINTs sent to it
+    are held instead of lost; returns them as ``(sender, envelope)``,
+    for delivery once the partition heals."""
+    held = []
+
+    def hold(sender, message):
+        if isinstance(getattr(message, "payload", None), EzCheckpoint):
+            held.append((sender, message))
+
+    cluster.set_handler(rid, hold)
+    return held
+
+
+def requests_sent(replica):
+    """The peers ``replica`` sends a STATETRANSFERREQ to, in order."""
+    asked = []
+    send = replica.ctx._send
+
+    def recording(src, dst, message):
+        if isinstance(message, StateTransferRequest):
+            asked.append(dst)
+        send(src, dst, message)
+
+    replica.ctx._send = recording
+    return asked
+
+
+def test_a_log_only_answer_leaves_the_round_open(tmp_path):
+    """r3 misses two stable checkpoints.  Meanwhile r0, the first peer
+    in r3's ring order, restarted from disk, so its stable checkpoint
+    has no proof and it answers with its log only.  That answer
+    installs but leaves r3 short of the proven checkpoint that opened
+    the round, so r3 asks r1, whose proven checkpoint installs once;
+    no peer is asked twice, and r2 not at all."""
+    from repro.storage import ReplicaStorage
+
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
-    replica = cluster.replicas["r0"]
-    manager = replica.checkpointing
-    target = replica.executor.executed_count + 10 * INTERVAL
-    manager._maybe_request_state_transfer(target, "r1")
-    manager._maybe_request_state_transfer(target, "r1")  # duplicate
-    manager._maybe_request_state_transfer(target, "r2")
-    assert manager._transfer_peers_asked == {"r1", "r2"}
-    # Capped at f+1 distinct peers per watermark.
-    manager._maybe_request_state_transfer(target, "r3")
-    assert len(manager._transfer_peers_asked) == \
-        cluster.config.weak_quorum_size
-    # A higher watermark resets the ask set.
-    manager._maybe_request_state_transfer(target + INTERVAL, "r3")
-    assert manager._transfer_peers_asked == {"r3"}
+    storage = ReplicaStorage(str(tmp_path), "r0")
+    cluster.replicas["r0"].attach_storage(storage)
+    client = cluster.add_client("c0", "local", target_replica="r1")
+    held = hold_attestations(cluster, "r3")
+    run_commands(cluster, client, 2 * INTERVAL + 2)
+    storage.close()
+    r0 = cluster.build_replica("r0", cluster.context_for("r0"))
+    cluster.set_handler("r0", r0.on_message)
+    r0.attach_storage(ReplicaStorage(str(tmp_path), "r0"))
+    r0.recover_from_storage()
+    cluster.run_until_idle()
+    assert r0.checkpoints.stable.watermark == 2 * INTERVAL
+    assert r0.checkpoints.stable_proof == ()
+
+    r3 = cluster.replicas["r3"]
+    asked = requests_sent(r3)
+    cluster.set_handler("r3", r3.on_message)
+    for sender, envelope in held:
+        r3.on_message(sender, envelope)
+    assert asked == ["r0"]
+    assert r3.checkpointing._target == 2 * INTERVAL
+    cluster.run_until_idle()
+    assert asked == ["r0", "r1"]
+    assert r3.stats["catch_ups_installed"] == 2
+    assert r3.stats["state_transfers_installed"] == 1
+    assert r3.stats["invalid_messages"] == 0
+    assert r3.checkpointing._target is None  # the round closed
+    assert r3.checkpoints.stable.watermark == 2 * INTERVAL
+    assert len(r3.checkpoints.stable_proof) == 3  # r3 can serve it now
+    assert r3.executor.executed_count == 2 * INTERVAL + 2
+    assert_replicas_consistent(cluster)
+
+
+def test_more_proofs_while_a_round_is_open_ask_no_extra_peer():
+    """The first proven checkpoint an interval ahead opens a round;
+    proofs of it again, and of higher checkpoints, only raise that
+    round's target."""
+    cluster = lan_cluster(checkpoint_interval=INTERVAL)
+    client = cluster.add_client("c0", "local", target_replica="r1")
+    held = hold_attestations(cluster, "r3")
+    run_commands(cluster, client, 3 * INTERVAL)
+    r3 = cluster.replicas["r3"]
+    asked = requests_sent(r3)
+    cluster.set_handler("r3", r3.on_message)
+    for sender, envelope in held:
+        if envelope.payload.watermark == INTERVAL:
+            r3.on_message(sender, envelope)
+    assert asked == ["r0"]
+    assert r3.checkpointing._target == INTERVAL
+    for sender, envelope in held:  # INTERVAL again, and higher ones
+        r3.on_message(sender, envelope)
+    assert asked == ["r0"]
+    assert r3.checkpointing._target == 3 * INTERVAL
+    cluster.run_until_idle()
+    assert asked == ["r0"]
+    assert r3.stats["state_transfers_installed"] == 1
+    assert r3.executor.executed_count == 3 * INTERVAL
+    assert_replicas_consistent(cluster)
 
 
 def test_gap_fill_never_noops_checkpoint_covered_slots():
@@ -498,33 +591,28 @@ def test_replayed_commit_below_checkpoint_does_not_resurrect_slot():
 
 def test_replayed_self_attestation_is_not_a_second_vote():
     """A byzantine peer replaying r0's own signed EZCHECKPOINT back at
-    r0 must not count as a voter distinct from r0's '__self__' vote --
-    that would fake a 2f+1 quorum out of f+1 real replicas."""
+    r0 must not count as a voter distinct from r0's own vote -- that
+    would fake a 2f+1 quorum out of f+1 real replicas."""
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
     deaf = cluster.replicas["r0"]
     original = deaf.on_message
-    captured = []
 
     def intercept(sender, message):
         payload = getattr(message, "payload", None)
         if isinstance(payload, EzCheckpoint):
-            if payload.replica == "r0":
-                captured.append(message)
             return  # silence real peer attestations
         original(sender, message)
 
     cluster.network.set_handler("r0", intercept)
-    # r0's outgoing attestations pass through the network loopback?  No
-    # -- broadcast excludes self, so grab them from a peer's inbox via
-    # the proof store after a capture instead: simplest is to replay
-    # r0's own envelope, which we reconstruct by signing as r0 does.
+    # A broadcast never reaches its sender, so the envelopes to replay
+    # are the ones r0's store kept with its own votes.
     client = cluster.add_client("c0", "local", target_replica="r1")
     run_commands(cluster, client, 2 * INTERVAL)
     assert deaf.stats["checkpoints"] >= 1
-    own = deaf.checkpointing._checkpoint_proofs  # r0's own envelopes live here
-    replayed = [env for bucket in own.values() for env in bucket.values()
-                if env.signer == "r0"]
-    assert replayed
+    ledger = deaf.checkpoints._attestations
+    replayed = [voters["r0"] for voters in ledger.values()
+                if "r0" in voters]
+    assert replayed and all(env.signer == "r0" for env in replayed)
     before = deaf.checkpoints.attestation_count(
         replayed[0].payload.watermark, replayed[0].payload.state_digest)
     for env in replayed:
@@ -563,7 +651,7 @@ def test_forged_log_suffix_entries_are_rejected():
                                 on_delivery=log.hook("c0"))
     cluster.network.isolate("r3")
     run_commands(cluster, client, 3 * INTERVAL)
-    serving = cluster.replicas["r1"]
+    serving = cluster.replicas["r0"]
     stable = serving.checkpoints.stable
     assert stable is not None
     evil = Command(client_id="cx", timestamp=1, op="put", key="pwned",
@@ -574,13 +662,14 @@ def test_forged_log_suffix_entries_are_rejected():
         command=evil, deps=(), seq=1, status="committed",
         owner_number=0, proof_kind="commit",
         # Validly signed -- but not a commit certificate for this entry.
-        proof=tuple(serving.checkpointing._stable_proof[:3]))
+        proof=tuple(serving.checkpoints.stable_proof[:3]))
     reply = StateTransferReply(
-        replica="r1", watermark=stable.watermark,
-        snapshot=stable.snapshot, proof=serving.checkpointing._stable_proof,
+        replica="r0", watermark=stable.watermark,
+        snapshot=stable.snapshot, proof=serving.checkpoints.stable_proof,
         entries=(forged,))
     lagging = cluster.replicas["r3"]
-    lagging.on_message("r1", reply)
+    lagging.checkpointing.catch_up()  # r0 is the first peer asked
+    lagging.on_message("r0", reply)
     # The proven snapshot installs; the fabricated entry does not.
     assert lagging.stats["state_transfers_installed"] == 1
     assert lagging.executor.executed_count == stable.watermark

@@ -70,9 +70,6 @@ def _build_registry(clock: _FakeClock) -> MetricsRegistry:
     live.execute()
     clock.now += 12.0
     live.execute()
-    live.request_latency(3.0)
-    live.request_latency(80.0)
-    live.request_latency(7000.0)
     live.owner_change()
     live.view_change()
     live.checkpoint_stable(4)

@@ -256,18 +256,20 @@ def test_checkpoint_capture_digest_stable():
 def test_checkpoint_store_stabilizes_at_quorum():
     store = CheckpointStore(quorum=3, interval=10)
     cp = Checkpoint.capture(10, {"k": "v"})
-    store.record_local(cp)  # counts as our own attestation
+    store.record_local(cp, "r0", "att-r0")  # our own attestation
     assert store.stable is None
-    store.attest(10, cp.state_digest, "r1")
+    store.attest(10, cp.state_digest, "r1", "att-r1")
     assert store.stable is None
-    store.attest(10, cp.state_digest, "r2")
+    store.attest(10, cp.state_digest, "r2", "att-r2")
     assert store.stable is cp
+    # The votes that made it stable are its proof.
+    assert store.stable_proof == ("att-r0", "att-r1", "att-r2")
 
 
 def test_checkpoint_store_mismatched_digest_never_stabilizes():
     store = CheckpointStore(quorum=2, interval=10)
     cp = Checkpoint.capture(10, {"k": "v"})
-    store.record_local(cp)
+    store.record_local(cp, "r0")
     store.attest(10, "different-digest", "r1")
     assert store.stable is None
 
@@ -283,7 +285,7 @@ def test_checkpoint_due_respects_interval():
 def test_checkpoint_due_measured_from_last_stable():
     store = CheckpointStore(quorum=1, interval=10)
     cp = Checkpoint.capture(10, {})
-    store.record_local(cp)
+    store.record_local(cp, "r0")
     assert store.stable is not None
     assert not store.due(15)
     assert store.due(20)
@@ -291,8 +293,8 @@ def test_checkpoint_due_measured_from_last_stable():
 
 def test_checkpoint_gc_drops_older_state():
     store = CheckpointStore(quorum=1, interval=10)
-    store.record_local(Checkpoint.capture(10, {"a": 1}))
-    store.record_local(Checkpoint.capture(20, {"a": 2}))
+    store.record_local(Checkpoint.capture(10, {"a": 1}), "r0")
+    store.record_local(Checkpoint.capture(20, {"a": 2}), "r0")
     assert store.stable.watermark == 20
     assert 10 not in store._local
 
@@ -303,14 +305,14 @@ def test_checkpoint_due_measured_from_last_capture_not_stability():
     re-captured a full O(state) snapshot (the re-capture storm)."""
     store = CheckpointStore(quorum=3, interval=10)
     assert store.due(10)
-    store.record_local(Checkpoint.capture(10, {"a": 1}))
+    store.record_local(Checkpoint.capture(10, {"a": 1}), "r0")
     assert store.stable is None  # quorum has not formed yet
     # Not due again until a whole further interval has executed, even
     # though nothing is stable.
     for executed in range(10, 20):
         assert not store.due(executed)
     assert store.due(20)
-    store.record_local(Checkpoint.capture(20, {"a": 2}))
+    store.record_local(Checkpoint.capture(20, {"a": 2}), "r0")
     assert not store.due(29)
 
 
@@ -319,7 +321,7 @@ def test_checkpoint_attest_one_live_vote_per_replica_watermark():
     exactly one live vote: the first digest it backed."""
     store = CheckpointStore(quorum=3, interval=10)
     cp = Checkpoint.capture(10, {"k": "v"})
-    store.record_local(cp)
+    store.record_local(cp, "r0")
     store.attest(10, cp.state_digest, "r1")
     for i in range(50):
         store.attest(10, f"bogus-{i}", "byz")
@@ -337,7 +339,7 @@ def test_checkpoint_attest_one_live_vote_per_replica_watermark():
 def test_checkpoint_attest_flip_flop_cannot_stabilize_two_digests():
     store = CheckpointStore(quorum=2, interval=10)
     cp = Checkpoint.capture(10, {"k": "v"})
-    store.record_local(cp)
+    store.record_local(cp, "r0")
     # byz first votes for a bogus digest, then tries the real one: the
     # re-vote is ignored, so byz contributes nothing to the quorum.
     store.attest(10, "bogus", "byz")
@@ -348,11 +350,12 @@ def test_checkpoint_attest_flip_flop_cannot_stabilize_two_digests():
 
 def test_checkpoint_install_stable_adopts_newer_only():
     store = CheckpointStore(quorum=1, interval=10)
-    store.record_local(Checkpoint.capture(20, {"a": 2}))
+    store.record_local(Checkpoint.capture(20, {"a": 2}), "r0")
     assert store.stable.watermark == 20
     store.install_stable(Checkpoint.capture(10, {"a": 1}))
     assert store.stable.watermark == 20  # older ignored
-    store.install_stable(Checkpoint.capture(30, {"a": 3}))
+    store.install_stable(Checkpoint.capture(30, {"a": 3}), ("proof",))
     assert store.stable.watermark == 30
+    assert store.stable_proof == ("proof",)
     assert not store.due(35)
     assert store.due(40)

@@ -375,8 +375,7 @@ def test_transfer_and_restart_adopt_a_checkpoint_alike(tmp_path):
     lagging = cluster.replicas["r3"]
     assert lagging.executor.executed_count == 0
     cluster.network.heal("r3")
-    lagging.checkpointing._maybe_request_state_transfer(
-        stable.watermark, "r0")
+    lagging.checkpointing.catch_up()  # r0 is the first peer asked
     cluster.run_until_idle()
     assert lagging.stats["state_transfers_installed"] == 1
 
