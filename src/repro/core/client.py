@@ -61,6 +61,8 @@ class _Pending:
     slow_timer: Optional[Timer] = None
     retry_timer: Optional[Timer] = None
     retries: int = 0
+    #: Retries in a row that kept ``target`` (see ``EzBFTClient._retry``).
+    held: int = 0
     pom_sent: bool = False
     #: Root ``client.request`` span (None when tracing is off or the
     #: trace was not sampled); every message this request emits is sent
@@ -80,6 +82,10 @@ class EzBFTClient:
     #: default; the scenario runner / serve session swap in a live
     #: tracer.  The client owns each request's root span.
     tracer = NULL_TRACER
+
+    #: Retry rounds in a row a client stays with a target that keeps
+    #: answering (see :meth:`_retry`) before it rotates all the same.
+    HELD_RETRIES = 3
 
     def __init__(self, client_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -447,22 +453,30 @@ class EzBFTClient:
     def _retry(self, pending: _Pending,
                exclude: Optional[str] = None) -> None:
         """Re-broadcast the request naming the unresponsive recipient (so
-        correct replicas relay and suspect it), and re-submit directly to
-        the next replica in ring order so the command itself makes
-        progress even if the original leader is gone."""
+        correct replicas relay and suspect it), and re-submit it directly
+        -- to the next replica in ring order unless f+1 replicas
+        answered, so the command itself makes progress without a dead
+        or faulty recipient."""
         pending.retries += 1
         self.stats["retries"] += 1
         original = pending.target
-        # Relay-first: the first retries re-target the *same* replica
-        # (the broadcast below makes every correct replica relay a
-        # RESENDREQ to it, and the direct re-send covers a lost
-        # REQUEST), because rotating to a fresh command-leader while
-        # the original is merely lossy proposes the same command in a
-        # *second* competing instance -- replies then split across
-        # instances and execution can block on the orphaned one.
-        # Rotate only once the original looks genuinely dead (several
-        # silent rounds) or is positively excluded (POM).
-        if pending.retries > 2 or exclude is not None:
+        # Keep the target only while f+1 distinct replicas answered
+        # since the last send: one of them is correct, so a correct
+        # replica holds an instance of the command, and a fresh leader
+        # would fork a second one.  The broadcast below then has every
+        # correct replica re-answer from the canonical instance, which
+        # converges the replies.  Fewer answers rotate at once -- the
+        # target alone proves nothing, since a faulty leader can answer
+        # the client and withhold its SPECORDER -- and so does the retry
+        # after HELD_RETRIES held rounds in a row, so that no replica
+        # pins the client for ever.
+        heard = len(pending.spec_replies.keys() |
+                    pending.commit_replies.keys())
+        if heard > self.config.f and exclude is None and \
+                pending.held < self.HELD_RETRIES:
+            pending.held += 1
+        else:
+            pending.held = 0
             # Rotate to the next replica (skipping the excluded one).
             idx = self.config.index_of(original)
             for step in range(1, self.config.n + 1):

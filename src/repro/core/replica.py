@@ -275,11 +275,6 @@ class EzBFTReplica:
         client = request.client_id
         t = request.timestamp
         seen = t <= self._client_ts.get(client, -1)
-        if seen:
-            cached = self._client_reply_cache.get(client)
-            if cached is not None and cached[0] == t:
-                self.ctx.send(client, cached[1])
-                return
         # Client retry broadcast (step 4.3), meant for another replica.
         relayed = request.original_replica not in (None, self.node_id)
         if seen or relayed:
@@ -287,14 +282,24 @@ class EzBFTReplica:
             # clients pipeline many outstanding timestamps, so under
             # message loss a retry of t=5 can arrive after we led
             # t=25.  Only drop if we already ordered this command --
-            # re-replying (and re-broadcasting the order if we led it)
-            # so retries converge on one instance; a genuinely unseen
-            # command proceeds to the normal lead/relay path.
+            # re-replying from its canonical instance (and
+            # re-broadcasting the order if we led it) so every
+            # replica's answer names the same instance; a genuinely
+            # unseen command proceeds to the normal lead/relay path.
             # Execution stays exactly-once regardless -- the executor
             # dedups applies by (client, timestamp).
             entry = self._find_entry_for_command(request.command)
+            if entry is not None and self._reaffirm_entry(entry):
+                return
+            # The instance is gone from the log (checkpoint GC), or
+            # holds no SPECORDER to answer from (rebuilt by a NEWOWNER,
+            # adopted from a COMMIT, installed by catch-up): the last
+            # reply we sent is then the only answer left.
+            cached = self._client_reply_cache.get(client)
+            if seen and cached is not None and cached[0] == t:
+                self.ctx.send(client, cached[1])
+                return
             if entry is not None:
-                self._reaffirm_entry(entry)
                 return
         if relayed:
             self._relay_resend(request)
@@ -1150,7 +1155,7 @@ class EzBFTReplica:
         # fallback is needed on the hot path.
         #
         # Retried commands can end up proposed in *several* competing
-        # instances (each retry rotates the command-leader); picking the
+        # instances (a retry can rotate the command-leader); picking the
         # smallest (owner, slot) -- not iteration order, which differs
         # per replica with message loss -- makes every replica's
         # re-reply converge on the same instance so the client can
@@ -1174,18 +1179,20 @@ class EzBFTReplica:
         return entry is not None and not entry.command.is_noop and \
             self.executor.has_executed(entry.command.ident)
 
-    def _reaffirm_entry(self, entry: LogEntry) -> None:
+    def _reaffirm_entry(self, entry: LogEntry) -> bool:
         """Converge a retried command on one instance: re-send our
         SPECREPLY for it, and -- if we led it -- re-broadcast the
         signed SPECORDER so replicas that lost the original install
-        the same instance instead of a fresh competing one."""
+        the same instance instead of a fresh competing one.  False
+        when the entry holds no SPECORDER to answer from."""
         if entry.spec_order is None:
-            return
+            return False
         if entry.instance.owner == self.node_id and \
                 entry.spec_order.signer == self.node_id:
             self.ctx.broadcast(self.config.others(self.node_id),
                                entry.spec_order)
         self._send_spec_reply(entry, entry.spec_order)
+        return True
 
     def _advance_space_digest(self, space: InstanceSpace,
                               entry: LogEntry) -> None:

@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.client import EzBFTClient
 from repro.core.replica import EzBFTReplica
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import (
@@ -122,6 +123,49 @@ def test_recovered_replica_catches_up_before_it_leads(scenario, seed,
     assert recovered.name == "recovered"
     assert recovered.delivered > 0 and recovered.fast_path_ratio > 0
     assert r1.stats["catch_ups_installed"] >= 1
+
+
+def test_a_client_leaves_its_crashed_replica_after_one_retry(monkeypatch):
+    """A Tokyo client's requests to the crashed r1 hear nothing, so
+    each retries once, through the next replica, and the first request
+    sent after the crash commits one retry timeout plus one slow-path
+    round later."""
+    sent, delivered = {}, {}
+    register, deliver = EzBFTClient._register_pending, EzBFTClient._deliver
+
+    def registering(client, command):
+        pending = register(client, command)
+        sent[command.ident] = (pending.target, client.ctx.now)
+        return pending
+
+    def delivering(client, pending, result, path):
+        if pending.phase != "done":
+            delivered[pending.command.ident] = (client.ctx.now,
+                                                pending.retries)
+        deliver(client, pending, result, path)
+
+    monkeypatch.setattr(EzBFTClient, "_register_pending", registering)
+    monkeypatch.setattr(EzBFTClient, "_deliver", delivering)
+    report, cluster = ScenarioRunner().run_with_cluster(
+        OPEN_LOOP_CRASH.with_overrides(seed=42))
+    assert report.delivered == report.client_stats["submitted"]
+    crash_ms = OPEN_LOOP_CRASH.faults[0].at_ms
+    tokyo = [cid for cid, region in cluster.client_regions.items()
+             if cluster.nearest_replica(region) == "r1"]
+    assert tokyo
+    for cid in tokyo:
+        mine = {ident: at for ident, at in sent.items() if ident[0] == cid}
+        # Sent to r1 and not served before it went down.
+        stranded = [ident for ident, (target, _) in mine.items()
+                    if target == "r1" and delivered[ident][0] >= crash_ms]
+        assert stranded
+        first = min(delivered[ident][0]
+                    for ident, (_, at) in mine.items() if at >= crash_ms)
+        # A slow-path round from Tokyo through the next replica takes
+        # about 550 ms on this WAN.
+        assert first - crash_ms < cluster.config.retry_timeout + 800.0
+        assert max(delivered[ident][1] for ident in mine) == 1
+        assert 0 < cluster.clients[cid].stats["retries"] <= len(stranded)
 
 
 # ----------------------------------------------------------------------
