@@ -6,17 +6,31 @@ and only JSON-representable primitives plus tuples/sets are accepted
 (sets are sorted by their encoded form, tuples become lists).
 
 Encoding is the hottest path in a saturated run (every signature, MAC,
-and dependency key goes through it), so two mechanisms keep it cheap:
+and dependency key goes through it), so three mechanisms keep it cheap:
 
+- **Compiled writers.**  For every class whose ``to_wire`` it derives,
+  :func:`repro.wire.wire_struct` also compiles a writer that appends the
+  encoding of that ``to_wire()`` dict without building it: key
+  fragments in sorted order are constants fixed when the class is
+  defined, and ``str``/``int``/``InstanceID``/dependency-set fields are
+  written directly behind exact-type guards.  A value of any other
+  type goes to the generic :func:`_write` of what ``to_wire`` would
+  hold, so the bytes are the generic encoder's for every value.
+  :data:`WRITERS` is looked up by *exact* type: a subclass takes the
+  generic path through its own ``to_wire``.
 - **Instance memos.**  :func:`canonical_bytes` and :func:`digest`
   memoize their results for frozen message objects *on the instance*
   (stored via ``object.__setattr__``) rather than in a global table: a
   bounded table thrashes once a heavy run creates more distinct
   messages than it holds, while an instance memo has no eviction cliff
-  and is garbage-collected with the message.
+  and is garbage-collected with the message.  The bytes memo is
+  ``(content_hash, bytes)``: one copy of the encoding, which
+  :func:`canonical_bytes` hands out as is, so a signed envelope's body
+  is that same object.
 - **Splicing.**  The encoder writes string fragments in one pass and,
   on reaching a nested message object whose memo is valid, splices the
-  cached encoding verbatim instead of re-serializing it.
+  cached encoding (``bytes.decode("ascii")``, a copy that lives only
+  as long as the pass) instead of re-serializing it.
 
 Each memo records the content hash it was computed under -- a byzantine
 in-process mutation via ``object.__setattr__`` changes the content
@@ -41,16 +55,24 @@ import hashlib
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _escape
 from math import isinf, isnan
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SerializationError
 
-#: Instance attribute holding a ``(content_hash, bytes, str)`` memo.
+#: Instance attribute holding a ``(content_hash, bytes)`` memo.
 #: Prefixed to stay out of the way of message fields; dataclass
 #: ``__eq__``/``__repr__``/``to_wire`` never see it.
 _BYTES_MEMO = "_repro_canonical_memo"
 #: Instance attribute holding a ``(content_hash, hexdigest)`` memo.
 _DIGEST_MEMO = "_repro_digest_memo"
+
+#: Exact class -> its compiled canonical writer ``writer(value, out)``,
+#: which appends what ``_write(value.to_wire(), out)`` would without
+#: building the wire dict.  :func:`repro.wire.wire_struct` files one
+#: for every class whose ``to_wire`` it derives.  Looked up by exact
+#: type, so a subclass (which may override ``to_wire``) is written
+#: through its own ``to_wire``.
+WRITERS: Dict[type, Callable[[Any, List[str]], None]] = {}
 
 
 def clear_caches() -> None:
@@ -92,6 +114,10 @@ def _write(value: Any, out: List[str]) -> None:
         return
     if kind is float:
         out.append(_float_repr(value))
+        return
+    writer = WRITERS.get(kind)
+    if writer is not None:
+        _write_message(value, writer, out)
         return
     if isinstance(value, bytes):
         out.append('{"__bytes__":')
@@ -148,32 +174,41 @@ def _write(value: Any, out: List[str]) -> None:
         out.append(_escape(str(value)))
         return
     # Dataclass-like objects used in messages expose to_wire().
-    to_wire = getattr(value, "to_wire", None)
-    if callable(to_wire):
-        try:
-            content_hash = hash(value)
-        except TypeError:
-            content_hash = None
-        if content_hash is not None:
-            memo = getattr(value, _BYTES_MEMO, None)
-            if memo is not None and memo[0] == content_hash:
-                out.append(memo[2])  # splice the cached encoding
-                return
-        start = len(out)
-        _write(to_wire(), out)
-        if content_hash is not None:
-            segment = "".join(out[start:])
-            del out[start:]
-            out.append(segment)
-            try:
-                object.__setattr__(
-                    value, _BYTES_MEMO,
-                    (content_hash, segment.encode("ascii"), segment))
-            except (AttributeError, TypeError):
-                pass  # __slots__ or exotic objects: stay uncached
+    if callable(getattr(value, "to_wire", None)):
+        _write_message(value, _write_to_wire, out)
         return
     raise SerializationError(
         f"cannot canonicalize value of type {type(value).__name__}")
+
+
+def _write_to_wire(value: Any, out: List[str]) -> None:
+    """The generic writer of an object exposing ``to_wire()``."""
+    _write(value.to_wire(), out)
+
+
+def _write_message(value: Any, writer: Callable[[Any, List[str]], None],
+                   out: List[str]) -> None:
+    """Append ``value``'s encoding, which ``writer`` writes: spliced
+    from its memo when the memo's content hash is current, else written
+    and memoized (when ``value`` is hashable and takes attributes)."""
+    try:
+        content_hash = hash(value)
+    except TypeError:
+        writer(value, out)
+        return
+    memo = getattr(value, _BYTES_MEMO, None)
+    if memo is not None and memo[0] == content_hash:
+        out.append(memo[1].decode("ascii"))  # splice the cached encoding
+        return
+    start = len(out)
+    writer(value, out)
+    segment = "".join(out[start:])
+    out[start:] = (segment,)
+    try:
+        object.__setattr__(value, _BYTES_MEMO,
+                           (content_hash, segment.encode("ascii")))
+    except (AttributeError, TypeError):
+        pass  # __slots__ or exotic objects: stay uncached
 
 
 def _encode(value: Any) -> bytes:
@@ -208,6 +243,17 @@ def canonical_bytes(value: Any) -> bytes:
             return memo[1]
         return encoded
     return _encode(value)
+
+
+def encoded_hash(value: Any, data: bytes) -> Optional[int]:
+    """The content hash ``value`` had when the encoder wrote ``data``
+    for it -- read from its memo, whose bytes must be ``data`` itself
+    -- else ``None``.  It spares a signer hashing the payload it has
+    just encoded a second time."""
+    memo = getattr(value, _BYTES_MEMO, None)
+    if memo is not None and memo[1] is data:
+        return memo[0]
+    return None
 
 
 #: How a top-level ``replica`` key that is not the first key starts.

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Type
 
-from repro.crypto.digest import canonical_bytes, digest
+from repro.crypto.digest import canonical_bytes, digest, encoded_hash
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import Signature, is_valid, sign
 from repro.errors import SerializationError
@@ -164,11 +164,15 @@ class SignedPayload:
         """Record ``payload`` as what :attr:`body` parses to; returns
         the envelope.  The caller vouches for that: it encoded the
         payload into the bytes, parsed the bytes into the payload, or
-        derived one from the other as ``respell_replica`` does."""
-        try:
-            payload_hash = hash(payload)
-        except TypeError:
-            payload_hash = None
+        derived one from the other as ``respell_replica`` does.  A
+        payload :meth:`create` just encoded is bound by the content
+        hash its memo of :attr:`body` records, not hashed again."""
+        payload_hash = encoded_hash(payload, self.body)
+        if payload_hash is None:
+            try:
+                payload_hash = hash(payload)
+            except TypeError:
+                pass
         object.__setattr__(self, _PAYLOAD, payload)
         object.__setattr__(self, _PAYLOAD_MEMO, (payload_hash, self.body))
         return self

@@ -21,7 +21,7 @@ import pytest
 
 from repro.byzantine import install_byzantine, silence_node
 from repro.core.replica import EzBFTReplica
-from repro.crypto.digest import _encode, canonical_bytes
+from repro.crypto.digest import WRITERS, _encode, canonical_bytes
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import sign
 from repro.errors import SerializationError
@@ -333,6 +333,12 @@ def test_a_method_the_class_defines_itself_wins():
     assert written_in(SignedPayload.to_wire).endswith("base.py")
     # ...and the other half of the pair is still derived.
     assert written_in(ezbft.SpecReply.to_wire).startswith("<wire codec")
+    # A derived to_wire comes with a compiled canonical writer; a
+    # hand-written one is encoded through itself.
+    assert written_in(WRITERS[ezbft.SpecReply]).startswith(
+        "<canonical writer of repro.messages.ezbft.SpecReply")
+    assert ezbft.CommitFast not in WRITERS
+    assert SignedPayload not in WRITERS
 
 
 def test_derived_source_is_inspectable():
@@ -341,6 +347,11 @@ def test_derived_source_is_inspectable():
     source = inspect.getsource(ezbft.SpecOrder.to_wire)
     assert source.startswith("def to_wire(self):")
     assert '"deps": deps_to_wire(self.deps),' in source
+    writer = inspect.getsource(WRITERS[ezbft.SpecOrder])
+    assert writer.startswith("def write_canonical(self, out):")
+    assert "write_deps(self.deps, out)" in writer
+    assert writer.rstrip().endswith(
+        """append(',"type":"ez-spec-order"}')""")
     assert 'command=as_message(wire["command"], Command),' \
         in inspect.getsource(ezbft.SpecOrder.from_wire)
     assert ezbft.SpecOrder.to_wire.__qualname__ == "SpecOrder.to_wire"

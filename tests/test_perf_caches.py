@@ -114,6 +114,45 @@ def test_unhashable_wired_object_falls_back_uncached():
     assert canonical_bytes(Unhashable()) == _encode({"v": 1})
 
 
+def test_a_signed_payload_keeps_one_copy_of_its_bytes():
+    """A memo is ``(content_hash, bytes)``: no ``str`` twin of the
+    encoding is retained, and the envelope's body is the memo's own
+    bytes object, not a second copy."""
+    _, pairs = _registry("n0")
+    req = _request()
+    env = SignedPayload.create(req, pairs["n0"])
+    memo = vars(req)[_BYTES_MEMO]
+    assert len(memo) == 2 and memo[0] == hash(req)
+    assert env.body is memo[1] is canonical_bytes(req)
+    nested = vars(req.command)[_BYTES_MEMO]
+    assert len(nested) == 2 and type(nested[1]) is bytes
+    for message in (req, req.command):
+        assert not any(type(value) is str
+                       for entry in vars(message).values()
+                       if type(entry) is tuple for value in entry)
+
+
+def test_signing_hashes_the_payload_no_more_than_encoding_it():
+    """``SignedPayload.create`` binds the payload by the content hash
+    its fresh memo records instead of hashing it once more."""
+    calls = []
+
+    class Counted:
+        def __hash__(self):
+            calls.append(1)
+            return 1
+
+        def to_wire(self):
+            return {"v": 1}
+
+    canonical_bytes(Counted())
+    encoding = len(calls)
+    calls.clear()
+    _, pairs = _registry("n0")
+    SignedPayload.create(Counted(), pairs["n0"])
+    assert len(calls) == encoding
+
+
 # ----------------------------------------------------------------------
 # Byzantine mutate-after-sign: content keying defeats stale cache hits
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.crypto.digest import (
+    WRITERS,
     _encode,
     _respell_replica,
     canonical_bytes,
@@ -25,6 +26,7 @@ from repro.messages.ezbft import (
     CommitFast,
     EzCheckpoint,
     LogEntrySummary,
+    Request,
     SpecOrder,
     SpecReply,
     statement_of,
@@ -217,6 +219,28 @@ st.register_type_strategy(CommitFast, st.builds(
     st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)))
 
 
+def _plain(value):
+    """``value`` with every object replaced by its ``to_wire()``, all
+    the way down: the tree the generic encoder walks, holding no
+    object a compiled writer or a memo could serve."""
+    if type(value) in (str, bool, int, float) or value is None \
+            or isinstance(value, bytes):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return _plain(value.to_wire())
+
+
+def _outcome(encode):
+    """What ``encode()`` returns, or the type and text it raises."""
+    try:
+        return encode()
+    except Exception as error:  # the comparison is the assertion
+        return type(error), str(error)
+
+
 @pytest.mark.parametrize("cls", DERIVED, ids=lambda cls: cls.__name__)
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
@@ -225,12 +249,102 @@ st.register_type_strategy(CommitFast, st.builds(
 def test_derived_codec_round_trips_through_bytes(cls, data):
     """Whatever the fields hold, what crosses a wire -- canonical
     bytes, then ``json.loads`` -- decodes to an equal message that
-    encodes to the same bytes."""
+    encodes to the same bytes.  Those bytes, written by the class's
+    compiled writer, are what the generic encoder makes of the
+    ``to_wire()`` tree."""
     message = data.draw(st.from_type(cls))
     raw = canonical_bytes(message)
+    assert (cls in WRITERS) == \
+        cls.to_wire.__code__.co_filename.startswith("<wire codec")
+    assert raw == _encode(_plain(message))
     again = cls.from_wire(json.loads(raw))
     assert again == message
     assert canonical_bytes(again) == raw
+
+
+#: Values of the wrong type for some field of every class: ``5.0`` and
+#: ``True`` where an ``int`` belongs, an ``int`` where a ``str`` does,
+#: NaN, a pair that is not an ``InstanceID``, a non-``str`` dict key.
+off_type = st.sampled_from([
+    5.0, True, 7, "s", None, float("nan"), ("r0", 1), (("r0", 1),),
+    (InstanceID("r0", 1), 5.0), InstanceID(7, "x"), InstanceID("r0", True),
+    (InstanceID("r1", 0), InstanceID("r0", 2.0)), [1], {"k": 1}, {1: "x"},
+    b"\x00"])
+
+
+@pytest.mark.parametrize("cls", DERIVED, ids=lambda cls: cls.__name__)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_compiled_writer_matches_off_type_fields(cls, data):
+    """A byzantine or careless value in any field -- whatever its type
+    -- is written exactly as the generic encoder writes it, and fails
+    exactly as it fails (a non-``str`` dict key is the same
+    ``SerializationError``)."""
+    message = data.draw(st.from_type(cls))
+    field = data.draw(st.sampled_from(dataclasses.fields(cls))).name
+    object.__setattr__(message, field, data.draw(off_type))
+    assert _outcome(lambda: canonical_bytes(message)) == \
+        _outcome(lambda: _encode(_plain(message)))
+
+
+def test_off_type_fields_take_the_generic_branch():
+    """Not vacuous: each off-type value named in the writer's guards
+    is spelled as the generic encoder spells it, NaN included, and a
+    dependency tuple is written sorted whatever order it holds."""
+    def odd(field, value):
+        header = SpecReply(replica="r0", owner_number=0,
+                           instance=InstanceID("r0", 1), deps=(), seq=1,
+                           request_digest="d", client_id="c",
+                           timestamp=1, result="OK")
+        object.__setattr__(header, field, value)
+        return header
+
+    unsorted = (InstanceID("r1", 0), InstanceID("r0", 5))
+    for field, value, spelled in (
+            ("seq", 5.0, b'"seq":5.0'),
+            ("seq", True, b'"seq":true'),
+            ("replica", 7, b'"replica":7'),
+            ("result", float("nan"), b'"result":NaN'),
+            ("instance", InstanceID("r0", True), b'["r0",true]'),
+            ("deps", unsorted, b'"deps":[["r0",5],["r1",0]]'),
+            ("deps", (("r0", 5.0),), b'"deps":[["r0",5.0]]')):
+        message = odd(field, value)
+        assert spelled in canonical_bytes(message)
+        assert canonical_bytes(message) == _encode(_plain(message))
+    with pytest.raises(SerializationError, match="dict keys must be str"):
+        canonical_bytes(odd("result", {1: "x"}))
+
+
+def test_a_subclass_with_its_own_to_wire_is_not_written_by_its_parent():
+    @dataclasses.dataclass(frozen=True)
+    class LoudReply(SpecReply):
+        def to_wire(self):
+            return {**super().to_wire(), "loud": True}
+
+    header = LoudReply(replica="r0", owner_number=0,
+                       instance=InstanceID("r0", 1), deps=(), seq=1,
+                       request_digest="d", client_id="c", timestamp=1,
+                       result="OK")
+    assert LoudReply not in WRITERS
+    assert b'"loud":true' in canonical_bytes(header)
+    assert canonical_bytes(header) == _encode(_plain(header))
+
+
+def test_a_mutated_nested_command_is_re_encoded_through_the_splice():
+    """A memoized REQUEST whose nested COMMAND is mutated in place
+    (``object.__setattr__``) is written again from the mutated fields:
+    neither the request's memo nor the command's is spliced stale."""
+    request = Request(command=Command(client_id="c0", timestamp=1,
+                                      op="put", key="k", value="v"))
+    before = canonical_bytes(request)
+    object.__setattr__(request.command, "value", "evil")
+    after = canonical_bytes(request)
+    assert after != before and b'"value":"evil"' in after
+    assert after == _encode(_plain(request))
+    assert canonical_bytes(request.command) == \
+        _encode(_plain(request.command))
 
 
 # ----------------------------------------------------------------------
