@@ -193,7 +193,6 @@ class CheckpointManager:
     def _on_checkpoint_stable(self, checkpoint: Checkpoint) -> None:
         replica = self.replica
         replica.stats["checkpoints_stable"] += 1
-        replica.instruments.checkpoint_stable(checkpoint.watermark)
         replica.checkpoint_log.append(
             (checkpoint.watermark, checkpoint.state_digest))
         self._gc_below(checkpoint)

@@ -129,7 +129,6 @@ class OwnerChangeManager:
             return
         self._voted.add(key)
         replica.stats["owner_changes_started"] += 1
-        replica.instruments.owner_change()
         msg = StartOwnerChange(sender=replica.node_id, suspect=suspect,
                                owner_number=space.owner_number)
         signed = SignedPayload.create(msg, replica.keypair)

@@ -714,7 +714,6 @@ class EzBFTReplica:
         entry.commit_proof = commit.certificate
         entry.reply_to = None  # fast path: no COMMITREPLY
         self.stats["committed_fast"] += 1
-        self.instruments.commit("fast")
         if self.tracer.enabled:
             self._trace_commit(entry, "fast")
         self._advance_execution([entry])
@@ -776,7 +775,6 @@ class EzBFTReplica:
         # state (paper step 5.2).
         self.statemachine.rollback_speculative()
         self.stats["committed_slow"] += 1
-        self.instruments.commit("slow")
         if self.tracer.enabled:
             self._trace_commit(entry, "slow")
         self._advance_execution([entry])

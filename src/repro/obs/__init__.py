@@ -1,7 +1,9 @@
 """repro.obs: golden-signal observability for live deployments.
 
 Stdlib-only metrics (:mod:`repro.obs.metrics`), the no-op/live
-instrument seam (:mod:`repro.obs.instruments`), protocol health
+instrument seam for timing, netem and control signals plus the
+scrape-time collector that reads each replica's and transport node's
+own counters (:mod:`repro.obs.instruments`), protocol health
 (:mod:`repro.obs.health`), the asyncio HTTP endpoint
 (:mod:`repro.obs.http`), the signed fault control channel
 (:mod:`repro.obs.control`), structured JSON logging

@@ -11,9 +11,9 @@ already maintain -- no extra hot-path bookkeeping:
   a peer heard from inside :data:`REACHABLE_WINDOW_MS` counts as
   reachable, plus this replica itself.
 - **checkpoint lag**: executions past the latest stable checkpoint
-  watermark (the replica's ``CheckpointStore``, for every protocol
-  whose registry spec sets ``supports_checkpointing``; 0 otherwise) --
-  growing lag means garbage collection has stalled.
+  watermark (the replica's ``checkpoints`` store; 0 for a protocol
+  that keeps none) -- growing lag means garbage collection has
+  stalled.
 
 ``status`` is ``"degraded"`` when the replica is crashed (via the
 fault injector) or when traffic has flowed but fewer than a slow
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.protocols.registry import get_protocol
+from repro.obs.instruments import stable_watermark
 
 #: Version tag on every healthz body; bump on structural changes.
 HEALTH_SCHEMA_VERSION = 1
@@ -57,26 +57,17 @@ class HealthMonitor:
         self._start_ms = now_ms()
         self._seen_executed = 0
         self._progress_ms: Optional[float] = None
-        self._checkpointing = get_protocol(protocol).supports_checkpointing
 
     # ------------------------------------------------------------------
     def _executed(self) -> int:
         return int(self.replica.stats.get("executed", 0))
 
-    def stable_watermark(self) -> int:
-        """The replica's latest stable checkpoint watermark; 0 for a
-        protocol that does not checkpoint."""
-        if not self._checkpointing:
-            return 0
-        stable = self.replica.checkpoints.stable
-        return 0 if stable is None else stable.watermark
-
     def checkpoint_lag(self) -> int:
-        return max(0, self._executed() - self.stable_watermark())
+        return max(0, self._executed() - stable_watermark(self.replica))
 
     def _quorum(self, now: float) -> Dict[str, Any]:
         peers: Dict[str, Optional[float]] = {}
-        last_rx = getattr(self.node, "last_rx_ms", {})
+        last_rx = self.node.last_rx_ms
         reachable = 1  # this replica counts toward its own quorum
         for rid in self.config.replica_ids:
             if rid == self.replica_id:
@@ -104,14 +95,14 @@ class HealthMonitor:
             self._progress_ms = now
         last_commit_age = None if self._progress_ms is None \
             else max(0.0, now - self._progress_ms)
-        watermark = self.stable_watermark()
+        watermark = stable_watermark(self.replica)
         quorum = self._quorum(now)
         crashed = bool(self._is_crashed())
 
         reasons = []
         if crashed:
             reasons.append("replica is crashed (fault injector)")
-        total_rx = getattr(self.node, "frames_received", 0)
+        total_rx = self.node.frames_received
         if total_rx > 0 and quorum["reachable"] < quorum["required"]:
             reasons.append(
                 f"only {quorum['reachable']} of a required "

@@ -1,23 +1,28 @@
 """The instrumentation seam: no-op by default, live under ``serve``.
 
-Hot paths (replica commit/execute, owner changes, transport frames,
-the netem shaper) call one-argument methods on an ``instruments``
-attribute.  The default is the module-level :data:`NULL` singleton
-whose every method is ``pass`` -- a disabled deployment pays one
-attribute load and an empty call at *protocol event* frequency (not
-per message), which the bench baseline gate verifies stays in the
-noise.  Truly per-frame sites (transport dispatch, shaper plans)
-additionally guard on :attr:`Instruments.enabled` so the disabled
-path is a single attribute test.
+Counts do not travel through the seam.  Every event a replica or its
+transport node already counts -- commits, executions, owner and view
+changes, stable checkpoints, frames -- lives in that owner's ``stats``
+dict or ``frames_*`` attributes, and :meth:`LiveInstruments.collect`
+copies those counters into the registry at scrape time.  Each count
+has one writer, so a report and a ``/metrics`` scrape cannot disagree.
+
+The seam carries only what nothing else records: the execution clock
+(:meth:`Instruments.execute` feeds the exec-interval histogram), the
+netem shaper's per-link drops and delays, and applied control events.
+The default is the module-level :data:`NULL` singleton whose every
+method is ``pass``.  Per-frame sites (shaper plans, the transport's
+``last_rx_ms`` stamp) guard on :attr:`Instruments.enabled` so the
+disabled path is a single attribute test.
 
 ``repro serve`` swaps in a :class:`LiveInstruments` that binds metric
 children from a shared :class:`~repro.obs.metrics.MetricsRegistry`
-once at construction, so recording an event is a float add.
+once at construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -36,29 +41,8 @@ class Instruments:
     #: Per-frame sites check this before calling (branch beats call).
     enabled = False
 
-    def commit(self, path: str) -> None:
-        """A command committed (``path`` is ``"fast"`` or ``"slow"``)."""
-
     def execute(self) -> None:
         """One command executed against the state machine."""
-
-    def owner_change(self) -> None:
-        """An owner-change vote started (ezBFT-shaped protocols)."""
-
-    def view_change(self) -> None:
-        """A view change completed (primary-based protocols)."""
-
-    def checkpoint_stable(self, watermark: int) -> None:
-        """A checkpoint reached a stability quorum at ``watermark``."""
-
-    def frame_received(self) -> None:
-        """One transport frame decoded and dispatched."""
-
-    def frame_sent(self) -> None:
-        """One transport frame written to a socket."""
-
-    def frame_dropped(self) -> None:
-        """One transport frame dropped (unknown peer / netem loss)."""
 
     def netem_dropped(self, src: str, dst: str) -> None:
         """The shaper dropped a frame on the ``src->dst`` link."""
@@ -73,6 +57,14 @@ class Instruments:
 
 #: The shared no-op default every instrumented object starts with.
 NULL = Instruments()
+
+
+def stable_watermark(replica: Any) -> int:
+    """Watermark of ``replica``'s latest stable checkpoint: 0 before
+    one is stable, or for a protocol that keeps no ``checkpoints``."""
+    checkpoints = replica.checkpoints
+    stable = None if checkpoints is None else checkpoints.stable
+    return 0 if stable is None else stable.watermark
 
 
 class LiveInstruments(Instruments):
@@ -148,35 +140,31 @@ class LiveInstruments(Instruments):
             labels=("replica",)).labels(replica)
 
     # ------------------------------------------------------------------
-    def commit(self, path: str) -> None:
-        (self._commit_fast if path == "fast"
-         else self._commit_slow).inc()
+    def collect(self, replica: Any, node: Any) -> None:
+        """Set the count families to ``replica``'s ``stats`` and its
+        transport ``node``'s ``frames_*`` counters (the serve session
+        calls this at scrape time).  A counter here mirrors its owner's
+        count, so it is assigned, not incremented; a stat the protocol
+        does not keep reads 0."""
+        stats = replica.stats
+        self._commit_fast.value = float(stats.get("committed_fast", 0))
+        self._commit_slow.value = float(stats.get("committed_slow", 0))
+        self._executed.value = float(stats["executed"])
+        self._owner_changes.value = float(
+            stats.get("owner_changes_started", 0))
+        self._view_changes.value = float(stats.get("view_changes", 0))
+        self._checkpoints.value = float(
+            stats.get("checkpoints_stable", 0))
+        self._checkpoint_watermark.set(stable_watermark(replica))
+        self._frames_rx.value = float(node.frames_received)
+        self._frames_tx.value = float(node.frames_sent)
+        self._frames_drop.value = float(node.frames_dropped)
 
     def execute(self) -> None:
-        self._executed.inc()
         now = self._now_ms()
         if self._last_exec_ms is not None:
             self._exec_interval.observe(now - self._last_exec_ms)
         self._last_exec_ms = now
-
-    def owner_change(self) -> None:
-        self._owner_changes.inc()
-
-    def view_change(self) -> None:
-        self._view_changes.inc()
-
-    def checkpoint_stable(self, watermark: int) -> None:
-        self._checkpoints.inc()
-        self._checkpoint_watermark.set(watermark)
-
-    def frame_received(self) -> None:
-        self._frames_rx.inc()
-
-    def frame_sent(self) -> None:
-        self._frames_tx.inc()
-
-    def frame_dropped(self) -> None:
-        self._frames_drop.inc()
 
     def netem_dropped(self, src: str, dst: str) -> None:
         self._netem_drops.labels(f"{src}->{dst}").inc()

@@ -7,8 +7,11 @@ with the full obs surface:
 - one process-wide :class:`MetricsRegistry`, with
   :class:`LiveInstruments` attached to every hosted replica, its
   transport node, and the shared netem shaper;
-- pull gauges (``repro_replica_stat``, ``repro_checkpoint_lag``,
-  ``repro_uptime_ms``) refreshed by a collector at scrape time;
+- a collector that, at scrape time, copies each hosted replica's and
+  node's own counters into the count families
+  (:meth:`LiveInstruments.collect`) and refreshes the pull gauges
+  (``repro_replica_stat``, ``repro_checkpoint_lag``,
+  ``repro_uptime_ms``);
 - per-replica :class:`ObsServer` endpoints (from the scenario's
   ``[obs]`` table) serving ``/metrics``, ``/healthz`` and the signed
   ``/control`` channel backed by a serve-side
@@ -235,8 +238,11 @@ class ServeSession:
     def _collect(self) -> None:
         self._uptime.set(self._now_ms() - self._start_ms)
         for rid in self.replicas:
+            # Looked up per scrape: a SwapByzantine stand-in is read
+            # without a re-attach.
             replica = self.cluster.replicas[rid]
-            stats = getattr(replica, "stats", {})
+            self._live[rid].collect(replica, self.cluster.nodes[rid])
+            stats = replica.stats
             for stat in sorted(stats):
                 self._stat_gauge.labels(rid, stat).set(stats[stat])
             self._lag_gauge.labels(rid).set(

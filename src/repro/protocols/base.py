@@ -24,6 +24,7 @@ from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
 from repro.obs.instruments import NULL
 from repro.statemachine.base import Command, StateMachine
+from repro.statemachine.checkpoint import CheckpointStore
 
 #: Delivery callback shared by all protocol clients:
 #: (command, result, latency_ms, path).
@@ -37,8 +38,12 @@ class BaseReplica:
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
     instruments = NULL
-    #: Commit path reported to the instruments per executed slot.
+    #: Commit path counted (``stats["committed_<path>"]``) per
+    #: executed slot.
     commit_path = "fast"
+    #: Stable-checkpoint store, for a protocol that checkpoints (PBFT
+    #: sets its own); the health monitor and metrics read it.
+    checkpoints: Optional[CheckpointStore] = None
     #: A backup forwarding a request arms a timer that calls
     #: :meth:`_suspect_primary` unless the request gets ordered.
     progress_timers = False
@@ -63,6 +68,7 @@ class BaseReplica:
         self._request_timers: Dict[str, Timer] = {}
         self.stats: Dict[str, int] = {
             "executed": 0,
+            "committed_" + self.commit_path: 0,
             "invalid_messages": 0,
         }
 
@@ -140,7 +146,7 @@ class BaseReplica:
         twice (its retry reached the primary before it executed) uses
         up its second slot without being applied again."""
         self.stats["executed"] += 1
-        self.instruments.commit(self.commit_path)
+        self.stats["committed_" + self.commit_path] += 1
         self.instruments.execute()
         ident = command.ident
         if ident in self.executed_idents:

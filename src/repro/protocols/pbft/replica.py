@@ -81,6 +81,7 @@ class PBFTReplica(BaseReplica):
             "batches_proposed": 0,
             "view_changes": 0,
             "checkpoints": 0,
+            "checkpoints_stable": 0,
         })
 
     # ------------------------------------------------------------------
@@ -304,7 +305,7 @@ class PBFTReplica(BaseReplica):
         became_stable = self.checkpoints.attest(
             msg.seqno, msg.state_digest, msg.replica)
         if became_stable:
-            self.instruments.checkpoint_stable(msg.seqno)
+            self.stats["checkpoints_stable"] += 1
             self._gc_log(msg.seqno)
 
     def _gc_log(self, stable_seqno: int) -> None:
@@ -323,7 +324,6 @@ class PBFTReplica(BaseReplica):
             return
         self._view_changing = True
         self.stats["view_changes"] += 1
-        self.instruments.view_change()
         new_view = self.view + 1
         stable = self.checkpoints.stable
         stable_seqno = stable.watermark if stable else 0

@@ -274,7 +274,6 @@ class ZyzzyvaReplica(BaseReplica):
 
     def _become_primary(self, new_view: int) -> None:
         self.stats["view_changes"] += 1
-        self.instruments.view_change()
         msg = ZNewView(new_view=new_view, primary=self.node_id,
                        max_committed_seqno=self._max_committed)
         self.broadcast_others(self.sign(msg))

@@ -172,15 +172,13 @@ class _Link(asyncio.Protocol):
         if self.unsent() > MAX_FRAME_BYTES:
             # A peer that stopped reading, or a dial into a black
             # hole: lose frames, not memory.
-            node._count_dropped()
+            node.frames_dropped += 1
         elif self.transport is None:
             self.queue.append(data)
             self.queued_bytes += len(data)
         else:
             self.transport.write(data)
             node.frames_sent += 1
-            if node.instruments.enabled:
-                node.instruments.frame_sent()
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -223,7 +221,7 @@ class _Receiver(asyncio.Protocol):
             if length > MAX_FRAME_BYTES:
                 # The stream cannot be resynchronised: lose this
                 # connection, count the frame, raise nothing.
-                self.node._count_dropped()
+                self.node.frames_dropped += 1
                 self.transport.close()
                 return
             end = start + _HEADER.size + length
@@ -238,9 +236,10 @@ class _Receiver(asyncio.Protocol):
 class AsyncioNode:
     """One protocol node bound to a TCP listening socket."""
 
-    #: Observability seam.  Per-frame sites guard on
-    #: ``instruments.enabled`` so a disabled deployment pays a single
-    #: attribute test; ``repro serve`` swaps in a live set.
+    #: Observability seam.  Its one per-frame site, the ``last_rx_ms``
+    #: stamp, guards on ``instruments.enabled`` so a disabled
+    #: deployment pays a single attribute test; ``repro serve`` swaps
+    #: in a live set.
     instruments = NULL
     #: Tracing seam, same discipline: the no-op singleton by default;
     #: traced deployments swap in a live :class:`ActiveTracer` so
@@ -276,6 +275,7 @@ class AsyncioNode:
         #: Shaper-delayed deliveries not yet written.
         self._timers: Set[asyncio.TimerHandle] = set()
         self._closed = False
+        #: Frame counts; the metrics registry reads them at scrape time.
         self.frames_received = 0
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -373,7 +373,7 @@ class AsyncioNode:
         except _UNDECODABLE:
             # The length prefix keeps the stream in sync: lose this
             # frame, not the connection and the frames queued behind it.
-            self._count_dropped()
+            self.frames_dropped += 1
             return
         # Frames carry the sender's *listen* address so multi-process
         # deployments (host maps) learn routes from traffic instead of
@@ -387,8 +387,6 @@ class AsyncioNode:
         if wire is None:
             return  # address announcement only; no protocol payload
         self.frames_received += 1
-        if self.instruments.enabled:
-            self.instruments.frame_received()
         if self.handler is None:
             return
         tracer = self.tracer
@@ -419,11 +417,11 @@ class AsyncioNode:
                 # Multi-process deployment: the peer's address has not
                 # been learned yet; the network is quasi-reliable, so
                 # drop and let protocol retries recover.
-                self._count_dropped()
+                self.frames_dropped += 1
                 return
             raise TransportError(f"unknown destination {dst!r}")
         if self.cuts and (self.node_id, dst) in self.cuts:
-            self._count_dropped()
+            self.frames_dropped += 1
             return
         trace: Optional[bytes] = None
         tracer = self.tracer
@@ -444,7 +442,7 @@ class AsyncioNode:
         plan = self.shaper.plan(self.node_id, dst, len(frame),
                                 self.loop.time() * 1000.0)
         if not plan:
-            self._count_dropped()
+            self.frames_dropped += 1
         for delay_ms in plan:
             if delay_ms > 0.0:
                 self._deliver_later(dst, data, delay_ms)
@@ -458,11 +456,6 @@ class AsyncioNode:
             return
         frame = encode_frame(self.node_id, self.address, None)
         self._deliver(dst, _HEADER.pack(len(frame)) + frame)
-
-    def _count_dropped(self) -> None:
-        self.frames_dropped += 1
-        if self.instruments.enabled:
-            self.instruments.frame_dropped()
 
     def _deliver(self, dst: str, data: bytes) -> None:
         link = self._links.get(dst)

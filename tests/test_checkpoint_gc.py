@@ -19,8 +19,14 @@ from repro.messages.ezbft import (
     StateTransferReply,
     StateTransferRequest,
 )
+from repro.scenario.runner import ScenarioRunner
+from repro.scenario.spec import Scenario, WorkloadSpec
 from repro.statemachine.base import Command
-from repro.statemachine.checkpoint import Checkpoint, received_checkpoint
+from repro.statemachine.checkpoint import (
+    Checkpoint,
+    CheckpointStore,
+    received_checkpoint,
+)
 from repro.statemachine.kvstore import KVStore
 from repro.types import InstanceID
 
@@ -156,6 +162,36 @@ def test_no_gc_without_attestation_quorum():
     assert all(s.low_slot == 0 for s in deaf.spaces.values())
     # Its peers heard each other and garbage-collected normally.
     assert cluster.replicas["r1"].stats["log_entries_gcd"] > 0
+
+
+def test_pbft_report_counts_its_stable_checkpoints(monkeypatch):
+    """PBFT's report counts every stable-checkpoint transition, as
+    ezBFT's does: one per replica per interval, from the same counter
+    the ``/metrics`` scrape reads."""
+    transitions = {}
+    attest = CheckpointStore.attest
+
+    def counting_attest(store, *args, **kwargs):
+        became_stable = attest(store, *args, **kwargs)
+        if became_stable:
+            transitions[id(store)] = transitions.get(id(store), 0) + 1
+        return became_stable
+
+    monkeypatch.setattr(CheckpointStore, "attest", counting_attest)
+    scenario = Scenario(
+        name="pbft-checkpoints", protocol="pbft",
+        replica_regions=("local",) * 4, latency="local",
+        workload=WorkloadSpec(mode="closed", client_regions=("local",),
+                              clients_per_region=2,
+                              requests_per_client=200),
+        checkpoint_interval=32, seed=1)
+    report, cluster = ScenarioRunner().run_with_cluster(scenario)
+    assert report.delivered == 400
+    for replica in cluster.replicas.values():
+        assert replica.checkpoints.stable.watermark == 384
+        assert transitions[id(replica.checkpoints)] == 12
+        assert replica.stats["checkpoints_stable"] == 12
+    assert report.checkpoints_stable == sum(transitions.values()) == 48
 
 
 # ----------------------------------------------------------------------

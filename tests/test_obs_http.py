@@ -5,7 +5,8 @@ Dashboards, the CI obs-smoke job, and sweep scraping key into these
 surfaces by metric name, label set, bucket boundary, and health field;
 a rename or a bucket drift must show up as a deliberate golden diff,
 not a silently broken dashboard.  Everything is rendered from a fake
-clock and a fixed event sequence, so both bodies are byte-stable.
+clock, fixed stub counters and a fixed event sequence, so both bodies
+are byte-stable.
 
 Regenerate after an intentional change with::
 
@@ -60,22 +61,31 @@ class _StubConfig:
     slow_quorum_size = 3
 
 
+class _StubCounts:
+    """The counters a replica and its transport node keep, which the
+    registry reads at scrape time."""
+
+    def __init__(self) -> None:
+        self.stats = {"committed_fast": 2, "committed_slow": 1,
+                      "executed": 2, "owner_changes_started": 1,
+                      "view_changes": 1, "checkpoints_stable": 1}
+        self.checkpoints = CheckpointStore(quorum=1)
+        self.checkpoints.install_stable(
+            Checkpoint(watermark=4, state_digest="digest", snapshot={}))
+        self.frames_received = 1
+        self.frames_sent = 1
+        self.frames_dropped = 1
+
+
 def _build_registry(clock: _FakeClock) -> MetricsRegistry:
     registry = MetricsRegistry()
     live = LiveInstruments(registry, replica="r0", protocol="ezbft",
                            now_ms=clock)
-    live.commit("fast")
-    live.commit("fast")
-    live.commit("slow")
+    owner = _StubCounts()
+    registry.register_collector(lambda: live.collect(owner, owner))
     live.execute()
     clock.now += 12.0
     live.execute()
-    live.owner_change()
-    live.view_change()
-    live.checkpoint_stable(4)
-    live.frame_received()
-    live.frame_sent()
-    live.frame_dropped()
     live.netem_dropped("r0", "r1")
     live.netem_delayed("r0", "r1", 40.0)
     live.control_event("CrashReplica")

@@ -161,6 +161,102 @@ def test_sigterm_drains_and_writes_snapshot(tmp_path):
         assert record["run"] == scenario.name
 
 
+def _sample(snapshot, name, **labels):
+    family = next(f for f in snapshot["metrics"] if f["name"] == name)
+    return next(s["value"] for s in family["samples"]
+                if all(s["labels"][k] == v for k, v in labels.items()))
+
+
+def _scraped_counts(snapshot, rid):
+    """Every count family of one replica, as a scrape reports it."""
+    return {
+        "committed_fast": _sample(snapshot, "repro_commits_total",
+                                  replica=rid, path="fast"),
+        "committed_slow": _sample(snapshot, "repro_commits_total",
+                                  replica=rid, path="slow"),
+        "executed": _sample(snapshot, "repro_executed_total",
+                            replica=rid),
+        "owner_changes_started": _sample(
+            snapshot, "repro_owner_changes_total", replica=rid),
+        "view_changes": _sample(snapshot, "repro_view_changes_total",
+                                replica=rid),
+        "checkpoints_stable": _sample(
+            snapshot, "repro_checkpoints_stable_total", replica=rid),
+        "watermark": _sample(snapshot,
+                             "repro_checkpoint_stable_watermark",
+                             replica=rid),
+        "frames": {d: _sample(snapshot, "repro_frames_total",
+                              replica=rid, direction=d)
+                   for d in ("received", "sent", "dropped")},
+    }
+
+
+def _owner_counts(replica, node):
+    """The same counts, read from the replica and node that keep them."""
+    stable = replica.checkpoints.stable
+    counts = {key: replica.stats.get(key, 0) for key in (
+        "committed_fast", "committed_slow", "executed",
+        "owner_changes_started", "view_changes", "checkpoints_stable")}
+    counts["watermark"] = 0 if stable is None else stable.watermark
+    counts["frames"] = {"received": node.frames_received,
+                        "sent": node.frames_sent,
+                        "dropped": node.frames_dropped}
+    return counts
+
+
+@pytest.mark.parametrize("protocol", ["ezbft", "pbft"])
+def test_scrape_counts_are_the_replica_and_node_counters(protocol):
+    """One count source: at every scrape, each hosted replica's count
+    families equal its own ``stats`` and its node's ``frames_*``."""
+    from repro.scenario.deployment import build_tcp_cluster
+
+    served = ("r1", "r2", "r3")
+    scenario = _scenario().with_overrides(
+        protocol=protocol, checkpoint_interval=2,
+        hosts={rid: f"127.0.0.1:{_free_port()}" for rid in served})
+
+    def check(session, label):
+        # snapshot() runs the collectors, exactly as a /metrics.json
+        # scrape does, and nothing else runs before the comparison.
+        snapshot = session.registry.snapshot()
+        for rid in served:
+            assert _scraped_counts(snapshot, rid) == _owner_counts(
+                session.cluster.replicas[rid],
+                session.cluster.nodes[rid]), (rid, label)
+        return snapshot
+
+    async def run():
+        session = ServeSession(
+            scenario, served,
+            obs_addresses={rid: ("127.0.0.1", 0) for rid in served})
+        await session.start()
+        # The scenario process: r0 and the client, in the same loop.
+        local = build_tcp_cluster(scenario)
+        await local.start()
+        try:
+            client = await local.add_client("c0")
+            local.announce_remote()
+            await asyncio.sleep(0.1)
+            for i in range(6):
+                check(session, i)
+                await local.request(client, "put", f"k{i}", i)
+            await asyncio.sleep(0.2)
+            last = check(session, "settled")
+            host, port = session.endpoints["r1"]
+            await fetch_json(host, port, "/metrics.json")
+            check(session, "after http scrape")
+        finally:
+            await local.stop()
+            await session.drain()
+        return last
+
+    counts = _scraped_counts(asyncio.run(run()), "r1")
+    assert counts["executed"] == 6
+    assert counts["checkpoints_stable"] >= 2
+    assert counts["frames"]["received"] > 0
+    assert counts["frames"]["sent"] > 0
+
+
 # ----------------------------------------------------------------------
 # Control-channel verification ladder (no sockets needed)
 # ----------------------------------------------------------------------
