@@ -630,14 +630,8 @@ def _cmd_list_protocols() -> int:
     print(f"{'name':10s} {'capabilities'}")
     print("-" * 48)
     for name in available_protocols():
-        spec = get_protocol(name)
-        flags = [flag for flag, on in (
-            ("leaderless", spec.leaderless),
-            ("speculative", spec.speculative),
-            ("batching", spec.supports_batching),
-            ("checkpointing", spec.supports_checkpointing),
-        ) if on]
-        print(f"{name:10s} {', '.join(flags) or '-'}")
+        leaderless = get_protocol(name).leaderless
+        print(f"{name:10s} {'leaderless' if leaderless else '-'}")
     return 0
 
 

@@ -116,15 +116,3 @@ class RequestBatcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-
-# ----------------------------------------------------------------------
-# BatchRequest ingress: authenticity is shared by the ezBFT owner and
-# the PBFT primary, which then admit each command, in timestamp order,
-# through their singleton ingress rule.
-# ----------------------------------------------------------------------
-def batch_request_is_authentic(batch: Any, envelope: Any) -> bool:
-    """Every command in the batch belongs to the envelope's signer."""
-    client = batch.client_id
-    return envelope.signer == client and \
-        all(c.client_id == client for c in batch.commands)

@@ -41,7 +41,7 @@ from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
 from repro.core.owner_change import summarize_entry
 from repro.crypto.digest import digest
 from repro.errors import SerializationError
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
     Commit,
@@ -165,8 +165,7 @@ class CheckpointManager:
                          envelope: SignedPayload) -> None:
         replica = self.replica
         store = replica.checkpoints
-        if envelope.signer != msg.replica or \
-                msg.replica not in replica.config.replica_ids:
+        if msg.replica not in replica.config.replica_ids:
             replica.stats["invalid_messages"] += 1
             return
         if msg.replica == replica.node_id:
@@ -411,17 +410,10 @@ class CheckpointManager:
         replica = self.replica
         signers = set()
         for envelope in reply.proof:
-            if not isinstance(envelope, SignedPayload):
-                return False
-            payload = envelope.payload
-            if not isinstance(payload, EzCheckpoint):
-                return False
-            if payload.watermark != reply.watermark or \
-                    payload.state_digest != state_digest:
-                return False
-            if not envelope.verify(replica.registry):
-                return False
-            if envelope.signer != payload.replica or \
+            payload = authentic_payload(envelope, EzCheckpoint,
+                                        replica.registry)
+            if payload is None or payload.watermark != reply.watermark \
+                    or payload.state_digest != state_digest or \
                     payload.replica not in replica.config.replica_ids:
                 return False
             signers.add(payload.replica)
@@ -441,13 +433,8 @@ class CheckpointManager:
             entries.append(entry)
         owners = []
         for envelope in reply.new_owners:
-            if not isinstance(envelope, SignedPayload) or \
-                    not envelope.verify(replica.registry):
-                return None
-            msg = envelope.payload
-            if not isinstance(msg, NewOwner) or \
-                    envelope.signer != msg.new_owner or \
-                    msg.suspect not in replica.spaces:
+            msg = authentic_payload(envelope, NewOwner, replica.registry)
+            if msg is None or msg.suspect not in replica.spaces:
                 return None
             if msg.new_owner_number <= \
                     replica.spaces[msg.suspect].owner_number:
@@ -628,8 +615,7 @@ class CheckpointManager:
                 commit_proof=tuple(proof))
         if len(proof) == 1 and isinstance(payloads[0], Commit):
             envelope, commit = proof[0], payloads[0]
-            if not envelope.verify(replica.registry) or \
-                    envelope.signer != commit.client_id:
+            if not envelope.authentic(replica.registry):
                 return None
             if commit.instance != summary.instance or \
                     not replica._validate_slow_certificate(commit):
@@ -650,18 +636,15 @@ class CheckpointManager:
         if len(summary.proof) != 1:
             return None
         envelope = summary.proof[0]
-        if not isinstance(envelope, SignedPayload) or \
-                not envelope.verify(replica.registry):
-            return None
-        payload = envelope.payload
+        payload = authentic_payload(envelope, (SpecOrder, BatchSpecOrder),
+                                    replica.registry)
         if isinstance(payload, BatchSpecOrder):
             inner = payload.order_for(summary.instance)
-        elif isinstance(payload, SpecOrder) and \
-                payload.instance == summary.instance:
+        elif payload is not None and payload.instance == summary.instance:
             inner = payload
         else:
             return None
-        if inner is None or envelope.signer != inner.leader:
+        if inner is None or inner.leader != payload.leader:
             return None
         if inner.leader != replica.config.owner_for_number(
                 inner.owner_number):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.node import NodeContext, Timer
+from repro.cluster.node import Node, NodeContext, Timer, dispatcher
 from repro.config import ProtocolConfig
 from repro.core.owner_change import evidence_orders
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -75,7 +75,7 @@ class _Pending:
                 timer.cancel()
 
 
-class EzBFTClient:
+class EzBFTClient(Node):
     """One ezBFT client node."""
 
     #: Tracing seam (see :mod:`repro.trace`): the no-op singleton by
@@ -86,6 +86,10 @@ class EzBFTClient:
     #: Retry rounds in a row a client stays with a target that keeps
     #: answering (see :meth:`_retry`) before it rotates all the same.
     HELD_RETRIES = 3
+
+    #: The shared dispatcher, held in this class's own body (see
+    #: :func:`~repro.cluster.node.dispatcher`).
+    on_message = dispatcher()
 
     def __init__(self, client_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -223,37 +227,25 @@ class EzBFTClient:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, SpecReplyBundle):
-            # The bundle is unsigned; each header inside is signed.
-            try:
-                for envelope in message.replies:
-                    reply = envelope.payload
-                    if isinstance(reply, SpecReply) and \
-                            envelope.verify(self.registry):
-                        self._on_spec_reply(reply, envelope,
-                                            message.spec_order)
-            finally:
-                self._flush_commit_outbox()
-            return
-        if not isinstance(message, SignedPayload):
-            return
-        if not message.verify(self.registry):
-            return
-        payload = message.payload
-        if isinstance(payload, CommitReply):
-            self._on_commit_reply(payload)
-
-    # ------------------------------------------------------------------
     # Step 4: speculative replies
     # ------------------------------------------------------------------
+    def _on_spec_reply_bundle(self, sender: str, bundle: SpecReplyBundle,
+                              envelope: None) -> None:
+        """The bundle is unsigned; each header inside is checked as an
+        envelope of its own."""
+        try:
+            for signed in bundle.replies:
+                reply = signed.payload
+                if isinstance(reply, SpecReply) and \
+                        signed.authentic(self.registry):
+                    self._on_spec_reply(reply, signed, bundle.spec_order)
+        finally:
+            self._flush_commit_outbox()
+
     def _on_spec_reply(self, reply: SpecReply, envelope: SignedPayload,
                        signed_order: Optional[SignedPayload] = None
                        ) -> None:
-        if envelope.signer != reply.replica or \
-                reply.replica not in self.config.replica_ids:
+        if reply.replica not in self.config.replica_ids:
             return
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is None or pending.phase != "spec":
@@ -312,7 +304,7 @@ class EzBFTClient:
                 continue
             proposed = evidence_orders(so, pending.target) or ()
             if any(o.command.ident == ident for o in proposed) \
-                    and so.verify(self.registry):
+                    and so.authentic(self.registry):
                 valid[so.signature.tag] = so
         if len(valid) < 2:
             return False
@@ -427,7 +419,8 @@ class EzBFTClient:
         self._send_under(span, self.ctx.broadcast,
                          self.config.replica_ids, envelope)
 
-    def _on_commit_reply(self, reply: CommitReply) -> None:
+    def _on_commit_reply(self, sender: str, reply: CommitReply,
+                         envelope: SignedPayload) -> None:
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is None or pending.phase != "slow":
             return
@@ -530,3 +523,6 @@ class EzBFTClient:
         del self._pending[pending.command.ident]
         if self.on_delivery is not None:
             self.on_delivery(pending.command, result, latency, path)
+
+    _SIGNED_HANDLERS = {CommitReply.MSG_TYPE: _on_commit_reply}
+    _PLAIN_HANDLERS = {SpecReplyBundle.MSG_TYPE: _on_spec_reply_bundle}

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.instance import EntryStatus, LogEntry
 from repro.crypto.digest import digest
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
     LogEntrySummary,
@@ -144,13 +144,13 @@ class OwnerChangeManager:
     def _pom_valid(self, pom: ProofOfMisbehavior) -> bool:
         replica = self.replica
         a, b = pom.evidence
-        if not (a.verify(replica.registry) and b.verify(replica.registry)):
-            return False
-        if a.signer != pom.suspect or b.signer != pom.suspect:
-            return False
         orders_a = evidence_orders(a, pom.suspect)
         orders_b = evidence_orders(b, pom.suspect)
         if orders_a is None or orders_b is None:
+            return False
+        # Authentic evidence is signed by its leader: the suspect.
+        if not (a.authentic(replica.registry) and
+                b.authentic(replica.registry)):
             return False
         # Conflict: same slot ordered twice with different content, or the
         # same request placed at two different instances.  Batched
@@ -343,7 +343,7 @@ class OwnerChangeManager:
     # ------------------------------------------------------------------
     def on_new_owner(self, msg: NewOwner,
                      envelope: Optional[SignedPayload] = None) -> None:
-        """A NEWOWNER from its signer (``envelope``, already verified):
+        """A NEWOWNER from its signer (``envelope``, already authentic):
         installed when it moves the space to a higher owner number and
         its proof holds (:meth:`new_owner_valid`)."""
         replica = self.replica
@@ -371,14 +371,10 @@ class OwnerChangeManager:
         messages: List[OwnerChange] = []
         senders: Set[str] = set()
         for envelope in msg.proof:
-            if not isinstance(envelope, SignedPayload) or \
-                    not envelope.verify(replica.registry):
-                return False
-            change = envelope.payload
-            if not isinstance(change, OwnerChange) or \
-                    envelope.signer != change.sender or \
-                    change.sender not in config.replica_ids or \
-                    change.sender in senders:
+            change = authentic_payload(envelope, OwnerChange,
+                                       replica.registry)
+            if change is None or change.sender not in config.replica_ids \
+                    or change.sender in senders:
                 return False
             if (change.suspect, change.new_owner_number) != \
                     (msg.suspect, msg.new_owner_number):

@@ -14,9 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.node import NodeContext, Timer
+from repro.cluster.node import Node, NodeContext, Timer, dispatcher
 from repro.config import ProtocolConfig
-from repro.core.batching import RequestBatcher, batch_request_is_authentic
+from repro.core.batching import RequestBatcher
 from repro.core.checkpointing import CheckpointManager
 from repro.core.executor import DependencyExecutor
 from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
@@ -67,7 +67,7 @@ from repro.types import InstanceID
 _FILLED: Tuple[Any, Any] = (None, None)
 
 
-class EzBFTReplica:
+class EzBFTReplica(Node):
     """One ezBFT replica node.
 
     Parameters
@@ -99,6 +99,10 @@ class EzBFTReplica:
     #: --data-dir`` (and ``durable=true`` scenarios) attach a
     #: :class:`repro.storage.ReplicaStorage` via :meth:`attach_storage`.
     storage = None
+    counts_invalid = True
+    #: The shared dispatcher, held in this class's own body (see
+    #: :func:`~repro.cluster.node.dispatcher`).
+    on_message = dispatcher()
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -226,35 +230,10 @@ class EzBFTReplica:
         self.executor.trace_parent = self._trace_exec_parent
 
     # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        """Entry point for every message delivered to this replica."""
-        if isinstance(message, SignedPayload):
-            if not message.verify(self.registry):
-                self.stats["invalid_messages"] += 1
-                return
-            payload = message.payload
-            handler = self._SIGNED_HANDLERS.get(type(payload).MSG_TYPE)
-            if handler is None:
-                self.stats["invalid_messages"] += 1
-                return
-            handler(self, sender, payload, message)
-            return
-        handler = self._PLAIN_HANDLERS.get(type(message).MSG_TYPE, None)
-        if handler is None:
-            self.stats["invalid_messages"] += 1
-            return
-        handler(self, sender, message)
-
-    # ------------------------------------------------------------------
     # Step 2: client request -> command-leader proposal
     # ------------------------------------------------------------------
     def _on_request(self, sender: str, request: Request,
                     envelope: SignedPayload) -> None:
-        if envelope.signer != request.client_id:
-            self.stats["invalid_messages"] += 1
-            return
         self._admit(request)
 
     def _on_batch_request(self, sender: str, batch: BatchRequest,
@@ -262,9 +241,6 @@ class EzBFTReplica:
         """A client's batched submission: one signature, many commands,
         all the signer's own.  Each is admitted, in timestamp order,
         exactly as a singleton REQUEST would be."""
-        if not batch_request_is_authentic(batch, envelope):
-            self.stats["invalid_messages"] += 1
-            return
         for command in sorted(batch.commands, key=lambda c: c.timestamp):
             self._admit(Request(command=command))
 
@@ -457,8 +433,8 @@ class EzBFTReplica:
         self._suspicions.pop(ident_key, None)
         self.owner_changes.suspect(suspect)
 
-    def _on_resend_request(self, sender: str,
-                           resend: ResendRequest) -> None:
+    def _on_resend_request(self, sender: str, resend: ResendRequest,
+                           envelope: None) -> None:
         """Original recipient's side of step 4.3."""
         request = resend.request
         entry = self._find_entry_for_command(request.command)
@@ -501,7 +477,7 @@ class EzBFTReplica:
         proposal = envelope.payload
         leader = proposal.leader
         space = self.spaces.get(owner)
-        if envelope.signer != leader or space is None:
+        if space is None:
             self.stats["invalid_messages"] += 1
             return
         if space.frozen:
@@ -696,7 +672,8 @@ class EzBFTReplica:
     # ------------------------------------------------------------------
     # Step 5: commits
     # ------------------------------------------------------------------
-    def _on_commit_fast(self, sender: str, commit: CommitFast) -> None:
+    def _on_commit_fast(self, sender: str, commit: CommitFast,
+                        envelope: None) -> None:
         entry = self._log_index.get(commit.instance)
         if entry is None or entry.status.at_least(EntryStatus.COMMITTED):
             return
@@ -718,18 +695,15 @@ class EzBFTReplica:
             self._trace_commit(entry, "fast")
         self._advance_execution([entry])
 
-    def _on_batch_commit_fast(self, sender: str,
-                              batch: BatchCommitFast) -> None:
+    def _on_batch_commit_fast(self, sender: str, batch: BatchCommitFast,
+                              envelope: None) -> None:
         """A client's k COMMITFASTs in one frame: each is validated,
         persisted and counted exactly as if it had arrived alone."""
         for commit in batch.commits:
-            self._on_commit_fast(sender, commit)
+            self._on_commit_fast(sender, commit, None)
 
     def _on_commit(self, sender: str, commit: Commit,
                    envelope: SignedPayload) -> None:
-        if envelope.signer != commit.client_id:
-            self.stats["invalid_messages"] += 1
-            return
         if not self._validate_slow_certificate(commit):
             self.stats["invalid_messages"] += 1
             return
@@ -831,11 +805,13 @@ class EzBFTReplica:
         self.checkpointing.on_ez_checkpoint(sender, msg, envelope)
 
     def _on_state_transfer_request(self, sender: str,
-                                   request: StateTransferRequest) -> None:
+                                   request: StateTransferRequest,
+                                   envelope: None) -> None:
         self.checkpointing.on_state_transfer_request(sender, request)
 
     def _on_state_transfer_reply(self, sender: str,
-                                 reply: StateTransferReply) -> None:
+                                 reply: StateTransferReply,
+                                 envelope: None) -> None:
         self.checkpointing.on_state_transfer_reply(sender, reply)
 
     def checkpoint_base_slot(self, owner: str) -> int:
@@ -935,9 +911,7 @@ class EzBFTReplica:
             reply = signed.payload
             if not isinstance(reply, SpecReply):
                 return False
-            if not signed.verify(self.registry):
-                return False
-            if signed.signer != reply.replica:
+            if not signed.authentic(self.registry):
                 return False
             if reply.instance != instance:
                 return False
@@ -953,28 +927,20 @@ class EzBFTReplica:
     # ------------------------------------------------------------------
     # Misbehavior and owner changes (delegated)
     # ------------------------------------------------------------------
-    def _on_pom(self, sender: str, pom: ProofOfMisbehavior) -> None:
+    def _on_pom(self, sender: str, pom: ProofOfMisbehavior,
+                envelope: None) -> None:
         self.owner_changes.on_pom(pom)
 
     def _on_start_owner_change(self, sender: str, msg: StartOwnerChange,
                                envelope: SignedPayload) -> None:
-        if envelope.signer != msg.sender:
-            self.stats["invalid_messages"] += 1
-            return
         self.owner_changes.on_start_owner_change(msg)
 
     def _on_owner_change(self, sender: str, msg: OwnerChange,
                          envelope: SignedPayload) -> None:
-        if envelope.signer != msg.sender:
-            self.stats["invalid_messages"] += 1
-            return
         self.owner_changes.on_owner_change(msg, envelope)
 
     def _on_new_owner(self, sender: str, msg: NewOwner,
                       envelope: SignedPayload) -> None:
-        if envelope.signer != msg.new_owner:
-            self.stats["invalid_messages"] += 1
-            return
         self.owner_changes.on_new_owner(msg, envelope)
 
     # ------------------------------------------------------------------

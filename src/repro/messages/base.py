@@ -1,4 +1,11 @@
-"""Message registry and the signed-payload envelope."""
+"""Message registry, the authorship rule and the signed-payload envelope.
+
+Every registered class declares, next to its fields, the field naming
+its author (``AUTHOR = "replica"``, ``"client_id"``, ...); an envelope
+is authentic (:meth:`SignedPayload.authentic`) only if that node signed
+it.  ``AUTHOR = None`` declares no author: the message travels
+unsigned, or its handler checks the signer's role instead.
+"""
 
 from __future__ import annotations
 
@@ -30,7 +37,8 @@ _PAYLOAD_MEMO = "_repro_payload_memo"
 def register_message(cls: Type) -> Type:
     """Class decorator: register ``cls`` for :func:`decode`.
 
-    The class must define ``MSG_TYPE``.  Its ``to_wire``/``from_wire``
+    The class must define ``MSG_TYPE`` and, in its own body, ``AUTHOR``
+    (a field or property, or ``None``).  Its ``to_wire``/``from_wire``
     are derived from its dataclass fields (:func:`repro.wire.wire_struct`)
     unless the class body defines them.
     """
@@ -40,6 +48,10 @@ def register_message(cls: Type) -> Type:
             f"{cls.__name__} lacks a MSG_TYPE attribute")
     if msg_type in MESSAGE_REGISTRY:
         raise SerializationError(f"duplicate MSG_TYPE {msg_type!r}")
+    author = vars(cls).get("AUTHOR", "")
+    if author is not None and author not in cls.__dataclass_fields__ \
+            and not isinstance(getattr(cls, author, None), property):
+        raise SerializationError(f"{cls.__name__} declares no AUTHOR")
     MESSAGE_REGISTRY[msg_type] = wire_struct(cls)
     return cls
 
@@ -150,6 +162,7 @@ class SignedPayload:
     """
 
     MSG_TYPE = "signed"
+    AUTHOR = None  # its payload's is checked
 
     body: bytes
     signature: Signature
@@ -219,6 +232,17 @@ class SignedPayload:
                            (epoch, body, signature, verdict))
         return verdict
 
+    def authentic(self, registry: KeyRegistry) -> bool:
+        """:meth:`verify`, and the signer is the payload's ``AUTHOR``:
+        the one check for every envelope a node receives and every
+        member of a certificate or proof it accepts."""
+        payload = self.payload
+        author = payload.AUTHOR
+        if author is not None and \
+                getattr(payload, author) != self.signature.signer:
+            return False
+        return self.verify(registry)
+
     @property
     def signer(self) -> str:
         return self.signature.signer
@@ -257,3 +281,15 @@ class SignedPayload:
 
 
 register_message(SignedPayload)
+
+
+def authentic_payload(envelope: Any, cls: Any,
+                      registry: KeyRegistry) -> Any:
+    """The payload of ``envelope`` -- a member of a certificate or
+    proof -- if it is an authentic envelope of a ``cls`` payload;
+    ``None`` otherwise."""
+    if isinstance(envelope, SignedPayload) and \
+            isinstance(envelope.payload, cls) and \
+            envelope.authentic(registry):
+        return envelope.payload
+    return None

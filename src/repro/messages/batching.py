@@ -84,12 +84,13 @@ class BatchRequest:
     """<BATCHREQ, [m_1..m_k], c> -- one client's commands under one
     signature.
 
-    All commands must belong to the signing client; replicas reject
-    mixed-author batches.  Protocol-agnostic: the ezBFT owner path and
-    the PBFT primary path both unpack it into their native request flow.
+    Its author is its client, whose every command must be: a mixed
+    batch has no ``client_id``, so no signer is its author.  The ezBFT
+    owner and the PBFT primary unpack it into their request flow.
     """
 
     MSG_TYPE = "batch-request"
+    AUTHOR = "client_id"
 
     commands: Tuple[Command, ...]
 
@@ -98,8 +99,10 @@ class BatchRequest:
             raise SerializationError("BatchRequest must carry commands")
 
     @property
-    def client_id(self) -> str:
-        return self.commands[0].client_id
+    def client_id(self) -> Optional[str]:
+        client = self.commands[0].client_id
+        mixed = any(c.client_id != client for c in self.commands)
+        return None if mixed else client
 
     @property
     def cpu_cost_units(self) -> float:
@@ -121,6 +124,7 @@ class BatchSpecOrder:
     """
 
     MSG_TYPE = "ez-batch-spec-order"
+    AUTHOR = "leader"
 
     leader: str
     owner_number: int
@@ -154,6 +158,7 @@ class BatchPrePrepare:
     """
 
     MSG_TYPE = "pbft-batch-pre-prepare"
+    AUTHOR = None  # role: the view's primary
 
     view: int
     pre_prepares: Tuple[PrePrepare, ...]

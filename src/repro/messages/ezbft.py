@@ -52,6 +52,7 @@ class Request:
     client-timestamp ``t`` (carried inside the command)."""
 
     MSG_TYPE = "ez-request"
+    AUTHOR = "client_id"
     #: Client-facing messages are expensive: the replica terminates the
     #: client connection and verifies an ECDSA signature (~1.5ms on the
     #: paper's m4.2xlarge), whereas replica-to-replica traffic is MAC
@@ -79,6 +80,7 @@ class SpecOrder:
     """<SPECORDER, O, I, D, S, h, d> -- the command-leader's proposal."""
 
     MSG_TYPE = "ez-spec-order"
+    AUTHOR = "leader"
     cpu_cost_units = 1
 
     leader: str
@@ -106,6 +108,7 @@ class SpecReply:
     """
 
     MSG_TYPE = "ez-spec-reply"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     replica: str
@@ -170,6 +173,7 @@ class SpecReplyBundle:
     """
 
     MSG_TYPE = "ez-spec-reply-bundle"
+    AUTHOR = None  # unsigned; each header is checked
 
     replies: Tuple[SignedPayload, ...]
     spec_order: Optional[SignedPayload] = None
@@ -283,6 +287,7 @@ class CommitFast:
     """
 
     MSG_TYPE = "ez-commit-fast"
+    AUTHOR = None  # unsigned; each header is checked
 
     #: One simulated MAC check, although ``_on_commit_fast`` MAC-checks
     #: all 3f+1 signatures on arrival (a slow-path COMMIT is charged
@@ -365,6 +370,7 @@ class BatchCommitFast:
     """
 
     MSG_TYPE = "ez-batch-commit-fast"
+    AUTHOR = None  # unsigned
 
     commits: Tuple[CommitFast, ...]
 
@@ -387,6 +393,7 @@ class Commit:
     combined dependency set and sequence number."""
 
     MSG_TYPE = "ez-commit"
+    AUTHOR = "client_id"
 
     client_id: str
     instance: InstanceID
@@ -407,6 +414,7 @@ class CommitReply:
     commit."""
 
     MSG_TYPE = "ez-commit-reply"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     replica: str
@@ -423,6 +431,7 @@ class ResendRequest:
     to the original recipient R_i and starts a suspicion timer."""
 
     MSG_TYPE = "ez-resend-request"
+    AUTHOR = None  # unsigned; carries the client's request
     cpu_cost_units = 1
 
     request: Request
@@ -437,6 +446,7 @@ class ProofOfMisbehavior:
     same slot)."""
 
     MSG_TYPE = "ez-pom"
+    AUTHOR = None  # unsigned; evidence: the suspect's own
     cpu_cost_units = 2
 
     suspect: str
@@ -451,6 +461,7 @@ class StartOwnerChange:
     of R_i's instance space."""
 
     MSG_TYPE = "ez-start-owner-change"
+    AUTHOR = "sender"
     cpu_cost_units = 1
 
     sender: str
@@ -489,6 +500,7 @@ class OwnerChange:
     """
 
     MSG_TYPE = "ez-owner-change"
+    AUTHOR = "sender"
 
     sender: str
     suspect: str
@@ -508,6 +520,7 @@ class NewOwner:
     instance space, plus the OWNERCHANGE set P that justifies it."""
 
     MSG_TYPE = "ez-new-owner"
+    AUTHOR = "new_owner"
 
     new_owner: str
     suspect: str
@@ -535,6 +548,7 @@ class EzCheckpoint:
     payloads can start above it."""
 
     MSG_TYPE = "ez-checkpoint"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     replica: str
@@ -556,6 +570,7 @@ class StateTransferRequest:
     (its watermark is the target)."""
 
     MSG_TYPE = "ez-state-transfer-request"
+    AUTHOR = None  # unsigned
     cpu_cost_units = 1
 
     replica: str
@@ -580,6 +595,7 @@ class StateTransferReply:
     any single (possibly faulty) peer can serve it."""
 
     MSG_TYPE = "ez-state-transfer-reply"
+    AUTHOR = None  # unsigned; each part carries its proof
 
     replica: str
     watermark: int = 0

@@ -23,6 +23,7 @@ class FabRequest:
     """Client request to the proposer."""
 
     MSG_TYPE = "fab-request"
+    AUTHOR = "client_id"
     #: Client-facing cost: connection termination + ECDSA verification
     #: (see repro.messages.ezbft.Request).
     cpu_cost_units = 20
@@ -44,6 +45,7 @@ class FabPropose:
     """<PROPOSE, pn, n, d> plus the request."""
 
     MSG_TYPE = "fab-propose"
+    AUTHOR = None  # role: the view's primary
     cpu_cost_units = 1
 
     proposal_number: int
@@ -58,6 +60,7 @@ class FabAccept:
     """<ACCEPT, pn, n, d, i> -- acceptor i accepted the proposal."""
 
     MSG_TYPE = "fab-accept"
+    AUTHOR = "acceptor"
     cpu_cost_units = 1
 
     proposal_number: int
@@ -72,6 +75,7 @@ class FabReply:
     """Learner's reply to the client after executing the learned value."""
 
     MSG_TYPE = "fab-reply"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     seqno: int

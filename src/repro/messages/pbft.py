@@ -22,6 +22,7 @@ class PBFTRequest:
     """<REQUEST, o, t, c>."""
 
     MSG_TYPE = "pbft-request"
+    AUTHOR = "client_id"
     #: Client-facing cost: connection termination + ECDSA verification
     #: (see repro.messages.ezbft.Request).
     cpu_cost_units = 20
@@ -43,6 +44,7 @@ class PrePrepare:
     """<PRE-PREPARE, v, n, d> plus the request itself."""
 
     MSG_TYPE = "pbft-pre-prepare"
+    AUTHOR = None  # role: the view's primary
     cpu_cost_units = 1
 
     view: int
@@ -57,6 +59,7 @@ class Prepare:
     """<PREPARE, v, n, d, i>."""
 
     MSG_TYPE = "pbft-prepare"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -71,6 +74,7 @@ class PBFTCommit:
     """<COMMIT, v, n, d, i>."""
 
     MSG_TYPE = "pbft-commit"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -85,6 +89,7 @@ class PBFTReply:
     """<REPLY, v, t, c, i, r>."""
 
     MSG_TYPE = "pbft-reply"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -100,6 +105,7 @@ class PBFTCheckpoint:
     """<CHECKPOINT, n, d, i>."""
 
     MSG_TYPE = "pbft-checkpoint"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     seqno: int
@@ -118,6 +124,7 @@ class ViewChange:
     """
 
     MSG_TYPE = "pbft-view-change"
+    AUTHOR = "replica"
 
     new_view: int
     last_stable_seqno: int
@@ -137,6 +144,7 @@ class NewView:
     plus re-issued PRE-PREPAREs."""
 
     MSG_TYPE = "pbft-new-view"
+    AUTHOR = "primary"
 
     new_view: int
     view_change_proof: Tuple[SignedPayload, ...]

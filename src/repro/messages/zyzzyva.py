@@ -24,6 +24,7 @@ class ZRequest:
     """<REQUEST, o, t, c>."""
 
     MSG_TYPE = "zyzzyva-request"
+    AUTHOR = "client_id"
     #: Client-facing cost: connection termination + ECDSA verification
     #: (see repro.messages.ezbft.Request).
     cpu_cost_units = 20
@@ -45,6 +46,7 @@ class OrderReq:
     """<ORDER-REQ, v, n, h_n, d> plus the request."""
 
     MSG_TYPE = "zyzzyva-order-req"
+    AUTHOR = None  # role: the view's primary
     cpu_cost_units = 1
 
     view: int
@@ -64,6 +66,7 @@ class SpecResponse:
     """
 
     MSG_TYPE = "zyzzyva-spec-response"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -92,6 +95,7 @@ class ZCommit:
     """<COMMIT, c, CC> -- 2f+1 matching SPEC-RESPONSEs."""
 
     MSG_TYPE = "zyzzyva-commit"
+    AUTHOR = None  # unsigned; each response is checked
 
     client_id: str
     seqno: int
@@ -108,6 +112,7 @@ class LocalCommit:
     """<LOCAL-COMMIT, v, d, h, i, c>."""
 
     MSG_TYPE = "zyzzyva-local-commit"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -125,6 +130,7 @@ class FillHole:
     ORDER-REQ."""
 
     MSG_TYPE = "zyzzyva-fill-hole"
+    AUTHOR = None  # unsigned
     cpu_cost_units = 1
 
     view: int
@@ -138,6 +144,7 @@ class IHateThePrimary:
     """<I-HATE-THE-PRIMARY, v, i> -- vote to depose the view-v primary."""
 
     MSG_TYPE = "zyzzyva-ihtp"
+    AUTHOR = "replica"
     cpu_cost_units = 1
 
     view: int
@@ -151,6 +158,7 @@ class ZNewView:
     with the highest commit certificate it collected."""
 
     MSG_TYPE = "zyzzyva-new-view"
+    AUTHOR = "primary"
 
     new_view: int
     primary: str

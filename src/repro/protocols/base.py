@@ -8,6 +8,11 @@ reply collector.  Executed idents are the ezBFT executor's
 :class:`~repro.core.executor.ExecutedIdents` (clients pipeline, so an
 older timestamp may be unseen rather than stale): ingress drops only
 executed idents, and execution applies an ident at most once.
+
+Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
+only an envelope its payload's author signed, and checks at most a role
+(:meth:`BaseReplica._from_primary`: an ordering message names no
+author, so it must be signed by the view's primary).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.cluster.node import NodeContext, Timer
+from repro.cluster.node import Node, NodeContext, Timer
 from repro.config import ProtocolConfig
 from repro.core.executor import CommandIdent, ExecutedIdents
 from repro.crypto.digest import digest
@@ -31,9 +36,10 @@ from repro.statemachine.checkpoint import CheckpointStore
 DeliveryCallback = Callable[[Command, Any, float, str], None]
 
 
-class BaseReplica:
+class BaseReplica(Node):
     """Common replica state and request lifecycle; a subclass supplies
-    :meth:`_order` and, per executed slot, its reply message."""
+    :meth:`_order`, per executed slot its reply message, and its
+    handler tables."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
@@ -47,6 +53,7 @@ class BaseReplica:
     #: A backup forwarding a request arms a timer that calls
     #: :meth:`_suspect_primary` unless the request gets ordered.
     progress_timers = False
+    counts_invalid = True
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -92,12 +99,10 @@ class BaseReplica:
         view changes; only ezBFT asks its peers (``EzBFTReplica``)."""
 
     # ------------------------------------------------------------------
-    def _on_request(self, request: Any, envelope: SignedPayload) -> None:
+    def _on_request(self, sender: str, request: Any,
+                    envelope: SignedPayload) -> None:
         """A client's request: the primary orders it, a backup forwards
         it to the primary."""
-        if envelope.signer != request.client_id:
-            self.stats["invalid_messages"] += 1
-            return
         if not self._admit(request.command):
             return
         if self.is_primary:
@@ -122,13 +127,13 @@ class BaseReplica:
     def _order(self, request: Any) -> None:
         raise NotImplementedError
 
-    def _from_primary(self, sender: str, view: int, request: Any,
+    def _from_primary(self, signer: str, view: int, request: Any,
                       request_digest: str) -> bool:
-        """An ordering message counts only in the current view, from its
-        primary, with the digest of the request it carries."""
+        """An ordering message counts only in the current view, signed
+        by its primary, with the digest of the request it carries."""
         if view != self.view:
             return False
-        if sender != self.primary or digest(request) != request_digest:
+        if signer != self.primary or digest(request) != request_digest:
             self.stats["invalid_messages"] += 1
             return False
         return True
@@ -194,15 +199,14 @@ class PendingRequest:
             self.retry_timer.cancel()
 
 
-class BaseClient:
+class BaseClient(Node):
     """Common client state and request lifecycle; a subclass names its
-    messages and delivery path, or overrides :meth:`on_message` with a
-    completion rule that ends in :meth:`_deliver`."""
+    request message and delivery path, and files its reply under
+    :meth:`_on_reply` (the f+1 collector) or under a completion rule
+    of its own that ends in :meth:`_deliver`."""
 
     #: Signed request carrying one command.
     request_cls: Any = None
-    #: Signed reply carrying one result, collected f+1 at a time.
-    reply_cls: Any = None
     #: Delivery path reported for an f+1 reply quorum.
     path = ""
     pending_cls = PendingRequest
@@ -285,25 +289,13 @@ class BaseClient:
         self._start_attempt(pending)
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, SignedPayload) or \
-                not message.verify(self.registry):
-            return
-        reply = message.payload
-        if isinstance(reply, self.reply_cls):
-            pending = self._pending_for(message, reply)
-            if pending is not None:
-                self._on_reply(pending, reply)
+    def _on_reply(self, sender: str, reply: Any,
+                  envelope: SignedPayload) -> None:
+        pending = self._pending.get((reply.client_id, reply.timestamp))
+        if pending is not None:
+            self._count_reply(pending, reply)
 
-    def _pending_for(self, envelope: SignedPayload,
-                     reply: Any) -> Optional[PendingRequest]:
-        """The pending request a reply answers, if the replica it names
-        signed it."""
-        if envelope.signer != reply.replica:
-            return None
-        return self._pending.get((reply.client_id, reply.timestamp))
-
-    def _on_reply(self, pending: PendingRequest, reply: Any) -> None:
+    def _count_reply(self, pending: PendingRequest, reply: Any) -> None:
         """Deliver once f+1 replicas report the same result."""
         pending.replies[reply.replica] = reply
         by_result: Dict[str, list] = {}

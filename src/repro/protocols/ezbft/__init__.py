@@ -15,9 +15,6 @@ SPEC = register_protocol(ProtocolSpec(
     replica_cls=EzBFTReplica,
     client_cls=EzBFTClient,
     leaderless=True,
-    speculative=True,
-    supports_batching=True,
-    supports_checkpointing=True,
     supports_durability=True,
     supports_tracing=True,
     description="Leaderless speculative BFT: every replica is a "

@@ -9,8 +9,6 @@ SPEC = register_protocol(ProtocolSpec(
     replica_cls=FabReplica,
     client_cls=FabClient,
     leaderless=False,
-    speculative=False,
-    supports_batching=False,
     description="Fast Byzantine Paxos: 2-step common case, "
                 "primary-based proposal with larger fast quorums.",
 ))

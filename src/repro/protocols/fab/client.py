@@ -10,5 +10,5 @@ class FabClient(BaseClient):
     """One FaB client."""
 
     request_cls = FabRequest
-    reply_cls = FabReply
     path = "fab"
+    _SIGNED_HANDLERS = {FabReply.MSG_TYPE: BaseClient._on_reply}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
@@ -54,22 +54,6 @@ class FabReplica(BaseReplica):
                    self.config.slow_quorum_size)
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, SignedPayload):
-            if not message.verify(self.registry):
-                self.stats["invalid_messages"] += 1
-                return
-            payload = message.payload
-            if isinstance(payload, FabRequest):
-                self._on_request(payload, message)
-            elif isinstance(payload, FabPropose):
-                self._on_propose(message.signer, payload)
-            elif isinstance(payload, FabAccept):
-                self._on_accept(payload)
-            else:
-                self.stats["invalid_messages"] += 1
-
-    # ------------------------------------------------------------------
     def _order(self, request: FabRequest) -> None:
         seqno = self._next_seqno
         self._next_seqno += 1
@@ -79,10 +63,16 @@ class FabReplica(BaseReplica):
         self.stats["proposals"] += 1
         signed = self.sign(propose)
         self.broadcast_others(signed)
-        self._on_propose(self.node_id, propose)
+        self._accept_propose(self.node_id, propose)
 
-    def _on_propose(self, sender: str, propose: FabPropose) -> None:
-        if not self._from_primary(sender, propose.proposal_number,
+    def _on_propose(self, sender: str, propose: FabPropose,
+                    envelope: SignedPayload) -> None:
+        self._accept_propose(envelope.signer, propose)
+
+    def _accept_propose(self, signer: str, propose: FabPropose) -> None:
+        """A PROPOSE names no author: it counts when ``signer`` is the
+        proposer (the view's primary)."""
+        if not self._from_primary(signer, propose.proposal_number,
                                   propose.request, propose.request_digest):
             return
         slot = self._slots.setdefault(propose.seqno, _Slot())
@@ -99,7 +89,8 @@ class FabReplica(BaseReplica):
         self._record_accept(accept)
         self.broadcast_others(self.sign(accept))
 
-    def _on_accept(self, accept: FabAccept) -> None:
+    def _on_accept(self, sender: str, accept: FabAccept,
+                   envelope: SignedPayload) -> None:
         if accept.proposal_number != self.view:
             return
         self._record_accept(accept)
@@ -128,3 +119,9 @@ class FabReplica(BaseReplica):
                 seqno=self._last_executed, client_id=command.client_id,
                 timestamp=command.timestamp, replica=self.node_id,
                 result=result))
+
+    _SIGNED_HANDLERS = {
+        FabRequest.MSG_TYPE: BaseReplica._on_request,
+        FabPropose.MSG_TYPE: _on_propose,
+        FabAccept.MSG_TYPE: _on_accept,
+    }

@@ -9,9 +9,6 @@ SPEC = register_protocol(ProtocolSpec(
     replica_cls=PBFTReplica,
     client_cls=PBFTClient,
     leaderless=False,
-    speculative=False,
-    supports_batching=True,
-    supports_checkpointing=True,
     description="Primary-based three-phase BFT: "
                 "pre-prepare / prepare / commit, 5-step latency.",
 ))

@@ -12,7 +12,6 @@ class PBFTClient(BaseClient):
     """One PBFT client."""
 
     request_cls = PBFTRequest
-    reply_cls = PBFTReply
     path = "pbft"
     extra_stats = ("batches_submitted",)
 
@@ -40,7 +39,9 @@ class PBFTClient(BaseClient):
         batch = BatchRequest(commands=tuple(commands))
         self.ctx.send(self.primary, self.sign(batch))
 
-    def _on_reply(self, pending, reply: PBFTReply) -> None:
+    def _count_reply(self, pending, reply: PBFTReply) -> None:
         # Track the view so retries reach the new primary after a change.
         self.view = max(self.view, reply.view)
-        super()._on_reply(pending, reply)
+        super()._count_reply(pending, reply)
+
+    _SIGNED_HANDLERS = {PBFTReply.MSG_TYPE: BaseClient._on_reply}

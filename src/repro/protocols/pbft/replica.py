@@ -16,10 +16,10 @@ from typing import Any, Dict, Optional, Set
 
 from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
-from repro.core.batching import RequestBatcher, batch_request_is_authentic
+from repro.core.batching import RequestBatcher
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchPrePrepare, BatchRequest
 from repro.messages.pbft import (
     NewView,
@@ -85,42 +85,12 @@ class PBFTReplica(BaseReplica):
         })
 
     # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, SignedPayload):
-            if not message.verify(self.registry):
-                self.stats["invalid_messages"] += 1
-                return
-            payload = message.payload
-            if isinstance(payload, PBFTRequest):
-                self._on_request(payload, message)
-            elif isinstance(payload, BatchRequest):
-                self._on_batch_request(payload, message)
-            elif isinstance(payload, PrePrepare):
-                self._on_pre_prepare(message.signer, payload)
-            elif isinstance(payload, BatchPrePrepare):
-                self._on_batch_pre_prepare(message.signer, payload)
-            elif isinstance(payload, Prepare):
-                self._on_prepare(payload)
-            elif isinstance(payload, PBFTCommit):
-                self._on_commit(payload)
-            elif isinstance(payload, PBFTCheckpoint):
-                self._on_checkpoint(payload)
-            elif isinstance(payload, ViewChange):
-                self._on_view_change(payload, message)
-            elif isinstance(payload, NewView):
-                self._on_new_view(payload)
-            else:
-                self.stats["invalid_messages"] += 1
-
-    # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
     def _order(self, request: PBFTRequest) -> None:
         self.batcher.add(request)
 
-    def _on_batch_request(self, batch: BatchRequest,
+    def _on_batch_request(self, sender: str, batch: BatchRequest,
                           envelope: SignedPayload) -> None:
         """A client's batched submission: one signature, many commands.
 
@@ -129,9 +99,6 @@ class PBFTReplica(BaseReplica):
         primary (retries fall back to singleton requests, which carry
         the progress timers).
         """
-        if not batch_request_is_authentic(batch, envelope):
-            self.stats["invalid_messages"] += 1
-            return
         if not self.is_primary:
             self.ctx.send(self.primary, envelope)
             return
@@ -192,13 +159,14 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Three-phase commit
     # ------------------------------------------------------------------
-    def _on_batch_pre_prepare(self, sender: str,
-                              batch: BatchPrePrepare) -> None:
+    def _on_batch_pre_prepare(self, sender: str, batch: BatchPrePrepare,
+                              envelope: SignedPayload) -> None:
         """The primary's batched ordering: verify once, process each
         inner PRE-PREPARE exactly as a singleton."""
         if batch.view != self.view or self._view_changing:
             return
-        if sender != self.config.primary_for_view(batch.view):
+        signer = envelope.signer
+        if signer != self.config.primary_for_view(batch.view):
             self.stats["invalid_messages"] += 1
             return
         for pre_prepare in batch.pre_prepares:
@@ -207,11 +175,17 @@ class PBFTReplica(BaseReplica):
                 return
         for pre_prepare in sorted(batch.pre_prepares,
                                   key=lambda p: p.seqno):
-            self._on_pre_prepare(sender, pre_prepare)
+            self._accept_pre_prepare(signer, pre_prepare)
 
-    def _on_pre_prepare(self, sender: str, msg: PrePrepare) -> None:
+    def _on_pre_prepare(self, sender: str, msg: PrePrepare,
+                        envelope: SignedPayload) -> None:
+        self._accept_pre_prepare(envelope.signer, msg)
+
+    def _accept_pre_prepare(self, signer: str, msg: PrePrepare) -> None:
+        """A PRE-PREPARE names no author: it counts when ``signer`` (of
+        it, or of the batch or NEW-VIEW carrying it) is the primary."""
         if self._view_changing or not self._from_primary(
-                sender, msg.view, msg.request, msg.request_digest):
+                signer, msg.view, msg.request, msg.request_digest):
             return
         slot = self._slot(msg.seqno)
         if slot.pre_prepare is not None and \
@@ -232,7 +206,8 @@ class PBFTReplica(BaseReplica):
         self._record_prepare(prepare)
         self.broadcast_others(self.sign(prepare))
 
-    def _on_prepare(self, msg: Prepare) -> None:
+    def _on_prepare(self, sender: str, msg: Prepare,
+                    envelope: SignedPayload) -> None:
         if msg.view != self.view or self._view_changing:
             return
         self._record_prepare(msg)
@@ -253,7 +228,8 @@ class PBFTReplica(BaseReplica):
             self._record_commit(commit)
             self.broadcast_others(self.sign(commit))
 
-    def _on_commit(self, msg: PBFTCommit) -> None:
+    def _on_commit(self, sender: str, msg: PBFTCommit,
+                   envelope: SignedPayload) -> None:
         if msg.view != self.view or self._view_changing:
             return
         self._record_commit(msg)
@@ -301,7 +277,8 @@ class PBFTReplica(BaseReplica):
                              replica=self.node_id)
         self.broadcast_others(self.sign(msg))
 
-    def _on_checkpoint(self, msg: PBFTCheckpoint) -> None:
+    def _on_checkpoint(self, sender: str, msg: PBFTCheckpoint,
+                       envelope: SignedPayload) -> None:
         became_stable = self.checkpoints.attest(
             msg.seqno, msg.state_digest, msg.replica)
         if became_stable:
@@ -341,10 +318,10 @@ class PBFTReplica(BaseReplica):
                          requests=tuple(requests),
                          replica=self.node_id)
         signed = self.sign(msg)
-        self._on_view_change(msg, signed)  # count our own vote
+        self._on_view_change(self.node_id, msg, signed)  # our own vote
         self.broadcast_others(signed)
 
-    def _on_view_change(self, msg: ViewChange,
+    def _on_view_change(self, sender: str, msg: ViewChange,
                         envelope: SignedPayload) -> None:
         if msg.new_view <= self.view:
             return
@@ -396,18 +373,28 @@ class PBFTReplica(BaseReplica):
             self._broadcast_prepare(pre_prepare.seqno,
                                     pre_prepare.request_digest)
 
-    def _on_new_view(self, msg: NewView) -> None:
+    def _on_new_view(self, sender: str, msg: NewView,
+                     envelope: SignedPayload) -> None:
         if msg.new_view <= self.view:
             return
-        if self.config.primary_for_view(msg.new_view) != msg.primary:
-            self.stats["invalid_messages"] += 1
-            return
-        if len(msg.view_change_proof) < self.config.slow_quorum_size:
+        if self.config.primary_for_view(msg.new_view) != msg.primary or \
+                not self._view_change_proof_holds(msg):
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view)
         for pre_prepare in msg.pre_prepares:
-            self._on_pre_prepare(msg.primary, pre_prepare)
+            self._accept_pre_prepare(msg.primary, pre_prepare)
+
+    def _view_change_proof_holds(self, msg: NewView) -> bool:
+        """The proof is 2f+1 VIEW-CHANGEs for ``msg.new_view`` from
+        distinct replicas, each checked as the envelope it is."""
+        voters: Set[str] = set()
+        for envelope in msg.view_change_proof:
+            vote = authentic_payload(envelope, ViewChange, self.registry)
+            if vote is None or vote.new_view != msg.new_view:
+                return False
+            voters.add(vote.replica)
+        return len(voters) >= self.config.slow_quorum_size
 
     def _adopt_view(self, new_view: int) -> None:
         super()._adopt_view(new_view)
@@ -421,3 +408,15 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _slot(self, seqno: int) -> _Slot:
         return self._slots.setdefault(seqno, _Slot())
+
+    _SIGNED_HANDLERS = {
+        PBFTRequest.MSG_TYPE: BaseReplica._on_request,
+        BatchRequest.MSG_TYPE: _on_batch_request,
+        PrePrepare.MSG_TYPE: _on_pre_prepare,
+        BatchPrePrepare.MSG_TYPE: _on_batch_pre_prepare,
+        Prepare.MSG_TYPE: _on_prepare,
+        PBFTCommit.MSG_TYPE: _on_commit,
+        PBFTCheckpoint.MSG_TYPE: _on_checkpoint,
+        ViewChange.MSG_TYPE: _on_view_change,
+        NewView.MSG_TYPE: _on_new_view,
+    }

@@ -38,16 +38,6 @@ class ProtocolSpec:
       Primary-based replicas and clients instead take an
       ``initial_view``: the initial primary's index.  The full
       constructor contract is in :mod:`repro.cluster.base`.
-    - ``speculative``: replies may be speculative (Zyzzyva/ezBFT), i.e.
-      the state machine needs the speculative-overlay interface.
-    - ``supports_batching``: the replica/client pair understands the
-      batched messages in :mod:`repro.messages.batching`.  Every client
-      has ``submit_batch``; without this flag it is one ``submit`` per
-      command, so the batching workload driver never checks.
-    - ``supports_checkpointing``: the replica garbage-collects its log
-      at stable checkpoints (``config.checkpoint_interval``) and keeps
-      resident state bounded; long-running deployments should prefer
-      protocols with this flag.
     - ``supports_durability``: the replica has the storage seam
       (``attach_storage`` / ``recover_from_storage``), so ``durable``
       deployments back it with an on-disk store; replicas without it
@@ -61,9 +51,6 @@ class ProtocolSpec:
     replica_cls: Any
     client_cls: Any
     leaderless: bool = False
-    speculative: bool = False
-    supports_batching: bool = False
-    supports_checkpointing: bool = False
     supports_durability: bool = False
     supports_tracing: bool = False
     description: str = ""

@@ -9,8 +9,6 @@ SPEC = register_protocol(ProtocolSpec(
     replica_cls=ZyzzyvaReplica,
     client_cls=ZyzzyvaClient,
     leaderless=False,
-    speculative=True,
-    supports_batching=False,
     description="Primary-based speculative BFT: 3-step fast path off "
                 "the primary's order, client-driven commit fallback.",
 ))

@@ -47,19 +47,9 @@ class ZyzzyvaClient(BaseClient):
         super()._start_attempt(pending)
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, SignedPayload) or \
-                not message.verify(self.registry):
-            return
-        payload = message.payload
-        if isinstance(payload, SpecResponse):
-            self._on_spec_response(payload, message)
-        elif isinstance(payload, LocalCommit):
-            self._on_local_commit(payload)
-
-    def _on_spec_response(self, resp: SpecResponse,
+    def _on_spec_response(self, sender: str, resp: SpecResponse,
                           envelope: SignedPayload) -> None:
-        pending = self._pending_for(envelope, resp)
+        pending = self._pending.get((resp.client_id, resp.timestamp))
         if pending is None or pending.phase != "spec":
             return
         self.view = max(self.view, resp.view)
@@ -102,7 +92,8 @@ class ZyzzyvaClient(BaseClient):
         pending.phase = "commit"
         self.ctx.broadcast(self.config.replica_ids, commit)
 
-    def _on_local_commit(self, ack: LocalCommit) -> None:
+    def _on_local_commit(self, sender: str, ack: LocalCommit,
+                         envelope: SignedPayload) -> None:
         # LOCAL-COMMITs carry no client timestamp; match on the digest of
         # the pending command's request via seqno bookkeeping.
         for pending in list(self._pending.values()):
@@ -122,3 +113,8 @@ class ZyzzyvaClient(BaseClient):
                  path: str) -> None:
         self.stats["delivered_" + path] += 1
         super()._deliver(pending, result, path)
+
+    _SIGNED_HANDLERS = {
+        SpecResponse.MSG_TYPE: _on_spec_response,
+        LocalCommit.MSG_TYPE: _on_local_commit,
+    }

@@ -15,13 +15,13 @@ NEW-VIEW change driven by progress timeouts or primary equivocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.zyzzyva import (
     FillHole,
     IHateThePrimary,
@@ -71,31 +71,6 @@ class ZyzzyvaReplica(BaseReplica):
         })
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, SignedPayload):
-            if not message.verify(self.registry):
-                self.stats["invalid_messages"] += 1
-                return
-            payload = message.payload
-            if isinstance(payload, ZRequest):
-                self._on_request(payload, message)
-            elif isinstance(payload, OrderReq):
-                self._on_order_req(message.signer, payload, message)
-            elif isinstance(payload, IHateThePrimary):
-                self._on_ihtp(payload)
-            elif isinstance(payload, ZNewView):
-                self._on_new_view(payload)
-            else:
-                self.stats["invalid_messages"] += 1
-            return
-        if isinstance(message, ZCommit):
-            self._on_commit(sender, message)
-        elif isinstance(message, FillHole):
-            self._on_fill_hole(message)
-        else:
-            self.stats["invalid_messages"] += 1
-
-    # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
     def _order(self, request: ZRequest) -> None:
@@ -113,8 +88,8 @@ class ZyzzyvaReplica(BaseReplica):
 
     def _on_order_req(self, sender: str, order: OrderReq,
                       envelope: SignedPayload) -> None:
-        if not self._from_primary(sender, order.view, order.request,
-                                  order.request_digest):
+        if not self._from_primary(envelope.signer, order.view,
+                                  order.request, order.request_digest):
             return
         existing = self._slots.get(order.seqno)
         if existing is not None and existing.order_req is not None:
@@ -178,19 +153,16 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Slow path
     # ------------------------------------------------------------------
-    def _on_commit(self, sender: str, commit: ZCommit) -> None:
+    def _on_commit(self, sender: str, commit: ZCommit,
+                   envelope: None) -> None:
         if len(commit.certificate) < self.config.slow_quorum_size:
             self.stats["invalid_messages"] += 1
             return
         first: Optional[SpecResponse] = None
         signers = set()
         for signed in commit.certificate:
-            if not signed.verify(self.registry):
-                self.stats["invalid_messages"] += 1
-                return
-            resp = signed.payload
-            if not isinstance(resp, SpecResponse) or \
-                    signed.signer != resp.replica:
+            resp = authentic_payload(signed, SpecResponse, self.registry)
+            if resp is None:
                 self.stats["invalid_messages"] += 1
                 return
             signers.add(resp.replica)
@@ -232,7 +204,8 @@ class ZyzzyvaReplica(BaseReplica):
         if self._has_gap():
             self._hate_primary()
 
-    def _on_fill_hole(self, msg: FillHole) -> None:
+    def _on_fill_hole(self, sender: str, msg: FillHole,
+                      envelope: None) -> None:
         if not self.is_primary or msg.view != self.view:
             return
         slot = self._slots.get(msg.seqno)
@@ -253,7 +226,8 @@ class ZyzzyvaReplica(BaseReplica):
         self._record_ihtp(vote)
         self.broadcast_others(self.sign(vote))
 
-    def _on_ihtp(self, vote: IHateThePrimary) -> None:
+    def _on_ihtp(self, sender: str, vote: IHateThePrimary,
+                 envelope: SignedPayload) -> None:
         if vote.view < self.view:
             return
         self._record_ihtp(vote)
@@ -282,10 +256,22 @@ class ZyzzyvaReplica(BaseReplica):
         self._next_seqno = max(self._next_seqno, self._next_to_execute,
                                occupied + 1)
 
-    def _on_new_view(self, msg: ZNewView) -> None:
+    def _on_new_view(self, sender: str, msg: ZNewView,
+                     envelope: SignedPayload) -> None:
         if msg.new_view <= self.view:
             return
         if self.config.primary_for_view(msg.new_view) != msg.primary:
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view)
+
+    _SIGNED_HANDLERS = {
+        ZRequest.MSG_TYPE: BaseReplica._on_request,
+        OrderReq.MSG_TYPE: _on_order_req,
+        IHateThePrimary.MSG_TYPE: _on_ihtp,
+        ZNewView.MSG_TYPE: _on_new_view,
+    }
+    _PLAIN_HANDLERS = {
+        ZCommit.MSG_TYPE: _on_commit,
+        FillHole.MSG_TYPE: _on_fill_hole,
+    }

@@ -136,7 +136,9 @@ class CheckpointStore:
 
         At most one vote per (replica, watermark) is ever live: the
         first digest a replica attests at a watermark wins, and
-        conflicting re-votes are dropped.
+        conflicting re-votes are dropped.  Our capture becomes stable
+        only under the digest its quorum attested: one that differs
+        from the cluster's is never declared stable here.
         """
         vote_key = (replica_id, watermark)
         prior = self._votes.get(vote_key)
@@ -148,8 +150,9 @@ class CheckpointStore:
         key = (watermark, state_digest)
         voters = self._attestations.setdefault(key, {})
         voters.setdefault(replica_id, attestation)
-        if len(voters) >= self.quorum and watermark in self._local:
-            candidate = self._local[watermark]
+        candidate = self._local.get(watermark)
+        if len(voters) >= self.quorum and candidate is not None and \
+                candidate.state_digest == state_digest:
             if self.stable is None or \
                     candidate.watermark > self.stable.watermark:
                 self.stable = candidate

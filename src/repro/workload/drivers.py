@@ -169,8 +169,8 @@ class BatchingOpenLoopDriver:
     Generates commands at a fixed rate like :class:`OpenLoopDriver`, but
     accumulates them in a :class:`~repro.core.batching.RequestBatcher`
     and submits each flush through the client's ``submit_batch`` (one
-    signature for the whole batch).  Clients of protocols whose spec
-    lacks ``supports_batching`` answer ``submit_batch`` with one
+    signature for the whole batch).  Clients of protocols without a
+    batched request message answer ``submit_batch`` with one
     :meth:`submit` per command, and every client submits a single-item
     flush as a plain request, so a ``batch_size`` of 1 reproduces
     :class:`OpenLoopDriver` behaviour exactly.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.byzantine import silence_node
+from repro.messages.base import SignedPayload
 
 from helpers import (
     DeliveryLog,
@@ -89,7 +90,8 @@ def test_acceptor_accepts_one_value_per_slot():
     conflicting = FabPropose(proposal_number=replica.view, seqno=0,
                              request_digest=digest(evil.to_wire()),
                              request=evil)
-    replica._on_propose("r0", conflicting)
+    replica.on_message("r0", SignedPayload.create(
+        conflicting, cluster.replicas["r0"].keypair))
     cluster.run_until_idle()
     slot = replica._slots[0]
     assert slot.request.command.value == "v"  # first value sticks

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.byzantine import silence_node
+from repro.messages.base import SignedPayload
 
 from helpers import (
     DeliveryLog,
@@ -139,7 +140,8 @@ def test_equivocating_preprepare_triggers_view_change():
         request_digest=digest(fake_request.to_wire()),
         request=fake_request)
     before = replica.stats["view_changes"]
-    replica._on_pre_prepare("r0", conflicting)
+    replica.on_message("r0", SignedPayload.create(
+        conflicting, cluster.replicas["r0"].keypair))
     assert replica.stats["view_changes"] == before + 1
 
 
@@ -162,3 +164,23 @@ def test_reply_cache_for_duplicate_request():
                              client.keypair))
     cluster.run_until_idle()
     assert primary.stats["executed"] == executed_before
+
+
+def test_new_view_proof_needs_distinct_view_changes():
+    """r1, the primary of view 1, signs a NEW-VIEW whose proof is three
+    copies of r3's one VIEW-CHANGE: the proof is checked vote by vote,
+    not counted, so r0 stays in view 0."""
+    from repro.messages.pbft import NewView, ViewChange
+
+    cluster = lan_cluster("pbft")
+    r0 = cluster.replicas["r0"]
+    vote = SignedPayload.create(
+        ViewChange(new_view=1, last_stable_seqno=0, prepared=(),
+                   requests=(), replica="r3"),
+        cluster.replicas["r3"].keypair)
+    new_view = NewView(new_view=1, view_change_proof=(vote,) * 3,
+                       pre_prepares=(), primary="r1")
+    r0.on_message("r1", SignedPayload.create(
+        new_view, cluster.replicas["r1"].keypair))
+    assert r0.view == 0
+    assert r0.stats["invalid_messages"] == 1

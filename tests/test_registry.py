@@ -83,19 +83,8 @@ def test_invalid_spec_name_rejected():
 # ----------------------------------------------------------------------
 def test_capability_flags():
     assert get_protocol("ezbft").leaderless
-    assert get_protocol("ezbft").speculative
-    assert get_protocol("ezbft").supports_batching
     for name in ("pbft", "zyzzyva", "fab"):
         assert not get_protocol(name).leaderless
-    assert get_protocol("pbft").supports_batching
-    assert get_protocol("zyzzyva").speculative
-    assert not get_protocol("fab").supports_batching
-    # Checkpoint-driven log compaction: ezBFT and PBFT garbage-collect
-    # at stable checkpoints; the other baselines do not (yet).
-    assert get_protocol("ezbft").supports_checkpointing
-    assert get_protocol("pbft").supports_checkpointing
-    assert not get_protocol("zyzzyva").supports_checkpointing
-    assert not get_protocol("fab").supports_checkpointing
     # The storage and tracer seams: only ezBFT's replica has them.
     for name in ("ezbft", "pbft", "zyzzyva", "fab"):
         spec = get_protocol(name)

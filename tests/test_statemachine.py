@@ -274,6 +274,21 @@ def test_checkpoint_store_mismatched_digest_never_stabilizes():
     assert store.stable is None
 
 
+def test_checkpoint_store_stabilizes_only_under_the_attested_digest():
+    """Three other replicas attest a digest our local capture does not
+    have: the quorum proves *their* checkpoint, so our capture is not
+    declared stable, and no proof is made to vouch for it."""
+    store = CheckpointStore(quorum=3, interval=10)
+    cp = Checkpoint.capture(10, {"k": "diverged"})
+    store.record_local(cp, "r0")
+    other = Checkpoint.capture(10, {"k": "v"}).state_digest
+    assert not any([store.attest(10, other, rid, f"att-{rid}")
+                    for rid in ("r1", "r2", "r3")])
+    assert store.has_quorum(10, other)
+    assert store.stable is None
+    assert store.stable_proof == ()
+
+
 def test_checkpoint_due_respects_interval():
     store = CheckpointStore(quorum=2, interval=10)
     assert not store.due(0)
