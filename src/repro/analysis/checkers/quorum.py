@@ -1,13 +1,12 @@
 """Quorum-arithmetic checker: no bare ``2f+1``/``3f+1`` literals.
 
 ``ProtocolConfig`` names every quorum this codebase uses
-(``fast_quorum_size`` = 3f+1, ``slow_quorum_size`` = 2f+1,
-``weak_quorum_size`` = f+1, FaB's ``accept_quorum``).  A bare
+(``fast_quorum_size`` = 3f+1, ``slow_quorum_size`` = 2f+1, also FaB's
+ceil((n+f+1)/2) at n = 3f+1, ``weak_quorum_size`` = f+1).  A bare
 ``2 * f + 1`` at a protocol call site is a silent fork waiting for a
-membership generalization: when quorum formulas change (FaB already
-uses ceil((n+f+1)/2); sharded membership is on the ROADMAP), every
-named helper updates at once while inlined arithmetic keeps encoding
-yesterday's formula.
+membership generalization: when quorum formulas change (sharded
+membership is on the ROADMAP), every named helper updates at once
+while inlined arithmetic keeps encoding yesterday's formula.
 
 The rule: an ``f + 1`` / ``k * f + 1`` expression over an ``f`` name
 or ``.f`` attribute is only allowed inside a function or property

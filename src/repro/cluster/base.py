@@ -78,7 +78,7 @@ class ProtocolCluster:
         self.primary_index = primary_index
         self.config = ProtocolConfig(replica_ids=replica_ids,
                                      **config_overrides)
-        self.registry = KeyRegistry()
+        self.registry = KeyRegistry(replica_ids)
         # Every replica's key, hosted here or not: local nodes verify a
         # remote replica's signatures, and a byzantine stand-in keeps
         # the key of the replica it replaces (registering one again

@@ -49,9 +49,11 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         n = len(self.replica_ids)
-        if n < 4:
+        if n < 4 or (n - 1) % 3:
+            # With any other n two 2f+1 quorums may share only f
+            # replicas (n=5: 3 of 5 and 3 of 5 share one).
             raise ConfigurationError(
-                f"BFT needs at least 4 replicas (3f+1, f>=1); got {n}")
+                f"BFT needs 3f+1 replicas with f >= 1; got {n}")
         if len(set(self.replica_ids)) != n:
             raise ConfigurationError("replica ids must be unique")
         if self.batch_size < 1:
@@ -65,10 +67,6 @@ class ProtocolConfig:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 0 (0 disables "
                 f"checkpointing), got {self.checkpoint_interval}")
-        if (n - 1) % 3 != 0:
-            # Permitted (extra replicas raise quorum sizes), but f is
-            # still floor((n-1)/3).
-            pass
 
     @property
     def n(self) -> int:

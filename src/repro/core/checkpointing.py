@@ -165,9 +165,6 @@ class CheckpointManager:
                          envelope: SignedPayload) -> None:
         replica = self.replica
         store = replica.checkpoints
-        if msg.replica not in replica.config.replica_ids:
-            replica.stats["invalid_messages"] += 1
-            return
         if msg.replica == replica.node_id:
             return  # our own attestation replayed: we voted at capture
         stable = store.stable
@@ -413,8 +410,7 @@ class CheckpointManager:
             payload = authentic_payload(envelope, EzCheckpoint,
                                         replica.registry)
             if payload is None or payload.watermark != reply.watermark \
-                    or payload.state_digest != state_digest or \
-                    payload.replica not in replica.config.replica_ids:
+                    or payload.state_digest != state_digest:
                 return False
             signers.add(payload.replica)
         return len(signers) >= replica.config.slow_quorum_size

@@ -245,8 +245,6 @@ class EzBFTClient(Node):
     def _on_spec_reply(self, reply: SpecReply, envelope: SignedPayload,
                        signed_order: Optional[SignedPayload] = None
                        ) -> None:
-        if reply.replica not in self.config.replica_ids:
-            return
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is None or pending.phase != "spec":
             return

@@ -373,8 +373,7 @@ class OwnerChangeManager:
         for envelope in msg.proof:
             change = authentic_payload(envelope, OwnerChange,
                                        replica.registry)
-            if change is None or change.sender not in config.replica_ids \
-                    or change.sender in senders:
+            if change is None or change.sender in senders:
                 return False
             if (change.suspect, change.new_owner_number) != \
                     (msg.suspect, msg.new_owner_number):

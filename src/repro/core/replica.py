@@ -915,8 +915,6 @@ class EzBFTReplica(Node):
                 return False
             if reply.instance != instance:
                 return False
-            if reply.replica not in self.config.replica_ids:
-                return False
             signers.add(reply.replica)
             if require_match:
                 statements.add(statement_of(signed))

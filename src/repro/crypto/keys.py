@@ -1,10 +1,10 @@
 """Key material and the in-process key registry.
 
 A :class:`KeyPair` is a node's signing secret.  The :class:`KeyRegistry`
-plays the role of a PKI: it maps node ids to *verification* capability.
-Honest code holds only its own :class:`KeyPair` plus a registry reference;
-byzantine node objects receive the same and therefore cannot sign as
-anyone else.
+plays the role of a PKI: it maps node ids to *verification* capability
+and knows which ids are replicas.  Honest code holds only its own
+:class:`KeyPair` plus a registry reference; byzantine node objects
+receive the same and therefore cannot sign as anyone else.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.errors import UnknownSignerError
 
@@ -52,8 +52,10 @@ class KeyRegistry:
     exposes only verification to callers.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, replicas: Iterable[str] = ()) -> None:
         self._keys: Dict[str, KeyPair] = {}
+        #: Node ids that sign as replicas; any other key is a client's.
+        self.replicas = frozenset(replicas)
         #: Verification epoch: a fresh sentinel per key (re-)registration
         #: (see ``SignedPayload.verify``).  Cached verdicts are tagged
         #: with the epoch they were computed under; registering a key

@@ -3,8 +3,9 @@
 Every registered class declares, next to its fields, the field naming
 its author (``AUTHOR = "replica"``, ``"client_id"``, ...); an envelope
 is authentic (:meth:`SignedPayload.authentic`) only if that node signed
-it.  ``AUTHOR = None`` declares no author: the message travels
-unsigned, or its handler checks the signer's role instead.
+it, with a replica's key unless the field is ``"client_id"``.  ``AUTHOR
+= None`` declares no author: the message travels unsigned, or its
+handler checks that the view's primary signed it.
 """
 
 from __future__ import annotations
@@ -233,14 +234,16 @@ class SignedPayload:
         return verdict
 
     def authentic(self, registry: KeyRegistry) -> bool:
-        """:meth:`verify`, and the signer is the payload's ``AUTHOR``:
-        the one check for every envelope a node receives and every
-        member of a certificate or proof it accepts."""
+        """:meth:`verify`, the signer is the payload's ``AUTHOR``, and a
+        replica unless that is its ``client_id``: the one check for every
+        envelope a node receives and every certificate or proof member."""
         payload = self.payload
         author = payload.AUTHOR
-        if author is not None and \
-                getattr(payload, author) != self.signature.signer:
-            return False
+        if author is not None:
+            signer = self.signature.signer
+            if getattr(payload, author) != signer or (
+                    author != "client_id" and signer not in registry.replicas):
+                return False
         return self.verify(registry)
 
     @property

@@ -155,7 +155,9 @@ class IHateThePrimary:
 @dataclass(frozen=True)
 class ZNewView:
     """Simplified Zyzzyva NEW-VIEW: the new primary announces view v+1
-    with the highest commit certificate it collected."""
+    with the highest commit certificate it collected; ``proof`` is the
+    2f+1 signed I-HATE-THE-PRIMARYs for view v that depose its
+    predecessor."""
 
     MSG_TYPE = "zyzzyva-new-view"
     AUTHOR = "primary"

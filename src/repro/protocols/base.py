@@ -10,15 +10,16 @@ older timestamp may be unseen rather than stale): ingress drops only
 executed idents, and execution applies an ident at most once.
 
 Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
-only an envelope its payload's author signed, and checks at most a role
-(:meth:`BaseReplica._from_primary`: an ordering message names no
-author, so it must be signed by the view's primary).
+only an envelope its payload's author signed, a replica if the message
+is replica-authored.  The one role a handler still checks is the view's
+primary (:meth:`BaseReplica._from_primary`: an ordering message names
+no author, so it must be signed by the view's primary).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.cluster.node import Node, NodeContext, Timer
 from repro.config import ProtocolConfig
@@ -26,7 +27,7 @@ from repro.core.executor import CommandIdent, ExecutedIdents
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.obs.instruments import NULL
 from repro.statemachine.base import Command, StateMachine
 from repro.statemachine.checkpoint import CheckpointStore
@@ -137,6 +138,19 @@ class BaseReplica(Node):
             self.stats["invalid_messages"] += 1
             return False
         return True
+
+    def _vote_proof_holds(self, proof: Iterable[Any], vote_cls: Any,
+                          for_view: Callable[[Any], bool]) -> bool:
+        """A view change's proof: 2f+1 ``vote_cls`` votes from distinct
+        replicas, each ``for_view`` and checked as the envelope it
+        is."""
+        voters = set()
+        for envelope in proof:
+            vote = authentic_payload(envelope, vote_cls, self.registry)
+            if vote is None or not for_view(vote):
+                return False
+            voters.add(vote.replica)
+        return len(voters) >= self.config.slow_quorum_size
 
     def _resend_reply(self, ident: CommandIdent) -> None:
         client, timestamp = ident

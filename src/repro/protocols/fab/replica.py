@@ -2,14 +2,14 @@
 
 The proposer (primary) broadcasts PROPOSE; every replica acts as acceptor
 and learner: acceptors broadcast ACCEPT, and a learner that collects the
-accept quorum ceil((N + f + 1) / 2) executes in sequence order and
-replies to the client.  Client-visible steps: REQUEST -> PROPOSE ->
-ACCEPT -> REPLY = 4 (one fewer than PBFT, one more than Zyzzyva/ezBFT).
+accept quorum ceil((N + f + 1) / 2) -- 2f+1, the slow quorum, at
+N = 3f+1 -- executes in sequence order and replies to the client.
+Client-visible steps: REQUEST -> PROPOSE -> ACCEPT -> REPLY = 4 (one
+fewer than PBFT, one more than Zyzzyva/ezBFT).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
@@ -27,7 +27,8 @@ from repro.statemachine.base import StateMachine
 class _Slot:
     request: Optional[FabRequest] = None
     request_digest: Optional[str] = None
-    accepts: Set[str] = field(default_factory=set)
+    #: Request digest -> the acceptors that accepted it.
+    accepts: Dict[str, Set[str]] = field(default_factory=dict)
     accepted_digest: Optional[str] = None
     learned: bool = False
     executed: bool = False
@@ -46,12 +47,6 @@ class FabReplica(BaseReplica):
         self._next_seqno = 0
         self._last_executed = -1
         self.stats.update({"proposals": 0})
-
-    @property
-    def accept_quorum(self) -> int:
-        """FaB learning quorum: ceil((N + f + 1) / 2)."""
-        return max(math.ceil((self.config.n + self.config.f + 1) / 2),
-                   self.config.slow_quorum_size)
 
     # ------------------------------------------------------------------
     def _order(self, request: FabRequest) -> None:
@@ -97,12 +92,10 @@ class FabReplica(BaseReplica):
 
     def _record_accept(self, accept: FabAccept) -> None:
         slot = self._slots.setdefault(accept.seqno, _Slot())
-        if slot.request_digest is not None and \
-                slot.request_digest != accept.request_digest:
-            return
-        slot.accepts.add(accept.acceptor)
-        if not slot.learned and slot.request is not None and \
-                len(slot.accepts) >= self.accept_quorum:
+        voters = slot.accepts.setdefault(accept.request_digest, set())
+        voters.add(accept.acceptor)
+        if not slot.learned and slot.request_digest == accept.request_digest \
+                and len(voters) >= self.config.slow_quorum_size:
             slot.learned = True
             self._execute_ready()
 

@@ -19,7 +19,7 @@ from repro.config import ProtocolConfig
 from repro.core.batching import RequestBatcher
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.messages.base import SignedPayload, authentic_payload
+from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchPrePrepare, BatchRequest
 from repro.messages.pbft import (
     NewView,
@@ -41,8 +41,9 @@ class _Slot:
     request: Optional[PBFTRequest] = None
     request_digest: Optional[str] = None
     pre_prepare: Optional[PrePrepare] = None
-    prepares: Set[str] = field(default_factory=set)
-    commits: Set[str] = field(default_factory=set)
+    #: Request digest -> the replicas that voted for it.
+    prepares: Dict[str, Set[str]] = field(default_factory=dict)
+    commits: Dict[str, Set[str]] = field(default_factory=dict)
     prepared: bool = False
     committed: bool = False
     executed: bool = False
@@ -214,13 +215,11 @@ class PBFTReplica(BaseReplica):
 
     def _record_prepare(self, msg: Prepare) -> None:
         slot = self._slot(msg.seqno)
-        if slot.request_digest is not None and \
-                slot.request_digest != msg.request_digest:
-            return
-        slot.prepares.add(msg.replica)
+        voters = slot.prepares.setdefault(msg.request_digest, set())
+        voters.add(msg.replica)
         # prepared == pre-prepare + 2f matching prepares (own included).
-        if not slot.prepared and slot.pre_prepare is not None and \
-                len(slot.prepares) >= self.config.slow_quorum_size:
+        if not slot.prepared and slot.request_digest == msg.request_digest \
+                and len(voters) >= self.config.slow_quorum_size:
             slot.prepared = True
             commit = PBFTCommit(view=self.view, seqno=msg.seqno,
                                 request_digest=msg.request_digest,
@@ -236,12 +235,11 @@ class PBFTReplica(BaseReplica):
 
     def _record_commit(self, msg: PBFTCommit) -> None:
         slot = self._slot(msg.seqno)
-        if slot.request_digest is not None and \
-                slot.request_digest != msg.request_digest:
-            return
-        slot.commits.add(msg.replica)
+        voters = slot.commits.setdefault(msg.request_digest, set())
+        voters.add(msg.replica)
         if not slot.committed and slot.prepared and \
-                len(slot.commits) >= self.config.slow_quorum_size:
+                slot.request_digest == msg.request_digest and \
+                len(voters) >= self.config.slow_quorum_size:
             slot.committed = True
             self._execute_ready()
 
@@ -378,23 +376,14 @@ class PBFTReplica(BaseReplica):
         if msg.new_view <= self.view:
             return
         if self.config.primary_for_view(msg.new_view) != msg.primary or \
-                not self._view_change_proof_holds(msg):
+                not self._vote_proof_holds(
+                    msg.view_change_proof, ViewChange,
+                    lambda vote: vote.new_view == msg.new_view):
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view)
         for pre_prepare in msg.pre_prepares:
             self._accept_pre_prepare(msg.primary, pre_prepare)
-
-    def _view_change_proof_holds(self, msg: NewView) -> bool:
-        """The proof is 2f+1 VIEW-CHANGEs for ``msg.new_view`` from
-        distinct replicas, each checked as the envelope it is."""
-        voters: Set[str] = set()
-        for envelope in msg.view_change_proof:
-            vote = authentic_payload(envelope, ViewChange, self.registry)
-            if vote is None or vote.new_view != msg.new_view:
-                return False
-            voters.add(vote.replica)
-        return len(voters) >= self.config.slow_quorum_size
 
     def _adopt_view(self, new_view: int) -> None:
         super()._adopt_view(new_view)

@@ -62,7 +62,8 @@ class ZyzzyvaReplica(BaseReplica):
         self._history_digest = ""     # rolling history hash h_n
         self._max_committed = -1
         self._fill_hole_timer: Optional[Timer] = None
-        self._ihtp_votes: Dict[int, Set[str]] = {}
+        #: Deposed view -> replica -> its signed I-HATE-THE-PRIMARY.
+        self._ihtp_votes: Dict[int, Dict[str, SignedPayload]] = {}
         self._hated_views: Set[int] = set()
         self.stats.update({
             "order_reqs": 0,
@@ -223,18 +224,20 @@ class ZyzzyvaReplica(BaseReplica):
             return
         self._hated_views.add(self.view)
         vote = IHateThePrimary(view=self.view, replica=self.node_id)
-        self._record_ihtp(vote)
-        self.broadcast_others(self.sign(vote))
+        signed = self.sign(vote)
+        self._record_ihtp(vote, signed)
+        self.broadcast_others(signed)
 
     def _on_ihtp(self, sender: str, vote: IHateThePrimary,
                  envelope: SignedPayload) -> None:
         if vote.view < self.view:
             return
-        self._record_ihtp(vote)
+        self._record_ihtp(vote, envelope)
 
-    def _record_ihtp(self, vote: IHateThePrimary) -> None:
-        votes = self._ihtp_votes.setdefault(vote.view, set())
-        votes.add(vote.replica)
+    def _record_ihtp(self, vote: IHateThePrimary,
+                     envelope: SignedPayload) -> None:
+        votes = self._ihtp_votes.setdefault(vote.view, {})
+        votes[vote.replica] = envelope
         if len(votes) >= self.config.weak_quorum_size:
             # Join the mutiny (at least one correct replica voted).
             if self.view == vote.view and \
@@ -249,7 +252,8 @@ class ZyzzyvaReplica(BaseReplica):
     def _become_primary(self, new_view: int) -> None:
         self.stats["view_changes"] += 1
         msg = ZNewView(new_view=new_view, primary=self.node_id,
-                       max_committed_seqno=self._max_committed)
+                       max_committed_seqno=self._max_committed,
+                       proof=tuple(self._ihtp_votes[new_view - 1].values()))
         self.broadcast_others(self.sign(msg))
         self._adopt_view(new_view)
         occupied = max(self._slots) if self._slots else -1
@@ -260,7 +264,10 @@ class ZyzzyvaReplica(BaseReplica):
                      envelope: SignedPayload) -> None:
         if msg.new_view <= self.view:
             return
-        if self.config.primary_for_view(msg.new_view) != msg.primary:
+        if self.config.primary_for_view(msg.new_view) != msg.primary or \
+                not self._vote_proof_holds(
+                    msg.proof, IHateThePrimary,
+                    lambda vote: vote.view == msg.new_view - 1):
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view)

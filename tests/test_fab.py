@@ -1,5 +1,7 @@
 """FaB baseline: two-step agreement, quorum sizes, fault tolerance."""
 
+import math
+
 import pytest
 
 from repro.byzantine import silence_node
@@ -35,10 +37,18 @@ def test_four_step_latency_shape():
 
 
 def test_accept_quorum_size_n4():
+    """FaB's learning quorum ceil((N + f + 1) / 2) is the slow quorum
+    at N = 3f+1: two of four acceptors learn nothing, three do."""
     cluster = lan_cluster("fab")
-    replica = cluster.replicas["r0"]
-    # ceil((4 + 1 + 1) / 2) = 3.
-    assert replica.accept_quorum == 3
+    config = cluster.config
+    assert math.ceil((config.n + config.f + 1) / 2) == \
+        config.slow_quorum_size == 3
+    silence_node(cluster, "r2")
+    silence_node(cluster, "r3")
+    client = cluster.add_client("c0", "local")
+    client.submit(client.next_command("put", "k", "v"))
+    cluster.run(until=100.0)
+    assert cluster.replicas["r0"].stats["executed"] == 0
 
 
 def test_sequential_ordering():
@@ -95,3 +105,31 @@ def test_acceptor_accepts_one_value_per_slot():
     cluster.run_until_idle()
     slot = replica._slots[0]
     assert slot.request.command.value == "v"  # first value sticks
+
+
+def test_early_accepts_count_only_for_the_digest_they_name():
+    """r2 and r3, silenced, sign ACCEPTs for request Y at seqno 0 and
+    send them to r1 before r0's PROPOSE of X arrives: accepts of Y are
+    not accepts of X, so r1 never learns X."""
+    from repro.crypto.digest import digest
+    from repro.messages.fab import FabAccept, FabPropose, FabRequest
+
+    cluster = lan_cluster("fab")
+    silence_node(cluster, "r2")
+    silence_node(cluster, "r3")
+    client = cluster.add_client("c0", "local")
+    x = FabRequest(command=client.next_command("put", "k", "X"))
+    y = FabRequest(command=client.next_command("put", "k", "Y"))
+    r1 = cluster.replicas["r1"]
+    for rid in ("r2", "r3"):
+        r1.on_message(rid, SignedPayload.create(
+            FabAccept(proposal_number=0, seqno=0,
+                      request_digest=digest(y), acceptor=rid),
+            cluster.replicas[rid].keypair))
+    r1.on_message("r0", SignedPayload.create(
+        FabPropose(proposal_number=0, seqno=0, request_digest=digest(x),
+                   request=x),
+        cluster.replicas["r0"].keypair))
+    cluster.run_until_idle()
+    assert not r1._slots[0].learned
+    assert r1.statemachine.final_items() == {}

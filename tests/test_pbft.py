@@ -184,3 +184,33 @@ def test_new_view_proof_needs_distinct_view_changes():
         new_view, cluster.replicas["r1"].keypair))
     assert r0.view == 0
     assert r0.stats["invalid_messages"] == 1
+
+
+def test_early_votes_count_only_for_the_digest_they_name():
+    """r2 and r3, silenced, sign PREPAREs and COMMITs for request Y at
+    seqno 0 and send them to r1 before r0's PRE-PREPARE of X arrives:
+    votes for Y are not votes for X, so r1 never prepares X."""
+    from repro.crypto.digest import digest
+    from repro.messages.pbft import (
+        PBFTCommit, PBFTRequest, PrePrepare, Prepare)
+
+    cluster = lan_cluster("pbft")
+    silence_node(cluster, "r2")
+    silence_node(cluster, "r3")
+    client = cluster.add_client("c0", "local")
+    x = PBFTRequest(command=client.next_command("put", "k", "X"))
+    y = PBFTRequest(command=client.next_command("put", "k", "Y"))
+    r1 = cluster.replicas["r1"]
+    for rid in ("r2", "r3"):
+        keypair = cluster.replicas[rid].keypair
+        for vote in (Prepare(view=0, seqno=0, request_digest=digest(y),
+                             replica=rid),
+                     PBFTCommit(view=0, seqno=0, request_digest=digest(y),
+                                replica=rid)):
+            r1.on_message(rid, SignedPayload.create(vote, keypair))
+    r1.on_message("r0", SignedPayload.create(
+        PrePrepare(view=0, seqno=0, request_digest=digest(x), request=x),
+        cluster.replicas["r0"].keypair))
+    cluster.run_until_idle()
+    assert not r1._slots[0].prepared
+    assert r1.statemachine.final_items() == {}

@@ -17,8 +17,9 @@ from repro.crypto.digest import (
     digest,
     respell_replica,
 )
+from repro.config import ProtocolConfig
 from repro.crypto.keys import KeyPair
-from repro.errors import SerializationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.graph import linearize, tarjan_scc
 from repro.messages.base import MESSAGE_REGISTRY, SignedPayload
 from repro.messages.batching import BatchSpecOrder
@@ -523,3 +524,29 @@ def test_interference_semantics_match_execution(a):
     kv2.apply(b), kv2.apply(a)
     if kv1.final_items() != kv2.final_items():
         assert relation.interferes(a, b)
+
+
+# ----------------------------------------------------------------------
+# Quorums
+# ----------------------------------------------------------------------
+@given(data=st.data())
+def test_quorums_intersect_in_enough_replicas(data):
+    """At n = 3f+1 any two slow (2f+1) quorums share f+1 replicas, one
+    of them correct, and a fast (3f+1) and a slow quorum share 2f+1."""
+    f = data.draw(st.integers(min_value=1, max_value=10))
+    config = ProtocolConfig(
+        replica_ids=tuple(f"r{i}" for i in range(3 * f + 1)))
+    assert config.f == f
+
+    def quorum(size):
+        return set(data.draw(st.permutations(config.replica_ids))[:size])
+    slow_a, slow_b = (quorum(config.slow_quorum_size) for _ in range(2))
+    fast = quorum(config.fast_quorum_size)
+    assert len(slow_a & slow_b) >= f + 1
+    assert len(fast & slow_a) >= 2 * f + 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 9])
+def test_replica_counts_other_than_3f_plus_1_are_rejected(n):
+    with pytest.raises(ConfigurationError):
+        ProtocolConfig(replica_ids=tuple(f"r{i}" for i in range(n)))
