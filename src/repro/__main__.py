@@ -400,7 +400,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write_json(args.json_path, reports)
         if not args.quiet:
             print(f"wrote {args.json_path}")
-    return 0
+    unsafe = [(report.backend, violation) for report in reports
+              for violation in report.violations]
+    for backend, violation in unsafe:
+        print(f"violation [{backend}] {violation['check']}: "
+              f"{violation['detail']}", file=sys.stderr)
+    return 1 if unsafe else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ def replica_footprint(replica: Any) -> Dict[str, int]:
     executor = getattr(replica, "executor", None)
     if executor is not None:
         sizes["executed_instances"] = len(executor.executed)
-        sizes["history"] = len(executor.history)
+        sizes["history"] = len(replica.statemachine.record.entries)
         sizes["results"] = len(executor._results)
         sizes["deferred"] = len(executor._deferred)
     pending = getattr(replica, "_pending_spec_orders", None)

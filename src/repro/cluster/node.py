@@ -12,9 +12,24 @@ receives through :class:`Node`'s ``on_message``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Protocol
+from typing import Any, Callable, Dict, Iterable, List, Protocol
 
 from repro.messages.base import SignedPayload
+
+#: The slot of a client's ``accepted`` list for a command it has not
+#: delivered (yet).
+UNANSWERED = object()
+
+
+def note_accepted(accepted: List[Any], timestamp: int,
+                  result: Any) -> None:
+    """File a client's delivered ``result`` at ``accepted[timestamp -
+    1]``: a client numbers its commands 1, 2, 3, ..., so a list indexed
+    by timestamp holds its outcomes without a key per command."""
+    missing = timestamp - len(accepted)
+    if missing > 0:
+        accepted.extend([UNANSWERED] * missing)
+    accepted[timestamp - 1] = result
 
 
 class Timer(Protocol):

@@ -108,6 +108,7 @@ class CheckpointManager:
         if not store.due(count):
             return
         checkpoint = Checkpoint.capture(count, self._capture_snapshot())
+        replica.statemachine.record.mark(count)
         msg = EzCheckpoint(replica=replica.node_id, watermark=count,
                            state_digest=checkpoint.state_digest)
         signed = SignedPayload.create(msg, replica.keypair)
@@ -209,7 +210,8 @@ class CheckpointManager:
                       self._executed_frontier(space))
             effective[owner] = cut
             removed += replica._truncate_space(space, cut)
-        replica.executor.truncate(checkpoint.watermark, effective)
+        replica.executor.truncate(
+            effective, replica.statemachine.record.cut(checkpoint.watermark))
         replica.stats["log_entries_gcd"] += removed
 
     # ------------------------------------------------------------------
@@ -506,6 +508,7 @@ class CheckpointManager:
         }
         replica.statemachine.rollback_speculative()
         replica.statemachine.restore(snapshot["state"])
+        replica.statemachine.record.restart(watermark)
         for owner, space in replica.spaces.items():
             replica._truncate_space(space, frontier.get(owner, 0))
         # Forget cached frontier cursors: entries above the cut that we

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.node import Node, NodeContext, Timer, dispatcher
+from repro.cluster.node import (
+    Node,
+    NodeContext,
+    Timer,
+    dispatcher,
+    note_accepted,
+)
 from repro.config import ProtocolConfig
 from repro.core.owner_change import evidence_orders
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -107,6 +113,9 @@ class EzBFTClient(Node):
         self.on_delivery = on_delivery
         self._next_timestamp = 1
         self._pending: Dict[Tuple[str, int], _Pending] = {}
+        #: The result this client accepted for each command, at index
+        #: timestamp - 1 (``note_accepted``).
+        self.accepted: List[Any] = []
         #: Fast commits certified while one SpecReplyBundle is being
         #: walked, flushed as one frame when the walk ends (the mirror
         #: of the replica's ``_reply_outbox``): a batch's bundle from
@@ -519,6 +528,7 @@ class EzBFTClient(Node):
             self.tracer.end_span(pending.span, attrs={"path": path})
             pending.span = None
         del self._pending[pending.command.ident]
+        note_accepted(self.accepted, pending.command.timestamp, result)
         if self.on_delivery is not None:
             self.on_delivery(pending.command, result, latency, path)
 

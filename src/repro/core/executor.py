@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.instance import EntryStatus, LogEntry
 from repro.graph import execution_batches
-from repro.statemachine.base import StateMachine
+from repro.statemachine.base import Command, StateMachine
 from repro.trace.span import SPAN_EXEC_APPLY
 from repro.trace.tracer import NULL_TRACER
 from repro.types import InstanceID
@@ -124,12 +124,9 @@ class DependencyExecutor:
         #: Committed entries from earlier calls still blocked on
         #: uncommitted dependencies (the incremental-frontier cache).
         self._deferred: Dict[InstanceID, LogEntry] = {}
-        #: Execution history as (instance, command ident) pairs -- the
-        #: cross-replica consistency tests compare these verbatim.
-        #: ``history_offset`` counts entries truncated at checkpoints,
-        #: so absolute execution positions stay comparable.
-        self.history: List[Tuple[InstanceID, CommandIdent]] = []
-        self.history_offset = 0
+        #: Entries executed (noops and duplicates too), the count a
+        #: checkpoint's watermark is taken at.
+        self.executed_count = 0
         #: Per-space first retained slot; instances below are durably
         #: executed (stable checkpoint) and treated as executed deps.
         self._low_slots: Dict[str, int] = {}
@@ -194,10 +191,6 @@ class DependencyExecutor:
         return iid in self.executed or \
             iid.slot < self._low_slots.get(iid.owner, 0)
 
-    @property
-    def executed_count(self) -> int:
-        return self.history_offset + len(self.history)
-
     def latest_executed_ts(self) -> Dict[str, int]:
         """Per-client highest executed timestamp."""
         return self.idents.latest()
@@ -221,15 +214,15 @@ class DependencyExecutor:
     # ------------------------------------------------------------------
     # Checkpoint GC and state transfer
     # ------------------------------------------------------------------
-    def truncate(self, watermark: int,
-                 low_slots: Dict[str, int]) -> None:
+    def truncate(self, low_slots: Dict[str, int],
+                 dropped: Iterable[Tuple[Command, Any]]) -> None:
         """Garbage-collect bookkeeping below a stable checkpoint.
 
-        ``watermark`` is the checkpoint's executed-command count (the
-        history prefix to drop); ``low_slots`` maps each space to its
-        first retained slot.  Results are retained for each client's
-        latest executed command (the reply-cache contract); everything
-        older is durable in the checkpoint and can go."""
+        ``low_slots`` maps each space to its first retained slot;
+        ``dropped`` is what the state machine's record cut below the
+        checkpoint.  Results are retained for each client's latest
+        executed command (the reply-cache contract); everything older
+        is durable in the checkpoint and can go."""
         for owner, slot in low_slots.items():
             if slot > self._low_slots.get(owner, 0):
                 self._low_slots[owner] = slot
@@ -237,17 +230,10 @@ class DependencyExecutor:
             iid for iid in self.executed
             if iid.slot >= self._low_slots.get(iid.owner, 0)
         }
-        keep_from = watermark - self.history_offset
-        if keep_from <= 0:
-            return
-        dropped = self.history[:keep_from]
-        self.history = self.history[keep_from:]
-        self.history_offset = watermark
         latest = self.latest_executed_ts()
-        for _, ident in dropped:
-            client, timestamp = ident
-            if timestamp != latest.get(client):
-                self._results.pop(ident, None)
+        for command, _ in dropped:
+            if command.timestamp != latest.get(command.client_id):
+                self._results.pop(command.ident, None)
 
     def install(self, watermark: int, low_slots: Dict[str, int],
                 client_floors: Dict[str, int],
@@ -265,8 +251,7 @@ class DependencyExecutor:
         for owner, slot in low_slots.items():
             if slot > self._low_slots.get(owner, 0):
                 self._low_slots[owner] = slot
-        self.history = []
-        self.history_offset = watermark
+        self.executed_count = watermark
         self.executed = set(executed_above)
         self.idents = ExecutedIdents(client_floors, client_sparse)
         self._results = {}
@@ -320,6 +305,6 @@ class DependencyExecutor:
             self.idents.record(ident)
         entry.status = EntryStatus.EXECUTED
         self.executed.add(entry.instance)
-        self.history.append((entry.instance, ident))
+        self.executed_count += 1
         if self.on_execute is not None:
             self.on_execute(entry)

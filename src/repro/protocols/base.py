@@ -19,9 +19,9 @@ no author, so it must be signed by the view's primary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.node import Node, NodeContext, Timer
+from repro.cluster.node import Node, NodeContext, Timer, note_accepted
 from repro.config import ProtocolConfig
 from repro.core.executor import CommandIdent, ExecutedIdents
 from repro.crypto.digest import digest
@@ -241,6 +241,9 @@ class BaseClient(Node):
         self.on_delivery = on_delivery
         self._next_timestamp = 1
         self._pending: Dict[CommandIdent, PendingRequest] = {}
+        #: The result this client accepted for each command, at index
+        #: timestamp - 1 (``note_accepted``).
+        self.accepted: List[Any] = []
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "delivered": 0,
@@ -326,5 +329,6 @@ class BaseClient(Node):
         latency = self.ctx.now - pending.start_time
         self.stats["delivered"] += 1
         del self._pending[pending.command.ident]
+        note_accepted(self.accepted, pending.command.timestamp, result)
         if self.on_delivery is not None:
             self.on_delivery(pending.command, result, latency, path)

@@ -268,6 +268,7 @@ class PBFTReplica(BaseReplica):
             return
         checkpoint = Checkpoint.capture(
             executed, {"state": self.statemachine.snapshot()})
+        self.statemachine.record.mark(executed)
         self.checkpoints.record_local(checkpoint, self.node_id)
         self.stats["checkpoints"] += 1
         msg = PBFTCheckpoint(seqno=executed,
@@ -282,6 +283,7 @@ class PBFTReplica(BaseReplica):
         if became_stable:
             self.stats["checkpoints_stable"] += 1
             self._gc_log(msg.seqno)
+            self.statemachine.record.cut(msg.seqno)
 
     def _gc_log(self, stable_seqno: int) -> None:
         for seqno in [s for s in self._slots if s < stable_seqno - 1]:

@@ -477,6 +477,7 @@ class FaultInjector:
             "at_ms": event.at_ms,
             "applied_ms": self.cluster.now_ms(),
             "event": type(event).__name__,
+            "replica": target,
             "detail": event.describe(),
         })
 

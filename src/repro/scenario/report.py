@@ -3,7 +3,8 @@
 A :class:`ScenarioRunner` run produces one :class:`ExperimentReport`:
 per-phase throughput and latency percentiles, fast-path ratio, protocol
 health counters (owner/view changes, stable checkpoints, resident log
-footprint), aggregate client counters, and the executed fault log.
+footprint), aggregate client counters, the executed fault log, and
+the safety verdict (:mod:`repro.check`).
 
 Everything in :meth:`ExperimentReport.to_dict` is derived from the
 scenario clock, so on the deterministic simulator two runs of the same
@@ -179,6 +180,9 @@ class ExperimentReport:
     log_footprint_total: int
     client_stats: Dict[str, int]
     network: Dict[str, int]
+    #: The safety verdict: :func:`repro.check.check` of the run, one
+    #: ``{"check", "detail"}`` dict per violation; empty when safe.
+    violations: List[Dict[str, str]]
     fault_log: List[Dict[str, Any]] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: Critical-path summary from :func:`repro.trace.summarize_traces`
@@ -212,6 +216,7 @@ class ExperimentReport:
             "client_stats": dict(sorted(self.client_stats.items())),
             "network": dict(sorted(self.network.items())),
             "fault_log": list(self.fault_log),
+            "violations": list(self.violations),
             "wall_seconds": round(self.wall_seconds, 3),
         }
         if self.trace is not None:
@@ -249,6 +254,7 @@ class ExperimentReport:
             log_footprint_total=health["log_footprint_total"],
             client_stats=dict(data["client_stats"]),
             network=dict(data["network"]),
+            violations=list(data["violations"]),
             fault_log=list(data["fault_log"]),
             wall_seconds=data["wall_seconds"],
             trace=data.get("trace"),
@@ -330,6 +336,9 @@ class ExperimentReport:
             f"view_changes={self.view_changes} "
             f"checkpoints_stable={self.checkpoints_stable} "
             f"log_footprint={self.log_footprint_total}")
+        checks = sorted({v["check"] for v in self.violations})
+        lines.append(f"safety     {len(self.violations)} violation(s)" +
+                     (f": {', '.join(checks)}" if checks else ""))
         header = (f"{'phase':12s} {'window (ms)':>17s} {'n':>6s} "
                   f"{'thr/s':>8s} {'p50':>7s} {'p90':>7s} {'p99':>7s} "
                   f"{'fast':>6s}")

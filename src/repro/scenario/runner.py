@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.check import check, observe
 from repro.cluster.builder import Cluster
 from repro.cluster.metrics import LatencyRecorder
 from repro.errors import ConfigurationError
@@ -260,6 +261,9 @@ class ScenarioRunner:
             pool.spawn_initial()
             await deployment.wait(pool, injector)
             stats = await deployment.collect(injector)
+            # Judged before teardown, which can still deliver traffic
+            # the state roots would not reflect.
+            violations = check(observe(deployment.cluster, injector.log))
         finally:
             # Whatever happened, stop issuing load and release what
             # the deployment holds before the error (or the report)
@@ -276,7 +280,8 @@ class ScenarioRunner:
             scenario, backend=self.backend, recorder=recorder,
             # repro: allow[wall-clock] -- reporting-only stopwatch.
             wall_seconds=time.perf_counter() - wall_start,
-            trace=self._finish_trace(collector), **stats)
+            trace=self._finish_trace(collector), violations=violations,
+            **stats)
         return report, deployment.cluster
 
     # ------------------------------------------------------------------
@@ -315,6 +320,7 @@ class ScenarioRunner:
                       client_stats: List[Dict[str, int]],
                       network: Dict[str, int],
                       fault_log: List[Dict[str, Any]],
+                      violations: List[Dict[str, str]],
                       wall_seconds: float,
                       trace: Optional[Dict[str, Any]] = None
                       ) -> ExperimentReport:
@@ -378,6 +384,7 @@ class ScenarioRunner:
                                     for sizes in footprint.values()),
             client_stats=aggregate,
             network=network,
+            violations=violations,
             fault_log=fault_log,
             wall_seconds=wall_seconds,
             trace=trace,

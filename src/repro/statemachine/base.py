@@ -156,6 +156,61 @@ class StateSnapshot(tuple):
         return cls.of(leaves, bytes(digests))
 
 
+class ExecutedLog:
+    """The commands a state machine applied to its final state, in
+    order, as ``(command, result)`` pairs: the one record of execution
+    :mod:`repro.check` judges.
+
+    It is cut where a protocol garbage-collects, at a stable
+    checkpoint: :meth:`mark` notes the log's length when a checkpoint
+    is captured, and :meth:`cut` drops the entries below that length
+    once the checkpoint is stable.  ``watermark`` is the stable
+    checkpoint the log starts after -- the one it was last cut at, or
+    the one a state transfer installed (:meth:`restart`) -- so two
+    replicas' logs with the same ``watermark`` start from the same
+    applied prefix.
+    """
+
+    def __init__(self, entries: Sequence[Tuple[Command, Any]] = (),
+                 watermark: int = 0) -> None:
+        self.entries: List[Tuple[Command, Any]] = list(entries)
+        self.watermark = watermark
+        #: Entries cut from the front so far, so a noted length stays a
+        #: position in the log.
+        self._cut = 0
+        #: Checkpoint watermark -> log length at its capture.
+        self._marks: Dict[int, int] = {}
+
+    def mark(self, watermark: int) -> None:
+        """Note the log's length at the capture of checkpoint
+        ``watermark``."""
+        self._marks[watermark] = self._cut + len(self.entries)
+
+    def cut(self, watermark: int) -> List[Tuple[Command, Any]]:
+        """Checkpoint ``watermark`` is stable: drop and return the
+        entries applied before its capture (none if it was not
+        captured here)."""
+        length = self._marks.pop(watermark, None)
+        self._marks = {w: n for w, n in self._marks.items()
+                       if w > watermark}
+        if length is None:
+            return []
+        keep_from = length - self._cut
+        dropped = self.entries[:keep_from]
+        del self.entries[:keep_from]
+        self._cut = length
+        self.watermark = watermark
+        return dropped
+
+    def restart(self, watermark: int) -> None:
+        """The final state was replaced by checkpoint ``watermark``'s:
+        what was applied before no longer describes it."""
+        self._cut += len(self.entries)
+        self.entries = []
+        self._marks = {}
+        self.watermark = watermark
+
+
 class StateMachine(ABC):
     """Deterministic application state machine: a final map of keys to
     values with a speculative overlay on top.
@@ -188,6 +243,8 @@ class StateMachine(ABC):
         self._digests = bytearray(_DIGEST_SIZE)
         self._size = 0
         self._overlay: Dict[str, Any] = {}
+        #: Every command :meth:`apply` ran, with its result.
+        self.record = ExecutedLog()
         self.final_ops = 0
         self.speculative_ops = 0
         self.rollbacks = 0
@@ -204,9 +261,12 @@ class StateMachine(ABC):
         """
 
     def apply(self, command: Command) -> Any:
-        """Execute ``command`` against the final state; return its result."""
+        """Execute ``command`` against the final state, record it, and
+        return its result."""
         self.final_ops += 1
-        return self._run(command, self.get_final, self._write_final)
+        result = self._run(command, self.get_final, self._write_final)
+        self.record.entries.append((command, result))
+        return result
 
     def apply_speculative(self, command: Command) -> Any:
         """Execute ``command`` against the speculative overlay."""

@@ -43,6 +43,7 @@ METRICS = {
     "view_changes": lambda r: r.view_changes,
     "checkpoints_stable": lambda r: r.checkpoints_stable,
     "log_footprint_total": lambda r: r.log_footprint_total,
+    "violations": lambda r: len(r.violations),
 }
 
 

@@ -1,4 +1,4 @@
-"""Shared cluster builders and assertion helpers for the test suite."""
+"""Shared cluster builders and fixtures for the test suite."""
 
 from __future__ import annotations
 
@@ -57,63 +57,14 @@ class DeliveryLog:
         return [r[2] for r in self.records]
 
 
-def assert_replicas_consistent(cluster: Cluster,
-                               exclude: Tuple[str, ...] = ()) -> dict:
-    """All (non-excluded) replicas hold identical final KV state."""
-    states = {rid: kv.final_items()
-              for rid, kv in cluster.statemachines().items()
-              if rid not in exclude}
-    reference = next(iter(states.values()))
-    for rid, state in states.items():
-        assert state == reference, (
-            f"replica {rid} diverged: {state} != {reference}")
-    return reference
-
-
-def assert_histories_consistent(cluster: Cluster,
-                                exclude: Tuple[str, ...] = ()) -> None:
-    """ezBFT's consistency property: every pair of *interfering*
-    commands executes in the same relative order at every correct
-    replica.  Non-interfering commands are explicitly allowed to execute
-    "in parallel, in any order" (paper Section III), so their relative
-    order is not compared."""
-    replicas = {
-        rid: replica for rid, replica in cluster.replicas.items()
-        if rid not in exclude and hasattr(replica, "executor")
-    }
-    histories = {rid: replica.executor.history
-                 for rid, replica in replicas.items()}
-    common = None
-    for history in histories.values():
-        idents = {ident for _, ident in history}
-        common = idents if common is None else (common & idents)
-    if not common:
-        return
-    # Gather command objects (any replica's log serves).
-    reference_rid = next(iter(replicas))
-    reference_replica = replicas[reference_rid]
-    commands = {}
-    for entry in reference_replica._log_index.values():
-        commands[entry.command.ident] = entry.command
-    relation = reference_replica.interference
-    positions = {
-        rid: {ident: pos for pos, (_, ident) in enumerate(history)
-              if ident in common}
-        for rid, history in histories.items()
-    }
-    idents = sorted(common)
-    for i, a in enumerate(idents):
-        for b in idents[i + 1:]:
-            cmd_a, cmd_b = commands.get(a), commands.get(b)
-            if cmd_a is None or cmd_b is None:
-                continue
-            if not relation.interferes(cmd_a, cmd_b):
-                continue
-            orders = {rid: positions[rid][a] < positions[rid][b]
-                      for rid in positions}
-            assert len(set(orders.values())) == 1, (
-                f"interfering commands {a} and {b} executed in "
-                f"different orders: {orders}")
+def faults(event: str, *replicas: str) -> List[dict]:
+    """Fault-log entries, one per replica in ``replicas``, each hit by
+    ``event`` at time 0: what a run that faulted replicas by hand
+    (``install_byzantine``, ``silence_node``) tells
+    :func:`repro.check.observe`."""
+    return [{"at_ms": 0.0, "applied_ms": 0.0, "event": event,
+             "replica": rid, "detail": f"{event} {rid}"}
+            for rid in replicas]
 
 
 def defective_leaves(leaves, defect: str) -> list:

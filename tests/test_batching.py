@@ -5,11 +5,10 @@ import pytest
 
 from helpers import (
     DeliveryLog,
-    assert_histories_consistent,
-    assert_replicas_consistent,
     lan_cluster,
 )
 
+from repro.check import check, observe
 from repro.core.batching import RequestBatcher
 from repro.errors import ConfigurationError, SerializationError
 from repro.messages.batching import (
@@ -148,8 +147,7 @@ def test_ezbft_batch_commits_fast_and_consistent():
     owner = cluster.replicas["r0"]
     assert owner.stats["batches_led"] == 1
     assert owner.stats["led"] == 4
-    assert_replicas_consistent(cluster)
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_ezbft_single_command_batch_degrades_to_unbatched():
@@ -177,7 +175,7 @@ def test_ezbft_partial_batch_flushes_on_timeout():
     cluster.run_until_idle()
     assert sorted(log.paths) == ["fast", "fast"]
     assert cluster.replicas["r0"].batcher.timeout_flushes == 1
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_ezbft_batch_size_one_cluster_never_batches():
@@ -241,7 +239,7 @@ def test_ezbft_out_of_order_client_batches_are_all_led():
         assert [t for sender, t in answered if sender == "r0"] == stamps
     assert r0.stats["led"] == 4
     assert r0.spaces["r0"].next_slot == 4
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_ezbft_interfering_batch_preserves_order_consistency():
@@ -256,7 +254,7 @@ def test_ezbft_interfering_batch_preserves_order_consistency():
                          for i in range(4)])
     cluster.run_until_idle()
     assert len(log.records) == 4
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
     states = {rid: sm.speculative_items().get("hot")
               for rid, sm in cluster.statemachines().items()}
     assert len(set(states.values())) == 1
@@ -277,7 +275,7 @@ def test_ezbft_two_clients_share_one_owner_batch():
     cluster.run_until_idle()
     assert len(log.records) == 2
     assert cluster.replicas["r0"].stats["batches_led"] >= 1
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_pom_accepts_batched_equivocation_evidence():
@@ -356,7 +354,7 @@ def test_pbft_batch_executes_and_replies():
     primary = cluster.replicas[cluster.primary_id]
     assert primary.stats["batches_proposed"] == 1
     assert primary.stats["pre_prepares"] == 4
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_pbft_single_command_batch_degrades():
@@ -385,4 +383,4 @@ def test_pbft_partial_batch_flushes_on_timeout():
     assert log.results == ["OK"] * 2
     primary = cluster.replicas[cluster.primary_id]
     assert primary.batcher.timeout_flushes == 1
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []

@@ -10,12 +10,13 @@ from repro.byzantine import (
     install_byzantine,
     silence_node,
 )
+from repro.check import check, observe
 from repro.core.replica import EzBFTReplica
 from repro.crypto.digest import canonical_bytes
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import SpecOrder, SpecReplyBundle
 
-from helpers import DeliveryLog, assert_replicas_consistent, lan_cluster
+from helpers import DeliveryLog, faults, lan_cluster
 
 
 def sniff_spec_replies(cluster, client):
@@ -90,7 +91,7 @@ def test_equivocating_leader_sends_conflicting_signed_orders(batch_size):
     assert byz.stats["batches_led"] == 0
     assert [c.stats["poms_sent"] for c in clients] == [1] * 4
     assert sorted(log.results) == ["OK"] * 4
-    assert_replicas_consistent(cluster, exclude=("r1",))
+    assert check(observe(cluster, faults("SwapByzantine", "r1"))) == []
 
 
 def test_dep_suppressor_reports_empty_deps():
@@ -192,7 +193,7 @@ def test_bogus_attached_order_cannot_frame_a_correct_leader(behavior):
     assert set(log.paths) == {"fast"}  # the headers themselves match
     assert all(r.stats["owner_changes_started"] == 0
                for r in cluster.replicas.values())
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_silence_node_works_for_any_protocol():

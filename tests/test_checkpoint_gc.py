@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import check, observe
 from repro.core import checkpointing
 from repro.core.instance import EntryStatus, LogEntry
 from repro.messages.base import SignedPayload
@@ -32,7 +33,6 @@ from repro.types import InstanceID
 
 from helpers import (
     DeliveryLog,
-    assert_replicas_consistent,
     defective_leaves,
     lan_cluster,
     unchecked_state_digest,
@@ -72,8 +72,8 @@ def test_checkpoints_stabilize_and_gc_log():
                        for e in space.entries())
         assert all(iid.slot >= frontier[iid.owner]
                    for iid in replica._log_index)
-        assert len(replica.executor.history) < 2 * INTERVAL
-    assert_replicas_consistent(cluster)
+        assert len(replica.statemachine.record.entries) < 2 * INTERVAL
+    assert check(observe(cluster)) == []
 
 
 def test_stable_checkpoint_digests_agree_at_every_watermark():
@@ -92,24 +92,16 @@ def test_stable_checkpoint_digests_agree_at_every_watermark():
 
 
 def test_history_prefixes_align_after_truncation():
-    """Absolute execution positions stay comparable across replicas
-    after each truncates a different-age prefix."""
+    """Executed records cut at stable checkpoints still agree on the
+    order of what each retains."""
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
     client = cluster.add_client("c0", "local")
     # Single hot key -> totally ordered (interfering) history.
     run_commands(cluster, client, 4 * INTERVAL, key_fn=lambda i: "hot")
-    replicas = list(cluster.replicas.values())
-    for replica in replicas:
+    for replica in cluster.replicas.values():
         assert replica.executor.executed_count == 4 * INTERVAL
-        assert replica.executor.history_offset > 0
-    by_position = {}
-    for replica in replicas:
-        offset = replica.executor.history_offset
-        for pos, (iid, ident) in enumerate(replica.executor.history):
-            by_position.setdefault(offset + pos, set()).add((iid, ident))
-    for position, observed in by_position.items():
-        assert len(observed) == 1, (
-            f"divergent execution at position {position}: {observed}")
+        assert replica.statemachine.record.watermark > 0
+    assert check(observe(cluster)) == []
 
 
 def test_gc_retains_reply_cache_and_exactly_once_state():
@@ -222,7 +214,8 @@ def test_owner_change_after_gc_preserves_consistency():
                                 on_delivery=log.hook("c0"))
     run_commands(cluster, client, 3 * INTERVAL)
     assert log.results == ["OK"] * 3 * INTERVAL
-    state_before = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state_before = cluster.replicas["r0"].statemachine.final_items()
     for rid in ("r0", "r2", "r3"):
         cluster.replicas[rid].owner_changes.suspect("r1")
     cluster.run_until_idle()
@@ -234,7 +227,9 @@ def test_owner_change_after_gc_preserves_consistency():
         assert all(not e.command.is_noop or e.instance.slot >=
                    cluster.replicas[rid].checkpoint_base_slot("r1")
                    for e in space.entries())
-    assert assert_replicas_consistent(cluster) == state_before
+    assert check(observe(cluster)) == []
+    assert cluster.replicas["r0"].statemachine.final_items() == \
+        state_before
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +268,7 @@ def test_partitioned_replica_rejoins_via_state_transfer(monkeypatch):
     assert len(recomputed) == sum(r.stats["state_transfers_installed"]
                                 for r in cluster.replicas.values())
     assert lagging.executor.executed_count == 6 * INTERVAL
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
     # The rejoined replica now holds a stable checkpoint of its own and
     # participates in later ones.
     assert lagging.checkpoints.stable is not None
@@ -484,7 +479,7 @@ def test_a_log_only_answer_leaves_the_round_open(tmp_path):
     assert r3.checkpoints.stable.watermark == 2 * INTERVAL
     assert len(r3.checkpoints.stable_proof) == 3  # r3 can serve it now
     assert r3.executor.executed_count == 2 * INTERVAL + 2
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_more_proofs_while_a_round_is_open_ask_no_extra_peer():
@@ -511,7 +506,7 @@ def test_more_proofs_while_a_round_is_open_ask_no_extra_peer():
     assert asked == ["r0"]
     assert r3.stats["state_transfers_installed"] == 1
     assert r3.executor.executed_count == 3 * INTERVAL
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_gap_fill_never_noops_checkpoint_covered_slots():
@@ -578,7 +573,7 @@ def test_install_resets_frontier_cursor():
         lagging.spaces["r0"].expected_slot
     assert lagging.checkpointing._executed_frontier(lagging.spaces["r0"]) >= \
         frontier["r0"]
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_replayed_commit_below_checkpoint_does_not_resurrect_slot():

@@ -20,6 +20,7 @@ from repro.byzantine import (
     install_byzantine,
     silence_node,
 )
+from repro.check import check, observe
 from repro.core.instance import EntryStatus, LogEntry
 from repro.errors import SimulationError
 from repro.messages.base import SignedPayload
@@ -32,8 +33,7 @@ from repro.workload.drivers import ClosedLoopDriver
 
 from helpers import (
     DeliveryLog,
-    assert_histories_consistent,
-    assert_replicas_consistent,
+    faults,
     geo_cluster,
     lan_cluster,
 )
@@ -221,7 +221,7 @@ def test_entries_marked_executed_by_state_transfer_never_cover():
         entry = lagging._log_index[iid]
         assert entry.status == EntryStatus.EXECUTED and not entry.applied
     assert deps_for(lagging, probe("put")) == applied
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster, faults("CrashReplica", "cx"))) == []
 
 
 def test_wal_replay_reproduces_the_live_deps(tmp_path):
@@ -331,7 +331,7 @@ def test_sequential_writes_to_one_key_stay_on_the_fast_path(seed,
     # such an overtaking; it must happen for this test to mean anything.
     assert overtaken
     assert log.paths == ["fast"] * (30 * writers)
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 class HotKeyPuts:
@@ -416,8 +416,7 @@ def test_hot_key_dep_sets_stay_bounded_across_a_checkpoint_interval():
         assert replica.stats["log_entries_gcd"] >= 128
         assert all(len(entry.deps) <= bound
                    for entry in replica._log_index.values())
-    assert_replicas_consistent(cluster)
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 # ----------------------------------------------------------------------
@@ -589,8 +588,7 @@ def test_frontier_deps_keep_interfering_commands_ordered(seed):
             cluster.config.initial_owner_number("r3")
         direct, indirect = assert_interfering_commits_are_connected(replica)
         assert direct > 0 and indirect > 0
-    assert_replicas_consistent(cluster, exclude=("r3",))
-    assert_histories_consistent(cluster, exclude=("r3",))
+    assert check(observe(cluster, faults("CrashReplica", "r3"))) == []
 
 
 def test_adversarial_runs_contain_what_they_are_meant_to():

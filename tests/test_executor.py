@@ -54,8 +54,8 @@ def test_dependency_executes_first():
     dep = committed("r1", 0, 1, value="first")
     e = committed("r0", 0, 2, deps=[dep.instance], value="second")
     executor.try_execute(index_of(e, dep))
-    order = [iid for iid, _ in executor.history]
-    assert order.index(dep.instance) < order.index(e.instance)
+    order = [command for command, _ in kv.record.entries]
+    assert order == [dep.command, e.command]
     assert kv.get_final("k") == "second"
 
 
@@ -65,9 +65,9 @@ def test_cycle_broken_by_seq_then_replica_id():
     a = committed("r0", 0, 2, deps=[InstanceID("r1", 0)], value="a")
     b = committed("r1", 0, 2, deps=[InstanceID("r0", 0)], value="b")
     executor.try_execute(index_of(a, b))
-    order = [iid for iid, _ in executor.history]
+    order = [command for command, _ in kv.record.entries]
     # Equal seq -> replica id r0 before r1; so "b" (later) wins the key.
-    assert order == [a.instance, b.instance]
+    assert order == [a.command, b.command]
     assert kv.get_final("k") == "b"
 
 
@@ -77,8 +77,8 @@ def test_cycle_lower_seq_first():
     a = committed("r9", 0, 1, deps=[InstanceID("r1", 0)], value="low")
     b = committed("r1", 0, 2, deps=[InstanceID("r9", 0)], value="high")
     executor.try_execute(index_of(a, b))
-    order = [iid for iid, _ in executor.history]
-    assert order == [a.instance, b.instance]
+    order = [command for command, _ in kv.record.entries]
+    assert order == [a.command, b.command]
 
 
 def test_executed_dependency_satisfies():
@@ -136,7 +136,7 @@ def test_identical_runs_produce_identical_histories():
         c = committed("r2", 0, 5, deps=[a.instance, b.instance],
                       value="c")
         executor.try_execute(index_of(a, b, c))
-        return executor.history, kv.final_items()
+        return kv.record.entries, kv.final_items()
 
     assert run() == run()
 
@@ -160,13 +160,15 @@ def test_truncate_gcs_bookkeeping_but_keeps_dedup():
     entries = [committed("r0", slot, slot + 1, client="cq", ts=slot + 1,
                          key=f"k{slot}")
                for slot in range(6)]
+    executor.try_execute(index_of(*entries[:4]))
+    kv.record.mark(4)  # a checkpoint captured after four executions
     executor.try_execute(index_of(*entries))
     assert executor.executed_count == 6
-    executor.truncate(4, {"r0": 4})
+    executor.truncate({"r0": 4}, kv.record.cut(4))
     # Absolute accounting is preserved; resident structures shrink.
     assert executor.executed_count == 6
-    assert executor.history_offset == 4
-    assert len(executor.history) == 2
+    assert kv.record.watermark == 4
+    assert [c.timestamp for c, _ in kv.record.entries] == [5, 6]
     assert executor.executed == {InstanceID("r0", 4), InstanceID("r0", 5)}
     # Exactly-once dedup still covers truncated commands.
     for ts in range(1, 7):
@@ -179,7 +181,7 @@ def test_truncate_gcs_bookkeeping_but_keeps_dedup():
 def test_truncated_instances_count_as_executed_dependencies():
     kv = KVStore()
     executor = DependencyExecutor(kv)
-    executor.truncate(3, {"r0": 3})
+    executor.truncate({"r0": 3}, [])
     # An entry depending on a GC'd (durably executed) instance runs.
     e = committed("r1", 0, 5, deps=[InstanceID("r0", 1)])
     done = executor.try_execute(index_of(e))

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.sim.latency import EXPERIMENT1
 from repro.types import InstanceID
 
 from helpers import (
     DeliveryLog,
-    assert_replicas_consistent,
     geo_cluster,
     lan_cluster,
 )
@@ -23,7 +23,7 @@ def test_single_request_takes_fast_path():
     cluster.run_until_idle()
     assert log.paths == ["fast"]
     assert log.results == ["OK"]
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_fast_path_read_returns_value():
@@ -71,7 +71,7 @@ def test_non_interfering_commands_all_fast():
         client.submit(client.next_command("put", f"key{i}", i))
     cluster.run_until_idle()
     assert log.paths == ["fast"] * 4
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_fast_path_empty_deps_seq_one():
@@ -174,5 +174,6 @@ def test_all_replicas_can_lead_concurrently():
     assert len(log.records) == 4
     led_counts = [r.stats["led"] for r in cluster.replicas.values()]
     assert led_counts == [1, 1, 1, 1]
-    state = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     assert state == {f"key{i}": i for i in range(4)}

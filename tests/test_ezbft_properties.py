@@ -11,14 +11,14 @@ from repro.byzantine import (
     SilentReplica,
     install_byzantine,
 )
+from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.workload.drivers import ClosedLoopDriver
 from repro.workload.generator import KVWorkload
 
 from helpers import (
     DeliveryLog,
-    assert_histories_consistent,
-    assert_replicas_consistent,
+    faults,
     geo_cluster,
     lan_cluster,
 )
@@ -64,8 +64,8 @@ def test_nontriviality_and_consistency_random_workloads(contention,
     # Nontriviality: every executed command was proposed by a client.
     proposed = all_proposed_idents(cluster)
     for replica in cluster.replicas.values():
-        for _, ident in replica.executor.history:
-            assert ident in proposed or ident == ("__noop__", 0)
+        for command, _ in replica.statemachine.record.entries:
+            assert command.ident in proposed
     # Consistency: per-instance agreement + execution order agreement.
     per_instance = {}
     for replica in cluster.replicas.values():
@@ -75,8 +75,7 @@ def test_nontriviality_and_consistency_random_workloads(contention,
                     prev = per_instance.setdefault(
                         entry.instance, entry.command.ident)
                     assert prev == entry.command.ident
-    assert_replicas_consistent(cluster)
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 @settings(deadline=None, max_examples=6,
@@ -91,8 +90,7 @@ def test_liveness_and_consistency_with_one_fault(faulty, behavior):
     # Liveness: every request eventually delivered despite the fault.
     assert all(d.done for d in drivers)
     assert len(log.records) == 9
-    assert_replicas_consistent(cluster, exclude=(faulty,))
-    assert_histories_consistent(cluster, exclude=(faulty,))
+    assert check(observe(cluster, faults("SwapByzantine", faulty))) == []
 
 
 def test_stability_committed_entries_never_change():
@@ -136,7 +134,7 @@ def test_executed_prefix_grows_monotonically():
     for i in range(4):
         client.submit(client.next_command("put", "hot", i))
         cluster.run_until_idle()
-        history = list(cluster.replicas["r2"].executor.history)
+        history = list(cluster.replicas["r2"].statemachine.record.entries)
         prefixes.append(history)
     for shorter, longer in zip(prefixes, prefixes[1:]):
         assert longer[:len(shorter)] == shorter

@@ -10,11 +10,12 @@ from repro.byzantine import (
     SilentReplica,
     install_byzantine,
 )
+from repro.check import check, observe
 from repro.core.instance import EntryStatus
 
 from helpers import (
     DeliveryLog,
-    assert_replicas_consistent,
+    faults,
     geo_cluster,
     lan_cluster,
 )
@@ -32,7 +33,8 @@ def test_silent_target_replica_recovers_via_retry():
     cluster.run_until_idle()
     assert log.results == ["OK"]
     assert client.stats["retries"] >= 1
-    state = assert_replicas_consistent(cluster, exclude=("r1",))
+    assert check(observe(cluster, faults("SwapByzantine", "r1"))) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     assert state == {"k": "v"}
 
 
@@ -74,7 +76,7 @@ def test_silent_nonleader_replica_forces_slow_path_only():
     cluster.run_until_idle()
     assert log.paths == ["slow"]
     assert log.results == ["OK"]
-    assert_replicas_consistent(cluster, exclude=("r3",))
+    assert check(observe(cluster, faults("SwapByzantine", "r3"))) == []
 
 
 def test_equivocating_leader_triggers_pom_and_owner_change():
@@ -89,7 +91,7 @@ def test_equivocating_leader_triggers_pom_and_owner_change():
     assert log.results == ["OK"]
     for rid in CORRECT:
         assert cluster.replicas[rid].spaces["r1"].frozen
-    assert_replicas_consistent(cluster, exclude=("r1",))
+    assert check(observe(cluster, faults("SwapByzantine", "r1"))) == []
 
 
 def test_pom_validation_rejects_bogus_proof():
@@ -127,7 +129,7 @@ def test_dep_suppressing_replica_cannot_break_consistency():
     c1.submit(c1.next_command("put", "hot", "b"))
     cluster.run_until_idle()
     assert len(log.records) == 2
-    assert_replicas_consistent(cluster, exclude=("r1",))
+    assert check(observe(cluster, faults("SwapByzantine", "r1"))) == []
 
 
 def test_corrupt_result_replica_cannot_break_fast_path_safety():
@@ -141,7 +143,7 @@ def test_corrupt_result_replica_cannot_break_fast_path_safety():
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
     assert log.results == ["OK"]  # never '##corrupt##'
-    assert_replicas_consistent(cluster, exclude=("r2",))
+    assert check(observe(cluster, faults("SwapByzantine", "r2"))) == []
 
 
 def test_owner_change_preserves_committed_command():
@@ -165,7 +167,7 @@ def test_owner_change_preserves_committed_command():
         assert len(entries) == 1
         assert entries[0].command.ident == ("c0", 1)
         assert entries[0].status == EntryStatus.EXECUTED
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_owner_change_new_owner_is_next_in_ring():
@@ -214,4 +216,4 @@ def test_progress_with_f_silent_replicas_of_n7():
     cluster.run_until_idle()
     assert log.results == ["OK"]
     assert log.paths == ["slow"]
-    assert_replicas_consistent(cluster, exclude=("r5", "r6"))
+    assert check(observe(cluster, faults("SwapByzantine", "r5", "r6"))) == []

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from repro.byzantine import DepSuppressingReplica, install_byzantine
+from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import Commit
@@ -12,8 +13,6 @@ from repro.statemachine.interference import AlwaysInterfere
 
 from helpers import (
     DeliveryLog,
-    assert_histories_consistent,
-    assert_replicas_consistent,
     geo_cluster,
     lan_cluster,
 )
@@ -37,9 +36,10 @@ def test_conflicting_concurrent_commands_commit_consistently():
     log, _, _ = two_conflicting_clients(cluster)
     cluster.run_until_idle()
     assert len(log.records) == 2
-    state = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     assert state["hot"] in ("from-c0", "from-c1")
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_conflicting_commands_take_slow_path_in_geo():
@@ -78,12 +78,12 @@ def test_dependency_cycle_resolved_deterministically():
     cluster = geo_cluster()
     log, _, _ = two_conflicting_clients(cluster)
     cluster.run_until_idle()
-    assert_histories_consistent(cluster)
-    state = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     # The executed order must be the same everywhere, so the final value
     # is whichever command every replica executed last.
-    histories = [r.executor.history for r in cluster.replicas.values()]
-    last_idents = {tuple(h[-1][1] for h in histories)}
+    last_idents = {r.statemachine.record.entries[-1][0].ident
+                   for r in cluster.replicas.values()}
     assert len(last_idents) == 1
 
 
@@ -110,8 +110,7 @@ def test_always_interfere_relation_forces_total_order():
         c.submit(c.next_command("put", f"key{i}", i))
     cluster.run_until_idle()
     assert len(log.records) == 4
-    assert_replicas_consistent(cluster)
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
     # Four different keys and still one order: a second round, proposed
     # once the first is everywhere, depends on all of it across keys.
     for i, c in enumerate(clients):
@@ -125,7 +124,7 @@ def test_always_interfere_relation_forces_total_order():
             dep_keys = {replica._log_index[d].command.key
                         for d in entry.deps}
             assert {f"key{i}" for i in range(4)} <= dep_keys
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_slow_path_produces_commit_replies():
@@ -157,8 +156,7 @@ def test_many_interleaved_conflicts_converge():
     cluster.run_until_idle()
     assert all(d.done for d in drivers)
     assert len(log.records) == 20
-    assert_replicas_consistent(cluster)
-    assert_histories_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_mixed_contention_some_fast_some_slow():
@@ -180,7 +178,7 @@ def test_mixed_contention_some_fast_some_slow():
     cluster.run_until_idle()
     assert len(log.records) == 24
     assert "fast" in log.paths
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 # ----------------------------------------------------------------------
@@ -257,4 +255,4 @@ def test_honest_slow_path_commit_still_commits():
         assert entry.status == EntryStatus.EXECUTED
         assert set(entry.deps) == {d for h in headers for d in h.deps}
         assert entry.seq == max(h.seq for h in headers)
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []

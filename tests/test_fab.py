@@ -5,11 +5,12 @@ import math
 import pytest
 
 from repro.byzantine import silence_node
+from repro.check import check, observe
 from repro.messages.base import SignedPayload
 
 from helpers import (
     DeliveryLog,
-    assert_replicas_consistent,
+    faults,
     lan_cluster,
 )
 
@@ -22,7 +23,7 @@ def test_single_request_commits():
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
     assert log.results == ["OK"]
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_four_step_latency_shape():
@@ -59,7 +60,8 @@ def test_sequential_ordering():
     for i in range(4):
         client.submit(client.next_command("put", "k", i))
         cluster.run_until_idle()
-    state = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     assert state == {"k": 3}
 
 
@@ -72,7 +74,7 @@ def test_tolerates_one_silent_acceptor():
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
     assert log.results == ["OK"]
-    assert_replicas_consistent(cluster, exclude=("r3",))
+    assert check(observe(cluster, faults("CrashReplica", "r3"))) == []
 
 
 def test_concurrent_clients():
@@ -84,7 +86,7 @@ def test_concurrent_clients():
         client.submit(client.next_command("put", "shared", i))
     cluster.run_until_idle()
     assert len(log.records) == 3
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_acceptor_accepts_one_value_per_slot():

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from repro.byzantine import install_byzantine, silence_node
+from repro.check import check, observe
 from repro.core.replica import EzBFTReplica
 from repro.crypto.digest import WRITERS, _encode, canonical_bytes
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -31,7 +32,7 @@ from repro.messages import batching, ezbft, fab, pbft, zyzzyva
 from repro.statemachine.base import Command
 from repro.types import InstanceID
 
-from helpers import DeliveryLog, assert_replicas_consistent, lan_cluster
+from helpers import DeliveryLog, lan_cluster
 
 
 CMD = Command(client_id="c0", timestamp=7, op="put", key="k", value="v")
@@ -613,7 +614,7 @@ def test_non_canonical_header_bytes_verify_but_never_match():
         ezbft.CommitFast(client_id="c0", instance=theirs.payload.instance,
                          certificate=tuple(headers[r] for r in order)
                          ).to_wire()
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
     for rid, replica in cluster.replicas.items():
         assert replica.statemachine.get_final("k") == 2, rid
         assert replica.stats["invalid_messages"] == 0, rid

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.byzantine import silence_node
+from repro.check import check, observe
 from repro.messages.base import SignedPayload
 
 from helpers import (
     DeliveryLog,
-    assert_replicas_consistent,
+    faults,
     geo_cluster,
     lan_cluster,
 )
@@ -21,7 +22,7 @@ def test_single_request_commits():
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
     assert log.results == ["OK"]
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_five_step_latency_shape():
@@ -45,7 +46,8 @@ def test_sequential_requests_ordered():
         client.submit(client.next_command("put", "k", i))
         cluster.run_until_idle()
     assert log.results == ["OK"] * 5
-    state = assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
+    state = cluster.replicas["r0"].statemachine.final_items()
     assert state == {"k": 4}
 
 
@@ -58,7 +60,7 @@ def test_concurrent_clients_totally_ordered():
         client.submit(client.next_command("put", "shared", i))
     cluster.run_until_idle()
     assert len(log.records) == 3
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_backup_forwards_request_to_primary():
@@ -106,7 +108,7 @@ def test_view_change_on_silent_primary():
     assert log.results == ["OK"]
     for rid in ("r1", "r2", "r3"):
         assert cluster.replicas[rid].view >= 1
-    assert_replicas_consistent(cluster, exclude=("r0",))
+    assert check(observe(cluster, faults("CrashReplica", "r0"))) == []
 
 
 def test_view_change_preserves_executed_state():
@@ -120,7 +122,8 @@ def test_view_change_preserves_executed_state():
     client.submit(client.next_command("put", "after", 2))
     cluster.run_until_idle()
     assert log.results == ["OK", "OK"]
-    state = assert_replicas_consistent(cluster, exclude=("r0",))
+    assert check(observe(cluster, faults("CrashReplica", "r0"))) == []
+    state = cluster.replicas["r1"].statemachine.final_items()
     assert state == {"before": 1, "after": 2}
 
 

@@ -6,9 +6,10 @@ import json
 import typing
 
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
+from repro.check import Run, check
 from repro.crypto.digest import (
     WRITERS,
     _encode,
@@ -32,8 +33,9 @@ from repro.messages.ezbft import (
     SpecReply,
     statement_of,
 )
+from repro.protocols.registry import get_protocol
 from repro.statemachine.bank import BankMachine
-from repro.statemachine.base import Command
+from repro.statemachine.base import Command, ExecutedLog
 from repro.statemachine.counter import CounterMachine
 from repro.statemachine.interference import KVInterference
 from repro.statemachine.kvstore import KVStore
@@ -524,6 +526,54 @@ def test_interference_semantics_match_execution(a):
     kv2.apply(b), kv2.apply(a)
     if kv1.final_items() != kv2.final_items():
         assert relation.interferes(a, b)
+
+
+# ----------------------------------------------------------------------
+# The safety oracle's order check
+# ----------------------------------------------------------------------
+distinct_commands = st.lists(
+    st.tuples(st.sampled_from(["put", "get", "incr"]),
+              st.sampled_from(["a", "b", "c"]),
+              st.integers(min_value=0, max_value=5)),
+    min_size=2, max_size=12).map(lambda ops: [
+        Command("c", ts, op, key, value)
+        for ts, (op, key, value) in enumerate(ops, start=1)])
+
+
+def two_replicas(first, second):
+    """ezBFT replicas r0 and r1 that applied ``first`` and ``second``,
+    with one state root: only the order check can speak."""
+    return Run(spec=get_protocol("ezbft"), interference=KVInterference(),
+               records={"r0": ExecutedLog([(c, None) for c in first]),
+                        "r1": ExecutedLog([(c, None) for c in second])},
+               roots={"r0": "root", "r1": "root"}, accepted={},
+               pending={}, fault_log=[], retry_timeout=1.0, now_ms=0.0)
+
+
+@given(distinct_commands, st.randoms())
+def test_check_allows_any_reordering_of_non_interfering_commands(cmds,
+                                                                 rng):
+    relation = KVInterference()
+    permuted = list(cmds)
+    for _ in range(3 * len(cmds)):
+        i = rng.randrange(len(permuted) - 1)
+        if not relation.interferes(permuted[i], permuted[i + 1]):
+            permuted[i], permuted[i + 1] = permuted[i + 1], permuted[i]
+    assert check(two_replicas(cmds, permuted)) == []
+
+
+@given(distinct_commands, st.randoms())
+def test_check_flags_any_swapped_interfering_pair(cmds, rng):
+    relation = KVInterference()
+    pairs = [(i, j) for i in range(len(cmds))
+             for j in range(i + 1, len(cmds))
+             if relation.interferes(cmds[i], cmds[j])]
+    assume(pairs)
+    i, j = rng.choice(pairs)
+    swapped = list(cmds)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert "order" in {v["check"]
+                       for v in check(two_replicas(cmds, swapped))}
 
 
 # ----------------------------------------------------------------------

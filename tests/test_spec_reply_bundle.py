@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.checkers.wire_schema import check_class
 from repro.byzantine import silence_node
+from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.core.owner_change import summarize_entry
 from repro.crypto.digest import canonical_bytes
@@ -32,7 +33,7 @@ from repro.messages.ezbft import (
 )
 from repro.storage import ReplicaStorage, replay_wal
 
-from helpers import DeliveryLog, assert_replicas_consistent, lan_cluster
+from helpers import DeliveryLog, lan_cluster
 
 SPEC_ORDER_TAGS = (SpecOrder.MSG_TYPE.encode(),
                    BatchSpecOrder.MSG_TYPE.encode())
@@ -205,7 +206,7 @@ def test_batch_is_answered_with_one_bundle_per_replica():
         assert {h.payload.timestamp for h in bundle.replies} == \
             set(range(1, 9))
     assert len({h.signer for b in bundles for h in b.replies}) == 4
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
 
 
 def test_batch_is_committed_with_one_frame_per_replica():
@@ -228,7 +229,7 @@ def test_batch_is_committed_with_one_frame_per_replica():
         assert {c.instance.slot for c in batch.commits} == set(range(8))
         assert replica.stats["committed_fast"] == 8
         assert replica.stats["invalid_messages"] == 0
-    assert_replicas_consistent(cluster)
+    assert check(observe(cluster)) == []
     # And the frame survives a real wire.
     (batch,) = folded["r1"]
     again = BatchCommitFast.from_wire(json.loads(canonical_bytes(batch)))
@@ -366,7 +367,7 @@ def test_owner_change_over_committed_and_spec_ordered_batch_entries():
         assert [e.command.ident for e in entries] == \
             [("c0", t) for t in (1, 2, 3, 4)]
         assert all(e.status == EntryStatus.EXECUTED for e in entries)
-    assert_replicas_consistent(cluster, exclude=("r1",))
+    assert check(observe(cluster)) == []
 
 
 # ----------------------------------------------------------------------

@@ -382,7 +382,8 @@ def test_nan_metrics_dropped_from_series():
             throughput_per_sec=0.0, latency=summary,
             fast_path_ratio=float("nan"), warmup_discarded=0,
             owner_changes=0, view_changes=0, checkpoints_stable=0,
-            log_footprint_total=0, client_stats={}, network={})
+            log_footprint_total=0, client_stats={}, network={},
+            violations=[])
 
     sweep_report = SweepReport(
         name="synthetic", backend="sim", axes={"seed": (1, 2)},
