@@ -24,20 +24,12 @@ catalog):
 - **wire-schema**: reflective ``to_wire``/``from_wire``/decode-table
   parity for every message dataclass.
 
-Surface: ``python -m repro lint [--rule ID] [--format json]
-[--baseline]``; programmatic entry is :func:`run_lint`.  Per-line
-pragmas (``# repro: allow[rule-id]``) sanction permanent exceptions
-in place; the committed ``lint-baseline.json`` grandfathers temporary
-debt.
+Surface: ``python -m repro lint [--rule ID] [--format json]``;
+programmatic entry is :func:`run_lint`.  Per-line pragmas
+(``# repro: allow[rule-id]``) sanction exceptions in place; every other
+finding fails the run.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.checkers import (
     CHECKER_REGISTRY,
     Checker,
@@ -68,9 +60,4 @@ __all__ = [
     "run_lint",
     "repo_root",
     "DEFAULT_ROOTS",
-    "DEFAULT_BASELINE",
-    "BaselineEntry",
-    "load_baseline",
-    "save_baseline",
-    "apply_baseline",
 ]

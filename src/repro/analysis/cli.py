@@ -1,23 +1,14 @@
 """``python -m repro lint``: argument wiring and exit codes.
 
-Exit codes: 0 clean (after pragma and baseline suppression), 1 new
-findings, 2 usage/configuration errors (via ``ReproError`` in
-``repro.__main__``).
+Exit codes: 0 clean (after pragma suppression), 1 findings, 2
+usage/configuration errors (via ``ReproError`` in ``repro.__main__``).
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    BaselineMatch,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.engine import repo_root, run_lint
+from repro.analysis.engine import run_lint
 from repro.analysis.reporters import (
     render_json,
     render_rule_list,
@@ -43,17 +34,6 @@ def add_lint_parser(sub) -> None:
                       default="text",
                       help="report format (json is schema-stable; "
                            "CI uploads it as an artifact)")
-    lint.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE,
-                      default=None, metavar="PATH",
-                      help="suppress findings grandfathered in this "
-                           "baseline file (default path "
-                           f"{DEFAULT_BASELINE} when the flag is "
-                           "given bare)")
-    lint.add_argument("--write-baseline", nargs="?",
-                      const=DEFAULT_BASELINE, default=None,
-                      metavar="PATH",
-                      help="write the current findings as the new "
-                           "baseline and exit 0")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
 
@@ -64,34 +44,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     report = run_lint(paths=args.paths or None,
                       rules=args.rule or None)
-
-    if args.write_baseline is not None:
-        path = _anchor(args.write_baseline)
-        save_baseline(path, report.findings)
-        print(f"wrote {len(report.findings)} entr"
-              f"{'y' if len(report.findings) == 1 else 'ies'} to "
-              f"{path}")
-        return 0
-
-    match: Optional[BaselineMatch] = None
-    new = report.findings
-    if args.baseline is not None:
-        entries = load_baseline(_anchor(args.baseline))
-        match = apply_baseline(report.findings, entries)
-        new = match.new
-
     if args.format == "json":
-        print(render_json(report, new, match), end="")
+        print(render_json(report), end="")
     else:
-        print(render_text(report, new, match))
-    return 1 if new else 0
-
-
-def _anchor(path: str) -> str:
-    """Resolve a baseline path against the repo root (so the
-    committed default works from any working directory)."""
-    import os
-
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
-    return str(repo_root() / path)
+        print(render_text(report))
+    return 1 if report.findings else 0

@@ -3,10 +3,7 @@
 One :func:`run_lint` call parses every Python file under the scanned
 roots once, hands each :class:`FileContext` to every selected AST
 checker, runs the project-level (reflective) checkers once, then
-filters the raw findings through per-line pragmas.  Baseline
-filtering is the caller's job (:mod:`repro.analysis.cli`): the engine
-reports *all* surviving findings so ``--write-baseline`` and baseline
-matching see the same list.
+filters the raw findings through per-line pragmas.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Finding: one rule violation at one source location.
 
-Findings are plain frozen dataclasses so reporters, the baseline
-matcher, and tests can compare them by value.  ``baseline_key()``
-deliberately excludes the line number: grandfathered entries must
-survive unrelated edits above them in the same file.
+Findings are plain frozen dataclasses so reporters and tests can
+compare them by value.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ class Finding:
     """One rule violation.
 
     ``path`` is repo-root-relative with forward slashes (stable across
-    machines and OSes, so baselines and JSON reports diff cleanly).
+    machines and OSes, so JSON reports diff cleanly).
     ``line``/``col`` are 1-based/0-based as in :mod:`ast`.
     """
 
@@ -29,10 +27,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used by the committed baseline."""
-        return (self.rule, self.path, self.message)
 
     def format_text(self) -> str:
         return (f"{self.path}:{self.line}:{self.col + 1}: "

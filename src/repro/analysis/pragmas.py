@@ -1,10 +1,9 @@
 """Per-line pragma suppressions: ``# repro: allow[rule-id]``.
 
 A pragma sanctions one finding at one site, in the code itself, where
-reviewers see it -- the right tool for *permanent* exceptions (the
-scenario runner's ``wall_seconds`` stopwatch, the sweep cache's
-content-address hash).  Temporary debt belongs in the baseline file
-instead.
+reviewers see it (the scenario runner's ``wall_seconds`` stopwatch, the
+sweep cache's content-address hash).  It is the only suppression: any
+other finding fails ``python -m repro lint``.
 
 Syntax::
 

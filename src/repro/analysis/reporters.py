@@ -2,50 +2,34 @@
 
 The JSON shape is schema-stable (pinned by
 ``tests/test_analysis_cli.py``): CI uploads it as an artifact and
-downstream tooling may diff runs, so keys are never renamed -- only
-added.
+downstream tooling may diff runs, so a key is renamed or removed only
+together with a :data:`JSON_SCHEMA_VERSION` bump.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional
 
-from repro.analysis.baseline import BaselineEntry, BaselineMatch
 from repro.analysis.checkers import all_rules
 from repro.analysis.engine import LintReport
-from repro.analysis.findings import Finding
 
-#: Bumped when the JSON report's meaning changes incompatibly.
-JSON_SCHEMA_VERSION = 1
+#: Bumped when the JSON report's meaning changes incompatibly
+#: (2: the lint baseline and its ``suppressed.baseline`` and
+#: ``stale_baseline`` keys are gone).
+JSON_SCHEMA_VERSION = 2
 
 
-def render_text(report: LintReport, new: List[Finding],
-                match: Optional[BaselineMatch] = None) -> str:
-    lines = []
-    for finding in new:
-        lines.append(finding.format_text())
-    if match is not None and match.stale:
-        for entry in match.stale:
-            lines.append(
-                f"stale baseline entry: [{entry.rule}] {entry.path}: "
-                f"{entry.message} (fixed? prune it with "
-                f"--write-baseline)")
+def render_text(report: LintReport) -> str:
+    lines = [finding.format_text() for finding in report.findings]
     summary = (f"{report.files_scanned} file(s) scanned, "
-               f"{len(new)} finding(s)")
-    extras = []
+               f"{len(report.findings)} finding(s)")
     if report.pragma_suppressed:
-        extras.append(f"{report.pragma_suppressed} pragma-allowed")
-    if match is not None and match.absorbed:
-        extras.append(f"{len(match.absorbed)} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({report.pragma_suppressed} pragma-allowed)"
     lines.append(summary)
     return "\n".join(lines)
 
 
-def render_json(report: LintReport, new: List[Finding],
-                match: Optional[BaselineMatch] = None) -> str:
+def render_json(report: LintReport) -> str:
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "rules": [
@@ -54,14 +38,9 @@ def render_json(report: LintReport, new: List[Finding],
             for spec in all_rules() if spec.id in report.rules
         ],
         "files_scanned": report.files_scanned,
-        "findings": [f.to_dict() for f in new],
-        "suppressed": {
-            "pragma": report.pragma_suppressed,
-            "baseline": len(match.absorbed) if match else 0,
-        },
-        "stale_baseline": [e.to_dict() for e in match.stale]
-        if match else [],
-        "exit_code": 1 if new else 0,
+        "findings": [f.to_dict() for f in report.findings],
+        "suppressed": {"pragma": report.pragma_suppressed},
+        "exit_code": 1 if report.findings else 0,
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import ConfigurationError, SimulationError, TransportError
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyMatrix
 from repro.trace.tracer import NULL_TRACER
@@ -188,29 +188,34 @@ class SimNetwork:
 
         tracer = self.tracer
         tctx = tracer.current() if tracer.enabled else None
+        sim = self.sim
         propagation = self.latency.sample_one_way(
             src_rec.region, dst_rec.region, self._rng,
             self.conditions.jitter_fraction)
+        if propagation < 0.0:  # a negative matrix entry, or jitter > 1
+            raise SimulationError(
+                f"negative one-way latency {propagation} ms from "
+                f"{src_rec.region!r} to {dst_rec.region!r}")
         if self.shaper is not None:
             # Link-level emulation: the shaper turns one send into
             # zero (lost), one, or two (duplicated) deliveries, each
             # with an extra delay on top of propagation.  All its
             # randomness is a seeded stream, so the run stays
             # deterministic.
-            plan = self.shaper.plan(src, dst, size_bytes, self.sim.now)
+            plan = self.shaper.plan(src, dst, size_bytes, sim.now)
             if not plan:
                 dst_rec.messages_dropped += 1
                 return
             for extra in plan:
-                self.sim.schedule(propagation + extra, self._arrive,
-                                  src, dst, message, tctx)
+                sim._push(sim._now + (propagation + extra), self._arrive,
+                          (src, dst, message, tctx))
             return
         # CPU queueing is decided when the message *arrives*, not when it
         # is sent -- otherwise a distant message sent earlier would
         # reserve the CPU ahead of a nearby message that physically
         # arrives first.
-        self.sim.schedule(propagation, self._arrive, src, dst, message,
-                          tctx)
+        sim._push(sim._now + propagation, self._arrive,
+                  (src, dst, message, tctx))
 
     def _arrive(self, src: str, dst: str, message: Any,
                 tctx: Any = None) -> None:
@@ -218,13 +223,13 @@ class SimNetwork:
         rec = self._nodes.get(dst)
         if rec is None:  # node deregistered mid-flight; drop silently
             return
+        sim = self.sim
         proc = self.cpu.cost(message)
-        start = max(self.sim.now, rec.busy_until)
+        start = max(sim._now, rec.busy_until)
         finish = start + proc
         rec.busy_until = finish
         rec.cpu_busy_ms += proc
-        self.sim.schedule_at(finish, self._deliver, src, dst, message,
-                             tctx)
+        sim._push(finish, self._deliver, (src, dst, message, tctx))
 
     def broadcast(self, src: str, dsts: Tuple[str, ...], message: Any,
                   size_bytes: int = 0) -> None:

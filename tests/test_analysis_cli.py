@@ -1,9 +1,9 @@
-"""CLI, pragma, baseline, and report-schema tests for repro.analysis.
+"""CLI, pragma, and report-schema tests for repro.analysis.
 
 The checker semantics themselves (which lines each rule flags) live in
 ``tests/test_analysis_checkers.py``; this file pins the *surfaces*:
-``python -m repro lint`` exit codes, the pragma and baseline
-suppression machinery, and the JSON report schema that CI uploads as
+``python -m repro lint`` exit codes, the pragma suppression
+machinery, and the JSON report schema that CI uploads as
 an artifact.
 """
 
@@ -13,17 +13,9 @@ import textwrap
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.engine import repo_root, run_lint
-from repro.analysis.findings import Finding
+from repro.analysis.engine import run_lint
 from repro.analysis.pragmas import is_allowed, parse_pragmas
 from repro.analysis.reporters import JSON_SCHEMA_VERSION
-from repro.errors import ConfigurationError
 
 ALL_RULE_IDS = {
     "wall-clock", "global-random", "salted-hash",
@@ -114,70 +106,6 @@ def test_pragma_for_wrong_rule_does_not_suppress(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline
-
-
-def _finding(rule="wall-clock", path="src/repro/core/x.py", line=3,
-             message="m"):
-    return Finding(rule=rule, path=path, line=line, col=0,
-                   message=message)
-
-
-def test_baseline_absorbs_by_rule_path_message_not_line():
-    entries = [BaselineEntry(rule="wall-clock",
-                             path="src/repro/core/x.py", message="m")]
-    match = apply_baseline([_finding(line=99)], entries)
-    assert match.new == []
-    assert len(match.absorbed) == 1
-    assert match.stale == []
-
-
-def test_baseline_multiplicity_one_entry_absorbs_one_finding():
-    entries = [BaselineEntry(rule="wall-clock",
-                             path="src/repro/core/x.py", message="m")]
-    match = apply_baseline([_finding(line=3), _finding(line=8)],
-                           entries)
-    assert len(match.absorbed) == 1
-    assert len(match.new) == 1
-
-
-def test_baseline_reports_stale_entries():
-    entries = [BaselineEntry(rule="wall-clock",
-                             path="src/repro/core/gone.py",
-                             message="fixed long ago")]
-    match = apply_baseline([], entries)
-    assert match.stale == entries
-
-
-def test_baseline_round_trip(tmp_path):
-    path = str(tmp_path / "bl.json")
-    findings = [_finding(line=3), _finding(rule="key-reach",
-                                           message="other")]
-    save_baseline(path, findings)
-    entries = load_baseline(path)
-    assert {e.key() for e in entries} == \
-        {f.baseline_key() for f in findings}
-
-
-@pytest.mark.parametrize("content,phrase", [
-    ("not json {", "not valid JSON"),
-    ('{"version": 99, "entries": []}', "version"),
-    ('{"version": 1, "entries": [{"rule": "x"}]}', "malformed"),
-    ('{"version": 1}', "entries"),
-])
-def test_baseline_load_rejects_malformed(tmp_path, content, phrase):
-    path = tmp_path / "bl.json"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(ConfigurationError, match=phrase):
-        load_baseline(str(path))
-
-
-def test_baseline_missing_file_is_configuration_error(tmp_path):
-    with pytest.raises(ConfigurationError, match="not found"):
-        load_baseline(str(tmp_path / "nope.json"))
-
-
-# ---------------------------------------------------------------------------
 # python -m repro lint: exit codes and wiring
 
 
@@ -190,14 +118,8 @@ def test_lint_self_check_repo_tree_is_clean(capsys):
 
 
 def test_lint_with_committed_baseline_is_clean(capsys):
-    assert main(["lint", "--baseline"]) == 0
-
-
-def test_committed_baseline_has_no_stale_entries():
-    entries = load_baseline(str(repo_root() / "lint-baseline.json"))
-    report = run_lint()
-    match = apply_baseline(report.findings, entries)
-    assert match.stale == []
+    # CI's lint gate: the bare run over the whole tree.
+    assert main(["lint"]) == 0
 
 
 BAD_FIXTURES = {
@@ -252,28 +174,20 @@ def test_lint_rule_filter_restricts_output(tmp_path, capsys):
     assert "[wall-clock]" not in out
 
 
+@pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+def test_lint_has_no_baseline_flags(capsys, flag):
+    # Every finding fails the run; only an inline pragma suppresses.
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", flag])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_lint_list_rules_covers_every_rule(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ALL_RULE_IDS:
         assert rule in out
-
-
-def test_write_baseline_then_baseline_run_is_clean(tmp_path, capsys):
-    bad = write_snippet(tmp_path, "src/repro/core/bad.py",
-                        "import time\nt = time.time()\n")
-    bl = str(tmp_path / "bl.json")
-    assert main(["lint", str(bad), "--write-baseline", bl]) == 0
-    assert "wrote 1 entry" in capsys.readouterr().out
-
-    assert main(["lint", str(bad), "--baseline", bl]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # Pay the debt down: the entry goes stale but does not fail the
-    # run; the report says to prune it.
-    bad.write_text("t = 0\n", encoding="utf-8")
-    assert main(["lint", str(bad), "--baseline", bl]) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +224,12 @@ def test_json_schema_top_level_keys(capsys):
     assert code == 0
     assert set(payload) == {
         "schema_version", "rules", "files_scanned", "findings",
-        "suppressed", "stale_baseline", "exit_code",
+        "suppressed", "exit_code",
     }
     assert payload["schema_version"] == JSON_SCHEMA_VERSION
     assert payload["exit_code"] == 0
     assert payload["findings"] == []
-    assert set(payload["suppressed"]) == {"pragma", "baseline"}
+    assert set(payload["suppressed"]) == {"pragma"}
     assert payload["suppressed"]["pragma"] >= 1  # runner stopwatch
     assert payload["files_scanned"] > 50
     assert {r["id"] for r in payload["rules"]} == ALL_RULE_IDS
@@ -334,18 +248,3 @@ def test_json_finding_entry_shape(tmp_path, capsys):
     assert set(finding) == {"rule", "path", "line", "col", "message"}
     assert finding["rule"] == "wall-clock"
     assert finding["line"] == 2
-
-
-def test_json_reports_baseline_suppression(tmp_path, capsys):
-    bad = write_snippet(tmp_path, "src/repro/core/bad.py",
-                        "import time\nt = time.time()\n")
-    bl = str(tmp_path / "bl.json")
-    assert main(["lint", str(bad), "--write-baseline", bl]) == 0
-    capsys.readouterr()
-    code, payload = run_json(
-        ["lint", str(bad), "--baseline", bl, "--format", "json"],
-        capsys)
-    assert code == 0
-    assert payload["findings"] == []
-    assert payload["suppressed"]["baseline"] == 1
-    assert payload["stale_baseline"] == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import ConfigurationError, SimulationError, TransportError
 from repro.sim.events import Simulator
 from repro.sim.latency import uniform_matrix
 from repro.sim.network import CpuModel, NetworkConditions, SimNetwork
@@ -179,3 +179,16 @@ def test_jitter_changes_latency_but_stays_bounded():
     net.send("n2", "n1", _Msg())
     sim.run()
     assert 90.0 <= times[0] <= 110.0
+
+
+@pytest.mark.parametrize("one_way,jitter", [(-5.0, 0.0), (100.0, 1.5)])
+def test_negative_latency_rejected_at_send(one_way, jitter):
+    # The hops bypass Simulator.schedule's check, so the fabric rejects
+    # a delay that would land before now itself.
+    sim, net = make_net(one_way=one_way,
+                        conditions=NetworkConditions(jitter_fraction=jitter))
+    net.register("n1", "a", lambda s, m: None)
+    net.register("n2", "b", lambda s, m: None)
+    with pytest.raises(SimulationError, match="negative one-way latency"):
+        for _ in range(50):
+            net.send("n2", "n1", _Msg())
