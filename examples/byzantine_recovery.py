@@ -2,8 +2,8 @@
 """Byzantine-failure walkthrough as declarative fault schedules
 (paper Sections IV-D / IV-E).
 
-Scenario 1 -- an equivocating command-leader: the Tokyo replica sends
-conflicting SPECORDERs for the same request.  The client catches it
+Scenario 1 -- an equivocating command-leader: the Virginia replica
+sends conflicting SPECORDERs for the same request.  The client catches it
 red-handed (the signed SPECORDERs become the proof of misbehavior), the
 correct replicas freeze its instance space and hand it to the next
 owner, and the client's commands still commit.
@@ -34,7 +34,7 @@ def banner(text: str) -> None:
 def main() -> None:
     runner = ScenarioRunner()
 
-    banner("Scenario 1: equivocating command-leader (r1, Tokyo)")
+    banner("Scenario 1: equivocating command-leader (r0, Virginia)")
     report = runner.run(preset("equivocation"))
     print(report.format_text())
     print(f"\nproofs of misbehavior sent: "
@@ -42,7 +42,7 @@ def main() -> None:
     print(f"owner changes: {report.owner_changes}")
     assert report.delivered == 4          # every command still commits
     assert report.client_stats["poms_sent"] >= 1
-    assert report.owner_changes >= 1      # r1's space changed hands
+    assert report.owner_changes >= 1      # r0's space changed hands
 
     banner("Scenario 2: crash (r1) -> owner change -> recover")
     report = runner.run(preset("crash-recovery"))

@@ -1,28 +1,18 @@
-"""Byzantine fault injection.
-
-Faulty behaviours are expressed as replica subclasses that misbehave in
-protocol-specific ways; :func:`install_byzantine` swaps one into a built
-cluster before the run starts.
-"""
+"""Byzantine fault injection for every protocol: a behaviour is a policy
+over what a replica sends (see :mod:`repro.byzantine.behaviors`)."""
 
 from repro.byzantine.behaviors import (
     BEHAVIORS,
-    CorruptResultReplica,
-    DepSuppressingReplica,
-    EquivocatingLeaderReplica,
-    SilentReplica,
     behavior_by_name,
     install_byzantine,
+    require_expressible,
     silence_node,
 )
 
 __all__ = [
     "BEHAVIORS",
     "behavior_by_name",
-    "SilentReplica",
-    "EquivocatingLeaderReplica",
-    "DepSuppressingReplica",
-    "CorruptResultReplica",
+    "require_expressible",
     "install_byzantine",
     "silence_node",
 ]

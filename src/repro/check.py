@@ -9,8 +9,8 @@ wait for, the protocol's registry entry and the fault log.
 and the CLI all judge through :func:`check`.
 
 Only *correct* nodes are judged: a node the fault log leaves crashed
-(or its process killed) at the end, or swapped for a byzantine
-behaviour at any point, is not.  The named checks:
+(or its process killed) at the end, or made byzantine at any point,
+is not.  The named checks:
 
 - ``exactly_once``: one replica applied one command ident twice.
 - ``order``: two correct replicas applied two interfering commands in
@@ -193,8 +193,7 @@ def _violation(name: str, detail: str) -> Violation:
 
 
 def _faulty(fault_log: List[Dict[str, Any]]) -> Set[str]:
-    """The nodes ``fault_log`` leaves down, or ever swapped for a
-    byzantine behaviour."""
+    """The nodes ``fault_log`` leaves down, or ever made byzantine."""
     down, byzantine = set(), set()
     for entry in fault_log:
         event, node = entry["event"], entry["replica"]

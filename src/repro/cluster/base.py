@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.cluster.metrics import replica_footprint
 from repro.config import ProtocolConfig
 from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
@@ -80,9 +79,9 @@ class ProtocolCluster:
                                      **config_overrides)
         self.registry = KeyRegistry(replica_ids)
         # Every replica's key, hosted here or not: local nodes verify a
-        # remote replica's signatures, and a byzantine stand-in keeps
-        # the key of the replica it replaces (registering one again
-        # would drop every cached verdict).
+        # remote replica's signatures, and a replica rebuilt by
+        # ``build_replica`` keeps its key (registering one again would
+        # drop every cached verdict).
         self._keypairs = {rid: self.registry.create(rid, seed=KEY_SEED)
                           for rid in replica_ids}
         self.interference = interference if interference is not None \
@@ -142,7 +141,14 @@ class ProtocolCluster:
         return {rid: r.statemachine for rid, r in self.replicas.items()}
 
     def log_footprint(self) -> Dict[str, Dict[str, int]]:
-        """Per-replica resident log/execution structure sizes (see
-        :func:`repro.cluster.metrics.replica_footprint`)."""
-        return {rid: replica_footprint(r)
-                for rid, r in self.replicas.items()}
+        """Per replica, the sizes of its resident log/execution
+        structures (its ``footprint()``) and their ``total``.  The
+        memory-bound benchmark samples this over a long run to prove
+        checkpoint GC keeps every structure O(checkpoint interval)
+        instead of O(history)."""
+        out = {}
+        for rid, replica in self.replicas.items():
+            sizes = replica.footprint()
+            sizes["total"] = sum(sizes.values())
+            out[rid] = sizes
+        return out

@@ -1,40 +1,10 @@
-"""Latency, throughput, and resident-footprint metrics collection."""
+"""Latency and throughput metrics collection."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-
-def replica_footprint(replica: Any) -> Dict[str, int]:
-    """Sizes of a replica's resident log/execution structures.
-
-    Works for any replica shape: counts whatever of the known
-    structures the object exposes.  The memory-bound benchmark samples
-    this over a long run to prove checkpoint GC keeps every structure
-    O(checkpoint interval) instead of O(history)."""
-    sizes: Dict[str, int] = {}
-    log_index = getattr(replica, "_log_index", None)
-    if log_index is not None:
-        sizes["log_entries"] = len(log_index)
-    spaces = getattr(replica, "spaces", None)
-    if spaces is not None:
-        sizes["space_slots"] = sum(len(s) for s in spaces.values())
-    slots = getattr(replica, "_slots", None)
-    if slots is not None:
-        sizes["slots"] = len(slots)
-    executor = getattr(replica, "executor", None)
-    if executor is not None:
-        sizes["executed_instances"] = len(executor.executed)
-        sizes["history"] = len(replica.statemachine.record.entries)
-        sizes["results"] = len(executor._results)
-        sizes["deferred"] = len(executor._deferred)
-    pending = getattr(replica, "_pending_spec_orders", None)
-    if pending is not None:
-        sizes["pending_spec_orders"] = len(pending)
-    sizes["total"] = sum(sizes.values())
-    return sizes
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass

@@ -217,6 +217,19 @@ class EzBFTReplica(Node):
             "catch_ups_installed": 0,
         }
 
+    def footprint(self) -> Dict[str, int]:
+        """Sizes of the resident log/execution structures."""
+        executor = self.executor
+        return {
+            "log_entries": len(self._log_index),
+            "space_slots": sum(len(s) for s in self.spaces.values()),
+            "executed_instances": len(executor.executed),
+            "history": len(self.statemachine.record.entries),
+            "results": len(executor._results),
+            "deferred": len(executor._deferred),
+            "pending_spec_orders": len(self._pending_spec_orders),
+        }
+
     # ------------------------------------------------------------------
     # Tracing seam
     # ------------------------------------------------------------------
@@ -325,7 +338,7 @@ class EzBFTReplica(Node):
         allocate consecutive slots, speculatively execute, and
         broadcast the proposal -- the paper's signed SPECORDER for one
         request, one signed BATCHSPECORDER covering all of several (the
-        step amortized).  The one hook a byzantine leader overrides."""
+        step amortized)."""
         space = self.spaces[self.node_id]
         if space.frozen:
             # We were deposed by an owner change; we may no longer
@@ -611,8 +624,7 @@ class EzBFTReplica(Node):
                          request_digest: Optional[str] = None) -> None:
         """Sign the SPECREPLY header for ``entry`` and send it with
         ``signed_order`` beside it (a :class:`SpecReplyBundle`) -- at
-        once, or with the rest of its batch when an outbox is open.
-        Byzantine subclasses override this hook on both paths."""
+        once, or with the rest of its batch when an outbox is open."""
         if request_digest is None:
             request_digest = self._request_digest_for(entry, signed_order)
         reply = SpecReply(

@@ -196,7 +196,7 @@ class ServeSession:
         self.registry.register_collector(self._collect)
 
         self.channel = ControlChannel(
-            self._apply_fault, self.cluster.replica_ids,
+            self.injector.apply, self.cluster.replica_ids,
             keypair=control_keypair(self._control_seed),
             on_applied=self._on_control)
         for rid in self.replicas:
@@ -219,17 +219,6 @@ class ServeSession:
                         in self.endpoints.items()}})
 
     # ------------------------------------------------------------------
-    def _apply_fault(self, event: Any) -> None:
-        self.injector.apply(event)
-        # SwapByzantine rebuilds the replica object; re-attach its
-        # instrument set and health monitor so the byzantine stand-in
-        # keeps reporting.
-        for rid, live in self._live.items():
-            replica = self.cluster.replicas[rid]
-            if replica.instruments is not live:
-                replica.instruments = live
-                self.monitors[rid].replica = replica
-
     def _on_control(self, event_name: str) -> None:
         for live in self._live.values():
             live.control_event(event_name)
@@ -238,8 +227,6 @@ class ServeSession:
     def _collect(self) -> None:
         self._uptime.set(self._now_ms() - self._start_ms)
         for rid in self.replicas:
-            # Looked up per scrape: a SwapByzantine stand-in is read
-            # without a re-attach.
             replica = self.cluster.replicas[rid]
             self._live[rid].collect(replica, self.cluster.nodes[rid])
             stats = replica.stats

@@ -94,6 +94,10 @@ class BaseReplica(Node):
     def broadcast_others(self, message: Any) -> None:
         self.ctx.broadcast(self.config.others(self.node_id), message)
 
+    def footprint(self) -> Dict[str, int]:
+        """Sizes of the resident log structures: the slot table."""
+        return {"slots": len(self._slots)}
+
     def rejoin(self) -> None:
         """Back from a crash: nothing to do.  A primary-based baseline
         catches up from the primary's next ordering messages and its

@@ -12,9 +12,11 @@ each names a point on the scenario clock (``at_ms``) and a disruption:
   the serve process hosting a replica (TCP backend only).
 - :class:`Partition` / :class:`Heal` -- cut the network between two node
   sets; heal restores full connectivity (crashed replicas stay crashed).
-- :class:`SwapByzantine` -- replace a replica with a named byzantine
-  behaviour from :data:`repro.byzantine.BEHAVIORS` (ezBFT-shaped
-  protocols only).
+- :class:`SwapByzantine` -- make a live replica byzantine: a named
+  behaviour from :data:`repro.byzantine.BEHAVIORS` rewrites what it
+  sends.  ``silent`` and ``corrupt_result`` run on every protocol,
+  ``dep_suppress`` and ``equivocate`` on ezBFT only (a scenario naming
+  them with a baseline fails validation).
 - :class:`LatencyShift` -- scale the WAN latency by a factor (relative
   to the scenario's base, so shifts do not compound).  On the
   simulator it scales the latency matrix; on TCP it scales the live
@@ -169,7 +171,7 @@ class Heal(FaultEvent):
 
 @dataclass(frozen=True)
 class SwapByzantine(_ReplicaEvent):
-    """Replace ``replica`` with the named byzantine ``behavior``."""
+    """Make ``replica`` send as the named byzantine ``behavior``."""
 
     behavior: str = "silent"
 
@@ -498,10 +500,8 @@ class FaultInjector:
         elif isinstance(event, Heal):
             self.partitioned.clear()
         elif isinstance(event, SwapByzantine):
-            from repro.byzantine import behavior_by_name, \
-                install_byzantine
-            install_byzantine(cluster, event.replica,
-                              behavior_by_name(event.behavior))
+            from repro.byzantine import install_byzantine
+            install_byzantine(cluster, event.replica, event.behavior)
         elif isinstance(event, LatencyShift):
             cluster.scale_latency(event.factor)
         elif isinstance(event, _NetemEvent):

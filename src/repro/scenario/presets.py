@@ -195,10 +195,12 @@ def _equivocation() -> Scenario:
         replica_regions=EXP1_REGIONS,
         latency="experiment1",
         workload=WorkloadSpec(mode="closed",
-                              client_regions=("tokyo",),
+                              client_regions=("virginia",),
                               clients_per_region=1,
                               requests_per_client=4),
-        faults=(SwapByzantine(at_ms=0.0, replica="r1",
+        # r0: the client's nearest replica on the simulator, and its
+        # round-robin target on TCP.
+        faults=(SwapByzantine(at_ms=0.0, replica="r0",
                               behavior="equivocate"),),
         seed=12,
         slow_path_timeout=300.0,

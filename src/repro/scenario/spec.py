@@ -37,6 +37,7 @@ from repro.scenario.faults import (
     ClientChurn,
     FaultEvent,
     Partition,
+    SwapByzantine,
     _NetemEvent,
 )
 from repro.sim.latency import (
@@ -232,6 +233,9 @@ class Scenario:
             event.validate(replica_ids)
             self._validate_fault_endpoints(i, event, replica_ids,
                                            matrix)
+            if isinstance(event, SwapByzantine):
+                from repro.byzantine import require_expressible
+                require_expressible(event.behavior, self.protocol)
             if horizon is not None and event.at_ms > horizon:
                 raise ConfigurationError(
                     f"fault event {event!r} scheduled after the "

@@ -140,8 +140,9 @@ class SimNetwork:
                     handler: Callable[[str, Any], None]) -> None:
         """Replace a node's message handler.
 
-        Used by :mod:`repro.byzantine` to swap a correct replica for a
-        faulty one, and by tests that interpose on deliveries.
+        Used by the fault injector to crash and recover a node, by
+        :func:`repro.byzantine.silence_node`, and by tests that
+        interpose on deliveries.
         """
         self._record(node_id).handler = handler
 

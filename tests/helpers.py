@@ -60,7 +60,8 @@ class DeliveryLog:
 def faults(event: str, *replicas: str) -> List[dict]:
     """Fault-log entries, one per replica in ``replicas``, each hit by
     ``event`` at time 0: what a run that faulted replicas by hand
-    (``install_byzantine``, ``silence_node``) tells
+    (``install_byzantine`` with a behaviour name or a policy,
+    ``silence_node``) tells
     :func:`repro.check.observe`."""
     return [{"at_ms": 0.0, "applied_ms": 0.0, "event": event,
              "replica": rid, "detail": f"{event} {rid}"}

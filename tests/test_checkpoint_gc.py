@@ -580,7 +580,7 @@ def test_replayed_commit_below_checkpoint_does_not_resurrect_slot():
     """A client's retransmitted slow-path COMMIT for a GC'd instance
     must not re-install the slot: that would inflate this replica's
     execution count and desync every later checkpoint watermark."""
-    from repro.byzantine import SilentReplica, install_byzantine
+    from repro.byzantine import install_byzantine
     from repro.messages.ezbft import Commit
 
     cluster = lan_cluster(checkpoint_interval=INTERVAL)
@@ -589,7 +589,7 @@ def test_replayed_commit_below_checkpoint_does_not_resurrect_slot():
                                 on_delivery=log.hook("c0"))
     # Force slow-path commits (no fast quorum) so the client mints
     # signed COMMITs, and capture them off the wire for replay.
-    install_byzantine(cluster, "r3", SilentReplica)
+    install_byzantine(cluster, "r3", "silent")
     replica = cluster.replicas["r0"]
     original = replica.on_message
     commits = []

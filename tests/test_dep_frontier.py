@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.byzantine import (
-    DepSuppressingReplica,
     install_byzantine,
     silence_node,
 )
@@ -519,7 +518,7 @@ def adversarial_run(seed):
         seed=seed, checkpoint_interval=0,
         conditions=NetworkConditions(jitter_fraction=0.2),
         retry_timeout=3000.0, suspicion_timeout=500.0)
-    install_byzantine(cluster, "r2", DepSuppressingReplica)
+    install_byzantine(cluster, "r2", "dep_suppress")
     unbacked = []
     for rid in CORRECT:
         watch_omissions(cluster.replicas[rid], unbacked)

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.byzantine import (
-    DepSuppressingReplica,
-    SilentReplica,
-    install_byzantine,
-)
+from repro.byzantine import install_byzantine
 from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.workload.drivers import ClosedLoopDriver
@@ -81,7 +77,7 @@ def test_nontriviality_and_consistency_random_workloads(contention,
 @settings(deadline=None, max_examples=6,
           suppress_health_check=[HealthCheck.too_slow])
 @given(faulty=st.sampled_from(["r0", "r1", "r2", "r3"]),
-       behavior=st.sampled_from([SilentReplica, DepSuppressingReplica]))
+       behavior=st.sampled_from(["silent", "dep_suppress"]))
 def test_liveness_and_consistency_with_one_fault(faulty, behavior):
     cluster = lan_cluster()
     install_byzantine(cluster, faulty, behavior)

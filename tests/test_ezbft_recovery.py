@@ -3,13 +3,7 @@
 
 import pytest
 
-from repro.byzantine import (
-    CorruptResultReplica,
-    DepSuppressingReplica,
-    EquivocatingLeaderReplica,
-    SilentReplica,
-    install_byzantine,
-)
+from repro.byzantine import install_byzantine
 from repro.check import check, observe
 from repro.core.instance import EntryStatus
 
@@ -25,7 +19,7 @@ CORRECT = ("r0", "r2", "r3")
 
 def test_silent_target_replica_recovers_via_retry():
     cluster = lan_cluster()
-    install_byzantine(cluster, "r1", SilentReplica)
+    install_byzantine(cluster, "r1", "silent")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r1",
                                 on_delivery=log.hook("c0"))
@@ -40,7 +34,7 @@ def test_silent_target_replica_recovers_via_retry():
 
 def test_client_switches_target_after_recovery():
     cluster = lan_cluster()
-    install_byzantine(cluster, "r1", SilentReplica)
+    install_byzantine(cluster, "r1", "silent")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r1",
                                 on_delivery=log.hook("c0"))
@@ -56,7 +50,7 @@ def test_client_switches_target_after_recovery():
 
 def test_silent_replica_space_gets_frozen():
     cluster = lan_cluster()
-    install_byzantine(cluster, "r1", SilentReplica)
+    install_byzantine(cluster, "r1", "silent")
     client = cluster.add_client("c0", "local", target_replica="r1")
     client.submit(client.next_command("put", "k", "v"))
     cluster.run_until_idle()
@@ -68,7 +62,7 @@ def test_silent_nonleader_replica_forces_slow_path_only():
     """A silent *participant* (not the leader) costs the fast quorum but
     nothing else: commands still commit on the slow path."""
     cluster = lan_cluster()
-    install_byzantine(cluster, "r3", SilentReplica)
+    install_byzantine(cluster, "r3", "silent")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))
@@ -81,7 +75,7 @@ def test_silent_nonleader_replica_forces_slow_path_only():
 
 def test_equivocating_leader_triggers_pom_and_owner_change():
     cluster = lan_cluster()
-    install_byzantine(cluster, "r1", EquivocatingLeaderReplica)
+    install_byzantine(cluster, "r1", "equivocate")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r1",
                                 on_delivery=log.hook("c0"))
@@ -119,7 +113,7 @@ def test_dep_suppressing_replica_cannot_break_consistency():
     2f+1 combination still includes at least one correct replica that
     reported the dependency, so execution stays consistent."""
     cluster = geo_cluster()
-    install_byzantine(cluster, "r1", DepSuppressingReplica)
+    install_byzantine(cluster, "r1", "dep_suppress")
     log = DeliveryLog()
     c0 = cluster.add_client("c0", "virginia", target_replica="r0",
                             on_delivery=log.hook("c0"))
@@ -136,7 +130,7 @@ def test_corrupt_result_replica_cannot_break_fast_path_safety():
     """A replica lying about results never matches the other 3, so the
     client cannot assemble a fast certificate containing the lie."""
     cluster = lan_cluster()
-    install_byzantine(cluster, "r2", CorruptResultReplica)
+    install_byzantine(cluster, "r2", "corrupt_result")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))
@@ -207,8 +201,8 @@ def test_progress_with_f_silent_replicas_of_n7():
                             cpu=CpuModel.free(),
                             slow_path_timeout=50.0,
                             retry_timeout=200.0)
-    install_byzantine(cluster, "r5", SilentReplica)
-    install_byzantine(cluster, "r6", SilentReplica)
+    install_byzantine(cluster, "r5", "silent")
+    install_byzantine(cluster, "r6", "silent")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))

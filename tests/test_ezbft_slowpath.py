@@ -4,7 +4,7 @@ import pytest
 
 from dataclasses import replace
 
-from repro.byzantine import DepSuppressingReplica, install_byzantine
+from repro.byzantine import install_byzantine
 from repro.check import check, observe
 from repro.core.instance import EntryStatus
 from repro.messages.base import SignedPayload
@@ -189,7 +189,7 @@ def held_back_commit(cluster):
     slow-path COMMIT (r2 lies about deps, so there is no fast quorum),
     keep that COMMIT from every replica, and return it with its
     client."""
-    install_byzantine(cluster, "r2", DepSuppressingReplica)
+    install_byzantine(cluster, "r2", "dep_suppress")
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))

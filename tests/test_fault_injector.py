@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.byzantine import SilentReplica
+from repro.cluster.node import NodeContext
 from repro.messages.ezbft import (
     Request,
     SpecOrder,
@@ -82,11 +82,19 @@ def test_recovery_leaves_exactly_the_declared_partition(backend,
 def test_recovery_after_a_swap_runs_the_swapped_replica(backend):
     def check(cluster, handler_of):
         injector = FaultInjector(cluster)
+        swapped = cluster.replicas["r1"]
+        live, sent = swapped.ctx, []
+        swapped.ctx = NodeContext(live.node_id,
+                                  lambda src, dst, m: sent.append(dst),
+                                  live.set_timer, lambda: live.now)
         injector.apply(CrashReplica(at_ms=100.0, replica="r1"))
         injector.apply(SwapByzantine(at_ms=150.0, replica="r1",
                                      behavior="silent"))
-        swapped = cluster.replicas["r1"]
-        assert isinstance(swapped, SilentReplica)
+        # The live replica turned silent in place: nothing it sends
+        # leaves it.
+        assert cluster.replicas["r1"] is swapped
+        swapped.ctx.broadcast(("r0", "r2"), PING)
+        assert sent == []
         # The swap does not revive a crashed replica...
         assert handler_of("r1") != swapped.on_message
         assert injector.is_crashed("r1")

@@ -20,8 +20,8 @@ import sys
 import pytest
 
 from repro.byzantine import install_byzantine, silence_node
+from repro.byzantine.behaviors import rewriting
 from repro.check import check, observe
-from repro.core.replica import EzBFTReplica
 from repro.crypto.digest import WRITERS, _encode, canonical_bytes
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import sign
@@ -399,14 +399,11 @@ def test_header_naming_a_foreign_digest_is_not_a_fast_vote():
     """r3 signs headers that name some other request's digest: they
     must not count toward the client's 3f+1, and a certificate holding
     one is not a fast certificate."""
-    class WrongDigestReplica(EzBFTReplica):
-        def _send_spec_reply(self, entry, signed_order,
-                             request_digest=None):
-            super()._send_spec_reply(entry, signed_order,
-                                     request_digest="00" * 32)
+    wrong_digest = rewriting((ezbft.SpecReply,),
+                             lambda header: {"request_digest": "00" * 32})
 
     cluster = lan_cluster()
-    install_byzantine(cluster, "r3", WrongDigestReplica)
+    install_byzantine(cluster, "r3", wrong_digest)
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))
@@ -476,19 +473,11 @@ def test_result_spelled_differently_is_not_a_fast_vote():
     They are not fast votes: the reads go the slow path and final
     execution proceeds.  COMMITFASTs cross a real encode/decode here,
     which the simulator otherwise skips."""
-    class RespellingReplica(EzBFTReplica):
-        def _send_spec_reply(self, entry, signed_order,
-                             request_digest=None):
-            honest = entry.spec_result
-            entry.spec_result = {5: 5.0, 1: True}.get(honest, honest)
-            try:
-                super()._send_spec_reply(entry, signed_order,
-                                         request_digest)
-            finally:
-                entry.spec_result = honest
+    respelling = rewriting((ezbft.SpecReply,), lambda header: {
+        "result": {5: 5.0, 1: True}.get(header.result, header.result)})
 
     cluster = lan_cluster()
-    install_byzantine(cluster, "r3", RespellingReplica)
+    install_byzantine(cluster, "r3", respelling)
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))
@@ -547,20 +536,20 @@ def test_result_spelled_differently_is_not_a_fast_vote():
             forged.to_wire()
 
 
-class NonCanonicalReplica(EzBFTReplica):
+def non_canonical(replica, dst, message):
     """Answers honestly but signs its SPECREPLY headers spelled its own
     way: ``seq`` as a float (``4.0``), the keys in reverse order."""
-
-    def _send_reply_bundle(self, client, headers, signed_order):
-        respelled = []
-        for header in headers:
-            wire = json.loads(header.body)
-            wire["seq"] = float(wire["seq"])
-            body = json.dumps(dict(sorted(wire.items(), reverse=True)),
-                              separators=(",", ":")).encode("ascii")
-            respelled.append(SignedPayload(
-                body=body, signature=sign(body, self.keypair)))
-        super()._send_reply_bundle(client, tuple(respelled), signed_order)
+    if not isinstance(message, ezbft.SpecReplyBundle):
+        return message
+    respelled = []
+    for header in message.replies:
+        wire = json.loads(header.body)
+        wire["seq"] = float(wire["seq"])
+        body = json.dumps(dict(sorted(wire.items(), reverse=True)),
+                          separators=(",", ":")).encode("ascii")
+        respelled.append(SignedPayload(
+            body=body, signature=sign(body, replica.keypair)))
+    return dataclasses.replace(message, replies=tuple(respelled))
 
 
 def test_non_canonical_header_bytes_verify_but_never_match():
@@ -571,7 +560,7 @@ def test_non_canonical_header_bytes_verify_but_never_match():
     refused (the respelled statement is not what r0..r2 signed), and
     every replica ends in the same state."""
     cluster = lan_cluster()
-    install_byzantine(cluster, "r3", NonCanonicalReplica)
+    install_byzantine(cluster, "r3", non_canonical)
     log = DeliveryLog()
     client = cluster.add_client("c0", "local", target_replica="r0",
                                 on_delivery=log.hook("c0"))

@@ -283,8 +283,10 @@ class TestFaultSchedule:
         assert crashed.fast_path_ratio < 0.5
         assert crashed.delivered > 0  # slow path keeps committing
 
-    def test_swap_byzantine_equivocation_triggers_pom(self):
-        report = run_scenario(preset("equivocation"))
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_swap_byzantine_equivocation_triggers_pom(self, backend):
+        # The equivocator is the client's target on both backends.
+        report = run_scenario(preset("equivocation"), backend=backend)
         assert report.delivered == 4
         assert report.client_stats["poms_sent"] >= 1
         assert report.owner_changes >= 1
