@@ -7,11 +7,14 @@ checkpoint"), and the ROADMAP's production north star needs sustained
 runs: without GC every structure (instance spaces, executor history,
 result cache, recovery payloads) grows linearly with history.
 
-Methodology: a saturated single-region open-loop ezBFT run (offered
-load above the ordering replica's service rate, bounded per-client
-in-flight window), sampled every 200ms of simulated time for the
-largest resident footprint across replicas.  The same run with
-``checkpoint_interval=0`` is the unbounded baseline.
+Methodology: a saturated single-region open-loop run (offered load
+above the ordering replica's service rate, bounded per-client in-flight
+window), sampled every 200ms of simulated time for the largest resident
+footprint across replicas.  For ezBFT that is the declared
+``footprint()`` total, and the same run with ``checkpoint_interval=0``
+is the unbounded baseline.  For PBFT, FaB and Zyzzyva it is the slot
+table plus the executed record (``len(_slots)`` and
+``len(statemachine.record.entries)``), read directly.
 
 Claims asserted:
 
@@ -25,9 +28,13 @@ Claims asserted:
    stable checkpoint) instead of growing with history.
 4. A replica partitioned past log truncation catches up via state
    transfer and converges to identical state.
+5. Each baseline's slot table and executed record are O(interval +
+   in-flight window), and flat while load is on: the second half of the
+   loaded window holds at most 1.5x the first half's peak.
 
 ``MEMBOUND_PROFILE=smoke`` shrinks the run for CI (same assertions,
-smaller constants).
+smaller constants); there Zyzzyva's case is a strict xfail, for the
+reason its marker gives.
 """
 
 import os
@@ -54,9 +61,17 @@ MIN_DELIVERED = 1_200 if SMOKE else 10_000
 SAMPLE_MS = 200.0
 
 
-def run_saturated(checkpoint_interval: int):
+def resident(cluster) -> int:
+    """Largest resident log footprint across ``cluster``'s replicas."""
+    if cluster.protocol == "ezbft":
+        return max(f["total"] for f in cluster.log_footprint().values())
+    return max(len(r._slots) + len(r.statemachine.record.entries)
+               for r in cluster.replicas.values())
+
+
+def run_saturated(checkpoint_interval: int, protocol: str = "ezbft"):
     cluster = build_cluster(
-        "ezbft", ["local"] * 4, LOCAL,
+        protocol, ["local"] * 4, LOCAL,
         checkpoint_interval=checkpoint_interval,
         # Saturation must not look like a fault (see run_open_loop).
         slow_path_timeout=8_000.0, retry_timeout=600_000.0,
@@ -74,11 +89,9 @@ def run_saturated(checkpoint_interval: int):
     horizon = int(DURATION_MS * 2)
     for t in range(int(SAMPLE_MS), horizon + 1, int(SAMPLE_MS)):
         cluster.run(until=float(t))
-        samples.append(max(f["total"]
-                           for f in cluster.log_footprint().values()))
+        samples.append(resident(cluster))
     cluster.run_until_idle(max_events=40_000_000)
-    samples.append(max(f["total"]
-                       for f in cluster.log_footprint().values()))
+    samples.append(resident(cluster))
     return cluster, samples
 
 
@@ -181,3 +194,41 @@ def test_memory_bound(benchmark):
     states = {rid: r.statemachine.final_items()
               for rid, r in rejoin.replicas.items()}
     assert all(s == states["r0"] for s in states.values())
+
+
+@pytest.mark.benchmark(group="memory_bound")
+@pytest.mark.parametrize("protocol", [
+    "pbft", "fab",
+    pytest.param("zyzzyva", marks=pytest.mark.xfail(
+        SMOKE, strict=True, raises=AssertionError,
+        reason="Zyzzyva's primary executes as it orders, so it takes "
+               "the backups' attestations of watermark W from behind "
+               "its queue of in-flight requests (320 here, 10 smoke "
+               "intervals); by then CheckpointStore.MAX_LOCAL (8) has "
+               "pruned its capture of W, and nothing becomes stable "
+               "there while load is on")),
+])
+def test_baseline_memory_bound(benchmark, protocol):
+    cluster, samples = benchmark.pedantic(
+        run_saturated, args=(INTERVAL, protocol), rounds=1, iterations=1)
+    delivered = cluster.recorder.total_delivered
+    print_table(
+        f"Memory bound: saturated {protocol}, slots + executed record "
+        f"(max across replicas)",
+        ["config", "delivered", "req/s", "peak resident",
+         "final resident"],
+        [[f"interval={INTERVAL}", delivered,
+          f"{cluster.recorder.throughput_per_sec():7.0f}",
+          max(samples), samples[-1]]])
+    # The run spans many intervals (a baseline's primary serves fewer
+    # requests per second than ezBFT's four owners: PBFT delivers
+    # ~8.5k in the full profile), each checkpoint stable everywhere.
+    assert min(r.stats["checkpoints_stable"]
+               for r in cluster.replicas.values()) >= 30
+    # 5. Slots and executed record are O(interval + in-flight) and
+    # flat while load is on.
+    assert max(samples) <= 10 * INTERVAL + 10 * CLIENTS * MAX_OUTSTANDING
+    loaded = samples[:int(DURATION_MS // SAMPLE_MS)]
+    half = len(loaded) // 2
+    assert max(loaded[half:]) <= 1.5 * max(loaded[:half]), (
+        f"{protocol}: slots + record still growing under load: {loaded}")

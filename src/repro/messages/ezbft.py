@@ -540,12 +540,13 @@ class NewOwner:
 @dataclass(frozen=True)
 class EzCheckpoint:
     """<EZCHECKPOINT, W, d, R> -- replica R attests that after executing
-    its first W commands its application state digests to ``d``.
+    its first W commands its application state digests to ``d``.  PBFT,
+    FaB and Zyzzyva attest with it too (PBFT's <CHECKPOINT, n, d, i>).
 
     2f+1 matching attestations make the checkpoint *stable*: the prefix
-    below W is durable at a quorum, so the log below the checkpoint's
-    per-space frontier can be garbage-collected and owner-change
-    payloads can start above it."""
+    below W is durable at a quorum, so the log below it can be
+    garbage-collected -- for ezBFT below the checkpoint's per-space
+    frontier, and owner-change payloads can start above it."""
 
     MSG_TYPE = "ez-checkpoint"
     AUTHOR = "replica"

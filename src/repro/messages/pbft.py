@@ -1,7 +1,8 @@
 """PBFT wire messages (Castro & Liskov, OSDI '99).
 
 Five client-visible communication steps: REQUEST -> PRE-PREPARE ->
-PREPARE -> COMMIT -> REPLY.  Checkpoints and view changes included.
+PREPARE -> COMMIT -> REPLY.  View changes included; checkpoints are
+attested with :class:`~repro.messages.ezbft.EzCheckpoint`.
 """
 
 from __future__ import annotations
@@ -97,20 +98,6 @@ class PBFTReply:
     client_id: str
     replica: str
     result: Any
-
-
-@register_message
-@dataclass(frozen=True)
-class PBFTCheckpoint:
-    """<CHECKPOINT, n, d, i>."""
-
-    MSG_TYPE = "pbft-checkpoint"
-    AUTHOR = "replica"
-    cpu_cost_units = 1
-
-    seqno: int
-    state_digest: str
-    replica: str
 
 
 @register_message

@@ -11,9 +11,8 @@ already maintain -- no extra hot-path bookkeeping:
   a peer heard from inside :data:`REACHABLE_WINDOW_MS` counts as
   reachable, plus this replica itself.
 - **checkpoint lag**: executions past the latest stable checkpoint
-  watermark (the replica's ``checkpoints`` store; 0 for a protocol
-  that keeps none) -- growing lag means garbage collection has
-  stalled.
+  watermark (the replica's ``checkpoints`` store) -- growing lag means
+  garbage collection has stalled.
 
 ``status`` is ``"degraded"`` when the replica is crashed (via the
 fault injector) or when traffic has flowed but fewer than a slow

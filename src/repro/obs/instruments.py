@@ -61,9 +61,8 @@ NULL = Instruments()
 
 def stable_watermark(replica: Any) -> int:
     """Watermark of ``replica``'s latest stable checkpoint: 0 before
-    one is stable, or for a protocol that keeps no ``checkpoints``."""
-    checkpoints = replica.checkpoints
-    stable = None if checkpoints is None else checkpoints.stable
+    one is stable."""
+    stable = replica.checkpoints.stable
     return 0 if stable is None else stable.watermark
 
 

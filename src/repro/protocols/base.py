@@ -9,6 +9,12 @@ reply collector.  Executed idents are the ezBFT executor's
 older timestamp may be unseen rather than stale): ingress drops only
 executed idents, and execution applies an ident at most once.
 
+Every baseline checkpoints as PBFT does (Zyzzyva's own protocol is
+PBFT's): it attests every ``checkpoint_interval`` executed slots with an
+EZCHECKPOINT, and a stable one drops the slots and executed record below
+it.  They order totally, so a count cut is consistent.  There is no state
+transfer, nor FILL-HOLE below the primary's cut: a laggard stays behind.
+
 Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
 only an envelope its payload's author signed, a replica if the message
 is replica-authored.  The one role a handler still checks is the view's
@@ -28,9 +34,10 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload, authentic_payload
+from repro.messages.ezbft import EzCheckpoint
 from repro.obs.instruments import NULL
 from repro.statemachine.base import Command, StateMachine
-from repro.statemachine.checkpoint import CheckpointStore
+from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 
 #: Delivery callback shared by all protocol clients:
 #: (command, result, latency_ms, path).
@@ -38,9 +45,10 @@ DeliveryCallback = Callable[[Command, Any, float, str], None]
 
 
 class BaseReplica(Node):
-    """Common replica state and request lifecycle; a subclass supplies
-    :meth:`_order`, per executed slot its reply message, and its
-    handler tables."""
+    """Common replica state, request lifecycle and checkpoints; a
+    subclass supplies :meth:`_order`, per executed slot its reply
+    message, its handler tables (EZCHECKPOINT's is :meth:`_on_checkpoint`)
+    and ``_slots``, seqno -> slot with an ``executed`` flag."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
@@ -48,9 +56,6 @@ class BaseReplica(Node):
     #: Commit path counted (``stats["committed_<path>"]``) per
     #: executed slot.
     commit_path = "fast"
-    #: Stable-checkpoint store, for a protocol that checkpoints (PBFT
-    #: sets its own); the health monitor and metrics read it.
-    checkpoints: Optional[CheckpointStore] = None
     #: A backup forwarding a request arms a timer that calls
     #: :meth:`_suspect_primary` unless the request gets ordered.
     progress_timers = False
@@ -74,10 +79,15 @@ class BaseReplica(Node):
         self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
         #: Request digest -> progress timer.
         self._request_timers: Dict[str, Timer] = {}
+        self.checkpoints = CheckpointStore(
+            quorum=config.slow_quorum_size,
+            interval=config.checkpoint_interval)
         self.stats: Dict[str, int] = {
             "executed": 0,
             "committed_" + self.commit_path: 0,
             "invalid_messages": 0,
+            "checkpoints": 0,
+            "checkpoints_stable": 0,
         }
 
     @property
@@ -167,19 +177,52 @@ class BaseReplica(Node):
         """Execute the next ordered slot, holding ``command``, and send
         its client the signed ``reply_for(result)``.  A command ordered
         twice (its retry reached the primary before it executed) uses
-        up its second slot without being applied again."""
+        up its second slot without being applied again; the slot still
+        counts towards the next checkpoint."""
         self.stats["executed"] += 1
         self.stats["committed_" + self.commit_path] += 1
         self.instruments.execute()
         ident = command.ident
         if ident in self.executed_idents:
             self._resend_reply(ident)
+        else:
+            result = self.statemachine.apply(command)
+            self.executed_idents.record(ident)
+            envelope = self.sign(reply_for(result))
+            self._reply_cache[command.client_id] = (command.timestamp,
+                                                    envelope)
+            self.ctx.send(command.client_id, envelope)
+        self._maybe_checkpoint()
+
+    # ------------------------------------------------------------------
+    def _maybe_checkpoint(self) -> None:
+        """Every ``checkpoint_interval`` executed slots: capture the
+        state, mark the executed record and attest the capture."""
+        executed = self.stats["executed"]
+        if not self.checkpoints.due(executed):
             return
-        result = self.statemachine.apply(command)
-        self.executed_idents.record(ident)
-        envelope = self.sign(reply_for(result))
-        self._reply_cache[command.client_id] = (command.timestamp, envelope)
-        self.ctx.send(command.client_id, envelope)
+        checkpoint = Checkpoint.capture(
+            executed, {"state": self.statemachine.snapshot()})
+        self.statemachine.record.mark(executed)
+        self.checkpoints.record_local(checkpoint, self.node_id)
+        self.stats["checkpoints"] += 1
+        msg = EzCheckpoint(replica=self.node_id, watermark=executed,
+                           state_digest=checkpoint.state_digest)
+        self.broadcast_others(self.sign(msg))
+
+    def _on_checkpoint(self, sender: str, msg: EzCheckpoint,
+                       envelope: SignedPayload) -> None:
+        if self.checkpoints.attest(msg.watermark, msg.state_digest,
+                                   msg.replica):
+            self.stats["checkpoints_stable"] += 1
+            self._gc_log(msg.watermark)
+            self.statemachine.record.cut(msg.watermark)
+
+    def _gc_log(self, stable_watermark: int) -> None:
+        """Drop the slots below a stable checkpoint: each was executed
+        here before the capture, or reopened since by a late vote."""
+        for seqno in [s for s in self._slots if s < stable_watermark - 1]:
+            del self._slots[seqno]
 
     # ------------------------------------------------------------------
     def _on_progress_timeout(self, request_key: str) -> None:

@@ -18,6 +18,7 @@ from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload
+from repro.messages.ezbft import EzCheckpoint
 from repro.messages.fab import FabAccept, FabPropose, FabReply, FabRequest
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
@@ -117,4 +118,5 @@ class FabReplica(BaseReplica):
         FabRequest.MSG_TYPE: BaseReplica._on_request,
         FabPropose.MSG_TYPE: _on_propose,
         FabAccept.MSG_TYPE: _on_accept,
+        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
     }

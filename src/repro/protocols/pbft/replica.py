@@ -4,9 +4,9 @@ Client-visible latency is five communication steps: REQUEST ->
 PRE-PREPARE -> PREPARE -> COMMIT -> REPLY, which is why PBFT sits at the
 top of Figure 4's latency bars.
 
-Includes checkpointing with log garbage collection and a view-change
-protocol (timer-driven, 2f+1 VIEW-CHANGE certificate, NEW-VIEW with
-re-issued pre-prepares).
+Includes a view-change protocol (timer-driven, 2f+1 VIEW-CHANGE
+certificate, NEW-VIEW with re-issued pre-prepares); checkpoints and log
+garbage collection are :class:`~repro.protocols.base.BaseReplica`'s.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchPrePrepare, BatchRequest
+from repro.messages.ezbft import EzCheckpoint
 from repro.messages.pbft import (
     NewView,
-    PBFTCheckpoint,
     PBFTCommit,
     PBFTReply,
     PBFTRequest,
@@ -33,7 +33,6 @@ from repro.messages.pbft import (
 )
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
-from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 
 
 @dataclass
@@ -66,9 +65,6 @@ class PBFTReplica(BaseReplica):
         self._last_executed = -1   # highest contiguously executed seqno
         self._view_change_votes: Dict[int, Dict[str, SignedPayload]] = {}
         self._view_changing = False
-        self.checkpoints = CheckpointStore(
-            quorum=config.slow_quorum_size,
-            interval=config.checkpoint_interval)
         #: Primary-path batcher: requests this replica proposes while
         #: primary are accumulated and flushed as one BATCHPREPREPARE
         #: (pass-through when ``config.batch_size == 1``).
@@ -81,8 +77,6 @@ class PBFTReplica(BaseReplica):
             "pre_prepares": 0,
             "batches_proposed": 0,
             "view_changes": 0,
-            "checkpoints": 0,
-            "checkpoints_stable": 0,
         })
 
     # ------------------------------------------------------------------
@@ -260,35 +254,6 @@ class PBFTReplica(BaseReplica):
                 client_id=command.client_id, replica=self.node_id,
                 result=result))
             self._cancel_progress_timer(nxt.request_digest)
-            self._maybe_checkpoint()
-
-    def _maybe_checkpoint(self) -> None:
-        executed = self._last_executed + 1
-        if not self.checkpoints.due(executed):
-            return
-        checkpoint = Checkpoint.capture(
-            executed, {"state": self.statemachine.snapshot()})
-        self.statemachine.record.mark(executed)
-        self.checkpoints.record_local(checkpoint, self.node_id)
-        self.stats["checkpoints"] += 1
-        msg = PBFTCheckpoint(seqno=executed,
-                             state_digest=checkpoint.state_digest,
-                             replica=self.node_id)
-        self.broadcast_others(self.sign(msg))
-
-    def _on_checkpoint(self, sender: str, msg: PBFTCheckpoint,
-                       envelope: SignedPayload) -> None:
-        became_stable = self.checkpoints.attest(
-            msg.seqno, msg.state_digest, msg.replica)
-        if became_stable:
-            self.stats["checkpoints_stable"] += 1
-            self._gc_log(msg.seqno)
-            self.statemachine.record.cut(msg.seqno)
-
-    def _gc_log(self, stable_seqno: int) -> None:
-        for seqno in [s for s in self._slots if s < stable_seqno - 1]:
-            if self._slots[seqno].executed:
-                del self._slots[seqno]
 
     # ------------------------------------------------------------------
     # View changes
@@ -407,7 +372,7 @@ class PBFTReplica(BaseReplica):
         BatchPrePrepare.MSG_TYPE: _on_batch_pre_prepare,
         Prepare.MSG_TYPE: _on_prepare,
         PBFTCommit.MSG_TYPE: _on_commit,
-        PBFTCheckpoint.MSG_TYPE: _on_checkpoint,
+        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
         ViewChange.MSG_TYPE: _on_view_change,
         NewView.MSG_TYPE: _on_new_view,
     }

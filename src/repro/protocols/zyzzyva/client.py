@@ -22,6 +22,8 @@ class _Pending(PendingRequest):
     # ``replies`` holds replica -> (SpecResponse, signed envelope).
     local_commits: Dict[str, LocalCommit] = field(default_factory=dict)
     phase: str = "spec"  # spec -> commit
+    #: The SPEC-RESPONSE group the commit certificate certified.
+    certified: Optional[SpecResponse] = None
     slow_timer: Optional[Timer] = None
 
     def cancel_timers(self) -> None:
@@ -90,23 +92,21 @@ class ZyzzyvaClient(BaseClient):
                          seqno=group[0].seqno,
                          certificate=certificate)
         pending.phase = "commit"
+        pending.certified = group[0]
         self.ctx.broadcast(self.config.replica_ids, commit)
 
     def _on_local_commit(self, sender: str, ack: LocalCommit,
                          envelope: SignedPayload) -> None:
-        # LOCAL-COMMITs carry no client timestamp; match on the digest of
-        # the pending command's request via seqno bookkeeping.
+        # LOCAL-COMMITs carry no client timestamp: match the seqno the
+        # commit certificate certified, and deliver that group's result.
         for pending in list(self._pending.values()):
-            if pending.phase != "commit":
-                continue
-            matching = [r for r, _ in pending.replies.values()
-                        if r.seqno == ack.seqno]
-            if not matching:
+            if pending.phase != "commit" or \
+                    pending.certified.seqno != ack.seqno:
                 continue
             pending.local_commits[ack.replica] = ack
             if len(pending.local_commits) >= \
                     self.config.slow_quorum_size:
-                self._deliver(pending, matching[0].result, "slow")
+                self._deliver(pending, pending.certified.result, "slow")
             return
 
     def _deliver(self, pending: _Pending, result: Any,

@@ -22,6 +22,7 @@ from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload, authentic_payload
+from repro.messages.ezbft import EzCheckpoint
 from repro.messages.zyzzyva import (
     FillHole,
     IHateThePrimary,
@@ -277,6 +278,7 @@ class ZyzzyvaReplica(BaseReplica):
         OrderReq.MSG_TYPE: _on_order_req,
         IHateThePrimary.MSG_TYPE: _on_ihtp,
         ZNewView.MSG_TYPE: _on_new_view,
+        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
     }
     _PLAIN_HANDLERS = {
         ZCommit.MSG_TYPE: _on_commit,

@@ -39,7 +39,7 @@ from repro.scenario.spec import Scenario
 
 #: Bump to invalidate every existing cache entry (schema/semantics
 #: changes).
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join(".repro-cache", "sweep-cells")

@@ -298,11 +298,6 @@ def fired(behavior, sent):
 
 #: Pairs whose run shows a protocol bug: the bug, and how it fails.
 KNOWN_BUGS = {
-    ("corrupt_result", "zyzzyva"): (
-        "ZyzzyvaClient._on_local_commit delivers the result of the "
-        "first SPEC-RESPONSE with the committed seqno -- here the "
-        "byzantine primary's -- not the result 2f+1 replicas certified",
-        AssertionError),
     ("silent", "fab"): (
         "FabReplica has no proposer change: with the primary silent no "
         "command ever commits, and the clients retry for ever",

@@ -156,9 +156,15 @@ def test_no_gc_without_attestation_quorum():
     assert cluster.replicas["r1"].stats["log_entries_gcd"] > 0
 
 
-def test_pbft_report_counts_its_stable_checkpoints(monkeypatch):
-    """PBFT's report counts every stable-checkpoint transition, as
-    ezBFT's does: one per replica per interval, from the same counter
+#: The primary-based baselines, which checkpoint through ``BaseReplica``.
+BASELINES = ("pbft", "fab", "zyzzyva")
+
+
+@pytest.mark.parametrize("protocol", BASELINES)
+def test_baseline_report_counts_its_stable_checkpoints(protocol,
+                                                       monkeypatch):
+    """A baseline's report counts every stable-checkpoint transition,
+    as ezBFT's does: one per replica per interval, from the same counter
     the ``/metrics`` scrape reads."""
     transitions = {}
     attest = CheckpointStore.attest
@@ -171,7 +177,7 @@ def test_pbft_report_counts_its_stable_checkpoints(monkeypatch):
 
     monkeypatch.setattr(CheckpointStore, "attest", counting_attest)
     scenario = Scenario(
-        name="pbft-checkpoints", protocol="pbft",
+        name=f"{protocol}-checkpoints", protocol=protocol,
         replica_regions=("local",) * 4, latency="local",
         workload=WorkloadSpec(mode="closed", client_regions=("local",),
                               clients_per_region=2,
@@ -184,6 +190,48 @@ def test_pbft_report_counts_its_stable_checkpoints(monkeypatch):
         assert transitions[id(replica.checkpoints)] == 12
         assert replica.stats["checkpoints_stable"] == 12
     assert report.checkpoints_stable == sum(transitions.values()) == 48
+
+
+@pytest.mark.parametrize("protocol", BASELINES)
+def test_baseline_checkpoint_garbage_collects_log(protocol):
+    """Slots and executed-record entries below a stable checkpoint are
+    dropped, so both stay O(interval): no larger after 400 commands
+    than after 200."""
+    cluster = lan_cluster(protocol, checkpoint_interval=16)
+    client = cluster.add_client("c0", "local")
+    sizes = []
+    for half in range(2):
+        run_commands(cluster, client, 200, start=200 * half)
+        sizes.append({rid: (len(r._slots),
+                            len(r.statemachine.record.entries))
+                      for rid, r in cluster.replicas.items()})
+    for rid, replica in cluster.replicas.items():
+        assert replica.stats["checkpoints"] == 25
+        stable = replica.checkpoints.stable
+        assert stable.watermark == 400
+        assert min(replica._slots) >= stable.watermark - 1
+        first, second = sizes[0][rid], sizes[1][rid]
+        assert second[0] <= first[0] <= 16 + 1
+        assert second[1] <= first[1] <= 16
+
+
+@pytest.mark.parametrize("protocol", BASELINES)
+def test_slots_reopened_by_late_votes_are_collected(protocol):
+    """With eight pipelined clients a PBFT backup gets votes for slots
+    it already collected, and each opens its slot again; the next
+    stable checkpoint drops those too, so no replica holds more than an
+    interval's slots at the end."""
+    scenario = Scenario(
+        name=f"{protocol}-late-votes", protocol=protocol,
+        replica_regions=("local",) * 4, latency="local",
+        workload=WorkloadSpec(mode="closed", client_regions=("local",),
+                              clients_per_region=8,
+                              requests_per_client=50),
+        checkpoint_interval=32, seed=1)
+    report, cluster = ScenarioRunner().run_with_cluster(scenario)
+    assert report.delivered == 400
+    for replica in cluster.replicas.values():
+        assert len(replica._slots) <= 32 + 1
 
 
 # ----------------------------------------------------------------------

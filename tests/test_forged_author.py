@@ -22,11 +22,10 @@ from repro.byzantine import silence_node
 from repro.crypto.digest import digest
 from repro.messages.base import MESSAGE_REGISTRY, SignedPayload
 from repro.messages.batching import BatchRequest
-from repro.messages.ezbft import CommitReply, StartOwnerChange
+from repro.messages.ezbft import CommitReply, EzCheckpoint, StartOwnerChange
 from repro.messages.fab import FabAccept, FabPropose, FabRequest
 from repro.messages.pbft import (
     NewView,
-    PBFTCheckpoint,
     PBFTCommit,
     PBFTReply,
     PBFTRequest,
@@ -285,29 +284,32 @@ def _pbft_client_commits():
     return invalid
 
 
-def _pbft_client_checkpoints():
-    """r1, deaf to its peers' CHECKPOINTs, holds its own capture; c0
+def _client_checkpoints(protocol):
+    """r1, deaf to its peers' EZCHECKPOINTs, holds its own capture; c0
     and c1 attest the same digest, which must not make it stable."""
-    cluster = lan_cluster("pbft", checkpoint_interval=1)
-    r1 = cluster.replicas["r1"]
+    def case():
+        cluster = lan_cluster(protocol, checkpoint_interval=1)
+        r1 = cluster.replicas["r1"]
 
-    def deaf(sender, message):
-        if not (isinstance(message, SignedPayload) and
-                isinstance(message.payload, PBFTCheckpoint)):
-            r1.on_message(sender, message)
-    cluster.set_handler("r1", deaf)
-    client = cluster.add_client("c9", "local")
-    client.submit(client.next_command("put", "k", "v"))
-    cluster.run_until_idle()
-    stable = cluster.replicas["r0"].checkpoints.stable
-    assert stable is not None and r1.checkpoints.stable is None
-    invalid = _deliver_all(r1, "c0", _self_signed(
-        cluster, lambda cid: PBFTCheckpoint(
-            seqno=stable.watermark, state_digest=stable.state_digest,
-            replica=cid)))
-    assert r1.checkpoints.stable is None
-    assert r1.stats["checkpoints_stable"] == 0
-    return invalid
+        def deaf(sender, message):
+            if not (isinstance(message, SignedPayload) and
+                    isinstance(message.payload, EzCheckpoint)):
+                r1.on_message(sender, message)
+        cluster.set_handler("r1", deaf)
+        client = cluster.add_client("c9", "local")
+        client.submit(client.next_command("put", "k", "v"))
+        cluster.run_until_idle()
+        stable = cluster.replicas["r0"].checkpoints.stable
+        assert stable is not None and r1.checkpoints.stable is None
+        invalid = _deliver_all(r1, "c0", _self_signed(
+            cluster, lambda cid: EzCheckpoint(
+                replica=cid, watermark=stable.watermark,
+                state_digest=stable.state_digest)))
+        assert r1.checkpoints.stable is None
+        assert r1.stats["checkpoints_stable"] == 0
+        return invalid
+    case.__name__ = f"_{protocol}_client_checkpoints"
+    return case
 
 
 def _fab_client_accepts():
@@ -406,7 +408,8 @@ def _zyzzyva_commit_with_client_response():
     (_pbft_client_view_changes, 2),
     (_pbft_client_prepares, 2),
     (_pbft_client_commits, 2),
-    (_pbft_client_checkpoints, 2),
+    *[(_client_checkpoints(protocol), 2)
+      for protocol in ("pbft", "fab", "zyzzyva")],
     (_fab_client_accepts, 2),
     (_zyzzyva_client_ihtp, 2),
     (_ezbft_client_start_owner_change, 2),
@@ -445,27 +448,27 @@ def test_client_view_changes_over_tcp_are_rejected():
     assert asyncio.run(scenario()) == (0, 2)
 
 
-#: The 20 registered classes whose author is a replica: every
+#: The 19 registered classes whose author is a replica: every
 #: ``AUTHOR`` but ``None`` and ``"client_id"``.
 REPLICA_AUTHORED = {
     "ez-batch-spec-order", "ez-checkpoint", "ez-commit-reply",
     "ez-new-owner", "ez-owner-change", "ez-spec-order", "ez-spec-reply",
     "ez-start-owner-change", "fab-accept", "fab-reply",
-    "pbft-checkpoint", "pbft-commit", "pbft-new-view", "pbft-prepare",
-    "pbft-reply", "pbft-view-change", "zyzzyva-ihtp",
+    "pbft-commit", "pbft-new-view", "pbft-prepare", "pbft-reply",
+    "pbft-view-change", "zyzzyva-ihtp",
     "zyzzyva-local-commit", "zyzzyva-new-view", "zyzzyva-spec-response",
 }
 
 
 def test_replica_authored_classes_are_pinned():
-    """The role follows from ``AUTHOR`` alone: these 20 classes need a
+    """The role follows from ``AUTHOR`` alone: these 19 classes need a
     replica's signature, and no class is added to or dropped from the
     set without this test changing."""
     replica_authored = {
         msg_type for msg_type, cls in MESSAGE_REGISTRY.items()
         if cls.AUTHOR not in (None, "client_id")}
     assert replica_authored == REPLICA_AUTHORED
-    assert len(REPLICA_AUTHORED) == 20
+    assert len(REPLICA_AUTHORED) == 19
 
 
 def test_every_registered_message_declares_its_author():

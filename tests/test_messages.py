@@ -110,7 +110,6 @@ SAMPLES = [
     pbft.PBFTCommit(view=0, seqno=1, request_digest="d", replica="r1"),
     pbft.PBFTReply(view=0, timestamp=7, client_id="c0", replica="r1",
                    result="OK"),
-    pbft.PBFTCheckpoint(seqno=128, state_digest="d", replica="r1"),
     pbft.ViewChange(new_view=1, last_stable_seqno=0,
                     prepared=((1, "d", 0),),
                     requests=(pbft.PBFTRequest(command=CMD),),

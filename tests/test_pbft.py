@@ -83,20 +83,6 @@ def test_backup_forwards_request_to_primary():
     assert log.results == ["OK"]
 
 
-def test_checkpoint_garbage_collects_log():
-    cluster = lan_cluster("pbft", checkpoint_interval=4)
-    client = cluster.add_client("c0", "local")
-    for i in range(10):
-        client.submit(client.next_command("put", f"k{i}", i))
-        cluster.run_until_idle()
-    primary = cluster.replicas["r0"]
-    assert primary.stats["checkpoints"] >= 1
-    assert primary.checkpoints.stable is not None
-    assert primary.checkpoints.stable.watermark >= 4
-    # Slots below the stable checkpoint were GC'd.
-    assert min(primary._slots) >= primary.checkpoints.stable.watermark - 1
-
-
 def test_view_change_on_silent_primary():
     cluster = lan_cluster("pbft")
     silence_node(cluster, "r0")  # primary of view 0
