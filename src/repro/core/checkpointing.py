@@ -40,6 +40,7 @@ from repro.cluster.node import Timer
 from repro.core.instance import EntryStatus, InstanceSpace, LogEntry
 from repro.core.owner_change import summarize_entry
 from repro.crypto.digest import digest
+from repro.crypto.keys import KeyRegistry
 from repro.errors import SerializationError
 from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchSpecOrder
@@ -396,26 +397,13 @@ class CheckpointManager:
                                              reply.snapshot)
         except SerializationError:
             return None  # malformed leaves: nothing to prove
-        if checkpoint is None or not self._verify_checkpoint_proof(
-                reply, checkpoint.state_digest):
+        replica = self.replica
+        if checkpoint is None or checkpoint_proof(
+                reply.proof, replica.registry,
+                replica.config.slow_quorum_size) != (
+                    reply.watermark, checkpoint.state_digest):
             return None
         return checkpoint
-
-    def _verify_checkpoint_proof(self, reply: StateTransferReply,
-                                 state_digest: str) -> bool:
-        """2f+1 distinct, valid EZCHECKPOINT signatures binding the
-        reply's watermark to ``state_digest``, the digest recomputed
-        from the shipped snapshot."""
-        replica = self.replica
-        signers = set()
-        for envelope in reply.proof:
-            payload = authentic_payload(envelope, EzCheckpoint,
-                                        replica.registry)
-            if payload is None or payload.watermark != reply.watermark \
-                    or payload.state_digest != state_digest:
-                return False
-            signers.add(payload.replica)
-        return len(signers) >= replica.config.slow_quorum_size
 
     def _checked_log(self, reply: StateTransferReply) -> Optional[_Log]:
         """The reply's entries, each rebuilt from its verified proof,
@@ -653,6 +641,27 @@ class CheckpointManager:
             owner_number=inner.owner_number,
             command=inner.command, deps=inner.deps, seq=inner.seq,
             status=EntryStatus.SPEC_ORDERED, spec_order=envelope)
+
+
+def checkpoint_proof(proof: Tuple[SignedPayload, ...],
+                     registry: KeyRegistry,
+                     quorum: int) -> Optional[Tuple[int, str]]:
+    """The (watermark, state digest) that ``proof`` makes stable: at
+    least ``quorum`` authentic EZCHECKPOINTs from distinct replicas, all
+    naming that one pair; ``None`` if it proves none.  A state transfer
+    (:meth:`CheckpointManager.on_state_transfer_reply`) and a baseline's
+    VIEW-CHANGE (``repro.protocols.base``) are checked by it."""
+    named = set()
+    signers = set()
+    for envelope in proof:
+        payload = authentic_payload(envelope, EzCheckpoint, registry)
+        if payload is None:
+            return None
+        named.add((payload.watermark, payload.state_digest))
+        signers.add(payload.replica)
+    if len(named) != 1 or len(signers) < quorum:
+        return None
+    return named.pop()
 
 
 def _has_proof(entry: LogEntry) -> bool:

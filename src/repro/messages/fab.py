@@ -11,7 +11,7 @@ one more than Zyzzyva/ezBFT -- exactly the ordering Figure 4 shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.messages.base import register_message
 from repro.statemachine.base import Command
@@ -51,7 +51,12 @@ class FabPropose:
     proposal_number: int
     seqno: int
     request_digest: str
-    request: FabRequest
+    #: ``None``: a null request, which a NEW-VIEW orders into a gap.
+    request: Optional[FabRequest]
+
+    @property
+    def view(self) -> int:
+        return self.proposal_number
 
 
 @register_message
@@ -68,16 +73,22 @@ class FabAccept:
     request_digest: str
     acceptor: str
 
+    @property
+    def view(self) -> int:
+        return self.proposal_number
+
 
 @register_message
 @dataclass(frozen=True)
 class FabReply:
-    """Learner's reply to the client after executing the learned value."""
+    """Learner's reply to the client after executing the learned value;
+    ``view`` (the proposal number) tells the client whom to ask next."""
 
     MSG_TYPE = "fab-reply"
     AUTHOR = "replica"
     cpu_cost_units = 1
 
+    view: int
     seqno: int
     client_id: str
     timestamp: int

@@ -1,8 +1,9 @@
 """PBFT wire messages (Castro & Liskov, OSDI '99).
 
 Five client-visible communication steps: REQUEST -> PRE-PREPARE ->
-PREPARE -> COMMIT -> REPLY.  View changes included; checkpoints are
-attested with :class:`~repro.messages.ezbft.EzCheckpoint`.
+PREPARE -> COMMIT -> REPLY.  Checkpoints are attested with
+:class:`~repro.messages.ezbft.EzCheckpoint`; the VIEW-CHANGE and NEW-VIEW
+defined here serve all three primary-based baselines.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class PrePrepare:
     view: int
     seqno: int
     request_digest: str
-    request: PBFTRequest
+    #: ``None``: a null request, which a NEW-VIEW orders into a gap.
+    request: Optional[PBFTRequest]
 
 
 @register_message
@@ -103,41 +105,41 @@ class PBFTReply:
 @register_message
 @dataclass(frozen=True)
 class ViewChange:
-    """<VIEW-CHANGE, v+1, n, P, i>.
+    """<VIEW-CHANGE, v+1, C, P, i>, shared by PBFT, FaB and Zyzzyva.
 
-    ``prepared`` summarizes the sender's prepared-but-uncommitted requests
-    above its last stable checkpoint: tuples of (seqno, digest, view) with
-    the full request attached so the new primary can re-propose.
+    ``checkpoint`` is the 2f+1 signed EZCHECKPOINTs of the sender's
+    stable checkpoint (none before its first); ``certificates`` holds,
+    per seqno above it, the protocol's certificate for the slot: signed
+    envelopes its replica checks (``BaseReplica._certified``).
     """
 
-    MSG_TYPE = "pbft-view-change"
+    MSG_TYPE = "view-change"
     AUTHOR = "replica"
 
     new_view: int
-    last_stable_seqno: int
-    prepared: Tuple[Tuple[int, str, int], ...]
-    requests: Tuple[PBFTRequest, ...]
+    checkpoint: Tuple[SignedPayload, ...]
+    certificates: Tuple[Tuple[SignedPayload, ...], ...]
     replica: str
 
     @property
     def cpu_cost_units(self) -> int:
-        return max(1, len(self.prepared))
+        return max(1, len(self.certificates))
 
 
 @register_message
 @dataclass(frozen=True)
 class NewView:
-    """<NEW-VIEW, v+1, V, O> -- the new primary's view-change certificate
-    plus re-issued PRE-PREPAREs."""
+    """<NEW-VIEW, v+1, V, O>: 2f+1 VIEW-CHANGEs and, signed one by one,
+    the ordering messages of the re-issue set they determine."""
 
-    MSG_TYPE = "pbft-new-view"
+    MSG_TYPE = "new-view"
     AUTHOR = "primary"
 
     new_view: int
-    view_change_proof: Tuple[SignedPayload, ...]
-    pre_prepares: Tuple[PrePrepare, ...]
+    proof: Tuple[SignedPayload, ...]
+    orders: Tuple[SignedPayload, ...]
     primary: str
 
     @property
     def cpu_cost_units(self) -> int:
-        return max(1, len(self.view_change_proof) + len(self.pre_prepares))
+        return max(1, len(self.proof) + len(self.orders))

@@ -53,7 +53,8 @@ class OrderReq:
     seqno: int
     history_digest: str
     request_digest: str
-    request: ZRequest
+    #: ``None``: a null request, which a NEW-VIEW orders into a gap.
+    request: Optional[ZRequest]
 
 
 @register_message
@@ -136,37 +137,3 @@ class FillHole:
     view: int
     seqno: int
     replica: str
-
-
-@register_message
-@dataclass(frozen=True)
-class IHateThePrimary:
-    """<I-HATE-THE-PRIMARY, v, i> -- vote to depose the view-v primary."""
-
-    MSG_TYPE = "zyzzyva-ihtp"
-    AUTHOR = "replica"
-    cpu_cost_units = 1
-
-    view: int
-    replica: str
-
-
-@register_message
-@dataclass(frozen=True)
-class ZNewView:
-    """Simplified Zyzzyva NEW-VIEW: the new primary announces view v+1
-    with the highest commit certificate it collected; ``proof`` is the
-    2f+1 signed I-HATE-THE-PRIMARYs for view v that depose its
-    predecessor."""
-
-    MSG_TYPE = "zyzzyva-new-view"
-    AUTHOR = "primary"
-
-    new_view: int
-    primary: str
-    max_committed_seqno: int
-    proof: Tuple[SignedPayload, ...] = ()
-
-    @property
-    def cpu_cost_units(self) -> int:
-        return max(1, len(self.proof))

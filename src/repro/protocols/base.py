@@ -1,19 +1,29 @@
-"""The request lifecycle the primary-based baselines share.
+"""The request lifecycle and view change the primary-based baselines
+share.
 
 PBFT, FaB and Zyzzyva differ only in how they order requests.  Around
 the ordering, :class:`BaseReplica` holds the exactly-once ingress rule,
-forwarding to the primary and the execute-and-reply step, and
-:class:`BaseClient` the pending table, retries, delivery and the f+1
-reply collector.  Executed idents are the ezBFT executor's
-:class:`~repro.core.executor.ExecutedIdents` (clients pipeline, so an
-older timestamp may be unseen rather than stale): ingress drops only
-executed idents, and execution applies an ident at most once.
+forwarding to the primary, the execute-and-reply step, checkpoints and
+the view change, and :class:`BaseClient` the pending table, retries,
+view tracking, delivery and the f+1 reply collector.  Executed idents are
+the ezBFT executor's :class:`~repro.core.executor.ExecutedIdents`
+(clients pipeline, so an older timestamp may be unseen rather than
+stale): ingress drops only executed idents, and execution applies an
+ident at most once.
 
 Every baseline checkpoints as PBFT does (Zyzzyva's own protocol is
-PBFT's): it attests every ``checkpoint_interval`` executed slots with an
-EZCHECKPOINT, and a stable one drops the slots and executed record below
+PBFT's): it attests every ``checkpoint_interval`` executed slots with a
+signed EZCHECKPOINT, and a stable one -- with its 2f+1 attestations as
+``checkpoints.stable_proof`` -- drops the slots and executed record below
 it.  They order totally, so a count cut is consistent.  There is no state
 transfer, nor FILL-HOLE below the primary's cut: a laggard stays behind.
+
+Every baseline changes view as PBFT does.  A progress timeout or an
+equivocating primary makes a replica send a VIEW-CHANGE -- its stable
+checkpoint's proof and, per seqno above it, the protocol's certificate
+for the slot -- and stop ordering; f+1 of them for a view make it join.
+The new primary sends 2f+1 with the orders of the re-issue set
+(:func:`reissue_set`) they determine, which every backup recomputes.
 
 Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
 only an envelope its payload's author signed, a replica if the message
@@ -29,12 +39,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node, NodeContext, Timer, note_accepted
 from repro.config import ProtocolConfig
+from repro.core.checkpointing import checkpoint_proof
 from repro.core.executor import CommandIdent, ExecutedIdents
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.ezbft import EzCheckpoint
+from repro.messages.pbft import NewView, ViewChange
 from repro.obs.instruments import NULL
 from repro.statemachine.base import Command, StateMachine
 from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
@@ -42,13 +54,43 @@ from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 #: Delivery callback shared by all protocol clients:
 #: (command, result, latency_ms, path).
 DeliveryCallback = Callable[[Command, Any, float, str], None]
+#: A checked VIEW-CHANGE: the stable watermark its checkpoint proves and,
+#: per certificate, the ordering message it certifies and whether it
+#: stands alone (``False``: it counts once f+1 VIEW-CHANGEs report it).
+CheckedVote = Tuple[int, List[Tuple[Any, bool]]]
+
+
+def reissue_set(votes: Iterable[CheckedVote],
+                weak_quorum: int) -> Tuple[int, Dict[int, Any]]:
+    """PBFT's NEW-VIEW rule over 2f+1 checked VIEW-CHANGEs: the highest
+    stable watermark ``low`` and, per seqno from it to the highest
+    certified one, the request of the highest-view certified order (one
+    not standing alone once ``weak_quorum`` votes report its request) or
+    ``None``, a null request, which uses up its slot."""
+    votes = list(votes)
+    low = max(stable for stable, _ in votes)
+    reports: Dict[Tuple[int, int, str], int] = {}
+    best: Dict[int, Any] = {}
+    for _, entries in votes:
+        for order, strong in entries:
+            key = (order.seqno, order.view, digest(order.request))
+            reports[key] = reports.get(key, 0) + 1
+            if order.seqno >= low and \
+                    (strong or reports[key] >= weak_quorum) and \
+                    (order.seqno not in best or
+                     order.view > best[order.seqno].view):
+                best[order.seqno] = order
+    return low, {seqno: best[seqno].request if seqno in best else None
+                 for seqno in range(low, max(best, default=low - 1) + 1)}
 
 
 class BaseReplica(Node):
-    """Common replica state, request lifecycle and checkpoints; a
-    subclass supplies :meth:`_order`, per executed slot its reply
-    message, its handler tables (EZCHECKPOINT's is :meth:`_on_checkpoint`)
-    and ``_slots``, seqno -> slot with an ``executed`` flag."""
+    """Common replica state, request lifecycle, checkpoints and view
+    change; a subclass supplies :meth:`_order`, :meth:`_order_at` and
+    ``order_cls``, per executed slot its reply message, the certificate
+    check :meth:`_certified`, its handler tables (extending
+    ``BaseReplica._SIGNED_HANDLERS``) and ``_slots``, seqno -> slot
+    whose ``certificate`` is what :meth:`_certificate` reports."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
@@ -56,10 +98,10 @@ class BaseReplica(Node):
     #: Commit path counted (``stats["committed_<path>"]``) per
     #: executed slot.
     commit_path = "fast"
-    #: A backup forwarding a request arms a timer that calls
-    #: :meth:`_suspect_primary` unless the request gets ordered.
-    progress_timers = False
     counts_invalid = True
+    #: The ordering message the view's primary signs (PRE-PREPARE,
+    #: ORDER-REQ, PROPOSE).
+    order_cls: Any = None
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -74,6 +116,13 @@ class BaseReplica(Node):
         self.registry = registry
         self.statemachine = statemachine
         self.view = initial_view
+        #: The view we are moving to: above ``view`` from our
+        #: VIEW-CHANGE until a NEW-VIEW installs; we order nothing then.
+        self._target_view = initial_view
+        #: View -> replica -> (its signed VIEW-CHANGE, the vote checked).
+        self._view_change_votes: Dict[int, Dict[str, Tuple[
+            SignedPayload, CheckedVote]]] = {}
+        self._next_seqno = 0  # the primary's allocator
         self.executed_idents = ExecutedIdents()
         #: Per client: (timestamp, signed reply) of its latest execution.
         self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
@@ -88,6 +137,7 @@ class BaseReplica(Node):
             "invalid_messages": 0,
             "checkpoints": 0,
             "checkpoints_stable": 0,
+            "view_changes": 0,
         }
 
     @property
@@ -97,6 +147,10 @@ class BaseReplica(Node):
     @property
     def is_primary(self) -> bool:
         return self.primary == self.node_id
+
+    @property
+    def _view_changing(self) -> bool:
+        return self._target_view > self.view
 
     def sign(self, payload: Any) -> SignedPayload:
         return SignedPayload.create(payload, self.keypair)
@@ -124,12 +178,11 @@ class BaseReplica(Node):
             self._order(request)
             return
         self.ctx.send(self.primary, envelope)
-        if self.progress_timers:
-            key = digest(request)
-            if key not in self._request_timers:
-                self._request_timers[key] = self.ctx.set_timer(
-                    self.config.view_change_timeout,
-                    self._on_progress_timeout, key)
+        key = digest(request)
+        if key not in self._request_timers:
+            self._request_timers[key] = self.ctx.set_timer(
+                self.config.view_change_timeout,
+                self._on_progress_timeout, key)
 
     def _admit(self, command: Command) -> bool:
         """Ingress: an executed command is answered from the reply cache
@@ -144,27 +197,15 @@ class BaseReplica(Node):
 
     def _from_primary(self, signer: str, view: int, request: Any,
                       request_digest: str) -> bool:
-        """An ordering message counts only in the current view, signed
-        by its primary, with the digest of the request it carries."""
-        if view != self.view:
+        """An ordering message counts only in the current view, while we
+        are not leaving it, signed by its primary, with the digest of the
+        request it carries."""
+        if view != self.view or self._view_changing:
             return False
         if signer != self.primary or digest(request) != request_digest:
             self.stats["invalid_messages"] += 1
             return False
         return True
-
-    def _vote_proof_holds(self, proof: Iterable[Any], vote_cls: Any,
-                          for_view: Callable[[Any], bool]) -> bool:
-        """A view change's proof: 2f+1 ``vote_cls`` votes from distinct
-        replicas, each ``for_view`` and checked as the envelope it
-        is."""
-        voters = set()
-        for envelope in proof:
-            vote = authentic_payload(envelope, vote_cls, self.registry)
-            if vote is None or not for_view(vote):
-                return False
-            voters.add(vote.replica)
-        return len(voters) >= self.config.slow_quorum_size
 
     def _resend_reply(self, ident: CommandIdent) -> None:
         client, timestamp = ident
@@ -172,22 +213,24 @@ class BaseReplica(Node):
         if cached is not None and cached[0] == timestamp:
             self.ctx.send(client, cached[1])
 
-    def _execute_and_reply(self, command: Command,
+    def _execute_and_reply(self, command: Optional[Command],
                            reply_for: Callable[[Any], Any]) -> None:
         """Execute the next ordered slot, holding ``command``, and send
         its client the signed ``reply_for(result)``.  A command ordered
         twice (its retry reached the primary before it executed) uses
-        up its second slot without being applied again; the slot still
-        counts towards the next checkpoint."""
+        up its second slot without being applied again, as a null
+        request (``None``) does; the slot still counts towards the next
+        checkpoint."""
         self.stats["executed"] += 1
         self.stats["committed_" + self.commit_path] += 1
         self.instruments.execute()
-        ident = command.ident
-        if ident in self.executed_idents:
-            self._resend_reply(ident)
+        if command is None:
+            pass  # a null request only uses up its slot
+        elif command.ident in self.executed_idents:
+            self._resend_reply(command.ident)
         else:
             result = self.statemachine.apply(command)
-            self.executed_idents.record(ident)
+            self.executed_idents.record(command.ident)
             envelope = self.sign(reply_for(result))
             self._reply_cache[command.client_id] = (command.timestamp,
                                                     envelope)
@@ -204,16 +247,17 @@ class BaseReplica(Node):
         checkpoint = Checkpoint.capture(
             executed, {"state": self.statemachine.snapshot()})
         self.statemachine.record.mark(executed)
-        self.checkpoints.record_local(checkpoint, self.node_id)
+        envelope = self.sign(EzCheckpoint(
+            replica=self.node_id, watermark=executed,
+            state_digest=checkpoint.state_digest))
+        self.checkpoints.record_local(checkpoint, self.node_id, envelope)
         self.stats["checkpoints"] += 1
-        msg = EzCheckpoint(replica=self.node_id, watermark=executed,
-                           state_digest=checkpoint.state_digest)
-        self.broadcast_others(self.sign(msg))
+        self.broadcast_others(envelope)
 
     def _on_checkpoint(self, sender: str, msg: EzCheckpoint,
                        envelope: SignedPayload) -> None:
         if self.checkpoints.attest(msg.watermark, msg.state_digest,
-                                   msg.replica):
+                                   msg.replica, envelope):
             self.stats["checkpoints_stable"] += 1
             self._gc_log(msg.watermark)
             self.statemachine.record.cut(msg.watermark)
@@ -225,23 +269,192 @@ class BaseReplica(Node):
             del self._slots[seqno]
 
     # ------------------------------------------------------------------
+    # View change
+    # ------------------------------------------------------------------
     def _on_progress_timeout(self, request_key: str) -> None:
         self._request_timers.pop(request_key, None)
         self._suspect_primary()
-
-    def _suspect_primary(self) -> None:
-        raise NotImplementedError
 
     def _cancel_progress_timer(self, request_digest: Optional[str]) -> None:
         timer = self._request_timers.pop(request_digest, None)
         if timer is not None:
             timer.cancel()
 
-    def _adopt_view(self, new_view: int) -> None:
-        self.view = new_view
+    def _suspect_primary(self) -> None:
+        """A progress timeout or an equivocating primary: ask for the
+        view after the one we are in or already moving to."""
+        self._start_view_change(self._target_view + 1)
+
+    def _start_view_change(self, new_view: int) -> None:
+        """Send our VIEW-CHANGE for ``new_view``: our stable checkpoint's
+        proof and every certificate we hold above it."""
+        if new_view <= self._target_view:
+            return
+        self._target_view = new_view
+        self._cancel_request_timers()
+        stable = self.checkpoints.stable
+        low = stable.watermark if stable else 0
+        certificates = (self._certificate(seqno)
+                        for seqno in sorted(self._slots) if seqno >= low)
+        vote = ViewChange(new_view=new_view,
+                          checkpoint=self.checkpoints.stable_proof,
+                          certificates=tuple(filter(None, certificates)),
+                          replica=self.node_id)
+        envelope = self.sign(vote)
+        self.broadcast_others(envelope)
+        self._on_view_change(self.node_id, vote, envelope)
+
+    def _on_view_change(self, sender: str, vote: ViewChange,
+                        envelope: SignedPayload) -> None:
+        """Count a VIEW-CHANGE whose checkpoint proof and certificates
+        hold: join its view at f+1, lead it at 2f+1 if it is ours."""
+        if vote.new_view <= self.view:
+            return
+        checked = self._checked(vote)
+        if checked is None:
+            self.stats["invalid_messages"] += 1
+            return
+        votes = self._view_change_votes.setdefault(vote.new_view, {})
+        votes[vote.replica] = (envelope, checked)
+        if len(votes) >= self.config.weak_quorum_size:
+            self._start_view_change(vote.new_view)
+        if len(votes) >= self.config.slow_quorum_size and \
+                self.view < vote.new_view == self._target_view and \
+                self.config.primary_for_view(vote.new_view) == self.node_id:
+            self._lead(vote.new_view, votes)
+
+    def _checked(self, vote: ViewChange) -> Optional[CheckedVote]:
+        """A VIEW-CHANGE's proven stable watermark and certified orders;
+        ``None`` if its checkpoint proof or any certificate fails."""
+        stable: Optional[Tuple[int, str]] = (0, "")
+        if vote.checkpoint:
+            stable = checkpoint_proof(vote.checkpoint, self.registry,
+                                      self.config.slow_quorum_size)
+        entries = [self._certified(c) if c else None
+                   for c in vote.certificates]
+        if stable is None or None in entries:
+            return None
+        return stable[0], entries
+
+    def _lead(self, new_view: int, votes: Dict[str, Tuple[
+            SignedPayload, CheckedVote]]) -> None:
+        """Become the primary of ``new_view``: order again, in it, the
+        re-issue set the collected VIEW-CHANGEs determine, and send that
+        with them as proof."""
+        low, reissue = reissue_set((checked for _, checked in
+                                    votes.values()),
+                                   self.config.weak_quorum_size)
+        self._adopt_view(new_view, low + len(reissue))
+        orders = []
+        for seqno, request in reissue.items():
+            orders.append(self.sign(self._order_at(new_view, seqno,
+                                                   request)))
+            self._deliver_order(orders[-1])
+        self.broadcast_others(self.sign(NewView(
+            new_view=new_view, proof=tuple(e for e, _ in votes.values()),
+            orders=tuple(orders), primary=self.node_id)))
+
+    def _on_new_view(self, sender: str, msg: NewView,
+                     envelope: SignedPayload) -> None:
+        """Install a NEW-VIEW from its view's primary whose orders, each
+        signed by that primary, are the re-issue set of its proof."""
+        if msg.new_view <= self.view:
+            return
+        votes = [authentic_payload(e, ViewChange, self.registry)
+                 for e in msg.proof]
+        checked = {vote.replica: self._checked(vote) for vote in votes
+                   if vote is not None and vote.new_view == msg.new_view}
+        orders = [authentic_payload(e, self.order_cls, self.registry)
+                  for e in msg.orders]
+        if len(checked) < self.config.slow_quorum_size or \
+                len(checked) < len(votes) or None in checked.values() or \
+                msg.primary != self.config.primary_for_view(msg.new_view):
+            self.stats["invalid_messages"] += 1
+            return
+        low, reissue = reissue_set(checked.values(),
+                                   self.config.weak_quorum_size)
+        if [o and (o.seqno, o.view, o.request) for o in orders] != \
+                [(s, msg.new_view, r) for s, r in reissue.items()] or \
+                any(e.signer != msg.primary for e in msg.orders):
+            self.stats["invalid_messages"] += 1
+            return
+        self._adopt_view(msg.new_view, low + len(orders))
+        for order in msg.orders:
+            self._deliver_order(order)
+
+    def _adopt_view(self, new_view: int, next_seqno: int) -> None:
+        """Enter ``new_view`` (counted once per view moved to), the
+        primary's allocator at ``next_seqno``.  Unexecuted slots from
+        there on held orders of an older view that nobody re-issued."""
+        self.view = self._target_view = new_view
+        self._next_seqno = next_seqno
+        self.stats["view_changes"] += 1
+        self._cancel_request_timers()
+        self._view_change_votes = {
+            v: votes for v, votes in self._view_change_votes.items()
+            if v > new_view}
+        floor = max(next_seqno, self.stats["executed"])
+        for seqno in [s for s in self._slots if s >= floor]:
+            del self._slots[seqno]
+
+    def _deliver_order(self, envelope: SignedPayload) -> None:
+        """Hand a NEW-VIEW's signed order to our own handler for it."""
+        self._SIGNED_HANDLERS[self.order_cls.MSG_TYPE](
+            self, envelope.signer, envelope.payload, envelope)
+
+    def _cancel_request_timers(self) -> None:
         for timer in self._request_timers.values():
             timer.cancel()
         self._request_timers.clear()
+
+    # ------------------------------------------------------------------
+    # The protocol's certificates
+    # ------------------------------------------------------------------
+    def _certificate(self, seqno: int) -> Tuple[SignedPayload, ...]:
+        """The certificate a VIEW-CHANGE reports for ``seqno``: the
+        slot's ``certificate``, empty when it has none."""
+        slot = self._slots.get(seqno)
+        return slot.certificate if slot is not None else ()
+
+    def _certified(self, certificate: Tuple[SignedPayload, ...]
+                   ) -> Optional[Tuple[Any, bool]]:
+        """The order ``certificate`` certifies and whether it stands
+        alone (see :func:`reissue_set`); ``None`` if it does not hold."""
+        raise NotImplementedError
+
+    def _order_at(self, view: int, seqno: int, request: Any) -> Any:
+        """The order putting ``request`` (or ``None``) at ``seqno``."""
+        raise NotImplementedError
+
+    def _primary_order(self, envelope: SignedPayload,
+                       cls: Any = None) -> Any:
+        """``envelope``'s payload, of ``cls`` (``order_cls`` by
+        default), if the primary of its view signed it."""
+        order = authentic_payload(envelope, cls or self.order_cls,
+                                  self.registry)
+        if order is None or \
+                envelope.signer != self.config.primary_for_view(order.view):
+            return None
+        return order
+
+    def _quorum_certifies(self, order: Any, votes: Iterable[Any],
+                          vote_cls: Any) -> bool:
+        """2f+1 authentic ``vote_cls`` votes from distinct replicas, each
+        for ``order``'s view, seqno and request digest."""
+        voters = set()
+        for envelope in votes:
+            vote = authentic_payload(envelope, vote_cls, self.registry)
+            if vote is None or (vote.view, vote.seqno, vote.request_digest) \
+                    != (order.view, order.seqno, order.request_digest):
+                return False
+            voters.add(envelope.signer)
+        return len(voters) >= self.config.slow_quorum_size
+
+    _SIGNED_HANDLERS = {
+        EzCheckpoint.MSG_TYPE: _on_checkpoint,
+        ViewChange.MSG_TYPE: _on_view_change,
+        NewView.MSG_TYPE: _on_new_view,
+    }
 
 
 @dataclass
@@ -262,9 +475,10 @@ class PendingRequest:
 
 class BaseClient(Node):
     """Common client state and request lifecycle; a subclass names its
-    request message and delivery path, and files its reply under
-    :meth:`_on_reply` (the f+1 collector) or under a completion rule
-    of its own that ends in :meth:`_deliver`."""
+    request message and delivery path, and files its reply, which names
+    the replica's ``view``, under :meth:`_on_reply`, counted by the f+1
+    collector or by a completion rule of its own (:meth:`_count_reply`)
+    that ends in :meth:`_deliver`."""
 
     #: Signed request carrying one command.
     request_cls: Any = None
@@ -355,11 +569,15 @@ class BaseClient(Node):
     # ------------------------------------------------------------------
     def _on_reply(self, sender: str, reply: Any,
                   envelope: SignedPayload) -> None:
+        """A reply to a pending command also names the replica's view:
+        follow it, so a retry reaches the new primary after a change."""
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is not None:
-            self._count_reply(pending, reply)
+            self.view = max(self.view, reply.view)
+            self._count_reply(pending, reply, envelope)
 
-    def _count_reply(self, pending: PendingRequest, reply: Any) -> None:
+    def _count_reply(self, pending: PendingRequest, reply: Any,
+                     envelope: SignedPayload) -> None:
         """Deliver once f+1 replicas report the same result."""
         pending.replies[reply.replica] = reply
         by_result: Dict[str, list] = {}

@@ -6,19 +6,24 @@ accept quorum ceil((N + f + 1) / 2) -- 2f+1, the slow quorum, at
 N = 3f+1 -- executes in sequence order and replies to the client.
 Client-visible steps: REQUEST -> PROPOSE -> ACCEPT -> REPLY = 4 (one
 fewer than PBFT, one more than Zyzzyva/ezBFT).
+
+The proposer changes as a PBFT primary does
+(:class:`~repro.protocols.base.BaseReplica`): the proposal number is the
+view.  A slot's certificate is the one it learned with, the proposer's
+signed PROPOSE and the accept quorum's ACCEPTs for it (Martin and
+Alvisi's proof that a value was accepted).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload
-from repro.messages.ezbft import EzCheckpoint
 from repro.messages.fab import FabAccept, FabPropose, FabReply, FabRequest
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
@@ -26,17 +31,22 @@ from repro.statemachine.base import StateMachine
 
 @dataclass
 class _Slot:
-    request: Optional[FabRequest] = None
-    request_digest: Optional[str] = None
-    #: Request digest -> the acceptors that accepted it.
-    accepts: Dict[str, Set[str]] = field(default_factory=dict)
-    accepted_digest: Optional[str] = None
+    #: The proposal this acceptor accepted, and its signed PROPOSE.
+    propose: Optional[FabPropose] = None
+    envelope: Optional[SignedPayload] = None
+    #: (proposal number, request digest) -> acceptor -> its ACCEPT.
+    accepts: Dict[Tuple[int, str], Dict[str, SignedPayload]] = field(
+        default_factory=dict)
+    #: The PROPOSE and ACCEPTs this slot last learned with.
+    certificate: Tuple[SignedPayload, ...] = ()
     learned: bool = False
     executed: bool = False
 
 
 class FabReplica(BaseReplica):
     """One FaB replica (proposer + acceptor + learner roles)."""
+
+    order_cls = FabPropose
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -45,78 +55,96 @@ class FabReplica(BaseReplica):
         super().__init__(node_id, config, ctx, keypair, registry,
                          statemachine, initial_view)
         self._slots: Dict[int, _Slot] = {}
-        self._next_seqno = 0
         self._last_executed = -1
         self.stats.update({"proposals": 0})
 
     # ------------------------------------------------------------------
     def _order(self, request: FabRequest) -> None:
-        seqno = self._next_seqno
+        propose = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
-        d = digest(request)
-        propose = FabPropose(proposal_number=self.view, seqno=seqno,
-                             request_digest=d, request=request)
         self.stats["proposals"] += 1
         signed = self.sign(propose)
         self.broadcast_others(signed)
-        self._accept_propose(self.node_id, propose)
+        self._accept_propose(self.node_id, propose, signed)
+
+    def _order_at(self, view: int, seqno: int,
+                  request: Optional[FabRequest]) -> FabPropose:
+        return FabPropose(proposal_number=view, seqno=seqno,
+                          request_digest=digest(request), request=request)
 
     def _on_propose(self, sender: str, propose: FabPropose,
                     envelope: SignedPayload) -> None:
-        self._accept_propose(envelope.signer, propose)
+        self._accept_propose(envelope.signer, propose, envelope)
 
-    def _accept_propose(self, signer: str, propose: FabPropose) -> None:
+    def _accept_propose(self, signer: str, propose: FabPropose,
+                        envelope: SignedPayload) -> None:
         """A PROPOSE names no author: it counts when ``signer`` is the
-        proposer (the view's primary)."""
+        proposer (the view's primary).  An acceptor accepts one value
+        per slot and proposal number."""
         if not self._from_primary(signer, propose.proposal_number,
                                   propose.request, propose.request_digest):
             return
         slot = self._slots.setdefault(propose.seqno, _Slot())
-        if slot.accepted_digest is not None and \
-                slot.accepted_digest != propose.request_digest:
-            return  # acceptors accept at most one value per slot
-        slot.request = propose.request
-        slot.request_digest = propose.request_digest
-        slot.accepted_digest = propose.request_digest
+        if slot.propose is not None and \
+                slot.propose.proposal_number == propose.proposal_number:
+            return
+        slot.propose, slot.envelope = propose, envelope
+        slot.learned = False
+        self._cancel_progress_timer(propose.request_digest)
         accept = FabAccept(proposal_number=propose.proposal_number,
                            seqno=propose.seqno,
                            request_digest=propose.request_digest,
                            acceptor=self.node_id)
-        self._record_accept(accept)
-        self.broadcast_others(self.sign(accept))
+        signed = self.sign(accept)
+        self._record_accept(accept, signed)
+        self.broadcast_others(signed)
 
     def _on_accept(self, sender: str, accept: FabAccept,
                    envelope: SignedPayload) -> None:
-        if accept.proposal_number != self.view:
-            return
-        self._record_accept(accept)
+        if accept.proposal_number >= self._target_view:
+            self._record_accept(accept, envelope)
 
-    def _record_accept(self, accept: FabAccept) -> None:
+    def _record_accept(self, accept: FabAccept,
+                       envelope: SignedPayload) -> None:
         slot = self._slots.setdefault(accept.seqno, _Slot())
-        voters = slot.accepts.setdefault(accept.request_digest, set())
-        voters.add(accept.acceptor)
-        if not slot.learned and slot.request_digest == accept.request_digest \
+        key = (accept.proposal_number, accept.request_digest)
+        voters = slot.accepts.setdefault(key, {})
+        voters[accept.acceptor] = envelope
+        propose = slot.propose
+        if not slot.learned and propose is not None and \
+                (propose.proposal_number, propose.request_digest) == key \
                 and len(voters) >= self.config.slow_quorum_size:
             slot.learned = True
+            slot.certificate = (slot.envelope, *voters.values())
             self._execute_ready()
+
+    def _certified(self, certificate: Tuple[SignedPayload, ...]
+                   ) -> Optional[Tuple[FabPropose, bool]]:
+        """A learned certificate: the PROPOSE its view's proposer signed
+        and the accept quorum's ACCEPTs for it."""
+        propose = self._primary_order(certificate[0])
+        if propose is not None and self._quorum_certifies(
+                propose, certificate[1:], FabAccept):
+            return propose, True
+        return None
 
     def _execute_ready(self) -> None:
         while True:
             slot = self._slots.get(self._last_executed + 1)
-            if slot is None or not slot.learned or slot.executed or \
-                    slot.request is None:
+            if slot is None or not slot.learned or slot.executed:
                 return
             slot.executed = True
             self._last_executed += 1
-            command = slot.request.command
+            request = slot.propose.request
+            command = request.command if request is not None else None
             self._execute_and_reply(command, lambda result: FabReply(
-                seqno=self._last_executed, client_id=command.client_id,
-                timestamp=command.timestamp, replica=self.node_id,
-                result=result))
+                view=self.view, seqno=self._last_executed,
+                client_id=command.client_id, timestamp=command.timestamp,
+                replica=self.node_id, result=result))
 
     _SIGNED_HANDLERS = {
+        **BaseReplica._SIGNED_HANDLERS,
         FabRequest.MSG_TYPE: BaseReplica._on_request,
         FabPropose.MSG_TYPE: _on_propose,
         FabAccept.MSG_TYPE: _on_accept,
-        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
     }

@@ -39,9 +39,4 @@ class PBFTClient(BaseClient):
         batch = BatchRequest(commands=tuple(commands))
         self.ctx.send(self.primary, self.sign(batch))
 
-    def _count_reply(self, pending, reply: PBFTReply) -> None:
-        # Track the view so retries reach the new primary after a change.
-        self.view = max(self.view, reply.view)
-        super()._count_reply(pending, reply)
-
     _SIGNED_HANDLERS = {PBFTReply.MSG_TYPE: BaseClient._on_reply}

@@ -4,32 +4,33 @@ Client-visible latency is five communication steps: REQUEST ->
 PRE-PREPARE -> PREPARE -> COMMIT -> REPLY, which is why PBFT sits at the
 top of Figure 4's latency bars.
 
-Includes a view-change protocol (timer-driven, 2f+1 VIEW-CHANGE
-certificate, NEW-VIEW with re-issued pre-prepares); checkpoints and log
-garbage collection are :class:`~repro.protocols.base.BaseReplica`'s.
+Checkpoints, log garbage collection and the view change are
+:class:`~repro.protocols.base.BaseReplica`'s.  A slot's certificate is
+the one it prepared with: the primary's signed PRE-PREPARE (or the
+BATCHPREPREPARE holding it) and 2f+1 PREPAREs for it, the primary's
+own among them, since the primary here sends a PREPARE too.  Votes are
+kept per view, so a vote for the next view that overtakes its NEW-VIEW
+still counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
 from repro.core.batching import RequestBatcher
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchPrePrepare, BatchRequest
-from repro.messages.ezbft import EzCheckpoint
 from repro.messages.pbft import (
-    NewView,
     PBFTCommit,
     PBFTReply,
     PBFTRequest,
     PrePrepare,
     Prepare,
-    ViewChange,
 )
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
@@ -37,12 +38,16 @@ from repro.statemachine.base import StateMachine
 
 @dataclass
 class _Slot:
-    request: Optional[PBFTRequest] = None
-    request_digest: Optional[str] = None
     pre_prepare: Optional[PrePrepare] = None
-    #: Request digest -> the replicas that voted for it.
-    prepares: Dict[str, Set[str]] = field(default_factory=dict)
-    commits: Dict[str, Set[str]] = field(default_factory=dict)
+    #: The signed PRE-PREPARE, or the BATCHPREPREPARE holding it.
+    envelope: Optional[SignedPayload] = None
+    #: (view, request digest) -> replica -> its signed PREPARE.
+    prepares: Dict[Tuple[int, str], Dict[str, SignedPayload]] = field(
+        default_factory=dict)
+    #: (view, request digest) -> the replicas that committed it.
+    commits: Dict[Tuple[int, str], Set[str]] = field(default_factory=dict)
+    #: The envelope and PREPAREs this slot last prepared with.
+    certificate: Tuple[SignedPayload, ...] = ()
     prepared: bool = False
     committed: bool = False
     executed: bool = False
@@ -52,7 +57,7 @@ class PBFTReplica(BaseReplica):
     """One PBFT replica."""
 
     commit_path = "slow"
-    progress_timers = True
+    order_cls = PrePrepare
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -61,10 +66,7 @@ class PBFTReplica(BaseReplica):
         super().__init__(node_id, config, ctx, keypair, registry,
                          statemachine, initial_view)
         self._slots: Dict[int, _Slot] = {}
-        self._next_seqno = 0       # primary-side allocator
         self._last_executed = -1   # highest contiguously executed seqno
-        self._view_change_votes: Dict[int, Dict[str, SignedPayload]] = {}
-        self._view_changing = False
         #: Primary-path batcher: requests this replica proposes while
         #: primary are accumulated and flushed as one BATCHPREPREPARE
         #: (pass-through when ``config.batch_size == 1``).
@@ -76,7 +78,6 @@ class PBFTReplica(BaseReplica):
         self.stats.update({
             "pre_prepares": 0,
             "batches_proposed": 0,
-            "view_changes": 0,
         })
 
     # ------------------------------------------------------------------
@@ -118,35 +119,35 @@ class PBFTReplica(BaseReplica):
         if len(fresh) == 1:
             self._propose(fresh[0])
             return
-        inner = []
-        for request in fresh:
-            inner.append(self._order_request(request))
-        batch = BatchPrePrepare(view=self.view,
-                                pre_prepares=tuple(inner))
+        inner = [self._order_request(request) for request in fresh]
+        envelope = self.sign(BatchPrePrepare(view=self.view,
+                                             pre_prepares=tuple(inner)))
         self.stats["batches_proposed"] += 1
-        self.broadcast_others(self.sign(batch))
+        self.broadcast_others(envelope)
         # The primary counts as having pre-prepared + prepared.
         for pre_prepare in inner:
+            self._slots[pre_prepare.seqno].envelope = envelope
             self._broadcast_prepare(pre_prepare.seqno,
                                     pre_prepare.request_digest)
 
     def _order_request(self, request: PBFTRequest) -> PrePrepare:
         """Assign the next sequence number and record the slot."""
-        seqno = self._next_seqno
+        pre_prepare = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
-        d = digest(request)
-        pre_prepare = PrePrepare(view=self.view, seqno=seqno,
-                                 request_digest=d, request=request)
         self.stats["pre_prepares"] += 1
-        slot = self._slot(seqno)
-        slot.request = request
-        slot.request_digest = d
-        slot.pre_prepare = pre_prepare
+        self._slot(pre_prepare.seqno).pre_prepare = pre_prepare
         return pre_prepare
+
+    def _order_at(self, view: int, seqno: int,
+                  request: Optional[PBFTRequest]) -> PrePrepare:
+        return PrePrepare(view=view, seqno=seqno,
+                          request_digest=digest(request), request=request)
 
     def _propose(self, request: PBFTRequest) -> None:
         pre_prepare = self._order_request(request)
-        self.broadcast_others(self.sign(pre_prepare))
+        envelope = self.sign(pre_prepare)
+        self._slots[pre_prepare.seqno].envelope = envelope
+        self.broadcast_others(envelope)
         # The primary counts as having pre-prepared + prepared.
         self._broadcast_prepare(pre_prepare.seqno,
                                 pre_prepare.request_digest)
@@ -156,41 +157,32 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _on_batch_pre_prepare(self, sender: str, batch: BatchPrePrepare,
                               envelope: SignedPayload) -> None:
-        """The primary's batched ordering: verify once, process each
-        inner PRE-PREPARE exactly as a singleton."""
-        if batch.view != self.view or self._view_changing:
-            return
-        signer = envelope.signer
-        if signer != self.config.primary_for_view(batch.view):
-            self.stats["invalid_messages"] += 1
-            return
-        for pre_prepare in batch.pre_prepares:
-            if pre_prepare.view != batch.view:
-                self.stats["invalid_messages"] += 1
-                return
+        """The primary's batched ordering: each inner PRE-PREPARE counts
+        as a singleton the batch's signer signed."""
         for pre_prepare in sorted(batch.pre_prepares,
                                   key=lambda p: p.seqno):
-            self._accept_pre_prepare(signer, pre_prepare)
+            self._accept_pre_prepare(envelope.signer, pre_prepare, envelope)
 
     def _on_pre_prepare(self, sender: str, msg: PrePrepare,
                         envelope: SignedPayload) -> None:
-        self._accept_pre_prepare(envelope.signer, msg)
+        self._accept_pre_prepare(envelope.signer, msg, envelope)
 
-    def _accept_pre_prepare(self, signer: str, msg: PrePrepare) -> None:
+    def _accept_pre_prepare(self, signer: str, msg: PrePrepare,
+                            envelope: SignedPayload) -> None:
         """A PRE-PREPARE names no author: it counts when ``signer`` (of
-        it, or of the batch or NEW-VIEW carrying it) is the primary."""
-        if self._view_changing or not self._from_primary(
-                signer, msg.view, msg.request, msg.request_digest):
+        it, or of the batch carrying it) is the primary.  One of a newer
+        view than the slot's starts the slot's three phases again."""
+        if not self._from_primary(signer, msg.view, msg.request,
+                                  msg.request_digest):
             return
         slot = self._slot(msg.seqno)
         if slot.pre_prepare is not None and \
-                slot.request_digest != msg.request_digest:
-            # Equivocating primary; vote it out.
-            self._start_view_change()
+                slot.pre_prepare.view == msg.view:
+            if slot.pre_prepare.request_digest != msg.request_digest:
+                self._suspect_primary()  # equivocating primary
             return
-        slot.request = msg.request
-        slot.request_digest = msg.request_digest
-        slot.pre_prepare = msg
+        slot.pre_prepare, slot.envelope = msg, envelope
+        slot.prepared = slot.committed = False
         self._cancel_progress_timer(msg.request_digest)
         self._broadcast_prepare(msg.seqno, msg.request_digest)
 
@@ -198,24 +190,28 @@ class PBFTReplica(BaseReplica):
         prepare = Prepare(view=self.view, seqno=seqno,
                           request_digest=request_digest,
                           replica=self.node_id)
-        self._record_prepare(prepare)
-        self.broadcast_others(self.sign(prepare))
+        envelope = self.sign(prepare)
+        self._record_prepare(prepare, envelope)
+        self.broadcast_others(envelope)
 
     def _on_prepare(self, sender: str, msg: Prepare,
                     envelope: SignedPayload) -> None:
-        if msg.view != self.view or self._view_changing:
-            return
-        self._record_prepare(msg)
+        if msg.view >= self._target_view:
+            self._record_prepare(msg, envelope)
 
-    def _record_prepare(self, msg: Prepare) -> None:
+    def _record_prepare(self, msg: Prepare, envelope: SignedPayload) -> None:
         slot = self._slot(msg.seqno)
-        voters = slot.prepares.setdefault(msg.request_digest, set())
-        voters.add(msg.replica)
+        key = (msg.view, msg.request_digest)
+        voters = slot.prepares.setdefault(key, {})
+        voters[msg.replica] = envelope
         # prepared == pre-prepare + 2f matching prepares (own included).
-        if not slot.prepared and slot.request_digest == msg.request_digest \
+        pre_prepare = slot.pre_prepare
+        if not slot.prepared and pre_prepare is not None and \
+                (pre_prepare.view, pre_prepare.request_digest) == key \
                 and len(voters) >= self.config.slow_quorum_size:
             slot.prepared = True
-            commit = PBFTCommit(view=self.view, seqno=msg.seqno,
+            slot.certificate = (slot.envelope, *voters.values())
+            commit = PBFTCommit(view=msg.view, seqno=msg.seqno,
                                 request_digest=msg.request_digest,
                                 replica=self.node_id)
             self._record_commit(commit)
@@ -223,19 +219,37 @@ class PBFTReplica(BaseReplica):
 
     def _on_commit(self, sender: str, msg: PBFTCommit,
                    envelope: SignedPayload) -> None:
-        if msg.view != self.view or self._view_changing:
-            return
-        self._record_commit(msg)
+        if msg.view >= self._target_view:
+            self._record_commit(msg)
 
     def _record_commit(self, msg: PBFTCommit) -> None:
         slot = self._slot(msg.seqno)
-        voters = slot.commits.setdefault(msg.request_digest, set())
+        key = (msg.view, msg.request_digest)
+        voters = slot.commits.setdefault(key, set())
         voters.add(msg.replica)
+        pre_prepare = slot.pre_prepare
         if not slot.committed and slot.prepared and \
-                slot.request_digest == msg.request_digest and \
+                (pre_prepare.view, pre_prepare.request_digest) == key and \
                 len(voters) >= self.config.slow_quorum_size:
             slot.committed = True
             self._execute_ready()
+
+    def _certified(self, certificate: Tuple[SignedPayload, ...]
+                   ) -> Optional[Tuple[PrePrepare, bool]]:
+        """A prepared certificate: the PRE-PREPARE its view's primary
+        signed, alone or in a BATCHPREPREPARE, and 2f+1 PREPAREs for
+        it."""
+        holder = self._primary_order(certificate[0],
+                                     (PrePrepare, BatchPrePrepare))
+        if isinstance(holder, BatchPrePrepare):
+            last = authentic_payload(certificate[-1], Prepare, self.registry)
+            holder = next((p for p in holder.pre_prepares
+                           if last is not None and p.seqno == last.seqno
+                           and p.view == holder.view), None)
+        if isinstance(holder, PrePrepare) and self._quorum_certifies(
+                holder, certificate[1:], Prepare):
+            return holder, True
+        return None
 
     # ------------------------------------------------------------------
     # Execution
@@ -243,136 +257,28 @@ class PBFTReplica(BaseReplica):
     def _execute_ready(self) -> None:
         while True:
             nxt = self._slots.get(self._last_executed + 1)
-            if nxt is None or not nxt.committed or nxt.executed or \
-                    nxt.request is None:
+            if nxt is None or not nxt.committed or nxt.executed:
                 return
             nxt.executed = True
             self._last_executed += 1
-            command = nxt.request.command
+            request = nxt.pre_prepare.request
+            command = request.command if request is not None else None
             self._execute_and_reply(command, lambda result: PBFTReply(
                 view=self.view, timestamp=command.timestamp,
                 client_id=command.client_id, replica=self.node_id,
                 result=result))
-            self._cancel_progress_timer(nxt.request_digest)
-
-    # ------------------------------------------------------------------
-    # View changes
-    # ------------------------------------------------------------------
-    def _suspect_primary(self) -> None:
-        self._start_view_change()
-
-    def _start_view_change(self) -> None:
-        if self._view_changing:
-            return
-        self._view_changing = True
-        self.stats["view_changes"] += 1
-        new_view = self.view + 1
-        stable = self.checkpoints.stable
-        stable_seqno = stable.watermark if stable else 0
-        prepared = []
-        requests = []
-        for seqno in sorted(self._slots):
-            slot = self._slots[seqno]
-            if slot.prepared and not slot.executed and \
-                    slot.request is not None:
-                prepared.append((seqno, slot.request_digest, self.view))
-                requests.append(slot.request)
-        msg = ViewChange(new_view=new_view,
-                         last_stable_seqno=stable_seqno,
-                         prepared=tuple(prepared),
-                         requests=tuple(requests),
-                         replica=self.node_id)
-        signed = self.sign(msg)
-        self._on_view_change(self.node_id, msg, signed)  # our own vote
-        self.broadcast_others(signed)
-
-    def _on_view_change(self, sender: str, msg: ViewChange,
-                        envelope: SignedPayload) -> None:
-        if msg.new_view <= self.view:
-            return
-        votes = self._view_change_votes.setdefault(msg.new_view, {})
-        votes[msg.replica] = envelope
-        # Join the view change once f+1 replicas demand it.
-        if len(votes) >= self.config.weak_quorum_size and \
-                not self._view_changing:
-            self._start_view_change()
-        if len(votes) >= self.config.slow_quorum_size and \
-                self.config.primary_for_view(msg.new_view) == self.node_id:
-            self._become_primary(msg.new_view, votes)
-
-    def _become_primary(self, new_view: int,
-                        votes: Dict[str, SignedPayload]) -> None:
-        if self.view >= new_view:
-            return
-        # Re-issue pre-prepares for every prepared request reported.
-        reissued: Dict[int, PrePrepare] = {}
-        for envelope in votes.values():
-            vc: ViewChange = envelope.payload
-            for (seqno, req_digest, _view), request in zip(
-                    vc.prepared, vc.requests):
-                if seqno not in reissued:
-                    reissued[seqno] = PrePrepare(
-                        view=new_view, seqno=seqno,
-                        request_digest=req_digest, request=request)
-        proof = tuple(votes.values())
-        new_view_msg = NewView(new_view=new_view,
-                               view_change_proof=proof,
-                               pre_prepares=tuple(reissued.values()),
-                               primary=self.node_id)
-        self.broadcast_others(self.sign(new_view_msg))
-        self._adopt_view(new_view)
-        # Continue sequence numbering after everything we have executed
-        # or seen ordered -- re-using an occupied seqno would look like
-        # equivocation to the backups and trigger another view change.
-        occupied = max(self._slots) if self._slots else -1
-        self._next_seqno = max(self._next_seqno, self._last_executed + 1,
-                               occupied + 1)
-        seqnos = [p.seqno for p in reissued.values()]
-        if seqnos:
-            self._next_seqno = max(self._next_seqno, max(seqnos) + 1)
-        for pre_prepare in reissued.values():
-            slot = self._slot(pre_prepare.seqno)
-            slot.request = pre_prepare.request
-            slot.request_digest = pre_prepare.request_digest
-            slot.pre_prepare = pre_prepare
-            self._broadcast_prepare(pre_prepare.seqno,
-                                    pre_prepare.request_digest)
-
-    def _on_new_view(self, sender: str, msg: NewView,
-                     envelope: SignedPayload) -> None:
-        if msg.new_view <= self.view:
-            return
-        if self.config.primary_for_view(msg.new_view) != msg.primary or \
-                not self._vote_proof_holds(
-                    msg.view_change_proof, ViewChange,
-                    lambda vote: vote.new_view == msg.new_view):
-            self.stats["invalid_messages"] += 1
-            return
-        self._adopt_view(msg.new_view)
-        for pre_prepare in msg.pre_prepares:
-            self._accept_pre_prepare(msg.primary, pre_prepare)
-
-    def _adopt_view(self, new_view: int) -> None:
-        super()._adopt_view(new_view)
-        self._view_changing = False
-        # Reset per-view vote state for lower views.
-        self._view_change_votes = {
-            v: votes for v, votes in self._view_change_votes.items()
-            if v > new_view
-        }
+            self._cancel_progress_timer(nxt.pre_prepare.request_digest)
 
     # ------------------------------------------------------------------
     def _slot(self, seqno: int) -> _Slot:
         return self._slots.setdefault(seqno, _Slot())
 
     _SIGNED_HANDLERS = {
+        **BaseReplica._SIGNED_HANDLERS,
         PBFTRequest.MSG_TYPE: BaseReplica._on_request,
         BatchRequest.MSG_TYPE: _on_batch_request,
         PrePrepare.MSG_TYPE: _on_pre_prepare,
         BatchPrePrepare.MSG_TYPE: _on_batch_pre_prepare,
         Prepare.MSG_TYPE: _on_prepare,
         PBFTCommit.MSG_TYPE: _on_commit,
-        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
-        ViewChange.MSG_TYPE: _on_view_change,
-        NewView.MSG_TYPE: _on_new_view,
     }

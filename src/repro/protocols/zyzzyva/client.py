@@ -49,12 +49,10 @@ class ZyzzyvaClient(BaseClient):
         super()._start_attempt(pending)
 
     # ------------------------------------------------------------------
-    def _on_spec_response(self, sender: str, resp: SpecResponse,
-                          envelope: SignedPayload) -> None:
-        pending = self._pending.get((resp.client_id, resp.timestamp))
-        if pending is None or pending.phase != "spec":
+    def _count_reply(self, pending: _Pending, resp: SpecResponse,
+                     envelope: SignedPayload) -> None:
+        if pending.phase != "spec":
             return
-        self.view = max(self.view, resp.view)
         pending.replies[resp.replica] = (resp, envelope)
         group = self._largest_matching_group(pending)
         if len(group) >= self.config.fast_quorum_size:
@@ -115,6 +113,6 @@ class ZyzzyvaClient(BaseClient):
         super()._deliver(pending, result, path)
 
     _SIGNED_HANDLERS = {
-        SpecResponse.MSG_TYPE: _on_spec_response,
+        SpecResponse.MSG_TYPE: BaseClient._on_reply,
         LocalCommit.MSG_TYPE: _on_local_commit,
     }

@@ -8,29 +8,30 @@ replicas acknowledge with LOCAL-COMMIT.  Execution is speculative in
 the protocol's sense, but it goes straight into the state machine's
 final state: nothing here ever rolls an executed slot back.
 
-Includes FILL-HOLE recovery for gaps and an I-HATE-THE-PRIMARY /
-NEW-VIEW change driven by progress timeouts or primary equivocation.
+Includes FILL-HOLE recovery for gaps; the view change is
+:class:`~repro.protocols.base.BaseReplica`'s.  A slot's certificate is
+the primary's signed ORDER-REQ, with the client's commit certificate
+once one arrived; an ORDER-REQ without one is re-issued only when f+1
+VIEW-CHANGEs report it (Kotla et al.).  A re-issued ORDER-REQ chains its
+history digest on the order at the seqno before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.node import NodeContext, Timer
 from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload, authentic_payload
-from repro.messages.ezbft import EzCheckpoint
 from repro.messages.zyzzyva import (
     FillHole,
-    IHateThePrimary,
     LocalCommit,
     OrderReq,
     SpecResponse,
     ZCommit,
-    ZNewView,
     ZRequest,
 )
 from repro.protocols.base import BaseReplica
@@ -39,17 +40,17 @@ from repro.statemachine.base import StateMachine
 
 @dataclass
 class _Slot:
-    order_req: Optional[OrderReq] = None
-    signed_order: Optional[SignedPayload] = None
-    history_digest: str = ""
+    order: Optional[OrderReq] = None
+    envelope: Optional[SignedPayload] = None
+    #: The signed ORDER-REQ, then with the commit certificate for it.
+    certificate: Tuple[SignedPayload, ...] = ()
     executed: bool = False
-    committed: bool = False
 
 
 class ZyzzyvaReplica(BaseReplica):
     """One Zyzzyva replica."""
 
-    progress_timers = True
+    order_cls = OrderReq
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -58,35 +59,35 @@ class ZyzzyvaReplica(BaseReplica):
         super().__init__(node_id, config, ctx, keypair, registry,
                          statemachine, initial_view)
         self._slots: Dict[int, _Slot] = {}
-        self._next_seqno = 0          # primary allocator
         self._next_to_execute = 0     # replicas execute in seqno order
         self._history_digest = ""     # rolling history hash h_n
         self._max_committed = -1
         self._fill_hole_timer: Optional[Timer] = None
-        #: Deposed view -> replica -> its signed I-HATE-THE-PRIMARY.
-        self._ihtp_votes: Dict[int, Dict[str, SignedPayload]] = {}
-        self._hated_views: Set[int] = set()
         self.stats.update({
             "order_reqs": 0,
             "fill_holes": 0,
-            "view_changes": 0,
         })
 
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
     def _order(self, request: ZRequest) -> None:
-        seqno = self._next_seqno
+        order = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
-        d = digest(request)
-        history = digest([self._history_digest, d])
-        order = OrderReq(view=self.view, seqno=seqno,
-                         history_digest=history, request_digest=d,
-                         request=request)
         signed_order = self.sign(order)
         self.stats["order_reqs"] += 1
         self.broadcast_others(signed_order)
         self._accept_order(order, signed_order)
+
+    def _order_at(self, view: int, seqno: int,
+                  request: Optional[ZRequest]) -> OrderReq:
+        """The history digest chains on the order at ``seqno - 1``."""
+        d = digest(request)
+        prev = self._slots.get(seqno - 1)
+        history = digest([prev.order.history_digest
+                          if prev is not None and prev.order else "", d])
+        return OrderReq(view=view, seqno=seqno, history_digest=history,
+                        request_digest=d, request=request)
 
     def _on_order_req(self, sender: str, order: OrderReq,
                       envelope: SignedPayload) -> None:
@@ -94,18 +95,17 @@ class ZyzzyvaReplica(BaseReplica):
                                   order.request, order.request_digest):
             return
         existing = self._slots.get(order.seqno)
-        if existing is not None and existing.order_req is not None:
-            if existing.order_req.request_digest != order.request_digest:
-                # Primary equivocation.
-                self._hate_primary()
+        if existing is not None and existing.order is not None and \
+                existing.order.view == order.view:
+            if existing.order.request_digest != order.request_digest:
+                self._suspect_primary()  # primary equivocation
             return
         self._accept_order(order, envelope)
 
     def _accept_order(self, order: OrderReq,
                       envelope: SignedPayload) -> None:
-        slot = self._slots.setdefault(order.seqno, _Slot())
-        slot.order_req = order
-        slot.signed_order = envelope
+        self._slots[order.seqno] = _Slot(order=order, envelope=envelope,
+                                         certificate=(envelope,))
         self._cancel_progress_timer(order.request_digest)
         self._execute_ready()
         if order.seqno > self._next_to_execute and \
@@ -119,20 +119,19 @@ class ZyzzyvaReplica(BaseReplica):
         """Speculatively execute contiguous slots in sequence order."""
         while True:
             slot = self._slots.get(self._next_to_execute)
-            if slot is None or slot.order_req is None or slot.executed:
+            if slot is None or slot.order is None or slot.executed:
                 return
-            order = slot.order_req
+            order = slot.order
             # Verify the history chain: our rolling digest must match the
             # primary's claim, otherwise our histories diverged.
             expected = digest([self._history_digest,
                                order.request_digest])
             if order.history_digest != expected:
-                self._hate_primary()
+                self._suspect_primary()
                 return
             self._history_digest = expected
-            slot.history_digest = expected
             slot.executed = True
-            command = order.request.command
+            command = order.request.command if order.request else None
             self._execute_and_reply(command, lambda result: SpecResponse(
                 view=self.view, seqno=order.seqno,
                 history_digest=expected,
@@ -141,7 +140,7 @@ class ZyzzyvaReplica(BaseReplica):
                 timestamp=command.timestamp,
                 replica=self.node_id,
                 result=result,
-                order_req=slot.signed_order,
+                order_req=slot.envelope,
             ))
             self._next_to_execute += 1
             if self._fill_hole_timer is not None and \
@@ -157,27 +156,21 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _on_commit(self, sender: str, commit: ZCommit,
                    envelope: None) -> None:
-        if len(commit.certificate) < self.config.slow_quorum_size:
+        """A commit certificate: 2f+1 matching SPEC-RESPONSEs from
+        distinct replicas."""
+        responses = [authentic_payload(e, SpecResponse, self.registry)
+                     for e in commit.certificate]
+        first = responses[0] if responses else None
+        if first is None or None in responses or \
+                not all(first.matches(r) for r in responses) or \
+                len({r.replica for r in responses}) < \
+                self.config.slow_quorum_size:
             self.stats["invalid_messages"] += 1
             return
-        first: Optional[SpecResponse] = None
-        signers = set()
-        for signed in commit.certificate:
-            resp = authentic_payload(signed, SpecResponse, self.registry)
-            if resp is None:
-                self.stats["invalid_messages"] += 1
-                return
-            signers.add(resp.replica)
-            if first is None:
-                first = resp
-            elif not first.matches(resp):
-                self.stats["invalid_messages"] += 1
-                return
-        if first is None or len(signers) < self.config.slow_quorum_size:
-            return
         slot = self._slots.get(first.seqno)
-        if slot is not None:
-            slot.committed = True
+        if slot is not None and slot.order is not None and \
+                slot.order.request_digest == first.request_digest:
+            slot.certificate = (slot.envelope, *commit.certificate)
         self._max_committed = max(self._max_committed, first.seqno)
         ack = LocalCommit(view=self.view, seqno=first.seqno,
                           request_digest=first.request_digest,
@@ -204,81 +197,30 @@ class ZyzzyvaReplica(BaseReplica):
     def _on_fill_hole_failed(self) -> None:
         self._fill_hole_timer = None
         if self._has_gap():
-            self._hate_primary()
+            self._suspect_primary()
 
     def _on_fill_hole(self, sender: str, msg: FillHole,
                       envelope: None) -> None:
         if not self.is_primary or msg.view != self.view:
             return
         slot = self._slots.get(msg.seqno)
-        if slot is not None and slot.signed_order is not None:
-            self.ctx.send(msg.replica, slot.signed_order)
+        if slot is not None and slot.envelope is not None:
+            self.ctx.send(msg.replica, slot.envelope)
 
-    # ------------------------------------------------------------------
-    # View change
-    # ------------------------------------------------------------------
-    def _suspect_primary(self) -> None:
-        self._hate_primary()
-
-    def _hate_primary(self) -> None:
-        if self.view in self._hated_views:
-            return
-        self._hated_views.add(self.view)
-        vote = IHateThePrimary(view=self.view, replica=self.node_id)
-        signed = self.sign(vote)
-        self._record_ihtp(vote, signed)
-        self.broadcast_others(signed)
-
-    def _on_ihtp(self, sender: str, vote: IHateThePrimary,
-                 envelope: SignedPayload) -> None:
-        if vote.view < self.view:
-            return
-        self._record_ihtp(vote, envelope)
-
-    def _record_ihtp(self, vote: IHateThePrimary,
-                     envelope: SignedPayload) -> None:
-        votes = self._ihtp_votes.setdefault(vote.view, {})
-        votes[vote.replica] = envelope
-        if len(votes) >= self.config.weak_quorum_size:
-            # Join the mutiny (at least one correct replica voted).
-            if self.view == vote.view and \
-                    vote.view not in self._hated_views:
-                self._hate_primary()
-        if len(votes) >= self.config.slow_quorum_size:
-            new_view = vote.view + 1
-            if self.config.primary_for_view(new_view) == self.node_id \
-                    and self.view <= vote.view:
-                self._become_primary(new_view)
-
-    def _become_primary(self, new_view: int) -> None:
-        self.stats["view_changes"] += 1
-        msg = ZNewView(new_view=new_view, primary=self.node_id,
-                       max_committed_seqno=self._max_committed,
-                       proof=tuple(self._ihtp_votes[new_view - 1].values()))
-        self.broadcast_others(self.sign(msg))
-        self._adopt_view(new_view)
-        occupied = max(self._slots) if self._slots else -1
-        self._next_seqno = max(self._next_seqno, self._next_to_execute,
-                               occupied + 1)
-
-    def _on_new_view(self, sender: str, msg: ZNewView,
-                     envelope: SignedPayload) -> None:
-        if msg.new_view <= self.view:
-            return
-        if self.config.primary_for_view(msg.new_view) != msg.primary or \
-                not self._vote_proof_holds(
-                    msg.proof, IHateThePrimary,
-                    lambda vote: vote.view == msg.new_view - 1):
-            self.stats["invalid_messages"] += 1
-            return
-        self._adopt_view(msg.new_view)
+    def _certified(self, certificate: Tuple[SignedPayload, ...]
+                   ) -> Optional[Tuple[OrderReq, bool]]:
+        """The ORDER-REQ its view's primary signed; it stands alone with
+        a commit certificate of 2f+1 SPEC-RESPONSEs for it."""
+        order = self._primary_order(certificate[0])
+        if order is None or len(certificate) > 1 and not \
+                self._quorum_certifies(order, certificate[1:], SpecResponse):
+            return None
+        return order, len(certificate) > 1
 
     _SIGNED_HANDLERS = {
+        **BaseReplica._SIGNED_HANDLERS,
         ZRequest.MSG_TYPE: BaseReplica._on_request,
         OrderReq.MSG_TYPE: _on_order_req,
-        IHateThePrimary.MSG_TYPE: _on_ihtp,
-        ZNewView.MSG_TYPE: _on_new_view,
-        EzCheckpoint.MSG_TYPE: BaseReplica._on_checkpoint,
     }
     _PLAIN_HANDLERS = {
         ZCommit.MSG_TYPE: _on_commit,

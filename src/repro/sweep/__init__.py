@@ -22,11 +22,7 @@ PR 3 scenario API into a figure-reproduction machine:
         --grid seed=1,2 --csv out.csv
 """
 
-from repro.sweep.cache import (
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    SweepCellCache,
-)
+from repro.sweep.cache import DEFAULT_CACHE_DIR, SweepCellCache
 from repro.sweep.plot import plot_series
 from repro.sweep.report import (
     METRICS,
@@ -48,7 +44,6 @@ from repro.sweep.spec import (
 
 __all__ = [
     "SweepCellCache",
-    "CACHE_VERSION",
     "DEFAULT_CACHE_DIR",
     "SweepSpec",
     "SweepCell",

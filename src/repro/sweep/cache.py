@@ -20,13 +20,15 @@ measurement.
 
 The cache is advisory: corrupt or unreadable entries are treated as
 misses, and writes are atomic (tmp file + rename) so a killed run never
-leaves a half-written entry.  ``CACHE_VERSION`` is part of every key;
-bump it when the report schema or run semantics change so stale entries
-can never be replayed as fresh results.
+leaves a half-written entry.  A digest of the ``repro`` package's own
+source is part of every key: a change to any module the run could
+execute (report schema, protocol, simulator) moves every key, so a
+stale entry is never replayed as a fresh result.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -36,10 +38,6 @@ from repro.errors import ConfigurationError
 from repro.storage import atomic_write_json
 from repro.scenario.report import ExperimentReport
 from repro.scenario.spec import Scenario
-
-#: Bump to invalidate every existing cache entry (schema/semantics
-#: changes).
-CACHE_VERSION = 4
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join(".repro-cache", "sweep-cells")
@@ -67,7 +65,7 @@ class SweepCellCache:
             self.uncacheable += 1
             return None
         blob = json.dumps(
-            {"v": CACHE_VERSION, "backend": backend,
+            {"source": source_digest(), "backend": backend,
              "max_events": max_events, "spec": spec},
             sort_keys=True, separators=(",", ":"))
         # repro: allow[digest-outside-crypto] -- content-address of a
@@ -106,7 +104,7 @@ class SweepCellCache:
             return
         path = self._path(key)
         entry: Dict[str, Any] = {
-            "version": CACHE_VERSION,
+            "source": source_digest(),
             "report": report.to_dict(),
         }
         try:
@@ -118,3 +116,21 @@ class SweepCellCache:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "uncacheable": self.uncacheable}
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the path and bytes of every ``.py`` file of the
+    installed ``repro`` package, in path order; read once per process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # repro: allow[digest-outside-crypto] -- content-address of the
+    # package source for cache keying, not a protocol digest.
+    h = hashlib.sha256()
+    for folder, dirs, files in os.walk(root):
+        dirs.sort()
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(folder, name)
+            h.update(os.path.relpath(path, root).encode("utf-8") + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read() + b"\0")
+    return h.hexdigest()

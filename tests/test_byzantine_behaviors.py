@@ -13,7 +13,7 @@ from repro.byzantine import (
 from repro.byzantine.behaviors import CORRUPT
 from repro.check import check, observe
 from repro.crypto.digest import canonical_bytes
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import SpecOrder, SpecReplyBundle
@@ -297,12 +297,7 @@ def fired(behavior, sent):
 
 
 #: Pairs whose run shows a protocol bug: the bug, and how it fails.
-KNOWN_BUGS = {
-    ("silent", "fab"): (
-        "FabReplica has no proposer change: with the primary silent no "
-        "command ever commits, and the clients retry for ever",
-        SimulationError),
-}
+KNOWN_BUGS = {}
 
 
 @pytest.mark.parametrize("protocol", available_protocols())

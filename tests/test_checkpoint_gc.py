@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.check import check, observe
 from repro.core import checkpointing
+from repro.core.checkpointing import checkpoint_proof
 from repro.core.instance import EntryStatus, LogEntry
 from repro.messages.base import SignedPayload
 from repro.messages.ezbft import (
@@ -196,7 +197,8 @@ def test_baseline_report_counts_its_stable_checkpoints(protocol,
 def test_baseline_checkpoint_garbage_collects_log(protocol):
     """Slots and executed-record entries below a stable checkpoint are
     dropped, so both stay O(interval): no larger after 400 commands
-    than after 200."""
+    than after 200.  The stable checkpoint is proven by the 2f+1 signed
+    EZCHECKPOINTs a VIEW-CHANGE ships."""
     cluster = lan_cluster(protocol, checkpoint_interval=16)
     client = cluster.add_client("c0", "local")
     sizes = []
@@ -209,6 +211,11 @@ def test_baseline_checkpoint_garbage_collects_log(protocol):
         assert replica.stats["checkpoints"] == 25
         stable = replica.checkpoints.stable
         assert stable.watermark == 400
+        proof = replica.checkpoints.stable_proof
+        assert len(proof) >= cluster.config.slow_quorum_size
+        assert checkpoint_proof(proof, replica.registry,
+                                cluster.config.slow_quorum_size) == \
+            (400, stable.state_digest)
         assert min(replica._slots) >= stable.watermark - 1
         first, second = sizes[0][rid], sizes[1][rid]
         assert second[0] <= first[0] <= 16 + 1

@@ -106,7 +106,7 @@ def test_acceptor_accepts_one_value_per_slot():
         conflicting, cluster.replicas["r0"].keypair))
     cluster.run_until_idle()
     slot = replica._slots[0]
-    assert slot.request.command.value == "v"  # first value sticks
+    assert slot.propose.request.command.value == "v"  # first value sticks
 
 
 def test_early_accepts_count_only_for_the_digest_they_name():

@@ -33,13 +33,7 @@ from repro.messages.pbft import (
     Prepare,
     ViewChange,
 )
-from repro.messages.zyzzyva import (
-    IHateThePrimary,
-    LocalCommit,
-    SpecResponse,
-    ZCommit,
-    ZNewView,
-)
+from repro.messages.zyzzyva import LocalCommit, SpecResponse, ZCommit
 from repro.statemachine.base import Command
 from repro.transport.asyncio_tcp import AsyncioCluster
 
@@ -122,40 +116,28 @@ def _pbft_backup_forged_quorums():
     return invalid
 
 
-def _pbft_forged_view_changes():
+def _forged_view_changes(protocol):
     """r3 signs VIEW-CHANGEs naming r0, r2 and r3 to r1, the primary of
     view 1."""
-    cluster = lan_cluster("pbft")
-    r1 = cluster.replicas["r1"]
-    invalid = _deliver_all(r1, "r3", [
-        _forge(cluster, "r3", ViewChange(
-            new_view=1, last_stable_seqno=0, prepared=(), requests=(),
-            replica=rid))
-        for rid in ("r0", "r2", "r3")])
-    assert r1.view == 0
-    assert r1.stats["view_changes"] == 0
-    return invalid
-
-
-def _zyzzyva_forged_ihtp():
-    """r3 signs I-HATE-THE-PRIMARYs naming r0, r2 and r3 to r1, the
-    primary of view 1."""
-    cluster = lan_cluster("zyzzyva")
-    r1 = cluster.replicas["r1"]
-    invalid = _deliver_all(r1, "r3", [
-        _forge(cluster, "r3", IHateThePrimary(view=0, replica=rid))
-        for rid in ("r0", "r2", "r3")])
-    assert r1.view == 0
-    assert r1.stats["view_changes"] == 0
-    return invalid
+    def case():
+        cluster = lan_cluster(protocol)
+        r1 = cluster.replicas["r1"]
+        invalid = _deliver_all(r1, "r3", [
+            _forge(cluster, "r3", _view_change(rid))
+            for rid in ("r0", "r2", "r3")])
+        assert r1.view == 0
+        assert not r1._view_changing
+        return invalid
+    case.__name__ = f"_{protocol}_forged_view_changes"
+    return case
 
 
 def _zyzzyva_forged_new_view():
     """r3 signs a NEW-VIEW naming r1, the primary of view 1."""
     cluster = lan_cluster("zyzzyva")
     r0 = cluster.replicas["r0"]
-    invalid = _deliver_all(r0, "r3", [_forge(cluster, "r3", ZNewView(
-        new_view=1, primary="r1", max_committed_seqno=-1))])
+    invalid = _deliver_all(r0, "r3", [_forge(cluster, "r3", NewView(
+        new_view=1, proof=(), orders=(), primary="r1"))])
     assert r0.view == 0
     return invalid
 
@@ -171,7 +153,8 @@ def _fab_forged_accepts():
         _forge(cluster, "r3", FabAccept(proposal_number=0, seqno=0,
                                         request_digest=d, acceptor=rid))
         for rid in ("r0", "r1", "r2", "r3")])
-    assert r0._slots[0].accepts == {d: {"r3"}}
+    assert {key: set(votes) for key, votes in r0._slots[0].accepts.items()} \
+        == {(0, d): {"r3"}}
     return invalid
 
 
@@ -205,8 +188,8 @@ def _zyzzyva_client_forged_local_commits():
 @pytest.mark.parametrize("case, rejected", [
     (_ezbft_client_slow_commit_replies, 0),
     (_pbft_backup_forged_quorums, 4),
-    (_pbft_forged_view_changes, 2),
-    (_zyzzyva_forged_ihtp, 2),
+    *[(_forged_view_changes(protocol), 2)
+      for protocol in ("pbft", "fab", "zyzzyva")],
     (_zyzzyva_forged_new_view, 1),
     (_fab_forged_accepts, 3),
     (_zyzzyva_client_forged_local_commits, 0),
@@ -227,8 +210,8 @@ def _self_signed(cluster, make, client_ids=("c0", "c1")):
 
 
 def _view_change(replica):
-    return ViewChange(new_view=1, last_stable_seqno=0, prepared=(),
-                      requests=(), replica=replica)
+    return ViewChange(new_view=1, checkpoint=(), certificates=(),
+                      replica=replica)
 
 
 def _pbft_pre_prepared(cluster):
@@ -243,15 +226,19 @@ def _pbft_pre_prepared(cluster):
     return r1, d
 
 
-def _pbft_client_view_changes():
+def _client_view_changes(protocol):
     """c0 and c1 each sign a VIEW-CHANGE naming itself to r1, the
     primary of view 1: with r1's own, that would be 2f+1 votes."""
-    cluster = lan_cluster("pbft")
-    r1 = cluster.replicas["r1"]
-    invalid = _deliver_all(r1, "c0", _self_signed(cluster, _view_change))
-    assert r1.view == 0
-    assert r1.stats["view_changes"] == 0
-    return invalid
+    def case():
+        cluster = lan_cluster(protocol)
+        r1 = cluster.replicas["r1"]
+        invalid = _deliver_all(r1, "c0",
+                               _self_signed(cluster, _view_change))
+        assert r1.view == 0
+        assert not r1._view_changing
+        return invalid
+    case.__name__ = f"_{protocol}_client_view_changes"
+    return case
 
 
 def _pbft_client_prepares():
@@ -330,18 +317,6 @@ def _fab_client_accepts():
     return invalid
 
 
-def _zyzzyva_client_ihtp():
-    """c0 and c1 each sign an I-HATE-THE-PRIMARY naming itself to r1,
-    the primary of view 1."""
-    cluster = lan_cluster("zyzzyva")
-    r1 = cluster.replicas["r1"]
-    invalid = _deliver_all(r1, "c0", _self_signed(
-        cluster, lambda cid: IHateThePrimary(view=0, replica=cid)))
-    assert r1.view == 0
-    assert r1.stats["view_changes"] == 0
-    return invalid
-
-
 def _ezbft_client_start_owner_change():
     """c0 and c1 each sign a STARTOWNERCHANGE against r0 naming itself
     to r1: f+1 of them would freeze r0's space."""
@@ -380,8 +355,7 @@ def _pbft_new_view_with_client_votes():
     proof = (_forge(cluster, "r1", _view_change("r1")),
              *_self_signed(cluster, _view_change))
     invalid = _deliver_all(r0, "r1", [_forge(cluster, "r1", NewView(
-        new_view=1, view_change_proof=proof, pre_prepares=(),
-        primary="r1"))])
+        new_view=1, proof=proof, orders=(), primary="r1"))])
     assert r0.view == 0
     return invalid
 
@@ -405,13 +379,13 @@ def _zyzzyva_commit_with_client_response():
 
 
 @pytest.mark.parametrize("case, rejected", [
-    (_pbft_client_view_changes, 2),
+    *[(_client_view_changes(protocol), 2)
+      for protocol in ("pbft", "fab", "zyzzyva")],
     (_pbft_client_prepares, 2),
     (_pbft_client_commits, 2),
     *[(_client_checkpoints(protocol), 2)
       for protocol in ("pbft", "fab", "zyzzyva")],
     (_fab_client_accepts, 2),
-    (_zyzzyva_client_ihtp, 2),
     (_ezbft_client_start_owner_change, 2),
     (_pbft_client_forged_replies, 0),
     (_pbft_new_view_with_client_votes, 1),
@@ -448,27 +422,26 @@ def test_client_view_changes_over_tcp_are_rejected():
     assert asyncio.run(scenario()) == (0, 2)
 
 
-#: The 19 registered classes whose author is a replica: every
+#: The 17 registered classes whose author is a replica: every
 #: ``AUTHOR`` but ``None`` and ``"client_id"``.
 REPLICA_AUTHORED = {
     "ez-batch-spec-order", "ez-checkpoint", "ez-commit-reply",
     "ez-new-owner", "ez-owner-change", "ez-spec-order", "ez-spec-reply",
-    "ez-start-owner-change", "fab-accept", "fab-reply",
-    "pbft-commit", "pbft-new-view", "pbft-prepare", "pbft-reply",
-    "pbft-view-change", "zyzzyva-ihtp",
-    "zyzzyva-local-commit", "zyzzyva-new-view", "zyzzyva-spec-response",
+    "ez-start-owner-change", "fab-accept", "fab-reply", "new-view",
+    "pbft-commit", "pbft-prepare", "pbft-reply", "view-change",
+    "zyzzyva-local-commit", "zyzzyva-spec-response",
 }
 
 
 def test_replica_authored_classes_are_pinned():
-    """The role follows from ``AUTHOR`` alone: these 19 classes need a
+    """The role follows from ``AUTHOR`` alone: these 17 classes need a
     replica's signature, and no class is added to or dropped from the
     set without this test changing."""
     replica_authored = {
         msg_type for msg_type, cls in MESSAGE_REGISTRY.items()
         if cls.AUTHOR not in (None, "client_id")}
     assert replica_authored == REPLICA_AUTHORED
-    assert len(REPLICA_AUTHORED) == 19
+    assert len(REPLICA_AUTHORED) == 17
 
 
 def test_every_registered_message_declares_its_author():

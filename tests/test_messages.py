@@ -110,15 +110,23 @@ SAMPLES = [
     pbft.PBFTCommit(view=0, seqno=1, request_digest="d", replica="r1"),
     pbft.PBFTReply(view=0, timestamp=7, client_id="c0", replica="r1",
                    result="OK"),
-    pbft.ViewChange(new_view=1, last_stable_seqno=0,
-                    prepared=((1, "d", 0),),
-                    requests=(pbft.PBFTRequest(command=CMD),),
-                    replica="r1"),
+    pbft.ViewChange(
+        new_view=1,
+        checkpoint=(_signed(ezbft.EzCheckpoint(
+            replica="r0", watermark=128, state_digest="d")),),
+        certificates=((_signed(pbft.PrePrepare(
+            view=0, seqno=129, request_digest="d",
+            request=pbft.PBFTRequest(command=CMD))),
+            _signed(pbft.Prepare(view=0, seqno=129, request_digest="d",
+                                 replica="r0"))),),
+        replica="r1"),
     pbft.NewView(new_view=1,
-                 view_change_proof=(_signed(pbft.ViewChange(
-                     new_view=1, last_stable_seqno=0, prepared=(),
-                     requests=(), replica="r1")),),
-                 pre_prepares=(), primary="r1"),
+                 proof=(_signed(pbft.ViewChange(
+                     new_view=1, checkpoint=(), certificates=(),
+                     replica="r1")),),
+                 orders=(_signed(pbft.PrePrepare(
+                     view=1, seqno=0, request_digest="d", request=None)),),
+                 primary="r1"),
     zyzzyva.ZRequest(command=CMD),
     zyzzyva.OrderReq(view=0, seqno=1, history_digest="h",
                      request_digest="d",
@@ -131,15 +139,13 @@ SAMPLES = [
                         history_digest="h", replica="r1",
                         client_id="c0"),
     zyzzyva.FillHole(view=0, seqno=1, replica="r1"),
-    zyzzyva.IHateThePrimary(view=0, replica="r1"),
-    zyzzyva.ZNewView(new_view=1, primary="r1", max_committed_seqno=5),
     fab.FabRequest(command=CMD),
     fab.FabPropose(proposal_number=0, seqno=1, request_digest="d",
                    request=fab.FabRequest(command=CMD)),
     fab.FabAccept(proposal_number=0, seqno=1, request_digest="d",
                   acceptor="r1"),
-    fab.FabReply(seqno=1, client_id="c0", timestamp=7, replica="r1",
-                 result="OK"),
+    fab.FabReply(view=0, seqno=1, client_id="c0", timestamp=7,
+                 replica="r1", result="OK"),
     ezbft.EzCheckpoint(replica="r1", watermark=128, state_digest="d"),
     ezbft.StateTransferRequest(replica="r1", have_watermark=64,
                                frontier=(("r0", 12), ("r1", 0))),
@@ -290,8 +296,7 @@ def test_absent_defaulted_field_decodes_to_its_default():
     # empty proof, which is constructible anyway and which every
     # validator refuses for want of a quorum.
     for message in SAMPLES + STRUCT_SAMPLES:
-        if isinstance(message, (ezbft.NewOwner, zyzzyva.ZNewView,
-                                ezbft.LogEntrySummary,
+        if isinstance(message, (ezbft.NewOwner, ezbft.LogEntrySummary,
                                 ezbft.StateTransferReply)):
             again = type(message).from_wire(_without(message, "proof"))
             assert again == dataclasses.replace(message, proof=())

@@ -7,6 +7,8 @@ from repro.scenario import Scenario, WorkloadSpec, preset
 from repro.scenario.report import ExperimentReport
 from repro.scenario.runner import ScenarioRunner
 from repro.sweep import SweepCellCache, SweepRunner, sweep
+from repro.sweep import cache as cache_module
+from repro.sweep.cache import source_digest
 
 
 def _tiny_base() -> Scenario:
@@ -58,6 +60,16 @@ def test_cache_key_distinguishes_specs(tmp_path):
     k3 = cache.cell_key(base, "sim", 2000)
     k4 = cache.cell_key(base, "tcp", 1000)
     assert len({k1, k2, k3, k4}) == 4
+
+
+def test_cache_key_follows_the_package_source(tmp_path, monkeypatch):
+    """A key holds a digest of the ``repro`` sources, so an edit to any
+    module invalidates every cell instead of a hand-bumped version."""
+    cache = SweepCellCache(str(tmp_path))
+    before = cache.cell_key(_tiny_base(), "sim", 1000)
+    assert len(source_digest()) == 64
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "edited")
+    assert cache.cell_key(_tiny_base(), "sim", 1000) != before
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
