@@ -35,7 +35,9 @@ no author, so it must be signed by the view's primary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import combinations
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.cluster.node import Node, NodeContext, Timer, note_accepted
 from repro.config import ProtocolConfig
@@ -55,33 +57,46 @@ from repro.statemachine.checkpoint import Checkpoint, CheckpointStore
 #: (command, result, latency_ms, path).
 DeliveryCallback = Callable[[Command, Any, float, str], None]
 #: A checked VIEW-CHANGE: the stable watermark its checkpoint proves and,
-#: per certificate, the ordering message it certifies and whether it
-#: stands alone (``False``: it counts once f+1 VIEW-CHANGEs report it).
-CheckedVote = Tuple[int, List[Tuple[Any, bool]]]
+#: per certificate, the ordering message it certifies and how many
+#: VIEW-CHANGEs must report that order for it to stand (1: it stands
+#: alone).
+CheckedVote = Tuple[int, List[Tuple[Any, int]]]
 
 
-def reissue_set(votes: Iterable[CheckedVote],
-                weak_quorum: int) -> Tuple[int, Dict[int, Any]]:
+def reissue_set(votes: Iterable[CheckedVote]
+                ) -> Optional[Tuple[int, Dict[int, Any]]]:
     """PBFT's NEW-VIEW rule over 2f+1 checked VIEW-CHANGEs: the highest
     stable watermark ``low`` and, per seqno from it to the highest
-    certified one, the request of the highest-view certified order (one
-    not standing alone once ``weak_quorum`` votes report its request) or
-    ``None``, a null request, which uses up its slot."""
+    reported one, the request of the highest-view order that stands
+    (reported by as many distinct VIEW-CHANGEs as it needs); failing
+    one, the request every report there names; failing a report,
+    ``None``, a null request, which uses up its slot.  Reports naming
+    different requests with no standing order among them leave the set
+    undetermined: ``None`` for the whole (these votes make no
+    NEW-VIEW)."""
     votes = list(votes)
     low = max(stable for stable, _ in votes)
-    reports: Dict[Tuple[int, int, str], int] = {}
-    best: Dict[int, Any] = {}
-    for _, entries in votes:
-        for order, strong in entries:
-            key = (order.seqno, order.view, digest(order.request))
-            reports[key] = reports.get(key, 0) + 1
-            if order.seqno >= low and \
-                    (strong or reports[key] >= weak_quorum) and \
-                    (order.seqno not in best or
-                     order.view > best[order.seqno].view):
-                best[order.seqno] = order
-    return low, {seqno: best[seqno].request if seqno in best else None
-                 for seqno in range(low, max(best, default=low - 1) + 1)}
+    voters: Dict[Tuple[int, int, str], Set[int]] = {}
+    needs: Dict[Tuple[int, int, str], int] = {}
+    requests: Dict[int, Dict[str, Any]] = {}
+    for index, (_, entries) in enumerate(votes):
+        for order, need in entries:
+            if order.seqno >= low:
+                key = (order.seqno, order.view, digest(order.request))
+                voters.setdefault(key, set()).add(index)
+                needs[key] = min(need, needs.get(key, need))
+                requests.setdefault(order.seqno, {})[key[2]] = order.request
+    standing: Dict[int, Any] = {}  # the highest-ranked standing order last
+    for seqno, _, d in sorted((k for k in needs if len(voters[k]) >= needs[k]),
+                              key=lambda k: (k[1], -needs[k], k[2])):
+        standing[seqno] = requests[seqno][d]
+    reissue: Dict[int, Any] = {}
+    for seqno in range(low, max(requests, default=low - 1) + 1):
+        named = list(requests.get(seqno, {}).values())
+        if seqno not in standing and len(named) > 1:
+            return None
+        reissue[seqno] = standing.get(seqno, named[0] if named else None)
+    return low, reissue
 
 
 class BaseReplica(Node):
@@ -90,7 +105,8 @@ class BaseReplica(Node):
     ``order_cls``, per executed slot its reply message, the certificate
     check :meth:`_certified`, its handler tables (extending
     ``BaseReplica._SIGNED_HANDLERS``) and ``_slots``, seqno -> slot
-    whose ``certificate`` is what :meth:`_certificate` reports."""
+    whose ``envelope`` is the signed order it holds, if any, and whose
+    ``certificate`` is what a VIEW-CHANGE reports for it."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
@@ -294,7 +310,7 @@ class BaseReplica(Node):
         self._cancel_request_timers()
         stable = self.checkpoints.stable
         low = stable.watermark if stable else 0
-        certificates = (self._certificate(seqno)
+        certificates = (self._slots[seqno].certificate
                         for seqno in sorted(self._slots) if seqno >= low)
         vote = ViewChange(new_view=new_view,
                           checkpoint=self.checkpoints.stable_proof,
@@ -325,25 +341,33 @@ class BaseReplica(Node):
 
     def _checked(self, vote: ViewChange) -> Optional[CheckedVote]:
         """A VIEW-CHANGE's proven stable watermark and certified orders;
-        ``None`` if its checkpoint proof or any certificate fails."""
+        ``None`` if its checkpoint proof or any certificate fails, or two
+        certificates name one seqno (a vote reports a slot once)."""
         stable: Optional[Tuple[int, str]] = (0, "")
         if vote.checkpoint:
             stable = checkpoint_proof(vote.checkpoint, self.registry,
                                       self.config.slow_quorum_size)
         entries = [self._certified(c) if c else None
                    for c in vote.certificates]
-        if stable is None or None in entries:
+        if stable is None or None in entries or \
+                len({o.seqno for o, _ in entries}) < len(entries):
             return None
         return stable[0], entries
 
     def _lead(self, new_view: int, votes: Dict[str, Tuple[
             SignedPayload, CheckedVote]]) -> None:
         """Become the primary of ``new_view``: order again, in it, the
-        re-issue set the collected VIEW-CHANGEs determine, and send that
-        with them as proof."""
-        low, reissue = reissue_set((checked for _, checked in
-                                    votes.values()),
-                                   self.config.weak_quorum_size)
+        re-issue set of the first 2f+1 collected VIEW-CHANGEs that
+        determine one, and send it with them as proof; with none, wait
+        for more."""
+        for chosen in combinations(votes.values(),
+                                   self.config.slow_quorum_size):
+            determined = reissue_set(checked for _, checked in chosen)
+            if determined is not None:
+                break
+        else:
+            return
+        low, reissue = determined
         self._adopt_view(new_view, low + len(reissue))
         orders = []
         for seqno, request in reissue.items():
@@ -351,7 +375,7 @@ class BaseReplica(Node):
                                                    request)))
             self._deliver_order(orders[-1])
         self.broadcast_others(self.sign(NewView(
-            new_view=new_view, proof=tuple(e for e, _ in votes.values()),
+            new_view=new_view, proof=tuple(e for e, _ in chosen),
             orders=tuple(orders), primary=self.node_id)))
 
     def _on_new_view(self, sender: str, msg: NewView,
@@ -371,21 +395,23 @@ class BaseReplica(Node):
                 msg.primary != self.config.primary_for_view(msg.new_view):
             self.stats["invalid_messages"] += 1
             return
-        low, reissue = reissue_set(checked.values(),
-                                   self.config.weak_quorum_size)
-        if [o and (o.seqno, o.view, o.request) for o in orders] != \
-                [(s, msg.new_view, r) for s, r in reissue.items()] or \
+        determined = reissue_set(checked.values())
+        if determined is None or \
+                [o and (o.seqno, o.view, o.request) for o in orders] != \
+                [(s, msg.new_view, r) for s, r in determined[1].items()] or \
                 any(e.signer != msg.primary for e in msg.orders):
             self.stats["invalid_messages"] += 1
             return
-        self._adopt_view(msg.new_view, low + len(orders))
+        self._adopt_view(msg.new_view, determined[0] + len(orders))
         for order in msg.orders:
             self._deliver_order(order)
 
     def _adopt_view(self, new_view: int, next_seqno: int) -> None:
         """Enter ``new_view`` (counted once per view moved to), the
-        primary's allocator at ``next_seqno``.  Unexecuted slots from
-        there on held orders of an older view that nobody re-issued."""
+        primary's allocator at ``next_seqno``.  An unexecuted slot from
+        there on that holds an order holds one of an older view that
+        nobody re-issued; one holding only votes keeps them (they may be
+        the new view's, overtaking its NEW-VIEW)."""
         self.view = self._target_view = new_view
         self._next_seqno = next_seqno
         self.stats["view_changes"] += 1
@@ -394,7 +420,8 @@ class BaseReplica(Node):
             v: votes for v, votes in self._view_change_votes.items()
             if v > new_view}
         floor = max(next_seqno, self.stats["executed"])
-        for seqno in [s for s in self._slots if s >= floor]:
+        for seqno in [s for s, slot in self._slots.items()
+                      if s >= floor and slot.envelope is not None]:
             del self._slots[seqno]
 
     def _deliver_order(self, envelope: SignedPayload) -> None:
@@ -410,16 +437,11 @@ class BaseReplica(Node):
     # ------------------------------------------------------------------
     # The protocol's certificates
     # ------------------------------------------------------------------
-    def _certificate(self, seqno: int) -> Tuple[SignedPayload, ...]:
-        """The certificate a VIEW-CHANGE reports for ``seqno``: the
-        slot's ``certificate``, empty when it has none."""
-        slot = self._slots.get(seqno)
-        return slot.certificate if slot is not None else ()
-
     def _certified(self, certificate: Tuple[SignedPayload, ...]
-                   ) -> Optional[Tuple[Any, bool]]:
-        """The order ``certificate`` certifies and whether it stands
-        alone (see :func:`reissue_set`); ``None`` if it does not hold."""
+                   ) -> Optional[Tuple[Any, int]]:
+        """The order ``certificate`` certifies and how many VIEW-CHANGEs
+        must report it for it to stand (see :func:`reissue_set`);
+        ``None`` if it does not hold."""
         raise NotImplementedError
 
     def _order_at(self, view: int, seqno: int, request: Any) -> Any:

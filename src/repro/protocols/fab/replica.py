@@ -11,7 +11,12 @@ The proposer changes as a PBFT primary does
 (:class:`~repro.protocols.base.BaseReplica`): the proposal number is the
 view.  A slot's certificate is the one it learned with, the proposer's
 signed PROPOSE and the accept quorum's ACCEPTs for it (Martin and
-Alvisi's proof that a value was accepted).
+Alvisi's proof that a value was accepted), else the PROPOSE it accepted.
+A learner learns on 2f+1 ACCEPTs, without Parameterized FaB's
+commit-proof step, so a value learned by one correct learner alone is
+vouched for by one correct acceptor in any 2f+1 VIEW-CHANGEs: an
+accepted PROPOSE is re-issued when no report contests it, and a contest
+with no learned certificate blocks the NEW-VIEW rather than guess.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ class _Slot:
     #: (proposal number, request digest) -> acceptor -> its ACCEPT.
     accepts: Dict[Tuple[int, str], Dict[str, SignedPayload]] = field(
         default_factory=dict)
-    #: The PROPOSE and ACCEPTs this slot last learned with.
+    #: The PROPOSE and ACCEPTs this slot last learned with, else the
+    #: PROPOSE it accepted.
     certificate: Tuple[SignedPayload, ...] = ()
     learned: bool = False
     executed: bool = False
@@ -90,6 +96,8 @@ class FabReplica(BaseReplica):
             return
         slot.propose, slot.envelope = propose, envelope
         slot.learned = False
+        if len(slot.certificate) < 2:
+            slot.certificate = (envelope,)
         self._cancel_progress_timer(propose.request_digest)
         accept = FabAccept(proposal_number=propose.proposal_number,
                            seqno=propose.seqno,
@@ -119,14 +127,17 @@ class FabReplica(BaseReplica):
             self._execute_ready()
 
     def _certified(self, certificate: Tuple[SignedPayload, ...]
-                   ) -> Optional[Tuple[FabPropose, bool]]:
-        """A learned certificate: the PROPOSE its view's proposer signed
-        and the accept quorum's ACCEPTs for it."""
+                   ) -> Optional[Tuple[FabPropose, int]]:
+        """The PROPOSE its view's proposer signed; it stands alone with
+        the accept quorum's ACCEPTs for it (learned).  Without them it
+        needs every VIEW-CHANGE: a value one learner learned may have a
+        single correct reporter, so it is re-issued only uncontested."""
         propose = self._primary_order(certificate[0])
-        if propose is not None and self._quorum_certifies(
-                propose, certificate[1:], FabAccept):
-            return propose, True
-        return None
+        if propose is None or len(certificate) > 1 and not \
+                self._quorum_certifies(propose, certificate[1:], FabAccept):
+            return None
+        return propose, 1 if len(certificate) > 1 else \
+            self.config.slow_quorum_size
 
     def _execute_ready(self) -> None:
         while True:

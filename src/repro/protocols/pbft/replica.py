@@ -235,10 +235,10 @@ class PBFTReplica(BaseReplica):
             self._execute_ready()
 
     def _certified(self, certificate: Tuple[SignedPayload, ...]
-                   ) -> Optional[Tuple[PrePrepare, bool]]:
-        """A prepared certificate: the PRE-PREPARE its view's primary
-        signed, alone or in a BATCHPREPREPARE, and 2f+1 PREPAREs for
-        it."""
+                   ) -> Optional[Tuple[PrePrepare, int]]:
+        """A prepared certificate, which stands alone: the PRE-PREPARE
+        its view's primary signed, alone or in a BATCHPREPREPARE, and
+        2f+1 PREPAREs for it."""
         holder = self._primary_order(certificate[0],
                                      (PrePrepare, BatchPrePrepare))
         if isinstance(holder, BatchPrePrepare):
@@ -248,7 +248,7 @@ class PBFTReplica(BaseReplica):
                            and p.view == holder.view), None)
         if isinstance(holder, PrePrepare) and self._quorum_certifies(
                 holder, certificate[1:], Prepare):
-            return holder, True
+            return holder, 1
         return None
 
     # ------------------------------------------------------------------

@@ -208,14 +208,16 @@ class ZyzzyvaReplica(BaseReplica):
             self.ctx.send(msg.replica, slot.envelope)
 
     def _certified(self, certificate: Tuple[SignedPayload, ...]
-                   ) -> Optional[Tuple[OrderReq, bool]]:
+                   ) -> Optional[Tuple[OrderReq, int]]:
         """The ORDER-REQ its view's primary signed; it stands alone with
-        a commit certificate of 2f+1 SPEC-RESPONSEs for it."""
+        a commit certificate of 2f+1 SPEC-RESPONSEs for it, at f+1
+        reports without one."""
         order = self._primary_order(certificate[0])
         if order is None or len(certificate) > 1 and not \
                 self._quorum_certifies(order, certificate[1:], SpecResponse):
             return None
-        return order, len(certificate) > 1
+        return order, 1 if len(certificate) > 1 else \
+            self.config.weak_quorum_size
 
     _SIGNED_HANDLERS = {
         **BaseReplica._SIGNED_HANDLERS,

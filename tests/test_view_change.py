@@ -3,15 +3,15 @@
 A VIEW-CHANGE carries its sender's stable checkpoint proof and the
 protocol's certificate for each slot above it; a NEW-VIEW carries 2f+1
 of them and the re-issue set they determine, which every backup
-recomputes.  Each case runs on all three baselines.
+recomputes.  A case runs on every baseline that can express it.
 """
 
 import pytest
 
-from repro.byzantine import silence_node
+from repro.byzantine import install_byzantine, silence_node
 from repro.check import check, observe
 from repro.messages.base import SignedPayload
-from repro.messages.fab import FabAccept, FabRequest
+from repro.messages.fab import FabAccept, FabPropose, FabRequest
 from repro.messages.pbft import NewView, PBFTRequest, Prepare, ViewChange
 from repro.messages.zyzzyva import SpecResponse, ZRequest
 from repro.protocols.base import reissue_set
@@ -198,20 +198,101 @@ def test_view_change_with_an_uncertified_entry_is_not_counted(protocol):
                for r in cluster.replicas.values())
 
 
+@pytest.mark.parametrize("protocol", ("fab", "zyzzyva"))
+def test_view_change_reporting_a_seqno_twice_is_not_counted(protocol):
+    """r2's VIEW-CHANGE lists f+1 times the one order r0 signed for seqno
+    0, with nothing that makes it stand alone: a vote reports a slot
+    once, so r1 counts it invalid, leads view 1 on the votes of r0, r3
+    and its own, and re-issues nothing."""
+    cluster = lan_cluster(protocol)
+    r1 = cluster.replicas["r1"]
+    order = r1._order_at(0, 0, _request(protocol, cluster, "EVIL"))
+    certificate = (_signed(cluster, "r0", order),)
+    r1.on_message("r2", _signed(cluster, "r2", ViewChange(
+        new_view=1, checkpoint=(),
+        certificates=(certificate,) * cluster.config.weak_quorum_size,
+        replica="r2")))
+    assert r1.stats["invalid_messages"] == 1
+    for rid in ("r0", "r3"):
+        r1.on_message(rid, _empty_vote(cluster, rid))
+    assert r1.view == 1
+    assert r1._next_seqno == 0
+    assert 0 not in r1._slots
+
+
+def _withholding_proposer(replica, dst, message):
+    """r0's lie: its PROPOSEs skip r1 and its ACCEPTs reach r3 only."""
+    payload = getattr(message, "payload", None)
+    if isinstance(payload, FabPropose) and dst == "r1" or \
+            isinstance(payload, FabAccept) and dst != "r3":
+        return None
+    return message
+
+
+@pytest.mark.parametrize("r0_reports", ("nothing", "a rival proposal"))
+def test_fab_value_one_learner_learned_survives_the_view_change(r0_reports):
+    """r0, the view-0 proposer, sends its PROPOSE of ``a=v`` to r2 and
+    r3 and its ACCEPT to r3 only: r3 learns it (with r0 and r2), r2
+    accepts it unlearned, r1 never sees it, and the client delivers on
+    the replies of r0 and r3.  r1 then hears r0's VIEW-CHANGE and r2's
+    before r3's.  Reporting nothing, r0 leaves r2's accepted PROPOSE
+    uncontested, so it is re-issued; reporting a rival PROPOSE it signed
+    for seqno 0, r0 blocks those three votes, and r1 leads once r3's
+    learned certificate decides.  Either way ``a=v`` stays at seqno 0
+    on every correct replica."""
+    cluster = lan_cluster("fab")
+    install_byzantine(cluster, "r0", _withholding_proposer)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", on_delivery=log.hook("c0"))
+    client.submit(client.next_command("put", "a", "v"))
+    cluster.run_until_idle()
+    assert log.results == ["OK"]
+    assert [cluster.replicas[rid].stats["executed"]
+            for rid in ("r1", "r2", "r3")] == [0, 0, 1]
+    silence_node(cluster, "r0")
+    r1 = cluster.replicas["r1"]
+    rival = r1._order_at(0, 0, _request("fab", cluster, "EVIL"))
+    certificates = ((_signed(cluster, "r0", rival),),) \
+        if r0_reports == "a rival proposal" else ()
+    r1.on_message("r0", _signed(cluster, "r0", ViewChange(
+        new_view=1, checkpoint=(), certificates=certificates,
+        replica="r0")))
+    r1._suspect_primary()
+    cluster.replicas["r2"]._suspect_primary()
+    cluster.run_until_idle()
+    assert all(cluster.replicas[rid].view == 1 for rid in ("r1", "r2", "r3"))
+    client.submit(client.next_command("put", "b", "w"))
+    cluster.run_until_idle()
+    assert log.results == ["OK", "OK"]
+    for rid in ("r1", "r2", "r3"):
+        assert cluster.replicas[rid].statemachine.final_items() == \
+            {"a": "v", "b": "w"}
+    assert check(observe(cluster, faults("SwapByzantine", "r0"))) == []
+
+
 def test_reissue_set_fills_gaps_and_prefers_the_highest_view():
     """The pure rule: from the highest proven watermark, the highest-view
-    certified order per seqno, a weak one only at f+1 reports, and a
-    null request (``None``) in every gap below the highest."""
+    standing order per seqno (a weak one at as many distinct votes as it
+    needs), else the one request every report names, else a null
+    request (``None``); reports that contest with nothing standing
+    determine no set."""
     class Order:
         def __init__(self, seqno, view, request):
             self.seqno, self.view, self.request = seqno, view, request
 
     votes = [
-        (2, [(Order(1, 0, "old"), True), (Order(3, 0, "a"), True),
-             (Order(5, 0, "weak"), False)]),
-        (0, [(Order(3, 1, "b"), True), (Order(6, 0, "weak2"), False)]),
-        (0, [(Order(6, 0, "weak2"), False)]),
+        (2, [(Order(1, 0, "old"), 1), (Order(3, 0, "a"), 1),
+             (Order(5, 0, "lone"), 2)]),
+        (0, [(Order(3, 1, "b"), 1), (Order(6, 0, "weak"), 2)]),
+        (0, [(Order(6, 0, "weak"), 2), (Order(5, 0, "lone"), 3)]),
     ]
-    assert reissue_set(votes, weak_quorum=2) == (
-        2, {2: None, 3: "b", 4: None, 5: None, 6: "weak2"})
-    assert reissue_set([(4, []), (0, [])], weak_quorum=2) == (4, {})
+    assert reissue_set(votes) == (
+        2, {2: None, 3: "b", 4: None, 5: "lone", 6: "weak"})
+    assert reissue_set([(4, []), (0, [])]) == (4, {})
+    # Contested at seqno 0 with nothing standing: no set.
+    assert reissue_set([(0, [(Order(0, 0, "x"), 2)]),
+                        (0, [(Order(0, 0, "y"), 2)])]) is None
+    # One vote listing X twice is one report: Y, reported by two, stands.
+    x, y = Order(0, 0, "x"), Order(0, 0, "y")
+    assert reissue_set([(0, [(x, 2), (x, 2)]), (0, [(y, 2)]),
+                        (0, [(y, 2)])]) == (0, {0: "y"})
