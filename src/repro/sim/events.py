@@ -25,10 +25,30 @@ never changes which event runs next.
 
 One loop, :meth:`Simulator._dispatch`, runs every event: :meth:`run`,
 :meth:`step` and :meth:`run_until_idle` differ only in its budget.
+
+GC policy.  :meth:`run` and :meth:`run_until_idle` dispatch with the
+cyclic collector's generation-0 threshold raised to
+:data:`DISPATCH_GC_THRESHOLD`, and restore the caller's thresholds when
+they return or raise; generations 1 and 2 keep the caller's values, and
+:meth:`step`, which runs one event, is left alone.  Dispatch allocates
+heap entries, handles, messages and closures by the hundred thousand,
+and reference counting frees every one of them: a ``gc.collect()``
+right after dispatch finds nothing for all four protocols, traced or
+not (``tests/test_sim_events.py`` pins this), so the default
+threshold of 700 buys collections that only rescan the live cluster.  A
+raised threshold delays collection without removing it: a cycle that
+some future change creates is still collected, some hundred thousand
+allocations late, where switching the collector off (``gc.disable``)
+would leak it for a whole run.  The live cluster is not frozen
+(``gc.freeze``) either: it is itself cyclic, and a caller that builds
+a fresh cluster per pass must get the last one back.  The TCP transport
+keeps the interpreter's thresholds, because collections there do free
+objects.
 """
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from itertools import count
 from sys import maxsize
@@ -39,6 +59,10 @@ from repro.errors import SimulationError
 #: Compaction needs more cancelled entries than this, as well as more
 #: than half the heap, so small heaps are never rebuilt.
 COMPACT_FLOOR = 512
+
+#: Generation-0 GC threshold while :meth:`Simulator.run` and
+#: :meth:`Simulator.run_until_idle` dispatch (see the module docstring).
+DISPATCH_GC_THRESHOLD = 100_000
 
 _FOREVER = float("inf")
 
@@ -181,6 +205,19 @@ class Simulator:
             callback(*handle.args)
         return executed
 
+    def _dispatch_batch(self, until: float, budget: int) -> int:
+        """:meth:`_dispatch` under the dispatch GC policy: generation 0
+        raised to :data:`DISPATCH_GC_THRESHOLD` unless the caller's is
+        higher or 0 (automatic collection off), and the caller's three
+        thresholds restored however dispatch ends."""
+        saved = gc.get_threshold()
+        if 0 < saved[0] < DISPATCH_GC_THRESHOLD:
+            gc.set_threshold(DISPATCH_GC_THRESHOLD, *saved[1:])
+        try:
+            return self._dispatch(until, budget)
+        finally:
+            gc.set_threshold(*saved)
+
     def step(self) -> bool:
         """Execute the single next pending event.
 
@@ -203,8 +240,9 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            self._dispatch(_FOREVER if until is None else until,
-                           maxsize if max_events is None else max_events)
+            self._dispatch_batch(
+                _FOREVER if until is None else until,
+                maxsize if max_events is None else max_events)
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -218,7 +256,7 @@ class Simulator:
         ``max_events`` guards against livelock in buggy protocols: exceeding
         it raises :class:`SimulationError` instead of spinning forever.
         """
-        executed = self._dispatch(_FOREVER, max_events + 1)
+        executed = self._dispatch_batch(_FOREVER, max_events + 1)
         if executed > max_events:
             raise SimulationError(
                 f"simulation did not converge within {max_events} events")

@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import bisect
+import dataclasses
+import gc
 import math
+import os
 import random
 from unittest import mock
 
@@ -10,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.scenario.loader import load_spec
+from repro.scenario.runner import ScenarioRunner
 from repro.sim import events
-from repro.sim.events import Simulator
+from repro.sim.events import DISPATCH_GC_THRESHOLD, Simulator
+
+from helpers import GEO_REGIONS
 
 
 def test_events_run_in_time_order():
@@ -288,6 +295,164 @@ def test_cancel_after_fire_does_not_count_as_dead():
     assert sim._cancelled == 0
     sim.schedule(1.0, lambda: None)
     assert sim.run_until_idle() == 1
+
+
+# ----------------------------------------------------------------------
+# GC policy: a raised generation-0 threshold for the span of dispatch
+# ----------------------------------------------------------------------
+#: The thresholds a caller had set before it ran the simulator.
+CALLER = (500, 5, 5)
+RAISED = (DISPATCH_GC_THRESHOLD, 5, 5)
+
+
+@pytest.fixture
+def caller_thresholds(request):
+    """Sets the caller's thresholds (``CALLER`` unless parametrized)
+    for the test, and the interpreter's back after it."""
+    saved = gc.get_threshold()
+    thresholds = getattr(request, "param", CALLER)
+    gc.set_threshold(*thresholds)
+    yield thresholds
+    gc.set_threshold(*saved)
+
+
+def _thresholds_seen_by(sim):
+    """Schedule an event that records the thresholds it runs under."""
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+    return seen
+
+
+@pytest.mark.parametrize("budget", ({"until": 5.0}, {"max_events": 1}))
+def test_run_raises_gen0_threshold_and_restores_the_callers(
+        caller_thresholds, budget):
+    sim = Simulator()
+    seen = _thresholds_seen_by(sim)
+    sim.run(**budget)
+    assert seen == [RAISED]
+    assert gc.get_threshold() == CALLER
+
+
+def test_run_until_idle_restores_the_callers_thresholds(caller_thresholds):
+    sim = Simulator()
+    seen = _thresholds_seen_by(sim)
+    assert sim.run_until_idle() == 1
+    assert seen == [RAISED]
+    assert gc.get_threshold() == CALLER
+
+
+@pytest.mark.parametrize("entry", ("run", "run_until_idle"))
+def test_a_raising_callback_restores_the_callers_thresholds(
+        caller_thresholds, entry):
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        getattr(sim, entry)()
+    assert gc.get_threshold() == CALLER
+
+
+def test_livelock_error_restores_the_callers_thresholds(caller_thresholds):
+    sim = Simulator()
+
+    def spin():
+        sim.schedule(1.0, spin)
+
+    sim.schedule(1.0, spin)
+    with pytest.raises(SimulationError):
+        sim.run_until_idle(max_events=10)
+    assert gc.get_threshold() == CALLER
+
+
+def test_reentrant_run_error_restores_the_callers_thresholds(
+        caller_thresholds):
+    sim = Simulator()
+    inside = []
+
+    def nested():
+        with pytest.raises(SimulationError):
+            sim.run()
+        inside.append(gc.get_threshold())
+        sim.run()  # raises again, out of the outer run
+
+    sim.schedule(1.0, nested)
+    with pytest.raises(SimulationError):
+        sim.run()
+    # The refused inner call left the outer call's threshold in place.
+    assert inside == [RAISED]
+    assert gc.get_threshold() == CALLER
+
+
+def test_step_leaves_the_thresholds_alone(caller_thresholds):
+    sim = Simulator()
+    seen = _thresholds_seen_by(sim)
+    assert sim.step() is True
+    assert seen == [CALLER]
+    assert gc.get_threshold() == CALLER
+
+
+@pytest.mark.parametrize("caller_thresholds",
+                         ((2 * DISPATCH_GC_THRESHOLD, 5, 5), (0, 5, 5)),
+                         indirect=True)
+def test_a_higher_or_disabled_gen0_threshold_is_kept(caller_thresholds):
+    sim = Simulator()
+    seen = _thresholds_seen_by(sim)
+    sim.run()
+    assert seen == [caller_thresholds]
+    assert gc.get_threshold() == caller_thresholds
+
+
+def _collect_after_dispatch(dispatch, found):
+    """``dispatch`` (a :class:`Simulator` method) that collects just
+    before it runs, so older garbage is not counted, and just after,
+    saving what the second collection finds in ``found``."""
+    def wrapped(sim, *args, **kwargs):
+        gc.collect()
+        try:
+            return dispatch(sim, *args, **kwargs)
+        finally:
+            debug = gc.get_debug()
+            gc.set_debug(debug | gc.DEBUG_SAVEALL)
+            try:
+                if gc.collect():
+                    found.extend(sorted({type(o).__qualname__
+                                         for o in gc.garbage}))
+            finally:
+                gc.set_debug(debug)
+                gc.garbage.clear()
+    return wrapped
+
+
+@pytest.mark.parametrize("trace", (False, True), ids=("untraced", "traced"))
+@pytest.mark.parametrize("protocol", ("ezbft", "pbft", "fab", "zyzzyva"))
+def test_dispatch_makes_no_cyclic_garbage(protocol, trace):
+    """The GC policy's premise: a seeded crash-recover run (the shape of
+    ``examples/specs/crash_recovery.json``, clients in every region)
+    leaves nothing for the cycle collector, while its cluster is still
+    alive, however many events it dispatched.  A change that makes a
+    cycle per event fails here by type name, instead of leaking under
+    the raised threshold until the next generation-0 collection."""
+    spec = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
+                                  "examples", "specs", "crash_recovery.json"))
+    scenario = dataclasses.replace(
+        spec, protocol=protocol, workload=dataclasses.replace(
+            spec.workload, client_regions=GEO_REGIONS,
+            requests_per_client=25))
+    found = []
+    with mock.patch.object(
+            Simulator, "run_until_idle",
+            _collect_after_dispatch(Simulator.run_until_idle, found)), \
+            mock.patch.object(
+                Simulator, "run",
+                _collect_after_dispatch(Simulator.run, found)):
+        report, cluster = ScenarioRunner(
+            backend="sim", trace=trace).run_with_cluster(scenario)
+    assert report.delivered == 100
+    assert cluster.sim.events_processed > 2000
+    assert found == []
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.check import check, observe
 from repro.messages.base import SignedPayload
 from repro.messages.fab import FabAccept, FabPropose, FabRequest
 from repro.messages.pbft import NewView, PBFTRequest, Prepare, ViewChange
-from repro.messages.zyzzyva import SpecResponse, ZRequest
+from repro.messages.zyzzyva import OrderReq, SpecResponse, ZRequest
 from repro.protocols.base import reissue_set
 
 from helpers import DeliveryLog, faults, lan_cluster
@@ -267,6 +267,82 @@ def test_fab_value_one_learner_learned_survives_the_view_change(r0_reports):
     for rid in ("r1", "r2", "r3"):
         assert cluster.replicas[rid].statemachine.final_items() == \
             {"a": "v", "b": "w"}
+    assert check(observe(cluster, faults("SwapByzantine", "r0"))) == []
+
+
+def _new_views_seen_by(cluster, rid):
+    """Route ``rid``'s deliveries through a spy; returns the NEW-VIEWs
+    it receives."""
+    seen = []
+    replica = cluster.replicas[rid]
+
+    def spy(sender, message):
+        if isinstance(message, SignedPayload) and \
+                isinstance(message.payload, NewView):
+            seen.append(message.payload)
+        replica.on_message(sender, message)
+    cluster.set_handler(rid, spy)
+    return seen
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "no high watermark: reissue_set fills every seqno below the "
+    "highest reported order with a null request, so a primary that "
+    "skips to seqno 2000 makes the NEW-VIEW carry 2,005 orders"))
+def test_pbft_primary_skipping_ahead_does_not_inflate_the_new_view():
+    """r0 orders one command at seqno 2000 (and the client's retry at
+    200 ms at 2001-2004), then falls silent: the backups move to view 1.
+    A high watermark (PBFT's H = h + L) keeps r0's far orders out of
+    every certificate, so the NEW-VIEW and the backups' logs stay a few
+    slots long."""
+    cluster = lan_cluster("pbft")
+    cluster.replicas["r0"]._next_seqno = 2000
+    seen = _new_views_seen_by(cluster, "r2")
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", on_delivery=log.hook("c0"))
+    client.submit(client.next_command("put", "k", "v"))
+    cluster.run(until=250.0)
+    silence_node(cluster, "r0")
+    cluster.run_until_idle()
+    assert log.results == ["OK"]
+    [new_view] = seen
+    assert len(new_view.orders) < 2000
+    for rid in ("r1", "r2", "r3"):
+        assert cluster.replicas[rid].stats["executed"] < 2000
+
+
+def _order_to_r1_only(replica, dst, message):
+    """r0's lie: its ORDER-REQs reach r1 alone."""
+    payload = getattr(message, "payload", None)
+    if isinstance(payload, OrderReq) and dst != "r1":
+        return None
+    return message
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a Zyzzyva replica that executed X before the view change does not "
+    "answer X's re-issued ORDER-REQ again, so X's client never "
+    "collects matching replies and X stays pending"))
+def test_zyzzyva_command_one_replica_executed_completes_after_view_change():
+    """r0 sends its ORDER-REQ for X at seqno 0 to r1 alone, which
+    executes it; then r0 falls silent and a second client submits Y.
+    r1-r3 move to view 1 and execute X then Y (the uncontested X is
+    re-issued); both clients must deliver."""
+    cluster = lan_cluster("zyzzyva")
+    install_byzantine(cluster, "r0", _order_to_r1_only)
+    log = DeliveryLog()
+    cx = cluster.add_client("cx", "local", on_delivery=log.hook("cx"))
+    cy = cluster.add_client("cy", "local", on_delivery=log.hook("cy"))
+    cx.submit(cx.next_command("put", "x", 1))
+    cluster.run(until=1.0)
+    assert cluster.replicas["r1"].stats["executed"] == 1
+    silence_node(cluster, "r0")
+    cy.submit(cy.next_command("put", "y", 2))
+    cluster.run(until=20_000.0)
+    for rid in ("r1", "r2", "r3"):
+        assert cluster.replicas[rid].statemachine.final_items() == \
+            {"x": 1, "y": 2}
+    assert sorted(client for client, *_ in log.records) == ["cx", "cy"]
     assert check(observe(cluster, faults("SwapByzantine", "r0"))) == []
 
 
