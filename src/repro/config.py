@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
+
+
+def replica_at(replica_ids: Sequence[str], number: int) -> str:
+    """The replica at ``number`` round the ring: the owner under owner
+    number O (paper Section IV-D/E), the primary of view v."""
+    return replica_ids[number % len(replica_ids)]
 
 
 @dataclass(frozen=True)
@@ -13,9 +19,8 @@ class ProtocolConfig:
     """Membership and quorum parameters shared by every protocol here.
 
     ``replica_ids`` is the ordered membership; index order determines
-    ezBFT owner-number rotation (owner of space R_i under owner number O
-    is ``replica_ids[O mod N]``) and PBFT/Zyzzyva view rotation
-    (primary of view v is ``replica_ids[v mod N]``).
+    the one rotation (:meth:`replica_at`) of ezBFT owner numbers,
+    PBFT/Zyzzyva/FaB views and every walk round the ring.
 
     Timeouts are in milliseconds of (simulated) time:
 
@@ -104,13 +109,10 @@ class ProtocolConfig:
         """ezBFT: space R_i starts with owner number i."""
         return self.index_of(space_owner)
 
-    def owner_for_number(self, owner_number: int) -> str:
-        """ezBFT: the replica owning a space under ``owner_number``."""
-        return self.replica_ids[owner_number % self.n]
-
-    def primary_for_view(self, view: int) -> str:
-        """PBFT/Zyzzyva/FaB: round-robin primary."""
-        return self.replica_ids[view % self.n]
+    def replica_at(self, number: int) -> str:
+        """The owner under owner number ``number`` (ezBFT), the primary
+        of view ``number`` (PBFT/Zyzzyva/FaB), ``number`` round the ring."""
+        return replica_at(self.replica_ids, number)
 
     def slow_quorum_for(self, leader_id: str) -> Tuple[str, ...]:
         """ezBFT: the designated 2f+1 slow-quorum for a command-leader.
@@ -121,9 +123,8 @@ class ProtocolConfig:
         index", which every node can compute locally.
         """
         start = self.index_of(leader_id)
-        size = self.slow_quorum_size
-        return tuple(self.replica_ids[(start + k) % self.n]
-                     for k in range(size))
+        return tuple(self.replica_at(start + k)
+                     for k in range(self.slow_quorum_size))
 
     def others(self, replica_id: str) -> Tuple[str, ...]:
         return tuple(r for r in self.replica_ids if r != replica_id)

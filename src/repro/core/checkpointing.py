@@ -229,14 +229,13 @@ class CheckpointManager:
         if self._target is not None and not rejoining:
             self._target = max(self._target, target)
             return
-        replica = self.replica
-        ids = replica.config.replica_ids
-        at = ids.index(replica.node_id)
+        config = self.replica.config
+        at = config.index_of(self.replica.node_id)
         self.rejoining = rejoining
         self._target = target
         self._asked = set()
-        self._round_queue = [ids[(at + step) % len(ids)]
-                             for step in range(1, len(ids))]
+        self._round_queue = [config.replica_at(at + step)
+                             for step in range(1, config.n)]
         self._ask_next()
 
     def _ask_next(self) -> None:
@@ -631,10 +630,8 @@ class CheckpointManager:
             inner = payload
         else:
             return None
-        if inner is None or inner.leader != payload.leader:
-            return None
-        if inner.leader != replica.config.owner_for_number(
-                inner.owner_number):
+        if inner is None or inner.leader != payload.leader or \
+                inner.owner_number != payload.owner_number:
             return None
         return LogEntry(
             instance=summary.instance,

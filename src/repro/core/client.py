@@ -480,8 +480,7 @@ class EzBFTClient(Node):
             # Rotate to the next replica (skipping the excluded one).
             idx = self.config.index_of(original)
             for step in range(1, self.config.n + 1):
-                candidate = self.config.replica_ids[
-                    (idx + step) % self.config.n]
+                candidate = self.config.replica_at(idx + step)
                 if candidate != exclude:
                     pending.target = candidate
                     break

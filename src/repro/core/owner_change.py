@@ -19,7 +19,8 @@ replica in owner-number order.  The flow:
    unresolvable slots below the highest safe slot become no-ops.  It
    broadcasts NEWOWNER with the safe history G and the OWNERCHANGE set as
    proof.
-4. Replicas validate NEWOWNER (correct sender for O'), install G as
+4. Replicas validate NEWOWNER (its ``ROLE``: the sender O' rotates to),
+   install G as
    committed, roll back speculation, and leave the space frozen -- the
    paper: "No new commands are ordered in the instance space."
 
@@ -207,7 +208,7 @@ class OwnerChangeManager:
         self._committed.add(key)
         space = replica.spaces[suspect]
         space.frozen = True
-        new_owner = replica.config.owner_for_number(new_number)
+        new_owner = replica.config.replica_at(new_number)
         base_slot = replica.checkpoint_base_slot(suspect)
         entries = self._summarize_space(suspect, base_slot)
         msg = OwnerChange(sender=replica.node_id, suspect=suspect,
@@ -235,9 +236,7 @@ class OwnerChangeManager:
     def on_owner_change(self, msg: OwnerChange,
                         envelope: SignedPayload) -> None:
         replica = self.replica
-        expected_owner = replica.config.owner_for_number(
-            msg.new_owner_number)
-        if expected_owner != replica.node_id:
+        if replica.config.replica_at(msg.new_owner_number) != replica.node_id:
             return
         key = (msg.suspect, msg.new_owner_number)
         if key in self._finalized:
@@ -341,8 +340,7 @@ class OwnerChangeManager:
     # ------------------------------------------------------------------
     # NEWOWNER (all replicas)
     # ------------------------------------------------------------------
-    def on_new_owner(self, msg: NewOwner,
-                     envelope: Optional[SignedPayload] = None) -> None:
+    def on_new_owner(self, msg: NewOwner, envelope: SignedPayload) -> None:
         """A NEWOWNER from its signer (``envelope``, already authentic):
         installed when it moves the space to a higher owner number and
         its proof holds (:meth:`new_owner_valid`)."""
@@ -356,18 +354,16 @@ class OwnerChangeManager:
         self.install_new_owner(msg, envelope)
 
     def new_owner_valid(self, msg: NewOwner) -> bool:
-        """Whether ``msg`` is what its new owner had to send: it comes
-        from the owner its number maps to, its proof holds f+1 validly
+        """Whether ``msg`` (authentic: its ``ROLE`` names its signer) is
+        what its new owner had to send: its proof holds f+1 validly
         signed OWNERCHANGEs from distinct replicas, all for its
         ``(suspect, new_owner_number)``, and its base slot and finalized
         history are exactly what :meth:`_finalize` derives from them.
-        Without the last two checks one byzantine replica could sign a
-        NEWOWNER for any owner number that maps to itself and overwrite
-        any unexecuted slot of any space."""
+        Without these checks one byzantine replica could sign a NEWOWNER
+        for any owner number that maps to itself and overwrite any
+        unexecuted slot of any space."""
         replica = self.replica
         config = replica.config
-        if msg.new_owner != config.owner_for_number(msg.new_owner_number):
-            return False
         messages: List[OwnerChange] = []
         senders: Set[str] = set()
         for envelope in msg.proof:
@@ -387,15 +383,14 @@ class OwnerChangeManager:
             self._select_safe_history(messages, base_slot)
 
     def install_new_owner(self, msg: NewOwner,
-                          envelope: Optional[SignedPayload]) -> None:
+                          envelope: SignedPayload) -> None:
         """Adopt a checked NEWOWNER's finalized history and freeze the
         space at its owner number."""
         replica = self.replica
         space = replica.spaces[msg.suspect]
         if msg.new_owner_number <= space.owner_number:
             return
-        if envelope is not None:
-            self.installed[msg.suspect] = envelope
+        self.installed[msg.suspect] = envelope
         # Adopt the finalized history.
         replica.statemachine.rollback_speculative()
         for summary in msg.safe_entries:

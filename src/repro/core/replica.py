@@ -495,9 +495,8 @@ class EzBFTReplica(Node):
             return
         if space.frozen:
             return  # we committed to an owner change for this space
-        if leader != self.config.owner_for_number(space.owner_number) or \
-                proposal.owner_number != space.owner_number:
-            # Not the current owner of that space.
+        if proposal.owner_number != space.owner_number:
+            # Not the space's current owner number (its holder signed).
             self.stats["invalid_messages"] += 1
             return
         for order in orders:

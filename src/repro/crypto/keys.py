@@ -54,8 +54,9 @@ class KeyRegistry:
 
     def __init__(self, replicas: Iterable[str] = ()) -> None:
         self._keys: Dict[str, KeyPair] = {}
-        #: Node ids that sign as replicas; any other key is a client's.
-        self.replicas = frozenset(replicas)
+        #: Node ids that sign as replicas, in the order roles rotate
+        #: through them; any other key is a client's.
+        self.replicas = tuple(replicas)
         #: Verification epoch: a fresh sentinel per key (re-)registration
         #: (see ``SignedPayload.verify``).  Cached verdicts are tagged
         #: with the epoch they were computed under; registering a key

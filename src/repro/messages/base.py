@@ -4,16 +4,20 @@ Every registered class declares, next to its fields, the field naming
 its author (``AUTHOR = "replica"``, ``"client_id"``, ...); an envelope
 is authentic (:meth:`SignedPayload.authentic`) only if that node signed
 it, with a replica's key unless the field is ``"client_id"``.  ``AUTHOR
-= None`` declares no author: the message travels unsigned, or its
-handler checks that the view's primary signed it.
+= None`` declares no author.  A message only a view's primary or a
+space's owner may sign names the number that role rotates with
+(``ROLE = "view"``, ...): only the replica at that number
+(:func:`repro.config.replica_at`) signs it authentically.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass
 from typing import Any, Dict, Type
 
+from repro.config import replica_at
 from repro.crypto.digest import canonical_bytes, digest, encoded_hash
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import Signature, is_valid, sign
@@ -39,9 +43,9 @@ def register_message(cls: Type) -> Type:
     """Class decorator: register ``cls`` for :func:`decode`.
 
     The class must define ``MSG_TYPE`` and, in its own body, ``AUTHOR``
-    (a field or property, or ``None``).  Its ``to_wire``/``from_wire``
-    are derived from its dataclass fields (:func:`repro.wire.wire_struct`)
-    unless the class body defines them.
+    (a field or property, or ``None``) and may name an int one ``ROLE``.
+    Its ``to_wire``/``from_wire`` are derived from its dataclass fields
+    (:func:`repro.wire.wire_struct`) unless the class body defines them.
     """
     msg_type = getattr(cls, "MSG_TYPE", None)
     if not msg_type:
@@ -53,6 +57,12 @@ def register_message(cls: Type) -> Type:
     if author is not None and author not in cls.__dataclass_fields__ \
             and not isinstance(getattr(cls, author, None), property):
         raise SerializationError(f"{cls.__name__} declares no AUTHOR")
+    role = vars(cls).get("ROLE")
+    if role is not None and typing.get_type_hints(cls).get(role) is not int \
+            and not isinstance(getattr(cls, role, None), property):
+        raise SerializationError(
+            f"{cls.__name__}'s ROLE names no int field or property")
+    cls.ROLE = role
     MESSAGE_REGISTRY[msg_type] = wire_struct(cls)
     return cls
 
@@ -234,15 +244,21 @@ class SignedPayload:
         return verdict
 
     def authentic(self, registry: KeyRegistry) -> bool:
-        """:meth:`verify`, the signer is the payload's ``AUTHOR``, and a
-        replica unless that is its ``client_id``: the one check for every
-        envelope a node receives and every certificate or proof member."""
+        """:meth:`verify`, the signer is the payload's ``AUTHOR`` and a
+        replica unless that is its ``client_id``, and it holds the
+        payload's ``ROLE``: the one check for every envelope a node
+        receives and every certificate or proof member."""
         payload = self.payload
         author = payload.AUTHOR
-        if author is not None:
-            signer = self.signature.signer
-            if getattr(payload, author) != signer or (
-                    author != "client_id" and signer not in registry.replicas):
+        signer = self.signature.signer
+        if author is not None and (getattr(payload, author) != signer or (
+                author != "client_id" and signer not in registry.replicas)):
+            return False
+        role = payload.ROLE
+        if role is not None:
+            number, ids = getattr(payload, role), registry.replicas
+            if type(number) is not int or not ids or \
+                    replica_at(ids, number) != signer:
                 return False
         return self.verify(registry)
 

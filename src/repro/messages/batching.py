@@ -125,6 +125,7 @@ class BatchSpecOrder:
 
     MSG_TYPE = "ez-batch-spec-order"
     AUTHOR = "leader"
+    ROLE = "owner_number"
 
     leader: str
     owner_number: int
@@ -158,7 +159,8 @@ class BatchPrePrepare:
     """
 
     MSG_TYPE = "pbft-batch-pre-prepare"
-    AUTHOR = None  # role: the view's primary
+    AUTHOR = None
+    ROLE = "view"  # signed by the view's primary
 
     view: int
     pre_prepares: Tuple[PrePrepare, ...]

@@ -81,6 +81,7 @@ class SpecOrder:
 
     MSG_TYPE = "ez-spec-order"
     AUTHOR = "leader"
+    ROLE = "owner_number"
     cpu_cost_units = 1
 
     leader: str
@@ -521,6 +522,7 @@ class NewOwner:
 
     MSG_TYPE = "ez-new-owner"
     AUTHOR = "new_owner"
+    ROLE = "new_owner_number"
 
     new_owner: str
     suspect: str

@@ -45,7 +45,8 @@ class FabPropose:
     """<PROPOSE, pn, n, d> plus the request."""
 
     MSG_TYPE = "fab-propose"
-    AUTHOR = None  # role: the view's primary
+    AUTHOR = None
+    ROLE = "proposal_number"  # signed by the proposer of that number
     cpu_cost_units = 1
 
     proposal_number: int

@@ -46,7 +46,8 @@ class PrePrepare:
     """<PRE-PREPARE, v, n, d> plus the request itself."""
 
     MSG_TYPE = "pbft-pre-prepare"
-    AUTHOR = None  # role: the view's primary
+    AUTHOR = None
+    ROLE = "view"  # signed by the view's primary
     cpu_cost_units = 1
 
     view: int
@@ -134,6 +135,7 @@ class NewView:
 
     MSG_TYPE = "new-view"
     AUTHOR = "primary"
+    ROLE = "new_view"
 
     new_view: int
     proof: Tuple[SignedPayload, ...]

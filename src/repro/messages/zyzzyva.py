@@ -46,7 +46,8 @@ class OrderReq:
     """<ORDER-REQ, v, n, h_n, d> plus the request."""
 
     MSG_TYPE = "zyzzyva-order-req"
-    AUTHOR = None  # role: the view's primary
+    AUTHOR = None
+    ROLE = "view"  # signed by the view's primary
     cpu_cost_units = 1
 
     view: int

@@ -27,9 +27,8 @@ The new primary sends 2f+1 with the orders of the re-issue set
 
 Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
 only an envelope its payload's author signed, a replica if the message
-is replica-authored.  The one role a handler still checks is the view's
-primary (:meth:`BaseReplica._from_primary`: an ordering message names
-no author, so it must be signed by the view's primary).
+is replica-authored, and an ordering message or NEW-VIEW only if the
+primary of the view it names signed it (its class's ``ROLE``).
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class BaseReplica(Node):
 
     @property
     def primary(self) -> str:
-        return self.config.primary_for_view(self.view)
+        return self.config.replica_at(self.view)
 
     @property
     def is_primary(self) -> bool:
@@ -179,9 +178,10 @@ class BaseReplica(Node):
         return {"slots": len(self._slots)}
 
     def rejoin(self) -> None:
-        """Back from a crash: nothing to do.  A primary-based baseline
-        catches up from the primary's next ordering messages and its
-        view changes; only ezBFT asks its peers (``EzBFTReplica``)."""
+        """Back from a crash: nothing, yet.  A primary-based baseline has
+        no state transfer, so a replica that missed slots while down
+        never fills them and executes nothing after it recovers; only
+        ezBFT asks its peers (``EzBFTReplica``)."""
 
     # ------------------------------------------------------------------
     def _on_request(self, sender: str, request: Any,
@@ -211,14 +211,14 @@ class BaseReplica(Node):
     def _order(self, request: Any) -> None:
         raise NotImplementedError
 
-    def _from_primary(self, signer: str, view: int, request: Any,
+    def _from_primary(self, view: int, request: Any,
                       request_digest: str) -> bool:
-        """An ordering message counts only in the current view, while we
-        are not leaving it, signed by its primary, with the digest of the
-        request it carries."""
+        """An ordering message (its view's primary signed it: ``ROLE``)
+        counts only in the current view, while we are not leaving it,
+        with the digest of the request it carries."""
         if view != self.view or self._view_changing:
             return False
-        if signer != self.primary or digest(request) != request_digest:
+        if digest(request) != request_digest:
             self.stats["invalid_messages"] += 1
             return False
         return True
@@ -336,7 +336,7 @@ class BaseReplica(Node):
             self._start_view_change(vote.new_view)
         if len(votes) >= self.config.slow_quorum_size and \
                 self.view < vote.new_view == self._target_view and \
-                self.config.primary_for_view(vote.new_view) == self.node_id:
+                self.config.replica_at(vote.new_view) == self.node_id:
             self._lead(vote.new_view, votes)
 
     def _checked(self, vote: ViewChange) -> Optional[CheckedVote]:
@@ -380,8 +380,8 @@ class BaseReplica(Node):
 
     def _on_new_view(self, sender: str, msg: NewView,
                      envelope: SignedPayload) -> None:
-        """Install a NEW-VIEW from its view's primary whose orders, each
-        signed by that primary, are the re-issue set of its proof."""
+        """Install a NEW-VIEW whose orders (authentic, so its view's
+        primary's) are the re-issue set of its proof."""
         if msg.new_view <= self.view:
             return
         votes = [authentic_payload(e, ViewChange, self.registry)
@@ -391,15 +391,13 @@ class BaseReplica(Node):
         orders = [authentic_payload(e, self.order_cls, self.registry)
                   for e in msg.orders]
         if len(checked) < self.config.slow_quorum_size or \
-                len(checked) < len(votes) or None in checked.values() or \
-                msg.primary != self.config.primary_for_view(msg.new_view):
+                len(checked) < len(votes) or None in checked.values():
             self.stats["invalid_messages"] += 1
             return
         determined = reissue_set(checked.values())
         if determined is None or \
                 [o and (o.seqno, o.view, o.request) for o in orders] != \
-                [(s, msg.new_view, r) for s, r in determined[1].items()] or \
-                any(e.signer != msg.primary for e in msg.orders):
+                [(s, msg.new_view, r) for s, r in determined[1].items()]:
             self.stats["invalid_messages"] += 1
             return
         self._adopt_view(msg.new_view, determined[0] + len(orders))
@@ -447,17 +445,6 @@ class BaseReplica(Node):
     def _order_at(self, view: int, seqno: int, request: Any) -> Any:
         """The order putting ``request`` (or ``None``) at ``seqno``."""
         raise NotImplementedError
-
-    def _primary_order(self, envelope: SignedPayload,
-                       cls: Any = None) -> Any:
-        """``envelope``'s payload, of ``cls`` (``order_cls`` by
-        default), if the primary of its view signed it."""
-        order = authentic_payload(envelope, cls or self.order_cls,
-                                  self.registry)
-        if order is None or \
-                envelope.signer != self.config.primary_for_view(order.view):
-            return None
-        return order
 
     def _quorum_certifies(self, order: Any, votes: Iterable[Any],
                           vote_cls: Any) -> bool:
@@ -536,7 +523,7 @@ class BaseClient(Node):
 
     @property
     def primary(self) -> str:
-        return self.config.primary_for_view(self.view)
+        return self.config.replica_at(self.view)
 
     @property
     def in_flight(self) -> int:

@@ -28,7 +28,7 @@ from repro.cluster.node import NodeContext
 from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.messages.base import SignedPayload
+from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.fab import FabAccept, FabPropose, FabReply, FabRequest
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
@@ -71,7 +71,7 @@ class FabReplica(BaseReplica):
         self.stats["proposals"] += 1
         signed = self.sign(propose)
         self.broadcast_others(signed)
-        self._accept_propose(self.node_id, propose, signed)
+        self._on_propose(self.node_id, propose, signed)
 
     def _order_at(self, view: int, seqno: int,
                   request: Optional[FabRequest]) -> FabPropose:
@@ -80,14 +80,9 @@ class FabReplica(BaseReplica):
 
     def _on_propose(self, sender: str, propose: FabPropose,
                     envelope: SignedPayload) -> None:
-        self._accept_propose(envelope.signer, propose, envelope)
-
-    def _accept_propose(self, signer: str, propose: FabPropose,
-                        envelope: SignedPayload) -> None:
-        """A PROPOSE names no author: it counts when ``signer`` is the
-        proposer (the view's primary).  An acceptor accepts one value
-        per slot and proposal number."""
-        if not self._from_primary(signer, propose.proposal_number,
+        """The proposer's PROPOSE.  An acceptor accepts one value per
+        slot and proposal number."""
+        if not self._from_primary(propose.proposal_number,
                                   propose.request, propose.request_digest):
             return
         slot = self._slots.setdefault(propose.seqno, _Slot())
@@ -132,7 +127,8 @@ class FabReplica(BaseReplica):
         the accept quorum's ACCEPTs for it (learned).  Without them it
         needs every VIEW-CHANGE: a value one learner learned may have a
         single correct reporter, so it is re-issued only uncontested."""
-        propose = self._primary_order(certificate[0])
+        propose = authentic_payload(certificate[0], FabPropose,
+                                    self.registry)
         if propose is None or len(certificate) > 1 and not \
                 self._quorum_certifies(propose, certificate[1:], FabAccept):
             return None

@@ -157,22 +157,21 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _on_batch_pre_prepare(self, sender: str, batch: BatchPrePrepare,
                               envelope: SignedPayload) -> None:
-        """The primary's batched ordering: each inner PRE-PREPARE counts
-        as a singleton the batch's signer signed."""
+        """The primary's batched ordering: each inner PRE-PREPARE, which
+        must name the batch's view, counts as a singleton."""
+        if any(p.view != batch.view for p in batch.pre_prepares):
+            self.stats["invalid_messages"] += 1
+            return
         for pre_prepare in sorted(batch.pre_prepares,
                                   key=lambda p: p.seqno):
-            self._accept_pre_prepare(envelope.signer, pre_prepare, envelope)
+            self._on_pre_prepare(sender, pre_prepare, envelope)
 
     def _on_pre_prepare(self, sender: str, msg: PrePrepare,
                         envelope: SignedPayload) -> None:
-        self._accept_pre_prepare(envelope.signer, msg, envelope)
-
-    def _accept_pre_prepare(self, signer: str, msg: PrePrepare,
-                            envelope: SignedPayload) -> None:
-        """A PRE-PREPARE names no author: it counts when ``signer`` (of
-        it, or of the batch carrying it) is the primary.  One of a newer
-        view than the slot's starts the slot's three phases again."""
-        if not self._from_primary(signer, msg.view, msg.request,
+        """The primary's PRE-PREPARE, alone or in the batch
+        ``envelope``.  One of a newer view than the slot's starts the
+        slot's three phases again."""
+        if not self._from_primary(msg.view, msg.request,
                                   msg.request_digest):
             return
         slot = self._slot(msg.seqno)
@@ -239,8 +238,9 @@ class PBFTReplica(BaseReplica):
         """A prepared certificate, which stands alone: the PRE-PREPARE
         its view's primary signed, alone or in a BATCHPREPREPARE, and
         2f+1 PREPAREs for it."""
-        holder = self._primary_order(certificate[0],
-                                     (PrePrepare, BatchPrePrepare))
+        holder = authentic_payload(certificate[0],
+                                   (PrePrepare, BatchPrePrepare),
+                                   self.registry)
         if isinstance(holder, BatchPrePrepare):
             last = authentic_payload(certificate[-1], Prepare, self.registry)
             holder = next((p for p in holder.pre_prepares

@@ -91,8 +91,8 @@ class ZyzzyvaReplica(BaseReplica):
 
     def _on_order_req(self, sender: str, order: OrderReq,
                       envelope: SignedPayload) -> None:
-        if not self._from_primary(envelope.signer, order.view,
-                                  order.request, order.request_digest):
+        if not self._from_primary(order.view, order.request,
+                                  order.request_digest):
             return
         existing = self._slots.get(order.seqno)
         if existing is not None and existing.order is not None and \
@@ -212,7 +212,7 @@ class ZyzzyvaReplica(BaseReplica):
         """The ORDER-REQ its view's primary signed; it stands alone with
         a commit certificate of 2f+1 SPEC-RESPONSEs for it, at f+1
         reports without one."""
-        order = self._primary_order(certificate[0])
+        order = authentic_payload(certificate[0], OrderReq, self.registry)
         if order is None or len(certificate) > 1 and not \
                 self._quorum_certifies(order, certificate[1:], SpecResponse):
             return None

@@ -351,12 +351,11 @@ class TcpDeployment:
         ClientChurn clients are pre-created too (idle until their
         event fires): the schedule fixes their count up front."""
         cluster = self.cluster
-        replica_ids = cluster.replica_ids
         pending: List[Any] = []
         for index, region in enumerate(client_placements(self.scenario)):
             client = await cluster.add_client(
                 f"c{index}", region=region,
-                target_replica=replica_ids[index % len(replica_ids)])
+                target_replica=cluster.config.replica_at(index))
             if tracer is not None:
                 # The client's transport node was created after
                 # the replica attach pass -- without the tracer

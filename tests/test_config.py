@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
 
 
@@ -58,18 +59,21 @@ def test_initial_owner_numbers_match_indices():
 
 def test_owner_rotation_wraps():
     config = make(4)
-    assert config.owner_for_number(0) == "r0"
-    assert config.owner_for_number(1) == "r1"
-    assert config.owner_for_number(5) == "r1"
+    assert config.replica_at(0) == "r0"
+    assert config.replica_at(1) == "r1"
+    assert config.replica_at(5) == "r1"
     # Owner change for r1's space: O=1 -> O'=2 -> r2 takes over.
-    assert config.owner_for_number(
+    assert config.replica_at(
         config.initial_owner_number("r1") + 1) == "r2"
 
 
 def test_primary_rotation():
+    """Views rotate the primary exactly as owner numbers rotate owners,
+    and a key registry keeps the rotation's order."""
     config = make(4)
-    assert config.primary_for_view(0) == "r0"
-    assert config.primary_for_view(7) == "r3"
+    assert config.replica_at(0) == "r0"
+    assert config.replica_at(7) == "r3"
+    assert KeyRegistry(config.replica_ids).replicas == config.replica_ids
 
 
 def test_slow_quorum_includes_leader_and_is_deterministic():

@@ -11,18 +11,46 @@ name *other* nodes, or, as a client, itself as a replica; the victim
 must drop every one of them -- a replica counting it in
 ``invalid_messages`` -- and end in the state honest traffic alone would
 leave it in.
+
+An ordering message also declares the number its signer's role rotates
+with (``ROLE``: a view, a proposal or owner number), and is authentic
+only if the replica that number rotates to signed it.  The cases at the
+end sign such messages with a replica that does not hold the role, on
+their own and as members of a VIEW-CHANGE or NEW-VIEW; and honest runs
+with a crash reject nothing at all.
 """
 
 import asyncio
-from dataclasses import fields
+import dataclasses
+import os
+import typing
+from dataclasses import dataclass, fields
 
 import pytest
 
 from repro.byzantine import silence_node
 from repro.crypto.digest import digest
-from repro.messages.base import MESSAGE_REGISTRY, SignedPayload
-from repro.messages.batching import BatchRequest
-from repro.messages.ezbft import CommitReply, EzCheckpoint, StartOwnerChange
+from repro.errors import SerializationError
+from repro.messages.base import (
+    MESSAGE_REGISTRY,
+    SignedPayload,
+    register_message,
+)
+from repro.messages.batching import (
+    BatchPrePrepare,
+    BatchRequest,
+    BatchSpecOrder,
+)
+from repro.messages.ezbft import (
+    CommitReply,
+    EzCheckpoint,
+    LogEntrySummary,
+    NewOwner,
+    OwnerChange,
+    Request,
+    SpecOrder,
+    StartOwnerChange,
+)
 from repro.messages.fab import FabAccept, FabPropose, FabRequest
 from repro.messages.pbft import (
     NewView,
@@ -33,9 +61,17 @@ from repro.messages.pbft import (
     Prepare,
     ViewChange,
 )
-from repro.messages.zyzzyva import LocalCommit, SpecResponse, ZCommit
+from repro.messages.zyzzyva import (
+    LocalCommit,
+    OrderReq,
+    SpecResponse,
+    ZCommit,
+    ZRequest,
+)
+from repro.scenario import ScenarioRunner, load_spec
 from repro.statemachine.base import Command
 from repro.transport.asyncio_tcp import AsyncioCluster
+from repro.types import InstanceID
 
 from helpers import DeliveryLog, lan_cluster
 
@@ -446,8 +482,9 @@ def test_replica_authored_classes_are_pinned():
 
 def test_every_registered_message_declares_its_author():
     """``AUTHOR`` is declared in every registered class's own body:
-    ``None`` (unsigned, or its handler checks a role) or the name of a
-    field or property of the class."""
+    ``None`` (no author) or the name of a field or property of the
+    class; ``ROLE``, ``None`` unless declared, names an int field or a
+    property."""
     for msg_type, cls in MESSAGE_REGISTRY.items():
         assert "AUTHOR" in vars(cls), msg_type
         author = cls.AUTHOR
@@ -455,6 +492,45 @@ def test_every_registered_message_declares_its_author():
             names = {f.name for f in fields(cls)}
             assert author in names or \
                 isinstance(getattr(cls, author, None), property), msg_type
+        role = cls.ROLE
+        if role is not None:
+            assert typing.get_type_hints(cls).get(role) is int or \
+                isinstance(getattr(cls, role, None), property), msg_type
+
+
+#: The 8 registered classes whose signer must hold a role, and the
+#: number the role rotates with.
+ROLE_NUMBERS = {
+    "pbft-pre-prepare": "view", "pbft-batch-pre-prepare": "view",
+    "zyzzyva-order-req": "view", "fab-propose": "proposal_number",
+    "new-view": "new_view", "ez-spec-order": "owner_number",
+    "ez-batch-spec-order": "owner_number",
+    "ez-new-owner": "new_owner_number",
+}
+
+
+def test_role_classes_are_pinned():
+    """These 8 classes, and no others, need the signature of the
+    replica their number rotates to: the view's primary, the proposer,
+    the space's owner."""
+    roles = {msg_type: cls.ROLE for msg_type, cls in MESSAGE_REGISTRY.items()
+             if cls.ROLE is not None}
+    assert roles == ROLE_NUMBERS
+    assert len(ROLE_NUMBERS) == 8
+
+
+def test_a_role_must_name_an_int_field_or_property():
+    @dataclass(frozen=True)
+    class Misrolled:
+        MSG_TYPE = "test-misrolled"
+        AUTHOR = None
+        ROLE = "replica"
+
+        replica: str
+
+    with pytest.raises(SerializationError, match="ROLE"):
+        register_message(Misrolled)
+    assert "test-misrolled" not in MESSAGE_REGISTRY
 
 
 def _mixed_batch(cluster, client):
@@ -483,3 +559,306 @@ def test_mixed_author_batch_request_is_rejected(protocol, ordered):
     assert r0.stats["invalid_messages"] == 1
     assert r0.stats[ordered] == 0
     assert r0.statemachine.final_items() == {}
+
+
+# ----------------------------------------------------------------------
+# The primary's role (``ROLE``)
+# ----------------------------------------------------------------------
+def _pbft_request(cluster):
+    return PBFTRequest(command=cluster.add_client(
+        "c9", "local").next_command("put", "k", "v"))
+
+
+def _pre_prepare(request, view=0, seqno=0):
+    return PrePrepare(view=view, seqno=seqno, request_digest=digest(request),
+                      request=request)
+
+
+def _pbft_pre_prepare_from_a_backup():
+    """r2, a backup of view 0, signs a PRE-PREPARE to r1."""
+    cluster = lan_cluster("pbft")
+    r1 = cluster.replicas["r1"]
+    invalid = _deliver_all(r1, "r2", [_forge(
+        cluster, "r2", _pre_prepare(_pbft_request(cluster)))])
+    assert r1._slots == {}
+    return invalid
+
+
+def _pbft_batch_pre_prepare_from_a_backup():
+    """r2, a backup of view 0, signs a BATCHPREPREPARE to r1."""
+    cluster = lan_cluster("pbft")
+    request = _pbft_request(cluster)
+    r1 = cluster.replicas["r1"]
+    invalid = _deliver_all(r1, "r2", [_forge(cluster, "r2", BatchPrePrepare(
+        view=0, pre_prepares=(_pre_prepare(request),
+                              _pre_prepare(request, seqno=1))))])
+    assert r1._slots == {}
+    return invalid
+
+
+def _fab_propose_from_a_non_proposer():
+    """r2 signs a PROPOSE for proposal number 0, r0's, to r1."""
+    cluster = lan_cluster("fab")
+    request = FabRequest(command=Command(client_id="c0", timestamp=1,
+                                         op="put", key="k", value="v"))
+    r1 = cluster.replicas["r1"]
+    invalid = _deliver_all(r1, "r2", [_forge(cluster, "r2", FabPropose(
+        proposal_number=0, seqno=0, request_digest=digest(request),
+        request=request))])
+    assert r1._slots == {}
+    return invalid
+
+
+def _zyzzyva_order_req_from_a_backup():
+    """r2, a backup of view 0, signs an ORDER-REQ to r1."""
+    cluster = lan_cluster("zyzzyva")
+    request = ZRequest(command=Command(client_id="c0", timestamp=1,
+                                       op="put", key="k", value="v"))
+    d = digest(request)
+    r1 = cluster.replicas["r1"]
+    invalid = _deliver_all(r1, "r2", [_forge(cluster, "r2", OrderReq(
+        view=0, seqno=0, history_digest=digest(["", d]),
+        request_digest=d, request=request))])
+    assert r1._slots == {}
+    assert r1.stats["executed"] == 0
+    return invalid
+
+
+def _spec_order(owner_number=0, slot=0, leader="r0", space="r0"):
+    command = Command(client_id="c0", timestamp=slot + 1, op="put",
+                      key="k", value=slot)
+    return SpecOrder(leader=leader, owner_number=owner_number,
+                     instance=InstanceID(space, slot), command=command,
+                     deps=(), seq=1, log_digest="",
+                     request_digest=digest(Request(command=command)))
+
+
+def _ezbft_spec_order_for_another_owner():
+    """r1 signs a SPECORDER in its own name for owner number 0, r0's,
+    into r0's space."""
+    cluster = lan_cluster("ezbft")
+    r2 = cluster.replicas["r2"]
+    invalid = _deliver_all(r2, "r1", [_forge(
+        cluster, "r1", _spec_order(leader="r1"))])
+    assert r2._log_index == {}
+    return invalid
+
+
+def _ezbft_new_owner_from_a_non_owner():
+    """r3 signs, naming itself, the NEWOWNER of owner number 2 of r1's
+    space -- r2's to send -- with a proof that holds (the OWNERCHANGEs
+    r0 and r2 sent r2) and the history derived from it.  The same
+    NEWOWNER from r2 installs."""
+    cluster = lan_cluster("ezbft")
+    r0 = cluster.replicas["r0"]
+    proof = tuple(_forge(cluster, rid, OwnerChange(
+        sender=rid, suspect="r1", new_owner_number=2, entries=()))
+        for rid in ("r0", "r2"))
+
+    def new_owner(rid):
+        return _forge(cluster, rid, NewOwner(
+            new_owner=rid, suspect="r1", new_owner_number=2,
+            safe_entries=(), proof=proof))
+    invalid = _deliver_all(r0, "r3", [new_owner("r3")])
+    assert not r0.spaces["r1"].frozen
+    assert r0.spaces["r1"].owner_number == 1
+    assert _deliver_all(r0, "r2", [new_owner("r2")]) == 0
+    assert r0.spaces["r1"].frozen and r0.spaces["r1"].owner_number == 2
+    return invalid
+
+
+def _certified_cluster(protocol):
+    """A cluster that ordered one request: each replica's slot 0 holds
+    the certificate its VIEW-CHANGE would report."""
+    cluster = lan_cluster(protocol)
+    client = cluster.add_client("c0", "local")
+    client.submit(client.next_command("put", "k", "v"))
+    cluster.run_until_idle()
+    return cluster
+
+
+def _reported(cluster, rid, certificate=None):
+    """``rid``'s VIEW-CHANGE to view 1, reporting slot 0 with
+    ``certificate`` (its own by default)."""
+    if certificate is None:
+        certificate = cluster.replicas[rid]._slots[0].certificate
+    return _forge(cluster, rid, ViewChange(
+        new_view=1, checkpoint=(), certificates=(certificate,),
+        replica=rid))
+
+
+def _view_change_with_a_backup_order(protocol):
+    """r3 sends r1, the primary of view 1, a VIEW-CHANGE whose
+    certificate's order r2, a backup of view 0, signed again; the same
+    VIEW-CHANGE with r3's real certificate counts."""
+    def case():
+        cluster = _certified_cluster(protocol)
+        r1 = cluster.replicas["r1"]
+        order, *votes = cluster.replicas["r3"]._slots[0].certificate
+        forged = (_forge(cluster, "r2", order.payload), *votes)
+        invalid = _deliver_all(r1, "r3", [_reported(cluster, "r3", forged)])
+        assert 1 not in r1._view_change_votes
+        assert _deliver_all(r1, "r3", [_reported(cluster, "r3")]) == 0
+        assert set(r1._view_change_votes[1]) == {"r3"}
+        return invalid
+    case.__name__ = f"_{protocol}_view_change_with_a_backup_order"
+    return case
+
+
+def _view_change_with_a_non_int_role(protocol):
+    """r3's VIEW-CHANGE to r1 reports slot 0 with an order r0 signed
+    whose view (or proposal number) is the string ``"0"``: no replica
+    holds that role, and checking it raises nothing."""
+    def case():
+        cluster = _certified_cluster(protocol)
+        r1 = cluster.replicas["r1"]
+        order, *votes = cluster.replicas["r3"]._slots[0].certificate
+        payload = order.payload
+        forged = (_forge(cluster, "r0", dataclasses.replace(
+            payload, **{payload.ROLE: "0"})), *votes)
+        invalid = _deliver_all(r1, "r3", [_reported(cluster, "r3", forged)])
+        assert 1 not in r1._view_change_votes
+        return invalid
+    case.__name__ = f"_{protocol}_view_change_with_a_non_int_role"
+    return case
+
+
+def _new_view_with_a_backup_order(protocol):
+    """r1, the primary of view 1, sends r0 a NEW-VIEW whose proof holds
+    and whose one re-issued order r2 signed; the same NEW-VIEW with r1's
+    order installs."""
+    def case():
+        cluster = _certified_cluster(protocol)
+        r0, r1 = cluster.replicas["r0"], cluster.replicas["r1"]
+        proof = tuple(_reported(cluster, rid) for rid in ("r1", "r2", "r3"))
+        order = r1._order_at(
+            1, 0, r1._slots[0].certificate[0].payload.request)
+
+        def new_view(order_signer):
+            return _forge(cluster, "r1", NewView(
+                new_view=1, proof=proof, primary="r1",
+                orders=(_forge(cluster, order_signer, order),)))
+        invalid = _deliver_all(r0, "r1", [new_view("r2")])
+        assert r0.view == 0
+        assert _deliver_all(r0, "r1", [new_view("r1")]) == 0
+        assert r0.view == 1
+        return invalid
+    case.__name__ = f"_{protocol}_new_view_with_a_backup_order"
+    return case
+
+
+def _pbft_batch_naming_another_view():
+    """r0, the primary of view 0, signs a view-0 batch carrying a view-1
+    PRE-PREPARE to r2, which is in view 1: r0's role covers the batch's
+    view only."""
+    cluster = lan_cluster("pbft", primary_index=1)
+    r2 = cluster.replicas["r2"]
+    assert r2.view == 1
+    invalid = _deliver_all(r2, "r0", [_forge(cluster, "r0", BatchPrePrepare(
+        view=0, pre_prepares=(_pre_prepare(_pbft_request(cluster),
+                                           view=1),)))])
+    assert r2._slots == {}
+    return invalid
+
+
+def _ezbft_batch(inner_number):
+    """r0's BATCHSPECORDER for owner number 0 of its space whose second
+    order names ``inner_number``."""
+    return BatchSpecOrder(leader="r0", owner_number=0, orders=(
+        _spec_order(), _spec_order(inner_number, slot=1)))
+
+
+def _ezbft_batch_naming_another_owner_number():
+    """r0 signs a BATCHSPECORDER for owner number 0 whose second order
+    names owner number 4, which rotates to r0 too."""
+    cluster = lan_cluster("ezbft")
+    r1 = cluster.replicas["r1"]
+    invalid = _deliver_all(r1, "r0", [_forge(cluster, "r0", _ezbft_batch(4))])
+    assert r1._log_index == {}
+    return invalid
+
+
+@pytest.mark.parametrize("case, rejected", [
+    (_pbft_pre_prepare_from_a_backup, 1),
+    (_pbft_batch_pre_prepare_from_a_backup, 1),
+    (_fab_propose_from_a_non_proposer, 1),
+    (_zyzzyva_order_req_from_a_backup, 1),
+    (_ezbft_spec_order_for_another_owner, 1),
+    (_ezbft_new_owner_from_a_non_owner, 1),
+    *[(make(protocol), 1)
+      for make in (_view_change_with_a_backup_order,
+                   _view_change_with_a_non_int_role,
+                   _new_view_with_a_backup_order)
+      for protocol in ("pbft", "fab", "zyzzyva")],
+    (_pbft_batch_naming_another_view, 1),
+    (_ezbft_batch_naming_another_owner_number, 1),
+], ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None)
+def test_forged_primary_is_rejected(case, rejected):
+    """A replica that does not hold the role its message's number
+    rotates to signs it in its own name, alone or inside a certificate;
+    or the role's holder signs a batch whose inner order names another
+    number.  The victim counts the envelope (or the message carrying
+    it) as invalid once and acts on none of it."""
+    assert case() == rejected
+
+
+def test_state_transfer_drops_a_batch_order_naming_another_owner_number():
+    """A catch-up entry backed by a batch whose inner order names
+    another owner number than the batch does is no evidence; the same
+    entry backed by an honest batch is."""
+    cluster = lan_cluster("ezbft")
+    checker = cluster.replicas["r1"].checkpointing
+
+    def entry(inner_number):
+        order = _spec_order(inner_number, slot=1)
+        return checker._entry_from_summary(LogEntrySummary(
+            instance=order.instance, command=order.command, deps=(),
+            seq=1, status="spec-ordered", owner_number=inner_number,
+            proof_kind="spec-order",
+            proof=(_forge(cluster, "r0", _ezbft_batch(inner_number)),)))
+    assert entry(0) is not None
+    assert entry(4) is None
+
+
+def test_forged_pre_prepare_over_tcp_is_rejected():
+    """The role behind real frames: r2, a backup of view 0, sends r1 a
+    PRE-PREPARE it signed over a loopback socket."""
+    async def scenario():
+        cluster = AsyncioCluster(protocol="pbft", num_replicas=4)
+        await cluster.start()
+        try:
+            request = PBFTRequest(command=Command(
+                client_id="c0", timestamp=1, op="put", key="k", value="v"))
+            r1, r2 = cluster.replicas["r1"], cluster.replicas["r2"]
+            r2.ctx.send("r1", r2.sign(_pre_prepare(request)))
+            for _ in range(200):
+                if r1.stats["invalid_messages"] >= 1:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return r1._slots, r1.stats["invalid_messages"]
+        finally:
+            await cluster.stop()
+
+    assert asyncio.run(scenario()) == ({}, 1)
+
+
+SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                     "specs")
+
+
+@pytest.mark.parametrize("protocol", ("ezbft", "pbft", "zyzzyva", "fab"))
+@pytest.mark.parametrize("spec, delivered", [("primary_crash", 24),
+                                             ("crash_recovery", 12)])
+def test_honest_runs_reject_nothing(spec, delivered, protocol):
+    """A crash, view changes, owner changes, re-issued orders, FILL-HOLE
+    resends and a recovery, all from honest replicas: no replica counts
+    one message invalid."""
+    scenario = load_spec(os.path.join(SPECS, spec + ".json"))
+    report, cluster = ScenarioRunner(backend="sim").run_with_cluster(
+        dataclasses.replace(scenario, protocol=protocol))
+    assert report.violations == []
+    assert report.delivered == delivered
+    assert {rid: replica.stats["invalid_messages"]
+            for rid, replica in cluster.replicas.items()} == \
+        dict.fromkeys(cluster.replicas, 0)

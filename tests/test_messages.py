@@ -245,6 +245,25 @@ def test_signed_payload_detects_tamper():
     assert not tampered.verify(registry)
 
 
+def test_role_message_without_the_rotation_is_not_authentic():
+    """A role is checked against the registry's ordered replica ids: a
+    registry that knows none holds no role (and divides by nothing),
+    and a role number that is no int names no holder."""
+    pre_prepare = pbft.PrePrepare(view=0, seqno=0, request_digest="d",
+                                  request=None)
+    signed = _signed(pre_prepare)
+    empty = KeyRegistry()
+    empty.register(KEYPAIR)
+    assert signed.verify(empty)
+    assert signed.authentic(empty) is False
+    cluster = KeyRegistry(("r0", "r1", "r2", "r3"))
+    cluster.register(KEYPAIR)
+    assert signed.authentic(cluster)
+    for view in ("0", 4.0, None):
+        assert not _signed(dataclasses.replace(
+            pre_prepare, view=view)).authentic(cluster)
+
+
 def test_decode_unknown_type():
     with pytest.raises(SerializationError):
         decode({"type": "martian"})

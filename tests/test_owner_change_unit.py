@@ -145,6 +145,9 @@ def test_new_owner_message_from_wrong_replica_rejected():
     # Owner number 2 maps to r2; r3 claiming it must be ignored.
     bogus = NewOwner(new_owner="r3", suspect="r1", new_owner_number=2,
                      safe_entries=())
-    replica.owner_changes.on_new_owner(bogus)
+    before = replica.stats["invalid_messages"]
+    replica.on_message("r3", SignedPayload.create(
+        bogus, cluster.replicas["r3"].keypair))
+    assert replica.stats["invalid_messages"] == before + 1
     assert not replica.spaces["r1"].frozen
     assert replica.spaces["r1"].owner_number == 1
