@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import typing
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Type
 
@@ -93,11 +94,54 @@ def decode(wire: Any) -> Any:
 #: that must span the whole text (no whitespace around it).
 _scan_json = json.JSONDecoder().scan_once
 
+#: Signed text -> ``(weak reference to the payload it parsed to, the
+#: payload's content hash at parse time)``: the process's parse cache
+#: (:func:`parse_signed`).  An entry leaves when its payload dies.
+_PARSED: Dict[str, tuple] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    """Weak-reference callback: drop the entry of a payload that died,
+    unless a later parse of the same text replaced it."""
+    entry = _PARSED.get(ref.key)
+    if entry is not None and entry[0] is ref:
+        del _PARSED[ref.key]
+
+
+def _cached_parse(text: str) -> Any:
+    """The payload an earlier :func:`parse_signed` of exactly ``text``
+    returned, if it is alive and its content hash is still the one it
+    was parsed with; ``None`` otherwise."""
+    entry = _PARSED.get(text)
+    if entry is None:
+        return None
+    payload = entry[0]()
+    try:
+        if payload is not None and hash(payload) == entry[1]:
+            return payload
+    except TypeError:  # mutated into unhashable content
+        pass
+    return None
+
 
 def parse_signed(text: Any) -> Any:
     """The message that signed bytes ``text`` (as ASCII text) encode,
     by the one parser every node runs: the JSON scanner, then
-    :func:`decode`."""
+    :func:`decode`.
+
+    Each text is parsed once per process while its payload lives: a
+    successful parse is cached under the exact text, holding the
+    payload weakly with its content hash, and a later call with equal
+    text returns that payload while its hash is unchanged
+    (:func:`_cached_parse`).  This cannot be observed, because the
+    parser is deterministic (point i of :class:`SignedPayload`); a
+    payload mutated in process is never handed out again (point iv).
+    Texts that fail to parse, and payloads that are unhashable or
+    cannot be weakly referenced, are never cached."""
+    if type(text) is str:
+        payload = _cached_parse(text)
+        if payload is not None:
+            return payload
     if type(text) is not str or not text.isascii():
         raise SerializationError(
             "signed bytes must arrive as an ASCII string")
@@ -107,7 +151,13 @@ def parse_signed(text: Any) -> Any:
         end = -1
     if end != len(text):
         raise SerializationError("signed bytes are not one JSON value")
-    return decode(wire)
+    payload = decode(wire)
+    try:
+        content = hash(payload)
+        _PARSED[text] = (weakref.KeyedRef(payload, _forget, text), content)
+    except TypeError:  # unhashable, or no weak references
+        pass
+    return payload
 
 
 class _Parsed:
@@ -143,7 +193,10 @@ class SignedPayload:
         deterministic parser (:func:`parse_signed`: the JSON scanner
         ``json.loads`` runs, then the registry's ``from_wire``), so one
         envelope means one payload everywhere, however its signer
-        spelled it.
+        spelled it.  For the same reason a process may hand out an
+        earlier parse of identical bytes instead of parsing them again
+        (:func:`parse_signed`'s cache), and nodes sharing a process
+        then share the payload.
     (ii) Correct signers still sign canonical bytes: :meth:`create`
         signs ``canonical_bytes(payload)``.
     (iii) Wherever bytes are rebuilt rather than received, they are
@@ -164,7 +217,11 @@ class SignedPayload:
         content hash, checked on every call, and a payload with
         unhashable fields is bound by its canonical encoding instead
         (so it verifies only when canonically spelled, and pays the
-        re-encode this envelope otherwise avoids).
+        re-encode this envelope otherwise avoids).  The parse cache
+        keeps this true when envelopes share a payload: it records the
+        content hash at parse time and hands the payload out again only
+        while the hash still matches, so a mutated payload fails every
+        envelope bound to it and the next parse of the bytes is fresh.
 
     Construct one with :meth:`create` (sign a payload), ``from_wire``
     (bytes that arrived), or ``SignedPayload(body, signature)`` (bytes
@@ -245,10 +302,16 @@ class SignedPayload:
 
     def authentic(self, registry: KeyRegistry) -> bool:
         """:meth:`verify`, the signer is the payload's ``AUTHOR`` and a
-        replica unless that is its ``client_id``, and it holds the
-        payload's ``ROLE``: the one check for every envelope a node
-        receives and every certificate or proof member."""
+        replica unless that is its ``client_id``, it holds the
+        payload's ``ROLE``, and every field typed ``int``
+        (``INT_FIELDS``, recorded by :func:`~repro.wire.wire_struct`)
+        holds exactly an int, so no handler meets a string or a bool
+        where it compares numbers: the one check for every envelope a
+        node receives and every certificate or proof member."""
         payload = self.payload
+        for name in payload.INT_FIELDS:
+            if type(getattr(payload, name)) is not int:
+                return False
         author = payload.AUTHOR
         signer = self.signature.signer
         if author is not None and (getattr(payload, author) != signer or (

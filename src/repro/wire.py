@@ -213,7 +213,10 @@ def wire_struct(cls: Type) -> Type:
     ``cls`` from its fields (the module docstring states the grammar),
     whichever of the two the class body does not define itself.  With
     a derived ``to_wire`` comes a third function, the class's canonical
-    writer, filed in :data:`repro.crypto.digest.WRITERS`.
+    writer, filed in :data:`repro.crypto.digest.WRITERS`.  The names of
+    the fields typed ``int`` are recorded as ``cls.INT_FIELDS``: the
+    grammar passes them through undecoded, so whoever trusts one to be
+    a number checks it (``SignedPayload.authentic`` does).
 
     Each function is compiled once, here, exactly as ``dataclasses``
     builds ``__init__``: per call it is the dict literal or keyword
@@ -225,11 +228,13 @@ def wire_struct(cls: Type) -> Type:
     ``inspect.getsource`` returns it (which is what the ``wire-parity``
     lint rule reads).
     """
+    hints = typing.get_type_hints(cls)
+    cls.INT_FIELDS = tuple(f.name for f in dataclasses.fields(cls)
+                           if hints[f.name] is int)
     wanted = [name for name in ("to_wire", "from_wire")
               if name not in vars(cls)]
     if not wanted:
         return cls
-    hints = typing.get_type_hints(cls)
     # The namespace the functions are compiled in; its ``__name__``
     # becomes their ``__module__``.
     names: Dict[str, Any] = {

@@ -802,6 +802,51 @@ def test_forged_primary_is_rejected(case, rejected):
     assert case() == rejected
 
 
+def _pbft_view_change_naming_view(new_view):
+    """r3's VIEW-CHANGE to r1, the primary of view 1, signed in its own
+    name, whose new view is ``new_view``; returns how many r1 counted
+    as invalid."""
+    cluster = lan_cluster("pbft")
+    r1 = cluster.replicas["r1"]
+    return _deliver_all(r1, "r3", [_forge(cluster, "r3", ViewChange(
+        new_view=new_view, checkpoint=(), certificates=(),
+        replica="r3"))])
+
+
+def _ezbft_owner_change_naming(new_owner_number):
+    """r3's OWNERCHANGE to r2 suspecting r1, signed in its own name,
+    whose new owner number is ``new_owner_number``; returns how many r2
+    counted as invalid."""
+    cluster = lan_cluster("ezbft")
+    r2 = cluster.replicas["r2"]
+    return _deliver_all(r2, "r3", [_forge(cluster, "r3", OwnerChange(
+        sender="r3", suspect="r1", new_owner_number=new_owner_number,
+        entries=()))])
+
+
+@pytest.mark.parametrize("case, value", [
+    (_pbft_view_change_naming_view, "1"),
+    (_pbft_view_change_naming_view, True),
+    (_ezbft_owner_change_naming, "2"),
+    (_ezbft_owner_change_naming, 2.0),
+], ids=["pbft-view-str", "pbft-view-bool", "ezbft-owner-number-str",
+        "ezbft-owner-number-float"])
+def test_a_number_field_holding_no_int_is_rejected(case, value):
+    """A replica signs, in its own name, a message whose ``int`` field
+    holds a string, a bool or a float: the victim counts it invalid
+    once and no handler meets it (at the parent the string raised
+    ``TypeError`` out of the handler).  The same message holding an
+    int is accepted."""
+    assert case(value) == 1
+    assert case(int(value)) == 0
+
+
+def test_int_fields_are_recorded_from_the_annotations():
+    assert ViewChange.INT_FIELDS == ("new_view",)
+    assert OwnerChange.INT_FIELDS == ("new_owner_number", "base_slot")
+    assert SignedPayload.INT_FIELDS == ()
+
+
 def test_state_transfer_drops_a_batch_order_naming_another_owner_number():
     """A catch-up entry backed by a batch whose inner order names
     another owner number than the batch does is no evidence; the same
