@@ -33,7 +33,7 @@ from repro.analysis.layers import frozen_mutation_layer
 
 #: Constant attribute values of the sanctioned memo slots.
 ALLOWED_MEMO_ATTRS = frozenset({
-    "_repro_verify_memo",      # messages.base: SignedPayload.verify
+    "_repro_verify_memo",      # messages.base: SignedPayload._checked
     "payload",                 # messages.base: SignedPayload.bind
     "_repro_payload_memo",     # messages.base: SignedPayload.bind
     "_repro_canonical_memo",   # crypto.digest: canonical-bytes memo

@@ -59,6 +59,7 @@ from repro.trace.span import (
 )
 from repro.trace.tracer import NULL_TRACER
 from repro.types import InstanceID
+from repro.wire import ints_exact
 
 
 #: What ``_pending_spec_orders`` holds for a slot filled from its
@@ -129,6 +130,12 @@ class EzBFTReplica(Node):
         #: ``_log_index`` sits in exactly one chain;
         #: :meth:`_index_entry` adds, :meth:`_truncate_space` trims.
         self._key_index: Dict[str, Dict[str, List[InstanceID]]] = {}
+        #: Per client, the newest command timestamp :meth:`_index_entry`
+        #: has ever indexed.  Truncation and slot rewrites never lower
+        #: it, so a command above it was never logged here: the bound
+        #: that lets :meth:`_find_entry_for_command` skip the chains
+        #: for a fresh request.
+        self._indexed_ts: Dict[str, int] = {}
         self.executor = DependencyExecutor(statemachine)
         #: A dep on an uncommitted *duplicate* instance -- one holding
         #: a command that already executed via its chosen instance --
@@ -449,6 +456,10 @@ class EzBFTReplica(Node):
     def _on_resend_request(self, sender: str, resend: ResendRequest,
                            envelope: None) -> None:
         """Original recipient's side of step 4.3."""
+        if not ints_exact(resend):
+            # Unsigned, so no envelope check ran on its command.
+            self.stats["invalid_messages"] += 1
+            return
         request = resend.request
         entry = self._find_entry_for_command(request.command)
         if entry is not None and entry.spec_order is not None:
@@ -992,8 +1003,8 @@ class EzBFTReplica(Node):
         Each exclusion drops one of these: a spec-ordered entry can be
         no-op'ed, a committed one may yet execute as a cache hit, a
         cache hit or no-op never applied anything, and an entry marked
-        executed from a snapshot does not know which it was.  The
-        relation is only ever asked ``interferes``; it need not be
+        executed from a snapshot does not know which it was.  Covering
+        asks the relation only ``interferes``; it need not be
         transitive (an applied ``get`` covers an older ``put`` for a
         new ``put``, never for a new ``get``).
 
@@ -1012,11 +1023,20 @@ class EzBFTReplica(Node):
         the key.  It is a heuristic: a pipelining client gives no such
         round, and where a follower still adds something the command
         commits on the slow path.
+
+        The walk of a space stops at the first cover that the relation
+        says *absorbs* (:meth:`InterferenceRelation.absorbs`: it
+        interferes with every non-noop command on its index key).
+        Every older instance in the chain would be left out as covered
+        by it, and a noop is never in D, so stopping leaves the result
+        unchanged; it makes a hot key cost the frontier the walk
+        returns rather than the log behind it.
         """
         chains = self._key_index.get(self._index_key(command))
         if chains is None:
             return ()
         interferes = self.interference.interferes
+        absorbs = self.interference.absorbs
         log = self._log_index
         deps: List[InstanceID] = []
         for chain in chains.values():
@@ -1038,6 +1058,8 @@ class EzBFTReplica(Node):
                         if leading and \
                                 candidate.client_id not in unsettled:
                             unsettled.add(candidate.client_id)
+                        elif absorbs(candidate):
+                            break  # it covers everything older
                         else:
                             covers.append(candidate)
         deps.sort()
@@ -1071,7 +1093,10 @@ class EzBFTReplica(Node):
         iid = entry.instance
         previous = self._log_index.get(iid)
         self._log_index[iid] = entry
-        key = self._index_key(entry.command)
+        command = entry.command
+        if command.timestamp > self._indexed_ts.get(command.client_id, -1):
+            self._indexed_ts[command.client_id] = command.timestamp
+        key = self._index_key(command)
         if previous is not None:
             old_key = self._index_key(previous.command)
             if old_key == key:
@@ -1123,9 +1148,14 @@ class EzBFTReplica(Node):
 
     def _find_entry_for_command(self, command: Command
                                 ) -> Optional[LogEntry]:
+        # A command newer than every timestamp its client ever had
+        # indexed here is not in the log: a fresh request, the usual
+        # case, pays one lookup.  Only retries scan the chains.
+        if command.timestamp > self._indexed_ts.get(command.client_id, -1):
+            return None
         # The chains under the command's index key are authoritative
         # (every logged instance sits in exactly one), so no O(|log|)
-        # fallback is needed on the hot path.
+        # fallback is needed.
         #
         # Retried commands can end up proposed in *several* competing
         # instances (a retry can rotate the command-leader); picking the

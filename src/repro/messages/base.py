@@ -16,20 +16,21 @@ import json
 import typing
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Type
+from typing import Any, Dict, Optional, Type
 
 from repro.config import replica_at
 from repro.crypto.digest import canonical_bytes, digest, encoded_hash
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import Signature, is_valid, sign
 from repro.errors import SerializationError
-from repro.wire import as_message, wire_struct
+from repro.wire import as_message, ints_exact, wire_struct
 
 #: msg_type string -> message class.
 MESSAGE_REGISTRY: Dict[str, Type] = {}
 
 #: Instance attribute holding a ``(registry_epoch, body, signature,
-#: verdict)`` verification memo (see ``SignedPayload.verify``).
+#: verified, ints_exact)`` verification memo (see
+#: ``SignedPayload._checked``).
 _VERIFY_MEMO = "_repro_verify_memo"
 #: Instance attribute holding what an envelope's signed bytes parse to
 #: (``SignedPayload.payload``), once bound.
@@ -269,17 +270,29 @@ class SignedPayload:
 
     def verify(self, registry: KeyRegistry) -> bool:
         """True iff the signature matches the signed bytes and signer,
-        and the payload is still what those bytes say.
+        and the payload is still what those bytes say."""
+        memo = self._checked(registry)
+        return memo is not None and memo[3]
 
-        The MAC verdict is memoized on the envelope: certificates embed
-        the same signed replies at every replica, so each envelope is
-        MAC-checked once per process instead of once per validation
-        site.  The memo records the bytes and signature objects it was
-        computed over and the registry's ``verify_epoch`` sentinel (a
-        registered key mints a new one), so a verdict never outlives
-        the bytes, signature or key material it was computed against.
-        The payload binding (point iv of the class docstring) is
-        checked on every call.
+    def _checked(self, registry: KeyRegistry) -> Optional[tuple]:
+        """The envelope's ``(registry_epoch, body, signature, verified,
+        ints_exact)`` memo, or ``None`` once the payload is no longer
+        what the bytes say.  ``verified`` is the MAC verdict;
+        ``ints_exact`` says whether every field typed ``int`` in the
+        payload -- its own and those of the structs it carries, such as
+        a ``Command``'s timestamp -- holds exactly an int
+        (:func:`~repro.wire.ints_exact`).
+
+        Both are memoized on the envelope: certificates embed the same
+        signed replies at every replica, so each envelope is MAC-checked
+        and type-checked once per process instead of once per
+        validation site.  The memo records the bytes and signature
+        objects it was computed over and the registry's
+        ``verify_epoch`` sentinel (a registered key mints a new one),
+        so a verdict never outlives the bytes, signature or key
+        material it was computed against.  The payload binding (point
+        iv of the class docstring) is checked on every call, so the
+        memoized type check holds for the payload in hand.
         """
         payload_hash = self._binding()[0]
         payload = self.payload
@@ -288,30 +301,27 @@ class SignedPayload:
         except TypeError:
             intact = canonical_bytes(payload) == self.body
         if not intact:
-            return False
+            return None
         body, signature = self.body, self.signature
         epoch = registry.verify_epoch
         memo = getattr(self, _VERIFY_MEMO, None)
         if memo is not None and memo[0] is epoch and memo[1] is body \
                 and memo[2] is signature:
-            return memo[3]
-        verdict = is_valid(body, signature, registry)
-        object.__setattr__(self, _VERIFY_MEMO,
-                           (epoch, body, signature, verdict))
-        return verdict
+            return memo
+        memo = (epoch, body, signature, is_valid(body, signature, registry),
+                ints_exact(payload))
+        object.__setattr__(self, _VERIFY_MEMO, memo)
+        return memo
 
     def authentic(self, registry: KeyRegistry) -> bool:
         """:meth:`verify`, the signer is the payload's ``AUTHOR`` and a
         replica unless that is its ``client_id``, it holds the
-        payload's ``ROLE``, and every field typed ``int``
-        (``INT_FIELDS``, recorded by :func:`~repro.wire.wire_struct`)
-        holds exactly an int, so no handler meets a string or a bool
-        where it compares numbers: the one check for every envelope a
-        node receives and every certificate or proof member."""
+        payload's ``ROLE``, and every field typed ``int`` in it, nested
+        ones included, holds exactly an int (:meth:`_checked`), so no
+        handler meets a string or a bool where it compares numbers: the
+        one check for every envelope a node receives and every
+        certificate or proof member."""
         payload = self.payload
-        for name in payload.INT_FIELDS:
-            if type(getattr(payload, name)) is not int:
-                return False
         author = payload.AUTHOR
         signer = self.signature.signer
         if author is not None and (getattr(payload, author) != signer or (
@@ -323,7 +333,8 @@ class SignedPayload:
             if type(number) is not int or not ids or \
                     replica_at(ids, number) != signer:
                 return False
-        return self.verify(registry)
+        memo = self._checked(registry)
+        return memo is not None and memo[3] and memo[4]
 
     @property
     def signer(self) -> str:

@@ -15,6 +15,16 @@ For the key-value service used in the evaluation this reduces to:
   commute (last write wins), and neither do put/get or put/incr.
 
 ``noop`` commands never interfere with anything.
+
+A relation also declares which commands *absorb* (:meth:`absorbs`): a
+command that interferes, both ways, with every non-noop command on its
+index key -- the same key under a key-based relation, any key
+otherwise.  Dependency collection walks a key's instances newest-first
+and leaves out an older instance that an applied, later one interferes
+with; once an absorbing instance stands in like that, every older
+instance on the key is left out (a noop is never a dependency), so the
+walk stops there with the same result.  ``False`` only makes the walk
+longer, so it is always safe.
 """
 
 from __future__ import annotations
@@ -35,6 +45,11 @@ class InterferenceRelation(ABC):
     @abstractmethod
     def interferes(self, a: Command, b: Command) -> bool:
         """True iff ``a`` and ``b`` do not commute."""
+
+    def absorbs(self, a: Command) -> bool:
+        """True only if ``a`` interferes with every non-noop command
+        on its index key, in either order (see the module docstring)."""
+        return False
 
 
 class KVInterference(InterferenceRelation):
@@ -58,6 +73,9 @@ class KVInterference(InterferenceRelation):
             return False
         return True
 
+    def absorbs(self, a: Command) -> bool:
+        return a.op == "put"
+
 
 class ReadWriteInterference(InterferenceRelation):
     """Q/U-style classification: reads conflict with writes, writes with
@@ -73,6 +91,9 @@ class ReadWriteInterference(InterferenceRelation):
             return False
         return a.is_mutation or b.is_mutation
 
+    def absorbs(self, a: Command) -> bool:
+        return a.is_mutation
+
 
 class AlwaysInterfere(InterferenceRelation):
     """Every pair of non-noop commands interferes.
@@ -85,6 +106,9 @@ class AlwaysInterfere(InterferenceRelation):
 
     def interferes(self, a: Command, b: Command) -> bool:
         return not (a.is_noop or b.is_noop)
+
+    def absorbs(self, a: Command) -> bool:
+        return not a.is_noop
 
 
 class NeverInterfere(InterferenceRelation):

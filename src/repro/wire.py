@@ -106,6 +106,41 @@ def _write_deps(deps: Any, out: list) -> None:
     _write(deps_to_wire(deps), out)
 
 
+def _holds_ints(tp: Any) -> bool:
+    """Whether a field typed ``tp`` can hold a wire struct with int
+    fields at some depth: the struct itself, ``Optional`` of it, or a
+    tuple of it."""
+    if isinstance(tp, type):
+        return bool(getattr(tp, "INT_FIELDS", ()) or
+                    getattr(tp, "STRUCT_FIELDS", ()))
+    if typing.get_origin(tp) in (typing.Union, tuple):
+        return any(_holds_ints(arg) for arg in typing.get_args(tp))
+    return False
+
+
+def ints_exact(value: Any) -> bool:
+    """True when every ``INT_FIELDS`` field of wire struct ``value``,
+    and of every struct its ``STRUCT_FIELDS`` hold, is exactly an int:
+    not a string, a float or a bool that a handler would compare with
+    numbers.  A value that is no struct (``None`` in an ``Optional``)
+    holds no field to check."""
+    try:
+        ints, structs = value.INT_FIELDS, value.STRUCT_FIELDS
+    except AttributeError:
+        return True
+    for name in ints:
+        if type(getattr(value, name)) is not int:
+            return False
+    for name in structs:
+        held = getattr(value, name)
+        if type(held) is tuple:
+            if not all(map(ints_exact, held)):
+                return False
+        elif not ints_exact(held):
+            return False
+    return True
+
+
 def _grammar(tp: Any, where: str, names: Dict[str, Any],
              depth: int = 0) -> Tuple[str, str, str]:
     """(encode, decode, write) templates for a value of type ``tp``;
@@ -214,9 +249,11 @@ def wire_struct(cls: Type) -> Type:
     whichever of the two the class body does not define itself.  With
     a derived ``to_wire`` comes a third function, the class's canonical
     writer, filed in :data:`repro.crypto.digest.WRITERS`.  The names of
-    the fields typed ``int`` are recorded as ``cls.INT_FIELDS``: the
-    grammar passes them through undecoded, so whoever trusts one to be
-    a number checks it (``SignedPayload.authentic`` does).
+    the fields typed ``int`` are recorded as ``cls.INT_FIELDS``, and of
+    the fields that can hold a struct with such fields (a ``Command``,
+    a tuple of them) as ``cls.STRUCT_FIELDS``: the grammar passes ints
+    through undecoded, so whoever trusts one to be a number checks it
+    with :func:`ints_exact` (``SignedPayload.authentic`` does).
 
     Each function is compiled once, here, exactly as ``dataclasses``
     builds ``__init__``: per call it is the dict literal or keyword
@@ -231,6 +268,8 @@ def wire_struct(cls: Type) -> Type:
     hints = typing.get_type_hints(cls)
     cls.INT_FIELDS = tuple(f.name for f in dataclasses.fields(cls)
                            if hints[f.name] is int)
+    cls.STRUCT_FIELDS = tuple(f.name for f in dataclasses.fields(cls)
+                              if _holds_ints(hints[f.name]))
     wanted = [name for name in ("to_wire", "from_wire")
               if name not in vars(cls)]
     if not wanted:

@@ -14,6 +14,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.byzantine import (
     install_byzantine,
@@ -23,9 +25,15 @@ from repro.check import check, observe
 from repro.core.instance import EntryStatus, LogEntry
 from repro.errors import SimulationError
 from repro.messages.base import SignedPayload
-from repro.messages.ezbft import Commit, SpecReplyBundle
+from repro.messages.ezbft import Commit, Request, SpecReplyBundle
 from repro.sim.network import NetworkConditions
 from repro.statemachine.base import Command
+from repro.statemachine.interference import (
+    AlwaysInterfere,
+    KVInterference,
+    NeverInterfere,
+    ReadWriteInterference,
+)
 from repro.storage import ReplicaStorage
 from repro.types import InstanceID
 from repro.workload.drivers import ClosedLoopDriver
@@ -606,3 +614,235 @@ def test_adversarial_runs_contain_what_they_are_meant_to():
     assert fates[EntryStatus.EXECUTED] > 0        # ran as cache hits
     assert fates[EntryStatus.SPEC_ORDERED] > 0    # orphans, waived
     adversarial_run.cache_clear()                 # sixty clusters
+
+
+# ----------------------------------------------------------------------
+# The walk stops at an absorbing cover; a fresh request skips the scan
+# ----------------------------------------------------------------------
+def full_walk_deps(replica, command, exclude, leading=False):
+    """The frontier as the walk computes it when it visits every
+    instance of every chain back to the checkpoint: the reference the
+    replica's early-stopping walk must equal.  Chains are rebuilt here
+    from the log, not read from the replica's index."""
+    relation = replica.interference
+    log = replica._log_index
+    chains = collections.defaultdict(list)
+    for iid in sorted(log):
+        if not relation.key_based or log[iid].command.key == command.key:
+            chains[iid.owner].append(iid)
+    deps = []
+    for chain in chains.values():
+        covers, unsettled = [], set()
+        for iid in reversed(chain):
+            if iid == exclude:
+                continue
+            entry = log[iid]
+            candidate = entry.command
+            if any(relation.interferes(c, candidate) for c in covers):
+                continue
+            if relation.interferes(candidate, command):
+                deps.append(iid)
+                if not entry.applied:
+                    continue
+                if leading and candidate.client_id not in unsettled:
+                    unsettled.add(candidate.client_id)
+                else:
+                    covers.append(candidate)
+    return tuple(sorted(deps))
+
+
+def full_scan_find(replica, command):
+    """The entry ``_find_entry_for_command`` must return: the smallest
+    instance anywhere in the log holding ``command``."""
+    found = [iid for iid, entry in replica._log_index.items()
+             if entry.command.ident == command.ident]
+    return replica._log_index[min(found)] if found else None
+
+
+RELATIONS = (KVInterference(), ReadWriteInterference(), AlwaysInterfere(),
+             NeverInterfere())
+KEYS = ("k0", "k1")
+OPS = ("get", "put", "incr", "noop")
+#: One logged instance: (op, key, client, applied).
+logged = st.tuples(st.sampled_from(OPS), st.sampled_from(KEYS),
+                   st.sampled_from(("c0", "c1", "c2")), st.booleans())
+
+
+def install_log(replica, spaces):
+    """Install ``spaces`` (one list of ``logged`` tuples per replica, in
+    slot order) into ``replica``'s log; returns the commands logged."""
+    clocks = collections.Counter()
+    commands = []
+    for owner, space in zip(sorted(replica.spaces), spaces):
+        for slot, (op, key, client, applied) in enumerate(space):
+            clocks[client] += 1
+            command = Command(client_id=client, timestamp=clocks[client],
+                              op=op, key=key)
+            entry = LogEntry(
+                instance=InstanceID(owner, slot), owner_number=0,
+                command=command, deps=(), seq=slot + 1,
+                status=EntryStatus.EXECUTED if applied
+                else EntryStatus.COMMITTED)
+            entry.applied = applied
+            replica._install_entry(entry)
+            commands.append(command)
+    return commands
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation=st.sampled_from(RELATIONS),
+       spaces=st.lists(st.lists(logged, max_size=10),
+                       min_size=4, max_size=4),
+       probe_op=st.sampled_from(OPS), probe_key=st.sampled_from(KEYS),
+       leading=st.booleans(), exclude_at=st.integers(0, 40))
+def test_the_walk_returns_what_the_full_walk_returns(
+        relation, spaces, probe_op, probe_key, leading, exclude_at):
+    """Random per-space logs over two keys -- gets, puts, incrs and
+    noops, applied or not, several clients -- under every relation:
+    stopping at the first absorbing cover leaves every dependency set
+    exactly as the walk back to the checkpoint computes it, leading or
+    following, and the exclusion is honoured."""
+    replica = lan_cluster().replicas["r0"]
+    replica.interference = relation
+    commands = install_log(replica, spaces)
+    logged_iids = sorted(replica._log_index)
+    exclude = logged_iids[exclude_at] if exclude_at < len(logged_iids) \
+        else InstanceID("none", 0)
+    command = Command(client_id="c1", timestamp=99, op=probe_op,
+                      key=probe_key)
+    assert replica._collect_deps(command, exclude, leading) == \
+        full_walk_deps(replica, command, exclude, leading)
+    for known in commands + [command]:
+        assert replica._find_entry_for_command(known) is \
+            full_scan_find(replica, known)
+
+
+def test_absorbing_covers_stop_the_walk_at_the_frontier():
+    """A chain of applied puts costs one ``interferes`` call per
+    instance it returns, not one per instance it holds; a chain of
+    applied incrs -- which cover nothing under the key-value relation
+    -- is walked to the end, as before."""
+    replica = lan_cluster().replicas["r0"]
+    calls = count_interferes(replica)
+    install_log(replica, [[("put", "k0", "c0", True)] * 50, [], [], []])
+    put = Command(client_id="c1", timestamp=99, op="put", key="k0")
+    assert replica._collect_deps(put, InstanceID("none", 0)) == \
+        (InstanceID("r0", 49),)
+    assert calls["interferes"] == 1
+
+    replica = lan_cluster().replicas["r0"]
+    calls = count_interferes(replica)
+    install_log(replica, [[("incr", "k0", "c0", True)] * 50, [], [], []])
+    get = Command(client_id="c1", timestamp=99, op="get", key="k0")
+    assert len(replica._collect_deps(get, InstanceID("none", 0))) == 50
+    assert calls["interferes"] > 50
+
+
+def test_find_entry_matches_a_full_scan_through_retries_and_rewrites():
+    """The same command led through two leaders (a client retry that
+    rotated), then one of its slots rewritten to a noop as a NEWOWNER
+    does, then the other truncated away below a checkpoint: at every
+    step each replica finds what a scan of its whole log finds, and
+    the per-client bound never drops below a timestamp it indexed."""
+    cluster = lan_cluster()
+    client = cluster.add_client("c0", "local")
+    command = client.next_command("put", HOT, "v")
+    signed = SignedPayload.create(Request(command=command), client.keypair)
+    for leader in ("r1", "r2"):
+        cluster.replicas[leader].on_message("c0", signed)
+    cluster.run_until_idle()
+
+    def agree(replica, expected):
+        found = replica._find_entry_for_command(command)
+        assert found is full_scan_find(replica, command)
+        assert (found and found.instance) == expected
+
+    first, second = InstanceID("r1", 0), InstanceID("r2", 0)
+    for replica in cluster.replicas.values():
+        assert {first, second} <= set(replica._log_index)
+        agree(replica, first)
+    replica = cluster.replicas["r0"]
+    rewrite = LogEntry(instance=first, owner_number=1,
+                       command=Command.noop(), deps=(), seq=0,
+                       status=EntryStatus.COMMITTED)
+    replica.spaces["r1"].force_put(rewrite)
+    replica._index_entry(rewrite)
+    agree(replica, second)
+    replica._truncate_space(replica.spaces["r2"], 1)
+    agree(replica, None)
+    assert replica._indexed_ts["c0"] == command.timestamp
+
+
+def test_find_entry_matches_a_full_scan_after_a_state_transfer():
+    """A replica cut off for several checkpoint intervals catches up by
+    state transfer: for every command ever submitted, and one never
+    submitted, it and the replica that served it find what a scan of
+    their whole logs finds."""
+    interval = 8
+    cluster = lan_cluster(checkpoint_interval=interval)
+    client = cluster.add_client("c0", "local", target_replica="r1")
+    cluster.network.isolate("r3")
+    submitted = []
+
+    def run(count):
+        for i in range(count):
+            submitted.append(client.next_command("put", HOT, i))
+            client.submit(submitted[-1])
+            cluster.run_until_idle()
+    run(3 * interval)
+    cluster.network.heal("r3")
+    run(2 * interval + 3)  # the last 3 stay above the checkpoint
+    lagging = cluster.replicas["r3"]
+    assert lagging.stats["state_transfers_installed"] >= 1
+    never = Command(client_id="c0", timestamp=10**6, op="put", key=HOT)
+    for replica in (cluster.replicas["r0"], lagging):
+        for command in submitted + [never]:
+            assert replica._find_entry_for_command(command) is \
+                full_scan_find(replica, command)
+    assert lagging._find_entry_for_command(submitted[0]) is None
+    assert lagging._find_entry_for_command(submitted[-1]) is not None
+
+
+def count_interferes(replica):
+    """Count the relation's ``interferes`` calls and the replica's
+    dependency collections from now on."""
+    calls = collections.Counter()
+    relation = replica.interference
+
+    class Counting(type(relation)):
+        def interferes(self, a, b):
+            calls["interferes"] += 1
+            return super().interferes(a, b)
+    replica.interference = Counting()
+    collect = replica._collect_deps
+
+    def collecting(*args, **kwargs):
+        calls["collects"] += 1
+        return collect(*args, **kwargs)
+    replica._collect_deps = collecting
+    return calls
+
+
+@pytest.mark.parametrize("commands", (64, 512))
+def test_hot_key_collection_cost_does_not_grow_with_the_log(commands):
+    """Four closed-loop clients put to one key through four leaders,
+    with no checkpoint to cut the log: ``interferes`` calls per
+    dependency collection stay under a small constant, at 64 commands
+    and at 512 alike, where walking each chain to its start costs one
+    call per instance logged on the key."""
+    cluster = lan_cluster(checkpoint_interval=0)
+    calls = [count_interferes(replica)
+             for replica in cluster.replicas.values()]
+    clients = [cluster.add_client(f"c{i}", "local", target_replica=f"r{i}")
+               for i in range(4)]
+    drivers = [ClosedLoopDriver(client, HotKeyPuts(),
+                                num_requests=commands // 4)
+               for client in clients]
+    for driver in drivers:
+        driver.start()
+    cluster.run_until_idle()
+    assert all(driver.done for driver in drivers)
+    total = sum(calls, collections.Counter())
+    assert total["collects"] >= 4 * commands
+    assert total["interferes"] <= 8 * total["collects"]
+    assert check(observe(cluster)) == []

@@ -48,6 +48,7 @@ from repro.messages.ezbft import (
     NewOwner,
     OwnerChange,
     Request,
+    ResendRequest,
     SpecOrder,
     StartOwnerChange,
 )
@@ -845,6 +846,100 @@ def test_int_fields_are_recorded_from_the_annotations():
     assert ViewChange.INT_FIELDS == ("new_view",)
     assert OwnerChange.INT_FIELDS == ("new_owner_number", "base_slot")
     assert SignedPayload.INT_FIELDS == ()
+
+
+def _put(timestamp, client="c9"):
+    return Command(client_id=client, timestamp=timestamp, op="put",
+                   key="k", value="v")
+
+
+#: Each protocol's client REQUEST.
+REQUESTS = {"ezbft": Request, "pbft": PBFTRequest, "fab": FabRequest,
+            "zyzzyva": ZRequest}
+
+
+@pytest.mark.parametrize("timestamp", ("5", 5.0, True))
+@pytest.mark.parametrize("protocol", sorted(REQUESTS))
+def test_a_command_timestamp_holding_no_int_is_rejected(protocol,
+                                                        timestamp):
+    """A client signs a REQUEST whose command's timestamp is a string,
+    a float or a bool, and sends it to every replica: each counts it
+    invalid once and no handler meets it (unchecked, the string raises
+    ``TypeError`` out of the exactly-once check).  The int timestamp
+    that follows is admitted everywhere."""
+    cluster = lan_cluster(protocol)
+    client = cluster.add_client("c9", "local")
+
+    def request(ts):
+        return SignedPayload.create(
+            REQUESTS[protocol](command=_put(ts)), client.keypair)
+    for replica in cluster.replicas.values():
+        assert _deliver_all(replica, "c9", [request(timestamp)]) == 1
+    for replica in cluster.replicas.values():
+        assert _deliver_all(replica, "c9", [request(5)]) == 0
+
+
+@pytest.mark.parametrize("timestamp", ("5", 5.0))
+def test_a_spec_order_carrying_a_non_int_timestamp_is_rejected(timestamp):
+    """r0, the owner of its space, signs a SPECORDER whose command's
+    timestamp is no int; r1 counts it invalid and logs nothing
+    (unchecked, it raises from the exactly-once watermark).  A
+    BATCHSPECORDER carrying it, and a RESENDREQ -- unsigned -- relaying
+    it, go the same way."""
+    cluster = lan_cluster("ezbft")
+    for client in ("c0", "c9"):
+        cluster.add_client(client, "local")
+    r1 = cluster.replicas["r1"]
+    order = dataclasses.replace(_spec_order(), command=_put(timestamp))
+    batch = BatchSpecOrder(leader="r0", owner_number=0, orders=(
+        order, _spec_order(slot=1)))
+    assert _deliver_all(r1, "r0", [_forge(cluster, "r0", order),
+                                   _forge(cluster, "r0", batch)]) == 2
+    assert r1._log_index == {}
+    resend = ResendRequest(request=Request(command=_put(timestamp)),
+                           forwarder="r2")
+    assert _deliver_all(r1, "r2", [resend]) == 1
+    assert r1._log_index == {}
+    assert _deliver_all(r1, "r0", [_forge(cluster, "r0", _spec_order())]) \
+        == 0
+    assert len(r1._log_index) == 1
+
+
+def test_nested_int_fields_are_recorded_from_the_annotations():
+    """Where a command can sit -- directly, in a tuple, behind an
+    ``Optional`` -- is recorded as ``STRUCT_FIELDS``; an envelope or a
+    dependency set holds no int field the check would have to reach."""
+    assert Command.INT_FIELDS == ("timestamp",)
+    assert Request.STRUCT_FIELDS == ("command",)
+    assert BatchRequest.STRUCT_FIELDS == ("commands",)
+    assert BatchSpecOrder.STRUCT_FIELDS == ("orders",)
+    assert LogEntrySummary.STRUCT_FIELDS == ("command",)
+    assert SpecOrder.STRUCT_FIELDS == ("command",)
+    assert SignedPayload.STRUCT_FIELDS == ()
+
+
+def test_a_non_int_timestamp_over_tcp_is_rejected():
+    """The same REQUEST in a real frame over a loopback socket: r0
+    counts it invalid and keeps serving."""
+    async def scenario():
+        cluster = AsyncioCluster(protocol="ezbft", num_replicas=4)
+        await cluster.start()
+        try:
+            r0 = cluster.replicas["r0"]
+            client = cluster.replicas["r1"]
+            bad = SignedPayload.create(Request(command=_put(
+                "5", client="r1")), client.keypair)
+            client.ctx.send("r0", bad)
+            for _ in range(200):
+                if r0.stats["invalid_messages"] >= 1:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return r0.stats["invalid_messages"], r0.stats["led"]
+        finally:
+            await cluster.stop()
+
+    assert asyncio.run(scenario()) == (1, 0)
 
 
 def test_state_transfer_drops_a_batch_order_naming_another_owner_number():

@@ -87,3 +87,44 @@ def test_always_interfere():
 def test_never_interfere():
     never = NeverInterfere()
     assert not never.interferes(cmd("put"), cmd("put"))
+
+
+def _commands():
+    """Every op on each of two keys, and the noop."""
+    return [cmd(op, key, ts=i) for i, (op, key) in enumerate(
+        (op, key) for op in ("get", "put", "incr", "noop")
+        for key in ("a", "b"))] + [Command.noop()]
+
+
+@pytest.mark.parametrize("relation", [
+    KVInterference(), ReadWriteInterference(), AlwaysInterfere(),
+    NeverInterfere()], ids=lambda r: type(r).__name__)
+def test_an_absorbing_command_interferes_with_its_whole_index_key(
+        relation):
+    """``absorbs(a)`` promises that ``a`` interferes, in either order,
+    with every non-noop command on its index key -- the dependency walk
+    stops at such a cover on the strength of it."""
+    commands = _commands()
+    for a in commands:
+        if not relation.absorbs(a):
+            continue
+        for b in commands:
+            if b.is_noop or relation.key_based and b.key != a.key:
+                continue
+            assert relation.interferes(a, b), (a, b)
+            assert relation.interferes(b, a), (b, a)
+
+
+def test_what_each_relation_declares_absorbing():
+    ops = ("get", "put", "incr")
+    absorbing = {
+        type(relation).__name__: [op for op in ops
+                                  if relation.absorbs(cmd(op))]
+        for relation in (KVInterference(), ReadWriteInterference(),
+                         AlwaysInterfere(), NeverInterfere())}
+    assert absorbing == {"KVInterference": ["put"],
+                         "ReadWriteInterference": ["put", "incr"],
+                         "AlwaysInterfere": list(ops),
+                         "NeverInterfere": []}
+    for relation in (KVInterference(), AlwaysInterfere()):
+        assert not relation.absorbs(Command.noop())
