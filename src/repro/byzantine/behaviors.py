@@ -38,7 +38,6 @@ from repro.messages.ezbft import (
     SpecReply,
     SpecReplyBundle,
 )
-from repro.messages.fab import FabReply
 from repro.messages.pbft import PBFTReply
 from repro.messages.zyzzyva import SpecResponse
 from repro.protocols import get_protocol
@@ -88,7 +87,7 @@ def _equivocate(replica: Any, dst: str, message: Any) -> Any:
 
 
 #: Every payload a replica signs with an execution result in it.
-_REPLIES = (SpecReply, CommitReply, PBFTReply, FabReply, SpecResponse)
+_REPLIES = (SpecReply, CommitReply, PBFTReply, SpecResponse)
 
 
 class Behavior(NamedTuple):

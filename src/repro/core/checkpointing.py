@@ -113,14 +113,13 @@ class CheckpointManager:
         msg = EzCheckpoint(replica=replica.node_id, watermark=count,
                            state_digest=checkpoint.state_digest)
         signed = SignedPayload.create(msg, replica.keypair)
-        stable_before = store.stable
-        store.record_local(checkpoint, replica.node_id, signed)
+        stable = store.record_local(checkpoint, replica.node_id, signed)
         replica.stats["checkpoints"] += 1
         replica.ctx.broadcast(replica.config.others(replica.node_id),
                               signed)
-        if store.stable is not stable_before:
+        if stable:
             # Peer attestations had already reached quorum before our
-            # own capture; stability fired inside record_local.
+            # own capture.
             self._on_checkpoint_stable(store.stable)
 
     def _capture_snapshot(self) -> dict:

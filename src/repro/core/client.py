@@ -5,27 +5,21 @@ Paper steps 1, 4.1-4.4 and 6.2: the client sends its request to one
 matching replies (COMMITFAST), falls back to the slow path by combining
 the designated slow quorum's dependency sets (COMMIT), detects
 command-leader equivocation (POM), and re-broadcasts timed-out requests
-to trigger recovery.
+to trigger recovery.  Registration, submission and delivery are every
+client's (:class:`~repro.protocols.base.BaseClient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.node import (
-    Node,
-    NodeContext,
-    Timer,
-    dispatcher,
-    note_accepted,
-)
+from repro.cluster.node import NodeContext, dispatcher
 from repro.config import ProtocolConfig
 from repro.core.owner_change import evidence_orders
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
-from repro.messages.batching import BatchRequest
 from repro.messages.ezbft import (
     BatchCommitFast,
     Commit,
@@ -37,35 +31,26 @@ from repro.messages.ezbft import (
     SpecReplyBundle,
     statement_of,
 )
+from repro.protocols.base import BaseClient, DeliveryCallback, PendingRequest
 from repro.statemachine.base import Command
 from repro.trace.context import trace_id_for
 from repro.trace.span import SPAN_CLIENT_REQUEST, SPAN_CLIENT_SLOW_PATH
 from repro.trace.tracer import NULL_TRACER
 from repro.types import InstanceID
 
-#: Called on delivery: (command, result, latency_ms, path) where path is
-#: "fast" or "slow".
-DeliveryCallback = Callable[[Command, Any, float, str], None]
-
 
 @dataclass
-class _Pending:
-    command: Command
-    target: str
-    start_time: float
-    #: replica -> (reply header, its signed envelope, the statement it
-    #: makes: :func:`~repro.messages.ezbft.statement_of`); reset on
-    #: retry.
-    spec_replies: Dict[str, Tuple[SpecReply, SignedPayload,
-                                  Optional[bytes]]] = \
-        field(default_factory=dict)
+class _Pending(PendingRequest):
+    # ``replies`` holds replica -> (SPECREPLY header, its signed
+    # envelope, the statement it makes:
+    # :func:`~repro.messages.ezbft.statement_of`); reset on retry.
+    #: The replica this attempt was sent to.
+    target: str = ""
     #: replica -> the signed SPECORDER its bundle carried beside the
     #: header (unverified until two of them disagree); reset on retry.
     spec_orders: Dict[str, SignedPayload] = field(default_factory=dict)
     commit_replies: Dict[str, CommitReply] = field(default_factory=dict)
     phase: str = "spec"  # spec -> fast | slow -> done
-    slow_timer: Optional[Timer] = None
-    retry_timer: Optional[Timer] = None
     retries: int = 0
     #: Retries in a row that kept ``target`` (see ``EzBFTClient._retry``).
     held: int = 0
@@ -75,14 +60,9 @@ class _Pending:
     #: with this span's context current so it rides the wire.
     span: Optional[Any] = None
 
-    def cancel_timers(self) -> None:
-        for timer in (self.slow_timer, self.retry_timer):
-            if timer is not None:
-                timer.cancel()
 
-
-class EzBFTClient(Node):
-    """One ezBFT client node."""
+class EzBFTClient(BaseClient):
+    """One ezBFT client."""
 
     #: Tracing seam (see :mod:`repro.trace`): the no-op singleton by
     #: default; the scenario runner / serve session swap in a live
@@ -93,8 +73,17 @@ class EzBFTClient(Node):
     #: answering (see :meth:`_retry`) before it rotates all the same.
     HELD_RETRIES = 3
 
-    #: The shared dispatcher, held in this class's own body (see
-    #: :func:`~repro.cluster.node.dispatcher`).
+    pending_cls = _Pending
+    stat_keys = ("submitted", "batches_submitted", "delivered_fast",
+                 "delivered_slow", "retries", "poms_sent")
+    batched_requests = True
+
+    # The entry points stay in this class's own namespace, where
+    # ``benchmarks/ledger/spans.py`` looks them up to wrap them (the
+    # dispatcher is a distinct function: see
+    # :func:`~repro.cluster.node.dispatcher`).
+    submit = BaseClient.submit
+    submit_batch = BaseClient.submit_batch
     on_message = dispatcher()
 
     def __init__(self, client_id: str, config: ProtocolConfig,
@@ -104,51 +93,29 @@ class EzBFTClient(Node):
         if target_replica not in config.replica_ids:
             raise ProtocolError(
                 f"target {target_replica!r} not a replica")
-        self.client_id = client_id
-        self.config = config
-        self.ctx = ctx
-        self.keypair = keypair
-        self.registry = registry
+        super().__init__(client_id, config, ctx, keypair, registry,
+                         on_delivery=on_delivery)
         self.target_replica = target_replica
-        self.on_delivery = on_delivery
-        self._next_timestamp = 1
-        self._pending: Dict[Tuple[str, int], _Pending] = {}
-        #: The result this client accepted for each command, at index
-        #: timestamp - 1 (``note_accepted``).
-        self.accepted: List[Any] = []
         #: Fast commits certified while one SpecReplyBundle is being
         #: walked, flushed as one frame when the walk ends (the mirror
         #: of the replica's ``_reply_outbox``): a batch's bundle from
         #: the last replica completes k fast quorums in one delivery.
         self._commit_outbox: List[Tuple[_Pending, CommitFast]] = []
-        self.stats = {
-            "submitted": 0,
-            "batches_submitted": 0,
-            "delivered_fast": 0,
-            "delivered_slow": 0,
-            "retries": 0,
-            "poms_sent": 0,
-        }
 
     # ------------------------------------------------------------------
-    # Submission
+    # Step 1: submission
     # ------------------------------------------------------------------
-    def next_command(self, op: str, key: str = "",
-                     value: Any = None) -> Command:
-        """Build a command with the next exactly-once timestamp."""
-        command = Command(client_id=self.client_id,
-                          timestamp=self._next_timestamp,
-                          op=op, key=key, value=value)
-        self._next_timestamp += 1
-        return command
-
-    def submit(self, command: Command) -> None:
-        """Step 1: send the signed request to the target replica."""
-        pending = self._register_pending(command)
-        request = Request(command=command)
-        envelope = SignedPayload.create(request, self.keypair)
-        self._send_under(pending.span, self.ctx.send,
-                         self.target_replica, envelope)
+    def _send_request(self, pendings: Sequence[_Pending],
+                      envelope: SignedPayload) -> None:
+        """Send to the target replica.  One frame carries a whole batch:
+        it rides the first sampled request's root context.  The replica
+        only adopts a context whose trace id matches the command, so the
+        other commands in the batch keep their root span but grow no
+        server-side spans (exact tracing needs client batching off)."""
+        span = next((pending.span for pending in pendings
+                     if pending.span is not None), None)
+        self._send_under(span, self.ctx.send, self.target_replica,
+                         envelope)
 
     def _send_under(self, span: Optional[Any],
                     send: Callable[[Any, Any], None],
@@ -168,20 +135,8 @@ class EzBFTClient(Node):
             tracer.set_current(prev)
 
     def _register_pending(self, command: Command) -> _Pending:
-        """Record a command as in flight and arm its timers (shared by
-        the singleton and batched submission paths)."""
-        if command.client_id != self.client_id:
-            raise ProtocolError("command does not belong to this client")
-        pending = _Pending(command=command, target=self.target_replica,
-                           start_time=self.ctx.now)
-        self._pending[command.ident] = pending
-        self.stats["submitted"] += 1
-        pending.slow_timer = self.ctx.set_timer(
-            self.config.slow_path_timeout, self._on_slow_timeout,
-            command.ident)
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry_timeout,
-            command.ident)
+        pending = super()._register_pending(command)
+        pending.target = self.target_replica
         tracer = self.tracer
         if tracer.enabled:
             # Root of the request's trace; sampling is decided here,
@@ -193,47 +148,17 @@ class EzBFTClient(Node):
                                       command.timestamp))
         return pending
 
-    def submit_batch(self, commands) -> None:
-        """Submit several of this client's commands under one signature.
-
-        The whole batch travels as a single
-        :class:`~repro.messages.batching.BatchRequest`, amortizing the
-        replica's client-facing verification cost over the batch.  Each
-        command keeps its own pending state and timers, so slow-path
-        fallback and retries remain per-command (retries degrade to
-        singleton :class:`Request` messages).  A batch of one degrades
-        to :meth:`submit`.
-        """
-        commands = list(commands)
-        if not commands:
-            return
-        if len(commands) == 1:
-            self.submit(commands[0])
-            return
-        for command in commands:
-            # Validate the whole batch before arming any timers.
-            if command.client_id != self.client_id:
-                raise ProtocolError(
-                    "command does not belong to this client")
-        batch_span = None
-        for command in commands:
-            pending = self._register_pending(command)
-            if batch_span is None and pending.span is not None:
-                batch_span = pending.span
-        self.stats["batches_submitted"] += 1
-        batch = BatchRequest(commands=tuple(commands))
-        envelope = SignedPayload.create(batch, self.keypair)
-        # One frame carries the whole batch: it rides the first sampled
-        # request's root context.  The replica only adopts a context
-        # whose trace id matches the command, so the other commands in
-        # the batch keep their root span but grow no server-side spans
-        # (exact tracing needs client batching off).
-        self._send_under(batch_span, self.ctx.send,
-                         self.target_replica, envelope)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
+    def _start_attempt(self, pending: _Pending) -> None:
+        """A fresh attempt collects its replies anew, with a slow-path
+        timer beside the retry timer."""
+        pending.replies.clear()
+        pending.spec_orders.clear()
+        pending.commit_replies.clear()
+        pending.phase = "spec"
+        pending.slow_timer = self.ctx.set_timer(
+            self.config.slow_path_timeout, self._on_slow_timeout,
+            pending.command.ident)
+        super()._start_attempt(pending)
 
     # ------------------------------------------------------------------
     # Step 4: speculative replies
@@ -257,8 +182,8 @@ class EzBFTClient(Node):
         pending = self._pending.get((reply.client_id, reply.timestamp))
         if pending is None or pending.phase != "spec":
             return
-        pending.spec_replies[reply.replica] = (reply, envelope,
-                                               statement_of(envelope))
+        pending.replies[reply.replica] = (reply, envelope,
+                                          statement_of(envelope))
         if signed_order is not None:
             pending.spec_orders[reply.replica] = signed_order
 
@@ -273,7 +198,7 @@ class EzBFTClient(Node):
         # Optimization: once every replica has answered and the replies
         # cannot reach a fast quorum, go slow immediately rather than
         # waiting for the timer (the timer remains the correctness net).
-        if len(pending.spec_replies) == self.config.n and \
+        if len(pending.replies) == self.config.n and \
                 len(group) < self.config.fast_quorum_size:
             self._try_slow_path(pending)
 
@@ -282,7 +207,7 @@ class EzBFTClient(Node):
         responses'): replies whose signed headers make one statement,
         compared as bytes."""
         groups: Dict[bytes, list] = {}
-        for reply, _, statement in pending.spec_replies.values():
+        for reply, _, statement in pending.replies.values():
             if statement is not None:
                 groups.setdefault(statement, []).append(reply)
         return max(groups.values(), key=len, default=[])
@@ -340,7 +265,7 @@ class EzBFTClient(Node):
         certificate = tuple(
             envelope
             for replica, (reply, envelope, _) in
-            sorted(pending.spec_replies.items())
+            sorted(pending.replies.items())
             if any(reply is g for g in group)
         )[:self.config.fast_quorum_size]
         pending.phase = "fast"  # decided; sent and delivered at flush
@@ -385,15 +310,15 @@ class EzBFTClient(Node):
 
     def _try_slow_path(self, pending: _Pending) -> None:
         quorum = self.config.slow_quorum_for(pending.target)
-        available = {r: pending.spec_replies[r]
-                     for r in quorum if r in pending.spec_replies}
+        available = {r: pending.replies[r]
+                     for r in quorum if r in pending.replies}
         if len(available) < self.config.slow_quorum_size:
             # The designated quorum is short (a member may be the faulty
             # replica).  Any 2f+1 signed replies are an equally valid
             # certificate -- the designated set is a determinism
             # optimization, not a safety requirement -- so fall back to
             # whatever we hold.
-            available = dict(pending.spec_replies)
+            available = dict(pending.replies)
         if len(available) < self.config.slow_quorum_size:
             return  # keep waiting; the retry timer is the next net
         # Replies must agree on the instance to be combinable.
@@ -416,7 +341,7 @@ class EzBFTClient(Node):
                         deps=tuple(sorted(deps)), seq=seq,
                         certificate=certificate)
         pending.phase = "slow"
-        envelope = SignedPayload.create(commit, self.keypair)
+        envelope = self.sign(commit)
         span = pending.span
         # Mark the fallback and send the combined COMMIT under the root
         # context so the slow-path commit events join the trace.
@@ -444,12 +369,6 @@ class EzBFTClient(Node):
     # ------------------------------------------------------------------
     # Step 4.3: retry / recovery trigger
     # ------------------------------------------------------------------
-    def _on_retry_timeout(self, ident: Tuple[str, int]) -> None:
-        pending = self._pending.get(ident)
-        if pending is None or pending.phase == "done":
-            return
-        self._retry(pending)
-
     def _retry(self, pending: _Pending,
                exclude: Optional[str] = None) -> None:
         """Re-broadcast the request naming the unresponsive recipient (so
@@ -470,7 +389,7 @@ class EzBFTClient(Node):
         # the client and withhold its SPECORDER -- and so does the retry
         # after HELD_RETRIES held rounds in a row, so that no replica
         # pins the client for ever.
-        heard = len(pending.spec_replies.keys() |
+        heard = len(pending.replies.keys() |
                     pending.commit_replies.keys())
         if heard > self.config.f and exclude is None and \
                 pending.held < self.HELD_RETRIES:
@@ -484,27 +403,16 @@ class EzBFTClient(Node):
                 if candidate != exclude:
                     pending.target = candidate
                     break
-        suspicion = Request(command=pending.command,
-                            original_replica=original)
-        pending.spec_replies.clear()
-        pending.spec_orders.clear()
-        pending.commit_replies.clear()
-        pending.phase = "spec"
         # Retries continue the same trace: recovery latency is part of
         # the request's causal story, not a fresh one.
         span = pending.span
         self._send_under(span, self.ctx.broadcast,
                          self.config.others(original),
-                         SignedPayload.create(suspicion, self.keypair))
-        fresh = Request(command=pending.command)
+                         self.sign(Request(command=pending.command,
+                                           original_replica=original)))
         self._send_under(span, self.ctx.send, pending.target,
-                         SignedPayload.create(fresh, self.keypair))
-        pending.retry_timer = self.ctx.set_timer(
-            self.config.retry_timeout, self._on_retry_timeout,
-            pending.command.ident)
-        pending.slow_timer = self.ctx.set_timer(
-            self.config.slow_path_timeout, self._on_slow_timeout,
-            pending.command.ident)
+                         self.sign(Request(command=pending.command)))
+        self._start_attempt(pending)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -513,23 +421,16 @@ class EzBFTClient(Node):
         if pending.phase == "done":
             return
         pending.phase = "done"
-        pending.cancel_timers()
         if pending.retries > 0 and pending.target != self.target_replica:
             # The original target was unresponsive; stick with the replica
             # that actually served us for future requests.
             self.target_replica = pending.target
-        latency = self.ctx.now - pending.start_time
-        self.stats["delivered_fast" if path == "fast"
-                   else "delivered_slow"] += 1
         if pending.span is not None:
             # Close the root span with the commit path that actually
             # delivered; the critical-path analyzer buckets on it.
             self.tracer.end_span(pending.span, attrs={"path": path})
             pending.span = None
-        del self._pending[pending.command.ident]
-        note_accepted(self.accepted, pending.command.timestamp, result)
-        if self.on_delivery is not None:
-            self.on_delivery(pending.command, result, latency, path)
+        super()._deliver(pending, result, path)
 
     _SIGNED_HANDLERS = {CommitReply.MSG_TYPE: _on_commit_reply}
     _PLAIN_HANDLERS = {SpecReplyBundle.MSG_TYPE: _on_spec_reply_bundle}

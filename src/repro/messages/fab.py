@@ -6,37 +6,17 @@ broadcast ACCEPT to the learners (all replicas), and a replica that sees
 the accept quorum executes and replies to the client.  Client-visible
 steps: REQUEST -> PROPOSE -> ACCEPT -> REPLY = 4, one fewer than PBFT,
 one more than Zyzzyva/ezBFT -- exactly the ordering Figure 4 shows.
+The REQUEST is :class:`~repro.messages.ezbft.Request` and the REPLY
+:class:`~repro.messages.pbft.PBFTReply`, as for PBFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.messages.base import register_message
-from repro.statemachine.base import Command
-
-
-@register_message
-@dataclass(frozen=True)
-class FabRequest:
-    """Client request to the proposer."""
-
-    MSG_TYPE = "fab-request"
-    AUTHOR = "client_id"
-    #: Client-facing cost: connection termination + ECDSA verification
-    #: (see repro.messages.ezbft.Request).
-    cpu_cost_units = 20
-
-    command: Command
-
-    @property
-    def client_id(self) -> str:
-        return self.command.client_id
-
-    @property
-    def timestamp(self) -> int:
-        return self.command.timestamp
+from repro.messages.ezbft import Request
 
 
 @register_message
@@ -53,7 +33,7 @@ class FabPropose:
     seqno: int
     request_digest: str
     #: ``None``: a null request, which a NEW-VIEW orders into a gap.
-    request: Optional[FabRequest]
+    request: Optional[Request]
 
     @property
     def view(self) -> int:
@@ -77,21 +57,3 @@ class FabAccept:
     @property
     def view(self) -> int:
         return self.proposal_number
-
-
-@register_message
-@dataclass(frozen=True)
-class FabReply:
-    """Learner's reply to the client after executing the learned value;
-    ``view`` (the proposal number) tells the client whom to ask next."""
-
-    MSG_TYPE = "fab-reply"
-    AUTHOR = "replica"
-    cpu_cost_units = 1
-
-    view: int
-    seqno: int
-    client_id: str
-    timestamp: int
-    replica: str
-    result: Any

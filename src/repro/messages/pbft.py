@@ -1,7 +1,9 @@
 """PBFT wire messages (Castro & Liskov, OSDI '99).
 
 Five client-visible communication steps: REQUEST -> PRE-PREPARE ->
-PREPARE -> COMMIT -> REPLY.  Checkpoints are attested with
+PREPARE -> COMMIT -> REPLY.  The REQUEST is every protocol's
+:class:`~repro.messages.ezbft.Request`, and the REPLY here answers FaB's
+clients too.  Checkpoints are attested with
 :class:`~repro.messages.ezbft.EzCheckpoint`; the VIEW-CHANGE and NEW-VIEW
 defined here serve all three primary-based baselines.
 """
@@ -15,29 +17,7 @@ from repro.messages.base import (
     SignedPayload,
     register_message,
 )
-from repro.statemachine.base import Command
-
-
-@register_message
-@dataclass(frozen=True)
-class PBFTRequest:
-    """<REQUEST, o, t, c>."""
-
-    MSG_TYPE = "pbft-request"
-    AUTHOR = "client_id"
-    #: Client-facing cost: connection termination + ECDSA verification
-    #: (see repro.messages.ezbft.Request).
-    cpu_cost_units = 20
-
-    command: Command
-
-    @property
-    def client_id(self) -> str:
-        return self.command.client_id
-
-    @property
-    def timestamp(self) -> int:
-        return self.command.timestamp
+from repro.messages.ezbft import Request
 
 
 @register_message
@@ -54,7 +34,7 @@ class PrePrepare:
     seqno: int
     request_digest: str
     #: ``None``: a null request, which a NEW-VIEW orders into a gap.
-    request: Optional[PBFTRequest]
+    request: Optional[Request]
 
 
 @register_message

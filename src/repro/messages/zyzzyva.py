@@ -3,7 +3,7 @@
 Fast path: REQUEST -> ORDER-REQ -> SPEC-RESPONSE (3 client-visible steps,
 3f+1 matching responses).  Slow path: client broadcasts a COMMIT
 certificate of 2f+1 matching responses and waits for 2f+1 LOCAL-COMMITs
-(2 extra steps).
+(2 extra steps).  The REQUEST is :class:`~repro.messages.ezbft.Request`.
 """
 
 from __future__ import annotations
@@ -15,29 +15,7 @@ from repro.messages.base import (
     SignedPayload,
     register_message,
 )
-from repro.statemachine.base import Command
-
-
-@register_message
-@dataclass(frozen=True)
-class ZRequest:
-    """<REQUEST, o, t, c>."""
-
-    MSG_TYPE = "zyzzyva-request"
-    AUTHOR = "client_id"
-    #: Client-facing cost: connection termination + ECDSA verification
-    #: (see repro.messages.ezbft.Request).
-    cpu_cost_units = 20
-
-    command: Command
-
-    @property
-    def client_id(self) -> str:
-        return self.command.client_id
-
-    @property
-    def timestamp(self) -> int:
-        return self.command.timestamp
+from repro.messages.ezbft import Request
 
 
 @register_message
@@ -55,16 +33,18 @@ class OrderReq:
     history_digest: str
     request_digest: str
     #: ``None``: a null request, which a NEW-VIEW orders into a gap.
-    request: Optional[ZRequest]
+    request: Optional[Request]
 
 
 @register_message
 @dataclass(frozen=True)
 class SpecResponse:
-    """<SPEC-RESPONSE, v, n, h_n, H(r), c, t>, i, r, OR.
+    """<SPEC-RESPONSE, v, n, h_n, H(r), c, t>, i, r.
 
-    ``order_req`` embeds the signed ORDER-REQ so the client can prove
-    primary equivocation (two ORDER-REQs with the same n, different d).
+    Kotla et al. append the ORDER-REQ (OR) so a client can prove primary
+    equivocation; no client here builds that proof (a backup that sees
+    two ORDER-REQs for one seqno suspects the primary itself), so the
+    response carries no order.
     """
 
     MSG_TYPE = "zyzzyva-spec-response"
@@ -79,7 +59,6 @@ class SpecResponse:
     timestamp: int
     replica: str
     result: Any
-    order_req: Optional[SignedPayload] = None
 
     def matches(self, other: "SpecResponse") -> bool:
         """Matching per the Zyzzyva spec: v, n, h, d, t and r equal."""

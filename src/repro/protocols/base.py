@@ -1,11 +1,13 @@
 """The request lifecycle and view change the primary-based baselines
-share.
+share, and the client lifecycle every protocol shares.
 
 PBFT, FaB and Zyzzyva differ only in how they order requests.  Around
 the ordering, :class:`BaseReplica` holds the exactly-once ingress rule,
 forwarding to the primary, the execute-and-reply step, checkpoints and
-the view change, and :class:`BaseClient` the pending table, retries,
-view tracking, delivery and the f+1 reply collector.  Executed idents are
+the view change.  :class:`BaseClient` is every client, ezBFT's too: one
+signed REQUEST (:class:`~repro.messages.ezbft.Request`), the pending
+table, submission, retries and delivery; for the baselines also view
+tracking and the f+1 reply collector.  Executed idents are
 the ezBFT executor's :class:`~repro.core.executor.ExecutedIdents`
 (clients pipeline, so an older timestamp may be unseen rather than
 stale): ingress drops only executed idents, and execution applies an
@@ -35,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.cluster.node import Node, NodeContext, Timer, note_accepted
 from repro.config import ProtocolConfig
@@ -46,7 +48,8 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload, authentic_payload
-from repro.messages.ezbft import EzCheckpoint
+from repro.messages.batching import BatchRequest
+from repro.messages.ezbft import EzCheckpoint, Request
 from repro.messages.pbft import NewView, ViewChange
 from repro.obs.instruments import NULL
 from repro.statemachine.base import Command, StateMachine
@@ -266,17 +269,27 @@ class BaseReplica(Node):
         envelope = self.sign(EzCheckpoint(
             replica=self.node_id, watermark=executed,
             state_digest=checkpoint.state_digest))
-        self.checkpoints.record_local(checkpoint, self.node_id, envelope)
+        stable = self.checkpoints.record_local(checkpoint, self.node_id,
+                                               envelope)
         self.stats["checkpoints"] += 1
         self.broadcast_others(envelope)
+        if stable:
+            # Peer attestations had already reached quorum before our
+            # own capture.
+            self._on_stable(executed)
 
     def _on_checkpoint(self, sender: str, msg: EzCheckpoint,
                        envelope: SignedPayload) -> None:
         if self.checkpoints.attest(msg.watermark, msg.state_digest,
                                    msg.replica, envelope):
-            self.stats["checkpoints_stable"] += 1
-            self._gc_log(msg.watermark)
-            self.statemachine.record.cut(msg.watermark)
+            self._on_stable(msg.watermark)
+
+    def _on_stable(self, watermark: int) -> None:
+        """Our checkpoint at ``watermark`` became stable: drop the log
+        and executed record below it."""
+        self.stats["checkpoints_stable"] += 1
+        self._gc_log(watermark)
+        self.statemachine.record.cut(watermark)
 
     def _gc_log(self, stable_watermark: int) -> None:
         """Drop the slots below a stable checkpoint: each was executed
@@ -476,26 +489,43 @@ class PendingRequest:
     #: Replica -> its reply (the protocol decides what a reply is).
     replies: Dict[str, Any] = field(default_factory=dict)
     retry_timer: Optional[Timer] = None
+    #: A speculative client's (ezBFT, Zyzzyva) fallback to its slow
+    #: path.
+    slow_timer: Optional[Timer] = None
 
     def cancel_timers(self) -> None:
-        if self.retry_timer is not None:
-            self.retry_timer.cancel()
+        for timer in (self.slow_timer, self.retry_timer):
+            if timer is not None:
+                timer.cancel()
 
 
 class BaseClient(Node):
-    """Common client state and request lifecycle; a subclass names its
-    request message and delivery path, and files its reply, which names
-    the replica's ``view``, under :meth:`_on_reply`, counted by the f+1
-    collector or by a completion rule of its own (:meth:`_count_reply`)
-    that ends in :meth:`_deliver`."""
+    """Every protocol's client: its identity, pending table and submit
+    -> deliver lifecycle.  A command is registered (its timers armed by
+    :meth:`_start_attempt`), sent as a signed
+    :class:`~repro.messages.ezbft.Request` -- a batch as one
+    :class:`~repro.messages.batching.BatchRequest` where the protocol
+    takes one (``batched_requests``) -- retried when its retry timer
+    fires, and delivered once by :meth:`_deliver`.
 
-    #: Signed request carrying one command.
-    request_cls: Any = None
+    A primary-based subclass names its delivery path and files its
+    reply, which names the replica's ``view``, under :meth:`_on_reply`,
+    counted by the f+1 collector or by a completion rule of its own
+    (:meth:`_count_reply`) that ends in :meth:`_deliver`.  ezBFT's
+    client (:class:`~repro.core.client.EzBFTClient`) sends to a target
+    replica instead of the primary and completes by its own paths."""
+
     #: Delivery path reported for an f+1 reply quorum.
     path = ""
     pending_cls = PendingRequest
-    #: Protocol-specific counters, added to :attr:`stats` at zero.
-    extra_stats: Tuple[str, ...] = ()
+    #: The counters in :attr:`stats`, from zero.  :meth:`_deliver`
+    #: counts ``delivered`` and ``delivered_<path>`` if the client keeps
+    #: them.
+    stat_keys: Tuple[str, ...] = ("submitted", "delivered", "retries")
+    #: Whether :meth:`submit_batch` sends a batch as one signed
+    #: ``BatchRequest`` (the protocol's replicas take one) rather than
+    #: one request per command.
+    batched_requests = False
 
     def __init__(self, client_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -514,12 +544,7 @@ class BaseClient(Node):
         #: The result this client accepted for each command, at index
         #: timestamp - 1 (``note_accepted``).
         self.accepted: List[Any] = []
-        self.stats: Dict[str, int] = {
-            "submitted": 0,
-            "delivered": 0,
-            "retries": 0,
-        }
-        self.stats.update(dict.fromkeys(self.extra_stats, 0))
+        self.stats: Dict[str, int] = dict.fromkeys(self.stat_keys, 0)
 
     @property
     def primary(self) -> str:
@@ -531,6 +556,7 @@ class BaseClient(Node):
 
     def next_command(self, op: str, key: str = "",
                      value: Any = None) -> Command:
+        """Build a command with the next exactly-once timestamp."""
         command = Command(client_id=self.client_id,
                           timestamp=self._next_timestamp,
                           op=op, key=key, value=value)
@@ -542,21 +568,46 @@ class BaseClient(Node):
 
     # ------------------------------------------------------------------
     def submit(self, command: Command) -> None:
-        self._register_pending(command)
-        self.ctx.send(self.primary,
-                      self.sign(self.request_cls(command=command)))
+        """Send ``command`` as a signed REQUEST."""
+        pending = self._register_pending(command)
+        self._send_request((pending,), self.sign(Request(command=command)))
 
-    def submit_batch(self, commands) -> None:
-        """One :meth:`submit` per command, unless the protocol has a
-        batched request message."""
+    def submit_batch(self, commands: Iterable[Command]) -> None:
+        """Submit several of this client's commands: under one signature
+        as a ``BatchRequest`` if ``batched_requests``, else one
+        :meth:`submit` each.  A batch of one degrades to :meth:`submit`.
+        Each command keeps its own pending entry and timers, so retries
+        are per command (singleton requests)."""
+        commands = list(commands)
         for command in commands:
-            self.submit(command)
+            # The whole batch, before any timer is armed.
+            self._check_owner(command)
+        if not self.batched_requests or len(commands) < 2:
+            for command in commands:
+                self.submit(command)
+            return
+        pendings = [self._register_pending(command) for command in commands]
+        self.stats["batches_submitted"] += 1
+        self._send_request(pendings, self.sign(
+            BatchRequest(commands=tuple(commands))))
 
-    def _register_pending(self, command: Command) -> None:
+    def _send_request(self, pendings: Sequence[PendingRequest],
+                      envelope: SignedPayload) -> None:
+        """Send the first attempt of ``pendings``: to the primary."""
+        self.ctx.send(self.primary, envelope)
+
+    def _check_owner(self, command: Command) -> None:
+        if command.client_id != self.client_id:
+            raise ProtocolError("command does not belong to this client")
+
+    def _register_pending(self, command: Command) -> PendingRequest:
+        """Record ``command`` as in flight and arm its first attempt."""
+        self._check_owner(command)
         pending = self.pending_cls(command=command, start_time=self.ctx.now)
         self._pending[command.ident] = pending
         self.stats["submitted"] += 1
         self._start_attempt(pending)
+        return pending
 
     def _start_attempt(self, pending: PendingRequest) -> None:
         """Arm the timers of one (re)send of ``pending``."""
@@ -566,13 +617,15 @@ class BaseClient(Node):
 
     def _on_retry(self, ident: CommandIdent) -> None:
         pending = self._pending.get(ident)
-        if pending is None:
-            return
+        if pending is not None:
+            self._retry(pending)
+
+    def _retry(self, pending: PendingRequest) -> None:
+        """Broadcast the request to every replica; backups answer from
+        their reply cache or forward it to the primary."""
         self.stats["retries"] += 1
-        # Broadcast to every replica; backups answer from their reply
-        # cache or forward to the primary.
         self.ctx.broadcast(self.config.replica_ids, self.sign(
-            self.request_cls(command=pending.command)))
+            Request(command=pending.command)))
         self._start_attempt(pending)
 
     # ------------------------------------------------------------------
@@ -599,9 +652,14 @@ class BaseClient(Node):
 
     def _deliver(self, pending: PendingRequest, result: Any,
                  path: str) -> None:
+        """Close ``pending``: cancel its timers, drop it from the table,
+        record ``result`` and hand it to ``on_delivery``."""
         pending.cancel_timers()
         latency = self.ctx.now - pending.start_time
-        self.stats["delivered"] += 1
+        stats = self.stats
+        for key in ("delivered", "delivered_" + path):
+            if key in stats:
+                stats[key] += 1
         del self._pending[pending.command.ident]
         note_accepted(self.accepted, pending.command.timestamp, result)
         if self.on_delivery is not None:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from repro.messages.fab import FabReply, FabRequest
+from repro.messages.pbft import PBFTReply
 from repro.protocols.base import BaseClient
 
 
 class FabClient(BaseClient):
     """One FaB client."""
 
-    request_cls = FabRequest
     path = "fab"
-    _SIGNED_HANDLERS = {FabReply.MSG_TYPE: BaseClient._on_reply}
+    _SIGNED_HANDLERS = {PBFTReply.MSG_TYPE: BaseClient._on_reply}

@@ -29,7 +29,9 @@ from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload, authentic_payload
-from repro.messages.fab import FabAccept, FabPropose, FabReply, FabRequest
+from repro.messages.ezbft import Request
+from repro.messages.fab import FabAccept, FabPropose
+from repro.messages.pbft import PBFTReply
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
 
@@ -65,7 +67,7 @@ class FabReplica(BaseReplica):
         self.stats.update({"proposals": 0})
 
     # ------------------------------------------------------------------
-    def _order(self, request: FabRequest) -> None:
+    def _order(self, request: Request) -> None:
         propose = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
         self.stats["proposals"] += 1
@@ -74,7 +76,7 @@ class FabReplica(BaseReplica):
         self._on_propose(self.node_id, propose, signed)
 
     def _order_at(self, view: int, seqno: int,
-                  request: Optional[FabRequest]) -> FabPropose:
+                  request: Optional[Request]) -> FabPropose:
         return FabPropose(proposal_number=view, seqno=seqno,
                           request_digest=digest(request), request=request)
 
@@ -144,14 +146,14 @@ class FabReplica(BaseReplica):
             self._last_executed += 1
             request = slot.propose.request
             command = request.command if request is not None else None
-            self._execute_and_reply(command, lambda result: FabReply(
-                view=self.view, seqno=self._last_executed,
-                client_id=command.client_id, timestamp=command.timestamp,
-                replica=self.node_id, result=result))
+            self._execute_and_reply(command, lambda result: PBFTReply(
+                view=self.view, timestamp=command.timestamp,
+                client_id=command.client_id, replica=self.node_id,
+                result=result))
 
     _SIGNED_HANDLERS = {
         **BaseReplica._SIGNED_HANDLERS,
-        FabRequest.MSG_TYPE: BaseReplica._on_request,
+        Request.MSG_TYPE: BaseReplica._on_request,
         FabPropose.MSG_TYPE: _on_propose,
         FabAccept.MSG_TYPE: _on_accept,
     }

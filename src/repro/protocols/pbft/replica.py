@@ -25,13 +25,8 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchPrePrepare, BatchRequest
-from repro.messages.pbft import (
-    PBFTCommit,
-    PBFTReply,
-    PBFTRequest,
-    PrePrepare,
-    Prepare,
-)
+from repro.messages.ezbft import Request
+from repro.messages.pbft import PBFTCommit, PBFTReply, PrePrepare, Prepare
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
 
@@ -83,7 +78,7 @@ class PBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-    def _order(self, request: PBFTRequest) -> None:
+    def _order(self, request: Request) -> None:
         self.batcher.add(request)
 
     def _on_batch_request(self, sender: str, batch: BatchRequest,
@@ -100,7 +95,7 @@ class PBFTReplica(BaseReplica):
             return
         for command in sorted(batch.commands, key=lambda c: c.timestamp):
             if self._admit(command):
-                self._order(PBFTRequest(command=command))
+                self._order(Request(command=command))
 
     def _flush_proposals(self, requests) -> None:
         """Batcher flush: order the accumulated requests.
@@ -112,7 +107,7 @@ class PBFTReplica(BaseReplica):
         """
         if self._view_changing:
             return  # clients will retry into the new view
-        first: Dict[Any, PBFTRequest] = {}
+        first: Dict[Any, Request] = {}
         for request in requests:
             first.setdefault(request.command.ident, request)
         fresh = list(first.values())
@@ -130,7 +125,7 @@ class PBFTReplica(BaseReplica):
             self._broadcast_prepare(pre_prepare.seqno,
                                     pre_prepare.request_digest)
 
-    def _order_request(self, request: PBFTRequest) -> PrePrepare:
+    def _order_request(self, request: Request) -> PrePrepare:
         """Assign the next sequence number and record the slot."""
         pre_prepare = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
@@ -139,11 +134,11 @@ class PBFTReplica(BaseReplica):
         return pre_prepare
 
     def _order_at(self, view: int, seqno: int,
-                  request: Optional[PBFTRequest]) -> PrePrepare:
+                  request: Optional[Request]) -> PrePrepare:
         return PrePrepare(view=view, seqno=seqno,
                           request_digest=digest(request), request=request)
 
-    def _propose(self, request: PBFTRequest) -> None:
+    def _propose(self, request: Request) -> None:
         pre_prepare = self._order_request(request)
         envelope = self.sign(pre_prepare)
         self._slots[pre_prepare.seqno].envelope = envelope
@@ -275,7 +270,7 @@ class PBFTReplica(BaseReplica):
 
     _SIGNED_HANDLERS = {
         **BaseReplica._SIGNED_HANDLERS,
-        PBFTRequest.MSG_TYPE: BaseReplica._on_request,
+        Request.MSG_TYPE: BaseReplica._on_request,
         BatchRequest.MSG_TYPE: _on_batch_request,
         PrePrepare.MSG_TYPE: _on_pre_prepare,
         BatchPrePrepare.MSG_TYPE: _on_batch_pre_prepare,

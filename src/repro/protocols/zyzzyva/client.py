@@ -4,16 +4,10 @@ in three steps; otherwise a commit certificate closes it in five."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.cluster.node import Timer
 from repro.messages.base import SignedPayload
-from repro.messages.zyzzyva import (
-    LocalCommit,
-    SpecResponse,
-    ZCommit,
-    ZRequest,
-)
+from repro.messages.zyzzyva import LocalCommit, SpecResponse, ZCommit
 from repro.protocols.base import BaseClient, PendingRequest
 
 
@@ -24,20 +18,13 @@ class _Pending(PendingRequest):
     phase: str = "spec"  # spec -> commit
     #: The SPEC-RESPONSE group the commit certificate certified.
     certified: Optional[SpecResponse] = None
-    slow_timer: Optional[Timer] = None
-
-    def cancel_timers(self) -> None:
-        for timer in (self.slow_timer, self.retry_timer):
-            if timer is not None:
-                timer.cancel()
 
 
 class ZyzzyvaClient(BaseClient):
     """One Zyzzyva client."""
 
-    request_cls = ZRequest
     pending_cls = _Pending
-    extra_stats = ("delivered_fast", "delivered_slow")
+    stat_keys = BaseClient.stat_keys + ("delivered_fast", "delivered_slow")
 
     def _start_attempt(self, pending: _Pending) -> None:
         pending.replies.clear()
@@ -106,11 +93,6 @@ class ZyzzyvaClient(BaseClient):
                     self.config.slow_quorum_size:
                 self._deliver(pending, pending.certified.result, "slow")
             return
-
-    def _deliver(self, pending: _Pending, result: Any,
-                 path: str) -> None:
-        self.stats["delivered_" + path] += 1
-        super()._deliver(pending, result, path)
 
     _SIGNED_HANDLERS = {
         SpecResponse.MSG_TYPE: BaseClient._on_reply,

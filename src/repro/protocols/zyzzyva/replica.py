@@ -26,13 +26,13 @@ from repro.config import ProtocolConfig
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.messages.base import SignedPayload, authentic_payload
+from repro.messages.ezbft import Request
 from repro.messages.zyzzyva import (
     FillHole,
     LocalCommit,
     OrderReq,
     SpecResponse,
     ZCommit,
-    ZRequest,
 )
 from repro.protocols.base import BaseReplica
 from repro.statemachine.base import StateMachine
@@ -71,7 +71,7 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
-    def _order(self, request: ZRequest) -> None:
+    def _order(self, request: Request) -> None:
         order = self._order_at(self.view, self._next_seqno, request)
         self._next_seqno += 1
         signed_order = self.sign(order)
@@ -80,7 +80,7 @@ class ZyzzyvaReplica(BaseReplica):
         self._accept_order(order, signed_order)
 
     def _order_at(self, view: int, seqno: int,
-                  request: Optional[ZRequest]) -> OrderReq:
+                  request: Optional[Request]) -> OrderReq:
         """The history digest chains on the order at ``seqno - 1``."""
         d = digest(request)
         prev = self._slots.get(seqno - 1)
@@ -140,7 +140,6 @@ class ZyzzyvaReplica(BaseReplica):
                 timestamp=command.timestamp,
                 replica=self.node_id,
                 result=result,
-                order_req=slot.envelope,
             ))
             self._next_to_execute += 1
             if self._fill_hole_timer is not None and \
@@ -221,7 +220,7 @@ class ZyzzyvaReplica(BaseReplica):
 
     _SIGNED_HANDLERS = {
         **BaseReplica._SIGNED_HANDLERS,
-        ZRequest.MSG_TYPE: BaseReplica._on_request,
+        Request.MSG_TYPE: BaseReplica._on_request,
         OrderReq.MSG_TYPE: _on_order_req,
     }
     _PLAIN_HANDLERS = {

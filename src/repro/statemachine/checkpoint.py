@@ -119,15 +119,16 @@ class CheckpointStore:
         return executed_count - last >= self.interval
 
     def record_local(self, checkpoint: Checkpoint, replica_id: str,
-                     attestation: Any = None) -> None:
-        """Keep our own capture and cast our vote for it."""
+                     attestation: Any = None) -> bool:
+        """Keep our own capture and cast our vote for it; returns True if
+        it became stable (peers' votes had reached quorum first)."""
         self._local[checkpoint.watermark] = checkpoint
         self.last_captured = max(self.last_captured, checkpoint.watermark)
         if len(self._local) > self.MAX_LOCAL:
             for watermark in sorted(self._local)[:-self.MAX_LOCAL]:
                 del self._local[watermark]
-        self.attest(checkpoint.watermark, checkpoint.state_digest,
-                    replica_id, attestation)
+        return self.attest(checkpoint.watermark, checkpoint.state_digest,
+                           replica_id, attestation)
 
     def attest(self, watermark: int, state_digest: str,
                replica_id: str, attestation: Any = None) -> bool:

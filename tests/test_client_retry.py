@@ -35,7 +35,7 @@ def _record_retries(client):
     retry = client._retry
 
     def recording(pending, exclude=None):
-        heard = set(pending.spec_replies)
+        heard = set(pending.replies)
         retry(pending, exclude)
         retries.append((heard, pending.target))
 

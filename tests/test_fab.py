@@ -96,9 +96,10 @@ def test_acceptor_accepts_one_value_per_slot():
     cluster.run_until_idle()
     replica = cluster.replicas["r1"]
     from repro.crypto.digest import digest
-    from repro.messages.fab import FabPropose, FabRequest
+    from repro.messages.ezbft import Request
+    from repro.messages.fab import FabPropose
 
-    evil = FabRequest(command=client.next_command("put", "k", "EVIL"))
+    evil = Request(command=client.next_command("put", "k", "EVIL"))
     conflicting = FabPropose(proposal_number=replica.view, seqno=0,
                              request_digest=digest(evil.to_wire()),
                              request=evil)
@@ -114,14 +115,15 @@ def test_early_accepts_count_only_for_the_digest_they_name():
     send them to r1 before r0's PROPOSE of X arrives: accepts of Y are
     not accepts of X, so r1 never learns X."""
     from repro.crypto.digest import digest
-    from repro.messages.fab import FabAccept, FabPropose, FabRequest
+    from repro.messages.ezbft import Request
+    from repro.messages.fab import FabAccept, FabPropose
 
     cluster = lan_cluster("fab")
     silence_node(cluster, "r2")
     silence_node(cluster, "r3")
     client = cluster.add_client("c0", "local")
-    x = FabRequest(command=client.next_command("put", "k", "X"))
-    y = FabRequest(command=client.next_command("put", "k", "Y"))
+    x = Request(command=client.next_command("put", "k", "X"))
+    y = Request(command=client.next_command("put", "k", "Y"))
     r1 = cluster.replicas["r1"]
     for rid in ("r2", "r3"):
         r1.on_message(rid, SignedPayload.create(

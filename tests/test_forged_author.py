@@ -52,12 +52,11 @@ from repro.messages.ezbft import (
     SpecOrder,
     StartOwnerChange,
 )
-from repro.messages.fab import FabAccept, FabPropose, FabRequest
+from repro.messages.fab import FabAccept, FabPropose
 from repro.messages.pbft import (
     NewView,
     PBFTCommit,
     PBFTReply,
-    PBFTRequest,
     PrePrepare,
     Prepare,
     ViewChange,
@@ -67,7 +66,6 @@ from repro.messages.zyzzyva import (
     OrderReq,
     SpecResponse,
     ZCommit,
-    ZRequest,
 )
 from repro.scenario import ScenarioRunner, load_spec
 from repro.statemachine.base import Command
@@ -117,7 +115,7 @@ def _ezbft_client_slow_commit_replies():
     pending = client._pending[command.ident]
     assert pending.phase == "slow"
     forged = [_forge(cluster, "r3", CommitReply(
-        replica=rid, instance=pending.spec_replies["r0"][0].instance,
+        replica=rid, instance=pending.replies["r0"][0].instance,
         client_id="c0", timestamp=command.timestamp, result="FORGED"))
         for rid in ("r0", "r1", "r2")]
     invalid = _deliver_all(client, "r3", forged)
@@ -132,7 +130,7 @@ def _pbft_backup_forged_quorums():
     sign, and r1 never prepares, so nothing executes."""
     cluster = lan_cluster("pbft")
     client = cluster.add_client("c0", "local")
-    request = PBFTRequest(command=client.next_command("put", "k", "EVIL"))
+    request = Request(command=client.next_command("put", "k", "EVIL"))
     d = digest(request)
     r1 = cluster.replicas["r1"]
     r1.on_message("r0", _forge(cluster, "r0", PrePrepare(
@@ -182,8 +180,8 @@ def _zyzzyva_forged_new_view():
 def _fab_forged_accepts():
     """r3 signs ACCEPTs naming all four acceptors."""
     cluster = lan_cluster("fab")
-    request = FabRequest(command=Command(client_id="c0", timestamp=1,
-                                         op="put", key="k", value="v"))
+    request = Request(command=Command(client_id="c0", timestamp=1,
+                                      op="put", key="k", value="v"))
     d = digest(request)
     r0 = cluster.replicas["r0"]
     invalid = _deliver_all(r0, "r3", [
@@ -254,7 +252,7 @@ def _view_change(replica):
 def _pbft_pre_prepared(cluster):
     """r1 holds r0's PRE-PREPARE of one request at seqno 0; returns r1
     and the request's digest."""
-    request = PBFTRequest(command=cluster.add_client(
+    request = Request(command=cluster.add_client(
         "c9", "local").next_command("put", "k", "v"))
     d = digest(request)
     r1 = cluster.replicas["r1"]
@@ -340,7 +338,7 @@ def _fab_client_accepts():
     """r1 accepts r0's PROPOSE, then gets ACCEPTs from c0 and c1: with
     its own that would be the learning quorum."""
     cluster = lan_cluster("fab")
-    request = FabRequest(command=cluster.add_client(
+    request = Request(command=cluster.add_client(
         "c9", "local").next_command("put", "k", "v"))
     d = digest(request)
     r1 = cluster.replicas["r1"]
@@ -459,26 +457,26 @@ def test_client_view_changes_over_tcp_are_rejected():
     assert asyncio.run(scenario()) == (0, 2)
 
 
-#: The 17 registered classes whose author is a replica: every
+#: The 16 registered classes whose author is a replica: every
 #: ``AUTHOR`` but ``None`` and ``"client_id"``.
 REPLICA_AUTHORED = {
     "ez-batch-spec-order", "ez-checkpoint", "ez-commit-reply",
     "ez-new-owner", "ez-owner-change", "ez-spec-order", "ez-spec-reply",
-    "ez-start-owner-change", "fab-accept", "fab-reply", "new-view",
+    "ez-start-owner-change", "fab-accept", "new-view",
     "pbft-commit", "pbft-prepare", "pbft-reply", "view-change",
     "zyzzyva-local-commit", "zyzzyva-spec-response",
 }
 
 
 def test_replica_authored_classes_are_pinned():
-    """The role follows from ``AUTHOR`` alone: these 17 classes need a
+    """The role follows from ``AUTHOR`` alone: these 16 classes need a
     replica's signature, and no class is added to or dropped from the
     set without this test changing."""
     replica_authored = {
         msg_type for msg_type, cls in MESSAGE_REGISTRY.items()
         if cls.AUTHOR not in (None, "client_id")}
     assert replica_authored == REPLICA_AUTHORED
-    assert len(REPLICA_AUTHORED) == 17
+    assert len(REPLICA_AUTHORED) == 16
 
 
 def test_every_registered_message_declares_its_author():
@@ -566,7 +564,7 @@ def test_mixed_author_batch_request_is_rejected(protocol, ordered):
 # The primary's role (``ROLE``)
 # ----------------------------------------------------------------------
 def _pbft_request(cluster):
-    return PBFTRequest(command=cluster.add_client(
+    return Request(command=cluster.add_client(
         "c9", "local").next_command("put", "k", "v"))
 
 
@@ -600,8 +598,8 @@ def _pbft_batch_pre_prepare_from_a_backup():
 def _fab_propose_from_a_non_proposer():
     """r2 signs a PROPOSE for proposal number 0, r0's, to r1."""
     cluster = lan_cluster("fab")
-    request = FabRequest(command=Command(client_id="c0", timestamp=1,
-                                         op="put", key="k", value="v"))
+    request = Request(command=Command(client_id="c0", timestamp=1,
+                                      op="put", key="k", value="v"))
     r1 = cluster.replicas["r1"]
     invalid = _deliver_all(r1, "r2", [_forge(cluster, "r2", FabPropose(
         proposal_number=0, seqno=0, request_digest=digest(request),
@@ -613,8 +611,8 @@ def _fab_propose_from_a_non_proposer():
 def _zyzzyva_order_req_from_a_backup():
     """r2, a backup of view 0, signs an ORDER-REQ to r1."""
     cluster = lan_cluster("zyzzyva")
-    request = ZRequest(command=Command(client_id="c0", timestamp=1,
-                                       op="put", key="k", value="v"))
+    request = Request(command=Command(client_id="c0", timestamp=1,
+                                      op="put", key="k", value="v"))
     d = digest(request)
     r1 = cluster.replicas["r1"]
     invalid = _deliver_all(r1, "r2", [_forge(cluster, "r2", OrderReq(
@@ -853,13 +851,8 @@ def _put(timestamp, client="c9"):
                    key="k", value="v")
 
 
-#: Each protocol's client REQUEST.
-REQUESTS = {"ezbft": Request, "pbft": PBFTRequest, "fab": FabRequest,
-            "zyzzyva": ZRequest}
-
-
 @pytest.mark.parametrize("timestamp", ("5", 5.0, True))
-@pytest.mark.parametrize("protocol", sorted(REQUESTS))
+@pytest.mark.parametrize("protocol", ("ezbft", "fab", "pbft", "zyzzyva"))
 def test_a_command_timestamp_holding_no_int_is_rejected(protocol,
                                                         timestamp):
     """A client signs a REQUEST whose command's timestamp is a string,
@@ -872,7 +865,7 @@ def test_a_command_timestamp_holding_no_int_is_rejected(protocol,
 
     def request(ts):
         return SignedPayload.create(
-            REQUESTS[protocol](command=_put(ts)), client.keypair)
+            Request(command=_put(ts)), client.keypair)
     for replica in cluster.replicas.values():
         assert _deliver_all(replica, "c9", [request(timestamp)]) == 1
     for replica in cluster.replicas.values():
@@ -967,7 +960,7 @@ def test_forged_pre_prepare_over_tcp_is_rejected():
         cluster = AsyncioCluster(protocol="pbft", num_replicas=4)
         await cluster.start()
         try:
-            request = PBFTRequest(command=Command(
+            request = Request(command=Command(
                 client_id="c0", timestamp=1, op="put", key="k", value="v"))
             r1, r2 = cluster.replicas["r1"], cluster.replicas["r2"]
             r2.ctx.send("r1", r2.sign(_pre_prepare(request)))

@@ -103,9 +103,8 @@ SAMPLES = [
             instance=INST, command=None, deps=(), seq=0,
             status="committed", owner_number=1,
             proof_kind="commit", proof=()),)),
-    pbft.PBFTRequest(command=CMD),
     pbft.PrePrepare(view=0, seqno=1, request_digest="d",
-                    request=pbft.PBFTRequest(command=CMD)),
+                    request=ezbft.Request(command=CMD)),
     pbft.Prepare(view=0, seqno=1, request_digest="d", replica="r1"),
     pbft.PBFTCommit(view=0, seqno=1, request_digest="d", replica="r1"),
     pbft.PBFTReply(view=0, timestamp=7, client_id="c0", replica="r1",
@@ -116,7 +115,7 @@ SAMPLES = [
             replica="r0", watermark=128, state_digest="d")),),
         certificates=((_signed(pbft.PrePrepare(
             view=0, seqno=129, request_digest="d",
-            request=pbft.PBFTRequest(command=CMD))),
+            request=ezbft.Request(command=CMD))),
             _signed(pbft.Prepare(view=0, seqno=129, request_digest="d",
                                  replica="r0"))),),
         replica="r1"),
@@ -127,10 +126,9 @@ SAMPLES = [
                  orders=(_signed(pbft.PrePrepare(
                      view=1, seqno=0, request_digest="d", request=None)),),
                  primary="r1"),
-    zyzzyva.ZRequest(command=CMD),
     zyzzyva.OrderReq(view=0, seqno=1, history_digest="h",
                      request_digest="d",
-                     request=zyzzyva.ZRequest(command=CMD)),
+                     request=ezbft.Request(command=CMD)),
     zyzzyva.SpecResponse(view=0, seqno=1, history_digest="h",
                          request_digest="d", client_id="c0",
                          timestamp=7, replica="r1", result="OK"),
@@ -139,13 +137,10 @@ SAMPLES = [
                         history_digest="h", replica="r1",
                         client_id="c0"),
     zyzzyva.FillHole(view=0, seqno=1, replica="r1"),
-    fab.FabRequest(command=CMD),
     fab.FabPropose(proposal_number=0, seqno=1, request_digest="d",
-                   request=fab.FabRequest(command=CMD)),
+                   request=ezbft.Request(command=CMD)),
     fab.FabAccept(proposal_number=0, seqno=1, request_digest="d",
                   acceptor="r1"),
-    fab.FabReply(view=0, seqno=1, client_id="c0", timestamp=7,
-                 replica="r1", result="OK"),
     ezbft.EzCheckpoint(replica="r1", watermark=128, state_digest="d"),
     ezbft.StateTransferRequest(replica="r1", have_watermark=64,
                                frontier=(("r0", 12), ("r1", 0))),
@@ -168,7 +163,7 @@ SAMPLES = [
                             orders=(_spec_order(), _spec_order())),
     batching.BatchPrePrepare(view=0, pre_prepares=(
         pbft.PrePrepare(view=0, seqno=1, request_digest="d",
-                        request=pbft.PBFTRequest(command=CMD)),)),
+                        request=ezbft.Request(command=CMD)),)),
     _signed(_spec_order()),
 ]
 

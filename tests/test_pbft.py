@@ -70,13 +70,13 @@ def test_backup_forwards_request_to_primary():
                                 on_delivery=log.hook("c0"))
     # Manually send the request to a backup instead of the primary.
     from repro.messages.base import SignedPayload
-    from repro.messages.pbft import PBFTRequest
+    from repro.messages.ezbft import Request
     from repro.protocols.base import PendingRequest
 
     command = client.next_command("put", "k", "v")
     client._pending[command.ident] = PendingRequest(
         command=command, start_time=cluster.sim.now)
-    request = PBFTRequest(command=command)
+    request = Request(command=command)
     cluster.network.send("c0", "r2",
                          SignedPayload.create(request, client.keypair))
     cluster.run_until_idle()
@@ -90,9 +90,10 @@ def test_equivocating_preprepare_triggers_view_change():
     cluster.run_until_idle()
     replica = cluster.replicas["r1"]
     from repro.crypto.digest import digest
-    from repro.messages.pbft import PBFTRequest, PrePrepare
+    from repro.messages.ezbft import Request
+    from repro.messages.pbft import PrePrepare
 
-    fake_request = PBFTRequest(
+    fake_request = Request(
         command=client.next_command("put", "k", "EVIL"))
     conflicting = PrePrepare(
         view=replica.view, seqno=0,
@@ -115,11 +116,11 @@ def test_reply_cache_for_duplicate_request():
     primary = cluster.replicas["r0"]
     executed_before = primary.stats["executed"]
     from repro.messages.base import SignedPayload
-    from repro.messages.pbft import PBFTRequest
+    from repro.messages.ezbft import Request
 
     cluster.network.send(
         "c0", "r0",
-        SignedPayload.create(PBFTRequest(command=command),
+        SignedPayload.create(Request(command=command),
                              client.keypair))
     cluster.run_until_idle()
     assert primary.stats["executed"] == executed_before
@@ -130,15 +131,15 @@ def test_early_votes_count_only_for_the_digest_they_name():
     seqno 0 and send them to r1 before r0's PRE-PREPARE of X arrives:
     votes for Y are not votes for X, so r1 never prepares X."""
     from repro.crypto.digest import digest
-    from repro.messages.pbft import (
-        PBFTCommit, PBFTRequest, PrePrepare, Prepare)
+    from repro.messages.ezbft import Request
+    from repro.messages.pbft import PBFTCommit, PrePrepare, Prepare
 
     cluster = lan_cluster("pbft")
     silence_node(cluster, "r2")
     silence_node(cluster, "r3")
     client = cluster.add_client("c0", "local")
-    x = PBFTRequest(command=client.next_command("put", "k", "X"))
-    y = PBFTRequest(command=client.next_command("put", "k", "Y"))
+    x = Request(command=client.next_command("put", "k", "X"))
+    y = Request(command=client.next_command("put", "k", "Y"))
     r1 = cluster.replicas["r1"]
     for rid in ("r2", "r3"):
         keypair = cluster.replicas[rid].keypair

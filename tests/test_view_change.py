@@ -11,15 +11,15 @@ import pytest
 from repro.byzantine import install_byzantine, silence_node
 from repro.check import check, observe
 from repro.messages.base import SignedPayload
-from repro.messages.fab import FabAccept, FabPropose, FabRequest
-from repro.messages.pbft import NewView, PBFTRequest, Prepare, ViewChange
-from repro.messages.zyzzyva import OrderReq, SpecResponse, ZRequest
+from repro.messages.ezbft import Request
+from repro.messages.fab import FabAccept, FabPropose
+from repro.messages.pbft import NewView, Prepare, ViewChange
+from repro.messages.zyzzyva import OrderReq, SpecResponse
 from repro.protocols.base import reissue_set
 
 from helpers import DeliveryLog, faults, lan_cluster
 
 BASELINES = ("pbft", "fab", "zyzzyva")
-REQUEST = {"pbft": PBFTRequest, "fab": FabRequest, "zyzzyva": ZRequest}
 
 
 def _signed(cluster, signer, payload):
@@ -33,7 +33,7 @@ def _empty_vote(cluster, replica, new_view=1):
 
 def _request(protocol, cluster, value):
     client = cluster.add_client(f"c-{value}", "local")
-    return REQUEST[protocol](command=client.next_command("put", "k", value))
+    return Request(command=client.next_command("put", "k", value))
 
 
 def _vote_for(protocol, order, replica):
@@ -85,6 +85,42 @@ def test_view_change_preserves_executed_state(protocol):
     assert check(observe(cluster, faults("CrashReplica", "r0"))) == []
     state = cluster.replicas["r1"].statemachine.final_items()
     assert state == {"before": 1, "after": 2}
+
+
+@pytest.mark.parametrize("protocol", BASELINES)
+def test_a_checkpoint_stable_at_its_capture_is_collected(protocol):
+    """r3 holds its ordering traffic for command 4 until its peers'
+    EZCHECKPOINTs for watermark 4 have arrived: its own capture at 4
+    then completes a quorum already there, and that checkpoint is
+    counted stable and collected as a peer's is."""
+    cluster = lan_cluster(protocol, checkpoint_interval=4)
+    r3 = cluster.replicas["r3"]
+    held = []
+
+    def hold_slot_3(sender, message):
+        if getattr(getattr(message, "payload", None), "seqno", None) == 3:
+            held.append((sender, message))
+            return
+        r3.on_message(sender, message)
+    cluster.set_handler("r3", hold_slot_3)
+    log = DeliveryLog()
+    client = cluster.add_client("c0", "local", on_delivery=log.hook("c0"))
+    for value in range(4):
+        client.submit(client.next_command("put", "k", value))
+        cluster.run_until_idle()
+    assert log.results == ["OK"] * 4 and held
+    assert r3.stats["executed"] == 3
+    assert r3.checkpoints.attestation_count(
+        4, cluster.replicas["r0"].checkpoints.stable.state_digest) == 3
+    cluster.set_handler("r3", r3.on_message)
+    for sender, message in held:
+        r3.on_message(sender, message)
+    cluster.run_until_idle()
+    assert r3.checkpoints.stable.watermark == 4
+    for replica in cluster.replicas.values():
+        assert replica.stats["checkpoints_stable"] == 1
+        assert replica.footprint() == {"slots": 1}
+        assert replica.statemachine.record.entries == []
 
 
 @pytest.mark.parametrize("protocol", BASELINES)
