@@ -63,8 +63,7 @@ def rewriting(kinds: Tuple[type, ...],
                 message.signer == replica.node_id and \
                 isinstance(message.payload, kinds):
             payload = message.payload
-            return SignedPayload.create(
-                replace(payload, **change(payload)), replica.keypair)
+            return replica.sign(replace(payload, **change(payload)))
         return message
     return policy
 

@@ -1,9 +1,10 @@
-"""ezBFT checkpointing, log compaction and catch-up.
+"""ezBFT catch-up and state transfer.
 
 Every ``checkpoint_interval`` final executions a replica broadcasts a
 signed EZCHECKPOINT over a snapshot; 2f+1 matching attestations make
 the checkpoint *stable* and the log below its per-space frontier is
-garbage-collected.  Adopting a checkpoint
+garbage-collected (:class:`~repro.protocols.base.Replica`, with the
+snapshot and the cut ``EzBFTReplica``'s).  Adopting a checkpoint
 (:meth:`CheckpointManager.adopt`, then ``resume``) is the one routine
 both state transfer and restart-from-disk (:mod:`repro.core.recovery`)
 go through.
@@ -28,7 +29,6 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Dict,
     FrozenSet,
     List,
     Optional,
@@ -67,16 +67,12 @@ _Log = Tuple[List[LogEntry], List[Tuple[NewOwner, SignedPayload]]]
 
 
 class CheckpointManager:
-    """Per-replica checkpoint capture, stability, GC and state
-    transfer, over ``replica.checkpoints`` (the store stays on the
-    replica, where owner changes read it)."""
+    """Per-replica catch-up and state transfer, over
+    ``replica.checkpoints``; capture, attestation and GC are the
+    replica's (:class:`~repro.protocols.base.Replica`)."""
 
     def __init__(self, replica: "EzBFTReplica") -> None:
         self.replica = replica
-        #: Per-space cached contiguous-executed frontier cursor, so
-        #: captures cost O(new executions) instead of rescanning the
-        #: whole executed prefix when stability stalls.
-        self._frontier_cursor: Dict[str, int] = {}
         #: True from :meth:`catch_up` on a return until an answer is
         #: installed (or every peer was asked): the replica leads
         #: nothing meanwhile.
@@ -93,126 +89,6 @@ class CheckpointManager:
         #: The unfilled slots that opened the last gap-repair round; a
         #: gap that survives a round unchanged opens no other.
         self._last_gap: FrozenSet[Tuple[str, int]] = frozenset()
-
-    # ------------------------------------------------------------------
-    # Capture and attestation
-    # ------------------------------------------------------------------
-    def on_entry_executed(self, entry: LogEntry) -> None:
-        """Executor hook: captures run per executed entry, not per
-        commit wave, so they land exactly on interval boundaries -- a
-        wave can straddle one, and a capture at a stray watermark would
-        never match the other replicas' attestations (permanently
-        disabling GC here)."""
-        replica = self.replica
-        store = replica.checkpoints
-        count = replica.executor.executed_count
-        if not store.due(count):
-            return
-        checkpoint = Checkpoint.capture(count, self._capture_snapshot())
-        replica.statemachine.record.mark(count)
-        msg = EzCheckpoint(replica=replica.node_id, watermark=count,
-                           state_digest=checkpoint.state_digest)
-        signed = SignedPayload.create(msg, replica.keypair)
-        stable = store.record_local(checkpoint, replica.node_id, signed)
-        replica.stats["checkpoints"] += 1
-        replica.ctx.broadcast(replica.config.others(replica.node_id),
-                              signed)
-        if stable:
-            # Peer attestations had already reached quorum before our
-            # own capture.
-            self._on_checkpoint_stable(store.stable)
-
-    def _capture_snapshot(self) -> dict:
-        """Everything a lagging replica needs to resume past us.
-
-        Every field is a deterministic function of the first
-        ``executed_count`` executions, so digests agree across replicas
-        that executed the same prefix."""
-        replica = self.replica
-        executor = replica.executor
-        frontier = {owner: self._executed_frontier(space)
-                    for owner, space in replica.spaces.items()}
-        floors, sparse = executor.client_progress()
-        executed_above = sorted(
-            [iid.owner, iid.slot] for iid in executor.executed
-            if iid.slot >= frontier[iid.owner])
-        return {
-            "state": replica.statemachine.snapshot(),
-            "frontier": frontier,
-            "client_floors": floors,
-            "client_sparse": sparse,
-            "client_results": executor.latest_results(),
-            "executed_above": executed_above,
-        }
-
-    def _executed_frontier(self, space: InstanceSpace) -> int:
-        """First slot of ``space`` that is not contiguously executed --
-        the GC cut: everything below is final at this replica.
-
-        Resumes from a cached cursor (execution never un-happens, so
-        the frontier is monotone): amortized O(new executions) per
-        capture instead of O(whole executed prefix)."""
-        slot = max(space.low_slot,
-                   self._frontier_cursor.get(space.owner, 0))
-        while True:
-            entry = space.get(slot)
-            if entry is None or entry.status != EntryStatus.EXECUTED:
-                break
-            slot += 1
-        self._frontier_cursor[space.owner] = slot
-        return slot
-
-    def on_ez_checkpoint(self, sender: str, msg: EzCheckpoint,
-                         envelope: SignedPayload) -> None:
-        replica = self.replica
-        store = replica.checkpoints
-        if msg.replica == replica.node_id:
-            return  # our own attestation replayed: we voted at capture
-        stable = store.stable
-        if stable is not None and msg.watermark <= stable.watermark:
-            return  # below our stable watermark; nothing to learn
-        if replica.storage is not None:
-            replica.storage.append_attest(sender, envelope)
-        if store.attest(msg.watermark, msg.state_digest, msg.replica,
-                        envelope):
-            self._on_checkpoint_stable(store.stable)
-        elif store.has_quorum(msg.watermark, msg.state_digest) and \
-                msg.watermark >= replica.executor.executed_count + \
-                max(1, store.interval):
-            # The cluster proved a checkpoint a whole interval past us:
-            # the prefix below it may be truncated everywhere, so catch
-            # up to it instead of waiting for messages never resent.
-            self.catch_up(target=msg.watermark)
-
-    # ------------------------------------------------------------------
-    # Stability and garbage collection
-    # ------------------------------------------------------------------
-    def _on_checkpoint_stable(self, checkpoint: Checkpoint) -> None:
-        replica = self.replica
-        replica.stats["checkpoints_stable"] += 1
-        replica.checkpoint_log.append(
-            (checkpoint.watermark, checkpoint.state_digest))
-        self._gc_below(checkpoint)
-        replica.recovery.persist_stable(checkpoint)
-
-    def _gc_below(self, checkpoint: Checkpoint) -> None:
-        """Truncate the log below the stable checkpoint's frontier.
-
-        Only contiguously *executed* prefixes are dropped: the frontier
-        is re-clamped locally so a committed-but-unexecuted instance can
-        never be garbage-collected."""
-        replica = self.replica
-        frontier = checkpoint.snapshot.get("frontier", {})
-        removed = 0
-        effective: Dict[str, int] = {}
-        for owner, space in replica.spaces.items():
-            cut = min(int(frontier.get(owner, 0)),
-                      self._executed_frontier(space))
-            effective[owner] = cut
-            removed += replica._truncate_space(space, cut)
-        replica.executor.truncate(
-            effective, replica.statemachine.record.cut(checkpoint.watermark))
-        replica.stats["log_entries_gcd"] += removed
 
     # ------------------------------------------------------------------
     # Catch-up: asking
@@ -276,7 +152,7 @@ class CheckpointManager:
     def _committed_frontier(self, space: InstanceSpace) -> int:
         """First slot of ``space`` not held at least committed: a peer
         answers with its log from there."""
-        slot = self._executed_frontier(space)
+        slot = self.replica._executed_frontier(space)
         while True:
             entry = space.get(slot)
             if entry is None or entry.status == EntryStatus.SPEC_ORDERED:
@@ -501,7 +377,7 @@ class CheckpointManager:
         # had executed locally get demoted (their effects died with the
         # restore), so the contiguous-executed scan must resume from
         # the adopted frontier, not our old progress.
-        self._frontier_cursor = dict(frontier)
+        replica._frontier_cursor = dict(frontier)
         floors = {client: int(t) for client, t in
                   snapshot.get("client_floors", {}).items()}
         replica.executor.install(

@@ -132,10 +132,8 @@ class OwnerChangeManager:
         replica.stats["owner_changes_started"] += 1
         msg = StartOwnerChange(sender=replica.node_id, suspect=suspect,
                                owner_number=space.owner_number)
-        signed = SignedPayload.create(msg, replica.keypair)
         self._record_vote(msg)
-        replica.ctx.broadcast(replica.config.others(replica.node_id),
-                              signed)
+        replica.broadcast_others(replica.sign(msg))
 
     def on_pom(self, pom: ProofOfMisbehavior) -> None:
         """Validate a client-supplied proof of misbehavior (step 4.4)."""
@@ -188,9 +186,7 @@ class OwnerChangeManager:
                                    suspect=msg.suspect,
                                    owner_number=msg.owner_number)
             self._record_vote(own)
-            replica.ctx.broadcast(
-                replica.config.others(replica.node_id),
-                SignedPayload.create(own, replica.keypair))
+            replica.broadcast_others(replica.sign(own))
             votes = self._votes[key]
         if len(votes) >= weak:
             self._commit_to_change(msg.suspect, msg.owner_number)
@@ -214,7 +210,7 @@ class OwnerChangeManager:
         msg = OwnerChange(sender=replica.node_id, suspect=suspect,
                           new_owner_number=new_number, entries=entries,
                           base_slot=base_slot)
-        signed = SignedPayload.create(msg, replica.keypair)
+        signed = replica.sign(msg)
         if new_owner == replica.node_id:
             self.on_owner_change(msg, signed)
         else:
@@ -261,9 +257,8 @@ class OwnerChangeManager:
                        new_owner_number=new_number,
                        safe_entries=safe, proof=proof,
                        base_slot=base_slot)
-        signed = SignedPayload.create(msg, replica.keypair)
-        replica.ctx.broadcast(replica.config.others(replica.node_id),
-                              signed)
+        signed = replica.sign(msg)
+        replica.broadcast_others(signed)
         self.install_new_owner(msg, signed)  # our own: nothing to check
 
     def _select_safe_history(self, messages: List[OwnerChange],

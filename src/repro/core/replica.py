@@ -3,10 +3,13 @@
 Implements paper Section IV: the fast-path proposal pipeline (steps 2-3),
 speculative execution, slow-path commit handling (step 5.2), fast commits
 (step 5.1), retried-request relaying (step 4.3) and proof-of-misbehavior
-handling (step 4.4).  Three managers, each constructed with the
-replica, hold the rest: owner changes (Section IV-E,
-:mod:`repro.core.owner_change`), checkpointing and state transfer
-(:mod:`repro.core.checkpointing`), durability (:mod:`repro.core.recovery`).
+handling (step 4.4), and what an ezBFT checkpoint captures and drops.
+Identity, signing and the checkpoint capture -> attest -> stable path
+are :class:`~repro.protocols.base.Replica`'s, as for every protocol.
+Three managers, each constructed with the replica, hold the rest:
+owner changes (Section IV-E, :mod:`repro.core.owner_change`), catch-up
+and state transfer (:mod:`repro.core.checkpointing`), durability
+(:mod:`repro.core.recovery`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.node import Node, NodeContext, Timer, dispatcher
+from repro.cluster.node import NodeContext, Timer, dispatcher
 from repro.config import ProtocolConfig
 from repro.core.batching import RequestBatcher
 from repro.core.checkpointing import CheckpointManager
@@ -24,10 +27,8 @@ from repro.core.owner_change import OwnerChangeManager
 from repro.core.recovery import RecoveryManager
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.errors import ProtocolError
 from repro.messages.base import SignedPayload
 from repro.messages.batching import BatchRequest, BatchSpecOrder
-from repro.obs.instruments import NULL
 from repro.messages.ezbft import (
     BatchCommitFast,
     Commit,
@@ -47,8 +48,10 @@ from repro.messages.ezbft import (
     StateTransferRequest,
     statement_of,
 )
+from repro.obs.instruments import NULL
+from repro.protocols.base import Replica
 from repro.statemachine.base import Command, StateMachine
-from repro.statemachine.checkpoint import CheckpointStore
+from repro.statemachine.checkpoint import Checkpoint
 from repro.statemachine.interference import InterferenceRelation
 from repro.trace.context import trace_id_for
 from repro.trace.span import (
@@ -68,7 +71,7 @@ from repro.wire import ints_exact
 _FILLED: Tuple[Any, Any] = (None, None)
 
 
-class EzBFTReplica(Node):
+class EzBFTReplica(Replica):
     """One ezBFT replica node.
 
     Parameters
@@ -100,7 +103,11 @@ class EzBFTReplica(Node):
     #: --data-dir`` (and ``durable=true`` scenarios) attach a
     #: :class:`repro.storage.ReplicaStorage` via :meth:`attach_storage`.
     storage = None
-    counts_invalid = True
+    stat_keys = ("led", "batches_led", "spec_ordered", "committed_fast",
+                 "committed_slow", "executed", "owner_changes_started",
+                 "invalid_messages", "checkpoints", "checkpoints_stable",
+                 "log_entries_gcd", "state_transfers_served",
+                 "state_transfers_installed", "catch_ups_installed")
     #: The shared dispatcher, held in this class's own body (see
     #: :func:`~repro.cluster.node.dispatcher`).
     on_message = dispatcher()
@@ -109,14 +116,8 @@ class EzBFTReplica(Node):
                  ctx: NodeContext, keypair: KeyPair,
                  registry: KeyRegistry, statemachine: StateMachine,
                  interference: InterferenceRelation) -> None:
-        if node_id not in config.replica_ids:
-            raise ProtocolError(f"{node_id!r} not in replica set")
-        self.node_id = node_id
-        self.config = config
-        self.ctx = ctx
-        self.keypair = keypair
-        self.registry = registry
-        self.statemachine = statemachine
+        super().__init__(node_id, config, ctx, keypair, registry,
+                         statemachine)
         self.interference = interference
 
         self.spaces: Dict[str, InstanceSpace] = {
@@ -192,37 +193,12 @@ class EzBFTReplica(Node):
         #: SPECORDER ``log_digest`` field, maintained incrementally).
         self._space_chain: Dict[str, str] = {}
 
-        #: Checkpointing: local snapshots + peer attestations; on
-        #: stability the log below the checkpoint's per-space frontier
-        #: is garbage-collected (paper: owner changes carry "instances
-        #: executed or committed since the last checkpoint").
-        self.checkpoints = CheckpointStore(
-            quorum=config.slow_quorum_size,
-            interval=config.checkpoint_interval)
-        #: Every (watermark, digest) that became stable here, in order --
-        #: cross-replica agreement tests compare these.
-        self.checkpoint_log: List[Tuple[int, str]] = []
+        #: Per-space contiguous-executed frontier cursor (see
+        #: :meth:`_executed_frontier`).
+        self._frontier_cursor: Dict[str, int] = {}
         self.checkpointing = CheckpointManager(self)
-        self.executor.on_execute = self.checkpointing.on_entry_executed
+        self.executor.on_execute = self._on_entry_executed
         self.recovery = RecoveryManager(self)
-
-        # Metrics.
-        self.stats = {
-            "led": 0,
-            "batches_led": 0,
-            "spec_ordered": 0,
-            "committed_fast": 0,
-            "committed_slow": 0,
-            "executed": 0,
-            "owner_changes_started": 0,
-            "invalid_messages": 0,
-            "checkpoints": 0,
-            "checkpoints_stable": 0,
-            "log_entries_gcd": 0,
-            "state_transfers_served": 0,
-            "state_transfers_installed": 0,
-            "catch_ups_installed": 0,
-        }
 
     def footprint(self) -> Dict[str, int]:
         """Sizes of the resident log/execution structures."""
@@ -408,7 +384,7 @@ class EzBFTReplica(Node):
                                       owner_number=space.owner_number,
                                       orders=tuple(orders))
             self.stats["batches_led"] += 1
-        signed = SignedPayload.create(proposal, self.keypair)
+        signed = self.sign(proposal)
         for entry in entries:
             entry.spec_order = signed
         self._persist_entry(self.node_id, signed)
@@ -423,7 +399,7 @@ class EzBFTReplica(Node):
         if batched:
             self._reply_outbox = {}
         try:
-            self.ctx.broadcast(self.config.others(self.node_id), signed)
+            self.broadcast_others(signed)
             for entry, order in zip(entries, orders):
                 self._send_spec_reply(entry, signed,
                                       request_digest=order.request_digest)
@@ -465,13 +441,14 @@ class EzBFTReplica(Node):
         if entry is not None and entry.spec_order is not None:
             # Re-broadcast the original SPECORDER so the forwarder (and
             # anyone else who missed it) can make progress.
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               entry.spec_order)
+            self.broadcast_others(entry.spec_order)
             self._send_spec_reply(entry, entry.spec_order)
             return
         fresh = Request(command=request.command, original_replica=None)
-        # Re-sign locally?  No -- we cannot sign for the client.  Treat the
-        # embedded (client-signed) request as a direct submission.
+        # Lead the embedded request as a direct submission.  It arrives
+        # unsigned: nothing here proves its client sent it, and we cannot
+        # sign for the client.  Carrying the client's signed envelope
+        # instead is ROADMAP direction 1(b).
         self._lead([fresh])
 
     # ------------------------------------------------------------------
@@ -648,7 +625,7 @@ class EzBFTReplica(Node):
             timestamp=entry.command.timestamp,
             result=entry.spec_result,
         )
-        header = SignedPayload.create(reply, self.keypair)
+        header = self.sign(reply)
         client = entry.command.client_id
         outbox = self._reply_outbox
         if outbox is None:
@@ -744,8 +721,7 @@ class EzBFTReplica(Node):
                     client_id=commit.client_id,
                     timestamp=commit.command.timestamp,
                     result=self.executor.result_of(commit.command.ident))
-                self.ctx.send(commit.client_id,
-                              SignedPayload.create(reply, self.keypair))
+                self.ctx.send(commit.client_id, self.sign(reply))
                 return
             # We never saw the SPECORDER (e.g. we were partitioned); adopt
             # the commit wholesale.
@@ -820,12 +796,96 @@ class EzBFTReplica(Node):
                 self._send_commit_reply(entry, entry.reply_to)
 
     # ------------------------------------------------------------------
-    # Checkpointing, state transfer, durability (delegated)
+    # Checkpointing (paper: owner changes carry "instances executed or
+    # committed since the last checkpoint")
     # ------------------------------------------------------------------
-    def _on_ez_checkpoint(self, sender: str, msg: EzCheckpoint,
-                          envelope: SignedPayload) -> None:
-        self.checkpointing.on_ez_checkpoint(sender, msg, envelope)
+    def _on_entry_executed(self, entry: LogEntry) -> None:
+        """Executor hook: captures run per executed entry, not per
+        commit wave, so they land exactly on interval boundaries -- a
+        wave can straddle one, and a capture at a stray watermark would
+        never match the other replicas' attestations (permanently
+        disabling GC here)."""
+        self._maybe_checkpoint(self.executor.executed_count)
 
+    def _capture_snapshot(self) -> dict:
+        """Everything a lagging replica needs to resume past us.
+
+        Every field is a deterministic function of the first
+        ``executed_count`` executions, so digests agree across replicas
+        that executed the same prefix."""
+        executor = self.executor
+        frontier = {owner: self._executed_frontier(space)
+                    for owner, space in self.spaces.items()}
+        floors, sparse = executor.client_progress()
+        executed_above = sorted(
+            [iid.owner, iid.slot] for iid in executor.executed
+            if iid.slot >= frontier[iid.owner])
+        return {
+            "state": self.statemachine.snapshot(),
+            "frontier": frontier,
+            "client_floors": floors,
+            "client_sparse": sparse,
+            "client_results": executor.latest_results(),
+            "executed_above": executed_above,
+        }
+
+    def _executed_frontier(self, space: InstanceSpace) -> int:
+        """First slot of ``space`` that is not contiguously executed --
+        the GC cut: everything below is final at this replica.
+
+        Resumes from a cached cursor (execution never un-happens, so
+        the frontier is monotone): amortized O(new executions) per
+        capture instead of O(whole executed prefix)."""
+        slot = max(space.low_slot,
+                   self._frontier_cursor.get(space.owner, 0))
+        while True:
+            entry = space.get(slot)
+            if entry is None or entry.status != EntryStatus.EXECUTED:
+                break
+            slot += 1
+        self._frontier_cursor[space.owner] = slot
+        return slot
+
+    def _attest(self, sender: str, msg: EzCheckpoint,
+                envelope: SignedPayload) -> bool:
+        """Log the vote to the WAL before counting it; one that proves
+        a checkpoint a whole interval past us, without making ours
+        stable, opens a catch-up round to it -- the prefix below it may
+        be truncated everywhere, and its messages are never resent."""
+        if self.storage is not None:
+            self.storage.append_attest(sender, envelope)
+        if super()._attest(sender, msg, envelope):
+            return True
+        store = self.checkpoints
+        if store.has_quorum(msg.watermark, msg.state_digest) and \
+                msg.watermark >= self.executor.executed_count + \
+                max(1, store.interval):
+            self.checkpointing.catch_up(target=msg.watermark)
+        return False
+
+    def _gc_below(self, checkpoint: Checkpoint) -> None:
+        """Truncate the log below the stable checkpoint's frontier, then
+        persist the checkpoint (:meth:`RecoveryManager.persist_stable`).
+
+        Only contiguously *executed* prefixes are dropped: the frontier
+        is re-clamped locally so a committed-but-unexecuted instance can
+        never be garbage-collected."""
+        frontier = checkpoint.snapshot.get("frontier", {})
+        removed = 0
+        effective: Dict[str, int] = {}
+        for owner, space in self.spaces.items():
+            cut = min(int(frontier.get(owner, 0)),
+                      self._executed_frontier(space))
+            effective[owner] = cut
+            removed += self._truncate_space(space, cut)
+        self.executor.truncate(
+            effective, self.statemachine.record.cut(checkpoint.watermark))
+        self.stats["log_entries_gcd"] += removed
+        self.recovery.persist_stable(checkpoint)
+
+    # ------------------------------------------------------------------
+    # State transfer, durability (delegated)
+    # ------------------------------------------------------------------
     def _on_state_transfer_request(self, sender: str,
                                    request: StateTransferRequest,
                                    envelope: None) -> None:
@@ -890,7 +950,7 @@ class EzBFTReplica(Node):
             timestamp=entry.command.timestamp,
             result=entry.final_result,
         )
-        self.ctx.send(client_id, SignedPayload.create(reply, self.keypair))
+        self.ctx.send(client_id, self.sign(reply))
 
     # ------------------------------------------------------------------
     # Certificates
@@ -1192,8 +1252,7 @@ class EzBFTReplica(Node):
             return False
         if entry.instance.owner == self.node_id and \
                 entry.spec_order.signer == self.node_id:
-            self.ctx.broadcast(self.config.others(self.node_id),
-                               entry.spec_order)
+            self.broadcast_others(entry.spec_order)
         self._send_spec_reply(entry, entry.spec_order)
         return True
 
@@ -1212,6 +1271,7 @@ class EzBFTReplica(Node):
     # Handler tables
     # ------------------------------------------------------------------
     _SIGNED_HANDLERS = {
+        **Replica._SIGNED_HANDLERS,
         Request.MSG_TYPE: _on_request,
         BatchRequest.MSG_TYPE: _on_batch_request,
         SpecOrder.MSG_TYPE: _on_spec_order,
@@ -1220,7 +1280,6 @@ class EzBFTReplica(Node):
         StartOwnerChange.MSG_TYPE: _on_start_owner_change,
         OwnerChange.MSG_TYPE: _on_owner_change,
         NewOwner.MSG_TYPE: _on_new_owner,
-        EzCheckpoint.MSG_TYPE: _on_ez_checkpoint,
     }
     _PLAIN_HANDLERS = {
         CommitFast.MSG_TYPE: _on_commit_fast,

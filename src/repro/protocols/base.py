@@ -1,10 +1,18 @@
-"""The request lifecycle and view change the primary-based baselines
-share, and the client lifecycle every protocol shares.
+"""The replica and client bases every protocol shares, and the request
+lifecycle and view change the primary-based baselines share.
+
+:class:`Replica` is every replica, ezBFT's too: identity, counters,
+signer and the one checkpoint path, PBFT's.  A baseline's checkpoint
+holds the application state, and a stable one -- with its 2f+1
+attestations as ``checkpoints.stable_proof`` -- drops the slots and
+executed record below it.  They order totally, so a count cut is
+consistent.  There is no state transfer, nor FILL-HOLE below the
+primary's cut: a laggard stays behind.
 
 PBFT, FaB and Zyzzyva differ only in how they order requests.  Around
 the ordering, :class:`BaseReplica` holds the exactly-once ingress rule,
-forwarding to the primary, the execute-and-reply step, checkpoints and
-the view change.  :class:`BaseClient` is every client, ezBFT's too: one
+forwarding to the primary, the execute-and-reply step and the view
+change.  :class:`BaseClient` is every client, ezBFT's too: one
 signed REQUEST (:class:`~repro.messages.ezbft.Request`), the pending
 table, submission, retries and delivery; for the baselines also view
 tracking and the f+1 reply collector.  Executed idents are
@@ -13,13 +21,6 @@ the ezBFT executor's :class:`~repro.core.executor.ExecutedIdents`
 stale): ingress drops only executed idents, and execution applies an
 ident at most once.
 
-Every baseline checkpoints as PBFT does (Zyzzyva's own protocol is
-PBFT's): it attests every ``checkpoint_interval`` executed slots with a
-signed EZCHECKPOINT, and a stable one -- with its 2f+1 attestations as
-``checkpoints.stable_proof`` -- drops the slots and executed record below
-it.  They order totally, so a count cut is consistent.  There is no state
-transfer, nor FILL-HOLE below the primary's cut: a laggard stays behind.
-
 Every baseline changes view as PBFT does.  A progress timeout or an
 equivocating primary makes a replica send a VIEW-CHANGE -- its stable
 checkpoint's proof and, per seqno above it, the protocol's certificate
@@ -27,10 +28,10 @@ for the slot -- and stop ordering; f+1 of them for a view make it join.
 The new primary sends 2f+1 with the orders of the re-issue set
 (:func:`reissue_set`) they determine, which every backup recomputes.
 
-Both are :class:`~repro.cluster.node.Node` subclasses: a handler sees
-only an envelope its payload's author signed, a replica if the message
-is replica-authored, and an ordering message or NEW-VIEW only if the
-primary of the view it names signed it (its class's ``ROLE``).
+Every class here is a :class:`~repro.cluster.node.Node`: a handler
+sees only an envelope its payload's author signed, a replica if the
+message is replica-authored, and an ordering message or NEW-VIEW only
+if the primary of the view it names signed it (its class's ``ROLE``).
 """
 
 from __future__ import annotations
@@ -101,30 +102,29 @@ def reissue_set(votes: Iterable[CheckedVote]
     return low, reissue
 
 
-class BaseReplica(Node):
-    """Common replica state, request lifecycle, checkpoints and view
-    change; a subclass supplies :meth:`_order`, :meth:`_order_at` and
-    ``order_cls``, per executed slot its reply message, the certificate
-    check :meth:`_certified`, its handler tables (extending
-    ``BaseReplica._SIGNED_HANDLERS``) and ``_slots``, seqno -> slot
-    whose ``envelope`` is the signed order it holds, if any, and whose
-    ``certificate`` is what a VIEW-CHANGE reports for it."""
+class Replica(Node):
+    """Every protocol's replica: its identity, counters and signer, and
+    the one checkpoint path.  Every ``checkpoint_interval`` executions
+    :meth:`_maybe_checkpoint` captures the state and attests it with a
+    signed EZCHECKPOINT; 2f+1 matching votes make it stable, and
+    :meth:`_on_stable` logs it in ``checkpoint_log`` and drops what it
+    covers.  A subclass supplies what a capture holds
+    (:meth:`_capture_snapshot`), what a stable checkpoint lets it drop
+    (:meth:`_gc_below`), its counters (``stat_keys``) and its handler
+    tables, extending ``Replica._SIGNED_HANDLERS``."""
 
     #: Observability seam: the shared no-op singleton by default;
     #: ``repro serve`` swaps in a live registry-backed instrument set.
     instruments = NULL
-    #: Commit path counted (``stats["committed_<path>"]``) per
-    #: executed slot.
-    commit_path = "fast"
     counts_invalid = True
-    #: The ordering message the view's primary signs (PRE-PREPARE,
-    #: ORDER-REQ, PROPOSE).
-    order_cls: Any = None
+    #: The counters in :attr:`stats`, from zero: these four, which every
+    #: replica counts, and the protocol's own.
+    stat_keys: Tuple[str, ...] = ("executed", "invalid_messages",
+                                  "checkpoints", "checkpoints_stable")
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
-                 registry: KeyRegistry, statemachine: StateMachine,
-                 initial_view: int = 0) -> None:
+                 registry: KeyRegistry, statemachine: StateMachine) -> None:
         if node_id not in config.replica_ids:
             raise ProtocolError(f"{node_id!r} not in replica set")
         self.node_id = node_id
@@ -133,6 +133,112 @@ class BaseReplica(Node):
         self.keypair = keypair
         self.registry = registry
         self.statemachine = statemachine
+        self.checkpoints = CheckpointStore(
+            quorum=config.slow_quorum_size,
+            interval=config.checkpoint_interval)
+        #: Every (watermark, digest) that became stable here, in order --
+        #: cross-replica agreement tests compare these.
+        self.checkpoint_log: List[Tuple[int, str]] = []
+        self.stats: Dict[str, int] = dict.fromkeys(self.stat_keys, 0)
+
+    def sign(self, payload: Any) -> SignedPayload:
+        return SignedPayload.create(payload, self.keypair)
+
+    def broadcast_others(self, message: Any) -> None:
+        self.ctx.broadcast(self.config.others(self.node_id), message)
+
+    def rejoin(self) -> None:
+        """Back from a crash: nothing, yet.  A primary-based baseline has
+        no state transfer, so a replica that missed slots while down
+        never fills them and executes nothing after it recovers; only
+        ezBFT asks its peers (``EzBFTReplica``)."""
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+    def _maybe_checkpoint(self, executed: int) -> None:
+        """At a checkpoint boundary (``executed`` executions): capture
+        the state, mark the executed record and attest the capture."""
+        store = self.checkpoints
+        if not store.due(executed):
+            return
+        checkpoint = Checkpoint.capture(executed, self._capture_snapshot())
+        self.statemachine.record.mark(executed)
+        envelope = self.sign(EzCheckpoint(
+            replica=self.node_id, watermark=executed,
+            state_digest=checkpoint.state_digest))
+        stable = store.record_local(checkpoint, self.node_id, envelope)
+        self.stats["checkpoints"] += 1
+        self.broadcast_others(envelope)
+        if stable:
+            # Peer attestations had already reached quorum before our
+            # own capture.
+            self._on_stable(checkpoint)
+
+    def _capture_snapshot(self) -> dict:
+        """What a checkpoint holds: the application state."""
+        return {"state": self.statemachine.snapshot()}
+
+    def _on_checkpoint(self, sender: str, msg: EzCheckpoint,
+                       envelope: SignedPayload) -> None:
+        """A peer's vote for a checkpoint.  Our own, replayed, is not a
+        second vote (we cast it at capture), and one at or below our
+        stable watermark can make nothing stable: both are dropped."""
+        stable = self.checkpoints.stable
+        if msg.replica == self.node_id or \
+                (stable is not None and msg.watermark <= stable.watermark):
+            return
+        if self._attest(sender, msg, envelope):
+            self._on_stable(self.checkpoints.stable)
+
+    def _attest(self, sender: str, msg: EzCheckpoint,
+                envelope: SignedPayload) -> bool:
+        """Count a live vote; True if it made our capture stable."""
+        return self.checkpoints.attest(msg.watermark, msg.state_digest,
+                                       msg.replica, envelope)
+
+    def _on_stable(self, checkpoint: Checkpoint) -> None:
+        """Our capture ``checkpoint`` became stable: count and log it,
+        and drop what it covers."""
+        self.stats["checkpoints_stable"] += 1
+        self.checkpoint_log.append(
+            (checkpoint.watermark, checkpoint.state_digest))
+        self._gc_below(checkpoint)
+
+    def _gc_below(self, checkpoint: Checkpoint) -> None:
+        """Drop the log and executed record a stable checkpoint
+        covers."""
+        raise NotImplementedError
+
+    _SIGNED_HANDLERS = {
+        EzCheckpoint.MSG_TYPE: _on_checkpoint,
+    }
+
+
+class BaseReplica(Replica):
+    """The primary-based request lifecycle and view change; a subclass
+    supplies :meth:`_order`, :meth:`_order_at` and ``order_cls``, per
+    executed slot its reply message, the certificate check
+    :meth:`_certified`, its handler tables (extending
+    ``BaseReplica._SIGNED_HANDLERS``) and ``_slots``, seqno -> slot
+    whose ``envelope`` is the signed order it holds, if any, and whose
+    ``certificate`` is what a VIEW-CHANGE reports for it."""
+
+    #: Commit path counted (``stats["committed_<path>"]``) per
+    #: executed slot.
+    commit_path = "fast"
+    stat_keys = ("executed", "committed_fast", "invalid_messages",
+                 "checkpoints", "checkpoints_stable", "view_changes")
+    #: The ordering message the view's primary signs (PRE-PREPARE,
+    #: ORDER-REQ, PROPOSE).
+    order_cls: Any = None
+
+    def __init__(self, node_id: str, config: ProtocolConfig,
+                 ctx: NodeContext, keypair: KeyPair,
+                 registry: KeyRegistry, statemachine: StateMachine,
+                 initial_view: int = 0) -> None:
+        super().__init__(node_id, config, ctx, keypair, registry,
+                         statemachine)
         self.view = initial_view
         #: The view we are moving to: above ``view`` from our
         #: VIEW-CHANGE until a NEW-VIEW installs; we order nothing then.
@@ -146,17 +252,6 @@ class BaseReplica(Node):
         self._reply_cache: Dict[str, Tuple[int, SignedPayload]] = {}
         #: Request digest -> progress timer.
         self._request_timers: Dict[str, Timer] = {}
-        self.checkpoints = CheckpointStore(
-            quorum=config.slow_quorum_size,
-            interval=config.checkpoint_interval)
-        self.stats: Dict[str, int] = {
-            "executed": 0,
-            "committed_" + self.commit_path: 0,
-            "invalid_messages": 0,
-            "checkpoints": 0,
-            "checkpoints_stable": 0,
-            "view_changes": 0,
-        }
 
     @property
     def primary(self) -> str:
@@ -170,21 +265,9 @@ class BaseReplica(Node):
     def _view_changing(self) -> bool:
         return self._target_view > self.view
 
-    def sign(self, payload: Any) -> SignedPayload:
-        return SignedPayload.create(payload, self.keypair)
-
-    def broadcast_others(self, message: Any) -> None:
-        self.ctx.broadcast(self.config.others(self.node_id), message)
-
     def footprint(self) -> Dict[str, int]:
         """Sizes of the resident log structures: the slot table."""
         return {"slots": len(self._slots)}
-
-    def rejoin(self) -> None:
-        """Back from a crash: nothing, yet.  A primary-based baseline has
-        no state transfer, so a replica that missed slots while down
-        never fills them and executes nothing after it recovers; only
-        ezBFT asks its peers (``EzBFTReplica``)."""
 
     # ------------------------------------------------------------------
     def _on_request(self, sender: str, request: Any,
@@ -254,48 +337,16 @@ class BaseReplica(Node):
             self._reply_cache[command.client_id] = (command.timestamp,
                                                     envelope)
             self.ctx.send(command.client_id, envelope)
-        self._maybe_checkpoint()
+        self._maybe_checkpoint(self.stats["executed"])
 
-    # ------------------------------------------------------------------
-    def _maybe_checkpoint(self) -> None:
-        """Every ``checkpoint_interval`` executed slots: capture the
-        state, mark the executed record and attest the capture."""
-        executed = self.stats["executed"]
-        if not self.checkpoints.due(executed):
-            return
-        checkpoint = Checkpoint.capture(
-            executed, {"state": self.statemachine.snapshot()})
-        self.statemachine.record.mark(executed)
-        envelope = self.sign(EzCheckpoint(
-            replica=self.node_id, watermark=executed,
-            state_digest=checkpoint.state_digest))
-        stable = self.checkpoints.record_local(checkpoint, self.node_id,
-                                               envelope)
-        self.stats["checkpoints"] += 1
-        self.broadcast_others(envelope)
-        if stable:
-            # Peer attestations had already reached quorum before our
-            # own capture.
-            self._on_stable(executed)
-
-    def _on_checkpoint(self, sender: str, msg: EzCheckpoint,
-                       envelope: SignedPayload) -> None:
-        if self.checkpoints.attest(msg.watermark, msg.state_digest,
-                                   msg.replica, envelope):
-            self._on_stable(msg.watermark)
-
-    def _on_stable(self, watermark: int) -> None:
-        """Our checkpoint at ``watermark`` became stable: drop the log
-        and executed record below it."""
-        self.stats["checkpoints_stable"] += 1
-        self._gc_log(watermark)
-        self.statemachine.record.cut(watermark)
-
-    def _gc_log(self, stable_watermark: int) -> None:
-        """Drop the slots below a stable checkpoint: each was executed
-        here before the capture, or reopened since by a late vote."""
-        for seqno in [s for s in self._slots if s < stable_watermark - 1]:
+    def _gc_below(self, checkpoint: Checkpoint) -> None:
+        """Drop the slots below a stable checkpoint -- each was executed
+        here before the capture, or reopened since by a late vote -- and
+        the executed record below it."""
+        watermark = checkpoint.watermark
+        for seqno in [s for s in self._slots if s < watermark - 1]:
             del self._slots[seqno]
+        self.statemachine.record.cut(watermark)
 
     # ------------------------------------------------------------------
     # View change
@@ -473,7 +524,7 @@ class BaseReplica(Node):
         return len(voters) >= self.config.slow_quorum_size
 
     _SIGNED_HANDLERS = {
-        EzCheckpoint.MSG_TYPE: _on_checkpoint,
+        **Replica._SIGNED_HANDLERS,
         ViewChange.MSG_TYPE: _on_view_change,
         NewView.MSG_TYPE: _on_new_view,
     }

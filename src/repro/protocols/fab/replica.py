@@ -55,6 +55,7 @@ class FabReplica(BaseReplica):
     """One FaB replica (proposer + acceptor + learner roles)."""
 
     order_cls = FabPropose
+    stat_keys = BaseReplica.stat_keys + ("proposals",)
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -64,7 +65,6 @@ class FabReplica(BaseReplica):
                          statemachine, initial_view)
         self._slots: Dict[int, _Slot] = {}
         self._last_executed = -1
-        self.stats.update({"proposals": 0})
 
     # ------------------------------------------------------------------
     def _order(self, request: Request) -> None:

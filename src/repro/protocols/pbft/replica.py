@@ -53,6 +53,9 @@ class PBFTReplica(BaseReplica):
 
     commit_path = "slow"
     order_cls = PrePrepare
+    stat_keys = ("executed", "committed_slow", "invalid_messages",
+                 "checkpoints", "checkpoints_stable", "view_changes",
+                 "pre_prepares", "batches_proposed")
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -70,10 +73,6 @@ class PBFTReplica(BaseReplica):
             batch_timeout_ms=config.batch_timeout_ms,
             flush_fn=self._flush_proposals,
             set_timer_fn=ctx.set_timer)
-        self.stats.update({
-            "pre_prepares": 0,
-            "batches_proposed": 0,
-        })
 
     # ------------------------------------------------------------------
     # Request handling

@@ -51,6 +51,7 @@ class ZyzzyvaReplica(BaseReplica):
     """One Zyzzyva replica."""
 
     order_cls = OrderReq
+    stat_keys = BaseReplica.stat_keys + ("order_reqs", "fill_holes")
 
     def __init__(self, node_id: str, config: ProtocolConfig,
                  ctx: NodeContext, keypair: KeyPair,
@@ -63,10 +64,6 @@ class ZyzzyvaReplica(BaseReplica):
         self._history_digest = ""     # rolling history hash h_n
         self._max_committed = -1
         self._fill_hole_timer: Optional[Timer] = None
-        self.stats.update({
-            "order_reqs": 0,
-            "fill_holes": 0,
-        })
 
     # ------------------------------------------------------------------
     # Ordering

@@ -77,8 +77,9 @@ def test_checkpoints_stabilize_and_gc_log():
     assert check(observe(cluster)) == []
 
 
-def test_stable_checkpoint_digests_agree_at_every_watermark():
-    cluster = lan_cluster(checkpoint_interval=INTERVAL)
+@pytest.mark.parametrize("protocol", ["ezbft", "pbft", "fab", "zyzzyva"])
+def test_stable_checkpoint_digests_agree_at_every_watermark(protocol):
+    cluster = lan_cluster(protocol, checkpoint_interval=INTERVAL)
     client = cluster.add_client("c0", "local")
     run_commands(cluster, client, 4 * INTERVAL)
     logs = {rid: r.checkpoint_log for rid, r in cluster.replicas.items()}
@@ -157,7 +158,7 @@ def test_no_gc_without_attestation_quorum():
     assert cluster.replicas["r1"].stats["log_entries_gcd"] > 0
 
 
-#: The primary-based baselines, which checkpoint through ``BaseReplica``.
+#: The primary-based baselines (``BaseReplica``).
 BASELINES = ("pbft", "fab", "zyzzyva")
 
 
@@ -618,15 +619,15 @@ def test_install_resets_frontier_cursor():
     run_commands(cluster, client, 3 * INTERVAL)
     lagging = cluster.replicas["r3"]
     # Poison: stale progress.
-    lagging.checkpointing._frontier_cursor["r0"] = 10 ** 6
+    lagging._frontier_cursor["r0"] = 10 ** 6
     cluster.network.heal("r3")
     run_commands(cluster, client, INTERVAL, start=3 * INTERVAL)
     assert lagging.stats["state_transfers_installed"] >= 1
     frontier = lagging.checkpoints.stable.snapshot["frontier"]
     # The cursor was re-anchored and tracks the true frontier again.
-    assert lagging.checkpointing._frontier_cursor["r0"] <= \
+    assert lagging._frontier_cursor["r0"] <= \
         lagging.spaces["r0"].expected_slot
-    assert lagging.checkpointing._executed_frontier(lagging.spaces["r0"]) >= \
+    assert lagging._executed_frontier(lagging.spaces["r0"]) >= \
         frontier["r0"]
     assert check(observe(cluster)) == []
 
@@ -796,7 +797,7 @@ def test_gc_never_drops_unexecuted_committed_instance(statuses,
     checkpoint = Checkpoint.capture(0, {
         "state": KVStore().snapshot(), "frontier": {"r0": claimed_cut},
         "client_floors": {}, "client_sparse": {}, "executed_above": []})
-    replica.checkpointing._gc_below(checkpoint)
+    replica._gc_below(checkpoint)
     for iid in committed_unexecuted:
         assert iid in replica._log_index, (
             f"GC dropped unexecuted instance {iid}")

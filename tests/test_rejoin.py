@@ -258,7 +258,7 @@ def _forge_checkpoint(cluster, reply):
     """Ship r2's real state as a checkpoint only r2 attests."""
     r2 = cluster.replicas["r2"]
     watermark = r2.executor.executed_count
-    snapshot = r2.checkpointing._capture_snapshot()
+    snapshot = r2._capture_snapshot()
     state_digest = received_checkpoint(watermark, snapshot).state_digest
     return dataclasses.replace(
         reply, watermark=watermark, snapshot=snapshot,
