@@ -46,6 +46,7 @@ from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
     Commit,
+    CommitFast,
     EzCheckpoint,
     LogEntrySummary,
     NewOwner,
@@ -441,9 +442,10 @@ class CheckpointManager:
 
     def _entry_from_commit_proof(self, summary: LogEntrySummary
                                  ) -> Optional[LogEntry]:
-        """A committed suffix entry backed by either a 2f+1 SPECREPLY
-        certificate (fast path evidence) or the client's signed COMMIT
-        (slow path evidence); metadata comes from the certificate."""
+        """A committed suffix entry backed by either the 3f+1 SPECREPLY
+        headers of a fast certificate (checked as the COMMITFAST they
+        make) or the client's signed COMMIT (slow path evidence);
+        metadata comes from the certificate."""
         replica = self.replica
         proof = summary.proof
         if not proof or not all(isinstance(p, SignedPayload)
@@ -451,12 +453,14 @@ class CheckpointManager:
             return None
         payloads = [p.payload for p in proof]
         if all(isinstance(p, SpecReply) for p in payloads):
-            if len(proof) < replica.config.slow_quorum_size:
-                return None
-            if not replica._validate_reply_certificate(
-                    proof, summary.instance, require_match=True):
-                return None
             sample: SpecReply = payloads[0]
+            try:
+                fast = CommitFast.from_headers(
+                    sample.client_id, summary.instance, proof)
+            except SerializationError:
+                return None
+            if not replica._validate_fast_certificate(fast):
+                return None
             command = summary.command
             # The headers name the command only by ident and request
             # digest: both must be the shipped command's, as its leader
@@ -473,7 +477,7 @@ class CheckpointManager:
                 owner_number=sample.owner_number,
                 command=command, deps=sample.deps, seq=sample.seq,
                 status=EntryStatus.COMMITTED,
-                commit_proof=tuple(proof))
+                commit_proof=fast)
         if len(proof) == 1 and isinstance(payloads[0], Commit):
             envelope, commit = proof[0], payloads[0]
             if not envelope.authentic(replica.registry):
@@ -486,7 +490,7 @@ class CheckpointManager:
                 owner_number=summary.owner_number,
                 command=commit.command, deps=commit.deps,
                 seq=commit.seq, status=EntryStatus.COMMITTED,
-                commit_proof=tuple(proof))
+                commit_proof=envelope)
         return None
 
     def _entry_from_spec_order_proof(self, summary: LogEntrySummary
@@ -542,4 +546,4 @@ def _has_proof(entry: LogEntry) -> bool:
     NEWOWNER finalized carry neither; the NEWOWNER itself is shipped."""
     if entry.status == EntryStatus.SPEC_ORDERED:
         return entry.spec_order is not None
-    return bool(entry.commit_proof)
+    return entry.commit_proof is not None

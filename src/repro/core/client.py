@@ -262,6 +262,9 @@ class EzBFTClient(BaseClient):
     # Step 4.1: fast path
     # ------------------------------------------------------------------
     def _deliver_fast(self, pending: _Pending, group) -> None:
+        """Certify ``group``, headers already matched as one statement:
+        the first signer's envelope is the statement, and the first
+        3f+1 signers' signatures, in replica order, go with it."""
         certificate = tuple(
             envelope
             for replica, (reply, envelope, _) in
@@ -271,7 +274,9 @@ class EzBFTClient(BaseClient):
         pending.phase = "fast"  # decided; sent and delivered at flush
         self._commit_outbox.append((pending, CommitFast(
             client_id=self.client_id, instance=group[0].instance,
-            certificate=certificate)))
+            statement=certificate[0],
+            signatures=tuple(envelope.signature
+                             for envelope in certificate))))
 
     def _flush_commit_outbox(self) -> None:
         """Close the outbox: broadcast what the bundle certified -- one
@@ -296,7 +301,7 @@ class EzBFTClient(BaseClient):
             commits[0] if len(commits) == 1
             else BatchCommitFast(commits=commits))
         for pending, commit in outbox:
-            self._deliver(pending, commit.certificate[0].payload.result,
+            self._deliver(pending, commit.statement.payload.result,
                           "fast")
 
     # ------------------------------------------------------------------

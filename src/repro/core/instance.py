@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple, Union
 
 from repro.errors import InstanceSpaceFrozenError, ProtocolError
 from repro.messages.base import SignedPayload
+from repro.messages.ezbft import CommitFast
 from repro.statemachine.base import Command
 from repro.types import InstanceID
 
@@ -56,8 +57,10 @@ class LogEntry:
     applied: bool = False
     #: Signed SPECORDER this entry derives from (evidence for recovery).
     spec_order: Optional[SignedPayload] = None
-    #: Commit certificate (signed SPECREPLYs or the client's COMMIT).
-    commit_proof: Tuple[SignedPayload, ...] = ()
+    #: What committed the entry: the COMMITFAST whose certificate it
+    #: passed, or the client's signed COMMIT; ``None`` when nothing
+    #: holds one (uncommitted, or finalized by a NEWOWNER).
+    commit_proof: Optional[Union[CommitFast, SignedPayload]] = None
     #: True when a slow-path COMMIT fixed deps/seq (final metadata).
     committed_slow: bool = False
     #: Client to notify with a COMMITREPLY after final execution.

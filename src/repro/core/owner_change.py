@@ -40,6 +40,7 @@ from repro.crypto.digest import digest
 from repro.messages.base import SignedPayload, authentic_payload
 from repro.messages.batching import BatchSpecOrder
 from repro.messages.ezbft import (
+    CommitFast,
     LogEntrySummary,
     NewOwner,
     OwnerChange,
@@ -59,7 +60,11 @@ def summarize_entry(entry: LogEntry) -> LogEntrySummary:
     by owner-change recovery payloads and state-transfer log suffixes."""
     if entry.status.at_least(EntryStatus.COMMITTED):
         kind = "commit"
-        proof = tuple(entry.commit_proof)
+        held = entry.commit_proof
+        if isinstance(held, CommitFast):
+            proof = held.certificate  # its 3f+1 headers, derived here
+        else:  # the client's signed COMMIT, if any
+            proof = (held,) if held is not None else ()
     else:
         kind = "spec-order"
         proof = ((entry.spec_order,)

@@ -67,17 +67,12 @@ class RecoveryManager:
             for entry in space.entries():
                 if entry.spec_order is not None:
                     relog(entry.spec_order.signer, entry.spec_order)
-                if not entry.status.at_least(EntryStatus.COMMITTED) or \
-                        not entry.commit_proof:
+                proof = entry.commit_proof
+                if proof is None or \
+                        not entry.status.at_least(EntryStatus.COMMITTED):
                     continue
-                if entry.committed_slow:
-                    proof = entry.commit_proof[0]
-                    relog(proof.signer, proof)
-                else:
-                    relog(replica.node_id, CommitFast(
-                        client_id=entry.command.client_id,
-                        instance=entry.instance,
-                        certificate=entry.commit_proof))
+                relog(replica.node_id if isinstance(proof, CommitFast)
+                      else proof.signer, proof)
         for _, envelope in replica._pending_spec_orders.values():
             if envelope is not None:  # not a slot marked filled
                 relog(envelope.signer, envelope)

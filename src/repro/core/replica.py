@@ -46,7 +46,6 @@ from repro.messages.ezbft import (
     StartOwnerChange,
     StateTransferReply,
     StateTransferRequest,
-    statement_of,
 )
 from repro.obs.instruments import NULL
 from repro.protocols.base import Replica
@@ -680,14 +679,14 @@ class EzBFTReplica(Replica):
             self.stats["invalid_messages"] += 1
             return
         self._persist_entry(sender, commit)
-        # The certificate's replies all match; adopt their metadata (they
-        # may differ from ours if we merged deps the quorum did not see --
+        # The certificate is one statement; adopt its metadata (it may
+        # differ from ours if we merged deps the quorum did not see --
         # the certificate is authoritative).
-        sample = commit.certificate[0].payload
+        sample = commit.statement.payload
         entry.deps = sample.deps
         entry.seq = sample.seq
         entry.status = EntryStatus.COMMITTED
-        entry.commit_proof = commit.certificate
+        entry.commit_proof = commit
         entry.reply_to = None  # fast path: no COMMITREPLY
         self.stats["committed_fast"] += 1
         if self.tracer.enabled:
@@ -741,7 +740,7 @@ class EzBFTReplica(Replica):
         entry.seq = commit.seq
         entry.status = EntryStatus.COMMITTED
         entry.committed_slow = True
-        entry.commit_proof = (envelope,)
+        entry.commit_proof = envelope
         entry.reply_to = commit.client_id
         # Invalidate speculation: final execution will re-run on the final
         # state (paper step 5.2).
@@ -956,53 +955,55 @@ class EzBFTReplica(Replica):
     # Certificates
     # ------------------------------------------------------------------
     def _validate_fast_certificate(self, commit: CommitFast) -> bool:
-        cert = commit.certificate
-        if len(cert) < self.config.fast_quorum_size:
+        """3f+1 distinct replicas signed one SPECREPLY statement for the
+        commit's instance.  Checked in order: the quorum size; that the
+        signers are distinct replicas; that the statement is a
+        SPECREPLY header, authentic (its signer is the ``replica`` it
+        names and ``signatures[0]``) and for this instance; then each
+        other signer's tag over the statement respelled for it
+        (:meth:`CommitFast.cosigned`).  Nothing is compared between
+        headers: they match by construction."""
+        signatures = commit.signatures
+        if len(signatures) < self.config.fast_quorum_size:
             return False
-        return self._validate_reply_certificate(cert, commit.instance,
-                                                require_match=True)
+        replicas = self.registry.replicas
+        signers = {signature.signer for signature in signatures}
+        if len(signers) != len(signatures) or \
+                not signers.issubset(replicas):
+            return False
+        head = commit.statement
+        header = head.payload
+        return isinstance(header, SpecReply) and \
+            head.authentic(self.registry) and \
+            header.instance == commit.instance and \
+            commit.cosigned(self.registry)
 
     def _validate_slow_certificate(self, commit: Commit) -> bool:
-        """2f+1 valid SPECREPLY headers for the commit's instance *and
-        command*, with the COMMIT's metadata exactly what they combine
-        to: ``deps`` their union, ``seq`` their maximum.  The client
-        signs the COMMIT but may not choose either -- dependency
-        collection leans on every correct voter's deps surviving into
-        the final set (see :meth:`_collect_deps`)."""
+        """2f+1 authentic SPECREPLY headers from distinct replicas for
+        the commit's instance *and command*, with the COMMIT's metadata
+        exactly what they combine to: ``deps`` their union, ``seq``
+        their maximum.  The client signs the COMMIT but may not choose
+        either -- dependency collection leans on every correct voter's
+        deps surviving into the final set (see :meth:`_collect_deps`)."""
         cert = commit.certificate
         if len(cert) < self.config.slow_quorum_size:
             return False
-        if not self._validate_reply_certificate(cert, commit.instance,
-                                                require_match=False):
-            return False
+        signers = set()
         deps: set = set()
         seq = 0
         for signed in cert:
             reply = signed.payload
-            if (reply.client_id, reply.timestamp) != commit.command.ident:
-                return False
-            deps.update(reply.deps)
-            seq = max(seq, reply.seq)
-        return commit.deps == tuple(sorted(deps)) and commit.seq == seq
-
-    def _validate_reply_certificate(self, cert, instance: InstanceID,
-                                    require_match: bool) -> bool:
-        signers = set()
-        statements = set()
-        for signed in cert:
-            reply = signed.payload
-            if not isinstance(reply, SpecReply):
-                return False
-            if not signed.authentic(self.registry):
-                return False
-            if reply.instance != instance:
+            if not isinstance(reply, SpecReply) or \
+                    not signed.authentic(self.registry) or \
+                    reply.instance != commit.instance or \
+                    (reply.client_id, reply.timestamp) != \
+                    commit.command.ident:
                 return False
             signers.add(reply.replica)
-            if require_match:
-                statements.add(statement_of(signed))
-        if require_match and (len(statements) != 1 or None in statements):
-            return False
-        return len(signers) == len(cert)
+            deps.update(reply.deps)
+            seq = max(seq, reply.seq)
+        return len(signers) == len(cert) and \
+            commit.deps == tuple(sorted(deps)) and commit.seq == seq
 
     # ------------------------------------------------------------------
     # Misbehavior and owner changes (delegated)

@@ -12,8 +12,9 @@ Each message is a frozen dataclass with:
 Three classes write wire methods by hand, because their wire form is
 not their field list: ``SignedPayload`` (both: the signed bytes ride as
 a string and are parsed, through :func:`decode`, into any registered
-type), ``CommitFast`` (both: one SPECREPLY header as signed and 3f+1
-signatures, not 3f+1 envelopes) and ``SpecReply.from_wire`` (names the
+type), ``CommitFast`` (both: its statement, one SPECREPLY header's
+envelope, rides as its signed bytes, and its 3f+1 signatures as
+``[signer, tag]`` pairs) and ``SpecReply.from_wire`` (names the
 retired ``spec_order`` key and coerces the integer fields; its
 ``to_wire`` is derived).
 

@@ -203,10 +203,11 @@ class SignedPayload:
     (iii) Wherever bytes are rebuilt rather than received, they are
         our own encoder's: the ``digest`` comparisons that detect
         equivocation and ``request_digest`` encode the parsed payload,
-        and a fast certificate's sibling headers are rebuilt by
+        and the bytes a fast certificate's other signers are checked
+        against are its statement respelled by
         ``repro.crypto.digest.respell_replica``, whose output is the
-        encoder's for the sibling exactly when its input is the
-        encoder's (its lemma), and which encodes where the lemma
+        encoder's for that signer's header exactly when its input is
+        the encoder's (its lemma), and which encodes where the lemma
         declines.  A byzantine spelling (``5.0`` for ``5``, reordered
         keys) therefore verifies as its own envelope but never
         *matches* a correct one: fast matching compares signed bytes,

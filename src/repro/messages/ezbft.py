@@ -16,25 +16,26 @@ proofs, relogged WAL records -- holds headers only.
 The fast certificate closes its brackets the same way.  The 3f+1
 headers of ``<COMMITFAST, c, I, CC>`` are one statement signed by
 3f+1 replicas -- their signed bytes differ in the signer's own id and
-in no other byte (:func:`statement_of`) -- so on the wire ``CC`` is
+in no other byte (:func:`statement_of`) -- so ``CC`` is
 ``<<SPECREPLY, O, I, D', S', d, c, t, rep, R_0>, [(R_j, sigma_Rj),
-...]>``: the first header's signed bytes verbatim and 3f+1 signatures
-(see :class:`CommitFast`).  In memory it stays a tuple of
-signed :class:`SpecReply` envelopes, and a client that certifies
-several commands in one step sends their COMMITFASTs as one
-:class:`BatchCommitFast` frame.
+...]>``: the first header's signed envelope and 3f+1 signatures, held
+in memory as they travel on the wire (see :class:`CommitFast`).  A
+client that certifies several commands in one step sends their
+COMMITFASTs as one :class:`BatchCommitFast` frame.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.crypto.digest import canonical_bytes, respell_replica
-from repro.crypto.signatures import Signature
+from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import Signature, is_valid
 from repro.errors import SerializationError
 from repro.messages.base import (
+    _VERIFY_MEMO,
     SignedPayload,
     register_message,
     wire_struct,
@@ -227,38 +228,6 @@ def _spelled_apart(a: SignedPayload, b: SignedPayload) -> str:
     return ", ".join(names) or "spelling alone"
 
 
-def _fast_statement(certificate: Tuple[SignedPayload, ...]) -> str:
-    """The one SPECREPLY statement ``certificate`` signs 3f+1 times, as
-    its first header's signed bytes.  Raises
-    :class:`SerializationError` unless every envelope is a SPECREPLY
-    header signed by the replica it names and all state one statement
-    (:func:`statement_of`)."""
-    if not certificate:
-        raise SerializationError("CommitFast carries no SPECREPLY headers")
-    first = certificate[0]
-    statement = None
-    for signed in certificate:
-        header = signed.payload
-        if not isinstance(header, SpecReply):
-            raise SerializationError(
-                f"CommitFast certificate holds a "
-                f"{type(header).__name__}, not a SPECREPLY header")
-        if signed.signer != header.replica:
-            raise SerializationError(
-                f"CommitFast header signed by {signed.signer!r} names "
-                f"'replica' {header.replica!r}")
-        said = statement_of(signed)
-        if statement is None:
-            statement = said
-        if said is None or said != statement:
-            raise SerializationError(
-                f"CommitFast headers of {first.payload.replica!r} and "
-                f"{header.replica!r} differ in "
-                f"{_spelled_apart(first, signed)}: not a fast "
-                f"certificate")
-    return first.body.decode("ascii")
-
-
 @register_message
 @dataclass(frozen=True)
 class CommitFast:
@@ -266,48 +235,149 @@ class CommitFast:
     of 3f+1 matching signed SPECREPLY headers (no SPECORDER inside: see
     :class:`SpecReply`).
 
-    Matching headers are one statement signed 3f+1 times, so the wire
-    form is ``CC = <<SPECREPLY, O, I, D', S', d, c, t, rep, R_0>,
-    [(R_j, sigma_Rj), ...]>``: the first header's signed bytes
-    verbatim, then who signed the statement and their tags.  The
-    signer's id is the one byte range in which matching headers
-    differ, and it is never free: a header counts only when its
-    ``replica`` is its signer, which the signature list names.
-    ``from_wire`` parses the statement once and rebuilds header j's
-    bytes by respelling its ``replica`` as ``R_j``
-    (:func:`~repro.crypto.digest.respell_replica`); every header is
-    still MAC-checked over those bytes by ``SignedPayload.verify``
-    wherever the certificate is validated, so a statement respelled
-    for a correct signer verifies only if it is what that signer
-    signed.
+    Matching headers are one statement signed 3f+1 times, so the
+    certificate is held as it travels, ``CC = <<SPECREPLY, O, I, D',
+    S', d, c, t, rep, R_0>, [(R_j, sigma_Rj), ...]>``: ``statement``
+    is the first header's signed envelope and ``signatures`` who
+    signed the statement and their tags, ``signatures[0]`` being the
+    statement's own.  The wire form is this field list with the
+    statement as its signed bytes; ``from_wire`` parses them once and
+    builds nothing else.
 
-    ``certificate`` itself stays a tuple of signed envelopes, so a
-    certificate that is *not* 3f+1 siblings can be built in process (and
-    is refused by the replica's validation); it has no wire form and
-    ``to_wire`` raises :class:`SerializationError` naming why.
+    Header j is the statement with its ``replica`` respelled as R_j
+    (:func:`~repro.crypto.digest.respell_replica`).  The signer's id is
+    the one byte range in which matching headers differ, and it is
+    never free: a header counts only when its ``replica`` is its
+    signer, which the signature list names.  A replica checks
+    signature j by MACing the statement respelled for R_j
+    (:meth:`cosigned`), so a statement verifies for a correct signer
+    only if it is what that signer signed, and the signatures match one
+    another by construction.  :attr:`certificate` derives the header
+    envelopes on demand, for the consumers that ship them on (owner
+    changes and state transfers).
+
+    :meth:`from_headers` builds one from signed headers and raises
+    :class:`SerializationError`, naming the field, for headers that
+    are not one statement.
     """
 
     MSG_TYPE = "ez-commit-fast"
-    AUTHOR = None  # unsigned; each header is checked
+    AUTHOR = None  # unsigned; the statement and every tag are checked
 
-    #: One simulated MAC check, although ``_on_commit_fast`` MAC-checks
-    #: all 3f+1 signatures on arrival (a slow-path COMMIT is charged
-    #: per signer).  The model under-counts here on purpose: every
-    #: pinned sim figure was recorded under this value.
+    #: One simulated MAC check, although the replica MAC-checks all
+    #: 3f+1 signatures on arrival (a slow-path COMMIT is charged per
+    #: signer).  The model under-counts here on purpose: every pinned
+    #: sim figure was recorded under this value.
     cpu_cost_units = 1
 
     client_id: str
     instance: InstanceID
-    certificate: Tuple[SignedPayload, ...]
+    statement: SignedPayload
+    signatures: Tuple[Signature, ...]
+
+    def __post_init__(self) -> None:
+        if not self.signatures:
+            raise SerializationError(
+                "CommitFast carries no SPECREPLY headers")
+        if self.statement.signature != self.signatures[0]:
+            raise SerializationError(
+                "CommitFast 'statement' is not signed by "
+                "'signatures[0]'")
+
+    @classmethod
+    def from_headers(cls, client_id: str, instance: InstanceID,
+                     headers: Sequence[SignedPayload]) -> "CommitFast":
+        """The certificate ``headers`` make: the first one's envelope
+        as the statement and every header's signature.  Raises
+        :class:`SerializationError` unless each is a SPECREPLY header
+        signed by the replica it names and all state one statement
+        (:func:`statement_of`), naming the field that differs."""
+        if not headers:
+            raise SerializationError(
+                "CommitFast carries no SPECREPLY headers")
+        first = headers[0]
+        statement = None
+        for signed in headers:
+            header = signed.payload
+            if not isinstance(header, SpecReply):
+                raise SerializationError(
+                    f"CommitFast certificate holds a "
+                    f"{type(header).__name__}, not a SPECREPLY header")
+            if signed.signer != header.replica:
+                raise SerializationError(
+                    f"CommitFast header signed by {signed.signer!r} "
+                    f"names 'replica' {header.replica!r}")
+            said = statement_of(signed)
+            if statement is None:
+                statement = said
+            if said is None or said != statement:
+                raise SerializationError(
+                    f"CommitFast headers of {first.payload.replica!r} "
+                    f"and {header.replica!r} differ in "
+                    f"{_spelled_apart(first, signed)}: not a fast "
+                    f"certificate")
+        return cls(client_id=client_id, instance=instance,
+                   statement=first,
+                   signatures=tuple(signed.signature for signed in headers))
+
+    def cosigned(self, registry: KeyRegistry) -> bool:
+        """Whether every signer after the first MAC'd the statement
+        respelled for itself (:func:`respell_replica`); ``False`` where
+        a respell declines.  The statement's own signature is its
+        envelope's to check (``authentic``).
+
+        The verdict is memoized on the certificate, keyed as
+        ``SignedPayload._checked`` keys its memo: by the registry's
+        ``verify_epoch`` and the exact statement bytes and signatures
+        objects it was computed over.  Replicas that receive one shared
+        certificate (the simulator's broadcast) check it once."""
+        body, signatures = self.statement.body, self.signatures
+        epoch = registry.verify_epoch
+        memo = getattr(self, _VERIFY_MEMO, None)
+        if memo is not None and memo[0] is epoch and memo[1] is body \
+                and memo[2] is signatures:
+            return memo[3]
+        header = self.statement.payload
+        verdict = True
+        for signature in signatures[1:]:
+            respelled = respell_replica(body, header, signature.signer)
+            if respelled is None or \
+                    not is_valid(respelled, signature, registry):
+                verdict = False
+                break
+        object.__setattr__(self, _VERIFY_MEMO,
+                           (epoch, body, signatures, verdict))
+        return verdict
+
+    @property
+    def certificate(self) -> Tuple[SignedPayload, ...]:
+        """The 3f+1 SPECREPLY header envelopes the certificate stands
+        for, derived from the statement on each read: the statement
+        itself, then for each further signer the statement respelled
+        for it, bound to the header with its ``replica`` replaced.
+        Raises :class:`SerializationError` where a respell declines
+        (never for a certificate the replica validated)."""
+        head = self.statement
+        header = head.payload
+        headers = [head]
+        for signature in self.signatures[1:]:
+            body = respell_replica(head.body, header, signature.signer)
+            if body is None:
+                raise SerializationError(
+                    f"CommitFast statement of {header.replica!r} cannot "
+                    f"be respelled for {signature.signer!r}")
+            headers.append(SignedPayload(body=body, signature=signature)
+                           .bind(replace(header, replica=signature.signer)))
+        return tuple(headers)
 
     def to_wire(self) -> dict:
         return {
             "type": self.MSG_TYPE,
             "client_id": self.client_id,
             "instance": self.instance.to_wire(),
-            "statement": _fast_statement(self.certificate),
-            "signatures": [[signed.signer, signed.signature.tag]
-                           for signed in self.certificate],
+            "statement": self.statement.body.decode("ascii"),
+            "signatures": [[signature.signer, signature.tag]
+                           for signature in self.signatures],
         }
 
     @classmethod
@@ -325,34 +395,17 @@ class CommitFast:
                 "CommitFast 'statement' is not a header's signed bytes "
                 "(written before the statement became the first "
                 "header as signed)")
-        signatures = [Signature(signer=signer, tag=tag)
-                      for signer, tag in wire["signatures"]]
+        signatures = tuple(Signature(signer=signer, tag=tag)
+                           for signer, tag in wire["signatures"])
         if not signatures:
             raise SerializationError(
                 "CommitFast carries no SPECREPLY headers")
-        # One parse; the siblings share its fields and respell its
-        # bytes.
-        head = SignedPayload.from_wire({"body": statement,
-                                        "signature": signatures[0]})
-        first = head.payload
-        if not isinstance(first, SpecReply):
-            raise SerializationError(
-                f"CommitFast statement is a {type(first).__name__}, "
-                f"not a SPECREPLY header")
-        certificate = [head]
-        for signature in signatures[1:]:
-            body = respell_replica(head.body, first, signature.signer)
-            if body is None:
-                raise SerializationError(
-                    f"CommitFast statement of {first.replica!r} cannot "
-                    f"be respelled for {signature.signer!r}")
-            certificate.append(
-                SignedPayload(body=body, signature=signature)
-                .bind(replace(first, replica=signature.signer)))
         return cls(
             client_id=wire["client_id"],
             instance=InstanceID.from_wire(wire["instance"]),
-            certificate=tuple(certificate),
+            statement=SignedPayload.from_wire(
+                {"body": statement, "signature": signatures[0]}),
+            signatures=signatures,
         )
 
 

@@ -73,12 +73,11 @@ SAMPLES = [
         spec_order=_signed(batching.BatchSpecOrder(
             leader="r0", owner_number=0,
             orders=(_spec_order(), _spec_order())))),
-    ezbft.CommitFast(client_id="c0", instance=INST,
-                     certificate=(_signed(_spec_reply(), R1_KEYPAIR),)),
+    ezbft.CommitFast.from_headers(
+        "c0", INST, (_signed(_spec_reply(), R1_KEYPAIR),)),
     ezbft.BatchCommitFast(commits=(
-        ezbft.CommitFast(
-            client_id="c0", instance=INST,
-            certificate=(_signed(_spec_reply(), R1_KEYPAIR),)),) * 2),
+        ezbft.CommitFast.from_headers(
+            "c0", INST, (_signed(_spec_reply(), R1_KEYPAIR),)),) * 2),
     ezbft.Commit(client_id="c0", instance=INST, command=CMD,
                  deps=(InstanceID("r1", 0),), seq=9,
                  certificate=(_signed(_spec_reply()),)),
@@ -439,14 +438,18 @@ def test_header_naming_a_foreign_digest_is_not_a_fast_vote():
     assert log.paths == ["slow"]
     assert client.stats["delivered_fast"] == 0
     assert headers["r3"].payload.request_digest == "00" * 32
+    signed = tuple(headers[rid] for rid in sorted(headers))
+    assert all(h.verify(cluster.registry) for h in signed)
+    # r0's statement with every tag, r3's over its own digest: r3's
+    # tag does not MAC the statement respelled for r3.
     forged = ezbft.CommitFast(
         client_id="c0", instance=headers["r0"].payload.instance,
-        certificate=tuple(headers[rid] for rid in sorted(headers)))
-    assert len(forged.certificate) == 4
-    assert all(h.verify(cluster.registry) for h in forged.certificate)
+        statement=signed[0],
+        signatures=tuple(h.signature for h in signed))
     assert not cluster.replicas["r1"]._validate_fast_certificate(forged)
     with pytest.raises(SerializationError, match="request_digest"):
-        forged.to_wire()
+        ezbft.CommitFast.from_headers(
+            "c0", headers["r0"].payload.instance, signed)
 
 
 def test_matching_is_of_signed_bytes_not_of_python_equality():
@@ -542,16 +545,17 @@ def test_result_spelled_differently_is_not_a_fast_vote():
     for honest, seen in lied_about.items():
         assert type(seen["r3"].payload.result) is not int
         assert seen["r3"].payload.result == honest
+        signed = tuple(seen[rid] for rid in sorted(seen))
+        assert all(h.verify(cluster.registry) for h in signed)
         forged = ezbft.CommitFast(
             client_id="c0", instance=seen["r0"].payload.instance,
-            certificate=tuple(seen[rid] for rid in sorted(seen)))
-        assert len(forged.certificate) == 4
-        assert all(h.verify(cluster.registry)
-                   for h in forged.certificate)
+            statement=signed[0],
+            signatures=tuple(h.signature for h in signed))
         assert not cluster.replicas["r1"] \
             ._validate_fast_certificate(forged)
         with pytest.raises(SerializationError, match="'result'"):
-            forged.to_wire()
+            ezbft.CommitFast.from_headers(
+                "c0", seen["r0"].payload.instance, signed)
 
 
 def non_canonical(replica, dst, message):
@@ -613,14 +617,16 @@ def test_non_canonical_header_bytes_verify_but_never_match():
         "statement": theirs.body.decode("ascii"),
         "signatures": [[rid, headers[rid].signature.tag]
                        for rid in order]})
+    assert forged.statement.verify(cluster.registry)
     assert [h.verify(cluster.registry) for h in forged.certificate] == \
         [True, False, False, False]
     for replica in cluster.replicas.values():
+        assert not forged.cosigned(replica.registry)
         assert not replica._validate_fast_certificate(forged)
     with pytest.raises(SerializationError, match="'seq'"):
-        ezbft.CommitFast(client_id="c0", instance=theirs.payload.instance,
-                         certificate=tuple(headers[r] for r in order)
-                         ).to_wire()
+        ezbft.CommitFast.from_headers(
+            "c0", theirs.payload.instance,
+            tuple(headers[r] for r in order))
     assert check(observe(cluster)) == []
     for rid, replica in cluster.replicas.items():
         assert replica.statemachine.get_final("k") == 2, rid
@@ -666,7 +672,7 @@ def test_decoding_and_verifying_encodes_nothing(monkeypatch):
     client.submit(client.next_command("put", "k", "slow"))
     cluster.run_until_idle()
     fast, slow = commits
-    assert len(fast.certificate) == 4 and len(slow.payload.certificate) == 3
+    assert len(fast.signatures) == 4 and len(slow.payload.certificate) == 3
 
     registry = KeyRegistry()
     registry.register(KEYPAIR)

@@ -201,16 +201,19 @@ def test_a_node_with_another_registry_recomputes_the_mac_verdict(
 def test_a_fast_certificate_shares_its_statement_parse():
     """A COMMITFAST ships its first header's signed bytes and 3f+1
     signatures.  Every node that decodes it in one process shares one
-    parse of that header; the siblings are rebuilt from it, and every
-    header verifies."""
+    parse of that header; every signature MACs the statement respelled
+    for its signer, and the headers derived on demand are the ones
+    signed."""
     registry = _registry()
-    commit = CommitFast(client_id="c0", instance=InstanceID("r0", 0),
-                        certificate=tuple(_signed(_header(rid), rid)
-                                          for rid in REPLICAS))
+    commit = CommitFast.from_headers(
+        "c0", InstanceID("r0", 0),
+        tuple(_signed(_header(rid), rid) for rid in REPLICAS))
     frame = canonical_bytes(commit)
     one, other = (decode(json.loads(frame)) for _ in range(2))
-    assert other.certificate[0].payload is one.certificate[0].payload
+    assert other.statement.payload is one.statement.payload
     for decoded in (one, other):
+        assert decoded.statement.authentic(registry)
+        assert decoded.cosigned(registry)
         assert [s.payload for s in decoded.certificate] == \
             [_header(rid) for rid in REPLICAS]
         assert all(s.authentic(registry) for s in decoded.certificate)

@@ -197,17 +197,20 @@ def test_envelope_cache_cleared_on_key_rotation():
 _SIGNERS = ("r0", "r1", "r2", "r3")
 
 
-def _fast_commit(pairs) -> CommitFast:
+def _headers(pairs):
     instance = InstanceID("r0", 3)
-    return CommitFast(
-        client_id="c0", instance=instance,
-        certificate=tuple(
-            SignedPayload.create(SpecReply(
-                replica=rid, owner_number=0, instance=instance,
-                deps=(InstanceID("r1", 0), InstanceID("r2", 5)), seq=4,
-                request_digest="def", client_id="c0", timestamp=7,
-                result="OK"), pairs[rid])
-            for rid in _SIGNERS))
+    return tuple(
+        SignedPayload.create(SpecReply(
+            replica=rid, owner_number=0, instance=instance,
+            deps=(InstanceID("r1", 0), InstanceID("r2", 5)), seq=4,
+            request_digest="def", client_id="c0", timestamp=7,
+            result="OK"), pairs[rid])
+        for rid in _SIGNERS)
+
+
+def _fast_commit(pairs) -> CommitFast:
+    return CommitFast.from_headers("c0", InstanceID("r0", 3),
+                                   _headers(pairs))
 
 
 def _over_the_wire(message):
@@ -216,7 +219,8 @@ def _over_the_wire(message):
 
 def test_fast_certificate_round_trip_encodes_no_header(monkeypatch):
     registry, pairs = _registry(*_SIGNERS)
-    commit = _fast_commit(pairs)
+    headers = _headers(pairs)
+    commit = CommitFast.from_headers("c0", InstanceID("r0", 3), headers)
     wire = _over_the_wire(commit)
     encoded = []
 
@@ -228,10 +232,11 @@ def test_fast_certificate_round_trip_encodes_no_header(monkeypatch):
     monkeypatch.setattr(sys.modules["repro.crypto.digest"], "_encode",
                         counting)
     again = CommitFast.from_wire(wire)
-    assert all(signed.verify(registry) for signed in again.certificate)
+    assert again.statement.verify(registry) and again.cosigned(registry)
     assert encoded == []
     assert again == commit
-    for signed, original in zip(again.certificate, commit.certificate):
+    # The headers derived on demand are the ones signed, byte for byte.
+    for signed, original in zip(again.certificate, headers):
         assert signed == original
         assert canonical_bytes(signed.payload) == _encode(original.payload)
 
@@ -242,14 +247,15 @@ def test_mutated_sibling_header_fails_verification():
     sibling altered after decoding fails its MAC check."""
     registry, pairs = _registry(*_SIGNERS)
     again = CommitFast.from_wire(_over_the_wire(_fast_commit(pairs)))
-    sibling = again.certificate[2]
+    certificate = again.certificate
+    sibling = certificate[2]
     assert getattr(sibling.payload, _BYTES_MEMO, None) is None
     assert sibling.body == _encode(sibling.payload)
     assert sibling.verify(registry)
     object.__setattr__(sibling.payload, "seq", 99)
     assert not sibling.verify(registry)
     assert all(signed.verify(registry)
-               for signed in again.certificate if signed is not sibling)
+               for signed in certificate if signed is not sibling)
 
 
 def test_sibling_signed_by_another_replica_does_not_verify():
@@ -258,9 +264,11 @@ def test_sibling_signed_by_another_replica_does_not_verify():
     registry, pairs = _registry(*_SIGNERS)
     wire = _over_the_wire(_fast_commit(pairs))
     wire["signatures"][1][0] = "r2"  # r1's tag, claimed for r2
-    forged = CommitFast.from_wire(wire).certificate[1]
+    commit = CommitFast.from_wire(wire)
+    forged = commit.certificate[1]
     assert forged.payload.replica == "r2"
     assert not forged.verify(registry)
+    assert not commit.cosigned(registry)
 
 
 def test_respelling_declines_when_an_earlier_value_holds_an_object():

@@ -213,11 +213,10 @@ st.register_type_strategy(SignedPayload, st.deferred(lambda: st.one_of(
     [st.from_type(cls) for cls in (SpecOrder, SpecReply, EzCheckpoint,
                                    BatchSpecOrder)])).map(_signed))
 st.register_type_strategy(CommitFast, st.builds(
-    lambda header, signers: CommitFast(
-        client_id=header.client_id, instance=header.instance,
-        certificate=tuple(
-            _signed(dataclasses.replace(header, replica=rid), rid)
-            for rid in signers)),
+    lambda header, signers: CommitFast.from_headers(
+        header.client_id, header.instance,
+        tuple(_signed(dataclasses.replace(header, replica=rid), rid)
+              for rid in signers)),
     st.from_type(SpecReply),
     st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)))
 

@@ -78,7 +78,8 @@ def test_commit_fast_carries_headers_only_and_is_small():
     submit_puts(cluster, client, 1)
     (commit_fast,) = commits
     assert not folded  # one header per bundle: nothing to fold
-    assert len(commit_fast.certificate) == 4
+    assert len(commit_fast.signatures) == 4
+    assert isinstance(commit_fast.statement.payload, SpecReply)
     assert all(isinstance(signed.payload, SpecReply)
                for signed in commit_fast.certificate)
     assert not carries_spec_order(commit_fast)
@@ -88,7 +89,7 @@ def test_commit_fast_carries_headers_only_and_is_small():
     assert len(canonical_bytes(commit_fast)) < 1024
     wire = json.loads(canonical_bytes(commit_fast))
     assert wire["statement"].encode("ascii") == \
-        commit_fast.certificate[0].body
+        commit_fast.statement.body
     assert json.loads(wire["statement"])["replica"] == "r0"
     assert [signer for signer, _ in wire["signatures"]] == \
         ["r0", "r1", "r2", "r3"]
@@ -159,9 +160,9 @@ def test_relogged_wal_records_are_header_only_and_recover(tmp_path):
 
 
 def test_mismatched_headers_have_no_wire_form():
-    """In process such a certificate can be built (and the replica
-    refuses it); there is no statement to ship, and the error says
-    which field the headers disagree on."""
+    """Headers that are not one statement build no COMMITFAST, and the
+    error says which field they disagree on; their signatures under
+    the first one's statement are refused by the replica."""
     cluster = lan_cluster()
     commits = capture(cluster, "r1", CommitFast)
     client = cluster.add_client("c0", "local", target_replica="r0")
@@ -170,17 +171,23 @@ def test_mismatched_headers_have_no_wire_form():
     cert = list(honest.certificate)
     lied = dataclasses.replace(cert[2].payload, seq=cert[2].payload.seq + 1)
     cert[2] = SignedPayload.create(lied, cluster.replicas["r2"].keypair)
-    mixed = dataclasses.replace(honest, certificate=tuple(cert))
-    assert not cluster.replicas["r1"]._validate_fast_certificate(mixed)
     with pytest.raises(SerializationError, match="'seq'"):
-        mixed.to_wire()
+        CommitFast.from_headers("c0", honest.instance, cert)
+    mixed = dataclasses.replace(
+        honest, signatures=tuple(h.signature for h in cert))
+    assert not cluster.replicas["r1"]._validate_fast_certificate(mixed)
     # A header signed by someone other than the replica it names.
     cert[2] = SignedPayload.create(honest.certificate[2].payload,
                                    cluster.replicas["r3"].keypair)
     with pytest.raises(SerializationError, match="'replica'"):
-        dataclasses.replace(honest, certificate=tuple(cert)).to_wire()
+        CommitFast.from_headers("c0", honest.instance, cert)
     with pytest.raises(SerializationError):
-        dataclasses.replace(honest, certificate=()).to_wire()
+        CommitFast.from_headers("c0", honest.instance, ())
+    with pytest.raises(SerializationError):
+        dataclasses.replace(honest, signatures=())
+    # The statement's own signature is signatures[0].
+    with pytest.raises(SerializationError, match="signatures"):
+        dataclasses.replace(honest, signatures=honest.signatures[1:])
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +251,13 @@ def test_forged_certificate_in_a_folded_frame_costs_only_itself():
     def garble(sender, message):
         if isinstance(message, BatchCommitFast):
             commits = list(message.commits)
-            cert = list(commits[3].certificate)
-            cert[0] = dataclasses.replace(
-                cert[0], signature=dataclasses.replace(
-                    cert[0].signature, tag="00" * 32))
-            commits[3] = dataclasses.replace(commits[3],
-                                             certificate=tuple(cert))
+            signatures = list(commits[3].signatures)
+            signatures[0] = dataclasses.replace(signatures[0],
+                                                tag="00" * 32)
+            commits[3] = dataclasses.replace(
+                commits[3], signatures=tuple(signatures),
+                statement=dataclasses.replace(commits[3].statement,
+                                              signature=signatures[0]))
             message = BatchCommitFast(commits=tuple(commits))
         deliver(sender, message)
 

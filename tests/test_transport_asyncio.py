@@ -225,11 +225,12 @@ def test_co_located_nodes_parse_each_signed_body_once(monkeypatch):
     signed body several of them receive is parsed once while its
     payload lives: per fast-path command, the REQUEST, the SPECORDER
     (three followers and four reply bundles carry it) and the four
-    SPECREPLY headers the client parses, plus the first header once
-    more at the replicas -- the client drops its parse when it
-    delivers, before its COMMITFAST (the first header's bytes and four
-    signatures) arrives.  Without the cache this run scans 16 bodies
-    per command."""
+    SPECREPLY headers the client parses, plus the COMMITFAST's
+    statement once more at the replicas.  A COMMITFAST (the first
+    header's bytes and four signatures) decodes to that one parse and
+    nothing else; it is parsed again because the client drops its
+    parse when it delivers, before the COMMITFAST arrives.  Without
+    the cache this run scans 16 bodies per command."""
     scanned = Counter()
     scan = base._scan_json
 
